@@ -19,6 +19,7 @@ from qverify.adversary import (
     family_omega,
     family_qmax,
     family_trace3,
+    game_value,
     hilbert_schmidt_mixed_state,
     hull_boundary,
     lambda1,
@@ -35,7 +36,7 @@ from qverify.adversary import (
     twirl_average,
     worst_case_state,
 )
-from qverify.qcore import HermitianOperator, Ket, identity
+from qverify.qcore import HermitianOperator, Ket, basis_ket, haar_random_ket, identity
 from qverify.strategy import (
     MeasurementSetting,
     Locality,
@@ -304,3 +305,92 @@ def test_mixed_states_never_beat_pure_worst_case():
         rho = hilbert_schmidt_mixed_state(4, rng)
         adv = shift_fidelity(rho, strat.target, eps)
         assert acceptance_probability(strat.omega, adv) <= bound + 1e-10
+
+
+# game_value on operators that do not fix the target: the secular
+# equation of the inner sphere maximization is solved for real here,
+# while every strategy above takes its zero-coupling shortcut.
+
+
+def _unit_spectrum_operator(dim, seed):
+    rng = np.random.default_rng(seed)
+    raw = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+    unitary, _ = np.linalg.qr(raw)
+    return (unitary * rng.uniform(0.0, 1.0, dim)) @ unitary.conj().T
+
+
+def _check_maximizer(result, omega, target, epsilon):
+    assert result.maximizer.fidelity <= 1.0 - epsilon + 1e-10
+    accept = acceptance_probability(omega, result.maximizer)
+    assert abs(accept - result.accept_prob) < 1e-10
+
+
+def _dual_upper_bound(omega, target, epsilon):
+    # weak duality: for every mu >= 0 and every state x with
+    # |<psi|x>|^2 <= 1 - eps, <x|omega|x> <= lmax(omega - mu P) + mu (1 - eps)
+    proj = np.outer(target.amplitudes, target.amplitudes.conj())
+    return min(
+        float(np.linalg.eigvalsh(omega - mu * proj)[-1]) + mu * (1.0 - epsilon)
+        for mu in np.linspace(0.0, 4.0, 4001)
+    )
+
+
+@pytest.mark.parametrize(
+    "seed,epsilon", [(1, 0.05), (2, 0.3), (3, 0.6), (4, 0.15), (5, 0.9)]
+)
+def test_game_value_dim2_matches_exhaustive_grid(seed, epsilon):
+    omega = _unit_spectrum_operator(2, seed)
+    target = haar_random_ket(2, seed=100 + seed)
+    assert np.linalg.norm(omega @ target.amplitudes - target.amplitudes) > 1e-3
+    result = game_value(omega, target, epsilon)
+    psi = target.amplitudes
+    perp = np.array([-psi[1].conj(), psi[0].conj()])
+    polar = np.linspace(math.asin(math.sqrt(epsilon)), math.pi / 2, 801)
+    phase = np.linspace(0.0, 2.0 * math.pi, 801)
+    states = (
+        np.cos(polar)[:, None, None] * psi
+        + (np.exp(1j * phase)[None, :, None] * np.sin(polar)[:, None, None]) * perp
+    )
+    oracle = float(np.einsum("abi,ij,abj->ab", states.conj(), omega, states).real.max())
+    assert oracle - 1e-9 <= result.accept_prob <= oracle + 1e-5
+    assert result.accept_prob <= _dual_upper_bound(omega, target, epsilon) + 1e-9
+    _check_maximizer(result, omega, target, epsilon)
+
+
+def _feasible_lower_bound(omega, target, epsilon, rng, samples=4000):
+    dim = target.dim
+    psi = target.amplitudes
+    best = -math.inf
+    for _ in range(samples):
+        raw = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
+        perp = raw - np.vdot(psi, raw) * psi
+        perp /= np.linalg.norm(perp)
+        infidelity = rng.uniform(epsilon, 1.0) if rng.random() < 0.5 else epsilon
+        x = math.sqrt(1.0 - infidelity) * psi + math.sqrt(infidelity) * perp
+        best = max(best, float(np.real(np.vdot(x, omega @ x))))
+    return best
+
+
+def _coupled_to_lower_eigenvector():
+    # target |00>; the coupling omega|psi> - <psi|omega|psi>|psi> lies on
+    # |01> while the orthogonal block's top eigenvector is |11>, so the
+    # secular equation has no weight on its top eigenspace
+    omega = np.diag([0.6, 0.3, 0.1, 0.8]).astype(complex)
+    omega[0, 1] = omega[1, 0] = 0.25
+    return omega
+
+
+@pytest.mark.parametrize(
+    "name,epsilon",
+    [("random", 0.1), ("random", 0.5), ("coupled-low", 0.05), ("coupled-low", 0.4)],
+)
+def test_game_value_dim4_against_feasible_states(name, epsilon):
+    target = basis_ket(4, 0) if name == "coupled-low" else haar_random_ket(4, seed=7)
+    omega = _coupled_to_lower_eigenvector() if name == "coupled-low" else (
+        _unit_spectrum_operator(4, 8)
+    )
+    result = game_value(HermitianOperator(omega), target, epsilon)
+    lower = _feasible_lower_bound(omega, target, epsilon, np.random.default_rng(9))
+    assert result.accept_prob >= lower - 1e-12
+    assert result.accept_prob <= _dual_upper_bound(omega, target, epsilon) + 1e-9
+    _check_maximizer(result, omega, target, epsilon)

@@ -14,6 +14,7 @@ from qverify.errors import (
     ValidationError,
 )
 from qverify.qcore import HermitianOperator, Ket, identity
+from qverify.samplecount import THETA_SPECIAL_TOL, theta_family
 from qverify.strategy import (
     Locality,
     MeasurementSetting,
@@ -68,6 +69,28 @@ def test_check_theta_domain():
         with pytest.raises(ThetaNearSpecialValueError):
             check_theta(near_special)
     check_theta(0.3)
+
+
+def _near_special_angles():
+    offsets = [0.0]
+    for scale in (1.0, 1.0 - 1e-6, 1.0 + 1e-6):
+        offsets += [scale * THETA_SPECIAL_TOL, -scale * THETA_SPECIAL_TOL]
+    angles = {
+        min(max(special + offset, 0.0), math.pi / 2)
+        for special in (0.0, math.pi / 4, math.pi / 2)
+        for offset in offsets
+    }
+    return sorted(angles)
+
+
+@pytest.mark.parametrize("theta", _near_special_angles())
+def test_check_theta_agrees_with_theta_family(theta):
+    if theta_family(theta) == "two-qubit-optimal":
+        check_theta(theta)
+        two_qubit_optimal(theta)
+    else:
+        with pytest.raises(ThetaNearSpecialValueError):
+            check_theta(theta)
 
 
 def test_target_state():
