@@ -35,16 +35,13 @@ from .qcore import (
     TOL_INPUT,
     HermitianOperator,
     Ket,
-    Spectrum,
     basis_ket,
-    eig_hermitian,
     haar_random_ket,
     identity,
     ordered_eigh,
     orthocomplement_basis,
     partial_transpose_qubit2,
     tensor,
-    tensor_all,
 )
 from .samplecount import (
     FIG1_COLUMNS,
@@ -55,6 +52,7 @@ from .samplecount import (
     ReferenceCurves,
     SampleCountReport,
     asymptotic_count,
+    certainty_count_report,
     chernoff_stein_count,
     default_theta_grid,
     exact_count,

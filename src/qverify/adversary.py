@@ -37,7 +37,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq
 
 from . import qcore
 from .errors import (
@@ -46,7 +45,7 @@ from .errors import (
     ValidationError,
 )
 from .qcore import TOL_DERIVED, TOL_INPUT, HermitianOperator, Ket
-from .strategy import Strategy, alpha_weight, optimal_q
+from .strategy import Strategy, alpha_weight, check_theta, optimal_q
 
 LANDSCAPE_COLUMNS = ("alpha", "phi", "lambda1", "lambda2", "qmax")
 
@@ -530,8 +529,6 @@ def certify_optimality(
     section, because a lattice argmin cannot pin the minimizer of so
     flat a valley to the requested location tolerance.
     """
-    from .strategy import check_theta
-
     check_theta(theta)
     if resolution < 8:
         raise ValidationError("resolution must be at least 8")
@@ -599,6 +596,31 @@ class GameValue:
     evaluations: int
 
 
+def _secular_root(eigs: np.ndarray, abs2: np.ndarray, lo: float, hi: float) -> float:
+    """The lam in [lo, hi] with sum abs2 / (lam - eigs)^2 = 1.
+
+    Newton's method on the Moré-Sorensen form 1 - 1/||x(lam)|| of the
+    secular equation, x(lam) = beta / (lam - eigs). That function is
+    convex and decreasing above the top eigenvalue, so iterates started
+    at lo rise monotonically to the root; a step that leaves the
+    bracket is replaced by bisection all the same.
+    """
+    lam = lo
+    for _ in range(100):
+        inv = 1.0 / (lam - eigs)
+        norm = math.sqrt(float(np.sum(abs2 * inv**2)))
+        if norm > 1.0:
+            lo = lam
+        else:
+            hi = lam
+        step = (norm - 1.0) * norm**2 / float(np.sum(abs2 * inv**3))
+        tol = 1e-15 + 8.9e-16 * abs(lam)
+        if abs(step) <= tol or hi - lo <= tol:
+            return min(max(lam + step, lo), hi)
+        lam = lam + step if lo < lam + step < hi else 0.5 * (lo + hi)
+    return lam
+
+
 def _sphere_max(eigs: np.ndarray, beta: np.ndarray) -> tuple[float, np.ndarray]:
     """Maximize x^dag M x + 2 Re(b^dag x) over the unit sphere.
 
@@ -618,36 +640,24 @@ def _sphere_max(eigs: np.ndarray, beta: np.ndarray) -> tuple[float, np.ndarray]:
     top_mask = eigs >= m_top - 1e-12
     beta_top = float(np.linalg.norm(beta[top_mask]))
     abs2 = np.abs(beta) ** 2
-
-    def secular(lam: float) -> float:
-        return float(np.sum(abs2 / (lam - eigs) ** 2)) - 1.0
-
     if beta_top > 1e-13 * norm_b:
         lo = m_top + beta_top * (1.0 - 1e-12)
         hi = m_top + norm_b * (1.0 + 1e-12)
     else:
+        # b is nonzero, so some weight, and with it some eigenvalue, lies
+        # below the top eigenspace
         rest = abs2[~top_mask]
         rest_eigs = eigs[~top_mask]
-        perp_sq = float(np.sum(rest / (m_top - rest_eigs) ** 2)) if rest.size else 0.0
+        perp_sq = float(np.sum(rest / (m_top - rest_eigs) ** 2))
         if perp_sq <= 1.0:
             x = np.zeros(len(eigs), dtype=complex)
-            if rest.size:
-                x[~top_mask] = beta[~top_mask] / (m_top - rest_eigs)
+            x[~top_mask] = beta[~top_mask] / (m_top - rest_eigs)
             idx_top = int(np.nonzero(top_mask)[0][-1])
             x[idx_top] = math.sqrt(max(0.0, 1.0 - perp_sq))
-            value = m_top + float(
-                np.sum(rest / (m_top - rest_eigs)) if rest.size else 0.0
-            )
-            return value, x
+            return m_top + float(np.sum(rest / (m_top - rest_eigs))), x
         lo = m_top + 1e-13 * max(1.0, abs(m_top))
         hi = m_top + norm_b * (1.0 + 1e-12)
-    if hi - lo < 1e-15:
-        lam = hi
-    elif secular(lo) <= 0.0:
-        lam = lo
-    else:
-        lam = float(brentq(secular, lo, hi, xtol=1e-15, rtol=8.9e-16))
-    x = beta / (lam - eigs)
+    x = beta / (_secular_root(eigs, abs2, lo, hi) - eigs)
     nx = float(np.linalg.norm(x))
     if nx > 0:
         x = x / nx

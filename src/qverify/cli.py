@@ -5,10 +5,6 @@ tables, figure data generation, protocol simulation, landscape
 certification, and stabilizer tooling. Outputs carry a metadata header
 (tool version, command line, seed, tolerance profile) and are byte
 stable: the same invocation always produces identical bytes.
-
-Heavy modules are imported inside the command handlers, after
-_env.configure_threads has had a chance to cap the numerical thread
-pools via QVERIFY_THREADS.
 """
 
 from __future__ import annotations
@@ -20,10 +16,10 @@ import re
 import sys
 from dataclasses import dataclass
 
-from . import _env
-from .errors import QVerifyError, ValidationError
+import numpy as np
 
-_env.configure_threads()
+from . import __version__, adversary, protocol, samplecount, stabilizer, strategy
+from .errors import QVerifyError, ValidationError
 
 PROG = "qverify"
 
@@ -74,7 +70,6 @@ SUBCOMMAND_DEFAULTS = {
         "theta": "pi/8",
         "resolution": 400,
         "refine_resolution": 4000,
-        "grid": False,
     },
     "stabilizer": {
         "preset": None,
@@ -296,12 +291,6 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         help="refinement grid size (default 4000)",
     )
-    p.add_argument(
-        "--grid",
-        dest="grid",
-        action="store_true",
-        help="dump the sampled landscape instead of certifying",
-    )
     add_common(p)
 
     p = sub.add_parser(
@@ -368,8 +357,6 @@ def _effective_config(ns: argparse.Namespace, argv) -> RunConfig:
 
 
 def _metadata(cfg: RunConfig) -> tuple[tuple[str, str], ...]:
-    from . import __version__
-
     return (
         ("tool", f"{PROG} {__version__}"),
         ("command", " ".join((PROG, *cfg.argv))),
@@ -426,7 +413,7 @@ def _write(cfg: RunConfig, text: str) -> None:
         sys.stdout.write(text)
 
 
-def _strict_verify(cfg: RunConfig, strategy) -> None:
+def _strict_verify(cfg: RunConfig, built) -> None:
     """Extra invariant pass under --tolerance-profile strict.
 
     A failure here means a constructed operator drifted past 1e-11,
@@ -434,10 +421,8 @@ def _strict_verify(cfg: RunConfig, strategy) -> None:
     """
     if cfg.tolerance_profile != "strict":
         return
-    import numpy as np
-
-    omega = strategy.omega
-    psi = strategy.target.amplitudes
+    omega = built.omega
+    psi = built.target.amplitudes
     residual = float(np.linalg.norm(omega @ psi - psi))
     vals = np.linalg.eigvalsh(omega)
     if residual > 1e-11 or vals[0] < -1e-11 or vals[-1] > 1.0 + 1e-11:
@@ -448,8 +433,6 @@ def _strict_verify(cfg: RunConfig, strategy) -> None:
 
 
 def _build_group(params: dict):
-    from . import stabilizer
-
     preset = params.get("preset")
     labels = params.get("generators")
     if preset and labels:
@@ -464,8 +447,6 @@ def _build_group(params: dict):
 
 
 def _build_strategy(cfg: RunConfig):
-    from . import stabilizer, strategy
-
     params = cfg.params
     path = params.get("strategy_file")
     if path:
@@ -500,10 +481,8 @@ def _build_strategy(cfg: RunConfig):
 
 
 def cmd_strategy(cfg: RunConfig) -> dict:
-    from .strategy import metrics, to_json_dict
-
     built = _build_strategy(cfg)
-    m = metrics(built)
+    m = strategy.metrics(built)
     record = [
         ("kind", built.kind.value),
         ("settings", len(built.settings)),
@@ -523,15 +502,11 @@ def cmd_strategy(cfg: RunConfig) -> dict:
         "record": record,
         "columns": ("label", "weight", "locality"),
         "rows": rows,
-        "extra_json": {"strategy": to_json_dict(built)},
+        "extra_json": {"strategy": strategy.to_json_dict(built)},
     }
 
 
 def cmd_samplecount(cfg: RunConfig) -> dict:
-    from . import stabilizer
-    from .samplecount import HypothesisSpec, chernoff_stein_count
-    from .strategy import exact_sample_count
-
     params = cfg.params
     epsilon = float(params["epsilon"])
     delta = float(params["delta"])
@@ -542,9 +517,9 @@ def cmd_samplecount(cfg: RunConfig) -> dict:
         report = stabilizer.stabilizer_sample_count(group, scheme, epsilon, delta)
     else:
         built = _build_strategy(cfg)
-        report = exact_sample_count(built, epsilon, delta)
-    stein = chernoff_stein_count(
-        HypothesisSpec.from_gap(1.0, report.delta_eps), delta
+        report = strategy.exact_sample_count(built, epsilon, delta)
+    stein = samplecount.chernoff_stein_count(
+        samplecount.HypothesisSpec.from_gap(1.0, report.delta_eps), delta
     )
     record = [
         ("method", report.method_label),
@@ -561,10 +536,6 @@ def cmd_samplecount(cfg: RunConfig) -> dict:
 
 
 def cmd_figure(cfg: RunConfig) -> dict:
-    import numpy as np
-
-    from . import adversary, samplecount
-
     params = cfg.params
     which = params["which"]
     points = params.get("points")
@@ -608,8 +579,6 @@ def cmd_figure(cfg: RunConfig) -> dict:
 
 
 def cmd_simulate(cfg: RunConfig) -> dict:
-    from . import adversary, protocol
-
     params = cfg.params
     if params.get("n") is None:
         raise ValidationError("simulate requires --n")
@@ -660,26 +629,8 @@ def cmd_simulate(cfg: RunConfig) -> dict:
 
 
 def cmd_landscape(cfg: RunConfig) -> dict:
-    from . import adversary
-
     params = cfg.params
     theta = parse_angle(params["theta"])
-    if params.get("grid"):
-        report = adversary.landscape(theta)
-        record = [
-            ("theta", report.theta),
-            ("argmin_alpha", report.argmin_alpha),
-            ("argmin_phi", report.argmin_phi),
-            ("min_qmax", report.min_qmax),
-        ]
-        rows = [
-            (r.alpha, r.phi, r.lambda1, r.lambda2, r.qmax) for r in report.rows
-        ]
-        return {
-            "record": record,
-            "columns": adversary.LANDSCAPE_COLUMNS,
-            "rows": rows,
-        }
     cert = adversary.certify_optimality(
         theta,
         resolution=int(params["resolution"]),
@@ -705,9 +656,6 @@ def cmd_landscape(cfg: RunConfig) -> dict:
 
 
 def cmd_stabilizer(cfg: RunConfig) -> dict:
-    from . import stabilizer
-    from .strategy import metrics
-
     params = cfg.params
     group = _build_group(params)
     n = group.num_qubits
@@ -723,7 +671,7 @@ def cmd_stabilizer(cfg: RunConfig) -> dict:
             ("indices", " ".join(str(i) for i in indices)),
             ("degenerate", report.degenerate),
             ("stabilized_dimension", report.stabilized_dimension),
-            ("q", metrics(report.strategy).q),
+            ("q", strategy.metrics(report.strategy).q),
         ]
         extra: dict = {}
         if report.degenerate:

@@ -23,7 +23,12 @@ class NotUnitaryError(QVerifyError):
 
 
 class ThetaOutOfDomainError(QVerifyError):
-    """An angle lies outside the open interval (0, pi/2)."""
+    """An angle lies outside the domain of its construction.
+
+    check_theta accepts the closed interval [0, pi/2] (the special
+    angles inside it raise ThetaNearSpecialValueError instead);
+    hull_boundary needs the open interval (0, pi/2).
+    """
 
 
 class ThetaNearSpecialValueError(QVerifyError):

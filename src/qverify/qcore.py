@@ -15,7 +15,6 @@ assembled operators, acceptance probabilities).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import reduce
 
 import numpy as np
 
@@ -150,26 +149,6 @@ class HermitianOperator:
         val = np.vdot(state.amplitudes, self.entries @ state.amplitudes)
         return float(val.real)
 
-    def matvec(self, state: Ket) -> np.ndarray:
-        if state.dim != self.dim:
-            raise BadDimError("matvec needs matching dimensions")
-        return self.entries @ state.amplitudes
-
-
-@dataclass(frozen=True, eq=False)
-class Spectrum:
-    """Full eigensystem of a Hermitian operator, eigenvalues descending."""
-
-    eigenvalues: tuple[float, ...]
-    eigenvectors: tuple[Ket, ...]
-
-    def reconstruct(self) -> np.ndarray:
-        dim = self.eigenvectors[0].dim
-        out = np.zeros((dim, dim), dtype=complex)
-        for val, vec in zip(self.eigenvalues, self.eigenvectors):
-            out += val * np.outer(vec.amplitudes, vec.amplitudes.conj())
-        return out
-
 
 def identity(dim: int) -> HermitianOperator:
     _check_dense_dim(dim, "identity")
@@ -191,10 +170,6 @@ def tensor(a, b):
     if isinstance(a, HermitianOperator) and isinstance(b, HermitianOperator):
         return HermitianOperator(np.kron(a.entries, b.entries))
     raise TypeError("tensor takes two Kets or two HermitianOperators")
-
-
-def tensor_all(factors) -> HermitianOperator | Ket:
-    return reduce(tensor, factors)
 
 
 def _fix_phase(column: np.ndarray) -> np.ndarray:
@@ -246,25 +221,6 @@ def ordered_eigh(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         out_cols.extend(cols[k] for k in cluster)
         i = j
     return np.array(out_vals), np.column_stack(out_cols)
-
-
-def eig_hermitian(op: HermitianOperator) -> Spectrum:
-    """Spectrum of op with the deterministic ordering of ordered_eigh.
-
-    For dimensions up to 256 the decomposition is verified to
-    reconstruct the operator within TOL_DERIVED.
-    """
-    vals, vecs = ordered_eigh(op.entries)
-    spectrum = Spectrum(
-        eigenvalues=tuple(float(v) for v in vals),
-        eigenvectors=tuple(Ket(vecs[:, i]) for i in range(vecs.shape[1])),
-    )
-    if op.dim <= 256:
-        residual = float(np.max(np.abs(spectrum.reconstruct() - op.entries)))
-        assert residual <= TOL_DERIVED, (
-            f"spectral reconstruction residual {residual!r} exceeds {TOL_DERIVED}"
-        )
-    return spectrum
 
 
 def partial_transpose_qubit2(op: HermitianOperator) -> HermitianOperator:

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import UndefinedDivergenceError, ValidationError
+from .errors import DegenerateStrategyError, UndefinedDivergenceError, ValidationError
 
 THETA_SPECIAL_TOL = 1e-9
 SPECIAL_THETAS = (0.0, math.pi / 4, math.pi / 2)
@@ -87,6 +87,39 @@ class SampleCountReport:
                     f"n_exact={self.n_exact} disagrees with the exact "
                     f"formula value {expected} for a certainty protocol"
                 )
+
+
+def certainty_count_report(
+    metrics, epsilon: float, delta: float, method_label: str
+) -> SampleCountReport:
+    """Copies needed to reject every eps-far state with confidence 1 - delta.
+
+    metrics are the StrategyMetrics of a strategy that accepts its
+    target with certainty. Raises ValidationError for epsilon or delta
+    outside (0, 1) and DegenerateStrategyError when some orthogonal
+    state is accepted with certainty.
+    """
+    if not 0.0 < epsilon < 1.0:
+        raise ValidationError(f"epsilon={epsilon!r} outside (0, 1)")
+    if not 0.0 < delta < 1.0:
+        raise ValidationError(f"delta={delta!r} outside (0, 1)")
+    if metrics.degenerate:
+        raise DegenerateStrategyError(
+            "strategy accepts an orthogonal state with certainty; "
+            "no copy count rejects the worst case"
+        )
+    gap = metrics.delta_eps(epsilon)
+    return SampleCountReport(
+        delta=delta,
+        delta_eps=gap,
+        n_exact=exact_count(gap, delta),
+        n_asymptotic=asymptotic_count(gap, delta),
+        method_label=method_label,
+        epsilon=epsilon,
+        q=metrics.q,
+        p0=1.0,
+        n_certainty_regime=asymptotic_count(gap, delta),
+    )
 
 
 @dataclass(frozen=True)

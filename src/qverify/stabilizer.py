@@ -37,7 +37,7 @@ from .errors import (
     ValidationError,
 )
 from .qcore import MAX_QUBITS, TOL_DERIVED, HermitianOperator, Ket
-from .samplecount import SampleCountReport, asymptotic_count, exact_count
+from .samplecount import SampleCountReport, certainty_count_report
 from .strategy import (
     Locality,
     MeasurementSetting,
@@ -419,22 +419,11 @@ def stabilizer_sample_count(
     group: StabilizerGroup, scheme: str, epsilon: float, delta: float
 ) -> SampleCountReport:
     """Copy count for a stabilizer scheme from the closed-form gap."""
-    if not 0.0 < epsilon < 1.0:
-        raise ValidationError(f"epsilon={epsilon!r} outside (0, 1)")
-    if not 0.0 < delta < 1.0:
-        raise ValidationError(f"delta={delta!r} outside (0, 1)")
-    m = stabilizer_metrics(group, scheme)
-    gap = m.delta_eps(epsilon)
-    return SampleCountReport(
-        delta=delta,
-        delta_eps=gap,
-        n_exact=exact_count(gap, delta),
-        n_asymptotic=asymptotic_count(gap, delta),
-        method_label=f"stabilizer-{scheme} strategy",
-        epsilon=epsilon,
-        q=m.q,
-        p0=1.0,
-        n_certainty_regime=asymptotic_count(gap, delta),
+    return certainty_count_report(
+        stabilizer_metrics(group, scheme),
+        epsilon,
+        delta,
+        f"stabilizer-{scheme} strategy",
     )
 
 

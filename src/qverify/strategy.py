@@ -42,7 +42,6 @@ import numpy as np
 from . import qcore
 from .errors import (
     BadDimError,
-    DegenerateStrategyError,
     NotUnitaryError,
     ThetaNearSpecialValueError,
     ThetaOutOfDomainError,
@@ -56,9 +55,12 @@ from .qcore import (
     is_projector,
     partial_transpose_qubit2,
 )
-from .samplecount import SampleCountReport, asymptotic_count, exact_count
-
-THETA_SPECIAL_TOL = 1e-9
+from .samplecount import (
+    THETA_SPECIAL_TOL,
+    SampleCountReport,
+    certainty_count_report,
+    theta_family,
+)
 
 
 class Locality(enum.Enum):
@@ -169,9 +171,6 @@ class Strategy:
         out.setflags(write=False)
         return out
 
-    def omega_operator(self) -> HermitianOperator:
-        return HermitianOperator(self.omega)
-
     @property
     def dim(self) -> int:
         return self.target.dim
@@ -243,14 +242,15 @@ def bell_strategy() -> Strategy:
 
 
 def check_theta(theta: float) -> None:
-    """Validate a target angle for the four setting construction."""
+    """Validate a target angle for the four setting construction.
+
+    Angles outside the closed interval [0, pi/2] are out of domain; inside
+    it, every angle that theta_family assigns to a special construction
+    is rejected as near special.
+    """
     if theta < 0.0 or theta > math.pi / 2:
         raise ThetaOutOfDomainError(f"theta={theta!r} outside [0, pi/2]")
-    if (
-        theta < THETA_SPECIAL_TOL
-        or theta > math.pi / 2 - THETA_SPECIAL_TOL
-        or abs(theta - math.pi / 4) < THETA_SPECIAL_TOL
-    ):
+    if theta_family(theta) != StrategyKind.TWO_QUBIT_OPTIMAL.value:
         raise ThetaNearSpecialValueError(
             f"theta={theta!r} is within {THETA_SPECIAL_TOL} of a special angle "
             "(0, pi/4, pi/2); use product_state_strategy or bell_strategy"
@@ -432,27 +432,8 @@ def exact_sample_count(
     strategy: Strategy, epsilon: float, delta: float
 ) -> SampleCountReport:
     """Copies needed to reject every eps-far state with confidence 1 - delta."""
-    if not 0.0 < epsilon < 1.0:
-        raise ValidationError(f"epsilon={epsilon!r} outside (0, 1)")
-    if not 0.0 < delta < 1.0:
-        raise ValidationError(f"delta={delta!r} outside (0, 1)")
-    m = metrics(strategy)
-    if m.degenerate:
-        raise DegenerateStrategyError(
-            "strategy accepts an orthogonal state with certainty; "
-            "no copy count rejects the worst case"
-        )
-    gap = m.delta_eps(epsilon)
-    return SampleCountReport(
-        delta=delta,
-        delta_eps=gap,
-        n_exact=exact_count(gap, delta),
-        n_asymptotic=asymptotic_count(gap, delta),
-        method_label=f"{strategy.kind.value} strategy",
-        epsilon=epsilon,
-        q=m.q,
-        p0=1.0,
-        n_certainty_regime=asymptotic_count(gap, delta),
+    return certainty_count_report(
+        metrics(strategy), epsilon, delta, f"{strategy.kind.value} strategy"
     )
 
 
