@@ -52,7 +52,6 @@ from .samplecount import (
     ReferenceCurves,
     SampleCountReport,
     asymptotic_count,
-    certainty_count_report,
     chernoff_stein_count,
     default_theta_grid,
     exact_count,
