@@ -44,7 +44,7 @@ from .errors import (
     ThetaOutOfDomainError,
     ValidationError,
 )
-from .qcore import TOL_DERIVED, TOL_INPUT, HermitianOperator, Ket
+from .qcore import TOL_DERIVED, HermitianOperator, Ket
 from .strategy import Strategy, alpha_weight, check_theta, optimal_q
 
 LANDSCAPE_COLUMNS = ("alpha", "phi", "lambda1", "lambda2", "qmax")
@@ -66,12 +66,7 @@ class AdversaryState:
     kind: AdversaryKind
 
     def __post_init__(self):
-        vals = np.linalg.eigvalsh(self.sigma.entries)
-        if vals[0] < -TOL_DERIVED:
-            raise ValidationError(f"density matrix has eigenvalue {vals[0]!r}")
-        tr = float(np.trace(self.sigma.entries).real)
-        if abs(tr - 1.0) > TOL_INPUT:
-            raise ValidationError(f"density matrix trace {tr!r} is not 1")
+        qcore.check_density(self.sigma.entries, "density matrix")
         if not -TOL_DERIVED <= self.fidelity <= 1.0 + TOL_DERIVED:
             raise ValidationError(f"fidelity {self.fidelity!r} outside [0, 1]")
 
@@ -97,8 +92,7 @@ def top_orthogonal_eigenvector(strategy: Strategy) -> tuple[float, Ket]:
     Deterministic under eigenvalue ties thanks to the ordered
     eigendecomposition's lexicographic tie break.
     """
-    basis = qcore.orthocomplement_basis(strategy.target)
-    block = basis.conj().T @ strategy.omega @ basis
+    basis, block = qcore.orthocomplement_block(strategy.target, strategy.omega)
     vals, vecs = qcore.ordered_eigh(block)
     vec = basis @ vecs[:, 0]
     return float(vals[0]), Ket(vec / np.linalg.norm(vec))
@@ -720,9 +714,8 @@ def game_value(
         raise ValidationError("operator and target dimensions differ")
 
     psi = target.amplitudes
-    basis = qcore.orthocomplement_basis(target)
+    basis, block = qcore.orthocomplement_block(target, mat)
     a_val = float(np.real(np.vdot(psi, mat @ psi)))
-    block = basis.conj().T @ mat @ basis
     w = basis.conj().T @ (mat @ psi)
     eigs, vecs = np.linalg.eigh(block)
     w_rot = vecs.conj().T @ w

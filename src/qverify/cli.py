@@ -79,6 +79,18 @@ SUBCOMMAND_DEFAULTS = {
     },
 }
 
+# Config values for numeric options, converted where the config is read.
+_CONFIG_NUMBERS = {
+    "seed": int,
+    "n": int,
+    "trials": int,
+    "points": int,
+    "resolution": int,
+    "refine_resolution": int,
+    "epsilon": float,
+    "delta": float,
+}
+
 _ANGLE = re.compile(
     r"(?i)^\s*([+-]?(?:\d+\.?\d*|\.\d+)?)\s*\*?\s*pi\s*(?:/\s*([+-]?\d+\.?\d*))?\s*$"
 )
@@ -319,14 +331,30 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _read_json(path: str, what: str):
+    try:
+        with open(path) as fh:
+            return json.load(fh)
+    except OSError as exc:
+        raise ValidationError(f"cannot read {what} {path!r}: {exc}") from exc
+    except ValueError as exc:  # JSONDecodeError, UnicodeDecodeError
+        raise ValidationError(f"{what} {path!r} is not valid JSON: {exc}") from exc
+
+
+def _open_output(path: str):
+    try:
+        return open(path, "w", newline="")
+    except OSError as exc:
+        raise ValidationError(f"cannot write {path!r}: {exc}") from exc
+
+
 def _effective_config(ns: argparse.Namespace, argv) -> RunConfig:
     provided = dict(vars(ns))
     command = provided.pop("command")
     config_path = provided.pop("config", None)
     merged = {**GLOBAL_DEFAULTS, **SUBCOMMAND_DEFAULTS[command]}
     if config_path is not None:
-        with open(config_path) as fh:
-            loaded = json.load(fh)
+        loaded = _read_json(config_path, "config file")
         if not isinstance(loaded, dict):
             raise ValidationError("config file must hold a JSON object")
         for key, value in loaded.items():
@@ -335,6 +363,13 @@ def _effective_config(ns: argparse.Namespace, argv) -> RunConfig:
                 raise ValidationError(
                     f"unknown config key {key!r} for command {command!r}"
                 )
+            if norm in _CONFIG_NUMBERS and value is not None:
+                try:
+                    value = _CONFIG_NUMBERS[norm](value)
+                except (TypeError, ValueError):
+                    raise ValidationError(
+                        f"config key {key!r} needs a number, got {value!r}"
+                    ) from None
             merged[norm] = value
     merged.update(provided)
     if merged["format"] not in ("csv", "json"):
@@ -407,7 +442,7 @@ def _render(cfg: RunConfig, doc: dict) -> str:
 
 def _write(cfg: RunConfig, text: str) -> None:
     if cfg.out:
-        with open(cfg.out, "w", newline="") as fh:
+        with _open_output(cfg.out) as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
@@ -450,8 +485,7 @@ def _build_strategy(cfg: RunConfig):
     params = cfg.params
     path = params.get("strategy_file")
     if path:
-        with open(path) as fh:
-            built = strategy.from_json_dict(json.load(fh))
+        built = strategy.from_json_dict(_read_json(path, "strategy file"))
         _strict_verify(cfg, built)
         return built
     kind = params.get("kind")
@@ -601,7 +635,7 @@ def cmd_simulate(cfg: RunConfig) -> dict:
     sink = None
     transcript_file = None
     if transcript_path:
-        transcript_file = open(transcript_path, "w", newline="")
+        transcript_file = _open_output(transcript_path)
 
         def sink(entry):
             transcript_file.write(json.dumps(entry) + "\n")
@@ -661,10 +695,13 @@ def cmd_stabilizer(cfg: RunConfig) -> dict:
     n = group.num_qubits
     subset = params.get("subset")
     if subset:
-        if isinstance(subset, str):
-            indices = [int(part) for part in subset.split(",") if part.strip()]
-        else:
-            indices = [int(part) for part in subset]
+        parts = subset.split(",") if isinstance(subset, str) else subset
+        try:
+            indices = [int(part) for part in parts if str(part).strip()]
+        except (TypeError, ValueError):
+            raise ValidationError(
+                f"--subset needs comma separated integers, got {subset!r}"
+            ) from None
         report = stabilizer.subset_strategy(group, indices)
         record = [
             ("num_qubits", n),
@@ -733,10 +770,8 @@ def main(argv=None) -> int:
     except QVerifyError as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
-    except (ValueError, KeyError, OSError) as exc:
-        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return 2
-    except Exception as exc:  # pragma: no cover - exit 3 is never expected
+    except Exception as exc:  # a bug, not bad input
+        sys.excepthook(type(exc), exc, exc.__traceback__)
         print(f"internal: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 3
 

@@ -63,3 +63,10 @@ class UndefinedDivergenceError(QVerifyError):
 
 class ValidationError(QVerifyError):
     """A constructed value violates one of its structural invariants."""
+
+
+class NormalizationError(ValidationError, ValueError):
+    """A ket's norm is not 1, or a (near) zero vector was normalized.
+
+    It is also a ValueError, the type callers of Ket catch for a bad norm.
+    """

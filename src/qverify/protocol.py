@@ -32,7 +32,7 @@ import numpy as np
 
 from .adversary import AdversaryState
 from .errors import ValidationError
-from .qcore import TOL_DERIVED, TOL_INPUT, HermitianOperator, Ket
+from .qcore import HermitianOperator, Ket, check_density
 from .strategy import Strategy
 
 CERTAINTY_TOL = 1e-10
@@ -62,12 +62,7 @@ def _as_density(obj, dim: int) -> np.ndarray:
         arr = HermitianOperator(np.asarray(obj, dtype=complex)).entries
     if arr.shape[0] != dim:
         raise ValidationError("device state dimension mismatch")
-    vals = np.linalg.eigvalsh(arr)
-    if vals[0] < -TOL_DERIVED:
-        raise ValidationError(f"device state has eigenvalue {float(vals[0])!r}")
-    tr = float(np.trace(arr).real)
-    if abs(tr - 1.0) > TOL_INPUT:
-        raise ValidationError(f"device state trace {tr!r} is not 1")
+    check_density(arr, "device state")
     return arr
 
 

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BadDimError, NonHermitianError
+from .errors import BadDimError, NonHermitianError, NormalizationError, ValidationError
 
 TOL_INPUT = 1e-12
 TOL_DERIVED = 1e-10
@@ -75,7 +75,7 @@ class Ket:
         _check_dense_dim(arr.shape[0], "ket")
         norm = float(np.linalg.norm(arr))
         if abs(norm - 1.0) > TOL_INPUT:
-            raise ValueError(
+            raise NormalizationError(
                 f"ket norm {norm!r} deviates from 1 by more than {TOL_INPUT}"
             )
 
@@ -84,7 +84,7 @@ class Ket:
         arr = np.asarray(amplitudes, dtype=complex)
         norm = float(np.linalg.norm(arr))
         if norm < 1e-12:
-            raise ValueError("cannot normalize a (near) zero vector")
+            raise NormalizationError("cannot normalize a (near) zero vector")
         return cls(arr / norm)
 
     @property
@@ -236,6 +236,20 @@ def partial_transpose_qubit2(op: HermitianOperator) -> HermitianOperator:
     return HermitianOperator(m.transpose(0, 3, 2, 1).reshape(4, 4))
 
 
+def check_density(matrix: np.ndarray, what: str) -> None:
+    """Reject a matrix that is not a density matrix.
+
+    Eigenvalues may dip to -TOL_DERIVED; the trace must be 1 within
+    TOL_INPUT. Raises ValidationError naming `what`.
+    """
+    vals = np.linalg.eigvalsh(matrix)
+    if vals[0] < -TOL_DERIVED:
+        raise ValidationError(f"{what} has eigenvalue {float(vals[0])!r}")
+    tr = float(np.trace(matrix).real)
+    if abs(tr - 1.0) > TOL_INPUT:
+        raise ValidationError(f"{what} trace {tr!r} is not 1")
+
+
 def is_projector(op: HermitianOperator, tol: float = TOL_DERIVED) -> bool:
     """True when op is idempotent with eigenvalues in {0, 1} within tol."""
     mat = op.entries
@@ -266,3 +280,14 @@ def orthocomplement_basis(state: Ket) -> np.ndarray:
     stacked[:, 1:] = np.eye(d, dtype=complex)[:, : d - 1]
     q, _ = np.linalg.qr(stacked)
     return q[:, 1:]
+
+
+def orthocomplement_block(
+    state: Ket, omega: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """(basis, basis^dagger omega basis) with basis = orthocomplement_basis(state).
+
+    The block is omega restricted to the states orthogonal to state.
+    """
+    basis = orthocomplement_basis(state)
+    return basis, basis.conj().T @ omega @ basis

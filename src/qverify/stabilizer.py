@@ -16,13 +16,23 @@ provided:
 Pauli strings are encoded symplectically: bit vectors x, z (qubit 0 is
 the leftmost letter and the most significant bit of a basis index) with
 a sign, the operator being sign times the tensor product of
-i^(x_k z_k) X^(x_k) Z^(z_k) over qubits, so (1,1) is Y exactly.
+i^(x_k z_k) X^(x_k) Z^(z_k) over qubits, so (1,1) is Y exactly. As
+integer masks it is i^phase X^x Z^z: basis index b goes to b ^ x with
+coefficient i^phase (-1)^|b & z|.
+
+Syndromes. Tests built from group elements are diagonal in the joint
+eigenbasis. Element index m holds generator j at bit j (least significant
+first), as does a syndrome s in element-index order, whose bit j is set
+when generator j has eigenvalue -1. Element m passes (eigenvalue +1)
+exactly when |m & s| is even. ParityCheck columns hold generator j at
+bit N-1-j (most significant first); _pass_table alone converts.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -51,6 +61,22 @@ MAX_DENSE_QUBITS = 6
 _LETTER_TO_BITS = {"I": (0, 0), "X": (1, 0), "Y": (1, 1), "Z": (0, 1)}
 _BITS_TO_LETTER = {bits: letter for letter, bits in _LETTER_TO_BITS.items()}
 
+# i^phase for phase = 0, 1, 2, 3.
+_PHASES = np.array([1, 1j, -1, -1j])
+
+
+def _parity(values):
+    """Parity of the set bits of each entry (entries below 2^32)."""
+    v = np.asarray(values, dtype=np.int64)
+    for shift in (16, 8, 4, 2, 1):
+        v = v ^ (v >> shift)
+    return v & 1
+
+
+def _act(x, z, coeff, index):
+    """(image, coefficient) of basis index (or index array) under coeff X^x Z^z."""
+    return index ^ x, coeff * (1 - 2 * _parity(index & z))
+
 
 @dataclass(frozen=True)
 class PauliString:
@@ -67,7 +93,7 @@ class PauliString:
             raise ValidationError("empty Pauli string")
         if len(self.x) > MAX_QUBITS:
             raise BadDimError(f"more than {MAX_QUBITS} qubits")
-        if any(b not in (0, 1) for b in self.x + self.z):
+        if not set(self.x + self.z) <= {0, 1}:
             raise ValidationError("x and z must hold 0/1 bits")
         if self.sign not in (1, -1):
             raise ValidationError(f"sign must be +1 or -1, got {self.sign!r}")
@@ -90,6 +116,13 @@ class PauliString:
             x=tuple(b[0] for b in bits), z=tuple(b[1] for b in bits), sign=sign
         )
 
+    @cached_property
+    def _masks(self) -> tuple[int, int, int]:
+        """(x, z, phase): the operator is i^phase X^x Z^z, qubit 0 the top bit."""
+        x = int("".join(str(int(b)) for b in self.x), 2)
+        z = int("".join(str(int(b)) for b in self.z), 2)
+        return x, z, ((x & z).bit_count() + (1 - self.sign)) % 4
+
     @property
     def num_qubits(self) -> int:
         return len(self.x)
@@ -105,52 +138,43 @@ class PauliString:
 
     def weight(self) -> int:
         """Number of non-identity letters."""
-        return sum(1 for xb, zb in zip(self.x, self.z) if xb or zb)
+        x, z, _ = self._masks
+        return (x | z).bit_count()
 
     def commutes(self, other: "PauliString") -> bool:
         if other.num_qubits != self.num_qubits:
             raise BadDimError("qubit counts differ")
-        sym = sum(
-            xa * zb + za * xb
-            for xa, za, xb, zb in zip(self.x, self.z, other.x, other.z)
-        )
-        return sym % 2 == 0
+        xa, za, _ = self._masks
+        xb, zb, _ = other._masks
+        return ((xa & zb) ^ (za & xb)).bit_count() % 2 == 0
 
     def __mul__(self, other: "PauliString") -> "PauliString":
         """Operator product; the result must again be Hermitian."""
         if other.num_qubits != self.num_qubits:
             raise BadDimError("qubit counts differ")
-        phase = 0
-        for xa, za, xb, zb in zip(self.x, self.z, other.x, other.z):
-            xc, zc = xa ^ xb, za ^ zb
-            phase += xa * za + xb * zb + 2 * za * xb - xc * zc
-        phase %= 4
-        if phase % 2:
+        xa, za, pa = self._masks
+        xb, zb, pb = other._masks
+        x, z = xa ^ xb, za ^ zb
+        # Z^za X^xb = (-1)^|za & xb| X^xb Z^za
+        phase = (pa + pb + 2 * (za & xb).bit_count()) % 4
+        sign_phase = (phase - (x & z).bit_count()) % 4
+        if sign_phase % 2:
             raise InconsistentSignsError(
                 f"product of {self.label} and {other.label} is anti-Hermitian"
             )
-        sign = self.sign * other.sign * (1 if phase == 0 else -1)
-        return PauliString(
-            x=tuple(a ^ b for a, b in zip(self.x, other.x)),
-            z=tuple(a ^ b for a, b in zip(self.z, other.z)),
-            sign=sign,
+        out = PauliString(
+            x=tuple(map(operator.xor, self.x, other.x)),
+            z=tuple(map(operator.xor, self.z, other.z)),
+            sign=1 if sign_phase == 0 else -1,
         )
+        out.__dict__["_masks"] = (x, z, phase)  # cached: no re-derivation
+        return out
 
     def apply_to_index(self, index: int) -> tuple[int, complex]:
         """Image of a computational basis state: M|index> = coeff |new_index>."""
-        n = self.num_qubits
-        x_mask = 0
-        z_mask = 0
-        y_count = 0
-        for k in range(n):
-            bitpos = n - 1 - k
-            if self.x[k]:
-                x_mask |= 1 << bitpos
-            if self.z[k]:
-                z_mask |= 1 << bitpos
-            y_count += self.x[k] & self.z[k]
-        coeff = self.sign * (1j**y_count) * (-1) ** bin(index & z_mask).count("1")
-        return index ^ x_mask, complex(coeff)
+        x, z, phase = self._masks
+        new_index, coeff = _act(x, z, _PHASES[phase], index)
+        return int(new_index), complex(coeff)
 
     def matrix(self) -> np.ndarray:
         """Dense matrix; guarded to keep memory bounded."""
@@ -159,11 +183,11 @@ class PauliString:
             raise BadDimError(
                 f"dense Pauli matrix limited to {MAX_DENSE_QUBITS + 2} qubits"
             )
-        dim = 2**n
-        out = np.zeros((dim, dim), dtype=complex)
-        for col in range(dim):
-            row, coeff = self.apply_to_index(col)
-            out[row, col] = coeff
+        x, z, phase = self._masks
+        cols = np.arange(2**n)
+        rows, coeffs = _act(x, z, _PHASES[phase], cols)
+        out = np.zeros((2**n, 2**n), dtype=complex)
+        out[rows, cols] = coeffs
         return out
 
 
@@ -178,6 +202,18 @@ def _gf2_rank(rows: list[int]) -> int:
         top_bit = pivot.bit_length() - 1
         pool = [r ^ pivot if (r >> top_bit) & 1 else r for r in pool if r != pivot]
     return rank
+
+
+def _pass_table(num_qubits: int) -> np.ndarray:
+    """Entry (m, k) is 1 iff element m has eigenvalue +1 on ParityCheck column k.
+
+    Reversing k's N bits gives syndrome s in element-index order; element
+    m passes exactly when |m & s| is even.
+    """
+    n = num_qubits
+    k = np.arange(2**n)
+    s = sum(((k >> (n - 1 - j)) & 1) << j for j in range(n))
+    return (1 - _parity(k[:, None] & s)).astype(np.int8)
 
 
 @dataclass(frozen=True, eq=False)
@@ -199,12 +235,7 @@ class StabilizerGroup:
         for a, b in itertools.combinations(self.generators, 2):
             if not a.commutes(b):
                 raise NonCommutingError(f"{a.label} and {b.label} anticommute")
-        rows = []
-        for g in self.generators:
-            packed = 0
-            for bit in g.x + g.z:
-                packed = (packed << 1) | bit
-            rows.append(packed)
+        rows = [(g._masks[0] << n) | g._masks[1] for g in self.generators]
         if _gf2_rank(rows) != len(rows):
             raise DependentGeneratorsError(
                 "generators are dependent as a GF(2) system"
@@ -241,30 +272,36 @@ class StabilizerGroup:
                 )
         return tuple(out)
 
-    def state(self) -> Ket:
-        """The unique stabilized state of a maximal group.
+    def _joint_eigenvector(self, eigenvalues) -> np.ndarray:
+        """Unit vector on which element m has eigenvalue eigenvalues[m] (+-1).
 
-        Averages the group action over a computational basis vector,
-        which projects onto the +1 joint eigenspace; the first basis
-        vector with a nonzero projection is used and the global phase
-        is fixed deterministically.
+        Projects basis vectors with (1/2^k) sum_m eigenvalues[m] g_m, for
+        syndrome s the projector (1/2^k) sum_m (-1)^|m & s| g_m; the first
+        nonzero projection (an exact dyadic sum) is used, phase fixed.
         """
+        xs, zs, phases = np.array([e._masks for e in self.elements]).T
+        weighted = np.asarray(eigenvalues) * _PHASES[phases] / len(xs)
+        dim = 2**self.num_qubits
+        batch = max(1, 2**MAX_QUBITS // len(xs))  # starts projected at once
+        for first in range(0, dim, batch):
+            starts = np.arange(first, min(first + batch, dim))[:, None]
+            rows, terms = _act(xs, zs, weighted, starts)
+            amps = np.zeros((len(starts), dim), dtype=complex)
+            np.add.at(amps, (np.arange(len(starts))[:, None], rows), terms)
+            for vec in amps:
+                norm = float(np.linalg.norm(vec))
+                if norm > TOL_DERIVED:
+                    return qcore._fix_phase(vec / norm)
+        raise InconsistentSignsError("group projects every basis state to zero")
+
+    def state(self) -> Ket:
+        """The unique stabilized state of a maximal group (syndrome 0)."""
         if not self.is_maximal:
             raise ValidationError(
                 f"{self.num_generators} generators on {self.num_qubits} qubits "
                 "do not pin down a single state"
             )
-        dim = 2**self.num_qubits
-        size = len(self.elements)
-        for start in range(dim):
-            amps = np.zeros(dim, dtype=complex)
-            for elem in self.elements:
-                idx, coeff = elem.apply_to_index(start)
-                amps[idx] += coeff / size
-            norm = float(np.linalg.norm(amps))
-            if norm > TOL_DERIVED:
-                return Ket(qcore._fix_phase(amps / norm))
-        raise InconsistentSignsError("group projects every basis state to zero")
+        return Ket(self._joint_eigenvector(np.ones(len(self.elements))))
 
 
 def ghz_group(num_qubits: int) -> StabilizerGroup:
@@ -431,10 +468,9 @@ def stabilizer_sample_count(
 class ParityCheck:
     """Joint eigenbasis of a maximal group, indexed by syndrome.
 
-    Column s of eigenbasis is the joint eigenvector whose eigenvalue
-    under generator j is -1 exactly when bit j of s is set (bit 0 is
-    the most significant bit, matching generator order). Column 0 is
-    the stabilized state. Each syndrome occurs exactly once.
+    Column k of eigenbasis is the joint eigenvector on which generator j
+    has eigenvalue -1 exactly when bit N-1-j of k is set (generator 0 is
+    the most significant bit). Column 0 is the stabilized state.
     """
 
     group: StabilizerGroup
@@ -449,28 +485,9 @@ class ParityCheck:
             raise BadDimError(
                 f"dense parity check limited to {MAX_DENSE_QUBITS} qubits"
             )
-        dim = 2**n
-        matrices = [g.matrix() for g in group.generators]
-        eye = np.eye(dim, dtype=complex)
-        basis = np.zeros((dim, dim), dtype=complex)
-        for s in range(dim):
-            proj = eye
-            for j, mat in enumerate(matrices):
-                outcome = (s >> (n - 1 - j)) & 1
-                proj = proj @ (eye + (-1.0) ** outcome * mat) / 2.0
-            column = None
-            for start in range(dim):
-                cand = proj[:, start]
-                norm = float(np.linalg.norm(cand))
-                if norm > TOL_DERIVED:
-                    column = qcore._fix_phase(cand / norm)
-                    break
-            if column is None:
-                raise InconsistentSignsError(
-                    f"syndrome {s} has empty eigenspace; group is inconsistent"
-                )
-            basis[:, s] = column
-        residual = float(np.max(np.abs(basis.conj().T @ basis - eye)))
+        columns = [group._joint_eigenvector(2 * p - 1) for p in _pass_table(n).T]
+        basis = np.column_stack(columns)
+        residual = float(np.max(np.abs(basis.conj().T @ basis - np.eye(2**n))))
         if residual > TOL_DERIVED:
             raise ValidationError(
                 f"syndrome eigenbasis not orthonormal (residual {residual!r})"
@@ -483,19 +500,13 @@ class ParityCheck:
         return self.eigenbasis.shape[0]
 
     def eigenvalue(self, generator_index: int, syndrome: int) -> int:
-        n = self.group.num_qubits
-        bit = (syndrome >> (n - 1 - generator_index)) & 1
-        return -1 if bit else 1
+        return 1 if self.matrix[generator_index, syndrome] else -1
 
     @property
     def matrix(self) -> np.ndarray:
         """Binary pass table: entry (j, k) is 1 iff generator j fixes column k."""
         n = self.group.num_qubits
-        out = np.zeros((n, self.dim), dtype=np.int8)
-        for j in range(n):
-            for k in range(self.dim):
-                out[j, k] = 1 if self.eigenvalue(j, k) == 1 else 0
-        return out
+        return _pass_table(n)[1 << np.arange(n)]
 
     def weighted_pass(self, weights) -> np.ndarray:
         """Per column acceptance E_k = sum_j mu_j [generator j passes k]."""
@@ -512,9 +523,8 @@ class ParityCheck:
         each is accepted with probability 1 - 1/N, which is what makes
         the generator strategy's worst case exactly that value.
         """
-        return tuple(
-            k for k in range(self.dim) if bin(k).count("1") == 1
-        )
+        failures = self.group.num_qubits - self.matrix.sum(axis=0)
+        return tuple(int(k) for k in np.flatnonzero(failures == 1))
 
 
 @dataclass(frozen=True, eq=False)
@@ -555,9 +565,7 @@ def subset_strategy(group: StabilizerGroup, element_indices) -> SubsetReport:
             )
     rank = _gf2_rank(list(indices))
     weight = 1.0 / len(indices)
-    settings = tuple(
-        _pass_setting(group.elements[k], weight) for k in indices
-    )
+    settings = tuple(_pass_setting(group.elements[k], weight) for k in indices)
     strategy = Strategy(
         target=group.state(), settings=settings, kind=StrategyKind.CUSTOM
     )
@@ -569,23 +577,14 @@ def subset_strategy(group: StabilizerGroup, element_indices) -> SubsetReport:
             fooling_state=None,
             fooling_acceptance=None,
         )
-    check = ParityCheck.build(group)
-    fooling_col = None
-    for syndrome in range(1, 2**n):
-        bits = [(syndrome >> (n - 1 - j)) & 1 for j in range(n)]
-        if all(
-            sum(b for j, b in enumerate(bits) if (mask >> j) & 1) % 2 == 0
-            for mask in indices
-        ):
-            fooling_col = syndrome
-            break
-    if fooling_col is None:
+    table = _pass_table(n)
+    passing = np.flatnonzero(table[indices].all(axis=0))
+    if passing.size < 2:
         raise ValidationError("rank deficit without a fooling syndrome")
-    fooling = Ket(check.eigenbasis[:, fooling_col])
+    # passing[0] is syndrome 0, the target itself
+    fooling = Ket(group._joint_eigenvector(2 * table[:, passing[1]] - 1))
     acceptance = float(
-        np.real(
-            np.vdot(fooling.amplitudes, strategy.omega @ fooling.amplitudes)
-        )
+        np.vdot(fooling.amplitudes, strategy.omega @ fooling.amplitudes).real
     )
     return SubsetReport(
         strategy=strategy,

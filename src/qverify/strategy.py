@@ -201,8 +201,7 @@ class StrategyMetrics:
 
 def metrics(strategy: Strategy) -> StrategyMetrics:
     """Exact worst-case metrics via the orthocomplement eigenproblem."""
-    basis = qcore.orthocomplement_basis(strategy.target)
-    block = basis.conj().T @ strategy.omega @ basis
+    _, block = qcore.orthocomplement_block(strategy.target, strategy.omega)
     top = float(np.linalg.eigvalsh(block)[-1])
     q = min(max(top, 0.0), 1.0)
     return StrategyMetrics(
@@ -471,28 +470,37 @@ def to_json_dict(strategy: Strategy) -> dict:
 
 
 def from_json_dict(doc: dict) -> Strategy:
-    """Rebuild a strategy from to_json_dict output, revalidating everything."""
+    """Rebuild a strategy from to_json_dict output, revalidating everything.
+
+    A document with a missing key or a value of the wrong type or shape
+    raises ValidationError.
+    """
     try:
         kind = StrategyKind(doc["kind"])
-    except (KeyError, ValueError) as exc:
-        raise ValidationError(f"bad strategy kind: {exc}") from exc
-    target_amps = _pairs_to_array(doc["target"], len(doc["target"]), "target")
-    target = Ket(target_amps)
-    dim = target.dim
-    settings = []
-    for item in doc["settings"]:
-        flat = _pairs_to_array(item["projector"], dim * dim, "projector")
-        settings.append(
-            MeasurementSetting(
-                projector=HermitianOperator(flat.reshape(dim, dim)),
-                weight=float(item["weight"]),
-                label=str(item["label"]),
-                locality=Locality(item["locality"]),
+        target_amps = _pairs_to_array(doc["target"], len(doc["target"]), "target")
+        dim = len(target_amps)
+        fields = [
+            (
+                _pairs_to_array(item["projector"], dim * dim, "projector"),
+                float(item["weight"]),
+                str(item["label"]),
+                Locality(item["locality"]),
             )
+            for item in doc["settings"]
+        ]
+        theta = doc.get("theta")
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ValidationError(
+            f"malformed strategy document: {type(exc).__name__}: {exc}"
+        ) from exc
+    target = Ket(target_amps)
+    settings = tuple(
+        MeasurementSetting(
+            projector=HermitianOperator(flat.reshape(dim, dim)),
+            weight=weight,
+            label=label,
+            locality=locality,
         )
-    return Strategy(
-        target=target,
-        settings=tuple(settings),
-        kind=kind,
-        theta=doc.get("theta"),
+        for flat, weight, label, locality in fields
     )
+    return Strategy(target=target, settings=settings, kind=kind, theta=theta)

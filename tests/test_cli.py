@@ -3,6 +3,7 @@ import math
 
 import pytest
 
+from qverify import strategy
 from qverify.cli import main, parse_angle
 from qverify.errors import ValidationError
 from qverify.adversary import HULL_COLUMNS, LANDSCAPE_COLUMNS
@@ -298,3 +299,63 @@ def test_stdout_when_no_out_flag(capsys):
     assert code == 0
     captured = capsys.readouterr()
     assert captured.out.startswith("# tool: qverify")
+
+
+@pytest.mark.parametrize("error", [KeyError, ValueError, OSError, TypeError])
+def test_internal_error_exits_3(monkeypatch, capsys, error):
+    def broken(built):
+        raise error("internal failure")
+
+    monkeypatch.setattr(strategy, "metrics", broken)
+    assert main(["strategy", "--bell"]) == 3
+    err = capsys.readouterr().err
+    assert f"internal: {error.__name__}" in err
+    assert "Traceback" in err
+
+
+def _bad_input_cases(tmp_path):
+    (tmp_path / "bad.json").write_text("{not json")
+    (tmp_path / "no_target.json").write_text(json.dumps({"kind": "bell", "settings": []}))
+    (tmp_path / "text.json").write_text(json.dumps("bell"))
+    (tmp_path / "bad_n.json").write_text(json.dumps({"n": "ten"}))
+    missing = str(tmp_path / "missing.json")
+    no_dir = str(tmp_path / "no_dir" / "out.txt")
+    return {
+        "config-missing": ["strategy", "--bell", "--config", missing],
+        "config-bad-json": ["strategy", "--bell", "--config", str(tmp_path / "bad.json")],
+        "config-bad-number": [
+            "simulate", "--bell", "--config", str(tmp_path / "bad_n.json"),
+        ],
+        "strategy-file-missing": ["simulate", "--strategy-file", missing, "--n", "3"],
+        "strategy-file-bad-json": [
+            "simulate", "--strategy-file", str(tmp_path / "bad.json"), "--n", "3",
+        ],
+        "strategy-file-no-target": [
+            "simulate", "--strategy-file", str(tmp_path / "no_target.json"), "--n", "3",
+        ],
+        "strategy-file-not-object": [
+            "simulate", "--strategy-file", str(tmp_path / "text.json"), "--n", "3",
+        ],
+        "subset-not-integer": ["stabilizer", "--preset", "ghz3", "--subset", "1,x"],
+        "out-unwritable": ["strategy", "--bell", "--out", no_dir],
+        "transcript-unwritable": [
+            "simulate", "--bell", "--n", "3", "--trials", "2",
+            "--transcript", no_dir, "--out", str(tmp_path / "sim.txt"),
+        ],
+    }
+
+
+@pytest.mark.parametrize(
+    "case",
+    [
+        "config-missing", "config-bad-json", "config-bad-number",
+        "strategy-file-missing", "strategy-file-bad-json",
+        "strategy-file-no-target", "strategy-file-not-object",
+        "subset-not-integer", "out-unwritable", "transcript-unwritable",
+    ],
+)
+def test_bad_input_exits_2(tmp_path, capsys, case):
+    code = main(_bad_input_cases(tmp_path)[case])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Error: " in err

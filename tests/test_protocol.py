@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qverify.errors import ValidationError
-from qverify.adversary import worst_case_state
+from qverify.adversary import AdversaryKind, AdversaryState, worst_case_state
 from qverify.protocol import (
     CERTAINTY_TOL,
     WILSON_Z99,
@@ -22,7 +22,7 @@ from qverify.protocol import (
     varying_adversary,
     wilson_interval,
 )
-from qverify.qcore import Ket
+from qverify.qcore import HermitianOperator, Ket
 from qverify.strategy import bell_strategy, two_qubit_optimal
 
 
@@ -258,3 +258,23 @@ def test_certainty_clamp_keeps_probabilities_in_range():
     assert predicted_acceptance(strat, device, 1000) == 1.0
     assert run_protocol(strat, device, 1000, seed=3).accepted
     assert CERTAINTY_TOL == 1e-10
+
+
+@pytest.mark.parametrize(
+    "diagonal",
+    [
+        [1.5, -0.5, 0.0, 0.0],  # unit trace, negative eigenvalue
+        [0.5, 0.5, 0.5, 0.5],  # positive, trace 2
+    ],
+)
+def test_device_states_and_adversary_states_share_one_density_check(diagonal):
+    sigma = np.diag(np.array(diagonal, dtype=complex))
+    with pytest.raises(ValidationError):
+        AdversaryState(
+            sigma=HermitianOperator(sigma), fidelity=0.5, kind=AdversaryKind.CUSTOM
+        )
+    with pytest.raises(ValidationError):
+        iid_adversary(BELL, sigma)
+    device = custom_device(BELL, lambda k: sigma)
+    with pytest.raises(ValidationError):
+        predicted_acceptance(bell_strategy(), device, 2)

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qverify.errors import BadDimError, NonHermitianError
+from qverify.errors import BadDimError, NonHermitianError, QVerifyError
 from qverify.qcore import (
     EIG_TIE_TOL,
     PAULI_MATRICES,
@@ -32,6 +32,14 @@ def test_ket_requires_unit_norm():
     Ket(np.array([1.0, 0.0], dtype=complex))
     with pytest.raises(ValueError):
         Ket(np.array([1.0, 1.0], dtype=complex))
+
+
+def test_ket_norm_errors_are_domain_errors():
+    # bad input, so the command line reports it as exit 2, not as a bug
+    with pytest.raises(QVerifyError):
+        Ket(np.array([1.0, 1.0], dtype=complex))
+    with pytest.raises(QVerifyError):
+        Ket.normalized([0.0, 0.0])
 
 
 def test_ket_requires_power_of_two_dim():

@@ -13,7 +13,7 @@ from qverify.errors import (
     NonCommutingError,
     ValidationError,
 )
-from qverify.qcore import Ket, basis_ket
+from qverify.qcore import PAULI_MATRICES, TOL_DERIVED, Ket, _fix_phase, basis_ket
 from qverify.stabilizer import (
     ParityCheck,
     PauliString,
@@ -372,3 +372,90 @@ def test_mixed_element_subsets_of_ghz3():
     # adding any single generator completes the basis
     report2 = subset_strategy(group, [3, 5, 6, 1])
     assert not report2.degenerate
+
+
+def _dense_pauli(p):
+    """Sign times the Kronecker product of the letter matrices."""
+    mat = np.array([[p.sign]], dtype=complex)
+    for letter in p.label.lstrip("-"):
+        mat = np.kron(mat, PAULI_MATRICES[letter])
+    return mat
+
+
+def _dense_eigenbasis(group):
+    """Reference joint eigenbasis from dense products of generator projectors.
+
+    Column s multiplies (1 +- g_j)/2 over the generators (minus when bit
+    N-1-j of s is set) and normalizes the first nonzero column of that
+    product, so it shares no code with the syndrome-space route.
+    """
+    n = group.num_qubits
+    dim = 2**n
+    matrices = [_dense_pauli(g) for g in group.generators]
+    eye = np.eye(dim, dtype=complex)
+    basis = np.zeros((dim, dim), dtype=complex)
+    for s in range(dim):
+        proj = eye
+        for j, mat in enumerate(matrices):
+            outcome = (s >> (n - 1 - j)) & 1
+            proj = proj @ (eye + (-1.0) ** outcome * mat) / 2.0
+        norms = np.linalg.norm(proj, axis=0)
+        start = int(np.flatnonzero(norms > TOL_DERIVED)[0])
+        column = proj[:, start]
+        basis[:, s] = _fix_phase(column / float(np.linalg.norm(column)))
+    return basis
+
+
+def _sign_flips(n):
+    """No flips, every generator flipped, and alternate generators flipped."""
+    return [(), tuple(range(n)), tuple(range(0, n, 2))]
+
+
+ORACLE_PRESETS = ["bell"] + [
+    f"{family}{n}" for family in ("ghz", "cluster", "zeros") for n in range(2, 7)
+]
+
+
+@pytest.mark.parametrize("preset", ORACLE_PRESETS)
+def test_eigenbasis_and_state_match_dense_oracle_bitwise(preset):
+    # every sum on both routes is an exact dyadic rational, so even signed
+    # zeros must agree
+    labels = group_to_json(preset_group(preset))
+    for flipped in _sign_flips(len(labels)):
+        group = group_from_json(
+            [("-" + lab if j in flipped else lab) for j, lab in enumerate(labels)]
+        )
+        expected = _dense_eigenbasis(group)
+        basis = ParityCheck.build(group).eigenbasis
+        assert basis.tobytes() == expected.tobytes(), (preset, flipped)
+        assert group.state().amplitudes.tobytes() == expected[:, 0].tobytes()
+        n = group.num_qubits
+        if 2 <= n <= 4:
+            # without generator 0 the first fooling column sets only its bit
+            kept = [1 << j for j in range(1, n)]
+            fooling = subset_strategy(group, kept).fooling_state.amplitudes
+            assert fooling.tobytes() == expected[:, 1 << (n - 1)].tobytes()
+
+
+def _worst_syndrome_acceptance(num_qubits, masks):
+    """Largest share of masks passing a nonzero syndrome s: |mask & s| even."""
+    parity = np.zeros(1, dtype=np.uint8)
+    for _ in range(num_qubits):
+        parity = np.concatenate([parity, parity ^ 1])
+    masks = np.asarray(masks)
+    syndromes = np.arange(1, 2**num_qubits)
+    best = 0
+    for chunk in np.array_split(syndromes, max(1, len(syndromes) // 512)):
+        passed = (parity[chunk[:, None] & masks[None, :]] == 0).sum(axis=1)
+        best = max(best, int(passed.max()))
+    return best / len(masks)
+
+
+def test_closed_form_q_is_worst_syndrome_acceptance():
+    for n in range(2, 13):
+        full = _worst_syndrome_acceptance(n, range(1, 2**n))
+        gens = _worst_syndrome_acceptance(n, [1 << j for j in range(n)])
+        for family in ("ghz", "cluster", "zeros"):
+            k = preset_group(f"{family}{n}").num_generators
+            assert full == pytest.approx(full_strategy_q(k), abs=1e-15)
+            assert gens == pytest.approx(generator_strategy_q(k), abs=1e-15)
