@@ -45,6 +45,7 @@ from .errors import (
     ValidationError,
 )
 from .qcore import TOL_DERIVED, HermitianOperator, Ket
+from .samplecount import check_probability
 from .strategy import Strategy, alpha_weight, check_theta, optimal_q
 
 LANDSCAPE_COLUMNS = ("alpha", "phi", "lambda1", "lambda2", "qmax")
@@ -106,8 +107,7 @@ def worst_case_state(strategy: Strategy, epsilon: float) -> AdversaryState:
     device output: no state (pure or mixed) at fidelity <= 1 - eps does
     better, which game_value verifies independently.
     """
-    if not 0.0 < epsilon < 1.0:
-        raise ValidationError(f"epsilon={epsilon!r} outside (0, 1)")
+    check_probability("epsilon", epsilon)
     q, top = top_orthogonal_eigenvector(strategy)
     if q >= 1.0 - TOL_DERIVED:
         raise DegenerateStrategyError(
@@ -140,8 +140,7 @@ def shift_fidelity(rho: np.ndarray, target: Ket, epsilon: float) -> AdversarySta
     normalized orthocomplement projector to lower it; either direction
     keeps the state a valid density matrix.
     """
-    if not 0.0 < epsilon < 1.0:
-        raise ValidationError(f"epsilon={epsilon!r} outside (0, 1)")
+    check_probability("epsilon", epsilon)
     rho = np.asarray(rho, dtype=complex)
     psi = target.amplitudes
     proj = np.outer(psi, psi.conj())
@@ -708,8 +707,7 @@ def game_value(
         mat = omega.entries
     else:
         mat = HermitianOperator(np.asarray(omega, dtype=complex)).entries
-    if not 0.0 < epsilon < 1.0:
-        raise ValidationError(f"epsilon={epsilon!r} outside (0, 1)")
+    check_probability("epsilon", epsilon)
     if mat.shape[0] != target.dim:
         raise ValidationError("operator and target dimensions differ")
 

@@ -5,6 +5,12 @@ tables, figure data generation, protocol simulation, landscape
 certification, and stabilizer tooling. Outputs carry a metadata header
 (tool version, command line, seed, tolerance profile) and are byte
 stable: the same invocation always produces identical bytes.
+
+Every option is declared once, in `_parsers`, with its type, choices
+and default. A `--config` file is read by turning its entries into
+`--key=value` tokens for the same subcommand parser, so config values
+get the flags' conversions and checks; they then stand in for the
+defaults, and explicit flags still win.
 """
 
 from __future__ import annotations
@@ -14,7 +20,6 @@ import json
 import math
 import re
 import sys
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -23,73 +28,19 @@ from .errors import QVerifyError, ValidationError
 
 PROG = "qverify"
 
-GLOBAL_DEFAULTS = {
-    "seed": 0,
-    "out": None,
-    "format": "csv",
-    "tolerance_profile": "default",
+# Strategy builder flags and their help. Each flag stores its name in
+# `kind`, and a config file names one the same way ("kind": "bell").
+STRATEGY_KINDS = {
+    "bell": "three setting parity strategy for the Bell state",
+    "two-qubit": "four setting optimum for sin(theta)|00> + cos(theta)|11>",
+    "product-zero": "single projector strategy for |00>",
+    "product-one": "single projector strategy for |11>",
+    "stabilizer-full": "uniform strategy over all nontrivial group elements",
+    "stabilizer-generators": "uniform strategy over the generators only",
 }
 
-SUBCOMMAND_DEFAULTS = {
-    "strategy": {
-        "kind": None,
-        "theta": None,
-        "preset": None,
-        "generators": None,
-        "epsilon": None,
-    },
-    "samplecount": {
-        "kind": None,
-        "theta": None,
-        "preset": None,
-        "generators": None,
-        "epsilon": 0.01,
-        "delta": 0.1,
-    },
-    "figure": {
-        "which": "fig1",
-        "theta": "pi/8",
-        "epsilon": 0.01,
-        "delta": 0.1,
-        "points": None,
-    },
-    "simulate": {
-        "kind": None,
-        "theta": None,
-        "preset": None,
-        "generators": None,
-        "strategy_file": None,
-        "device": "honest",
-        "epsilon": 0.1,
-        "n": None,
-        "trials": 10000,
-        "transcript": None,
-        "record_labels": False,
-    },
-    "landscape": {
-        "theta": "pi/8",
-        "resolution": 400,
-        "refine_resolution": 4000,
-    },
-    "stabilizer": {
-        "preset": None,
-        "generators": None,
-        "parity_check": False,
-        "subset": None,
-    },
-}
-
-# Config values for numeric options, converted where the config is read.
-_CONFIG_NUMBERS = {
-    "seed": int,
-    "n": int,
-    "trials": int,
-    "points": int,
-    "resolution": int,
-    "refine_resolution": int,
-    "epsilon": float,
-    "delta": float,
-}
+# Tolerance of the invariant pass under --tolerance-profile strict.
+STRICT_TOL = 1e-11
 
 _ANGLE = re.compile(
     r"(?i)^\s*([+-]?(?:\d+\.?\d*|\.\d+)?)\s*\*?\s*pi\s*(?:/\s*([+-]?\d+\.?\d*))?\s*$"
@@ -123,105 +74,74 @@ def parse_angle(value) -> float:
         raise ValidationError(f"cannot parse angle {text!r}") from None
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """Effective options for one invocation: defaults < config file < flags."""
-
-    command: str
-    seed: int
-    out: str | None
-    format: str
-    tolerance_profile: str
-    params: dict
-    argv: tuple[str, ...]
+def _positive_int(text: str) -> int:
+    """Grid sizes: an integer of at least 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"{text!r} is not a positive integer")
+    return value
 
 
-def build_parser() -> argparse.ArgumentParser:
+def _parsers(**options) -> tuple[argparse.ArgumentParser, dict]:
+    """The top-level parser and its subcommand parsers by name.
+
+    options go to every subcommand parser; the config reader passes
+    exit_on_error=False, allow_abbrev=False and add_help=False.
+    """
     parser = argparse.ArgumentParser(
         prog=PROG,
         description="Optimal local verification of entangled states: "
         "strategies, copy counts, figure data, certification, simulation.",
-        argument_default=argparse.SUPPRESS,
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_common(p):
-        p.add_argument("--seed", type=int, help="base RNG seed (default 0)")
+        p.add_argument(
+            "--seed", type=int, default=0, help="base RNG seed (default %(default)s)"
+        )
         p.add_argument("--out", help="write output here instead of stdout")
         p.add_argument(
-            "--format", choices=("csv", "json"), help="output format (default csv)"
+            "--format",
+            choices=("csv", "json"),
+            default="csv",
+            help="output format (default %(default)s)",
         )
         p.add_argument(
             "--tolerance-profile",
-            dest="tolerance_profile",
             choices=("strict", "default"),
-            help="strict re-verifies constructed operators at 1e-11",
+            default="default",
+            help=f"strict re-verifies constructed operators at {STRICT_TOL:g} "
+            "(default %(default)s)",
         )
         p.add_argument(
-            "--config", help="JSON file of option defaults; explicit flags win"
+            "--config", help="JSON file of option values; explicit flags win"
         )
 
-    def add_kind(p, with_product=True):
-        g = p.add_mutually_exclusive_group()
-        g.add_argument(
-            "--bell",
-            dest="kind",
-            action="store_const",
-            const="bell",
-            help="three setting parity strategy for the Bell state",
-        )
-        g.add_argument(
-            "--two-qubit",
-            dest="kind",
-            action="store_const",
-            const="two-qubit",
-            help="four setting optimum for sin(theta)|00> + cos(theta)|11>",
-        )
-        if with_product:
-            g.add_argument(
-                "--product-zero",
-                dest="kind",
-                action="store_const",
-                const="product-zero",
-                help="single projector strategy for |00>",
-            )
-            g.add_argument(
-                "--product-one",
-                dest="kind",
-                action="store_const",
-                const="product-one",
-                help="single projector strategy for |11>",
-            )
-        g.add_argument(
-            "--stabilizer-full",
-            dest="kind",
-            action="store_const",
-            const="stabilizer-full",
-            help="uniform strategy over all nontrivial group elements",
-        )
-        g.add_argument(
-            "--stabilizer-generators",
-            dest="kind",
-            action="store_const",
-            const="stabilizer-generators",
-            help="uniform strategy over the generators only",
-        )
-        p.add_argument(
-            "--theta",
-            help="target angle for --two-qubit; accepts pi fractions like pi/8",
-        )
+    def add_group(p):
         p.add_argument(
             "--preset", help="stabilizer preset: bell, ghzN, clusterN, zerosN"
         )
         p.add_argument(
-            "--generators",
-            help="comma separated Pauli labels, e.g. +XX,+ZZ",
+            "--generators", help="comma separated Pauli labels, e.g. +XX,+ZZ"
         )
 
+    def add_kind(p):
+        g = p.add_mutually_exclusive_group()
+        for kind, text in STRATEGY_KINDS.items():
+            g.add_argument(
+                f"--{kind}", dest="kind", action="store_const", const=kind, help=text
+            )
+        p.add_argument(
+            "--theta",
+            help="target angle for --two-qubit; accepts pi fractions like pi/8",
+        )
+        add_group(p)
+
     p = sub.add_parser(
-        "strategy",
-        help="construct and inspect a strategy",
-        argument_default=argparse.SUPPRESS,
+        "strategy", help="construct and inspect a strategy", **options
     )
     add_kind(p)
     p.add_argument(
@@ -230,95 +150,113 @@ def build_parser() -> argparse.ArgumentParser:
     add_common(p)
 
     p = sub.add_parser(
-        "samplecount",
-        help="copies needed for (epsilon, delta)",
-        argument_default=argparse.SUPPRESS,
+        "samplecount", help="copies needed for (epsilon, delta)", **options
     )
     add_kind(p)
-    p.add_argument("--epsilon", type=float, help="infidelity promise (default 0.01)")
-    p.add_argument("--delta", type=float, help="confidence target (default 0.1)")
+    p.add_argument(
+        "--epsilon",
+        type=float,
+        default=0.01,
+        help="infidelity promise (default %(default)s)",
+    )
+    p.add_argument(
+        "--delta",
+        type=float,
+        default=0.1,
+        help="confidence target (default %(default)s)",
+    )
     add_common(p)
 
-    p = sub.add_parser(
-        "figure",
-        help="emit plot-ready data tables",
-        argument_default=argparse.SUPPRESS,
-    )
+    p = sub.add_parser("figure", help="emit plot-ready data tables", **options)
     p.add_argument(
         "--which",
         choices=("fig1", "fig2", "figS1", "figS2"),
+        default="fig1",
         help="fig1: counts vs theta; fig2: counts vs epsilon; "
-        "figS1: reachable-region boundary; figS2: landscape grid",
+        "figS1: reachable-region boundary; figS2: landscape grid "
+        "(default %(default)s)",
     )
-    p.add_argument("--theta", help="angle for fig2/figS1/figS2 (default pi/8)")
-    p.add_argument("--epsilon", type=float, help="promise for fig1 (default 0.01)")
-    p.add_argument("--delta", type=float, help="confidence for fig1/fig2 (default 0.1)")
+    p.add_argument(
+        "--theta",
+        default="pi/8",
+        help="angle for fig2/figS1/figS2 (default %(default)s)",
+    )
+    p.add_argument(
+        "--epsilon",
+        type=float,
+        default=0.01,
+        help="promise for fig1 (default %(default)s)",
+    )
+    p.add_argument(
+        "--delta",
+        type=float,
+        default=0.1,
+        help="confidence for fig1/fig2 (default %(default)s)",
+    )
     p.add_argument(
         "--points",
-        type=int,
+        type=_positive_int,
         help="grid size for fig1/fig2/figS1 (library defaults otherwise)",
     )
     add_common(p)
 
-    p = sub.add_parser(
-        "simulate",
-        help="run the sequential protocol",
-        argument_default=argparse.SUPPRESS,
-    )
+    p = sub.add_parser("simulate", help="run the sequential protocol", **options)
     add_kind(p)
     p.add_argument(
         "--strategy-file",
-        dest="strategy_file",
         help="load the strategy from a JSON file instead of a builder flag",
     )
     p.add_argument(
         "--device",
         choices=("honest", "worst-iid"),
-        help="source model (default honest)",
+        default="honest",
+        help="source model (default %(default)s)",
     )
     p.add_argument(
-        "--epsilon", type=float, help="infidelity of the worst-iid device (default 0.1)"
+        "--epsilon",
+        type=float,
+        default=0.1,
+        help="infidelity of the worst-iid device (default %(default)s)",
     )
     p.add_argument("--n", type=int, help="copies per trial (required)")
-    p.add_argument("--trials", type=int, help="independent trials (default 10000)")
+    p.add_argument(
+        "--trials",
+        type=int,
+        default=10000,
+        help="independent trials (default %(default)s)",
+    )
     p.add_argument("--transcript", help="write per-trial JSON lines to this path")
     p.add_argument(
         "--record-labels",
-        dest="record_labels",
         action="store_true",
         help="include drawn setting labels in the transcript",
     )
     add_common(p)
 
     p = sub.add_parser(
-        "landscape",
-        help="certify the two qubit optimum by sweep",
-        argument_default=argparse.SUPPRESS,
+        "landscape", help="certify the two qubit optimum by sweep", **options
     )
-    p.add_argument("--theta", help="target angle (default pi/8)")
-    p.add_argument("--resolution", type=int, help="coarse grid size (default 400)")
+    p.add_argument(
+        "--theta", default="pi/8", help="target angle (default %(default)s)"
+    )
+    p.add_argument(
+        "--resolution",
+        type=int,
+        default=400,
+        help="coarse grid size (default %(default)s)",
+    )
     p.add_argument(
         "--refine-resolution",
-        dest="refine_resolution",
-        type=int,
-        help="refinement grid size (default 4000)",
+        type=_positive_int,
+        default=4000,
+        help="refinement grid size (default %(default)s)",
     )
     add_common(p)
 
-    p = sub.add_parser(
-        "stabilizer",
-        help="inspect groups and parity checks",
-        argument_default=argparse.SUPPRESS,
-    )
-    p.add_argument(
-        "--preset", help="stabilizer preset: bell, ghzN, clusterN, zerosN"
-    )
-    p.add_argument(
-        "--generators", help="comma separated Pauli labels, e.g. +XX,+ZZ"
-    )
+    p = sub.add_parser("stabilizer", help="inspect groups and parity checks", **options)
+    add_group(p)
     p.add_argument(
         "--parity-check",
-        dest="parity_check",
         action="store_true",
         help="dump the generator/syndrome pass table",
     )
@@ -328,7 +266,12 @@ def build_parser() -> argparse.ArgumentParser:
     )
     add_common(p)
 
-    return parser
+    return parser, sub.choices
+
+
+def build_parser() -> argparse.ArgumentParser:
+    """The qverify command line parser."""
+    return _parsers()[0]
 
 
 def _read_json(path: str, what: str):
@@ -348,50 +291,41 @@ def _open_output(path: str):
         raise ValidationError(f"cannot write {path!r}: {exc}") from exc
 
 
-def _effective_config(ns: argparse.Namespace, argv) -> RunConfig:
-    provided = dict(vars(ns))
-    command = provided.pop("command")
-    config_path = provided.pop("config", None)
-    merged = {**GLOBAL_DEFAULTS, **SUBCOMMAND_DEFAULTS[command]}
-    if config_path is not None:
-        loaded = _read_json(config_path, "config file")
-        if not isinstance(loaded, dict):
-            raise ValidationError("config file must hold a JSON object")
-        for key, value in loaded.items():
-            norm = str(key).replace("-", "_")
-            if norm not in merged:
-                raise ValidationError(
-                    f"unknown config key {key!r} for command {command!r}"
-                )
-            if norm in _CONFIG_NUMBERS and value is not None:
-                try:
-                    value = _CONFIG_NUMBERS[norm](value)
-                except (TypeError, ValueError):
-                    raise ValidationError(
-                        f"config key {key!r} needs a number, got {value!r}"
-                    ) from None
-            merged[norm] = value
-    merged.update(provided)
-    if merged["format"] not in ("csv", "json"):
-        raise ValidationError(f"format {merged['format']!r} must be csv or json")
-    if merged["tolerance_profile"] not in ("strict", "default"):
+def _config_values(command: str, path: str) -> dict:
+    """Every option value of command, with the config file's entries applied.
+
+    Each entry becomes one `--key=value` token: a true switch is the bare
+    flag, a list is joined with commas and a strategy kind is its flag.
+    """
+    loaded = _read_json(path, "config file")
+    if not isinstance(loaded, dict):
+        raise ValidationError("config file must hold a JSON object")
+    tokens = []
+    for key, value in loaded.items():
+        flag = "--" + str(key).replace("_", "-")
+        if flag == "--kind" and isinstance(value, str) and value in STRATEGY_KINDS:
+            flag, value = f"--{value}", True
+        if value is True:
+            tokens.append(flag)
+        elif isinstance(value, list):
+            tokens.append(f"{flag}={','.join(str(v) for v in value)}")
+        else:
+            tokens.append(f"{flag}={value}")
+    parsers = _parsers(exit_on_error=False, allow_abbrev=False, add_help=False)[1]
+    try:
+        values, unknown = parsers[command].parse_known_args(tokens)
+    except argparse.ArgumentError as exc:
+        raise ValidationError(f"config file {path!r}: {exc}") from None
+    if unknown:
         raise ValidationError(
-            f"tolerance profile {merged['tolerance_profile']!r} "
-            "must be strict or default"
+            f"config file {path!r}: {unknown[0]!r} is no option of {command!r}"
         )
-    params = {k: v for k, v in merged.items() if k not in GLOBAL_DEFAULTS}
-    return RunConfig(
-        command=command,
-        seed=int(merged["seed"]),
-        out=merged["out"],
-        format=str(merged["format"]),
-        tolerance_profile=str(merged["tolerance_profile"]),
-        params=params,
-        argv=tuple(argv),
-    )
+    if values.config is not None:
+        raise ValidationError(f"config file {path!r} may not name another config")
+    return vars(values)
 
 
-def _metadata(cfg: RunConfig) -> tuple[tuple[str, str], ...]:
+def _metadata(cfg: argparse.Namespace) -> tuple[tuple[str, str], ...]:
     return (
         ("tool", f"{PROG} {__version__}"),
         ("command", " ".join((PROG, *cfg.argv))),
@@ -417,7 +351,7 @@ def _jsonable(value):
     return item() if callable(item) else value
 
 
-def _render(cfg: RunConfig, doc: dict) -> str:
+def _render(cfg: argparse.Namespace, doc: dict) -> str:
     meta = _metadata(cfg)
     if cfg.format == "json":
         payload: dict = {"metadata": dict(meta)}
@@ -440,7 +374,7 @@ def _render(cfg: RunConfig, doc: dict) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _write(cfg: RunConfig, text: str) -> None:
+def _write(cfg: argparse.Namespace, text: str) -> None:
     if cfg.out:
         with _open_output(cfg.out) as fh:
             fh.write(text)
@@ -448,73 +382,58 @@ def _write(cfg: RunConfig, text: str) -> None:
         sys.stdout.write(text)
 
 
-def _strict_verify(cfg: RunConfig, built) -> None:
+def _strict_verify(cfg: argparse.Namespace, built) -> None:
     """Extra invariant pass under --tolerance-profile strict.
 
-    A failure here means a constructed operator drifted past 1e-11,
+    A failure here means a constructed operator drifted past STRICT_TOL,
     which no supported input should produce; it surfaces as exit 3.
     """
     if cfg.tolerance_profile != "strict":
         return
-    omega = built.omega
-    psi = built.target.amplitudes
-    residual = float(np.linalg.norm(omega @ psi - psi))
-    vals = np.linalg.eigvalsh(omega)
-    if residual > 1e-11 or vals[0] < -1e-11 or vals[-1] > 1.0 + 1e-11:
-        raise RuntimeError(
-            f"strict re-verification failed: fixing residual {residual!r}, "
-            f"eigenvalue range [{float(vals[0])!r}, {float(vals[-1])!r}]"
-        )
+    defect = strategy.invariant_defect(built.target, built.omega, STRICT_TOL)
+    if defect is not None:
+        raise RuntimeError(f"strict re-verification failed: {defect}")
 
 
-def _build_group(params: dict):
-    preset = params.get("preset")
-    labels = params.get("generators")
-    if preset and labels:
+def _build_group(cfg: argparse.Namespace):
+    if cfg.preset and cfg.generators:
         raise ValidationError("--preset and --generators are mutually exclusive")
-    if preset:
-        return stabilizer.preset_group(str(preset))
-    if labels:
-        if isinstance(labels, str):
-            labels = [part.strip() for part in labels.split(",") if part.strip()]
+    if cfg.preset:
+        return stabilizer.preset_group(cfg.preset)
+    if cfg.generators:
+        labels = [part.strip() for part in cfg.generators.split(",") if part.strip()]
         return stabilizer.group_from_json(labels)
     raise ValidationError("a stabilizer group needs --preset or --generators")
 
 
-def _build_strategy(cfg: RunConfig):
-    params = cfg.params
-    path = params.get("strategy_file")
+def _build_strategy(cfg: argparse.Namespace):
+    path = getattr(cfg, "strategy_file", None)
+    kind = cfg.kind
     if path:
         built = strategy.from_json_dict(_read_json(path, "strategy file"))
-        _strict_verify(cfg, built)
-        return built
-    kind = params.get("kind")
-    if kind is None:
+    elif kind is None:
         raise ValidationError(
-            "choose a strategy: --bell, --two-qubit, --product-zero, "
-            "--product-one, --stabilizer-full, or --stabilizer-generators"
+            "choose a strategy: " + ", ".join(f"--{k}" for k in STRATEGY_KINDS)
         )
-    if kind == "bell":
+    elif kind == "bell":
         built = strategy.bell_strategy()
     elif kind == "two-qubit":
-        if params.get("theta") is None:
+        if cfg.theta is None:
             raise ValidationError("--two-qubit requires --theta")
-        built = strategy.two_qubit_optimal(parse_angle(params["theta"]))
+        built = strategy.two_qubit_optimal(parse_angle(cfg.theta))
     elif kind == "product-zero":
         built = strategy.product_state_strategy("zero")
     elif kind == "product-one":
         built = strategy.product_state_strategy("one")
     elif kind == "stabilizer-full":
-        built = stabilizer.full_strategy(_build_group(params))
-    elif kind == "stabilizer-generators":
-        built = stabilizer.generator_strategy(_build_group(params))
-    else:
-        raise ValidationError(f"unknown strategy kind {kind!r}")
+        built = stabilizer.full_strategy(_build_group(cfg))
+    else:  # stabilizer-generators
+        built = stabilizer.generator_strategy(_build_group(cfg))
     _strict_verify(cfg, built)
     return built
 
 
-def cmd_strategy(cfg: RunConfig) -> dict:
+def cmd_strategy(cfg: argparse.Namespace) -> dict:
     built = _build_strategy(cfg)
     m = strategy.metrics(built)
     record = [
@@ -527,10 +446,9 @@ def cmd_strategy(cfg: RunConfig) -> dict:
     ]
     if built.theta is not None:
         record.insert(1, ("theta", built.theta))
-    epsilon = cfg.params.get("epsilon")
-    if epsilon is not None:
-        record.append(("epsilon", float(epsilon)))
-        record.append(("delta_eps", m.delta_eps(float(epsilon))))
+    if cfg.epsilon is not None:
+        record.append(("epsilon", cfg.epsilon))
+        record.append(("delta_eps", m.delta_eps(cfg.epsilon)))
     rows = [(s.label, s.weight, s.locality.value) for s in built.settings]
     return {
         "record": record,
@@ -540,14 +458,11 @@ def cmd_strategy(cfg: RunConfig) -> dict:
     }
 
 
-def cmd_samplecount(cfg: RunConfig) -> dict:
-    params = cfg.params
-    epsilon = float(params["epsilon"])
-    delta = float(params["delta"])
-    kind = params.get("kind")
-    if kind in ("stabilizer-full", "stabilizer-generators"):
-        group = _build_group(params)
-        scheme = "full" if kind == "stabilizer-full" else "generators"
+def cmd_samplecount(cfg: argparse.Namespace) -> dict:
+    epsilon, delta = cfg.epsilon, cfg.delta
+    if cfg.kind in ("stabilizer-full", "stabilizer-generators"):
+        group = _build_group(cfg)
+        scheme = "full" if cfg.kind == "stabilizer-full" else "generators"
         report = stabilizer.stabilizer_sample_count(group, scheme, epsilon, delta)
     else:
         built = _build_strategy(cfg)
@@ -569,33 +484,30 @@ def cmd_samplecount(cfg: RunConfig) -> dict:
     return {"record": record}
 
 
-def cmd_figure(cfg: RunConfig) -> dict:
-    params = cfg.params
-    which = params["which"]
-    points = params.get("points")
-    if which == "fig1":
-        thetas = (
-            samplecount.default_theta_grid(int(points)) if points else None
-        )
-        rows = samplecount.figure1_data(
-            float(params["epsilon"]), float(params["delta"]), thetas
-        )
+def cmd_figure(cfg: argparse.Namespace) -> dict:
+    points = cfg.points
+    if cfg.which == "fig1":
+        thetas = None if points is None else samplecount.default_theta_grid(points)
+        rows = samplecount.figure1_data(cfg.epsilon, cfg.delta, thetas)
         return {
             "columns": samplecount.FIG1_COLUMNS,
             "rows": samplecount.fig1_csv_rows(rows),
         }
-    theta = parse_angle(params["theta"])
-    if which == "fig2":
-        epsilons = np.logspace(-4, -1, int(points)) if points else None
-        rows = samplecount.figure2_data(theta, float(params["delta"]), epsilons)
+    theta = parse_angle(cfg.theta)
+    if cfg.which == "fig2":
+        epsilons = None if points is None else np.logspace(-4, -1, points)
+        rows = samplecount.figure2_data(theta, cfg.delta, epsilons)
         return {
             "columns": samplecount.FIG2_COLUMNS,
             "rows": samplecount.fig2_csv_rows(rows),
         }
-    if which == "figS1":
-        rows = adversary.hull_boundary(theta, int(points) if points else 200)
+    if cfg.which == "figS1":
+        if points is None:
+            rows = adversary.hull_boundary(theta)
+        else:
+            rows = adversary.hull_boundary(theta, points)
         return {"columns": adversary.HULL_COLUMNS, "rows": rows}
-    report = adversary.landscape(theta)
+    report = adversary.landscape(theta)  # figS2
     record = [
         ("theta", report.theta),
         ("argmin_alpha", report.argmin_alpha),
@@ -612,30 +524,22 @@ def cmd_figure(cfg: RunConfig) -> dict:
     }
 
 
-def cmd_simulate(cfg: RunConfig) -> dict:
-    params = cfg.params
-    if params.get("n") is None:
+def cmd_simulate(cfg: argparse.Namespace) -> dict:
+    if cfg.n is None:
         raise ValidationError("simulate requires --n")
-    n = int(params["n"])
-    trials = int(params["trials"])
     built = _build_strategy(cfg)
-    device_name = str(params["device"])
-    record = [("device", device_name), ("n", n), ("trials", trials)]
-    if device_name == "honest":
+    record = [("device", cfg.device), ("n", cfg.n), ("trials", cfg.trials)]
+    if cfg.device == "honest":
         device = protocol.honest_device(built.target)
-    elif device_name == "worst-iid":
-        epsilon = float(params["epsilon"])
-        worst = adversary.worst_case_state(built, epsilon)
-        device = protocol.iid_adversary(built.target, worst, epsilon=epsilon)
-        record.append(("epsilon", epsilon))
-    else:
-        raise ValidationError(f"unknown device {device_name!r}")
+    else:  # worst-iid
+        worst = adversary.worst_case_state(built, cfg.epsilon)
+        device = protocol.iid_adversary(built.target, worst, epsilon=cfg.epsilon)
+        record.append(("epsilon", cfg.epsilon))
 
-    transcript_path = params.get("transcript")
     sink = None
     transcript_file = None
-    if transcript_path:
-        transcript_file = _open_output(transcript_path)
+    if cfg.transcript:
+        transcript_file = _open_output(cfg.transcript)
 
         def sink(entry):
             transcript_file.write(json.dumps(entry) + "\n")
@@ -644,11 +548,11 @@ def cmd_simulate(cfg: RunConfig) -> dict:
         stats = protocol.estimate_power(
             built,
             device,
-            n=n,
-            trials=trials,
+            n=cfg.n,
+            trials=cfg.trials,
             seed=cfg.seed,
             sink=sink,
-            record_labels=bool(params.get("record_labels")),
+            record_labels=cfg.record_labels,
         )
     finally:
         if transcript_file is not None:
@@ -657,50 +561,34 @@ def cmd_simulate(cfg: RunConfig) -> dict:
         ("accept_rate", stats.accept_rate),
         ("wilson_low", stats.wilson_low),
         ("wilson_high", stats.wilson_high),
-        ("predicted_acceptance", protocol.predicted_acceptance(built, device, n)),
+        ("predicted_acceptance", protocol.predicted_acceptance(built, device, cfg.n)),
     ]
     return {"record": record}
 
 
-def cmd_landscape(cfg: RunConfig) -> dict:
-    params = cfg.params
-    theta = parse_angle(params["theta"])
+def cmd_landscape(cfg: argparse.Namespace) -> dict:
     cert = adversary.certify_optimality(
-        theta,
-        resolution=int(params["resolution"]),
-        refine_resolution=int(params["refine_resolution"]),
+        parse_angle(cfg.theta),
+        resolution=cfg.resolution,
+        refine_resolution=cfg.refine_resolution,
     )
-    record = [
-        ("theta", cert.theta),
-        ("resolution", cert.resolution),
-        ("q_closed_form", cert.q_closed_form),
-        ("q_grid", cert.q_grid),
-        ("q_polished", cert.q_polished),
-        ("gap", cert.gap),
-        ("alpha_closed_form", cert.alpha_closed_form),
-        ("alpha_polished", cert.alpha_polished),
-        ("phi_closed_form", cert.phi_closed_form),
-        ("phi_polished", cert.phi_polished),
-        ("ppt_bound", cert.ppt_bound),
-        ("sound", cert.sound),
-        ("located", cert.located),
-        ("passed", cert.passed),
-    ]
-    return {"record": record}
+    fields = (
+        "theta", "resolution", "q_closed_form", "q_grid", "q_polished", "gap",
+        "alpha_closed_form", "alpha_polished", "phi_closed_form", "phi_polished",
+        "ppt_bound", "sound", "located", "passed",
+    )
+    return {"record": [(name, getattr(cert, name)) for name in fields]}
 
 
-def cmd_stabilizer(cfg: RunConfig) -> dict:
-    params = cfg.params
-    group = _build_group(params)
+def cmd_stabilizer(cfg: argparse.Namespace) -> dict:
+    group = _build_group(cfg)
     n = group.num_qubits
-    subset = params.get("subset")
-    if subset:
-        parts = subset.split(",") if isinstance(subset, str) else subset
+    if cfg.subset:
         try:
-            indices = [int(part) for part in parts if str(part).strip()]
-        except (TypeError, ValueError):
+            indices = [int(part) for part in cfg.subset.split(",") if part.strip()]
+        except ValueError:
             raise ValidationError(
-                f"--subset needs comma separated integers, got {subset!r}"
+                f"--subset needs comma separated integers, got {cfg.subset!r}"
             ) from None
         report = stabilizer.subset_strategy(group, indices)
         record = [
@@ -716,7 +604,7 @@ def cmd_stabilizer(cfg: RunConfig) -> dict:
             amps = report.fooling_state.amplitudes
             extra["fooling_state"] = [[float(a.real), float(a.imag)] for a in amps]
         return {"record": record, "extra_json": extra}
-    if params.get("parity_check"):
+    if cfg.parity_check:
         check = stabilizer.ParityCheck.build(group)
         table = check.matrix
         columns = ("generator",) + tuple(f"s{k}" for k in range(check.dim))
@@ -757,13 +645,18 @@ COMMANDS = {
 
 def main(argv=None) -> int:
     argv = list(sys.argv[1:]) if argv is None else list(argv)
-    parser = build_parser()
+    parser, commands = _parsers()
     try:
-        ns = parser.parse_args(argv)
+        cfg = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        cfg = _effective_config(ns, argv)
+        if cfg.config is not None:
+            # Precedence: defaults < config file < flags.
+            values = _config_values(cfg.command, cfg.config)
+            commands[cfg.command].set_defaults(**values)
+            cfg = parser.parse_args(argv)
+        cfg.argv = tuple(argv)
         doc = COMMANDS[cfg.command](cfg)
         _write(cfg, _render(cfg, doc))
         return 0

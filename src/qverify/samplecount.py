@@ -30,17 +30,19 @@ THETA_SPECIAL_TOL = 1e-9
 SPECIAL_THETAS = (0.0, math.pi / 4, math.pi / 2)
 
 
-def _check_probability(name: str, value: float, open_zero=True, open_one=True):
+def check_probability(name: str, value: float, open_zero=True, open_one=True):
+    """Raise ValidationError unless value lies in (0, 1), closed where asked."""
     lo_ok = value > 0.0 if open_zero else value >= 0.0
     hi_ok = value < 1.0 if open_one else value <= 1.0
     if not (lo_ok and hi_ok):
-        raise ValidationError(f"{name}={value!r} outside the required range")
+        interval = f"{'(' if open_zero else '['}0, 1{')' if open_one else ']'}"
+        raise ValidationError(f"{name}={value!r} outside {interval}")
 
 
 def exact_count(delta_eps: float, delta: float) -> int:
     """Copies needed so (1 - delta_eps)**n <= delta, exactly."""
-    _check_probability("delta_eps", delta_eps, open_one=False)
-    _check_probability("delta", delta)
+    check_probability("delta_eps", delta_eps, open_one=False)
+    check_probability("delta", delta)
     if delta_eps == 1.0:
         return 1
     return math.ceil(-math.log(delta) / -math.log1p(-delta_eps))
@@ -48,8 +50,8 @@ def exact_count(delta_eps: float, delta: float) -> int:
 
 def asymptotic_count(delta_eps: float, delta: float) -> float:
     """First order approximation ln(1/delta) / delta_eps."""
-    _check_probability("delta_eps", delta_eps, open_one=False)
-    _check_probability("delta", delta)
+    check_probability("delta_eps", delta_eps, open_one=False)
+    check_probability("delta", delta)
     return -math.log(delta) / delta_eps
 
 
@@ -76,8 +78,8 @@ class SampleCountReport:
     n_certainty_regime: float | None = None
 
     def __post_init__(self):
-        _check_probability("delta", self.delta)
-        _check_probability("delta_eps", self.delta_eps, open_one=False)
+        check_probability("delta", self.delta)
+        check_probability("delta_eps", self.delta_eps, open_one=False)
         if self.n_exact < 1:
             raise ValidationError(f"n_exact={self.n_exact} must be positive")
         if self.p0 == 1.0:
@@ -99,10 +101,8 @@ def certainty_count_report(
     outside (0, 1) and DegenerateStrategyError when some orthogonal
     state is accepted with certainty.
     """
-    if not 0.0 < epsilon < 1.0:
-        raise ValidationError(f"epsilon={epsilon!r} outside (0, 1)")
-    if not 0.0 < delta < 1.0:
-        raise ValidationError(f"delta={delta!r} outside (0, 1)")
+    check_probability("epsilon", epsilon)
+    check_probability("delta", delta)
     if metrics.degenerate:
         raise DegenerateStrategyError(
             "strategy accepts an orthogonal state with certainty; "
@@ -136,8 +136,8 @@ class HypothesisSpec:
     chi: float = 0.25
 
     def __post_init__(self):
-        _check_probability("p0", self.p0, open_one=False)
-        _check_probability("p1", self.p1, open_zero=False)
+        check_probability("p0", self.p0, open_one=False)
+        check_probability("p1", self.p1, open_zero=False)
         if self.p1 >= self.p0:
             raise ValidationError(
                 f"p1={self.p1!r} must lie strictly below p0={self.p0!r}"
@@ -182,7 +182,7 @@ def chernoff_stein_count(spec: HypothesisSpec, delta: float) -> SampleCountRepor
     reported: the certainty regime (1/gap) ln(1/delta) and the
     frequency estimation regime 2 p0 (1-p0) / gap**2 * ln(1/delta).
     """
-    _check_probability("delta", delta)
+    check_probability("delta", delta)
     gap = spec.p0 - spec.p1
     if spec.p0 == 1.0:
         divergence = -math.log1p(-gap)

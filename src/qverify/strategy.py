@@ -59,6 +59,7 @@ from .samplecount import (
     THETA_SPECIAL_TOL,
     SampleCountReport,
     certainty_count_report,
+    check_probability,
     theta_family,
 )
 
@@ -125,6 +126,21 @@ class MeasurementSetting:
                 )
 
 
+def invariant_defect(target: Ket, omega: np.ndarray, tol: float) -> str | None:
+    """Why omega is no strategy operator for target at tolerance tol, or None.
+
+    A strategy operator fixes its target and has its spectrum in [0, 1].
+    """
+    psi = target.amplitudes
+    residual = float(np.linalg.norm(omega @ psi - psi))
+    if residual > tol:
+        return f"strategy does not fix its target (residual {residual!r})"
+    vals = np.linalg.eigvalsh(omega)
+    if vals[0] < -tol or vals[-1] > 1.0 + tol:
+        return f"strategy operator spectrum [{vals[0]!r}, {vals[-1]!r}] escapes [0, 1]"
+    return None
+
+
 @dataclass(frozen=True, eq=False)
 class Strategy:
     """A convex mixture of pass projectors fixing a target state."""
@@ -147,20 +163,9 @@ class Strategy:
         total = math.fsum(s.weight for s in self.settings)
         if abs(total - 1.0) > TOL_INPUT:
             raise ValidationError(f"setting weights sum to {total!r}, not 1")
-        omega = self.omega
-        residual = float(
-            np.linalg.norm(omega @ self.target.amplitudes - self.target.amplitudes)
-        )
-        if residual > TOL_DERIVED:
-            raise ValidationError(
-                f"strategy does not fix its target (residual {residual!r})"
-            )
-        vals = np.linalg.eigvalsh(omega)
-        if vals[0] < -TOL_DERIVED or vals[-1] > 1.0 + TOL_DERIVED:
-            raise ValidationError(
-                f"strategy operator spectrum [{vals[0]!r}, {vals[-1]!r}] "
-                "escapes [0, 1]"
-            )
+        defect = invariant_defect(self.target, self.omega, TOL_DERIVED)
+        if defect is not None:
+            raise ValidationError(defect)
 
     @cached_property
     def omega(self) -> np.ndarray:
@@ -190,7 +195,8 @@ class StrategyMetrics:
     second_eigenvalue_gap: float
 
     def delta_eps(self, epsilon: float) -> float:
-        """Per-copy detection gap for infidelity epsilon."""
+        """Per-copy detection gap for infidelity epsilon in (0, 1)."""
+        check_probability("epsilon", epsilon)
         return epsilon * (1.0 - self.q)
 
     @property

@@ -4,7 +4,7 @@ import math
 import pytest
 
 from qverify import strategy
-from qverify.cli import main, parse_angle
+from qverify.cli import COMMANDS, main, parse_angle
 from qverify.errors import ValidationError
 from qverify.adversary import HULL_COLUMNS, LANDSCAPE_COLUMNS
 from qverify.samplecount import FIG1_COLUMNS, FIG2_COLUMNS
@@ -359,3 +359,118 @@ def test_bad_input_exits_2(tmp_path, capsys, case):
     assert code == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "Error: " in err
+
+
+def _run_with_config(tmp_path, args, config):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(config))
+    return main(list(args) + ["--config", str(path)])
+
+
+SIM = ["simulate", "--n", "3", "--trials", "2"]
+
+
+@pytest.mark.parametrize(
+    "config,args",
+    [
+        pytest.param({"which": "fig9"}, ["figure"], id="which-fig9"),
+        pytest.param({"record_labels": "false"}, SIM + ["--bell"], id="switch-string"),
+        pytest.param(
+            {"parity_check": "false"}, ["stabilizer", "--preset", "bell"],
+            id="parity-check-string",
+        ),
+        pytest.param({"seed": 1.7}, ["strategy", "--bell"], id="seed-float"),
+        pytest.param({"format": "xml"}, ["strategy", "--bell"], id="format-xml"),
+        pytest.param({"device": "bogus"}, SIM + ["--bell"], id="device-bogus"),
+        pytest.param({"kind": "bogus"}, ["strategy"], id="kind-bogus"),
+        pytest.param({"kind": "record-labels"}, SIM, id="kind-not-a-strategy"),
+        pytest.param({"config": "x.json"}, ["strategy", "--bell"], id="nested-config"),
+    ],
+)
+def test_bad_config_exits_2(tmp_path, capsys, config, args):
+    assert _run_with_config(tmp_path, args, config) == 2
+    assert capsys.readouterr().err.startswith("error: ValidationError")
+
+
+@pytest.mark.parametrize(
+    "config,args,flags",
+    [
+        pytest.param(
+            {"kind": "two-qubit", "theta": "pi/8"},
+            ["strategy"],
+            ["strategy", "--two-qubit", "--theta", "pi/8"],
+            id="kind-and-theta",
+        ),
+        pytest.param(
+            {"generators": ["+XX", "+ZZ"]},
+            ["stabilizer"],
+            ["stabilizer", "--generators", "+XX,+ZZ"],
+            id="generators-list",
+        ),
+        pytest.param(
+            {"subset": [1, 2]},
+            ["stabilizer", "--preset", "ghz3"],
+            ["stabilizer", "--preset", "ghz3", "--subset", "1,2"],
+            id="subset-list",
+        ),
+        pytest.param(
+            {"record_labels": True},
+            ["simulate", "--bell", "--n", "5", "--trials", "20", "--transcript", "t.jsonl"],
+            ["simulate", "--bell", "--n", "5", "--trials", "20", "--transcript", "t.jsonl",
+             "--record-labels"],
+            id="switch-true",
+        ),
+        pytest.param(
+            {"which": "figS2", "theta": "-0.3"},
+            ["figure"],
+            ["figure", "--which", "figS2", "--theta", "-0.3"],
+            id="negative-theta",
+        ),
+    ],
+)
+def test_config_matches_flags(tmp_path, monkeypatch, capsys, config, args, flags):
+    monkeypatch.chdir(tmp_path)
+
+    def output(code):
+        assert code == 0
+        lines = capsys.readouterr().out.splitlines(keepends=True)
+        transcript = tmp_path / "t.jsonl"
+        written = transcript.read_text() if transcript.exists() else ""
+        transcript.unlink(missing_ok=True)
+        return [l for l in lines if not l.startswith("# command:")], written
+
+    from_config = output(_run_with_config(tmp_path, args, config))
+    assert from_config == output(main(flags))
+
+
+@pytest.mark.parametrize("command", sorted(COMMANDS))
+def test_subcommand_help_exits_0(capsys, command):
+    assert main([command, "--help"]) == 0
+    assert capsys.readouterr().out.startswith(f"usage: qverify {command}")
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["strategy", "--bell", "--epsilon", "2"],
+        ["figure", "--which", "fig1", "--points", "0"],
+        ["figure", "--which", "fig2", "--points", "-3"],
+        ["landscape", "--refine-resolution", "-3"],
+        ["landscape", "--refine-resolution", "0"],
+    ],
+)
+def test_out_of_range_number_exits_2(capsys, args):
+    assert main(args) == 2
+    assert capsys.readouterr().out == ""
+
+
+def test_strict_profile_drift_exits_3(tmp_path, capsys):
+    doc = strategy.to_json_dict(strategy.product_state_strategy("zero"))
+    doc["settings"][0]["projector"][0] = [1.0 + 3e-11, 0.0]
+    path = tmp_path / "drift.json"
+    path.write_text(json.dumps(doc))
+    args = ["simulate", "--strategy-file", str(path), "--n", "3", "--trials", "2"]
+    assert main(args) == 0
+    capsys.readouterr()
+    assert main(args + ["--tolerance-profile", "strict"]) == 3
+    assert "strict re-verification failed" in capsys.readouterr().err

@@ -26,6 +26,7 @@ from qverify.strategy import (
     check_theta,
     exact_sample_count,
     from_json_dict,
+    invariant_defect,
     local_transport,
     metrics,
     optimal_q,
@@ -311,3 +312,22 @@ def test_from_json_rejects_tampered_weights():
     doc["settings"][0]["weight"] = 0.9
     with pytest.raises(ValidationError):
         from_json_dict(doc)
+
+
+@pytest.mark.parametrize("epsilon", [0.0, 1.0, 2.0, -0.1, float("nan")])
+def test_delta_eps_rejects_epsilon_outside_open_unit_interval(epsilon):
+    with pytest.raises(ValidationError):
+        metrics(bell_strategy()).delta_eps(epsilon)
+
+
+def test_invariant_defect_respects_tolerance():
+    built = bell_strategy()
+    assert invariant_defect(built.target, built.omega, 1e-11) is None
+    shifted = built.omega + 3e-11 * np.eye(4)
+    assert invariant_defect(built.target, shifted, 1e-10) is None
+    assert "residual" in invariant_defect(built.target, shifted, 1e-11)
+    # still fixes |00>, but its orthogonal eigenvalues drift below 0
+    product = product_state_strategy("zero")
+    low = product.omega - 3e-11 * (np.eye(4) - product.omega)
+    assert invariant_defect(product.target, low, 1e-10) is None
+    assert "escapes [0, 1]" in invariant_defect(product.target, low, 1e-11)
