@@ -8,11 +8,15 @@ product of tr(Omega sigma_i); for the worst eps-far IID device this is
 (1 - delta_eps)^n, the quantity the copy counts are calibrated
 against.
 
-Reproducibility: trials use a counter based generator keyed by
-(seed, trial index), and each copy consumes two uniforms at fixed
-positions of that trial's stream (setting choice, then outcome), so
-results are bit identical regardless of chunking or parallel
-scheduling, and early rejection cannot shift later copies' draws.
+Reproducibility: trial t of a run with seed s reads the Philox4x64-10
+stream with key (s mod 2^64, t mod 2^64) and counter 0, that is the
+doubles of Generator(Philox(key=[s, t])).random(2n). Copy i uses
+doubles 2i (setting choice) and 2i + 1 (outcome). The sampler draws in
+chunks that start at even copies: a chunk from copy c begins block c/2
+of four doubles, so setting the counter to c/2 resumes the stream where
+one uninterrupted draw would be. Chunking, batching across trials and
+early rejection cannot shift any copy's draws: results are bit
+identical per (seed, trial).
 
 Exactness at the edges: pass probabilities within 1e-10 of 0 or 1 are
 clamped to exactly 0 or 1 before sampling. An honest device therefore
@@ -205,7 +209,6 @@ class _Plan:
     cumulative: np.ndarray
     weights: np.ndarray
     probs: np.ndarray
-    per_copy: bool
     labels: tuple[str, ...]
 
 
@@ -218,52 +221,61 @@ def _build_plan(strategy: Strategy, device: DeviceModel, n: int) -> _Plan:
     cum = np.cumsum(weights)
     cum[-1] = 1.0
     stack = np.stack([s.projector.entries for s in strategy.settings])
-    if device.mode in (DeviceMode.HONEST, DeviceMode.IID_ADVERSARY):
-        sigma = device.density_at(0)
-        row = np.real(np.einsum("kij,ji->k", stack, sigma))
-        probs = _clamp_certainties(row)
-        per_copy = False
-    else:
-        rows = np.empty((n, len(weights)), dtype=float)
-        for i in range(n):
-            sigma = device.density_at(i)
-            rows[i] = np.real(np.einsum("kij,ji->k", stack, sigma))
-        probs = _clamp_certainties(rows)
-        per_copy = True
+    # pass probabilities by copy and setting; one row serves every copy
+    # of an honest or IID device
+    copies = 1 if device.mode in (DeviceMode.HONEST, DeviceMode.IID_ADVERSARY) else n
+    rows = [np.einsum("kij,ji->k", stack, device.density_at(i)) for i in range(copies)]
     return _Plan(
         cumulative=cum,
         weights=weights,
-        probs=probs,
-        per_copy=per_copy,
+        probs=_clamp_certainties(np.real(rows)),
         labels=tuple(s.label for s in strategy.settings),
     )
 
 
-def _trial_rng(seed: int, trial: int) -> np.random.Generator:
-    key = np.array([int(seed) & _MASK64, int(trial) & _MASK64], dtype=np.uint64)
-    return np.random.Generator(np.random.Philox(key=key))
+def _first_failures(
+    plan: _Plan, n: int, seed: int, trials: np.ndarray, record: bool = False
+) -> tuple[np.ndarray, list | None]:
+    """First failing copy of each trial (n when all n pass) and, when
+    record is set, each trial's drawn setting indices in chunks.
 
-
-def _run_plan(
-    plan: _Plan, n: int, rng: np.random.Generator, draws_out: list | None = None
-) -> int | None:
-    """First failing copy index, or None when all n copies pass."""
-    for start in range(0, n, _CHUNK):
-        count = min(_CHUNK, n - start)
-        u = rng.random(2 * count)
-        u_set = u[0::2]
-        u_out = u[1::2]
-        drawn = np.searchsorted(plan.cumulative, u_set, side="right")
-        if plan.per_copy:
-            pass_p = plan.probs[np.arange(start, start + count), drawn]
-        else:
-            pass_p = plan.probs[drawn]
-        if draws_out is not None:
-            draws_out.append(drawn)
-        fails = u_out >= pass_p
-        if fails.any():
-            return start + int(np.argmax(fails))
-    return None
+    Follows the stream contract in the module docstring. The first chunk
+    is 16 copies and chunks double after that; only trials that have not
+    failed draw the next one, at most _CHUNK trial-copy cells at a time.
+    """
+    stops = np.full(trials.size, n, dtype=np.int64)
+    drawn = [[] for _ in range(trials.size)] if record else None
+    if not record and np.all(plan.probs == 1.0):
+        return stops, drawn  # random() < 1, so no copy can fail
+    bitgen = np.random.Philox(key=int(seed) & _MASK64)
+    gen = np.random.Generator(bitgen)
+    state = bitgen.state
+    key, counter = state["state"]["key"], state["state"]["counter"]
+    live = np.arange(trials.size)
+    start, width = 0, 16
+    while start < n and live.size:
+        width = min(width, _CHUNK, n - start)
+        counter[0] = start // 2
+        rows_per_batch = max(1, _CHUNK // width)
+        for lo in range(0, live.size, rows_per_batch):
+            rows = live[lo : lo + rows_per_batch]
+            u = np.empty((rows.size, 2 * width))
+            for row, t in zip(u, trials[rows]):
+                key[1] = t
+                bitgen.state = state
+                gen.random(out=row)
+            picks = np.searchsorted(plan.cumulative, u[:, 0::2], side="right")
+            # copy i reads row i of a per-copy plan, row 0 of a one-row plan
+            copy_rows = np.arange(start, start + width) % len(plan.probs)
+            fails = u[:, 1::2] >= plan.probs[copy_rows, picks]
+            hit = fails.any(axis=1)
+            stops[rows[hit]] = start + fails[hit].argmax(axis=1)
+            if record:
+                for i, chunk in zip(rows, picks):
+                    drawn[i].append(chunk)
+        live = live[stops[live] == n]
+        start, width = start + width, 2 * width
+    return stops, drawn
 
 
 def run_protocol(
@@ -273,11 +285,12 @@ def run_protocol(
     if n < 1:
         raise ValidationError("n must be at least 1")
     plan = _build_plan(strategy, device, n)
-    failure = _run_plan(plan, n, _trial_rng(seed, trial))
+    trials = np.array([int(trial) & _MASK64], dtype=np.uint64)
+    stop = int(_first_failures(plan, n, seed, trials)[0][0])
     return RunResult(
         n_copies=n,
-        accepted=failure is None,
-        first_failure_index=failure,
+        accepted=stop == n,
+        first_failure_index=None if stop == n else stop,
         rng_seed=int(seed) & _MASK64,
     )
 
@@ -302,27 +315,28 @@ def estimate_power(
     if trials < 1:
         raise ValidationError("trials must be at least 1")
     plan = _build_plan(strategy, device, n)
+    record = sink is not None and record_labels
+    # trials go in blocks, so memory stays bounded; drawn labels wait
+    # for their records, so a recording block holds at most _CHUNK copies
+    step = max(1, _CHUNK // n) if record else _CHUNK
     accepted_count = 0
-    for t in range(trials):
-        draws: list | None = [] if (sink is not None and record_labels) else None
-        failure = _run_plan(plan, n, _trial_rng(seed, t), draws)
-        accepted = failure is None
-        if accepted:
-            accepted_count += 1
-        if sink is not None:
-            record = {
-                "trial": t,
+    for first in range(0, trials, step):
+        block = np.arange(first, min(first + step, trials), dtype=np.uint64)
+        stops, drawn = _first_failures(plan, n, seed, block, record)
+        accepted_count += int(np.count_nonzero(stops == n))
+        if sink is None:
+            continue
+        for i, stop in enumerate(stops.tolist()):
+            entry = {
+                "trial": first + i,
                 "n": n,
-                "accepted": accepted,
-                "first_failure_index": failure,
+                "accepted": stop == n,
+                "first_failure_index": None if stop == n else stop,
             }
-            if record_labels:
-                flat = np.concatenate(draws) if draws else np.array([], dtype=int)
-                stop = n if failure is None else failure + 1
-                record["setting_labels_drawn"] = [
-                    plan.labels[j] for j in flat[:stop]
-                ]
-            sink(record)
+            if record:
+                picks = np.concatenate(drawn[i])[: stop + 1].tolist()
+                entry["setting_labels_drawn"] = [plan.labels[j] for j in picks]
+            sink(entry)
     low, high = wilson_interval(accepted_count, trials)
     return EnsembleStats(
         trials=trials,
@@ -345,7 +359,6 @@ def predicted_acceptance(strategy: Strategy, device: DeviceModel, n: int) -> flo
     # the sampler forces its cumulative table to end at 1, so weight
     # rounding cannot push a certain accept below (or above) certainty;
     # clamp the aggregate the same way
-    per_copy = _clamp_certainties(np.atleast_1d(plan.probs @ plan.weights))
-    if plan.per_copy:
-        return float(np.prod(per_copy))
-    return float(per_copy[0]) ** n
+    per_copy = _clamp_certainties(plan.probs @ plan.weights)
+    # an honest or IID plan has one row, which stands for all n copies
+    return float(np.prod(per_copy)) ** (n // len(per_copy))

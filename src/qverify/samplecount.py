@@ -24,7 +24,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateStrategyError, UndefinedDivergenceError, ValidationError
+from .errors import DegenerateStrategyError, ThetaOutOfDomainError
+from .errors import UndefinedDivergenceError, ValidationError
 
 THETA_SPECIAL_TOL = 1e-9
 SPECIAL_THETAS = (0.0, math.pi / 4, math.pi / 2)
@@ -256,6 +257,8 @@ def default_theta_grid(points: int = 200) -> np.ndarray:
 
 def theta_family(theta: float) -> str:
     """Which construction serves a given target angle."""
+    if math.isnan(theta):
+        raise ThetaOutOfDomainError(f"theta={theta!r} is not an angle")
     if abs(theta) <= THETA_SPECIAL_TOL or abs(theta - math.pi / 2) <= THETA_SPECIAL_TOL:
         return "product"
     if abs(theta - math.pi / 4) <= THETA_SPECIAL_TOL:

@@ -253,7 +253,7 @@ def check_theta(theta: float) -> None:
     it, every angle that theta_family assigns to a special construction
     is rejected as near special.
     """
-    if theta < 0.0 or theta > math.pi / 2:
+    if not 0.0 <= theta <= math.pi / 2:  # also rejects nan
         raise ThetaOutOfDomainError(f"theta={theta!r} outside [0, pi/2]")
     if theta_family(theta) != StrategyKind.TWO_QUBIT_OPTIMAL.value:
         raise ThetaNearSpecialValueError(

@@ -464,6 +464,20 @@ def test_out_of_range_number_exits_2(capsys, args):
     assert capsys.readouterr().out == ""
 
 
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["landscape", "--theta", "nan", "--resolution", "20", "--refine-resolution", "40"],
+        ["strategy", "--two-qubit", "--theta", "nan"],
+    ],
+)
+def test_nan_theta_exits_2(capsys, args):
+    assert main(args) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ThetaOutOfDomainError: theta=nan outside")
+
+
 def test_strict_profile_drift_exits_3(tmp_path, capsys):
     doc = strategy.to_json_dict(strategy.product_state_strategy("zero"))
     doc["settings"][0]["projector"][0] = [1.0 + 3e-11, 0.0]

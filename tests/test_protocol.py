@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -8,6 +9,7 @@ from hypothesis import strategies as st
 from qverify.errors import ValidationError
 from qverify.adversary import AdversaryKind, AdversaryState, worst_case_state
 from qverify.protocol import (
+    _CHUNK,
     CERTAINTY_TOL,
     WILSON_Z99,
     DeviceMode,
@@ -278,3 +280,165 @@ def test_device_states_and_adversary_states_share_one_density_check(diagonal):
     device = custom_device(BELL, lambda k: sigma)
     with pytest.raises(ValidationError):
         predicted_acceptance(bell_strategy(), device, 2)
+
+
+# ---------------------------------------------------------------- stream
+# The replay contract, checked against an oracle that shares no code with
+# the sampler: trial t of seed s reads one uninterrupted
+# Generator(Philox(key=[s mod 2^64, t mod 2^64])).random(2n), copy i uses
+# doubles 2i (setting) and 2i + 1 (outcome), and the run stops at the
+# first copy whose outcome double is not below its pass probability.
+
+MASK64 = (1 << 64) - 1
+SEEDS = (0, (1 << 63) + 5)
+ORACLE_NS = (1, 2, 3, 15, 16, 17, 33, 257)
+
+
+def oracle_table(strat, device, n):
+    """Cumulative setting weights and clamped pass probabilities by copy."""
+    cumulative = np.cumsum([s.weight for s in strat.settings])
+    cumulative[-1] = 1.0
+    projectors = np.array([s.projector.entries for s in strat.settings])
+    sigmas = np.array([device.density_at(i) for i in range(n)])
+    probs = np.real(np.einsum("kij,cji->ck", projectors, sigmas))
+    probs[np.abs(probs - 1.0) <= CERTAINTY_TOL] = 1.0
+    probs[np.abs(probs) <= CERTAINTY_TOL] = 0.0
+    return cumulative, probs
+
+
+def oracle_run(strat, table, n, seed, trial):
+    """(first failure or None, drawn labels through the stop) for one trial."""
+    cumulative, probs = table
+    key = np.array([seed & MASK64, trial & MASK64], dtype=np.uint64)
+    u = np.random.Generator(np.random.Philox(key=key)).random(2 * n)
+    picks = np.searchsorted(cumulative, u[0::2], side="right")
+    fails = u[1::2] >= probs[np.arange(n) % len(probs), picks]
+    failure = int(np.argmax(fails)) if fails.any() else None
+    stop = n if failure is None else failure + 1
+    return failure, [strat.settings[j].label for j in picks[:stop]]
+
+
+def oracle_devices():
+    strat = bell_strategy()
+    bad = [worst_case_state(strat, eps) for eps in (0.05, 0.2, 0.4)]
+    near = worst_case_state(strat, 1e-5)
+    return strat, {
+        "honest": honest_device(BELL),
+        "iid": iid_adversary(BELL, worst_case_state(strat, 0.3), 0.3),
+        "varying": varying_adversary(BELL, lambda i: bad[i % 3], epsilon=0.05),
+        # passes with certainty or near certainty most of the way, so
+        # trials live into late chunks of the per-copy table
+        "custom": custom_device(BELL, lambda i: bad[2] if i % 97 == 96 else near),
+    }
+
+
+def assert_matches_oracle(strat, device, n, trials, seed, replay=True):
+    per_copy = device.mode in (DeviceMode.VARYING_ADVERSARY, DeviceMode.CUSTOM)
+    table = oracle_table(strat, device, n if per_copy else 1)
+    records, bare = [], []
+    stats = estimate_power(
+        strat, device, n=n, trials=trials, seed=seed,
+        sink=records.append, record_labels=True,
+    )
+    estimate_power(strat, device, n=n, trials=trials, seed=seed, sink=bare.append)
+    for t, (record, plain) in enumerate(zip(records, bare)):
+        failure, labels = oracle_run(strat, table, n, seed, t)
+        assert record["first_failure_index"] == failure, (n, seed, t)
+        assert record["setting_labels_drawn"] == labels, (n, seed, t)
+        assert plain == {k: v for k, v in record.items() if k != "setting_labels_drawn"}
+        if replay:
+            run = run_protocol(strat, device, n, seed, trial=t)
+            assert run.first_failure_index == failure
+    assert [r["trial"] for r in records] == list(range(trials))
+    assert stats.accept_rate == sum(r["accepted"] for r in records) / trials
+    return records
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+@pytest.mark.parametrize("kind", ["honest", "iid", "varying", "custom"])
+def test_stream_contract_against_oracle(kind, seed):
+    strat, devices = oracle_devices()
+    for n in ORACLE_NS:
+        assert_matches_oracle(strat, devices[kind], n, 24, seed)
+
+
+@pytest.mark.parametrize(
+    "kind,seed",
+    # a per-copy plan builds one density per copy, so at this n the
+    # varying and custom devices run at one seed each
+    [(kind, seed) for kind in ("honest", "iid") for seed in SEEDS]
+    + [("varying", SEEDS[0]), ("custom", SEEDS[1])],
+)
+def test_stream_contract_past_one_chunk(kind, seed):
+    strat, devices = oracle_devices()
+    n = _CHUNK + 17
+    records = assert_matches_oracle(strat, devices[kind], n, 2, seed, replay=False)
+    if kind == "honest":
+        assert all(len(r["setting_labels_drawn"]) == n for r in records)
+
+
+@pytest.mark.parametrize("kind", ["honest", "iid", "varying", "custom"])
+def test_stream_contract_across_trial_batches(kind):
+    # the first chunk of 16 copies batches _CHUNK // 16 trials at a time,
+    # and a run that records labels takes _CHUNK // n trials per block
+    strat, devices = oracle_devices()
+    trials = _CHUNK // 16 + 50
+    assert_matches_oracle(strat, devices[kind], 40, trials, SEEDS[1], replay=False)
+
+
+def test_trial_index_is_taken_mod_2_64():
+    strat, devices = oracle_devices()
+    device = devices["iid"]
+    table = oracle_table(strat, device, 1)
+    for trial in (-1, 1 << 64, (1 << 64) + 3):
+        failure, _ = oracle_run(strat, table, 50, 9, trial)
+        assert run_protocol(strat, device, 50, 9, trial=trial).first_failure_index == failure
+
+
+def test_honest_labels_come_from_the_stream():
+    # a certain plan draws nothing unless labels are asked for; then it
+    # draws them from the same stream as any other plan
+    strat, devices = oracle_devices()
+    table = oracle_table(strat, devices["honest"], 1)
+    records = []
+    stats = estimate_power(
+        strat, devices["honest"], n=30, trials=20, seed=4,
+        sink=records.append, record_labels=True,
+    )
+    assert stats.accept_rate == 1.0
+    for t, record in enumerate(records):
+        assert record["setting_labels_drawn"] == oracle_run(strat, table, 30, 4, t)[1]
+    assert len({tuple(r["setting_labels_drawn"]) for r in records}) == 20
+
+
+def test_one_uncertain_cell_is_sampled():
+    # every copy passes with certainty except the last, where the ZZ test
+    # always fails on |01>; the sampler must draw to find those failures
+    strat = bell_strategy()
+    target = np.outer(BELL.amplitudes, BELL.amplitudes.conj())
+    flipped = np.diag([0.0, 1.0, 0.0, 0.0]).astype(complex)
+    n = 20
+    device = custom_device(BELL, lambda i: flipped if i == n - 1 else target)
+    assert predicted_acceptance(strat, device, n) < 1.0
+    records = assert_matches_oracle(strat, device, n, 60, 3)
+    failures = {r["first_failure_index"] for r in records}
+    assert failures == {None, n - 1}
+
+
+def test_sink_records_hold_plain_values():
+    strat, devices = oracle_devices()
+    for kind in ("honest", "iid"):
+        for labels in (False, True):
+            records = []
+            estimate_power(
+                strat, devices[kind], n=40, trials=30, seed=1,
+                sink=records.append, record_labels=labels,
+            )
+            for record in records:
+                assert type(record["trial"]) is int
+                assert type(record["n"]) is int
+                assert type(record["accepted"]) is bool
+                assert type(record["first_failure_index"]) in (int, type(None))
+                for label in record.get("setting_labels_drawn", []):
+                    assert type(label) is str
+                json.dumps(record)

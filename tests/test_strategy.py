@@ -72,6 +72,14 @@ def test_check_theta_domain():
     check_theta(0.3)
 
 
+def test_non_finite_theta_is_out_of_domain():
+    for theta in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ThetaOutOfDomainError, match=r"outside \[0, pi/2\]"):
+            check_theta(theta)
+    with pytest.raises(ThetaOutOfDomainError):
+        theta_family(math.nan)
+
+
 def _near_special_angles():
     offsets = [0.0]
     for scale in (1.0, 1.0 - 1e-6, 1.0 + 1e-6):
