@@ -15,13 +15,12 @@ two qubit targets sin(theta)|00> + cos(theta)|11>:
   closed-form optimum q = (2 + sin 2theta)/(4 + sin 2theta).
 
 * A direct game value. For a fixed strategy operator, the most
-  favorable state at infidelity at least epsilon is found exactly:
-  at fixed infidelity the maximization over the orthogonal component
-  is a trust region subproblem solved through its secular equation,
-  and the outer one dimensional search over infidelity is bracketed on
-  a grid and polished by golden section. For strategies that fix the
-  target the value is 1 - epsilon (1 - q), attained at infidelity
-  exactly epsilon.
+  favorable state at infidelity at least epsilon is found exactly by
+  Lagrangian duality: bisection on the multiplier of the fidelity
+  constraint, one eigensolve per step, returns an admissible maximizer
+  together with a dual upper bound that certifies it. For strategies
+  that fix the target the value is 1 - epsilon (1 - q), attained at
+  infidelity exactly epsilon.
 
 Worst-case states are packaged as density matrices so the protocol
 simulator can feed them to a device model directly; a Hilbert-Schmidt
@@ -359,7 +358,11 @@ def landscape(
 
     The ridge entries are (phi, equalizing alpha, worst case there) for
     every sampled phi at which the equalizing weight is admissible.
+    Any finite theta is accepted; a non-finite one raises
+    ThetaOutOfDomainError.
     """
+    if not math.isfinite(theta):
+        raise ThetaOutOfDomainError(f"theta={theta!r} is not a finite angle")
     if alphas is None:
         alphas = np.linspace(0.0, 1.0, 121)
     if phis is None:
@@ -548,7 +551,7 @@ def certify_optimality(
     def ridge_profile(phi: float) -> float:
         return _alpha_minimized(math.tan(phi) ** 2, big_t)[1]
 
-    phi_pol, _, _ = _golden_max(
+    phi_pol, _ = _golden_max(
         lambda phi: -ridge_profile(phi), phi_lo, phi_hi, tol=1e-10
     )
     alpha_pol, q_pol = _alpha_minimized(math.tan(phi_pol) ** 2, big_t)
@@ -578,100 +581,32 @@ def certify_optimality(
 class GameValue:
     """Best adversarial acceptance at infidelity at least epsilon.
 
-    accept_prob is the acceptance of the best admissible state,
-    maximizer the state itself, epsilon_star the infidelity at which
-    the maximum is attained.
+    maximizer is an admissible state (fidelity at most 1 - epsilon) and
+    accept_prob its acceptance; epsilon_star is its infidelity.
+    upper_bound is the Lagrangian dual D(mu) at the upper end of the
+    final bisection bracket, widened by the eigensolver's rounding, so
+    the true game value lies in [accept_prob, upper_bound].
+    evaluations counts eigensolves.
     """
 
     accept_prob: float
+    upper_bound: float
     epsilon_star: float
     maximizer: AdversaryState
     evaluations: int
-
-
-def _secular_root(eigs: np.ndarray, abs2: np.ndarray, lo: float, hi: float) -> float:
-    """The lam in [lo, hi] with sum abs2 / (lam - eigs)^2 = 1.
-
-    Newton's method on the Moré-Sorensen form 1 - 1/||x(lam)|| of the
-    secular equation, x(lam) = beta / (lam - eigs). That function is
-    convex and decreasing above the top eigenvalue, so iterates started
-    at lo rise monotonically to the root; a step that leaves the
-    bracket is replaced by bisection all the same.
-    """
-    lam = lo
-    for _ in range(100):
-        inv = 1.0 / (lam - eigs)
-        norm = math.sqrt(float(np.sum(abs2 * inv**2)))
-        if norm > 1.0:
-            lo = lam
-        else:
-            hi = lam
-        step = (norm - 1.0) * norm**2 / float(np.sum(abs2 * inv**3))
-        tol = 1e-15 + 8.9e-16 * abs(lam)
-        if abs(step) <= tol or hi - lo <= tol:
-            return min(max(lam + step, lo), hi)
-        lam = lam + step if lo < lam + step < hi else 0.5 * (lo + hi)
-    return lam
-
-
-def _sphere_max(eigs: np.ndarray, beta: np.ndarray) -> tuple[float, np.ndarray]:
-    """Maximize x^dag M x + 2 Re(b^dag x) over the unit sphere.
-
-    Works in the eigenbasis of M: eigs are its eigenvalues, beta the
-    coefficients of b. Solves the secular equation
-    sum |beta_i|^2 / (lambda - m_i)^2 = 1 for lambda above the top
-    eigenvalue; when b has no component on the top eigenspace and the
-    remaining terms cannot reach norm one, the top eigenvector absorbs
-    the slack (the degenerate branch of the subproblem).
-    """
-    norm_b = float(np.linalg.norm(beta))
-    m_top = float(eigs[-1])
-    if norm_b < 1e-14:
-        x = np.zeros(len(eigs), dtype=complex)
-        x[-1] = 1.0
-        return m_top, x
-    top_mask = eigs >= m_top - 1e-12
-    beta_top = float(np.linalg.norm(beta[top_mask]))
-    abs2 = np.abs(beta) ** 2
-    if beta_top > 1e-13 * norm_b:
-        lo = m_top + beta_top * (1.0 - 1e-12)
-        hi = m_top + norm_b * (1.0 + 1e-12)
-    else:
-        # b is nonzero, so some weight, and with it some eigenvalue, lies
-        # below the top eigenspace
-        rest = abs2[~top_mask]
-        rest_eigs = eigs[~top_mask]
-        perp_sq = float(np.sum(rest / (m_top - rest_eigs) ** 2))
-        if perp_sq <= 1.0:
-            x = np.zeros(len(eigs), dtype=complex)
-            x[~top_mask] = beta[~top_mask] / (m_top - rest_eigs)
-            idx_top = int(np.nonzero(top_mask)[0][-1])
-            x[idx_top] = math.sqrt(max(0.0, 1.0 - perp_sq))
-            return m_top + float(np.sum(rest / (m_top - rest_eigs))), x
-        lo = m_top + 1e-13 * max(1.0, abs(m_top))
-        hi = m_top + norm_b * (1.0 + 1e-12)
-    x = beta / (_secular_root(eigs, abs2, lo, hi) - eigs)
-    nx = float(np.linalg.norm(x))
-    if nx > 0:
-        x = x / nx
-    value = float(np.real(np.vdot(x, eigs * x)) + 2.0 * np.real(np.vdot(beta, x)))
-    return value, x
 
 
 def _golden_max(fn, lo: float, hi: float, tol: float = 1e-6):
     """Golden section maximization tracking the best evaluated point."""
     inv_phi = (math.sqrt(5.0) - 1.0) / 2.0
     best_x, best_v = lo, fn(lo)
-    evals = 1
     v_hi = fn(hi)
-    evals += 1
     if v_hi > best_v:
         best_x, best_v = hi, v_hi
     a, b = lo, hi
     c = b - inv_phi * (b - a)
     d = a + inv_phi * (b - a)
     fc, fd = fn(c), fn(d)
-    evals += 2
     while b - a > tol:
         if fc > best_v:
             best_x, best_v = c, fc
@@ -685,21 +620,49 @@ def _golden_max(fn, lo: float, hi: float, tol: float = 1e-6):
             a, c, fc = c, d, fd
             d = a + inv_phi * (b - a)
             fd = fn(d)
-        evals += 1
-    return best_x, best_v, evals
+    return best_x, best_v
 
 
-def game_value(
-    omega, target: Ket, epsilon: float, grid_points: int = 1000
-) -> GameValue:
+# The dual bracket is closed once its width is at most this times
+# max(1, mu): relative for large multipliers, absolute near mu = 0, where
+# a degenerate top eigenspace can put the optimal multiplier.
+_MU_TOL = 1e-15
+_ROUNDING = 4.0 * np.finfo(float).eps
+
+
+def _mix_to_fidelity(inside: np.ndarray, outside: np.ndarray, psi: np.ndarray,
+                     goal: float) -> np.ndarray:
+    """Unit vector in span{inside, outside} with fidelity exactly goal.
+
+    inside has fidelity above goal and outside at most goal. The part of
+    outside orthogonal to inside is phased so its overlap with psi
+    opposes inside's; the fidelity then falls monotonically along the
+    great circle from inside, and the crossing has a closed form.
+    """
+    u = outside - np.vdot(inside, outside) * inside
+    u = u / np.linalg.norm(u)
+    a = np.vdot(psi, inside)
+    b = np.vdot(psi, u)
+    if abs(b) > 0.0:
+        u = u * (-(a / abs(a)) * (b.conjugate() / abs(b)))
+    radius = math.hypot(abs(a), abs(b))
+    t = math.acos(min(1.0, math.sqrt(goal) / radius)) - math.atan2(abs(b), abs(a))
+    return math.cos(t) * inside + math.sin(t) * u
+
+
+def game_value(omega, target: Ket, epsilon: float) -> GameValue:
     """Exact best adversarial acceptance at infidelity at least epsilon.
 
-    The operator need not fix the target. The infidelity range
-    [epsilon, 1] is scanned on a grid; at each value the orthogonal
-    component is optimized exactly, and the best bracket is polished by
-    golden section. The best state over every evaluation is returned,
-    so a maximum attained at the boundary epsilon is reported at
-    exactly that infidelity.
+    Maximizes <x|Omega|x> over unit x with |<psi|x>|^2 <= 1 - epsilon;
+    the operator need not fix the target. The Lagrangian dual
+    D(mu) = lmax(Omega - mu |psi><psi|) + mu (1 - epsilon) is convex in
+    mu >= 0 with subgradient (1 - epsilon) - |<v(mu)|psi>|^2, v(mu) the
+    top eigenvector, and has no duality gap because the joint numerical
+    range of two Hermitian forms is convex (Toeplitz-Hausdorff). The
+    minimizing mu is bracketed by doubling from 1 and bisected on the
+    sign of the subgradient; the top eigenvectors at the two ends of the
+    bracket are then mixed to fidelity exactly 1 - epsilon. When the top
+    eigenvector at mu = 0 is already admissible it is the answer.
     """
     if isinstance(omega, Strategy):
         mat = omega.omega
@@ -712,54 +675,47 @@ def game_value(
         raise ValidationError("operator and target dimensions differ")
 
     psi = target.amplitudes
-    basis, block = qcore.orthocomplement_block(target, mat)
-    a_val = float(np.real(np.vdot(psi, mat @ psi)))
-    w = basis.conj().T @ (mat @ psi)
-    eigs, vecs = np.linalg.eigh(block)
-    w_rot = vecs.conj().T @ w
-
-    def value_at(eps_bar: float) -> tuple[float, np.ndarray]:
-        scale = math.sqrt(max(eps_bar * (1.0 - eps_bar), 0.0))
-        val, x = _sphere_max(eps_bar * eigs, scale * w_rot)
-        return (1.0 - eps_bar) * a_val + val, x
-
+    proj = np.outer(psi, psi.conj())
+    goal = 1.0 - epsilon
     evals = 0
-    best = None
-    grid = np.linspace(epsilon, 1.0, grid_points)
-    values = []
-    for eps_bar in grid:
-        v, x = value_at(float(eps_bar))
+
+    def top(mu: float) -> tuple[np.ndarray, np.ndarray, bool]:
+        nonlocal evals
         evals += 1
-        values.append(v)
-        if best is None or v > best[0]:
-            best = (v, float(eps_bar), x)
-    i = int(np.argmax(values))
-    lo = float(grid[max(i - 1, 0)])
-    hi = float(grid[min(i + 1, grid_points - 1)])
+        vals, vecs = np.linalg.eigh(mat - mu * proj)
+        vec = vecs[:, -1]
+        return vals, vec, abs(np.vdot(psi, vec)) ** 2 <= goal
 
-    def scalar(eps_bar: float) -> float:
-        return value_at(eps_bar)[0]
+    lo = hi = 0.0
+    vals_hi, x, admissible = top(hi)
+    if not admissible:
+        vec_lo, hi = x, 1.0
+        while not (found := top(hi))[2]:
+            lo, vec_lo = hi, found[1]
+            hi *= 2.0
+        vals_hi, vec_hi, _ = found
+        while hi - lo > _MU_TOL * max(1.0, hi):
+            mid = 0.5 * (lo + hi)
+            vals, vec, admissible = top(mid)
+            if admissible:
+                hi, vals_hi, vec_hi = mid, vals, vec
+            else:
+                lo, vec_lo = mid, vec
+        x = _mix_to_fidelity(vec_lo, vec_hi, psi, goal)
 
-    gx, gv, gevals = _golden_max(scalar, lo, hi, tol=1e-6)
-    evals += gevals
-    if gv > best[0]:
-        best = (gv, gx, value_at(gx)[1])
-        evals += 1
-
-    value, eps_star, x = best
-    chi = math.sqrt(1.0 - eps_star) * psi + math.sqrt(eps_star) * (
-        basis @ (vecs @ x)
-    )
-    chi = chi / np.linalg.norm(chi)
+    chi = x / np.linalg.norm(x)
+    state = pure_adversary_state(chi, target, AdversaryKind.WORST_CASE_PURE)
+    # widened by the eigensolver's backward error, so that rounding in the
+    # last digits cannot put the bound below a feasible acceptance
+    rounding = _ROUNDING * target.dim * (float(np.max(np.abs(vals_hi))) + hi)
     return GameValue(
-        accept_prob=float(value),
-        epsilon_star=float(eps_star),
-        maximizer=pure_adversary_state(chi, target, AdversaryKind.WORST_CASE_PURE),
+        accept_prob=float(np.real(np.vdot(chi, mat @ chi))),
+        upper_bound=float(vals_hi[-1]) + hi * goal + rounding,
+        epsilon_star=1.0 - state.fidelity,
+        maximizer=state,
         evaluations=evals,
     )
 
 
-def strategy_game_value(
-    strategy: Strategy, epsilon: float, grid_points: int = 1000
-) -> GameValue:
-    return game_value(strategy, strategy.target, epsilon, grid_points)
+def strategy_game_value(strategy: Strategy, epsilon: float) -> GameValue:
+    return game_value(strategy, strategy.target, epsilon)

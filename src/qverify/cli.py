@@ -593,7 +593,7 @@ def cmd_stabilizer(cfg: argparse.Namespace) -> dict:
         report = stabilizer.subset_strategy(group, indices)
         record = [
             ("num_qubits", n),
-            ("indices", " ".join(str(i) for i in indices)),
+            ("indices", " ".join(str(i) for i in report.indices)),
             ("degenerate", report.degenerate),
             ("stabilized_dimension", report.stabilized_dimension),
             ("q", strategy.metrics(report.strategy).q),

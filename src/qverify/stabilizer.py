@@ -534,9 +534,11 @@ class SubsetReport:
     When the chosen elements do not generate the whole group, some
     state orthogonal to the target passes every chosen test with
     certainty; strategy remains well formed, but no number of copies
-    can reject the fooling state, and degenerate is True.
+    can reject the fooling state, and degenerate is True. indices are
+    the sorted distinct element indices the strategy was built from.
     """
 
+    indices: tuple[int, ...]
     strategy: Strategy
     degenerate: bool
     stabilized_dimension: int
@@ -571,6 +573,7 @@ def subset_strategy(group: StabilizerGroup, element_indices) -> SubsetReport:
     )
     if rank == n:
         return SubsetReport(
+            indices=tuple(indices),
             strategy=strategy,
             degenerate=False,
             stabilized_dimension=1,
@@ -587,6 +590,7 @@ def subset_strategy(group: StabilizerGroup, element_indices) -> SubsetReport:
         np.vdot(fooling.amplitudes, strategy.omega @ fooling.amplitudes).real
     )
     return SubsetReport(
+        indices=tuple(indices),
         strategy=strategy,
         degenerate=True,
         stabilized_dimension=2 ** (n - rank),

@@ -495,6 +495,7 @@ def from_json_dict(doc: dict) -> Strategy:
             for item in doc["settings"]
         ]
         theta = doc.get("theta")
+        theta = None if theta is None else float(theta)
     except (KeyError, TypeError, ValueError) as exc:
         raise ValidationError(
             f"malformed strategy document: {type(exc).__name__}: {exc}"

@@ -45,9 +45,17 @@ from qverify.strategy import (
     alpha_weight,
     bell_strategy,
     metrics,
+    local_transport,
     optimal_q,
+    product_state_strategy,
     target_state,
     two_qubit_optimal,
+)
+from qverify.stabilizer import (
+    full_strategy,
+    generator_strategy,
+    preset_group,
+    subset_strategy,
 )
 
 CERT_THETAS = [math.pi / 12, math.pi / 8, math.pi / 5, 3 * math.pi / 8]
@@ -307,9 +315,10 @@ def test_mixed_states_never_beat_pure_worst_case():
         assert acceptance_probability(strat.omega, adv) <= bound + 1e-10
 
 
-# game_value on operators that do not fix the target: the secular
-# equation of the inner sphere maximization is solved for real here,
-# while every strategy above takes its zero-coupling shortcut.
+# game_value on operators that do not fix the target: the top
+# eigenvector moves continuously with the dual multiplier here, while
+# for every strategy above it jumps between the target and its
+# orthocomplement.
 
 
 def _unit_spectrum_operator(dim, seed):
@@ -374,7 +383,7 @@ def _feasible_lower_bound(omega, target, epsilon, rng, samples=4000):
 def _coupled_to_lower_eigenvector():
     # target |00>; the coupling omega|psi> - <psi|omega|psi>|psi> lies on
     # |01> while the orthogonal block's top eigenvector is |11>, so the
-    # secular equation has no weight on its top eigenspace
+    # coupling has no weight on the block's top eigenspace
     omega = np.diag([0.6, 0.3, 0.1, 0.8]).astype(complex)
     omega[0, 1] = omega[1, 0] = 0.25
     return omega
@@ -393,4 +402,78 @@ def test_game_value_dim4_against_feasible_states(name, epsilon):
     lower = _feasible_lower_bound(omega, target, epsilon, np.random.default_rng(9))
     assert result.accept_prob >= lower - 1e-12
     assert result.accept_prob <= _dual_upper_bound(omega, target, epsilon) + 1e-9
+    _check_maximizer(result, omega, target, epsilon)
+
+
+def _haar_unitary(rng):
+    raw = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
+    q, r = np.linalg.qr(raw)
+    return q * (np.diag(r) / np.abs(np.diag(r)))
+
+
+def _game_strategy(name, theta, seed):
+    if name == "bell":
+        return bell_strategy()
+    if name == "two-qubit":
+        return two_qubit_optimal(theta)
+    if name == "product":
+        return product_state_strategy("one")
+    if name == "transported":
+        rng = np.random.default_rng(seed)
+        return local_transport(two_qubit_optimal(theta), _haar_unitary(rng),
+                               _haar_unitary(rng))
+    if name == "subset-degenerate":
+        return subset_strategy(preset_group("ghz3"), [1, 3]).strategy
+    scheme, preset = name.split("-")
+    build = full_strategy if scheme == "full" else generator_strategy
+    return build(preset_group(preset))
+
+
+@given(
+    name=st.sampled_from([
+        "bell", "two-qubit", "product", "transported", "subset-degenerate",
+        "full-ghz3", "generators-ghz3", "full-cluster3", "generators-cluster3",
+    ]),
+    theta=st.floats(min_value=0.05, max_value=math.pi / 2 - 0.05),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+    epsilon=st.floats(min_value=1e-6, max_value=1.0 - 1e-6),
+)
+@settings(max_examples=80, deadline=None)
+def test_game_value_is_certified_worst_case(name, theta, seed, epsilon):
+    strat = _game_strategy(name, theta, seed)
+    result = strategy_game_value(strat, epsilon)
+    q = metrics(strat).q
+    assert abs(result.accept_prob - (1.0 - epsilon * (1.0 - q))) <= 1e-9
+    assert result.maximizer.fidelity <= 1.0 - epsilon + 1e-12
+    assert 0.0 <= result.upper_bound - result.accept_prob <= 1e-9
+
+
+EDGE_VALUES = {
+    "identity": lambda eps: 1.0,
+    "zero": lambda eps: 0.0,
+    "target-projector": lambda eps: 1.0 - eps,
+    "half-identity-plus-target": lambda eps: 1.0 - eps / 2.0,
+}
+
+
+@pytest.mark.parametrize("target_name", ["ket-11", "haar"])
+@pytest.mark.parametrize("epsilon", [1e-9, 0.01, 0.3, 0.9])
+@pytest.mark.parametrize("op_name", sorted(EDGE_VALUES))
+def test_game_value_edge_operators(op_name, target_name, epsilon):
+    # at the target |11> the top eigenvector of omega at mu = 0 is the
+    # target itself even for omega = I or 0, so the optimal multiplier
+    # mu* = 0 is reached only in the limit and the bisection must stop
+    # on an absolute width
+    target = basis_ket(4, 3) if target_name == "ket-11" else haar_random_ket(4, seed=21)
+    proj = np.outer(target.amplitudes, target.amplitudes.conj())
+    omega = {
+        "identity": np.eye(4),
+        "zero": np.zeros((4, 4)),
+        "target-projector": proj,
+        "half-identity-plus-target": (np.eye(4) + proj) / 2.0,
+    }[op_name]
+    result = game_value(omega, target, epsilon)
+    assert result.evaluations <= 100
+    assert abs(result.accept_prob - EDGE_VALUES[op_name](epsilon)) <= 1e-12
+    assert 0.0 <= result.upper_bound - result.accept_prob <= 1e-9
     _check_maximizer(result, omega, target, epsilon)

@@ -243,6 +243,16 @@ def test_stabilizer_subset(tmp_path):
     assert doc["result"]["fooling_acceptance"] >= 1.0 - 1e-9
 
 
+def test_stabilizer_subset_reports_indices_used(tmp_path):
+    # repeated and unordered indices build the strategy from {1, 3}
+    code, text = run_cli(
+        ["stabilizer", "--preset", "ghz3", "--subset", "3,1,1", "--format", "json"],
+        tmp_path,
+    )
+    assert code == 0
+    assert json.loads(text)["result"]["indices"] == "1 3"
+
+
 def test_config_precedence(tmp_path):
     config = tmp_path / "cfg.json"
     config.write_text(json.dumps({"theta": "pi/5", "format": "json"}))
@@ -337,6 +347,8 @@ def _bad_input_cases(tmp_path):
             "simulate", "--strategy-file", str(tmp_path / "text.json"), "--n", "3",
         ],
         "subset-not-integer": ["stabilizer", "--preset", "ghz3", "--subset", "1,x"],
+        "figS2-theta-nan": ["figure", "--which", "figS2", "--theta", "nan"],
+        "figS2-theta-inf": ["figure", "--which", "figS2", "--theta", "inf"],
         "out-unwritable": ["strategy", "--bell", "--out", no_dir],
         "transcript-unwritable": [
             "simulate", "--bell", "--n", "3", "--trials", "2",
@@ -351,7 +363,8 @@ def _bad_input_cases(tmp_path):
         "config-missing", "config-bad-json", "config-bad-number",
         "strategy-file-missing", "strategy-file-bad-json",
         "strategy-file-no-target", "strategy-file-not-object",
-        "subset-not-integer", "out-unwritable", "transcript-unwritable",
+        "subset-not-integer", "figS2-theta-nan", "figS2-theta-inf",
+        "out-unwritable", "transcript-unwritable",
     ],
 )
 def test_bad_input_exits_2(tmp_path, capsys, case):

@@ -322,6 +322,22 @@ def test_from_json_rejects_tampered_weights():
         from_json_dict(doc)
 
 
+@pytest.mark.parametrize("theta", ["abc", [1, 2], {"x": 1}])
+def test_from_json_rejects_non_numeric_theta(theta):
+    doc = to_json_dict(two_qubit_optimal(0.6))
+    doc["theta"] = theta
+    with pytest.raises(ValidationError):
+        from_json_dict(doc)
+
+
+def test_from_json_theta_is_a_float_or_none():
+    doc = to_json_dict(two_qubit_optimal(0.6))
+    doc["theta"] = "0.6"
+    assert from_json_dict(doc).theta == 0.6
+    doc["theta"] = None
+    assert from_json_dict(doc).theta is None
+
+
 @pytest.mark.parametrize("epsilon", [0.0, 1.0, 2.0, -0.1, float("nan")])
 def test_delta_eps_rejects_epsilon_outside_open_unit_interval(epsilon):
     with pytest.raises(ValidationError):
