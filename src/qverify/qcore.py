@@ -37,8 +37,10 @@ PAULI_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
 PAULI_MATRICES = {"I": PAULI_I, "X": PAULI_X, "Y": PAULI_Y, "Z": PAULI_Z}
 
 
-def _frozen_array(values, dtype=complex) -> np.ndarray:
-    arr = np.array(values, dtype=dtype)
+def _frozen_array(values, what: str) -> np.ndarray:
+    arr = np.array(values, dtype=complex)
+    if not np.isfinite(arr).all():
+        raise ValidationError(f"{what} has a non-finite entry")
     arr.setflags(write=False)
     return arr
 
@@ -60,15 +62,15 @@ def _check_dense_dim(dim: int, what: str) -> None:
 class Ket:
     """A unit vector over a 2**N dimensional complex space.
 
-    The amplitude array is copied on construction and frozen; the L2
-    norm must equal 1 within TOL_INPUT. Use Ket.normalized to build from
-    an unnormalized vector.
+    The amplitude array is copied on construction and frozen; every
+    amplitude must be finite and the L2 norm must equal 1 within
+    TOL_INPUT. Use Ket.normalized to build from an unnormalized vector.
     """
 
     amplitudes: np.ndarray
 
     def __post_init__(self):
-        arr = _frozen_array(self.amplitudes)
+        arr = _frozen_array(self.amplitudes, "ket")
         if arr.ndim != 1:
             raise BadDimError("ket amplitudes must form a flat vector")
         object.__setattr__(self, "amplitudes", arr)
@@ -113,14 +115,14 @@ class Ket:
 class HermitianOperator:
     """A Hermitian matrix over a 2**N dimensional space.
 
-    Entries are copied and frozen; max |H - H^dagger| must be at most
-    TOL_INPUT or construction fails with NonHermitianError.
+    Entries are copied and frozen and must be finite; max |H - H^dagger|
+    must be at most TOL_INPUT or construction fails with NonHermitianError.
     """
 
     entries: np.ndarray
 
     def __post_init__(self):
-        arr = _frozen_array(self.entries)
+        arr = _frozen_array(self.entries, "operator")
         if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
             raise BadDimError("operator entries must form a square matrix")
         object.__setattr__(self, "entries", arr)

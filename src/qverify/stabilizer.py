@@ -22,10 +22,11 @@ coefficient i^phase (-1)^|b & z|.
 
 Syndromes. Tests built from group elements are diagonal in the joint
 eigenbasis. Element index m holds generator j at bit j (least significant
-first), as does a syndrome s in element-index order, whose bit j is set
-when generator j has eigenvalue -1. Element m passes (eigenvalue +1)
-exactly when |m & s| is even. ParityCheck columns hold generator j at
-bit N-1-j (most significant first); _pass_table alone converts.
+first), as does a syndrome s, whose bit j is set when generator j has
+eigenvalue -1. Element m passes (eigenvalue +1) exactly when |m & s| is
+even; _pass_rows applies that rule to the given elements only, so no
+2^N x 2^N pass table is built. ParityCheck columns hold generator j at
+bit N-1-j (most significant first); _column_syndromes alone converts.
 """
 
 from __future__ import annotations
@@ -204,16 +205,17 @@ def _gf2_rank(rows: list[int]) -> int:
     return rank
 
 
-def _pass_table(num_qubits: int) -> np.ndarray:
-    """Entry (m, k) is 1 iff element m has eigenvalue +1 on ParityCheck column k.
-
-    Reversing k's N bits gives syndrome s in element-index order; element
-    m passes exactly when |m & s| is even.
-    """
+def _column_syndromes(num_qubits: int) -> np.ndarray:
+    """Syndrome of each ParityCheck column: column k's N bits reversed."""
     n = num_qubits
     k = np.arange(2**n)
-    s = sum(((k >> (n - 1 - j)) & 1) << j for j in range(n))
-    return (1 - _parity(k[:, None] & s)).astype(np.int8)
+    return sum(((k >> (n - 1 - j)) & 1) << j for j in range(n))
+
+
+def _pass_rows(masks, num_qubits: int) -> np.ndarray:
+    """Entry (i, k) is 1 iff element masks[i] has eigenvalue +1 on column k."""
+    m = np.asarray(masks)[:, None]
+    return (1 - _parity(m & _column_syndromes(num_qubits))).astype(np.int8)
 
 
 @dataclass(frozen=True, eq=False)
@@ -235,6 +237,8 @@ class StabilizerGroup:
         for a, b in itertools.combinations(self.generators, 2):
             if not a.commutes(b):
                 raise NonCommutingError(f"{a.label} and {b.label} anticommute")
+        # Independent (x, z) rows also keep -identity out of the group: a
+        # nonempty product with identity letters would XOR rows to zero.
         rows = [(g._masks[0] << n) | g._masks[1] for g in self.generators]
         if _gf2_rank(rows) != len(rows):
             raise DependentGeneratorsError(
@@ -265,22 +269,17 @@ class StabilizerGroup:
         out = [identity]
         for j, g in enumerate(self.generators):
             out.extend([prev * g for prev in out[: 1 << j]])
-        for elem in out[1:]:
-            if elem.is_identity_letters:
-                raise InconsistentSignsError(
-                    "group contains -identity; no state is stabilized"
-                )
         return tuple(out)
 
-    def _joint_eigenvector(self, eigenvalues) -> np.ndarray:
-        """Unit vector on which element m has eigenvalue eigenvalues[m] (+-1).
+    def _joint_eigenvector(self, syndrome: int) -> np.ndarray:
+        """Unit vector on which element m has eigenvalue (-1)^|m & syndrome|.
 
-        Projects basis vectors with (1/2^k) sum_m eigenvalues[m] g_m, for
-        syndrome s the projector (1/2^k) sum_m (-1)^|m & s| g_m; the first
-        nonzero projection (an exact dyadic sum) is used, phase fixed.
+        Projects basis vectors with (1/2^k) sum_m (-1)^|m & s| g_m; the
+        first nonzero projection (an exact dyadic sum) is used, phase fixed.
         """
         xs, zs, phases = np.array([e._masks for e in self.elements]).T
-        weighted = np.asarray(eigenvalues) * _PHASES[phases] / len(xs)
+        signs = 1 - 2 * _parity(np.arange(len(xs)) & syndrome)
+        weighted = signs * _PHASES[phases] / len(xs)
         dim = 2**self.num_qubits
         batch = max(1, 2**MAX_QUBITS // len(xs))  # starts projected at once
         for first in range(0, dim, batch):
@@ -301,7 +300,7 @@ class StabilizerGroup:
                 f"{self.num_generators} generators on {self.num_qubits} qubits "
                 "do not pin down a single state"
             )
-        return Ket(self._joint_eigenvector(np.ones(len(self.elements))))
+        return Ket(self._joint_eigenvector(0))
 
 
 def ghz_group(num_qubits: int) -> StabilizerGroup:
@@ -466,38 +465,45 @@ def stabilizer_sample_count(
 
 @dataclass(frozen=True, eq=False)
 class ParityCheck:
-    """Joint eigenbasis of a maximal group, indexed by syndrome.
+    """Pass bits and joint eigenbasis of a maximal group, indexed by column.
 
-    Column k of eigenbasis is the joint eigenvector on which generator j
-    has eigenvalue -1 exactly when bit N-1-j of k is set (generator 0 is
-    the most significant bit). Column 0 is the stabilized state.
+    Column k is the joint eigenvector on which generator j has eigenvalue
+    -1 exactly when bit N-1-j of k is set (generator 0 is the most
+    significant bit); column 0 is the stabilized state. matrix and
+    special_columns work in syndrome space up to MAX_QUBITS; the dense
+    eigenbasis is built on first access and limited to MAX_DENSE_QUBITS.
     """
 
     group: StabilizerGroup
-    eigenbasis: np.ndarray
 
     @classmethod
     def build(cls, group: StabilizerGroup) -> "ParityCheck":
         if not group.is_maximal:
             raise ValidationError("parity check needs a maximal group")
-        n = group.num_qubits
+        return cls(group=group)
+
+    @cached_property
+    def eigenbasis(self) -> np.ndarray:
+        """Dense joint eigenbasis, one column per syndrome column k."""
+        n = self.group.num_qubits
         if n > MAX_DENSE_QUBITS:
             raise BadDimError(
-                f"dense parity check limited to {MAX_DENSE_QUBITS} qubits"
+                f"dense parity-check eigenbasis limited to {MAX_DENSE_QUBITS} qubits"
             )
-        columns = [group._joint_eigenvector(2 * p - 1) for p in _pass_table(n).T]
-        basis = np.column_stack(columns)
+        basis = np.column_stack(
+            [self.group._joint_eigenvector(int(s)) for s in _column_syndromes(n)]
+        )
         residual = float(np.max(np.abs(basis.conj().T @ basis - np.eye(2**n))))
         if residual > TOL_DERIVED:
             raise ValidationError(
                 f"syndrome eigenbasis not orthonormal (residual {residual!r})"
             )
         basis.setflags(write=False)
-        return cls(group=group, eigenbasis=basis)
+        return basis
 
     @property
     def dim(self) -> int:
-        return self.eigenbasis.shape[0]
+        return 2**self.group.num_qubits
 
     def eigenvalue(self, generator_index: int, syndrome: int) -> int:
         return 1 if self.matrix[generator_index, syndrome] else -1
@@ -506,7 +512,7 @@ class ParityCheck:
     def matrix(self) -> np.ndarray:
         """Binary pass table: entry (j, k) is 1 iff generator j fixes column k."""
         n = self.group.num_qubits
-        return _pass_table(n)[1 << np.arange(n)]
+        return _pass_rows(1 << np.arange(n), n)
 
     def weighted_pass(self, weights) -> np.ndarray:
         """Per column acceptance E_k = sum_j mu_j [generator j passes k]."""
@@ -549,11 +555,11 @@ class SubsetReport:
 def subset_strategy(group: StabilizerGroup, element_indices) -> SubsetReport:
     """Equal-weight strategy from a subset of non-identity elements.
 
-    element_indices index into group.elements. The GF(2) rank of the
-    chosen index masks determines the subgroup they generate: rank N
-    gives a sound strategy, rank r < N leaves a 2^(N-r) dimensional
-    stabilized space and the report certifies a fooling state from the
-    joint eigenbasis.
+    element_indices index into group.elements. The joint eigenvectors
+    passing every chosen test span the stabilized space: chosen masks of
+    GF(2) rank r leave 2^(N-r) of them. Rank N gives a sound strategy;
+    below it the report certifies the first passing eigenvector after the
+    target as a fooling state.
     """
     _require_dense(group, "subset_strategy")
     n = group.num_qubits
@@ -565,35 +571,25 @@ def subset_strategy(group: StabilizerGroup, element_indices) -> SubsetReport:
             raise ValidationError(
                 f"element index {k} outside [1, {len(group.elements) - 1}]"
             )
-    rank = _gf2_rank(list(indices))
     weight = 1.0 / len(indices)
     settings = tuple(_pass_setting(group.elements[k], weight) for k in indices)
     strategy = Strategy(
         target=group.state(), settings=settings, kind=StrategyKind.CUSTOM
     )
-    if rank == n:
-        return SubsetReport(
-            indices=tuple(indices),
-            strategy=strategy,
-            degenerate=False,
-            stabilized_dimension=1,
-            fooling_state=None,
-            fooling_acceptance=None,
+    # columns passing every chosen test; column 0 is the target itself
+    passing = np.flatnonzero(_pass_rows(indices, n).all(axis=0))
+    fooling = acceptance = None
+    if passing.size > 1:
+        syndrome = int(_column_syndromes(n)[passing[1]])
+        fooling = Ket(group._joint_eigenvector(syndrome))
+        acceptance = float(
+            np.vdot(fooling.amplitudes, strategy.omega @ fooling.amplitudes).real
         )
-    table = _pass_table(n)
-    passing = np.flatnonzero(table[indices].all(axis=0))
-    if passing.size < 2:
-        raise ValidationError("rank deficit without a fooling syndrome")
-    # passing[0] is syndrome 0, the target itself
-    fooling = Ket(group._joint_eigenvector(2 * table[:, passing[1]] - 1))
-    acceptance = float(
-        np.vdot(fooling.amplitudes, strategy.omega @ fooling.amplitudes).real
-    )
     return SubsetReport(
         indices=tuple(indices),
         strategy=strategy,
-        degenerate=True,
-        stabilized_dimension=2 ** (n - rank),
+        degenerate=passing.size > 1,
+        stabilized_dimension=int(passing.size),
         fooling_state=fooling,
         fooling_acceptance=acceptance,
     )

@@ -478,8 +478,8 @@ def to_json_dict(strategy: Strategy) -> dict:
 def from_json_dict(doc: dict) -> Strategy:
     """Rebuild a strategy from to_json_dict output, revalidating everything.
 
-    A document with a missing key or a value of the wrong type or shape
-    raises ValidationError.
+    A document with a missing key, a value of the wrong type or shape,
+    or a non-finite theta raises ValidationError.
     """
     try:
         kind = StrategyKind(doc["kind"])
@@ -500,6 +500,8 @@ def from_json_dict(doc: dict) -> Strategy:
         raise ValidationError(
             f"malformed strategy document: {type(exc).__name__}: {exc}"
         ) from exc
+    if theta is not None and not math.isfinite(theta):
+        raise ValidationError(f"strategy document theta {theta!r} is not finite")
     target = Ket(target_amps)
     settings = tuple(
         MeasurementSetting(

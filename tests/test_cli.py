@@ -229,6 +229,20 @@ def test_stabilizer_parity_check(tmp_path):
     assert "special_columns" in text
 
 
+@pytest.mark.parametrize("preset,num_qubits", [("ghz8", 8), ("ghz12", 12)])
+def test_stabilizer_parity_check_beyond_dense_cap(tmp_path, preset, num_qubits):
+    code, text = run_cli(["stabilizer", "--preset", preset, "--parity-check"], tmp_path)
+    assert code == 0
+    header, rows = csv_rows(text)
+    assert len(header) == 1 + 2**num_qubits and len(rows) == num_qubits
+    # generator j fails exactly the columns with bit N-1-j set
+    for j, row in enumerate(rows):
+        bits = [int(v) for v in row[1:]]
+        assert bits == [1 - ((k >> (num_qubits - 1 - j)) & 1) for k in range(2**num_qubits)]
+    expected = " ".join(str(1 << j) for j in range(num_qubits))
+    assert f"# special_columns: {expected}" in text
+
+
 def test_stabilizer_subset(tmp_path):
     code, text = run_cli(
         [
@@ -328,6 +342,13 @@ def _bad_input_cases(tmp_path):
     (tmp_path / "no_target.json").write_text(json.dumps({"kind": "bell", "settings": []}))
     (tmp_path / "text.json").write_text(json.dumps("bell"))
     (tmp_path / "bad_n.json").write_text(json.dumps({"n": "ten"}))
+    # json writes and reads the NaN token, so such files do reach the library
+    nan_target = strategy.to_json_dict(strategy.bell_strategy())
+    nan_target["target"][0] = [math.nan, 0.0]
+    (tmp_path / "nan_target.json").write_text(json.dumps(nan_target))
+    nan_theta = strategy.to_json_dict(strategy.two_qubit_optimal(0.6))
+    nan_theta["theta"] = "nan"
+    (tmp_path / "nan_theta.json").write_text(json.dumps(nan_theta))
     missing = str(tmp_path / "missing.json")
     no_dir = str(tmp_path / "no_dir" / "out.txt")
     return {
@@ -346,7 +367,16 @@ def _bad_input_cases(tmp_path):
         "strategy-file-not-object": [
             "simulate", "--strategy-file", str(tmp_path / "text.json"), "--n", "3",
         ],
+        "strategy-file-nan-amplitude": [
+            "simulate", "--strategy-file", str(tmp_path / "nan_target.json"),
+            "--n", "5", "--trials", "10",
+        ],
+        "strategy-file-nan-theta": [
+            "simulate", "--strategy-file", str(tmp_path / "nan_theta.json"),
+            "--n", "5", "--trials", "10",
+        ],
         "subset-not-integer": ["stabilizer", "--preset", "ghz3", "--subset", "1,x"],
+        "subset-beyond-dense-cap": ["stabilizer", "--preset", "ghz8", "--subset", "1,2"],
         "figS2-theta-nan": ["figure", "--which", "figS2", "--theta", "nan"],
         "figS2-theta-inf": ["figure", "--which", "figS2", "--theta", "inf"],
         "out-unwritable": ["strategy", "--bell", "--out", no_dir],
@@ -363,7 +393,9 @@ def _bad_input_cases(tmp_path):
         "config-missing", "config-bad-json", "config-bad-number",
         "strategy-file-missing", "strategy-file-bad-json",
         "strategy-file-no-target", "strategy-file-not-object",
-        "subset-not-integer", "figS2-theta-nan", "figS2-theta-inf",
+        "strategy-file-nan-amplitude", "strategy-file-nan-theta",
+        "subset-not-integer", "subset-beyond-dense-cap",
+        "figS2-theta-nan", "figS2-theta-inf",
         "out-unwritable", "transcript-unwritable",
     ],
 )

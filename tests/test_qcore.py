@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qverify.errors import BadDimError, NonHermitianError, QVerifyError
+from qverify.errors import BadDimError, NonHermitianError, QVerifyError, ValidationError
 from qverify.qcore import (
     EIG_TIE_TOL,
     PAULI_MATRICES,
@@ -84,6 +84,18 @@ def test_hermitian_operator_rejects_non_hermitian():
         HermitianOperator(np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex))
     with pytest.raises(BadDimError):
         HermitianOperator(np.zeros((2, 3), dtype=complex))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(0.0, np.nan)])
+def test_constructors_reject_non_finite_entries(bad):
+    # a NaN compares false against every tolerance, so only an explicit
+    # check keeps it out
+    with pytest.raises(ValidationError):
+        Ket(np.array([bad, 0.0], dtype=complex))
+    with pytest.raises(ValidationError):
+        HermitianOperator(np.diag([bad, 1.0]).astype(complex))
+    with pytest.raises(ValidationError):
+        HermitianOperator(np.array([[1.0, bad], [bad, 0.0]], dtype=complex))
 
 
 def test_pauli_matrices_square_to_identity():

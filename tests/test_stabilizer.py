@@ -32,6 +32,7 @@ from qverify.stabilizer import (
     stabilizer_metrics,
     stabilizer_sample_count,
     subset_strategy,
+    _gf2_rank,
 )
 from qverify.strategy import metrics
 
@@ -267,6 +268,23 @@ def test_parity_check_columns():
     assert check.special_columns == (1, 2, 4)
 
 
+def test_parity_check_beyond_dense_cap():
+    # pass bits stay in syndrome space; only the eigenbasis is dense
+    n = 12
+    check = ParityCheck.build(ghz_group(n))
+    k = np.arange(2**n)
+    expected = np.array([1 - ((k >> (n - 1 - j)) & 1) for j in range(n)])
+    assert check.matrix.shape == (n, 2**n)
+    assert np.array_equal(check.matrix, expected)
+    assert check.dim == 2**n
+    assert check.special_columns == tuple(1 << j for j in range(n))
+    with pytest.raises(BadDimError):
+        check.eigenbasis
+    for build in (full_strategy, generator_strategy, lambda g: subset_strategy(g, [1, 2])):
+        with pytest.raises(BadDimError):
+            build(check.group)
+
+
 def test_parity_check_eigenbasis_orthonormal():
     group = cluster_group(3)
     check = ParityCheck.build(group)
@@ -435,6 +453,46 @@ def test_eigenbasis_and_state_match_dense_oracle_bitwise(preset):
             kept = [1 << j for j in range(1, n)]
             fooling = subset_strategy(group, kept).fooling_state.amplitudes
             assert fooling.tobytes() == expected[:, 1 << (n - 1)].tobytes()
+
+
+def _flipped_group(preset, flipped):
+    labels = group_to_json(preset_group(preset))
+    return group_from_json(
+        [("-" + lab if j in flipped else lab) for j, lab in enumerate(labels)]
+    )
+
+
+def _column_pass_bit(num_qubits, mask, column):
+    """1 iff element mask passes column: bits reversed into a syndrome, even overlap."""
+    syndrome = int(format(column, f"0{num_qubits}b")[::-1], 2)
+    return 1 - bin(mask & syndrome).count("1") % 2
+
+
+@pytest.mark.parametrize("preset", ORACLE_PRESETS)
+@given(data=st.data())
+@settings(max_examples=6, deadline=None)
+def test_subset_report_matches_dense_omega(preset, data):
+    n = preset_group(preset).num_qubits
+    drawn = data.draw(st.lists(st.integers(1, 2**n - 1), min_size=1, max_size=6))
+    indices = sorted(set(drawn))
+    rank = _gf2_rank(indices)
+    for flipped in _sign_flips(n):
+        group = _flipped_group(preset, flipped)
+        basis = ParityCheck.build(group).eigenbasis
+        report = subset_strategy(group, drawn)
+        diag = basis.conj().T @ report.strategy.omega @ basis
+        shares = [
+            np.mean([_column_pass_bit(n, m, k) for m in indices]) for k in range(2**n)
+        ]
+        assert np.max(np.abs(diag - np.diag(shares))) <= 1e-12
+        # the GF(2) rank of the chosen masks stays the oracle for the count
+        assert report.stabilized_dimension == 2 ** (n - rank)
+        assert report.degenerate == (rank < n)
+        if report.degenerate:
+            first = next(k for k in range(1, 2**n) if shares[k] == 1.0)
+            assert report.fooling_state.amplitudes.tobytes() == basis[:, first].tobytes()
+        else:
+            assert report.fooling_state is None
 
 
 def _worst_syndrome_acceptance(num_qubits, masks):

@@ -330,6 +330,14 @@ def test_from_json_rejects_non_numeric_theta(theta):
         from_json_dict(doc)
 
 
+@pytest.mark.parametrize("theta", ["nan", "inf", "-inf"])
+def test_from_json_rejects_non_finite_theta(theta):
+    doc = to_json_dict(two_qubit_optimal(0.6))
+    doc["theta"] = theta
+    with pytest.raises(ValidationError):
+        from_json_dict(doc)
+
+
 def test_from_json_theta_is_a_float_or_none():
     doc = to_json_dict(two_qubit_optimal(0.6))
     doc["theta"] = "0.6"
