@@ -49,7 +49,6 @@ from .samplecount import (
     Fig1Row,
     Fig2Row,
     HypothesisSpec,
-    ReferenceCurves,
     SampleCountReport,
     asymptotic_count,
     chernoff_stein_count,

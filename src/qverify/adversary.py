@@ -34,6 +34,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -46,9 +47,6 @@ from .errors import (
 from .qcore import TOL_DERIVED, HermitianOperator, Ket
 from .samplecount import check_probability
 from .strategy import Strategy, alpha_weight, check_theta, optimal_q
-
-LANDSCAPE_COLUMNS = ("alpha", "phi", "lambda1", "lambda2", "qmax")
-
 
 class AdversaryKind(enum.Enum):
     WORST_CASE_PURE = "worst-case-pure"
@@ -328,13 +326,17 @@ def hull_boundary(
     return rows
 
 
-@dataclass(frozen=True)
-class LandscapeRow:
+class LandscapeRow(NamedTuple):
+    """One landscape table row; the fields are the CSV columns in order."""
+
     alpha: float
     phi: float
     lambda1: float
     lambda2: float
     qmax: float
+
+
+LANDSCAPE_COLUMNS = LandscapeRow._fields
 
 
 @dataclass(frozen=True, eq=False)
@@ -356,9 +358,12 @@ def landscape(
 ) -> LandscapeReport:
     """Closed-form landscape samples for plotting and export.
 
-    The ridge entries are (phi, equalizing alpha, worst case there) for
-    every sampled phi at which the equalizing weight is admissible.
-    Any finite theta is accepted; a non-finite one raises
+    Rows run over alphas (outer) and phis (inner) and hold Python
+    scalars. The minimizer is the first grid cell in that order with
+    the least qmax, the tie rule of the certification sweep. The ridge
+    entries are (phi, equalizing alpha, worst case there) for every
+    sampled phi at which the equalizing weight is admissible. Any
+    finite theta is accepted; a non-finite one raises
     ThetaOutOfDomainError.
     """
     if not math.isfinite(theta):
@@ -371,25 +376,12 @@ def landscape(
     phis = np.asarray(phis, dtype=float)
     big_t = math.tan(theta) ** 2
     big_p = np.tan(phis) ** 2
-    rows = []
-    best = None
-    for alpha in alphas:
-        l1 = lambda1(alpha, big_p, big_t)
-        l2 = lambda2(alpha, big_p, big_t)
-        qm = np.maximum(l1, l2)
-        j = int(np.argmin(qm))
-        if best is None or qm[j] < best[0]:
-            best = (float(qm[j]), float(alpha), float(phis[j]))
-        for k, phi in enumerate(phis):
-            rows.append(
-                LandscapeRow(
-                    alpha=float(alpha),
-                    phi=float(phi),
-                    lambda1=float(l1[k]),
-                    lambda2=float(l2[k]),
-                    qmax=float(qm[k]),
-                )
-            )
+    l1 = lambda1(alphas[:, None], big_p, big_t)
+    l2 = lambda2(alphas[:, None], big_p, big_t)
+    qm = np.maximum(l1, l2)
+    i, j = np.unravel_index(np.argmin(qm), qm.shape)
+    grid = np.broadcast_arrays(alphas[:, None], phis, l1, l2, qm)
+    rows = tuple(map(LandscapeRow._make, zip(*(a.ravel().tolist() for a in grid))))
     ridge = []
     for phi, p_val in zip(phis, big_p):
         a_star = ridge_alpha(float(p_val), big_t)
@@ -397,10 +389,10 @@ def landscape(
             ridge.append((float(phi), a_star, float(ridge_q(p_val, big_t))))
     return LandscapeReport(
         theta=theta,
-        rows=tuple(rows),
-        argmin_alpha=best[1],
-        argmin_phi=best[2],
-        min_qmax=best[0],
+        rows=rows,
+        argmin_alpha=float(alphas[i]),
+        argmin_phi=float(phis[j]),
+        min_qmax=float(qm[i, j]),
         ridge=tuple(ridge),
     )
 

@@ -489,18 +489,12 @@ def cmd_figure(cfg: argparse.Namespace) -> dict:
     if cfg.which == "fig1":
         thetas = None if points is None else samplecount.default_theta_grid(points)
         rows = samplecount.figure1_data(cfg.epsilon, cfg.delta, thetas)
-        return {
-            "columns": samplecount.FIG1_COLUMNS,
-            "rows": samplecount.fig1_csv_rows(rows),
-        }
+        return {"columns": samplecount.FIG1_COLUMNS, "rows": rows}
     theta = parse_angle(cfg.theta)
     if cfg.which == "fig2":
         epsilons = None if points is None else np.logspace(-4, -1, points)
         rows = samplecount.figure2_data(theta, cfg.delta, epsilons)
-        return {
-            "columns": samplecount.FIG2_COLUMNS,
-            "rows": samplecount.fig2_csv_rows(rows),
-        }
+        return {"columns": samplecount.FIG2_COLUMNS, "rows": rows}
     if cfg.which == "figS1":
         if points is None:
             rows = adversary.hull_boundary(theta)
@@ -514,13 +508,10 @@ def cmd_figure(cfg: argparse.Namespace) -> dict:
         ("argmin_phi", report.argmin_phi),
         ("min_qmax", report.min_qmax),
     ]
-    rows = [
-        (r.alpha, r.phi, r.lambda1, r.lambda2, r.qmax) for r in report.rows
-    ]
     return {
         "record": record,
         "columns": adversary.LANDSCAPE_COLUMNS,
-        "rows": rows,
+        "rows": report.rows,
     }
 
 

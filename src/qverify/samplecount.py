@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -127,14 +128,12 @@ def certainty_count_report(
 class HypothesisSpec:
     """Binary hypothesis test between per-copy acceptance p0 and p1.
 
-    chi bounds the allowed type I error of the test; the asymptotic
-    count depends only on D(p0 || p1), not on chi, so chi is carried for
-    documentation of the test being approximated.
+    p0 lies in (0, 1] and p1 in [0, p0). The asymptotic count depends
+    only on D(p0 || p1), so no type I error level is carried.
     """
 
     p0: float
     p1: float
-    chi: float = 0.25
 
     def __post_init__(self):
         check_probability("p0", self.p0, open_one=False)
@@ -143,12 +142,10 @@ class HypothesisSpec:
             raise ValidationError(
                 f"p1={self.p1!r} must lie strictly below p0={self.p0!r}"
             )
-        if not 0.0 < self.chi < 0.5:
-            raise ValidationError(f"chi={self.chi!r} outside (0, 0.5)")
 
     @classmethod
-    def from_gap(cls, p0: float, delta_eps: float, chi: float = 0.25) -> "HypothesisSpec":
-        return cls(p0=p0, p1=p0 - delta_eps, chi=chi)
+    def from_gap(cls, p0: float, delta_eps: float) -> "HypothesisSpec":
+        return cls(p0=p0, p1=p0 - delta_eps)
 
 
 def relative_entropy(a: float, b: float) -> float:
@@ -177,25 +174,28 @@ def chernoff_stein_count(spec: HypothesisSpec, delta: float) -> SampleCountRepor
     """Copies needed to push type II error below delta for spec.
 
     n_exact = ceil(ln(1/delta) / D(p0 || p1)). For p0 == 1 the
-    divergence is computed as -log1p(-delta_eps), which is both the
-    exact a -> 1 limit and numerically identical to the certainty
-    protocol count formula. Both limiting-regime approximations are
-    reported: the certainty regime (1/gap) ln(1/delta) and the
-    frequency estimation regime 2 p0 (1-p0) / gap**2 * ln(1/delta).
+    divergence is -log1p(-delta_eps), the exact a -> 1 limit, and the
+    count is exact_count's certainty count; a perfect test (p1 = 0)
+    has infinite divergence, one copy and n_asymptotic 0. Both
+    limiting-regime approximations are reported: the certainty regime
+    (1/gap) ln(1/delta) and the frequency estimation regime
+    2 p0 (1-p0) / gap**2 * ln(1/delta).
     """
     check_probability("delta", delta)
     gap = spec.p0 - spec.p1
+    log_conf = -math.log(delta)
     if spec.p0 == 1.0:
-        divergence = -math.log1p(-gap)
+        divergence = math.inf if gap == 1.0 else -math.log1p(-gap)
+        n_exact = exact_count(gap, delta)
         regime = "linear regime"
     else:
         divergence = relative_entropy(spec.p0, spec.p1)
+        n_exact = math.ceil(log_conf / divergence)
         regime = "quadratic regime"
-    log_conf = -math.log(delta)
     return SampleCountReport(
         delta=delta,
         delta_eps=gap,
-        n_exact=math.ceil(log_conf / divergence),
+        n_exact=n_exact,
         n_asymptotic=log_conf / divergence,
         method_label=f"chernoff-stein ({regime})",
         p0=spec.p0,
@@ -204,8 +204,9 @@ def chernoff_stein_count(spec: HypothesisSpec, delta: float) -> SampleCountRepor
     )
 
 
-@dataclass(frozen=True)
-class Fig1Row:
+class Fig1Row(NamedTuple):
+    """One figure 1 table row; the fields are the CSV columns in order."""
+
     theta: float
     epsilon: float
     n_exact: int
@@ -213,30 +214,18 @@ class Fig1Row:
     family: str
 
 
-@dataclass(frozen=True)
-class ReferenceCurves:
-    """Illustrative 1/eps**2 comparison curves for figure2_data.
+class Fig2Row(NamedTuple):
+    """One figure 2 table row; the fields are the CSV columns in order."""
 
-    The proportionality constants are configuration inputs, not derived
-    values; the note is propagated into output metadata so nobody reads
-    the reference curves as measured costs.
-    """
-
-    c_tomography: float = 1.0
-    c_fidelity: float = 1.0
-    note: str = (
-        "reference curves show illustrative 1/eps^2 scaling only; "
-        "constants are configuration inputs"
-    )
-
-
-@dataclass(frozen=True)
-class Fig2Row:
     epsilon: float
     n_local: int
     n_global: int
     n_tomo_ref: float
     n_fid_ref: float
+
+
+FIG1_COLUMNS = Fig1Row._fields
+FIG2_COLUMNS = Fig2Row._fields
 
 
 def default_theta_grid(points: int = 200) -> np.ndarray:
@@ -311,18 +300,15 @@ def figure1_data(
 
 
 def figure2_data(
-    theta: float,
-    delta: float,
-    epsilons: np.ndarray | None = None,
-    reference: ReferenceCurves = ReferenceCurves(),
+    theta: float, delta: float, epsilons: np.ndarray | None = None
 ) -> list[Fig2Row]:
     """Local versus global counts over an epsilon sweep at fixed theta.
 
     n_local uses the per-theta dispatch of figure1_data; n_global is the
     count for the best strategy with no locality restriction, whose pass
     operator is the target projector itself (delta_eps = epsilon). The
-    two reference columns are purely illustrative 1/eps**2 curves
-    controlled by the ReferenceCurves constants.
+    two reference columns, n_tomo_ref and n_fid_ref, are both the
+    illustrative curve 1/eps**2, not measured costs.
     """
     if epsilons is None:
         epsilons = np.logspace(-4, -1, 61)
@@ -338,22 +324,8 @@ def figure2_data(
                 epsilon=eps,
                 n_local=local.n_exact,
                 n_global=exact_count(eps, delta),
-                n_tomo_ref=reference.c_tomography / eps**2,
-                n_fid_ref=reference.c_fidelity / eps**2,
+                n_tomo_ref=1.0 / eps**2,
+                n_fid_ref=1.0 / eps**2,
             )
         )
     return rows
-
-
-FIG1_COLUMNS = ("theta", "epsilon", "n_exact", "n_asymptotic", "family")
-FIG2_COLUMNS = ("epsilon", "n_local", "n_global", "n_tomo_ref", "n_fid_ref")
-
-
-def fig1_csv_rows(rows: list[Fig1Row]) -> list[tuple]:
-    return [(r.theta, r.epsilon, r.n_exact, r.n_asymptotic, r.family) for r in rows]
-
-
-def fig2_csv_rows(rows: list[Fig2Row]) -> list[tuple]:
-    return [
-        (r.epsilon, r.n_local, r.n_global, r.n_tomo_ref, r.n_fid_ref) for r in rows
-    ]

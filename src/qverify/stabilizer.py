@@ -470,8 +470,9 @@ class ParityCheck:
     Column k is the joint eigenvector on which generator j has eigenvalue
     -1 exactly when bit N-1-j of k is set (generator 0 is the most
     significant bit); column 0 is the stabilized state. matrix and
-    special_columns work in syndrome space up to MAX_QUBITS; the dense
-    eigenbasis is built on first access and limited to MAX_DENSE_QUBITS.
+    special_columns work in syndrome space up to MAX_QUBITS; matrix and
+    the dense eigenbasis are built on first access and kept read-only,
+    the eigenbasis limited to MAX_DENSE_QUBITS.
     """
 
     group: StabilizerGroup
@@ -508,11 +509,13 @@ class ParityCheck:
     def eigenvalue(self, generator_index: int, syndrome: int) -> int:
         return 1 if self.matrix[generator_index, syndrome] else -1
 
-    @property
+    @cached_property
     def matrix(self) -> np.ndarray:
         """Binary pass table: entry (j, k) is 1 iff generator j fixes column k."""
         n = self.group.num_qubits
-        return _pass_rows(1 << np.arange(n), n)
+        table = _pass_rows(1 << np.arange(n), n)
+        table.setflags(write=False)
+        return table
 
     def weighted_pass(self, weights) -> np.ndarray:
         """Per column acceptance E_k = sum_j mu_j [generator j passes k]."""

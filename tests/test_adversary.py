@@ -14,6 +14,7 @@ from qverify.adversary import (
     HULL_COLUMNS,
     LANDSCAPE_COLUMNS,
     AdversaryKind,
+    LandscapeRow,
     acceptance_probability,
     certify_optimality,
     family_omega,
@@ -245,6 +246,82 @@ def test_landscape_report_contains_ridge_and_argmin():
     for phi, alpha_star, q_here in report.ridge:
         assert 0.0 <= alpha_star <= 1.0
         assert q_here >= optimal_q(0.5) - 1e-12
+
+
+def landscape_oracle(theta, alphas, phis):
+    """Per-alpha reference: rows cell by cell, running first-minimum."""
+    big_t = math.tan(theta) ** 2
+    big_p = np.tan(phis) ** 2
+    rows = []
+    best = None
+    for alpha in alphas:
+        l1 = lambda1(alpha, big_p, big_t)
+        l2 = lambda2(alpha, big_p, big_t)
+        qm = np.maximum(l1, l2)
+        j = int(np.argmin(qm))
+        if best is None or qm[j] < best[0]:
+            best = (float(qm[j]), float(alpha), float(phis[j]))
+        for k, phi in enumerate(phis):
+            rows.append(
+                (float(alpha), float(phi), float(l1[k]), float(l2[k]), float(qm[k]))
+            )
+    return rows, best
+
+
+def assert_landscape_matches_oracle(theta, alphas, phis):
+    report = landscape(theta, alphas=alphas, phis=phis)
+    rows, best = landscape_oracle(theta, alphas, phis)
+    # bitwise: repr of a Python float round-trips every bit
+    assert [repr(tuple(r)) for r in report.rows] == [repr(r) for r in rows]
+    assert (report.min_qmax, report.argmin_alpha, report.argmin_phi) == best
+
+
+@pytest.mark.parametrize("theta", CERT_THETAS + [0.6])
+def test_landscape_matches_per_cell_oracle(theta):
+    alphas = np.linspace(0.0, 1.0, 121)
+    phis = np.linspace(0.0, math.pi / 2, 123)[1:-1]
+    assert_landscape_matches_oracle(theta, alphas, phis)
+
+
+@given(
+    theta=st.floats(min_value=-2.0, max_value=2.0),
+    alphas=st.lists(st.floats(min_value=0.0, max_value=1.0), min_size=1, max_size=6),
+    phis=st.lists(st.floats(min_value=0.01, max_value=1.56), min_size=1, max_size=6),
+)
+@settings(max_examples=60, deadline=None)
+def test_landscape_matches_oracle_on_small_grids(theta, alphas, phis):
+    assert_landscape_matches_oracle(theta, np.array(alphas), np.array(phis))
+
+
+@pytest.mark.parametrize(
+    "alphas,phis",
+    [
+        # at alpha = 1 every cell has qmax exactly 1
+        ([1.0, 1.0], [0.9, 0.4, 1.2]),
+        # repeated alphas and phis tie exactly
+        ([0.7, 0.2, 0.7, 0.2, 0.5], [0.9, 0.4, 0.9, 0.4]),
+    ],
+)
+def test_landscape_ties_resolve_to_first_cell(alphas, phis):
+    alphas, phis = np.array(alphas), np.array(phis)
+    assert_landscape_matches_oracle(0.5, alphas, phis)
+    report = landscape(0.5, alphas=alphas, phis=phis)
+    qmax = [r.qmax for r in report.rows]
+    assert qmax.count(min(qmax)) > 1
+    first = report.rows[qmax.index(min(qmax))]
+    assert (report.argmin_alpha, report.argmin_phi) == first[:2]
+
+
+def test_landscape_rows_are_python_tuples_in_column_order():
+    report = landscape(math.pi / 8, alphas=np.linspace(0.0, 1.0, 3),
+                       phis=np.array([0.3, 1.1]))
+    assert LANDSCAPE_COLUMNS == LandscapeRow._fields
+    for row in report.rows:
+        assert type(row) is LandscapeRow
+        assert tuple(getattr(row, c) for c in LANDSCAPE_COLUMNS) == tuple(row)
+        assert {type(v) for v in row} == {float}
+    for value in (report.argmin_alpha, report.argmin_phi, report.min_qmax):
+        assert type(value) is float
 
 
 @pytest.mark.parametrize("theta", CERT_THETAS)

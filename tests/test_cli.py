@@ -1,13 +1,20 @@
 import json
 import math
 
+import numpy as np
 import pytest
 
 from qverify import strategy
-from qverify.cli import COMMANDS, main, parse_angle
+from qverify.cli import COMMANDS, build_parser, cmd_figure, main, parse_angle
 from qverify.errors import ValidationError
-from qverify.adversary import HULL_COLUMNS, LANDSCAPE_COLUMNS
-from qverify.samplecount import FIG1_COLUMNS, FIG2_COLUMNS
+from qverify.adversary import HULL_COLUMNS, LANDSCAPE_COLUMNS, landscape
+from qverify.samplecount import (
+    FIG1_COLUMNS,
+    FIG2_COLUMNS,
+    default_theta_grid,
+    figure1_data,
+    figure2_data,
+)
 
 
 @pytest.mark.parametrize(
@@ -142,6 +149,28 @@ def test_figure_figS2_landscape_grid(tmp_path):
     header, rows = csv_rows(text)
     assert header == list(LANDSCAPE_COLUMNS)
     assert len(rows) == 121 * 121
+
+
+@pytest.mark.parametrize(
+    "argv,library_rows",
+    [
+        (
+            ["--which", "fig1", "--points", "9"],
+            lambda cfg: figure1_data(cfg.epsilon, cfg.delta, default_theta_grid(9)),
+        ),
+        (
+            ["--which", "fig2", "--theta", "pi/8", "--points", "7"],
+            lambda cfg: figure2_data(math.pi / 8, cfg.delta, np.logspace(-4, -1, 7)),
+        ),
+        (["--which", "figS2", "--theta", "0.6"], lambda cfg: landscape(0.6).rows),
+    ],
+)
+def test_figure_passes_library_rows_unconverted(argv, library_rows):
+    cfg = build_parser().parse_args(["figure"] + argv)
+    rows = cmd_figure(cfg)["rows"]
+    expected = library_rows(cfg)
+    assert type(rows[0]) is type(expected[0])
+    assert list(rows) == list(expected)
 
 
 def test_landscape_certificate(tmp_path):

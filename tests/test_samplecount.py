@@ -10,14 +10,11 @@ from qverify.samplecount import (
     FIG1_COLUMNS,
     FIG2_COLUMNS,
     HypothesisSpec,
-    ReferenceCurves,
     SampleCountReport,
     asymptotic_count,
     chernoff_stein_count,
     default_theta_grid,
     exact_count,
-    fig1_csv_rows,
-    fig2_csv_rows,
     figure1_data,
     figure2_data,
     relative_entropy,
@@ -100,8 +97,6 @@ def test_sample_count_report_validates_consistency():
 def test_hypothesis_spec_validation():
     with pytest.raises(ValidationError):
         HypothesisSpec(p0=0.5, p1=0.6)
-    with pytest.raises(ValidationError):
-        HypothesisSpec(p0=0.5, p1=0.4, chi=0.7)
     spec = HypothesisSpec.from_gap(1.0, 0.25)
     assert spec.p0 == 1.0 and spec.p1 == 0.75
 
@@ -121,10 +116,19 @@ def test_relative_entropy_positive_off_diagonal():
 def test_chernoff_stein_linear_regime_matches_exact_count():
     # with certain acceptance of the target the test is one-sided and
     # the count reproduces the exact geometric formula
-    for gap in (0.01, 0.003, 2.0 / 300.0):
+    for gap in (0.01, 0.003, 2.0 / 300.0, 1.0):
         report = chernoff_stein_count(HypothesisSpec.from_gap(1.0, gap), 0.1)
         assert report.n_exact == exact_count(gap, 0.1)
         assert "linear" in report.method_label
+
+
+def test_chernoff_stein_perfect_test():
+    # p1 = 0: the divergence is infinite and one copy decides
+    report = chernoff_stein_count(HypothesisSpec.from_gap(1.0, 1.0), 0.1)
+    assert report.n_exact == exact_count(1.0, 0.1) == 1
+    assert report.n_asymptotic == 0.0
+    with pytest.raises(UndefinedDivergenceError):
+        chernoff_stein_count(HypothesisSpec(p0=0.5, p1=0.0), 0.1)
 
 
 def test_chernoff_stein_quadratic_regime_label():
@@ -188,8 +192,7 @@ def test_figure1_endpoints_and_bell_row():
     bell_rows = [r for r in rows if r.family == "bell"]
     assert len(bell_rows) == 1
     assert bell_rows[0].n_exact == 345
-    table = fig1_csv_rows(rows)
-    assert len(table[0]) == len(FIG1_COLUMNS)
+    assert len(rows[0]) == len(FIG1_COLUMNS)
 
 
 def test_figure1_symmetric_in_theta():
@@ -205,8 +208,7 @@ def test_figure1_symmetric_in_theta():
 def test_figure2_columns_and_reference_scaling():
     rows = figure2_data(math.pi / 8.0, 0.1, epsilons=np.array([1e-3, 1e-2]))
     assert len(rows) == 2
-    table = fig2_csv_rows(rows)
-    assert len(table[0]) == len(FIG2_COLUMNS)
+    assert len(rows[0]) == len(FIG2_COLUMNS)
     # reference curves are pure 1/eps^2 with unit constants
     assert abs(rows[0].n_tomo_ref - 1e6) < 1e-6
     assert abs(rows[1].n_fid_ref - 1e4) < 1e-8
@@ -219,8 +221,11 @@ def test_figure2_frozen_local_count():
     assert rows[0].n_local == 541
 
 
-def test_reference_curves_annotation():
-    ref = ReferenceCurves()
-    assert ref.c_tomography == 1.0
-    assert ref.c_fidelity == 1.0
-    assert "illustrative" in ref.note
+def test_figure_rows_are_python_tuples_in_column_order():
+    fig1 = figure1_data(0.01, 0.1, thetas=np.array([0.0, 0.3, math.pi / 4]))
+    fig2 = figure2_data(math.pi / 8.0, 0.1, epsilons=np.array([1e-3, 1e-2]))
+    for rows, columns in ((fig1, FIG1_COLUMNS), (fig2, FIG2_COLUMNS)):
+        for row in rows:
+            assert isinstance(row, tuple) and row._fields == columns
+            assert tuple(getattr(row, c) for c in columns) == tuple(row)
+            assert {type(v) for v in row} <= {float, int, str}

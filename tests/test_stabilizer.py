@@ -285,6 +285,19 @@ def test_parity_check_beyond_dense_cap():
             build(check.group)
 
 
+def test_parity_check_matrix_cached_read_only():
+    n = 12
+    check = ParityCheck.build(ghz_group(n))
+    table = check.matrix
+    assert check.matrix is table
+    assert not table.flags.writeable
+    with pytest.raises(ValueError):
+        table[0, 0] = 0
+    for j in (0, 5, n - 1):
+        for k in (0, 1, 100, 2**n - 1):
+            assert check.eigenvalue(j, k) == 1 - 2 * ((k >> (n - 1 - j)) & 1)
+
+
 def test_parity_check_eigenbasis_orthonormal():
     group = cluster_group(3)
     check = ParityCheck.build(group)
