@@ -374,6 +374,9 @@ def landscape(
         phis = np.linspace(0.0, math.pi / 2, 123)[1:-1]
     alphas = np.asarray(alphas, dtype=float)
     phis = np.asarray(phis, dtype=float)
+    for name, grid in (("alphas", alphas), ("phis", phis)):
+        if grid.ndim != 1 or grid.size == 0:
+            raise ValidationError(f"{name} must be a nonempty 1-D array")
     big_t = math.tan(theta) ** 2
     big_p = np.tan(phis) ** 2
     l1 = lambda1(alphas[:, None], big_p, big_t)
@@ -403,21 +406,19 @@ class CertificateReport:
 
     q_grid is the family minimum found by the swept grid (after one
     refinement pass); gap = q_grid - q_closed_form. The polished values
-    come from a local descent started at the grid argmin (exact in
-    alpha through the equalizing ridge, golden section in phi), which
-    pins the minimizer location far more tightly than the flat valley
-    lets a lattice argmin do. A sound sweep has gap >= -soundness_tol
-    (nothing in the family beats the optimum) and a successful one has
-    gap <= value_tol and polished coordinates within location_tol of
-    the closed form.
+    come from a golden-section search in phi over the refinement window
+    around the coarse argmin, with alpha eliminated exactly through the
+    equalizing ridge, which pins the minimizer location far more tightly
+    than the flat valley lets a lattice argmin do. A sound sweep has
+    gap >= -soundness_tol (nothing in the family beats the optimum) and
+    a successful one has gap <= value_tol and polished coordinates
+    within location_tol of the closed form.
     """
 
     theta: float
     resolution: int
     q_closed_form: float
     q_grid: float
-    alpha_grid: float
-    phi_grid: float
     alpha_polished: float
     phi_polished: float
     q_polished: float
@@ -428,10 +429,6 @@ class CertificateReport:
     soundness_tol: float
     value_tol: float
     location_tol: float
-
-    @property
-    def big_p_grid(self) -> float:
-        return math.tan(self.phi_grid) ** 2
 
     @property
     def big_p_polished(self) -> float:
@@ -480,13 +477,17 @@ def _alpha_minimized(big_p: float, big_t: float) -> tuple[float, float]:
     return a_star, float(ridge_q(big_p, big_t))
 
 
-def _grid_min(theta: float, alphas: np.ndarray, phis: np.ndarray, chunk: int = 512):
+# alpha rows per family_qmax block, bounding the temporaries of a sweep
+_GRID_CHUNK = 512
+
+
+def _grid_min(theta: float, alphas: np.ndarray, phis: np.ndarray):
     big_t = math.tan(theta) ** 2
     big_p = np.tan(phis) ** 2
     best_val = math.inf
     best_i = best_j = 0
-    for lo in range(0, len(alphas), chunk):
-        block = alphas[lo : lo + chunk]
+    for lo in range(0, len(alphas), _GRID_CHUNK):
+        block = alphas[lo : lo + _GRID_CHUNK]
         qm = family_qmax(block[:, None], big_p[None, :], big_t)
         flat = int(np.argmin(qm))
         i, j = np.unravel_index(flat, qm.shape)
@@ -512,10 +513,10 @@ def certify_optimality(
     much flatter along phi than along alpha (the equalizing ridge), so
     the refinement window spans three coarse cells in alpha but ten in
     phi: the coarse argmin can wander several cells along the valley
-    floor without leaving it. The polish descends from the refined
-    argmin with alpha eliminated exactly and phi narrowed by golden
-    section, because a lattice argmin cannot pin the minimizer of so
-    flat a valley to the requested location tolerance.
+    floor without leaving it. The polish is a golden-section search in
+    phi over that refinement window, with alpha eliminated exactly,
+    because a lattice argmin cannot pin the minimizer of so flat a
+    valley to the requested location tolerance.
     """
     check_theta(theta)
     if resolution < 8:
@@ -533,12 +534,8 @@ def certify_optimality(
     phi_hi = min(math.pi / 2 - phis[0] / 2.0, phis[j] + 10.0 * phi_step)
     fine_alphas = np.linspace(alpha_lo, alpha_hi, refine_resolution)
     fine_phis = np.linspace(phi_lo, phi_hi, refine_resolution)
-    q_fine, fi, fj = _grid_min(theta, fine_alphas, fine_phis)
-
-    if q_fine <= q_coarse:
-        q_grid, alpha_at, phi_at = q_fine, fine_alphas[fi], fine_phis[fj]
-    else:
-        q_grid, alpha_at, phi_at = q_coarse, alphas[i], phis[j]
+    q_fine = _grid_min(theta, fine_alphas, fine_phis)[0]
+    q_grid = min(q_coarse, q_fine)
 
     def ridge_profile(phi: float) -> float:
         return _alpha_minimized(math.tan(phi) ** 2, big_t)[1]
@@ -554,8 +551,6 @@ def certify_optimality(
         resolution=resolution,
         q_closed_form=q_closed,
         q_grid=q_grid,
-        alpha_grid=float(alpha_at),
-        phi_grid=float(phi_at),
         alpha_polished=float(alpha_pol),
         phi_polished=float(phi_pol),
         q_polished=float(q_pol),

@@ -344,22 +344,15 @@ def _cell(value) -> str:
     return str(value)
 
 
-def _jsonable(value):
-    if isinstance(value, (str, bool, int, float)) or value is None:
-        return value
-    item = getattr(value, "item", None)
-    return item() if callable(item) else value
-
-
 def _render(cfg: argparse.Namespace, doc: dict) -> str:
     meta = _metadata(cfg)
     if cfg.format == "json":
         payload: dict = {"metadata": dict(meta)}
         if "record" in doc:
-            payload["result"] = {k: _jsonable(v) for k, v in doc["record"]}
+            payload["result"] = dict(doc["record"])
         if "columns" in doc:
             payload["columns"] = list(doc["columns"])
-            payload["rows"] = [[_jsonable(v) for v in row] for row in doc["rows"]]
+            payload["rows"] = [list(row) for row in doc["rows"]]
         payload.update(doc.get("extra_json", {}))
         return json.dumps(payload, indent=2) + "\n"
     lines = [f"# {key}: {value}" for key, value in meta]

@@ -62,10 +62,9 @@ class SampleCountReport:
     """Copy counts for one verification setup.
 
     For certainty accepting protocols (p0 == 1) the exact count obeys
-    the closed form above and this is validated on construction. The
-    regime fields carry the two limiting approximations where they were
-    computed; epsilon and q are None when the report came from a bare
-    hypothesis test rather than a strategy.
+    the closed form above and this is validated on construction.
+    epsilon and q are None when the report came from a bare hypothesis
+    test rather than a strategy.
     """
 
     delta: float
@@ -76,8 +75,6 @@ class SampleCountReport:
     epsilon: float | None = None
     q: float | None = None
     p0: float = 1.0
-    n_gap_regime: float | None = None
-    n_certainty_regime: float | None = None
 
     def __post_init__(self):
         check_probability("delta", self.delta)
@@ -120,7 +117,6 @@ def certainty_count_report(
         epsilon=epsilon,
         q=metrics.q,
         p0=1.0,
-        n_certainty_regime=asymptotic_count(gap, delta),
     )
 
 
@@ -176,10 +172,7 @@ def chernoff_stein_count(spec: HypothesisSpec, delta: float) -> SampleCountRepor
     n_exact = ceil(ln(1/delta) / D(p0 || p1)). For p0 == 1 the
     divergence is -log1p(-delta_eps), the exact a -> 1 limit, and the
     count is exact_count's certainty count; a perfect test (p1 = 0)
-    has infinite divergence, one copy and n_asymptotic 0. Both
-    limiting-regime approximations are reported: the certainty regime
-    (1/gap) ln(1/delta) and the frequency estimation regime
-    2 p0 (1-p0) / gap**2 * ln(1/delta).
+    has infinite divergence, one copy and n_asymptotic 0.
     """
     check_probability("delta", delta)
     gap = spec.p0 - spec.p1
@@ -199,8 +192,6 @@ def chernoff_stein_count(spec: HypothesisSpec, delta: float) -> SampleCountRepor
         n_asymptotic=log_conf / divergence,
         method_label=f"chernoff-stein ({regime})",
         p0=spec.p0,
-        n_gap_regime=2.0 * spec.p0 * (1.0 - spec.p0) / gap**2 * log_conf,
-        n_certainty_regime=log_conf / gap,
     )
 
 

@@ -13,12 +13,11 @@ provided:
   approaching 1. Fewer distinct settings, but the copy count grows
   linearly in n.
 
-Pauli strings are encoded symplectically: bit vectors x, z (qubit 0 is
-the leftmost letter and the most significant bit of a basis index) with
-a sign, the operator being sign times the tensor product of
-i^(x_k z_k) X^(x_k) Z^(z_k) over qubits, so (1,1) is Y exactly. As
-integer masks it is i^phase X^x Z^z: basis index b goes to b ^ x with
-coefficient i^phase (-1)^|b & z|.
+A Pauli string is the operator i^phase X^x Z^z, with x and z integer
+bit masks; qubit 0 is the leftmost letter and the most significant bit
+of a mask and of a basis index. Basis index b goes to b ^ x with
+coefficient i^phase (-1)^|b & z|. XZ = -iY, so a Y letter adds 1 to the
+phase, and a label's sign is -1 exactly when phase is |x & z| + 2 mod 4.
 
 Syndromes. Tests built from group elements are diagonal in the joint
 eigenbasis. Element index m holds generator j at bit j (least significant
@@ -33,7 +32,6 @@ from __future__ import annotations
 
 import itertools
 import math
-import operator
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -81,100 +79,83 @@ def _act(x, z, coeff, index):
 
 @dataclass(frozen=True)
 class PauliString:
-    """A signed n qubit Pauli operator in symplectic encoding."""
+    """The n qubit operator i^phase X^x Z^z, x and z integer bit masks.
 
-    x: tuple[int, ...]
-    z: tuple[int, ...]
-    sign: int = 1
+    Qubit 0 is the leftmost letter and the most significant mask bit. The
+    operator is Hermitian, so phase has the parity of |x & z|.
+    """
+
+    num_qubits: int
+    x: int
+    z: int
+    phase: int = 0
 
     def __post_init__(self):
-        if len(self.x) != len(self.z):
-            raise ValidationError("x and z bit vectors differ in length")
-        if not self.x:
-            raise ValidationError("empty Pauli string")
-        if len(self.x) > MAX_QUBITS:
-            raise BadDimError(f"more than {MAX_QUBITS} qubits")
-        if not set(self.x + self.z) <= {0, 1}:
-            raise ValidationError("x and z must hold 0/1 bits")
-        if self.sign not in (1, -1):
-            raise ValidationError(f"sign must be +1 or -1, got {self.sign!r}")
+        n, x, z, phase = self.num_qubits, self.x, self.z, self.phase
+        if not all(isinstance(v, int) for v in (n, x, z, phase)):
+            raise ValidationError("Pauli string fields must be ints")
+        if not 1 <= n <= MAX_QUBITS:
+            raise BadDimError(f"num_qubits must be in [1, {MAX_QUBITS}]")
+        if min(x, z) < 0 or (x | z) >> n:
+            raise ValidationError(f"x and z masks must lie in [0, 2^{n})")
+        if phase not in (0, 1, 2, 3):
+            raise ValidationError(f"phase must be 0, 1, 2 or 3, got {phase!r}")
+        if (phase - (x & z).bit_count()) % 2:
+            raise InconsistentSignsError(
+                f"i^{phase} X^{x:0{n}b} Z^{z:0{n}b} is anti-Hermitian"
+            )
 
     @classmethod
     def from_label(cls, label: str) -> "PauliString":
         """Parse labels like 'XXI', '-YZ', '+ZZ'."""
-        sign = 1
-        body = label
-        if body.startswith(("+", "-")):
-            sign = -1 if body[0] == "-" else 1
-            body = body[1:]
+        body = label[1:] if label.startswith(("+", "-")) else label
         if not body:
             raise ValidationError(f"no Pauli letters in {label!r}")
-        try:
-            bits = [_LETTER_TO_BITS[ch] for ch in body]
-        except KeyError as exc:
-            raise ValidationError(f"bad Pauli letter in {label!r}: {exc}") from exc
-        return cls(
-            x=tuple(b[0] for b in bits), z=tuple(b[1] for b in bits), sign=sign
-        )
-
-    @cached_property
-    def _masks(self) -> tuple[int, int, int]:
-        """(x, z, phase): the operator is i^phase X^x Z^z, qubit 0 the top bit."""
-        x = int("".join(str(int(b)) for b in self.x), 2)
-        z = int("".join(str(int(b)) for b in self.z), 2)
-        return x, z, ((x & z).bit_count() + (1 - self.sign)) % 4
+        x = z = 0
+        for ch in body:
+            if ch not in _LETTER_TO_BITS:
+                raise ValidationError(f"bad Pauli letter in {label!r}: {ch!r}")
+            xb, zb = _LETTER_TO_BITS[ch]
+            x, z = x << 1 | xb, z << 1 | zb
+        negative = label.startswith("-")
+        return cls(len(body), x, z, ((x & z).bit_count() + 2 * negative) % 4)
 
     @property
-    def num_qubits(self) -> int:
-        return len(self.x)
+    def sign(self) -> int:
+        return 1 if self.phase == (self.x & self.z).bit_count() % 4 else -1
 
     @property
     def label(self) -> str:
-        letters = "".join(_BITS_TO_LETTER[xz] for xz in zip(self.x, self.z))
+        bits = ((self.x >> k & 1, self.z >> k & 1) for k in range(self.num_qubits))
+        letters = "".join(_BITS_TO_LETTER[xz] for xz in bits)[::-1]
         return ("-" if self.sign < 0 else "") + letters
 
     @property
     def is_identity_letters(self) -> bool:
-        return not any(self.x) and not any(self.z)
+        return self.x == self.z == 0
 
     def weight(self) -> int:
         """Number of non-identity letters."""
-        x, z, _ = self._masks
-        return (x | z).bit_count()
+        return (self.x | self.z).bit_count()
 
     def commutes(self, other: "PauliString") -> bool:
         if other.num_qubits != self.num_qubits:
             raise BadDimError("qubit counts differ")
-        xa, za, _ = self._masks
-        xb, zb, _ = other._masks
-        return ((xa & zb) ^ (za & xb)).bit_count() % 2 == 0
+        return ((self.x & other.z) ^ (self.z & other.x)).bit_count() % 2 == 0
 
     def __mul__(self, other: "PauliString") -> "PauliString":
-        """Operator product; the result must again be Hermitian."""
+        """Operator product; the constructor rejects an anti-Hermitian one."""
         if other.num_qubits != self.num_qubits:
             raise BadDimError("qubit counts differ")
-        xa, za, pa = self._masks
-        xb, zb, pb = other._masks
-        x, z = xa ^ xb, za ^ zb
         # Z^za X^xb = (-1)^|za & xb| X^xb Z^za
-        phase = (pa + pb + 2 * (za & xb).bit_count()) % 4
-        sign_phase = (phase - (x & z).bit_count()) % 4
-        if sign_phase % 2:
-            raise InconsistentSignsError(
-                f"product of {self.label} and {other.label} is anti-Hermitian"
-            )
-        out = PauliString(
-            x=tuple(map(operator.xor, self.x, other.x)),
-            z=tuple(map(operator.xor, self.z, other.z)),
-            sign=1 if sign_phase == 0 else -1,
+        phase = self.phase + other.phase + 2 * (self.z & other.x).bit_count()
+        return PauliString(
+            self.num_qubits, self.x ^ other.x, self.z ^ other.z, phase % 4
         )
-        out.__dict__["_masks"] = (x, z, phase)  # cached: no re-derivation
-        return out
 
     def apply_to_index(self, index: int) -> tuple[int, complex]:
         """Image of a computational basis state: M|index> = coeff |new_index>."""
-        x, z, phase = self._masks
-        new_index, coeff = _act(x, z, _PHASES[phase], index)
+        new_index, coeff = _act(self.x, self.z, _PHASES[self.phase], index)
         return int(new_index), complex(coeff)
 
     def matrix(self) -> np.ndarray:
@@ -184,9 +165,8 @@ class PauliString:
             raise BadDimError(
                 f"dense Pauli matrix limited to {MAX_DENSE_QUBITS + 2} qubits"
             )
-        x, z, phase = self._masks
         cols = np.arange(2**n)
-        rows, coeffs = _act(x, z, _PHASES[phase], cols)
+        rows, coeffs = _act(self.x, self.z, _PHASES[self.phase], cols)
         out = np.zeros((2**n, 2**n), dtype=complex)
         out[rows, cols] = coeffs
         return out
@@ -239,7 +219,7 @@ class StabilizerGroup:
                 raise NonCommutingError(f"{a.label} and {b.label} anticommute")
         # Independent (x, z) rows also keep -identity out of the group: a
         # nonempty product with identity letters would XOR rows to zero.
-        rows = [(g._masks[0] << n) | g._masks[1] for g in self.generators]
+        rows = [(g.x << n) | g.z for g in self.generators]
         if _gf2_rank(rows) != len(rows):
             raise DependentGeneratorsError(
                 "generators are dependent as a GF(2) system"
@@ -265,8 +245,7 @@ class StabilizerGroup:
         Element 0 is the identity with sign +1.
         """
         n = self.num_qubits
-        identity = PauliString(x=(0,) * n, z=(0,) * n, sign=1)
-        out = [identity]
+        out = [PauliString(n, 0, 0)]
         for j, g in enumerate(self.generators):
             out.extend([prev * g for prev in out[: 1 << j]])
         return tuple(out)
@@ -277,7 +256,7 @@ class StabilizerGroup:
         Projects basis vectors with (1/2^k) sum_m (-1)^|m & s| g_m; the
         first nonzero projection (an exact dyadic sum) is used, phase fixed.
         """
-        xs, zs, phases = np.array([e._masks for e in self.elements]).T
+        xs, zs, phases = np.array([(e.x, e.z, e.phase) for e in self.elements]).T
         signs = 1 - 2 * _parity(np.arange(len(xs)) & syndrome)
         weighted = signs * _PHASES[phases] / len(xs)
         dim = 2**self.num_qubits

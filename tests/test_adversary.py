@@ -324,6 +324,22 @@ def test_landscape_rows_are_python_tuples_in_column_order():
         assert type(value) is float
 
 
+@pytest.mark.parametrize(
+    "theta,alphas,phis,error",
+    [
+        (math.nan, None, None, ThetaOutOfDomainError),
+        (0.5, np.array([]), None, ValidationError),
+        (0.5, None, np.array([]), ValidationError),
+        (0.5, np.linspace(0.0, 1.0, 4).reshape(2, 2), None, ValidationError),
+        (0.5, None, np.array([[0.3, 1.1]]), ValidationError),
+        (0.5, np.array(0.5), None, ValidationError),
+    ],
+)
+def test_landscape_rejects_bad_input(theta, alphas, phis, error):
+    with pytest.raises(error):
+        landscape(theta, alphas=alphas, phis=phis)
+
+
 @pytest.mark.parametrize("theta", CERT_THETAS)
 def test_certification_quick(theta):
     # coarse pass only: soundness plus a loose location check; the

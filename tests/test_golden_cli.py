@@ -12,6 +12,7 @@ import hashlib
 
 import pytest
 
+import qverify.cli as cli
 from qverify.cli import main
 
 CASES = {
@@ -134,3 +135,25 @@ def test_corpus_covers_every_subcommand():
     assert {argv[0] for argv in CASES.values()} == {
         "strategy", "samplecount", "figure", "simulate", "landscape", "stabilizer",
     }
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_rendered_values_are_plain_python_scalars(name, tmp_path, monkeypatch, capsys):
+    # type, not isinstance: np.float64 is a float subclass, and CSV cells
+    # would print it as np.float64(...)
+    docs = []
+    render = cli._render
+
+    def spy(cfg, doc):
+        docs.append(doc)
+        return render(cfg, doc)
+
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(cli, "_render", spy)
+    assert main(CASES[name]) == 0
+    (doc,) = docs
+    values = [v for _, v in doc.get("record", ())]
+    values += [v for row in doc.get("rows", ()) for v in row]
+    assert values
+    bad = {type(v) for v in values} - {str, bool, int, float, type(None)}
+    assert not bad, (name, bad)

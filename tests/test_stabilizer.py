@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 
@@ -13,7 +14,14 @@ from qverify.errors import (
     NonCommutingError,
     ValidationError,
 )
-from qverify.qcore import PAULI_MATRICES, TOL_DERIVED, Ket, _fix_phase, basis_ket
+from qverify.qcore import (
+    MAX_QUBITS,
+    PAULI_MATRICES,
+    TOL_DERIVED,
+    Ket,
+    _fix_phase,
+    basis_ket,
+)
 from qverify.stabilizer import (
     ParityCheck,
     PauliString,
@@ -530,3 +538,72 @@ def test_closed_form_q_is_worst_syndrome_acceptance():
             k = preset_group(f"{family}{n}").num_generators
             assert full == pytest.approx(full_strategy_q(k), abs=1e-15)
             assert gens == pytest.approx(generator_strategy_q(k), abs=1e-15)
+
+
+@pytest.mark.parametrize(
+    "fields,error",
+    [
+        ((0, 0, 0, 0), BadDimError),
+        ((MAX_QUBITS + 1, 0, 0, 0), BadDimError),
+        ((2, -1, 0, 0), ValidationError),
+        ((2, 0, -2, 0), ValidationError),
+        ((2, 0b100, 0, 0), ValidationError),
+        ((2, 0, 0b110, 0), ValidationError),
+        ((2, 0, 0, 4), ValidationError),
+        ((2, 0, 0, -2), ValidationError),
+        ((2, 1.0, 0, 0), ValidationError),
+        ((2, np.int64(1), 0, 0), ValidationError),
+        # XZ = -iY needs an odd phase; the identity an even one
+        ((1, 1, 1, 0), InconsistentSignsError),
+        ((1, 1, 1, 2), InconsistentSignsError),
+        ((3, 0, 0, 1), InconsistentSignsError),
+        ((3, 0b011, 0b110, 2), InconsistentSignsError),
+    ],
+)
+def test_pauli_string_constructor_rejects(fields, error):
+    with pytest.raises(error):
+        PauliString(*fields)
+
+
+def test_pauli_string_holds_four_ints():
+    p = PauliString.from_label("-XYZ")
+    assert dataclasses.astuple(p) == (3, 0b110, 0b011, 3)
+    assert {type(v) for v in dataclasses.astuple(p)} == {int}
+    assert (p.sign, p.label) == (-1, "-XYZ")
+    assert PauliString(1, 1, 1, 1).label == "Y"
+    assert PauliString(2, 0, 0, 2).label == "-II"
+    assert PauliString(2, 0b10, 0b01).label == "XZ"
+
+
+def _signed_labels(max_qubits):
+    for n in range(1, max_qubits + 1):
+        for letters in itertools.product("IXYZ", repeat=n):
+            for sign in ("", "-"):
+                yield sign + "".join(letters)
+
+
+def test_every_signed_label_round_trips_and_matches_kronecker():
+    for label in _signed_labels(3):
+        p = PauliString.from_label(label)
+        assert p.label == label
+        if not label.startswith("-"):
+            assert PauliString.from_label("+" + label) == p
+        # bitwise once signed zeros are normalized: kron writes -0.0
+        # off the diagonal of a negative string
+        assert (p.matrix() + 0.0).tobytes() == (_dense_pauli(p) + 0.0).tobytes()
+
+
+@pytest.mark.parametrize("preset", ORACLE_PRESETS)
+def test_elements_match_dense_generator_products(preset):
+    for flipped in _sign_flips(preset_group(preset).num_generators):
+        group = _flipped_group(preset, flipped)
+        dense = [_dense_pauli(g) for g in group.generators]
+        eye = np.eye(2**group.num_qubits, dtype=complex)
+        for m, element in enumerate(group.elements):
+            expected = eye
+            for j, mat in enumerate(dense):
+                if (m >> j) & 1:
+                    expected = expected @ mat
+            # _dense_pauli reads only the label, matrix() only the masks
+            assert np.array_equal(_dense_pauli(element), expected), (preset, m)
+            assert np.array_equal(element.matrix(), expected), (preset, m)
