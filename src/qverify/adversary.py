@@ -9,10 +9,13 @@ two qubit targets sin(theta)|00> + cos(theta)|11>:
   parity check (weight alpha) with complements of product states
   orthogonal to the target whose first factor has polar angle phi.
   The two relevant orthogonal acceptance eigenvalues lambda1, lambda2
-  are closed forms in alpha, P = tan(phi)^2, T = tan(theta)^2, and
-  minimizing max(lambda1, lambda2) over a dense (alpha, phi) grid with
-  one refinement pass certifies that nothing in the family beats the
-  closed-form optimum q = (2 + sin 2theta)/(4 + sin 2theta).
+  are closed forms in alpha, P = tan(phi)^2, T = tan(theta)^2.
+  Minimizing max(lambda1, lambda2) over an (alpha, phi) grid, with one
+  refinement pass, certifies that nothing in the family beats the
+  closed-form optimum q = (2 + sin 2theta)/(4 + sin 2theta). At fixed
+  phi the computed lambda1 weakly rises and lambda2 weakly falls in
+  alpha, so each phi column's minimum sits at their crossing, found by
+  binary search instead of evaluating every grid cell.
 
 * A direct game value. For a fixed strategy operator, the most
   favorable state at infidelity at least epsilon is found exactly by
@@ -364,7 +367,8 @@ def landscape(
     entries are (phi, equalizing alpha, worst case there) for every
     sampled phi at which the equalizing weight is admissible. Any
     finite theta is accepted; a non-finite one raises
-    ThetaOutOfDomainError.
+    ThetaOutOfDomainError. Grid entries outside alpha in [0, 1] or phi
+    in (0, pi/2), nan included, raise ValidationError.
     """
     if not math.isfinite(theta):
         raise ThetaOutOfDomainError(f"theta={theta!r} is not a finite angle")
@@ -377,6 +381,10 @@ def landscape(
     for name, grid in (("alphas", alphas), ("phis", phis)):
         if grid.ndim != 1 or grid.size == 0:
             raise ValidationError(f"{name} must be a nonempty 1-D array")
+    if not np.all((alphas >= 0.0) & (alphas <= 1.0)):  # also rejects nan
+        raise ValidationError("alphas must lie in [0, 1]")
+    if not np.all((phis > 0.0) & (phis < math.pi / 2)):
+        raise ValidationError("phis must lie in the open interval (0, pi/2)")
     big_t = math.tan(theta) ** 2
     big_p = np.tan(phis) ** 2
     l1 = lambda1(alphas[:, None], big_p, big_t)
@@ -477,24 +485,46 @@ def _alpha_minimized(big_p: float, big_t: float) -> tuple[float, float]:
     return a_star, float(ridge_q(big_p, big_t))
 
 
-# alpha rows per family_qmax block, bounding the temporaries of a sweep
-_GRID_CHUNK = 512
+def _first_true(pred, hi: np.ndarray) -> np.ndarray:
+    """Per column, the least row k in [0, hi] with pred(k), else hi.
+
+    pred maps one row index per column to one bool per column and must
+    be monotone (false, then true) down each column.
+    """
+    lo = np.zeros_like(hi)
+    while np.any(active := lo < hi):
+        mid = (lo + hi) // 2
+        hit = pred(mid)
+        hi = np.where(active & hit, mid, hi)
+        lo = np.where(active & ~hit, mid + 1, lo)
+    return lo
 
 
 def _grid_min(theta: float, alphas: np.ndarray, phis: np.ndarray):
+    """Least family_qmax on the grid and its first cell in alpha-major order.
+
+    alphas must ascend. A column's least value is lambda1 at the first
+    row k with lambda1 >= lambda2, or lambda2 on the plateau ending at
+    row k - 1, whose first row is found by a second search.
+    """
     big_t = math.tan(theta) ** 2
     big_p = np.tan(phis) ** 2
-    best_val = math.inf
-    best_i = best_j = 0
-    for lo in range(0, len(alphas), _GRID_CHUNK):
-        block = alphas[lo : lo + _GRID_CHUNK]
-        qm = family_qmax(block[:, None], big_p[None, :], big_t)
-        flat = int(np.argmin(qm))
-        i, j = np.unravel_index(flat, qm.shape)
-        if qm[i, j] < best_val:
-            best_val = float(qm[i, j])
-            best_i, best_j = lo + int(i), int(j)
-    return best_val, best_i, best_j
+    rows = len(alphas)
+
+    def at(k):
+        alpha = alphas[np.minimum(k, rows - 1)]
+        return lambda1(alpha, big_p, big_t), lambda2(alpha, big_p, big_t)
+
+    k = _first_true(lambda r: np.greater_equal(*at(r)), np.full(len(phis), rows))
+    right = np.where(k < rows, at(k)[0], np.inf)
+    left_end = np.maximum(k - 1, 0)
+    left = np.where(k > 0, at(left_end)[1], np.inf)
+    left_start = _first_true(lambda r: at(r)[1] <= left, left_end)
+    col_min = np.minimum(left, right)
+    col_row = np.where(left <= right, left_start, k)
+    # stable: among equal (value, row) pairs the first column comes first
+    j = np.lexsort((col_row, col_min))[0]
+    return float(col_min[j]), int(col_row[j]), int(j)
 
 
 def certify_optimality(
@@ -508,9 +538,14 @@ def certify_optimality(
     """Sweep the symmetrized family and compare with the closed form.
 
     Coarse resolution x resolution grid over alpha in [0, 1] and phi in
-    the open interval (0, pi/2), then one dense refinement pass around
-    the coarse argmin, then a local polish. The landscape valley is
-    much flatter along phi than along alpha (the equalizing ridge), so
+    the open interval (0, pi/2), then one refinement grid around the
+    coarse argmin, then a local polish. Neither grid is swept cell by
+    cell: down a phi column the computed lambda1 weakly rises and
+    lambda2 weakly falls (each is a chain of correctly rounded
+    operations monotone in 1 - alpha), so a binary search for their
+    crossing finds the column minimum in O(log R) evaluations, with the
+    first-cell tie rule of a full sweep. The landscape valley is much
+    flatter along phi than along alpha (the equalizing ridge), so
     the refinement window spans three coarse cells in alpha but ten in
     phi: the coarse argmin can wander several cells along the valley
     floor without leaving it. The polish is a golden-section search in
@@ -521,6 +556,8 @@ def certify_optimality(
     check_theta(theta)
     if resolution < 8:
         raise ValidationError("resolution must be at least 8")
+    if refine_resolution < 1:
+        raise ValidationError("refine_resolution must be at least 1")
     big_t = math.tan(theta) ** 2
     alphas = np.linspace(0.0, 1.0, resolution)
     phis = np.linspace(0.0, math.pi / 2, resolution + 2)[1:-1]

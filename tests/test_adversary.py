@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -10,6 +11,7 @@ from qverify.errors import (
     ThetaOutOfDomainError,
     ValidationError,
 )
+from qverify import adversary
 from qverify.adversary import (
     HULL_COLUMNS,
     LANDSCAPE_COLUMNS,
@@ -333,6 +335,16 @@ def test_landscape_rows_are_python_tuples_in_column_order():
         (0.5, np.linspace(0.0, 1.0, 4).reshape(2, 2), None, ValidationError),
         (0.5, None, np.array([[0.3, 1.1]]), ValidationError),
         (0.5, np.array(0.5), None, ValidationError),
+        (0.5, np.array([np.nan, 0.5]), np.array([0.4, 0.9]), ValidationError),
+        (0.5, np.array([2.0, -1.0]), None, ValidationError),
+        (0.5, np.array([0.5, 1.0 + 1e-12]), None, ValidationError),
+        (0.5, np.array([-0.0, -1e-300]), None, ValidationError),
+        (0.5, np.array([0.5, np.inf]), None, ValidationError),
+        (0.5, None, np.array([0.4, np.nan]), ValidationError),
+        (0.5, None, np.array([0.0, 0.4]), ValidationError),
+        (0.5, None, np.array([0.4, math.pi / 2]), ValidationError),
+        (0.5, None, np.array([-0.4, 0.4]), ValidationError),
+        (0.5, None, np.array([0.4, -np.inf]), ValidationError),
     ],
 )
 def test_landscape_rejects_bad_input(theta, alphas, phis, error):
@@ -363,6 +375,120 @@ def test_certificate_reports_ppt_floor():
     )
     assert abs(cert.ppt_bound - ppt_lower_bound(math.pi / 8)) < 1e-15
     assert cert.resolution == 80
+
+
+@pytest.mark.parametrize("refine_resolution", [0, -3])
+def test_certification_rejects_empty_refinement(refine_resolution):
+    with pytest.raises(ValidationError):
+        certify_optimality(math.pi / 8, resolution=8,
+                           refine_resolution=refine_resolution)
+
+
+# Full-sweep oracle for the certification's per-column crossing search:
+# every cell evaluated, a first-minimum argmin over alpha-row blocks.
+_SWEEP_CHUNK = 512
+
+
+def grid_min_full_sweep(theta, alphas, phis):
+    big_t = math.tan(theta) ** 2
+    big_p = np.tan(phis) ** 2
+    best_val = math.inf
+    best_i = best_j = 0
+    for lo in range(0, len(alphas), _SWEEP_CHUNK):
+        block = alphas[lo : lo + _SWEEP_CHUNK]
+        qm = family_qmax(block[:, None], big_p[None, :], big_t)
+        i, j = np.unravel_index(int(np.argmin(qm)), qm.shape)
+        if qm[i, j] < best_val:
+            best_val = float(qm[i, j])
+            best_i, best_j = lo + int(i), int(j)
+    return best_val, best_i, best_j
+
+
+def assert_grid_min_matches_sweep(theta, alphas, phis):
+    found = adversary._grid_min(theta, alphas, phis)
+    swept = grid_min_full_sweep(theta, alphas, phis)
+    # the value's bits, not only its equality
+    assert (found[0].hex(), *found[1:]) == (swept[0].hex(), *swept[1:])
+
+
+@pytest.mark.parametrize("theta", CERT_THETAS)
+def test_certificate_matches_full_sweep_bitwise(theta, monkeypatch):
+    found = certify_optimality(theta)
+    monkeypatch.setattr(adversary, "_grid_min", grid_min_full_sweep)
+    swept = certify_optimality(theta)
+    assert found.passed
+    # repr of a Python float round-trips every bit, -0.0 included
+    assert repr(dataclasses.astuple(found)) == repr(dataclasses.astuple(swept))
+
+
+@given(
+    theta=st.floats(min_value=0.01, max_value=math.pi / 2 - 0.01),
+    resolution=st.integers(min_value=8, max_value=40),
+    refine_resolution=st.integers(min_value=1, max_value=40),
+    alpha_window=st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1.0)).map(sorted),
+    phi_window=st.tuples(
+        st.floats(1e-3, math.pi / 2 - 1e-3), st.floats(1e-3, math.pi / 2 - 1e-3)
+    ).map(sorted),
+)
+@settings(max_examples=100, deadline=None)
+def test_grid_min_matches_full_sweep(
+    theta, resolution, refine_resolution, alpha_window, phi_window
+):
+    # the coarse grid of certify_optimality, then a refinement window
+    alphas = np.linspace(0.0, 1.0, resolution)
+    phis = np.linspace(0.0, math.pi / 2, resolution + 2)[1:-1]
+    assert_grid_min_matches_sweep(theta, alphas, phis)
+    fine_alphas = np.linspace(*alpha_window, refine_resolution)
+    fine_phis = np.linspace(*phi_window, refine_resolution)
+    assert_grid_min_matches_sweep(theta, fine_alphas, fine_phis)
+
+
+@pytest.mark.parametrize(
+    "theta,lambda2_side", [(0.3, False), (0.6, True), (1.2, True)]
+)
+def test_grid_min_ties_resolve_to_first_cell(theta, lambda2_side):
+    # every alpha row twice and every phi column twice: the minimum is
+    # attained at least four times, and only the first cell in
+    # alpha-major order may be reported, on either side of the crossing
+    alphas = np.repeat(np.linspace(0.0, 1.0, 13), 2)
+    phis = np.tile(np.linspace(0.2, 1.4, 7), 2)
+    value, i, j = adversary._grid_min(theta, alphas, phis)
+    assert (value, i, j) == grid_min_full_sweep(theta, alphas, phis)
+    assert i % 2 == 0 and j < 7
+    big_p, big_t = np.tan(phis) ** 2, math.tan(theta) ** 2
+    qm = family_qmax(alphas[:, None], big_p[None, :], big_t)
+    assert np.count_nonzero(qm == value) >= 4
+    side = lambda2(alphas[i], big_p[j], big_t) > lambda1(alphas[i], big_p[j], big_t)
+    assert side == lambda2_side
+
+
+def test_grid_min_tie_across_the_crossing_takes_the_left_row():
+    # lambda2 at the first alpha equals lambda1 at the second, bit for
+    # bit, and the two alphas straddle the crossing: both cells attain
+    # the column minimum from opposite sides
+    theta, alphas, phis = 0.5, np.array([0.22, 0.2605552917958495]), np.array([0.6])
+    big_p, big_t = np.tan(phis) ** 2, math.tan(theta) ** 2
+    l1, l2 = lambda1(alphas, big_p, big_t), lambda2(alphas, big_p, big_t)
+    assert l1[0] < l2[0] == l1[1] and l2[1] <= l1[1]
+    assert adversary._grid_min(theta, alphas, phis) == (float(l2[0]), 0, 0)
+    assert grid_min_full_sweep(theta, alphas, phis) == (float(l2[0]), 0, 0)
+
+
+@given(
+    theta=st.floats(min_value=1e-3, max_value=math.pi / 2 - 1e-3),
+    phi=st.floats(min_value=1e-6, max_value=math.pi / 2 - 1e-6),
+    alphas=st.lists(st.floats(min_value=0.0, max_value=1.0), min_size=2,
+                    max_size=40).map(sorted),
+)
+@settings(max_examples=200, deadline=None)
+def test_computed_lambdas_are_monotone_in_alpha(theta, phi, alphas):
+    # the crossing search is exact only because rounding keeps these
+    # orders: lambda1 = 1 - c (1 - alpha), lambda2 = (1 - alpha) d, c, d >= 0
+    alphas = np.array(alphas)
+    big_p = np.tan(np.array([phi])) ** 2
+    big_t = math.tan(theta) ** 2
+    assert np.all(np.diff(lambda1(alphas, big_p, big_t)) >= 0.0)
+    assert np.all(np.diff(lambda2(alphas, big_p, big_t)) <= 0.0)
 
 
 def test_game_value_bell_frozen():
