@@ -90,16 +90,13 @@ from .stabilizer import (
     all_zeros_group,
     cluster_group,
     full_strategy,
-    full_strategy_q,
     generator_strategy,
-    generator_strategy_q,
     ghz_group,
     ghz_state,
     group_from_json,
     group_to_json,
     preset_group,
     stabilizer_metrics,
-    stabilizer_sample_count,
     subset_strategy,
 )
 from .adversary import (

@@ -3,8 +3,8 @@
 Subcommands cover strategy construction and inspection, copy count
 tables, figure data generation, protocol simulation, landscape
 certification, and stabilizer tooling. Outputs carry a metadata header
-(tool version, command line, seed, tolerance profile) and are byte
-stable: the same invocation always produces identical bytes.
+(tool version, output version, command line, seed, tolerance profile)
+and are byte stable: the same invocation always produces identical bytes.
 
 Every option is declared once, in `_parsers`, with its type, choices
 and default. A `--config` file is read by turning its entries into
@@ -27,6 +27,8 @@ from . import __version__, adversary, protocol, samplecount, stabilizer, strateg
 from .errors import QVerifyError, ValidationError
 
 PROG = "qverify"
+
+OUTPUT_VERSION = 2  # moves with every intended change to any output's bytes
 
 # Strategy builder flags and their help. Each flag stores its name in
 # `kind`, and a config file names one the same way ("kind": "bell").
@@ -328,6 +330,7 @@ def _config_values(command: str, path: str) -> dict:
 def _metadata(cfg: argparse.Namespace) -> tuple[tuple[str, str], ...]:
     return (
         ("tool", f"{PROG} {__version__}"),
+        ("output-version", str(OUTPUT_VERSION)),
         ("command", " ".join((PROG, *cfg.argv))),
         ("seed", str(cfg.seed)),
         ("tolerance-profile", cfg.tolerance_profile),
@@ -426,9 +429,18 @@ def _build_strategy(cfg: argparse.Namespace):
     return built
 
 
+def _metrics(cfg: argparse.Namespace, built=None):
+    """(kind label, metrics): stabilizer kinds count syndromes, others are dense."""
+    if cfg.kind in ("stabilizer-full", "stabilizer-generators"):
+        scheme = cfg.kind.removeprefix("stabilizer-")
+        return cfg.kind, stabilizer.stabilizer_metrics(_build_group(cfg), scheme)
+    built = _build_strategy(cfg) if built is None else built
+    return built.kind.value, strategy.metrics(built)
+
+
 def cmd_strategy(cfg: argparse.Namespace) -> dict:
     built = _build_strategy(cfg)
-    m = strategy.metrics(built)
+    _, m = _metrics(cfg, built)
     record = [
         ("kind", built.kind.value),
         ("settings", len(built.settings)),
@@ -453,13 +465,8 @@ def cmd_strategy(cfg: argparse.Namespace) -> dict:
 
 def cmd_samplecount(cfg: argparse.Namespace) -> dict:
     epsilon, delta = cfg.epsilon, cfg.delta
-    if cfg.kind in ("stabilizer-full", "stabilizer-generators"):
-        group = _build_group(cfg)
-        scheme = "full" if cfg.kind == "stabilizer-full" else "generators"
-        report = stabilizer.stabilizer_sample_count(group, scheme, epsilon, delta)
-    else:
-        built = _build_strategy(cfg)
-        report = strategy.exact_sample_count(built, epsilon, delta)
+    kind, m = _metrics(cfg)
+    report = samplecount.certainty_count_report(m, epsilon, delta, f"{kind} strategy")
     stein = samplecount.chernoff_stein_count(
         samplecount.HypothesisSpec.from_gap(1.0, report.delta_eps), delta
     )
@@ -580,7 +587,7 @@ def cmd_stabilizer(cfg: argparse.Namespace) -> dict:
             ("indices", " ".join(str(i) for i in report.indices)),
             ("degenerate", report.degenerate),
             ("stabilized_dimension", report.stabilized_dimension),
-            ("q", strategy.metrics(report.strategy).q),
+            ("q", report.metrics.q),
         ]
         extra: dict = {}
         if report.degenerate:
@@ -609,11 +616,9 @@ def cmd_stabilizer(cfg: argparse.Namespace) -> dict:
         ("generators", " ".join(g.label for g in group.generators)),
     ]
     if group.is_maximal:
-        record += [
-            ("q_full", stabilizer.full_strategy_q(n)),
-            ("q_generators", stabilizer.generator_strategy_q(n)),
-            ("trace", 2 ** (n - 1)),
-        ]
+        schemes = ("full", "generators")
+        full, gens = (stabilizer.stabilizer_metrics(group, s) for s in schemes)
+        record += [("q_full", full.q), ("q_generators", gens.q), ("trace", full.trace)]
     return {"record": record}
 
 

@@ -252,6 +252,7 @@ def _first_failures(
     state = bitgen.state
     key, counter = state["state"]["key"], state["state"]["counter"]
     live = np.arange(trials.size)
+    buffer = np.empty(2 * min(_CHUNK, trials.size * min(n, _CHUNK)))  # largest batch
     start, width = 0, 16
     while start < n and live.size:
         width = min(width, _CHUNK, n - start)
@@ -259,7 +260,7 @@ def _first_failures(
         rows_per_batch = max(1, _CHUNK // width)
         for lo in range(0, live.size, rows_per_batch):
             rows = live[lo : lo + rows_per_batch]
-            u = np.empty((rows.size, 2 * width))
+            u = buffer[: rows.size * 2 * width].reshape(rows.size, 2 * width)
             for row, t in zip(u, trials[rows]):
                 key[1] = t
                 bitgen.state = state

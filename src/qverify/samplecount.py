@@ -212,7 +212,6 @@ class Fig2Row(NamedTuple):
     n_local: int
     n_global: int
     n_tomo_ref: float
-    n_fid_ref: float
 
 
 FIG1_COLUMNS = Fig1Row._fields
@@ -298,8 +297,8 @@ def figure2_data(
     n_local uses the per-theta dispatch of figure1_data; n_global is the
     count for the best strategy with no locality restriction, whose pass
     operator is the target projector itself (delta_eps = epsilon). The
-    two reference columns, n_tomo_ref and n_fid_ref, are both the
-    illustrative curve 1/eps**2, not measured costs.
+    reference column n_tomo_ref is the illustrative curve 1/eps**2, not
+    a measured cost.
     """
     if epsilons is None:
         epsilons = np.logspace(-4, -1, 61)
@@ -316,7 +315,6 @@ def figure2_data(
                 n_local=local.n_exact,
                 n_global=exact_count(eps, delta),
                 n_tomo_ref=1.0 / eps**2,
-                n_fid_ref=1.0 / eps**2,
             )
         )
     return rows

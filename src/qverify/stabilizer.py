@@ -9,7 +9,7 @@ provided:
 * full_strategy: all 2^n - 1 non-identity elements, equal weights.
   Worst-case orthogonal acceptance q = (2^(n-1) - 1)/(2^n - 1), which
   approaches 1/2 from below as n grows.
-* generator_strategy: only the n generators, equal weights. q = 1 - 1/n,
+* generator_strategy: only the n generators, equal weights. q = (n-1)/n,
   approaching 1. Fewer distinct settings, but the copy count grows
   linearly in n.
 
@@ -23,9 +23,11 @@ Syndromes. Tests built from group elements are diagonal in the joint
 eigenbasis. Element index m holds generator j at bit j (least significant
 first), as does a syndrome s, whose bit j is set when generator j has
 eigenvalue -1. Element m passes (eigenvalue +1) exactly when |m & s| is
-even; _pass_rows applies that rule to the given elements only, so no
-2^N x 2^N pass table is built. ParityCheck columns hold generator j at
-bit N-1-j (most significant first); _column_syndromes alone converts.
+even. An equal mixture of k chosen elements is sum_s c(s)/k |s><s|, c(s)
+counting the chosen elements that pass s: _pass_counts finds each c(s) by
+one integer Walsh-Hadamard transform, and q, trace and degeneracy are read
+from it. ParityCheck columns hold generator j at bit N-1-j (most
+significant first); _column_syndromes alone converts.
 """
 
 from __future__ import annotations
@@ -46,7 +48,6 @@ from .errors import (
     ValidationError,
 )
 from .qcore import MAX_QUBITS, TOL_DERIVED, HermitianOperator, Ket
-from .samplecount import SampleCountReport, certainty_count_report
 from .strategy import (
     Locality,
     MeasurementSetting,
@@ -196,6 +197,31 @@ def _pass_rows(masks, num_qubits: int) -> np.ndarray:
     """Entry (i, k) is 1 iff element masks[i] has eigenvalue +1 on column k."""
     m = np.asarray(masks)[:, None]
     return (1 - _parity(m & _column_syndromes(num_qubits))).astype(np.int8)
+
+
+def _pass_counts(indices, num_qubits: int) -> np.ndarray:
+    """Entry s counts the chosen element indices m with |m & s| even.
+
+    (H 1_S)(s) = sum_{m in S} (-1)^|m & s|, the Walsh-Hadamard transform of
+    the indicator of the k chosen indices, is passes minus failures at s.
+    """
+    counts = np.zeros(2**num_qubits, dtype=np.int64)
+    counts[np.asarray(indices, dtype=np.int64)] = 1
+    half = 1
+    while half < counts.size:
+        low, high = counts.reshape(-1, 2, half).transpose(1, 0, 2)
+        low += high  # (a, b) -> (a + b, a - b)
+        high *= -2
+        high += low
+        half *= 2
+    return (counts[0] + counts) // 2  # (k + passes - failures) / 2, k = H 1_S(0)
+
+
+def _count_metrics(counts: np.ndarray) -> StrategyMetrics:
+    """q, trace and gap of the equal mixture with these pass counts (counts[0] = k)."""
+    k = int(counts[0])
+    q = int(counts[1:].max()) / k
+    return StrategyMetrics(q, int(counts.sum()) / k, 1.0 - q)
 
 
 @dataclass(frozen=True, eq=False)
@@ -355,16 +381,6 @@ def group_from_json(labels) -> StabilizerGroup:
     )
 
 
-def full_strategy_q(num_qubits: int) -> float:
-    """Worst-case orthogonal acceptance of the all-elements mixture."""
-    return (2 ** (num_qubits - 1) - 1) / (2**num_qubits - 1)
-
-
-def generator_strategy_q(num_generators: int) -> float:
-    """Worst-case orthogonal acceptance of the generators-only mixture."""
-    return 1.0 - 1.0 / num_generators
-
-
 def _pass_setting(elem: PauliString, weight: float) -> MeasurementSetting:
     projector = HermitianOperator(
         (np.eye(2**elem.num_qubits, dtype=complex) + elem.matrix()) / 2.0
@@ -382,64 +398,51 @@ def _require_dense(group: StabilizerGroup, what: str) -> None:
         raise ValidationError(f"{what} needs a maximal group")
     if group.num_qubits > MAX_DENSE_QUBITS:
         raise BadDimError(
-            f"{what} materializes dense projectors; "
-            f"limited to {MAX_DENSE_QUBITS} qubits. "
-            "Use stabilizer_metrics / stabilizer_sample_count instead."
+            f"{what} materializes dense projectors; limited to "
+            f"{MAX_DENSE_QUBITS} qubits. stabilizer_metrics and subset_strategy "
+            f"count syndromes instead, up to {MAX_QUBITS} qubits."
         )
+
+
+_SCHEME_INDICES = {
+    "full": lambda n: np.arange(1, 2**n),
+    "generators": lambda n: 1 << np.arange(n),
+}
+
+
+def _equal_mixture(group, indices, kind: StrategyKind, what: str) -> Strategy:
+    """Dense equal-weight strategy over the pass tests of the indexed elements."""
+    _require_dense(group, what)
+    elements, weight = group.elements, 1.0 / len(indices)
+    settings = tuple(_pass_setting(elements[m], weight) for m in indices)
+    return Strategy(target=group.state(), settings=settings, kind=kind)
 
 
 def full_strategy(group: StabilizerGroup) -> Strategy:
     """Equal mixture of all non-identity element pass tests (dense)."""
-    _require_dense(group, "full_strategy")
-    elems = group.elements[1:]
-    weight = 1.0 / len(elems)
-    settings = tuple(_pass_setting(e, weight) for e in elems)
-    return Strategy(
-        target=group.state(), settings=settings, kind=StrategyKind.STABILIZER_FULL
-    )
+    indices = _SCHEME_INDICES["full"](group.num_generators)
+    return _equal_mixture(group, indices, StrategyKind.STABILIZER_FULL, "full_strategy")
 
 
 def generator_strategy(group: StabilizerGroup) -> Strategy:
     """Equal mixture of the generator pass tests (dense)."""
-    _require_dense(group, "generator_strategy")
-    weight = 1.0 / group.num_generators
-    settings = tuple(_pass_setting(g, weight) for g in group.generators)
-    return Strategy(
-        target=group.state(),
-        settings=settings,
-        kind=StrategyKind.STABILIZER_GENERATORS,
-    )
+    indices = _SCHEME_INDICES["generators"](group.num_generators)
+    kind = StrategyKind.STABILIZER_GENERATORS
+    return _equal_mixture(group, indices, kind, "generator_strategy")
 
 
 def stabilizer_metrics(group: StabilizerGroup, scheme: str) -> StrategyMetrics:
-    """Closed-form metrics for either scheme, any qubit count up to the cap.
+    """Exact metrics of the 'full' or 'generators' scheme from syndrome counts.
 
-    Every orthogonal eigenstate of the joint measurement fails at least
-    one group element; counting passed elements per syndrome gives the
-    exact worst case without dense algebra.
+    Works up to MAX_QUBITS; samplecount.certainty_count_report turns them
+    into copy counts.
     """
     if not group.is_maximal:
         raise ValidationError("stabilizer_metrics needs a maximal group")
-    n = group.num_qubits
-    if scheme == "full":
-        q = full_strategy_q(n)
-    elif scheme == "generators":
-        q = generator_strategy_q(n)
-    else:
+    if scheme not in _SCHEME_INDICES:
         raise ValidationError(f"scheme={scheme!r} must be 'full' or 'generators'")
-    return StrategyMetrics(q=q, trace=2 ** (n - 1), second_eigenvalue_gap=1.0 - q)
-
-
-def stabilizer_sample_count(
-    group: StabilizerGroup, scheme: str, epsilon: float, delta: float
-) -> SampleCountReport:
-    """Copy count for a stabilizer scheme from the closed-form gap."""
-    return certainty_count_report(
-        stabilizer_metrics(group, scheme),
-        epsilon,
-        delta,
-        f"stabilizer-{scheme} strategy",
-    )
+    n = group.num_qubits
+    return _count_metrics(_pass_counts(_SCHEME_INDICES[scheme](n), n))
 
 
 @dataclass(frozen=True, eq=False)
@@ -485,8 +488,9 @@ class ParityCheck:
     def dim(self) -> int:
         return 2**self.group.num_qubits
 
-    def eigenvalue(self, generator_index: int, syndrome: int) -> int:
-        return 1 if self.matrix[generator_index, syndrome] else -1
+    def eigenvalue(self, generator_index: int, column: int) -> int:
+        """Eigenvalue of generator generator_index on ParityCheck column column."""
+        return 1 if self.matrix[generator_index, column] else -1
 
     @cached_property
     def matrix(self) -> np.ndarray:
@@ -496,13 +500,6 @@ class ParityCheck:
         table.setflags(write=False)
         return table
 
-    def weighted_pass(self, weights) -> np.ndarray:
-        """Per column acceptance E_k = sum_j mu_j [generator j passes k]."""
-        mu = np.asarray(weights, dtype=float)
-        if mu.shape != (self.group.num_qubits,):
-            raise ValidationError("one weight per generator required")
-        return mu @ self.matrix
-
     @property
     def special_columns(self) -> tuple[int, ...]:
         """Columns failing exactly one generator; there are always N of them.
@@ -511,31 +508,38 @@ class ParityCheck:
         each is accepted with probability 1 - 1/N, which is what makes
         the generator strategy's worst case exactly that value.
         """
-        failures = self.group.num_qubits - self.matrix.sum(axis=0)
-        return tuple(int(k) for k in np.flatnonzero(failures == 1))
+        n = self.group.num_qubits
+        passed = _pass_counts(_SCHEME_INDICES["generators"](n), n)[_column_syndromes(n)]
+        return tuple(int(k) for k in np.flatnonzero(passed == n - 1))
 
 
 @dataclass(frozen=True, eq=False)
 class SubsetReport:
-    """A strategy built from chosen group elements, with degeneracy evidence.
+    """Equal mixture of chosen group elements, with degeneracy evidence.
 
-    When the chosen elements do not generate the whole group, some
-    state orthogonal to the target passes every chosen test with
-    certainty; strategy remains well formed, but no number of copies
-    can reject the fooling state, and degenerate is True. indices are
-    the sorted distinct element indices the strategy was built from.
+    If the chosen elements do not generate the group, an orthogonal state
+    passes every chosen test: degenerate is True, metrics.q is 1, and no
+    number of copies rejects the fooling state. indices are the sorted
+    distinct element indices. Fields are syndrome counts (to MAX_QUBITS);
+    only strategy is dense, built on first read (to MAX_DENSE_QUBITS).
     """
 
+    group: StabilizerGroup
     indices: tuple[int, ...]
-    strategy: Strategy
+    metrics: StrategyMetrics
     degenerate: bool
     stabilized_dimension: int
     fooling_state: Ket | None
     fooling_acceptance: float | None
 
+    @cached_property
+    def strategy(self) -> Strategy:
+        kind, what = StrategyKind.CUSTOM, "SubsetReport.strategy"
+        return _equal_mixture(self.group, self.indices, kind, what)
+
 
 def subset_strategy(group: StabilizerGroup, element_indices) -> SubsetReport:
-    """Equal-weight strategy from a subset of non-identity elements.
+    """Equal-weight mixture of a subset of non-identity elements.
 
     element_indices index into group.elements. The joint eigenvectors
     passing every chosen test span the stabilized space: chosen masks of
@@ -543,33 +547,28 @@ def subset_strategy(group: StabilizerGroup, element_indices) -> SubsetReport:
     below it the report certifies the first passing eigenvector after the
     target as a fooling state.
     """
-    _require_dense(group, "subset_strategy")
+    if not group.is_maximal:
+        raise ValidationError("subset_strategy needs a maximal group")
     n = group.num_qubits
     indices = sorted(set(int(k) for k in element_indices))
     if not indices:
         raise ValidationError("need at least one element index")
     for k in indices:
-        if not 1 <= k < len(group.elements):
-            raise ValidationError(
-                f"element index {k} outside [1, {len(group.elements) - 1}]"
-            )
-    weight = 1.0 / len(indices)
-    settings = tuple(_pass_setting(group.elements[k], weight) for k in indices)
-    strategy = Strategy(
-        target=group.state(), settings=settings, kind=StrategyKind.CUSTOM
-    )
+        if not 1 <= k < 2**n:
+            raise ValidationError(f"element index {k} outside [1, {2**n - 1}]")
+    counts = _pass_counts(indices, n)
     # columns passing every chosen test; column 0 is the target itself
-    passing = np.flatnonzero(_pass_rows(indices, n).all(axis=0))
+    syndromes = _column_syndromes(n)
+    passing = np.flatnonzero(counts[syndromes] == len(indices))
     fooling = acceptance = None
     if passing.size > 1:
-        syndrome = int(_column_syndromes(n)[passing[1]])
+        syndrome = int(syndromes[passing[1]])
         fooling = Ket(group._joint_eigenvector(syndrome))
-        acceptance = float(
-            np.vdot(fooling.amplitudes, strategy.omega @ fooling.amplitudes).real
-        )
+        acceptance = int(counts[syndrome]) / len(indices)
     return SubsetReport(
+        group=group,
         indices=tuple(indices),
-        strategy=strategy,
+        metrics=_count_metrics(counts),
         degenerate=passing.size > 1,
         stabilized_dimension=int(passing.size),
         fooling_state=fooling,

@@ -15,6 +15,7 @@ from qverify.samplecount import (
     figure1_data,
     figure2_data,
 )
+from stabilizer_oracles import full_strategy_q, generator_strategy_q
 
 
 @pytest.mark.parametrize(
@@ -286,6 +287,67 @@ def test_stabilizer_subset(tmp_path):
     assert doc["result"]["fooling_acceptance"] >= 1.0 - 1e-9
 
 
+@pytest.mark.parametrize(
+    "preset,subset,dimension,q",
+    [
+        ("ghz4", "1,2,4", 2, 1.0),
+        ("ghz8", "1,2", 2**6, 1.0),
+        ("ghz8", "1,2,4,8,16,32,64,128", 1, 7 / 8),
+        ("ghz12", "1,2,4", 2**9, 1.0),
+        ("cluster12", "1,2,4", 2**9, 1.0),
+    ],
+)
+def test_stabilizer_subset_counts_syndromes(tmp_path, preset, subset, dimension, q):
+    # every field comes from the pass counts, so no dense cap applies
+    code, text = run_cli(
+        ["stabilizer", "--preset", preset, "--subset", subset, "--format", "json"],
+        tmp_path,
+    )
+    assert code == 0
+    result = json.loads(text)["result"]
+    assert result["stabilized_dimension"] == dimension
+    assert result["degenerate"] is (dimension > 1)
+    assert result["q"] == q
+    if dimension > 1:
+        assert result["fooling_acceptance"] == 1.0
+    else:
+        assert "fooling_acceptance" not in result
+
+
+def _printed_q(args, tmp_path):
+    code, text = run_cli(args, tmp_path)
+    assert code == 0
+    for line in text.splitlines():
+        for prefix in ("# q: ", "q,"):
+            if line.startswith(prefix):
+                return line[len(prefix) :]
+    raise AssertionError(f"no q in {text!r}")
+
+
+@pytest.mark.parametrize(
+    "preset",
+    ["bell"] + [f"ghz{n}" for n in range(2, 7)] + [f"cluster{n}" for n in range(3, 7)],
+)
+def test_stabilizer_q_bits_agree_across_commands(tmp_path, preset):
+    group = ["--preset", preset]
+    code, text = run_cli(["stabilizer", *group], tmp_path)
+    assert code == 0
+    body = [line for line in text.splitlines() if not line.startswith("#")]
+    record = dict(line.split(",", 1) for line in body[1:])
+    n = int(record["num_qubits"])
+    for scheme, exact in (
+        ("full", full_strategy_q(n)),
+        ("generators", generator_strategy_q(n)),
+    ):
+        kind = [f"--stabilizer-{scheme}", *group]
+        printed = {
+            _printed_q(["strategy", *kind], tmp_path),
+            _printed_q(["samplecount", *kind], tmp_path),
+            record[f"q_{scheme}"],
+        }
+        assert printed == {repr(float(exact))}, (scheme, printed)
+
+
 def test_stabilizer_subset_reports_indices_used(tmp_path):
     # repeated and unordered indices build the strategy from {1, 3}
     code, text = run_cli(
@@ -405,7 +467,6 @@ def _bad_input_cases(tmp_path):
             "--n", "5", "--trials", "10",
         ],
         "subset-not-integer": ["stabilizer", "--preset", "ghz3", "--subset", "1,x"],
-        "subset-beyond-dense-cap": ["stabilizer", "--preset", "ghz8", "--subset", "1,2"],
         "figS2-theta-nan": ["figure", "--which", "figS2", "--theta", "nan"],
         "figS2-theta-inf": ["figure", "--which", "figS2", "--theta", "inf"],
         "out-unwritable": ["strategy", "--bell", "--out", no_dir],
@@ -423,7 +484,7 @@ def _bad_input_cases(tmp_path):
         "strategy-file-missing", "strategy-file-bad-json",
         "strategy-file-no-target", "strategy-file-not-object",
         "strategy-file-nan-amplitude", "strategy-file-nan-theta",
-        "subset-not-integer", "subset-beyond-dense-cap",
+        "subset-not-integer",
         "figS2-theta-nan", "figS2-theta-inf",
         "out-unwritable", "transcript-unwritable",
     ],

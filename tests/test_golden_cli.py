@@ -4,11 +4,13 @@ Each case runs `qverify.cli.main` in a temporary working directory and
 hashes stdout plus every file named by --out or --transcript. Output
 paths are relative, so the echoed command line does not depend on
 where the test runs. A digest may change only with an intended change
-to the output format or the random stream, never as a side effect of a
-refactor.
+to the output format, the printed values or the random stream, never as
+a side effect of a refactor; such a change moves cli.OUTPUT_VERSION,
+which every output prints, and records the new digests under it.
 """
 
 import hashlib
+import json
 
 import pytest
 
@@ -57,59 +59,66 @@ CASES = {
     "stabilizer-inspect": ["stabilizer", "--preset", "ghz5"],
 }
 
+# Digests by OUTPUT_VERSION. Version 2 added the output-version header
+# line, printed exact syndrome-count stabilizer values (subset q and
+# fooling acceptance 1.0, inspect trace 16.0) and dropped fig2's
+# n_fid_ref column; a new version needs a new digest set here.
 GOLDEN = {
-    "figure-fig1": {
-        "stdout": "e12c51aa8f444e791bb19da1b7921d2a17469911ab7e63c51a38c1ca5896c03e",
-    },
-    "figure-fig2-out-json": {
-        "stdout": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
-        "--out": "2412150a466f09d306bc0df414facac6a9c8c1a902bbe1d7575eaae53d63edc0",
-    },
-    "figure-figS1": {
-        "stdout": "e221b6b48682927ae67593f1118d45ffa28a4846169632575dfcdb29a97c6e20",
-    },
-    "figure-figS2": {
-        "stdout": "d544b7fc99d3cd6d37969542ea5fcd9aa5c496ccbc8c88ceb25172a3fcc99250",
-    },
-    "landscape-json": {
-        "stdout": "75b747c738d65e34770fc7ae69a16aaf518d6995a257c8f32ec29e1ea6a0256d",
-    },
-    "samplecount-bell": {
-        "stdout": "95ff076c16b58fa86a8860401f879b7fc64dbc50cf91452b2355734a508f4cbb",
-    },
-    "samplecount-ghz12": {
-        "stdout": "7c929d3e6e213c9e2cc84110f222ec8dfc4846ebe177aaafa69c0cbbe845a136",
-    },
-    "samplecount-two-qubit-json": {
-        "stdout": "ef3482282c35b9618954c578b876d950d29a3864580279902351c12092c89c8c",
-    },
-    "simulate-honest-json": {
-        "stdout": "5bd87fc71b71c8ab4d548e568b0871cc5084078ae572b3bb27ceb391f321c73c",
-    },
-    "simulate-transcript": {
-        "stdout": "a52e22d31bb66d416d5c792c3ad42b7d18674cab7834a42e02a8c2e52d261070",
-        "--transcript": "b221b3e2fe69724fbb3aff1cd508a3064c802aea6ae961e0e6ade296214744d1",
-    },
-    "stabilizer-inspect": {
-        "stdout": "96fc7df9466fba5af33666f1b79b36081699536df64a0edb3f1276cfa81b2cbe",
-    },
-    "stabilizer-parity-check": {
-        "stdout": "2190fa5c0b08c947ee3a3a67a0163da3f2e80655145eed2584944d6ebbbe08a2",
-    },
-    "stabilizer-subset-json": {
-        "stdout": "f40d6fbbce9b67a5bba6aea35b5066313124ce19a6e553704a5b7cc8f19a88b2",
-    },
-    "strategy-bell": {
-        "stdout": "36830881d1decb40032be0633434371495810dbf1b6447b95394f4ed1c50143b",
-    },
-    "strategy-generators-ghz3-json": {
-        "stdout": "5d688133eea5de3baf51cab7e852ae6f997b710c9c058f390456c5706b2338f1",
-    },
-    "strategy-product-epsilon": {
-        "stdout": "7008140dd2ec103e4871ccedb4c0e4b5a13d2294adb083dc62d730e0286469a6",
-    },
-    "strategy-two-qubit-json": {
-        "stdout": "0baf79e1b0d6faa72eb2de9fe8348c573ad2a39856cf99856310edea8d3ed6b6",
+    2: {
+        "figure-fig1": {
+            "stdout": "96b5e9eb1965ac34da289cc28cb8549cf9b44bcaa9a9fc84ca4e2d3f68c3593e",
+        },
+        "figure-fig2-out-json": {
+            "stdout": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+            "--out": "db84f8f69fc8dc2b6cceb83d22b441c67b1f2453152a3fbcc9af1e625c269dd6",
+        },
+        "figure-figS1": {
+            "stdout": "b4db017075aa1775ce5fb99d646c68ed43084e5883acf979c58d04fd9d22ab00",
+        },
+        "figure-figS2": {
+            "stdout": "2a1205f1077085d45128d53a76ca7ff8a8ad57cbe4289dc97ba49fd3d8829ab6",
+        },
+        "landscape-json": {
+            "stdout": "90dae75714a71f4857cdd90510cdc6c7d4038e5e7160df6fb80ecacfae0409f6",
+        },
+        "samplecount-bell": {
+            "stdout": "1709f093ae1676cbb8c7c83eb4a480f75e5095189b1e68b113e83c5fe378af58",
+        },
+        "samplecount-ghz12": {
+            "stdout": "c19e03d3f67f705b2bf79cf25a82ddbb1432aeb612c0695db8c3c0fbf041e3fb",
+        },
+        "samplecount-two-qubit-json": {
+            "stdout": "dc93123d3ddd36f40ab47e60cfeccc6bac780ba421b912dcc9f6a7b3ad7db071",
+        },
+        "simulate-honest-json": {
+            "stdout": "a0052dec0a7d57d3f1d5920736f733a0899e298bda891bea7da7c005138023a8",
+        },
+        "simulate-transcript": {
+            "stdout": "afd3b26d7d1d000cffd28b8e09a34e7b698398343cf8b5fd3900a976d0ce43c0",
+            # JSONL carries no header; unchanged since version 1
+            "--transcript": "b221b3e2fe69724fbb3aff1cd508a3064c802aea6ae961e0e6ade296214744d1",
+        },
+        "stabilizer-inspect": {
+            "stdout": "7f5262dec81b5d4730469a0f4792f392058e9f6539600be78a044bf37159c94f",
+        },
+        "stabilizer-parity-check": {
+            "stdout": "cd707172c4d0940fa3697afe6ffada5e37a30a5a1041bd5cd7ae5b9e4bea8397",
+        },
+        "stabilizer-subset-json": {
+            "stdout": "3fb7a27ab8d47fa396ed20db54ecb6e4cd29861659037f25e66bd12b69b3bfb2",
+        },
+        "strategy-bell": {
+            "stdout": "5f3c97e01a0533d5f6fcf2f20772cabccb04caf4d898def09642ac2cd4b5cf1a",
+        },
+        "strategy-generators-ghz3-json": {
+            "stdout": "f03032712408701df88b0629cef4394f4a961678ec293fe6cb1efcb4427d4332",
+        },
+        "strategy-product-epsilon": {
+            "stdout": "26cb5436d3670539140f7230c494ef335e14ab02e51c9dcc7c23d989ce58e813",
+        },
+        "strategy-two-qubit-json": {
+            "stdout": "a7810b10be7c243a0565703994a0d274dfc227b3b0d5f93c1301ded00e7c06e8",
+        },
     },
 }
 
@@ -128,7 +137,23 @@ def _digests(argv, capsys):
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_golden_output(name, tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
-    assert _digests(CASES[name], capsys) == GOLDEN[name]
+    assert _digests(CASES[name], capsys) == GOLDEN[cli.OUTPUT_VERSION][name]
+
+
+def test_digests_exist_for_the_output_version():
+    # moving OUTPUT_VERSION without recording its digests fails here
+    assert set(GOLDEN[cli.OUTPUT_VERSION]) == set(CASES)
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_output_declares_its_version(fmt, capsys):
+    assert main(["strategy", "--bell", "--format", fmt]) == 0
+    out = capsys.readouterr().out
+    if fmt == "csv":
+        assert f"# output-version: {cli.OUTPUT_VERSION}\n" in out
+    else:
+        metadata = json.loads(out)["metadata"]
+        assert metadata["output-version"] == str(cli.OUTPUT_VERSION)
 
 
 def test_corpus_covers_every_subcommand():

@@ -211,7 +211,7 @@ def test_figure2_columns_and_reference_scaling():
     assert len(rows[0]) == len(FIG2_COLUMNS)
     # reference curves are pure 1/eps^2 with unit constants
     assert abs(rows[0].n_tomo_ref - 1e6) < 1e-6
-    assert abs(rows[1].n_fid_ref - 1e4) < 1e-8
+    assert abs(rows[1].n_tomo_ref - 1e4) < 1e-8
     # local beats nothing but stays within a constant of global
     assert rows[0].n_local >= rows[0].n_global
 

@@ -1,6 +1,8 @@
 import dataclasses
 import itertools
 import math
+import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -29,20 +31,22 @@ from qverify.stabilizer import (
     all_zeros_group,
     cluster_group,
     full_strategy,
-    full_strategy_q,
     generator_strategy,
-    generator_strategy_q,
     ghz_group,
     ghz_state,
     group_from_json,
     group_to_json,
     preset_group,
     stabilizer_metrics,
-    stabilizer_sample_count,
     subset_strategy,
+    _column_syndromes,
     _gf2_rank,
+    _pass_counts,
+    _pass_rows,
 )
+from qverify.samplecount import certainty_count_report
 from qverify.strategy import metrics
+from stabilizer_oracles import full_strategy_q, generator_strategy_q
 
 PRESETS = ["bell", "ghz3", "ghz4", "cluster4"]
 
@@ -201,7 +205,7 @@ def test_full_strategy_two_eigenvalue_form(preset):
     group = preset_group(preset)
     strat = full_strategy(group)
     n = group.num_qubits
-    q = full_strategy_q(n)
+    q = float(full_strategy_q(n))
     psi = group.state().amplitudes
     expected = np.outer(psi, psi.conj()) * (1.0 - q) + q * np.eye(2**n)
     assert np.max(np.abs(strat.omega - expected)) < 1e-12
@@ -218,10 +222,14 @@ def test_generator_strategy_worst_case(preset):
 
 
 def test_closed_form_q_values():
-    assert abs(full_strategy_q(2) - 1.0 / 3.0) < 1e-15
-    assert abs(full_strategy_q(3) - 3.0 / 7.0) < 1e-15
-    assert abs(generator_strategy_q(3) - 2.0 / 3.0) < 1e-15
-    assert abs(generator_strategy_q(1) - 0.0) < 1e-15
+    # the oracles, and the library's correctly rounded reading of them
+    assert full_strategy_q(2) == Fraction(1, 3)
+    assert full_strategy_q(3) == Fraction(3, 7)
+    assert generator_strategy_q(3) == Fraction(2, 3)
+    assert generator_strategy_q(1) == 0
+    assert stabilizer_metrics(ghz_group(3), "full").q == 3 / 7
+    assert stabilizer_metrics(ghz_group(3), "generators").q == 2 / 3
+    assert stabilizer_metrics(all_zeros_group(1), "generators").q == 0.0
 
 
 def test_full_strategy_matches_bell_strategy():
@@ -235,16 +243,19 @@ def test_full_strategy_matches_bell_strategy():
 def test_stabilizer_metrics_closed_form():
     group = ghz_group(5)
     m = stabilizer_metrics(group, "full")
-    assert abs(m.q - full_strategy_q(5)) < 1e-15
-    assert m.trace == 2**4
+    assert m.q == float(full_strategy_q(5))
+    assert m.trace == 2**4 and type(m.trace) is float
+    assert m.second_eigenvalue_gap == 1.0 - m.q
     with pytest.raises(ValidationError):
         stabilizer_metrics(group, "half")
 
 
 def test_stabilizer_sample_count_frozen_values():
     group = ghz_group(3)
-    full = stabilizer_sample_count(group, "full", 0.01, 0.1)
-    gens = stabilizer_sample_count(group, "generators", 0.01, 0.1)
+    full, gens = (
+        certainty_count_report(stabilizer_metrics(group, scheme), 0.01, 0.1, scheme)
+        for scheme in ("full", "generators")
+    )
     assert full.n_exact == 402
     assert abs(full.n_asymptotic - 402.95239127395797) < 1e-9
     assert gens.n_exact == 690
@@ -252,9 +263,10 @@ def test_stabilizer_sample_count_frozen_values():
 
 
 def test_stabilizer_sample_count_beyond_dense_limit():
-    # closed forms keep working where dense construction would not
+    # syndrome counts keep working where dense construction would not
     group = ghz_group(10)
-    report = stabilizer_sample_count(group, "full", 0.01, 0.1)
+    metrics_full = stabilizer_metrics(group, "full")
+    report = certainty_count_report(metrics_full, 0.01, 0.1, "full")
     assert report.n_exact >= 1
     with pytest.raises(BadDimError):
         full_strategy(group)
@@ -288,7 +300,11 @@ def test_parity_check_beyond_dense_cap():
     assert check.special_columns == tuple(1 << j for j in range(n))
     with pytest.raises(BadDimError):
         check.eigenbasis
-    for build in (full_strategy, generator_strategy, lambda g: subset_strategy(g, [1, 2])):
+    for build in (
+        full_strategy,
+        generator_strategy,
+        lambda g: subset_strategy(g, [1, 2]).strategy,
+    ):
         with pytest.raises(BadDimError):
             build(check.group)
 
@@ -318,10 +334,13 @@ def test_parity_check_uniform_weights_bound():
     group = ghz_group(4)
     check = ParityCheck.build(group)
     n = group.num_qubits
-    acceptance = check.weighted_pass(np.full(n, 1.0 / n))
-    assert abs(acceptance[0] - 1.0) < 1e-12
-    # away from the stabilized state the best fooling column reaches 1 - 1/n
-    assert abs(max(acceptance[1:]) - (1.0 - 1.0 / n)) < 1e-12
+    counts = _pass_counts([1 << j for j in range(n)], n)[_column_syndromes(n)]
+    acceptance = counts / n
+    assert acceptance[0] == 1.0
+    # away from the stabilized state the best fooling column reaches 1 - 1/n,
+    # and the special columns are the ones that do
+    assert max(acceptance[1:]) == float(generator_strategy_q(n))
+    assert tuple(np.flatnonzero(counts == n - 1)) == check.special_columns
 
 
 def test_parity_check_eigenvalue_signs():
@@ -343,6 +362,7 @@ def test_all_generator_subset_is_complete(preset):
     assert report.stabilized_dimension == 1
     assert report.fooling_state is None
     assert abs(metrics(report.strategy).q - generator_strategy_q(n)) < 1e-10
+    assert report.metrics.q == float(generator_strategy_q(n))
 
 
 @pytest.mark.parametrize("preset", PRESETS)
@@ -355,6 +375,7 @@ def test_every_generator_drop_is_degenerate(preset):
         report = subset_strategy(group, indices)
         assert report.degenerate
         assert report.stabilized_dimension == 2
+        assert report.metrics.q == report.fooling_acceptance == 1.0
         fooling = report.fooling_state
         assert fooling is not None
         assert report.fooling_acceptance >= 1.0 - 1e-10
@@ -502,16 +523,24 @@ def test_subset_report_matches_dense_omega(preset, data):
         basis = ParityCheck.build(group).eigenbasis
         report = subset_strategy(group, drawn)
         diag = basis.conj().T @ report.strategy.omega @ basis
-        shares = [
-            np.mean([_column_pass_bit(n, m, k) for m in indices]) for k in range(2**n)
+        passed = [
+            sum(_column_pass_bit(n, m, k) for m in indices) for k in range(2**n)
         ]
+        shares = [p / len(indices) for p in passed]
         assert np.max(np.abs(diag - np.diag(shares))) <= 1e-12
+        # count route: exact shares; dense route within 1e-12
+        assert report.metrics.q == max(shares[1:])
+        assert report.metrics.trace == float(Fraction(sum(passed), len(indices)))
+        dense = metrics(report.strategy)
+        assert abs(report.metrics.q - dense.q) <= 1e-12
+        assert abs(report.metrics.trace - dense.trace) <= 1e-12
         # the GF(2) rank of the chosen masks stays the oracle for the count
         assert report.stabilized_dimension == 2 ** (n - rank)
         assert report.degenerate == (rank < n)
         if report.degenerate:
             first = next(k for k in range(1, 2**n) if shares[k] == 1.0)
             assert report.fooling_state.amplitudes.tobytes() == basis[:, first].tobytes()
+            assert report.fooling_acceptance == 1.0
         else:
             assert report.fooling_state is None
 
@@ -531,13 +560,83 @@ def _worst_syndrome_acceptance(num_qubits, masks):
 
 
 def test_closed_form_q_is_worst_syndrome_acceptance():
+    # brute force, closed form and count route agree bit for bit
     for n in range(2, 13):
         full = _worst_syndrome_acceptance(n, range(1, 2**n))
         gens = _worst_syndrome_acceptance(n, [1 << j for j in range(n)])
         for family in ("ghz", "cluster", "zeros"):
-            k = preset_group(f"{family}{n}").num_generators
-            assert full == pytest.approx(full_strategy_q(k), abs=1e-15)
-            assert gens == pytest.approx(generator_strategy_q(k), abs=1e-15)
+            group = preset_group(f"{family}{n}")
+            k = group.num_generators
+            assert full == float(full_strategy_q(k))
+            assert gens == float(generator_strategy_q(k))
+            assert stabilizer_metrics(group, "full").q == full
+            assert stabilizer_metrics(group, "generators").q == gens
+
+
+@given(
+    n=st.integers(1, 8),
+    data=st.data(),
+)
+@settings(max_examples=40, deadline=None)
+def test_pass_counts_match_pass_rows(n, data):
+    drawn = data.draw(st.lists(st.integers(1, 2**n - 1), min_size=1, max_size=12))
+    indices = sorted(set(drawn))
+    counts = _pass_counts(indices, n)
+    assert counts.dtype == np.int64 and counts.shape == (2**n,)
+    expected = _pass_rows(indices, n).sum(axis=0)
+    assert np.array_equal(counts[_column_syndromes(n)], expected)
+
+
+def test_count_route_builds_no_pass_table():
+    # a k x 2^N table for the 4095 elements of ghz12 would take 16 MiB;
+    # the count route holds a few arrays of 2^N integers
+    group = ghz_group(12)
+    tracemalloc.start()
+    try:
+        full = stabilizer_metrics(group, "full")
+        report = subset_strategy(group, range(1, 2**12))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+    assert full.q == report.metrics.q == float(full_strategy_q(12))
+    assert not report.degenerate and report.stabilized_dimension == 1
+
+
+@pytest.mark.parametrize(
+    "preset,indices,dimension",
+    [
+        ("ghz8", [1, 2, 4], 2**5),
+        ("ghz12", [1, 2], 2**10),
+        ("cluster12", [1, 2, 4], 2**9),
+        ("cluster12", [1 << j for j in range(12)], 1),
+    ],
+)
+def test_subset_report_beyond_dense_cap(preset, indices, dimension):
+    group = preset_group(preset)
+    n = group.num_qubits
+    report = subset_strategy(group, indices)
+    assert report.stabilized_dimension == dimension
+    assert report.degenerate == (dimension > 1)
+    if report.degenerate:
+        assert report.metrics.q == report.fooling_acceptance == 1.0
+        fooling = report.fooling_state.amplitudes
+        assert abs(np.vdot(group.state().amplitudes, fooling)) <= 1e-10
+    else:
+        assert report.metrics.q == float(generator_strategy_q(n))
+    assert report.metrics.trace == 2.0 ** (n - 1)
+    # only the strategy is dense
+    with pytest.raises(BadDimError):
+        report.strategy
+
+
+def test_subset_report_strategy_is_cached_and_read_only():
+    report = subset_strategy(preset_group("ghz3"), [1, 2])
+    built = report.strategy
+    assert report.strategy is built
+    assert [s.label for s in built.settings] == ["XXX", "ZZI"]
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        report.strategy = built
 
 
 @pytest.mark.parametrize(
