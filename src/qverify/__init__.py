@@ -102,7 +102,6 @@ from .stabilizer import (
 from .adversary import (
     HULL_COLUMNS,
     LANDSCAPE_COLUMNS,
-    AdversaryKind,
     AdversaryState,
     CertificateReport,
     GameValue,
@@ -128,11 +127,9 @@ from .adversary import (
     worst_case_state,
 )
 from .protocol import (
-    DeviceMode,
     DeviceModel,
     EnsembleStats,
     RunResult,
-    custom_device,
     estimate_power,
     honest_device,
     iid_adversary,

@@ -34,7 +34,6 @@ the pure worst case).
 
 from __future__ import annotations
 
-import enum
 import math
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -51,11 +50,12 @@ from .qcore import TOL_DERIVED, HermitianOperator, Ket
 from .samplecount import check_probability
 from .strategy import Strategy, alpha_weight, check_theta, optimal_q
 
-class AdversaryKind(enum.Enum):
-    WORST_CASE_PURE = "worst-case-pure"
-    RANDOM_PURE = "random-pure"
-    RANDOM_MIXED = "random-mixed"
-    CUSTOM = "custom"
+# certify_optimality: a sound sweep finds nothing below the closed form
+# by more than SOUNDNESS_TOL; a located one lands within VALUE_TOL of it
+# in q and LOCATION_TOL in alpha and P = tan(phi)^2
+SOUNDNESS_TOL = 1e-9
+VALUE_TOL = 1e-6
+LOCATION_TOL = 1e-4
 
 
 @dataclass(frozen=True, eq=False)
@@ -64,7 +64,6 @@ class AdversaryState:
 
     sigma: HermitianOperator
     fidelity: float
-    kind: AdversaryKind
 
     def __post_init__(self):
         qcore.check_density(self.sigma.entries, "density matrix")
@@ -72,13 +71,9 @@ class AdversaryState:
             raise ValidationError(f"fidelity {self.fidelity!r} outside [0, 1]")
 
 
-def pure_adversary_state(
-    amplitudes: np.ndarray, target: Ket, kind: AdversaryKind
-) -> AdversaryState:
+def pure_adversary_state(amplitudes: np.ndarray, target: Ket) -> AdversaryState:
     ket = Ket(np.asarray(amplitudes, dtype=complex))
-    return AdversaryState(
-        sigma=ket.density(), fidelity=ket.fidelity(target), kind=kind
-    )
+    return AdversaryState(sigma=ket.density(), fidelity=ket.fidelity(target))
 
 
 def acceptance_probability(omega, state: AdversaryState) -> float:
@@ -117,9 +112,7 @@ def worst_case_state(strategy: Strategy, epsilon: float) -> AdversaryState:
         math.sqrt(1.0 - epsilon) * strategy.target.amplitudes
         + math.sqrt(epsilon) * top.amplitudes
     )
-    return pure_adversary_state(
-        amps, strategy.target, AdversaryKind.WORST_CASE_PURE
-    )
+    return pure_adversary_state(amps, strategy.target)
 
 
 def hilbert_schmidt_mixed_state(dim: int, rng: np.random.Generator) -> np.ndarray:
@@ -153,11 +146,7 @@ def shift_fidelity(rho: np.ndarray, target: Ket, epsilon: float) -> AdversarySta
         comp = (np.eye(target.dim, dtype=complex) - proj) / (target.dim - 1)
         lam = 1.0 - goal / f0
         mixed = (1.0 - lam) * rho + lam * comp
-    return AdversaryState(
-        sigma=HermitianOperator(mixed),
-        fidelity=goal,
-        kind=AdversaryKind.RANDOM_MIXED,
-    )
+    return AdversaryState(sigma=HermitianOperator(mixed), fidelity=goal)
 
 
 def tau_state(theta: float, phi: float, eta: float) -> Ket:
@@ -344,14 +333,13 @@ LANDSCAPE_COLUMNS = LandscapeRow._fields
 
 @dataclass(frozen=True, eq=False)
 class LandscapeReport:
-    """Sampled landscape plus its discrete minimizer and ridge curve."""
+    """Sampled landscape plus its discrete minimizer."""
 
     theta: float
     rows: tuple[LandscapeRow, ...]
     argmin_alpha: float
     argmin_phi: float
     min_qmax: float
-    ridge: tuple[tuple[float, float, float], ...]
 
 
 def landscape(
@@ -363,9 +351,7 @@ def landscape(
 
     Rows run over alphas (outer) and phis (inner) and hold Python
     scalars. The minimizer is the first grid cell in that order with
-    the least qmax, the tie rule of the certification sweep. The ridge
-    entries are (phi, equalizing alpha, worst case there) for every
-    sampled phi at which the equalizing weight is admissible. Any
+    the least qmax, the tie rule of the certification sweep. Any
     finite theta is accepted; a non-finite one raises
     ThetaOutOfDomainError. Grid entries outside alpha in [0, 1] or phi
     in (0, pi/2), nan included, raise ValidationError.
@@ -393,18 +379,12 @@ def landscape(
     i, j = np.unravel_index(np.argmin(qm), qm.shape)
     grid = np.broadcast_arrays(alphas[:, None], phis, l1, l2, qm)
     rows = tuple(map(LandscapeRow._make, zip(*(a.ravel().tolist() for a in grid))))
-    ridge = []
-    for phi, p_val in zip(phis, big_p):
-        a_star = ridge_alpha(float(p_val), big_t)
-        if a_star is not None:
-            ridge.append((float(phi), a_star, float(ridge_q(p_val, big_t))))
     return LandscapeReport(
         theta=theta,
         rows=rows,
         argmin_alpha=float(alphas[i]),
         argmin_phi=float(phis[j]),
         min_qmax=float(qm[i, j]),
-        ridge=tuple(ridge),
     )
 
 
@@ -418,9 +398,9 @@ class CertificateReport:
     around the coarse argmin, with alpha eliminated exactly through the
     equalizing ridge, which pins the minimizer location far more tightly
     than the flat valley lets a lattice argmin do. A sound sweep has
-    gap >= -soundness_tol (nothing in the family beats the optimum) and
-    a successful one has gap <= value_tol and polished coordinates
-    within location_tol of the closed form.
+    gap >= -SOUNDNESS_TOL (nothing in the family beats the optimum) and
+    a located one has gap and polished q within VALUE_TOL, and polished
+    alpha and P within LOCATION_TOL, of the closed form.
     """
 
     theta: float
@@ -434,9 +414,6 @@ class CertificateReport:
     phi_closed_form: float
     gap: float
     ppt_bound: float
-    soundness_tol: float
-    value_tol: float
-    location_tol: float
 
     @property
     def big_p_polished(self) -> float:
@@ -456,15 +433,15 @@ class CertificateReport:
 
     @property
     def sound(self) -> bool:
-        return self.gap >= -self.soundness_tol
+        return self.gap >= -SOUNDNESS_TOL
 
     @property
     def located(self) -> bool:
         return (
-            self.gap <= self.value_tol
-            and abs(self.q_polished - self.q_closed_form) <= self.value_tol
-            and self.alpha_error <= self.location_tol
-            and self.big_p_error <= self.location_tol
+            self.gap <= VALUE_TOL
+            and abs(self.q_polished - self.q_closed_form) <= VALUE_TOL
+            and self.alpha_error <= LOCATION_TOL
+            and self.big_p_error <= LOCATION_TOL
         )
 
     @property
@@ -531,9 +508,6 @@ def certify_optimality(
     theta: float,
     resolution: int = 400,
     refine_resolution: int = 4000,
-    soundness_tol: float = 1e-9,
-    value_tol: float = 1e-6,
-    location_tol: float = 1e-4,
 ) -> CertificateReport:
     """Sweep the symmetrized family and compare with the closed form.
 
@@ -551,7 +525,7 @@ def certify_optimality(
     floor without leaving it. The polish is a golden-section search in
     phi over that refinement window, with alpha eliminated exactly,
     because a lattice argmin cannot pin the minimizer of so flat a
-    valley to the requested location tolerance.
+    valley to LOCATION_TOL.
     """
     check_theta(theta)
     if resolution < 8:
@@ -595,9 +569,6 @@ def certify_optimality(
         phi_closed_form=math.atan(math.sqrt(math.tan(theta))),
         gap=q_grid - q_closed,
         ppt_bound=ppt_lower_bound(theta),
-        soundness_tol=soundness_tol,
-        value_tol=value_tol,
-        location_tol=location_tol,
     )
 
 
@@ -728,7 +699,7 @@ def game_value(omega, target: Ket, epsilon: float) -> GameValue:
         x = _mix_to_fidelity(vec_lo, vec_hi, psi, goal)
 
     chi = x / np.linalg.norm(x)
-    state = pure_adversary_state(chi, target, AdversaryKind.WORST_CASE_PURE)
+    state = pure_adversary_state(chi, target)
     # widened by the eigensolver's backward error, so that rounding in the
     # last digits cannot put the bound below a feasible acceptance
     rounding = _ROUNDING * target.dim * (float(np.max(np.abs(vals_hi))) + hi)

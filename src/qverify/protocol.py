@@ -8,6 +8,13 @@ product of tr(Omega sigma_i); for the worst eps-far IID device this is
 (1 - delta_eps)^n, the quantity the copy counts are calibrated
 against.
 
+Devices: a DeviceModel is either one fixed state handed over on every
+copy (the honest device emits the target, an IID adversary one sigma)
+or a per-copy supplier (a varying adversary). Its one constructor
+checks epsilon, the fixed state's density and, when epsilon is given,
+the promise fidelity <= 1 - epsilon; a supplier's states get the same
+checks as the plan reads them.
+
 Reproducibility: trial t of a run with seed s reads the Philox4x64-10
 stream with key (s mod 2^64, t mod 2^64) and counter 0, that is the
 doubles of Generator(Philox(key=[s, t])).random(2n). Copy i uses
@@ -27,7 +34,6 @@ produce spurious rejections.
 
 from __future__ import annotations
 
-import enum
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -36,20 +42,14 @@ import numpy as np
 
 from .adversary import AdversaryState
 from .errors import ValidationError
-from .qcore import HermitianOperator, Ket, check_density
+from .qcore import TOL_INPUT, HermitianOperator, Ket, check_density
+from .samplecount import check_probability
 from .strategy import Strategy
 
 CERTAINTY_TOL = 1e-10
 WILSON_Z99 = 2.5758293035489004
 _MASK64 = (1 << 64) - 1
 _CHUNK = 1 << 16
-
-
-class DeviceMode(enum.Enum):
-    HONEST = "honest"
-    IID_ADVERSARY = "iid-adversary"
-    VARYING_ADVERSARY = "varying-adversary"
-    CUSTOM = "custom"
 
 
 def _as_density(obj, dim: int) -> np.ndarray:
@@ -74,34 +74,41 @@ def _as_density(obj, dim: int) -> np.ndarray:
 class DeviceModel:
     """What the device hands over on each copy.
 
-    Honest devices emit the target itself. IID adversaries emit one
-    fixed density matrix; varying adversaries emit supplier(copy_index)
-    deterministically, so runs replay exactly. When epsilon is given,
-    every emitted state must respect the promise gap
-    fidelity <= 1 - epsilon (custom mode skips that constraint).
+    A device is one fixed state or a per-copy supplier, never both:
+    sigma is the state of every copy (stored as a checked density
+    matrix), and supplier(copy_index) deterministically gives copy
+    copy_index's state, checked as it is read, so runs replay exactly.
+    When epsilon in (0, 1) is given, every state must keep the promise
+    fidelity <= 1 - epsilon; without it no promise is checked.
     """
 
-    mode: DeviceMode
     target: Ket
     sigma: np.ndarray | None = None
     supplier: Callable[[int], object] | None = None
     epsilon: float | None = None
+
+    def __post_init__(self):
+        if (self.sigma is None) == (self.supplier is None):
+            raise ValidationError("a device needs exactly one of sigma and supplier")
+        if self.epsilon is not None:
+            check_probability("epsilon", self.epsilon)
+        if self.sigma is not None:
+            arr = _as_density(self.sigma, self.target.dim)
+            self._check_promise(arr, "device state")
+            object.__setattr__(self, "sigma", arr)
 
     def _check_promise(self, arr: np.ndarray, where: str) -> None:
         if self.epsilon is None:
             return
         psi = self.target.amplitudes
         fid = float(np.real(np.vdot(psi, arr @ psi)))
-        if fid > 1.0 - self.epsilon + 1e-12:
+        if fid > 1.0 - self.epsilon + TOL_INPUT:
             raise ValidationError(
                 f"{where} has fidelity {fid!r} above the promised 1 - epsilon"
             )
 
     def density_at(self, copy_index: int) -> np.ndarray:
-        if self.mode is DeviceMode.HONEST:
-            psi = self.target.amplitudes
-            return np.outer(psi, psi.conj())
-        if self.mode is DeviceMode.IID_ADVERSARY:
+        if self.sigma is not None:
             return self.sigma
         arr = _as_density(self.supplier(copy_index), self.target.dim)
         self._check_promise(arr, f"supplied state for copy {copy_index}")
@@ -109,33 +116,17 @@ class DeviceModel:
 
 
 def honest_device(target: Ket) -> DeviceModel:
-    return DeviceModel(mode=DeviceMode.HONEST, target=target)
+    return DeviceModel(target=target, sigma=target)
 
 
 def iid_adversary(target: Ket, state, epsilon: float | None = None) -> DeviceModel:
-    device = DeviceModel(
-        mode=DeviceMode.IID_ADVERSARY,
-        target=target,
-        sigma=_as_density(state, target.dim),
-        epsilon=epsilon,
-    )
-    device._check_promise(device.sigma, "adversary state")
-    return device
+    return DeviceModel(target=target, sigma=state, epsilon=epsilon)
 
 
 def varying_adversary(
     target: Ket, supplier: Callable[[int], object], epsilon: float | None = None
 ) -> DeviceModel:
-    return DeviceModel(
-        mode=DeviceMode.VARYING_ADVERSARY,
-        target=target,
-        supplier=supplier,
-        epsilon=epsilon,
-    )
-
-
-def custom_device(target: Ket, supplier: Callable[[int], object]) -> DeviceModel:
-    return DeviceModel(mode=DeviceMode.CUSTOM, target=target, supplier=supplier)
+    return DeviceModel(target=target, supplier=supplier, epsilon=epsilon)
 
 
 @dataclass(frozen=True)
@@ -166,7 +157,8 @@ class EnsembleStats:
     wilson_high: float
 
     def __post_init__(self):
-        if not self.wilson_low - 1e-12 <= self.accept_rate <= self.wilson_high + 1e-12:
+        low, high = self.wilson_low - TOL_INPUT, self.wilson_high + TOL_INPUT
+        if not low <= self.accept_rate <= high:
             raise ValidationError("accept rate escapes its Wilson interval")
 
 
@@ -213,6 +205,8 @@ class _Plan:
 
 
 def _build_plan(strategy: Strategy, device: DeviceModel, n: int) -> _Plan:
+    if n < 1:
+        raise ValidationError("n must be at least 1")
     if device.target.dim != strategy.dim:
         raise ValidationError("device target and strategy dimensions differ")
     if float(np.max(np.abs(device.target.amplitudes - strategy.target.amplitudes))) > 0:
@@ -222,8 +216,8 @@ def _build_plan(strategy: Strategy, device: DeviceModel, n: int) -> _Plan:
     cum[-1] = 1.0
     stack = np.stack([s.projector.entries for s in strategy.settings])
     # pass probabilities by copy and setting; one row serves every copy
-    # of an honest or IID device
-    copies = 1 if device.mode in (DeviceMode.HONEST, DeviceMode.IID_ADVERSARY) else n
+    # of a fixed-state device
+    copies = n if device.sigma is None else 1
     rows = [np.einsum("kij,ji->k", stack, device.density_at(i)) for i in range(copies)]
     return _Plan(
         cumulative=cum,
@@ -283,8 +277,6 @@ def run_protocol(
     strategy: Strategy, device: DeviceModel, n: int, seed: int, trial: int = 0
 ) -> RunResult:
     """Simulate one sequential run of n copies, stopping at first failure."""
-    if n < 1:
-        raise ValidationError("n must be at least 1")
     plan = _build_plan(strategy, device, n)
     trials = np.array([int(trial) & _MASK64], dtype=np.uint64)
     stop = int(_first_failures(plan, n, seed, trials)[0][0])
@@ -311,11 +303,9 @@ def estimate_power(
     is given it receives one JSON ready dict per trial; setting labels
     are recorded only on request because they dominate transcript size.
     """
-    if n < 1:
-        raise ValidationError("n must be at least 1")
+    plan = _build_plan(strategy, device, n)
     if trials < 1:
         raise ValidationError("trials must be at least 1")
-    plan = _build_plan(strategy, device, n)
     record = sink is not None and record_labels
     # trials go in blocks, so memory stays bounded; drawn labels wait
     # for their records, so a recording block holds at most _CHUNK copies
@@ -354,12 +344,10 @@ def predicted_acceptance(strategy: Strategy, device: DeviceModel, n: int) -> flo
     predicts exactly 1 and the worst case IID adversary predicts
     exactly (1 - delta_eps)^n.
     """
-    if n < 1:
-        raise ValidationError("n must be at least 1")
     plan = _build_plan(strategy, device, n)
     # the sampler forces its cumulative table to end at 1, so weight
     # rounding cannot push a certain accept below (or above) certainty;
     # clamp the aggregate the same way
     per_copy = _clamp_certainties(plan.probs @ plan.weights)
-    # an honest or IID plan has one row, which stands for all n copies
+    # a fixed-state plan has one row, which stands for all n copies
     return float(np.prod(per_copy)) ** (n // len(per_copy))

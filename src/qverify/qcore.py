@@ -157,9 +157,13 @@ def identity(dim: int) -> HermitianOperator:
     return HermitianOperator(np.eye(dim, dtype=complex))
 
 
+def check_index(what: str, index: int, size: int) -> None:
+    if not 0 <= index < size:
+        raise BadDimError(f"{what} {index} outside [0, {size})")
+
+
 def basis_ket(dim: int, index: int) -> Ket:
-    if not 0 <= index < dim:
-        raise BadDimError(f"basis index {index} outside [0, {dim})")
+    check_index("basis index", index, dim)
     amps = np.zeros(dim, dtype=complex)
     amps[index] = 1.0
     return Ket(amps)

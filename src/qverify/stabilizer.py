@@ -156,6 +156,7 @@ class PauliString:
 
     def apply_to_index(self, index: int) -> tuple[int, complex]:
         """Image of a computational basis state: M|index> = coeff |new_index>."""
+        qcore.check_index("basis index", index, 2**self.num_qubits)
         new_index, coeff = _act(self.x, self.z, _PHASES[self.phase], index)
         return int(new_index), complex(coeff)
 
@@ -490,6 +491,8 @@ class ParityCheck:
 
     def eigenvalue(self, generator_index: int, column: int) -> int:
         """Eigenvalue of generator generator_index on ParityCheck column column."""
+        qcore.check_index("generator index", generator_index, self.group.num_qubits)
+        qcore.check_index("column", column, self.dim)
         return 1 if self.matrix[generator_index, column] else -1
 
     @cached_property

@@ -7,15 +7,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qverify.errors import ValidationError
-from qverify.adversary import AdversaryKind, AdversaryState, worst_case_state
+from qverify.adversary import AdversaryState, worst_case_state
 from qverify.protocol import (
     _CHUNK,
     CERTAINTY_TOL,
     WILSON_Z99,
-    DeviceMode,
+    DeviceModel,
     EnsembleStats,
     RunResult,
-    custom_device,
     estimate_power,
     honest_device,
     iid_adversary,
@@ -43,6 +42,11 @@ def test_honest_always_accepts():
     assert result.accepted
     assert result.first_failure_index is None
     assert predicted_acceptance(strat, device, 10_000) == 1.0
+    # the target is stored once, as a checked read-only density matrix
+    psi = BELL.amplitudes
+    assert np.array_equal(device.sigma, np.outer(psi, psi.conj()))
+    assert not device.sigma.flags.writeable
+    assert device.density_at(5) is device.sigma
 
 
 def test_replay_is_bit_identical():
@@ -80,7 +84,6 @@ def test_varying_adversary_prediction_and_determinism():
         worst_case_state(strat, 0.4),
     ]
     device = varying_adversary(BELL, lambda k: states[k], epsilon=0.05)
-    assert device.mode is DeviceMode.VARYING_ADVERSARY
     predicted = predicted_acceptance(strat, device, 3)
     expected = math.prod(1.0 - e * (2.0 / 3.0) for e in (0.05, 0.2, 0.4))
     assert abs(predicted - expected) < 1e-12
@@ -114,9 +117,8 @@ def test_promise_enforcement():
     honest_sigma = worst_case_state(strat, 1e-6)
     with pytest.raises(ValidationError):
         iid_adversary(BELL, honest_sigma, epsilon=0.1)
-    # custom devices carry no promise, so the same state is fine there
-    device = custom_device(BELL, lambda k: honest_sigma)
-    assert device.mode is DeviceMode.CUSTOM
+    # a device without epsilon carries no promise, so the same state is fine there
+    device = varying_adversary(BELL, lambda k: honest_sigma)
     assert run_protocol(strat, device, 10, seed=0).accepted in (True, False)
 
 
@@ -128,7 +130,7 @@ def test_custom_device_supplier_indexed_by_copy():
         seen.append(k)
         return worst_case_state(strat, 0.2)
 
-    device = custom_device(BELL, supplier)
+    device = varying_adversary(BELL, supplier)
     predicted_acceptance(strat, device, 4)
     assert seen == [0, 1, 2, 3]
 
@@ -234,6 +236,8 @@ def test_protocol_input_validation():
         estimate_power(strat, device, n=5, trials=0, seed=0)
     with pytest.raises(ValidationError):
         estimate_power(strat, device, n=0, trials=5, seed=0)
+    with pytest.raises(ValidationError):
+        predicted_acceptance(strat, device, 0)
 
 
 def test_device_target_must_match_strategy():
@@ -249,6 +253,31 @@ def test_density_coercion_rejects_junk():
     lopsided = np.diag([1.5, -0.5, 0.0, 0.0]).astype(complex)
     with pytest.raises(ValidationError):
         iid_adversary(BELL, lopsided, epsilon=0.5)
+
+
+FLIPPED = np.diag([0.0, 1.0, 0.0, 0.0]).astype(complex)
+
+
+@pytest.mark.parametrize(
+    "fields",
+    [
+        {},
+        {"sigma": BELL, "supplier": lambda k: BELL},
+        *(
+            {shape: value, "epsilon": epsilon}
+            for epsilon in (math.nan, -0.5, 0.0, 1.0, 2.0)
+            # |01> keeps every promise an epsilon in (0, 1] can make
+            for shape, value in (("sigma", FLIPPED), ("supplier", lambda k: FLIPPED))
+        ),
+        {"sigma": np.eye(4, dtype=complex)},  # trace 4
+        {"sigma": np.diag([1.5, -0.5, 0.0, 0.0]).astype(complex)},
+        # fidelity 0.25 with the Bell target, above the promised 0.1
+        {"sigma": np.diag([0.5, 0.5, 0.0, 0.0]).astype(complex), "epsilon": 0.9},
+    ],
+)
+def test_device_model_rejects_broken_invariants(fields):
+    with pytest.raises(ValidationError):
+        DeviceModel(target=BELL, **fields)
 
 
 def test_certainty_clamp_keeps_probabilities_in_range():
@@ -272,12 +301,10 @@ def test_certainty_clamp_keeps_probabilities_in_range():
 def test_device_states_and_adversary_states_share_one_density_check(diagonal):
     sigma = np.diag(np.array(diagonal, dtype=complex))
     with pytest.raises(ValidationError):
-        AdversaryState(
-            sigma=HermitianOperator(sigma), fidelity=0.5, kind=AdversaryKind.CUSTOM
-        )
+        AdversaryState(sigma=HermitianOperator(sigma), fidelity=0.5)
     with pytest.raises(ValidationError):
         iid_adversary(BELL, sigma)
-    device = custom_device(BELL, lambda k: sigma)
+    device = varying_adversary(BELL, lambda k: sigma)
     with pytest.raises(ValidationError):
         predicted_acceptance(bell_strategy(), device, 2)
 
@@ -328,12 +355,12 @@ def oracle_devices():
         "varying": varying_adversary(BELL, lambda i: bad[i % 3], epsilon=0.05),
         # passes with certainty or near certainty most of the way, so
         # trials live into late chunks of the per-copy table
-        "custom": custom_device(BELL, lambda i: bad[2] if i % 97 == 96 else near),
+        "custom": varying_adversary(BELL, lambda i: bad[2] if i % 97 == 96 else near),
     }
 
 
 def assert_matches_oracle(strat, device, n, trials, seed, replay=True):
-    per_copy = device.mode in (DeviceMode.VARYING_ADVERSARY, DeviceMode.CUSTOM)
+    per_copy = device.sigma is None
     table = oracle_table(strat, device, n if per_copy else 1)
     records, bare = [], []
     stats = estimate_power(
@@ -418,7 +445,7 @@ def test_one_uncertain_cell_is_sampled():
     target = np.outer(BELL.amplitudes, BELL.amplitudes.conj())
     flipped = np.diag([0.0, 1.0, 0.0, 0.0]).astype(complex)
     n = 20
-    device = custom_device(BELL, lambda i: flipped if i == n - 1 else target)
+    device = varying_adversary(BELL, lambda i: flipped if i == n - 1 else target)
     assert predicted_acceptance(strat, device, n) < 1.0
     records = assert_matches_oracle(strat, device, n, 60, 3)
     failures = {r["first_failure_index"] for r in records}

@@ -100,6 +100,9 @@ def test_apply_to_index_matches_matrix():
             expected = mat[:, col]
             assert abs(expected[new_index] - coeff) < 1e-12
             assert np.count_nonzero(expected) == 1
+        for col in (-1, dim):
+            with pytest.raises(BadDimError):
+                p.apply_to_index(col)
 
 
 def test_pauli_weight():
@@ -350,6 +353,10 @@ def test_parity_check_eigenvalue_signs():
         for s in range(8):
             expected = -1 if (s >> (2 - j)) & 1 else 1
             assert check.eigenvalue(j, s) == expected
+    # generator -1 would read generator 2's row; 3 and 8 are past the ends
+    for j, s in ((-1, 0), (3, 0), (0, -1), (0, 8)):
+        with pytest.raises(BadDimError):
+            check.eigenvalue(j, s)
 
 
 @pytest.mark.parametrize("preset", PRESETS)
