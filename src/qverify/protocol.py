@@ -13,7 +13,8 @@ copy (the honest device emits the target, an IID adversary one sigma)
 or a per-copy supplier (a varying adversary). Its one constructor
 checks epsilon, the fixed state's density and, when epsilon is given,
 the promise fidelity <= 1 - epsilon; a supplier's states get the same
-checks as the plan reads them.
+checks as the plan reads them, once per plan for a frozen state object
+and on every copy for a raw array.
 
 Reproducibility: trial t of a run with seed s reads the Philox4x64-10
 stream with key (s mod 2^64, t mod 2^64) and counter 0, that is the
@@ -110,7 +111,10 @@ class DeviceModel:
     def density_at(self, copy_index: int) -> np.ndarray:
         if self.sigma is not None:
             return self.sigma
-        arr = _as_density(self.supplier(copy_index), self.target.dim)
+        return self._supplied_density(self.supplier(copy_index), copy_index)
+
+    def _supplied_density(self, obj, copy_index: int) -> np.ndarray:
+        arr = _as_density(obj, self.target.dim)
         self._check_promise(arr, f"supplied state for copy {copy_index}")
         return arr
 
@@ -215,16 +219,45 @@ def _build_plan(strategy: Strategy, device: DeviceModel, n: int) -> _Plan:
     cum = np.cumsum(weights)
     cum[-1] = 1.0
     stack = np.stack([s.projector.entries for s in strategy.settings])
+
+    def row(arr):
+        return np.einsum("kij,ji->k", stack, arr)
+
     # pass probabilities by copy and setting; one row serves every copy
     # of a fixed-state device
-    copies = n if device.sigma is None else 1
-    rows = [np.einsum("kij,ji->k", stack, device.density_at(i)) for i in range(copies)]
+    if device.sigma is not None:
+        rows, which = [row(device.sigma)], [0]
+    else:
+        rows, which = _supplied_rows(device, n, row)
     return _Plan(
         cumulative=cum,
         weights=weights,
-        probs=_clamp_certainties(np.real(rows)),
+        probs=_clamp_certainties(np.real(rows))[which],
         labels=tuple(s.label for s in strategy.settings),
     )
+
+
+def _supplied_rows(device: DeviceModel, n: int, row) -> tuple[list, list[int]]:
+    """(distinct rows, row index of each copy) of a supplier device's plan.
+
+    A frozen state (AdversaryState, HermitianOperator, Ket) is checked
+    and turned into a row once, at its first copy: it is keyed by
+    identity and kept referenced while the plan is built, so no other
+    object takes over its id. An ndarray may change between copies, so
+    it is checked and read on every copy.
+    """
+    rows, which, seen = [], [], {}
+    for i in range(n):
+        obj = device.supplier(i)
+        hit = seen.get(id(obj))
+        if hit is not None:
+            which.append(hit[1])
+            continue
+        which.append(len(rows))
+        rows.append(row(device._supplied_density(obj, i)))
+        if isinstance(obj, (AdversaryState, HermitianOperator, Ket)):
+            seen[id(obj)] = obj, which[-1]
+    return rows, which
 
 
 def _first_failures(

@@ -10,6 +10,10 @@ Two tolerances are used throughout the package: TOL_INPUT for structural
 checks on directly constructed values (norms, Hermiticity, weights) and
 TOL_DERIVED for quantities that went through arithmetic (eigenvalues,
 assembled operators, acceptance probabilities).
+
+The operator, norm and projector checks are written once, for a stack
+of k matrices or vectors; a single HermitianOperator or Ket is checked
+as a stack of one, and strategy settings as one stack per strategy.
 """
 
 from __future__ import annotations
@@ -18,7 +22,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BadDimError, NonHermitianError, NormalizationError, ValidationError
+from .errors import (
+    BadDimError,
+    NonHermitianError,
+    NormalizationError,
+    QVerifyError,
+    ValidationError,
+)
 
 TOL_INPUT = 1e-12
 TOL_DERIVED = 1e-10
@@ -58,6 +68,61 @@ def _check_dense_dim(dim: int, what: str) -> None:
         )
 
 
+def _first_operator_defect(stack: np.ndarray, what: str) -> tuple[int, QVerifyError] | None:
+    """(index, error) of the first matrix of a stack that is no HermitianOperator.
+
+    stack holds k candidates on its first axis. Each is checked in turn
+    for finite entries, a square power-of-two shape within the dense
+    limit (one shape for the whole stack) and max |H - H^dagger| <=
+    TOL_INPUT; a matrix's first failing check names its error. None when
+    every matrix passes. A non-finite first matrix and a bad shape (which
+    concerns the whole stack) come before any other check of any matrix,
+    so they are raised at once. This is the one home of the
+    HermitianOperator checks: a single operator is the stack of one.
+    """
+    k = len(stack)
+    if not k:
+        return None
+    valid = k
+    if not np.isfinite(stack).all():
+        valid = int(np.argmin(np.isfinite(stack.reshape(k, -1)).all(axis=1)))
+        if valid == 0:
+            raise ValidationError(f"{what} has a non-finite entry")
+    if stack.ndim != 3 or stack.shape[1] != stack.shape[2]:
+        raise BadDimError(f"{what} entries must form a square matrix")
+    _check_dense_dim(stack.shape[1], what)
+    head = stack[:valid]
+    residuals = np.abs(head - head.conj().transpose(0, 2, 1)).max(axis=(1, 2))
+    if residuals.max() > TOL_INPUT:
+        i = int(np.argmax(residuals > TOL_INPUT))
+        return i, NonHermitianError(
+            f"{what} deviates from Hermitian by {float(residuals[i])!r} (> {TOL_INPUT})"
+        )
+    if valid < k:
+        return valid, ValidationError(f"{what} has a non-finite entry")
+    return None
+
+
+def _check_unit_norms(rows: np.ndarray, what: str) -> None:
+    """Reject a (k, d) stack of amplitudes unless every row has norm 1 within TOL_INPUT."""
+    norms = np.linalg.norm(rows, axis=1)
+    off = np.abs(norms - 1.0) > TOL_INPUT
+    if off.any():
+        raise NormalizationError(
+            f"{what} norm {float(norms[off.argmax()])!r} deviates from 1 by more than {TOL_INPUT}"
+        )
+
+
+def _assembled(cls, **fields):
+    """An instance of a frozen dataclass from fields a stacked check has
+    already validated together, without running its per-instance checks
+    a second time."""
+    obj = object.__new__(cls)
+    for name, value in fields.items():
+        object.__setattr__(obj, name, value)
+    return obj
+
+
 @dataclass(frozen=True, eq=False)
 class Ket:
     """A unit vector over a 2**N dimensional complex space.
@@ -75,11 +140,7 @@ class Ket:
             raise BadDimError("ket amplitudes must form a flat vector")
         object.__setattr__(self, "amplitudes", arr)
         _check_dense_dim(arr.shape[0], "ket")
-        norm = float(np.linalg.norm(arr))
-        if abs(norm - 1.0) > TOL_INPUT:
-            raise NormalizationError(
-                f"ket norm {norm!r} deviates from 1 by more than {TOL_INPUT}"
-            )
+        _check_unit_norms(arr[None], "ket")
 
     @classmethod
     def normalized(cls, amplitudes) -> "Ket":
@@ -122,16 +183,12 @@ class HermitianOperator:
     entries: np.ndarray
 
     def __post_init__(self):
-        arr = _frozen_array(self.entries, "operator")
-        if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
-            raise BadDimError("operator entries must form a square matrix")
+        arr = np.array(self.entries, dtype=complex)
+        defect = _first_operator_defect(arr[None], "operator")
+        if defect is not None:
+            raise defect[1]
+        arr.setflags(write=False)
         object.__setattr__(self, "entries", arr)
-        _check_dense_dim(arr.shape[0], "operator")
-        residual = float(np.max(np.abs(arr - arr.conj().T)))
-        if residual > TOL_INPUT:
-            raise NonHermitianError(
-                f"operator deviates from Hermitian by {residual!r} (> {TOL_INPUT})"
-            )
 
     @property
     def dim(self) -> int:
@@ -238,8 +295,13 @@ def partial_transpose_qubit2(op: HermitianOperator) -> HermitianOperator:
     """
     if op.dim != 4:
         raise BadDimError(f"partial transpose defined for dim 4, got {op.dim}")
-    m = op.entries.reshape(2, 2, 2, 2)
-    return HermitianOperator(m.transpose(0, 3, 2, 1).reshape(4, 4))
+    return HermitianOperator(_partial_transposes(op.entries[None])[0])
+
+
+def _partial_transposes(stack: np.ndarray) -> np.ndarray:
+    """partial_transpose_qubit2 of each matrix of a (k, 4, 4) stack."""
+    m = stack.reshape(-1, 2, 2, 2, 2)
+    return m.transpose(0, 1, 4, 3, 2).reshape(-1, 4, 4)
 
 
 def check_density(matrix: np.ndarray, what: str) -> None:
@@ -258,11 +320,17 @@ def check_density(matrix: np.ndarray, what: str) -> None:
 
 def is_projector(op: HermitianOperator, tol: float = TOL_DERIVED) -> bool:
     """True when op is idempotent with eigenvalues in {0, 1} within tol."""
-    mat = op.entries
-    if float(np.max(np.abs(mat @ mat - mat))) > tol:
-        return False
-    vals = np.linalg.eigvalsh(mat)
-    return bool(np.all(np.minimum(np.abs(vals), np.abs(vals - 1.0)) <= tol))
+    return not _projector_defects(op.entries[None], tol)[0]
+
+
+def _projector_defects(stack: np.ndarray, tol: float) -> np.ndarray:
+    """For each matrix of a nonempty finite Hermitian (k, d, d) stack, True
+    unless it is idempotent (max |P^2 - P| <= tol) with every eigenvalue
+    within tol of 0 or 1."""
+    idempotence = np.abs(stack @ stack - stack).max(axis=(1, 2))
+    vals = np.linalg.eigvalsh(stack)
+    spread = np.minimum(np.abs(vals), np.abs(vals - 1.0)).max(axis=1)
+    return (idempotence > tol) | ~(spread <= tol)
 
 
 def haar_random_ket(dim: int, seed: int) -> Ket:

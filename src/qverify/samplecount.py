@@ -303,12 +303,14 @@ def figure2_data(
     if epsilons is None:
         epsilons = np.logspace(-4, -1, 61)
     built, _ = _strategy_for_theta(float(theta))
-    from .strategy import exact_sample_count
+    from .strategy import metrics
 
+    # one eigenproblem serves the whole sweep
+    found, label = metrics(built), f"{built.kind.value} strategy"
     rows = []
     for eps in np.asarray(epsilons, dtype=float):
         eps = float(eps)
-        local = exact_sample_count(built, eps, delta)
+        local = certainty_count_report(found, eps, delta, label)
         rows.append(
             Fig2Row(
                 epsilon=eps,

@@ -47,13 +47,13 @@ from .errors import (
     NonCommutingError,
     ValidationError,
 )
-from .qcore import MAX_QUBITS, TOL_DERIVED, HermitianOperator, Ket
+from .qcore import MAX_QUBITS, TOL_DERIVED, Ket
 from .strategy import (
     Locality,
-    MeasurementSetting,
     Strategy,
     StrategyKind,
     StrategyMetrics,
+    _settings,
 )
 
 MAX_DENSE_QUBITS = 6
@@ -382,18 +382,6 @@ def group_from_json(labels) -> StabilizerGroup:
     )
 
 
-def _pass_setting(elem: PauliString, weight: float) -> MeasurementSetting:
-    projector = HermitianOperator(
-        (np.eye(2**elem.num_qubits, dtype=complex) + elem.matrix()) / 2.0
-    )
-    return MeasurementSetting(
-        projector=projector,
-        weight=weight,
-        label=elem.label,
-        locality=Locality.STABILIZER_PAULI,
-    )
-
-
 def _require_dense(group: StabilizerGroup, what: str) -> None:
     if not group.is_maximal:
         raise ValidationError(f"{what} needs a maximal group")
@@ -414,8 +402,14 @@ _SCHEME_INDICES = {
 def _equal_mixture(group, indices, kind: StrategyKind, what: str) -> Strategy:
     """Dense equal-weight strategy over the pass tests of the indexed elements."""
     _require_dense(group, what)
-    elements, weight = group.elements, 1.0 / len(indices)
-    settings = tuple(_pass_setting(elements[m], weight) for m in indices)
+    chosen = [group.elements[m] for m in indices]
+    eye = np.eye(2**group.num_qubits, dtype=complex)
+    settings = _settings(
+        ((eye + elem.matrix()) / 2.0 for elem in chosen),
+        (1.0 / len(chosen),) * len(chosen),
+        [elem.label for elem in chosen],
+        (Locality.STABILIZER_PAULI,) * len(chosen),
+    )
     return Strategy(target=group.state(), settings=settings, kind=kind)
 
 

@@ -28,11 +28,19 @@ Constructions provided here:
   q = (2 + sin 2theta) / (4 + sin 2theta).
 * product_state_strategy: for |00> or |11>, the single product
   projector onto the target, q = 0.
+
+Every constructor here, local_transport, from_json_dict and the dense
+stabilizer builder hand their projectors to _settings, which copies
+them into (k, d, d) stacks (all of a two-qubit strategy in one) and
+runs each MeasurementSetting check once per stack, at the same
+tolerance. It raises the error of the first invalid setting in order;
+a setting built directly is the stack of one.
 """
 
 from __future__ import annotations
 
 import enum
+import itertools
 import math
 from dataclasses import dataclass
 from functools import cached_property
@@ -47,14 +55,7 @@ from .errors import (
     ThetaOutOfDomainError,
     ValidationError,
 )
-from .qcore import (
-    TOL_DERIVED,
-    TOL_INPUT,
-    HermitianOperator,
-    Ket,
-    is_projector,
-    partial_transpose_qubit2,
-)
+from .qcore import TOL_DERIVED, TOL_INPUT, HermitianOperator, Ket
 from .samplecount import (
     THETA_SPECIAL_TOL,
     SampleCountReport,
@@ -95,12 +96,17 @@ class StrategyKind(enum.Enum):
 class MeasurementSetting:
     """One weighted pass projector of a strategy.
 
-    The projector must be idempotent with {0, 1} eigenvalues within
-    TOL_DERIVED. For two qubit settings that claim locality, the pass
-    operator must stay positive under partial transposition, which
-    certifies separability for the low rank operators used here. For
-    more than two qubits only the STABILIZER_PAULI tag carries a
-    locality claim; full separability testing is out of scope.
+    The label must be nonempty and the weight in (0, 1]. The projector
+    must be idempotent with {0, 1} eigenvalues within TOL_DERIVED. For
+    two qubit settings that claim locality, the pass operator must stay
+    positive under partial transposition, which certifies separability
+    for the low rank operators used here. For more than two qubits only
+    the STABILIZER_PAULI tag carries a locality claim; full separability
+    testing is out of scope.
+
+    A strategy's settings are validated together, as one stack, by the
+    same checks (see _check_settings); a setting constructed directly
+    is checked as a stack of one.
     """
 
     projector: HermitianOperator
@@ -109,21 +115,110 @@ class MeasurementSetting:
     locality: Locality
 
     def __post_init__(self):
-        if not self.label:
-            raise ValidationError("setting label must be nonempty")
-        if not 0.0 < self.weight <= 1.0 + TOL_INPUT:
-            raise ValidationError(f"setting weight {self.weight!r} outside (0, 1]")
-        if not is_projector(self.projector):
-            raise ValidationError(f"setting {self.label!r} is not a projector")
-        if self.projector.dim == 4 and self.locality is not Locality.NONLOCAL:
-            pt_min = float(
-                np.linalg.eigvalsh(partial_transpose_qubit2(self.projector).entries)[0]
+        _check_settings(
+            self.projector.entries[None], (self.weight,), (self.label,), (self.locality,)
+        )
+
+
+def _field_defect(weight: float, label: str) -> ValidationError | None:
+    if not label:
+        return ValidationError("setting label must be nonempty")
+    if not 0.0 < weight <= 1.0 + TOL_INPUT:
+        return ValidationError(f"setting weight {weight!r} outside (0, 1]")
+    return None
+
+
+def _first_derived_defect(stack, labels, localities) -> tuple[int, ValidationError] | None:
+    """(index, error) of the first non-projector, or two qubit projector
+    claiming locality with a partial transpose eigenvalue below
+    -TOL_DERIVED, in a finite Hermitian stack."""
+    if not len(stack):
+        return None
+    bad = qcore._projector_defects(stack, TOL_DERIVED)
+    pt_min = np.zeros(len(stack))
+    if stack.shape[1] == 4:
+        local = [i for i in range(len(stack)) if localities[i] is not Locality.NONLOCAL]
+        if local:
+            transposed = qcore._partial_transposes(stack[local])
+            pt_min[local] = np.linalg.eigvalsh(transposed)[:, 0]
+    failed = bad | (pt_min < -TOL_DERIVED)
+    if not failed.any():
+        return None
+    i = int(failed.argmax())
+    if bad[i]:
+        return i, ValidationError(f"setting {labels[i]!r} is not a projector")
+    return i, ValidationError(
+        f"setting {labels[i]!r} claims locality but its partial "
+        f"transpose has eigenvalue {float(pt_min[i])!r}"
+    )
+
+
+def _check_settings(stack: np.ndarray, weights, labels, localities) -> None:
+    """Raise the error of the first invalid setting, in order.
+
+    stack holds the k candidate projectors as one (k, d, d) array. A
+    setting's checks run in this order: the HermitianOperator checks
+    (finite entries, shape, Hermitian residual <= TOL_INPUT), the label,
+    the weight, then idempotence and a {0, 1} spectrum within
+    TOL_DERIVED and, for d = 4 with a locality claim, a partial
+    transpose eigenvalue >= -TOL_DERIVED. Each check is one pass over
+    the stack. The checks without an eigensolve run on every setting
+    first, because eigvalsh cannot take a non-finite matrix; the
+    eigensolves then cover the settings before the first failure found.
+    """
+    first = qcore._first_operator_defect(stack, "operator")
+    end = len(stack) if first is None else first[0]
+    for i in range(end):
+        error = _field_defect(weights[i], labels[i])
+        if error is not None:
+            first = i, error
+            break
+    end = len(stack) if first is None else first[0]
+    first = _first_derived_defect(stack[:end], labels, localities) or first
+    if first is not None:
+        raise first[1]
+
+
+# Settings are copied into stacks of at most this many matrix entries:
+# one stack holds all projectors of a two-qubit strategy, but only one
+# dense 64x64 stabilizer projector. A stack of all 63 of those made every
+# stacked check slower than one matrix at a time (fresh pages for 4 MiB
+# temporaries), and freeing it raised glibc's mmap threshold, which kept
+# about 1 MiB more resident in later work.
+_STACK_ENTRIES = 4096
+
+
+def _settings(projectors, weights, labels, localities) -> tuple[MeasurementSetting, ...]:
+    """Checked settings over stacks of pass projectors.
+
+    projectors yields the k (d, d) pass projectors in order (a (k, d, d)
+    array, a list or a generator). They are copied into consecutive
+    stacks of at most _STACK_ENTRIES entries; each stack is checked by
+    _check_settings and frozen before the next is read, so the error
+    raised is the first invalid setting's, and each setting's projector
+    is a read-only view of its stack.
+    """
+    matrices, out = iter(projectors), []
+    while len(out) < len(weights):
+        first = next(matrices)
+        lo = len(out)
+        hi = min(len(weights), lo + max(1, _STACK_ENTRIES // max(1, np.size(first))))
+        stack = np.array([first, *itertools.islice(matrices, hi - lo - 1)], dtype=complex)
+        _check_settings(stack, weights[lo:hi], labels[lo:hi], localities[lo:hi])
+        stack.setflags(write=False)
+        out.extend(
+            qcore._assembled(
+                MeasurementSetting,
+                projector=qcore._assembled(HermitianOperator, entries=entries),
+                weight=weight,
+                label=label,
+                locality=locality,
             )
-            if pt_min < -TOL_DERIVED:
-                raise ValidationError(
-                    f"setting {self.label!r} claims locality but its partial "
-                    f"transpose has eigenvalue {pt_min!r}"
-                )
+            for entries, weight, label, locality in zip(
+                stack, weights[lo:hi], labels[lo:hi], localities[lo:hi]
+            )
+        )
+    return tuple(out)
 
 
 def invariant_defect(target: Ket, omega: np.ndarray, tol: float) -> str | None:
@@ -217,10 +312,6 @@ def metrics(strategy: Strategy) -> StrategyMetrics:
     )
 
 
-def _correlation_projector(a: np.ndarray, b: np.ndarray, sign: float) -> HermitianOperator:
-    return HermitianOperator((np.eye(4, dtype=complex) + sign * np.kron(a, b)) / 2.0)
-
-
 def bell_strategy() -> Strategy:
     """Uniform parity checks XX, -YY, ZZ for (|00> + |11>)/sqrt(2).
 
@@ -230,18 +321,16 @@ def bell_strategy() -> Strategy:
     """
     target = Ket(np.array([1.0, 0.0, 0.0, 1.0], dtype=complex) / math.sqrt(2.0))
     specs = [
-        ("XX", qcore.PAULI_X, qcore.PAULI_X, +1.0),
-        ("-YY", qcore.PAULI_Y, qcore.PAULI_Y, -1.0),
-        ("ZZ", qcore.PAULI_Z, qcore.PAULI_Z, +1.0),
+        (qcore.PAULI_X, +1.0),
+        (qcore.PAULI_Y, -1.0),
+        (qcore.PAULI_Z, +1.0),
     ]
-    settings = tuple(
-        MeasurementSetting(
-            projector=_correlation_projector(a, b, sign),
-            weight=1.0 / 3.0,
-            label=label,
-            locality=Locality.STABILIZER_PAULI,
-        )
-        for label, a, b, sign in specs
+    eye = np.eye(4, dtype=complex)
+    settings = _settings(
+        [(eye + sign * np.kron(p, p)) / 2.0 for p, sign in specs],
+        (1.0 / 3.0,) * 3,
+        ("XX", "-YY", "ZZ"),
+        (Locality.STABILIZER_PAULI,) * 3,
     )
     return Strategy(target=target, settings=settings, kind=StrategyKind.BELL)
 
@@ -282,6 +371,31 @@ def optimal_q(theta: float) -> float:
     return (2.0 + s) / (4.0 + s)
 
 
+# Unit phases on |1> of the two factors of each annihilating product
+# state, one row per state: (2pi/3, pi/3), (4pi/3, 5pi/3), (0, pi).
+_PRODUCT_PHASES = np.array(
+    [
+        [np.exp(1j * pa), np.exp(1j * pb)]
+        for pa, pb in (
+            (2.0 * math.pi / 3.0, math.pi / 3.0),
+            (4.0 * math.pi / 3.0, 5.0 * math.pi / 3.0),
+            (0.0, math.pi),
+        )
+    ]
+)
+
+
+def _annihilating_amplitudes(theta: float) -> np.ndarray:
+    """Rows: amplitudes of annihilating_product_states, norms checked."""
+    factors = np.empty((3, 2, 2), dtype=complex)
+    factors[:, :, 0] = 1.0 / math.sqrt(1.0 + math.tan(theta))
+    factors[:, :, 1] = _PRODUCT_PHASES * (1.0 / math.sqrt(1.0 + 1.0 / math.tan(theta)))
+    # row s is kron(first factor, second factor) of state s
+    states = (factors[:, 0, :, None] * factors[:, 1, None, :]).reshape(3, 4)
+    qcore._check_unit_norms(states, "ket")
+    return states
+
+
 def annihilating_product_states(theta: float) -> tuple[Ket, Ket, Ket]:
     """Three product states orthogonal to the target with balanced phases.
 
@@ -293,19 +407,7 @@ def annihilating_product_states(theta: float) -> tuple[Ket, Ket, Ket]:
     sin(theta)|00> + cos(theta)|11>. Their equal weight mixture of
     complements is the trace three part of the optimal strategy.
     """
-    amp0 = 1.0 / math.sqrt(1.0 + math.tan(theta))
-    amp1 = 1.0 / math.sqrt(1.0 + 1.0 / math.tan(theta))
-    phase_pairs = (
-        (2.0 * math.pi / 3.0, math.pi / 3.0),
-        (4.0 * math.pi / 3.0, 5.0 * math.pi / 3.0),
-        (0.0, math.pi),
-    )
-    states = []
-    for pa, pb in phase_pairs:
-        first = np.array([amp0, np.exp(1j * pa) * amp1])
-        second = np.array([amp0, np.exp(1j * pb) * amp1])
-        states.append(Ket(np.kron(first, second)))
-    return tuple(states)
+    return tuple(Ket(row) for row in _annihilating_amplitudes(theta))
 
 
 def trace3_closed_form(theta: float) -> np.ndarray:
@@ -348,28 +450,18 @@ def two_qubit_optimal(theta: float) -> Strategy:
     """
     check_theta(theta)
     alpha = alpha_weight(theta)
-    eye = np.eye(4, dtype=complex)
-    settings = [
-        MeasurementSetting(
-            projector=HermitianOperator(np.diag([1.0, 0.0, 0.0, 1.0]).astype(complex)),
-            weight=alpha,
-            label="ZZ",
-            locality=Locality.STABILIZER_PAULI,
-        )
-    ]
-    for k, state in enumerate(annihilating_product_states(theta), start=1):
-        complement = eye - np.outer(state.amplitudes, state.amplitudes.conj())
-        settings.append(
-            MeasurementSetting(
-                projector=HermitianOperator(complement),
-                weight=(1.0 - alpha) / 3.0,
-                label=f"reject-product-{k}",
-                locality=Locality.PRODUCT_PROJECTOR,
-            )
-        )
+    states = _annihilating_amplitudes(theta)
+    complements = np.eye(4) - states[:, :, None] * states.conj()[:, None, :]
+    rest = (1.0 - alpha) / 3.0
+    settings = _settings(
+        [np.diag([1.0, 0.0, 0.0, 1.0]), *complements],
+        (alpha, rest, rest, rest),
+        ("ZZ", "reject-product-1", "reject-product-2", "reject-product-3"),
+        (Locality.STABILIZER_PAULI,) + (Locality.PRODUCT_PROJECTOR,) * 3,
+    )
     return Strategy(
         target=target_state(theta),
-        settings=tuple(settings),
+        settings=settings,
         kind=StrategyKind.TWO_QUBIT_OPTIMAL,
         theta=theta,
     )
@@ -385,13 +477,14 @@ def product_state_strategy(which: str) -> Strategy:
         raise ValidationError(f"which={which!r} must be 'zero' or 'one'")
     index = 0 if which == "zero" else 3
     target = qcore.basis_ket(4, index)
-    setting = MeasurementSetting(
-        projector=target.density(),
-        weight=1.0,
-        label="00" if which == "zero" else "11",
-        locality=Locality.PRODUCT_PROJECTOR,
+    amps = target.amplitudes
+    settings = _settings(
+        [np.outer(amps, amps.conj())],
+        (1.0,),
+        ("00" if which == "zero" else "11",),
+        (Locality.PRODUCT_PROJECTOR,),
     )
-    return Strategy(target=target, settings=(setting,), kind=StrategyKind.PRODUCT_STATE)
+    return Strategy(target=target, settings=settings, kind=StrategyKind.PRODUCT_STATE)
 
 
 def _check_unitary(matrix: np.ndarray, name: str) -> np.ndarray:
@@ -416,14 +509,12 @@ def local_transport(strategy: Strategy, u, v) -> Strategy:
     u = _check_unitary(u, "u")
     v = _check_unitary(v, "v")
     big = np.kron(u, v)
-    new_settings = tuple(
-        MeasurementSetting(
-            projector=HermitianOperator(big @ s.projector.entries @ big.conj().T),
-            weight=s.weight,
-            label=s.label,
-            locality=s.locality,
-        )
-        for s in strategy.settings
+    old = strategy.settings
+    new_settings = _settings(
+        [big @ s.projector.entries @ big.conj().T for s in old],
+        [s.weight for s in old],
+        [s.label for s in old],
+        [s.locality for s in old],
     )
     return Strategy(
         target=Ket(big @ strategy.target.amplitudes),
@@ -503,13 +594,8 @@ def from_json_dict(doc: dict) -> Strategy:
     if theta is not None and not math.isfinite(theta):
         raise ValidationError(f"strategy document theta {theta!r} is not finite")
     target = Ket(target_amps)
-    settings = tuple(
-        MeasurementSetting(
-            projector=HermitianOperator(flat.reshape(dim, dim)),
-            weight=weight,
-            label=label,
-            locality=locality,
-        )
-        for flat, weight, label, locality in fields
+    projectors, weights, labels, localities = zip(*fields) if fields else ((),) * 4
+    settings = _settings(
+        (flat.reshape(dim, dim) for flat in projectors), weights, labels, localities
     )
     return Strategy(target=target, settings=settings, kind=kind, theta=theta)

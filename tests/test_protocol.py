@@ -15,6 +15,8 @@ from qverify.protocol import (
     DeviceModel,
     EnsembleStats,
     RunResult,
+    _build_plan,
+    _clamp_certainties,
     estimate_power,
     honest_device,
     iid_adversary,
@@ -133,6 +135,71 @@ def test_custom_device_supplier_indexed_by_copy():
     device = varying_adversary(BELL, supplier)
     predicted_acceptance(strat, device, 4)
     assert seen == [0, 1, 2, 3]
+
+
+def per_copy_probs(strat, device, n):
+    """The plan's pass table built one copy at a time, each copy's state
+    read and checked through density_at."""
+    stack = np.stack([s.projector.entries for s in strat.settings])
+    rows = [np.einsum("kij,ji->k", stack, device.density_at(i)) for i in range(n)]
+    return _clamp_certainties(np.real(rows))
+
+
+@pytest.mark.parametrize("wrap", ["adversary-state", "operator", "ket"])
+def test_plan_of_cycling_frozen_states_matches_per_copy_oracle(wrap):
+    strat = bell_strategy()
+    states = [worst_case_state(strat, eps) for eps in (0.05, 0.2, 0.4)]
+    if wrap == "operator":
+        states = [s.sigma for s in states]
+    if wrap == "ket":
+        states = [Ket.normalized([1.0, 0.0, 0.0, e]) for e in (0.1, 0.5, -2.0)]
+    calls = []
+
+    def supplier(k):
+        calls.append(k)
+        return states[k % 3]
+
+    device = varying_adversary(BELL, supplier)
+    n = 50
+    plan = _build_plan(strat, device, n)
+    assert calls == list(range(n))  # the supplier still sees every copy
+    assert plan.probs.tobytes() == per_copy_probs(strat, device, n).tobytes()
+
+
+def test_frozen_state_breaking_the_promise_names_its_first_copy():
+    strat = bell_strategy()
+    good, near = worst_case_state(strat, 0.2), worst_case_state(strat, 1e-6)
+    device = varying_adversary(
+        BELL, lambda k: near if k >= 4 and k % 2 == 0 else good, epsilon=0.1
+    )
+    with pytest.raises(ValidationError, match="copy 4 "):
+        predicted_acceptance(strat, device, 9)
+
+
+def test_plan_rechecks_a_raw_array_on_every_copy():
+    # one ndarray handed over on every copy may change in between, so
+    # each copy reads and checks it again
+    strat = bell_strategy()
+    sigma = np.diag([0.25, 0.25, 0.25, 0.25]).astype(complex)
+
+    def supplier(k):
+        if k == 5:
+            sigma[:] = np.diag([1.5, -0.5, 0.0, 0.0])  # trace 1, not positive
+        return sigma
+
+    with pytest.raises(ValidationError, match="eigenvalue"):
+        predicted_acceptance(strat, varying_adversary(BELL, supplier), 8)
+
+    flipped = np.diag([0.5, 0.5, 0.0, 0.0]).astype(complex)
+
+    def changing(k):
+        if k == 3:
+            flipped[:] = np.diag([0.0, 0.5, 0.5, 0.0])
+        return flipped
+
+    plan = _build_plan(strat, varying_adversary(BELL, changing), 6)
+    assert not np.array_equal(plan.probs[2], plan.probs[3])
+    assert np.array_equal(plan.probs[3], plan.probs[5])
 
 
 def test_sink_records_trials():
