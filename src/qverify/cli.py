@@ -455,12 +455,10 @@ def cmd_strategy(cfg: argparse.Namespace) -> dict:
         record.append(("epsilon", cfg.epsilon))
         record.append(("delta_eps", m.delta_eps(cfg.epsilon)))
     rows = [(s.label, s.weight, s.locality.value) for s in built.settings]
-    return {
-        "record": record,
-        "columns": ("label", "weight", "locality"),
-        "rows": rows,
-        "extra_json": {"strategy": strategy.to_json_dict(built)},
-    }
+    doc = {"record": record, "columns": ("label", "weight", "locality"), "rows": rows}
+    if cfg.format == "json":
+        doc["extra_json"] = {"strategy": strategy.to_json_dict(built)}
+    return doc
 
 
 def cmd_samplecount(cfg: argparse.Namespace) -> dict:
@@ -592,8 +590,7 @@ def cmd_stabilizer(cfg: argparse.Namespace) -> dict:
         extra: dict = {}
         if report.degenerate:
             record.append(("fooling_acceptance", report.fooling_acceptance))
-            amps = report.fooling_state.amplitudes
-            extra["fooling_state"] = [[float(a.real), float(a.imag)] for a in amps]
+            extra["fooling_state"] = strategy._complex_pairs(report.fooling_state.amplitudes)
         return {"record": record, "extra_json": extra}
     if cfg.parity_check:
         check = stabilizer.ParityCheck.build(group)

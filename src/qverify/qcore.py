@@ -92,6 +92,8 @@ def _first_operator_defect(stack: np.ndarray, what: str) -> tuple[int, QVerifyEr
         raise BadDimError(f"{what} entries must form a square matrix")
     _check_dense_dim(stack.shape[1], what)
     head = stack[:valid]
+    if not head.imag.any():
+        head = head.real  # |a + 0i| = |a|: the same residual bits, in real arithmetic
     residuals = np.abs(head - head.conj().transpose(0, 2, 1)).max(axis=(1, 2))
     if residuals.max() > TOL_INPUT:
         i = int(np.argmax(residuals > TOL_INPUT))
@@ -113,13 +115,16 @@ def _check_unit_norms(rows: np.ndarray, what: str) -> None:
         )
 
 
+_new, _set = object.__new__, object.__setattr__
+
+
 def _assembled(cls, **fields):
     """An instance of a frozen dataclass from fields a stacked check has
     already validated together, without running its per-instance checks
     a second time."""
-    obj = object.__new__(cls)
+    obj = _new(cls)
     for name, value in fields.items():
-        object.__setattr__(obj, name, value)
+        _set(obj, name, value)
     return obj
 
 
@@ -326,7 +331,14 @@ def is_projector(op: HermitianOperator, tol: float = TOL_DERIVED) -> bool:
 def _projector_defects(stack: np.ndarray, tol: float) -> np.ndarray:
     """For each matrix of a nonempty finite Hermitian (k, d, d) stack, True
     unless it is idempotent (max |P^2 - P| <= tol) with every eigenvalue
-    within tol of 0 or 1."""
+    within tol of 0 or 1.
+
+    A stack with no imaginary part is checked in real arithmetic: a real
+    symmetric matrix is Hermitian, and the real eigensolver differs from
+    the complex one only in rounding (about 1e-15, far below TOL_DERIVED).
+    """
+    if not stack.imag.any():
+        stack = np.ascontiguousarray(stack.real)
     idempotence = np.abs(stack @ stack - stack).max(axis=(1, 2))
     vals = np.linalg.eigvalsh(stack)
     spread = np.minimum(np.abs(vals), np.abs(vals - 1.0)).max(axis=1)

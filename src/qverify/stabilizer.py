@@ -28,6 +28,14 @@ counting the chosen elements that pass s: _pass_counts finds each c(s) by
 one integer Walsh-Hadamard transform, and q, trace and degeneracy are read
 from it. ParityCheck columns hold generator j at bit N-1-j (most
 significant first); _column_syndromes alone converts.
+
+Element table. StabilizerGroup.table holds every element's (x, z, phase)
+as one read-only int64 array, built by doubling once per generator, and
+every stabilizer number is derived from it by array arithmetic: the
+PauliString elements (all checked as one stack), the joint eigenvectors
+(all requested syndromes in one pass: each start index is read off a
+GF(2) basis of the diagonal elements, and the signed terms are summed
+exactly by np.bincount) and the dense pass projectors.
 """
 
 from __future__ import annotations
@@ -45,6 +53,7 @@ from .errors import (
     DependentGeneratorsError,
     InconsistentSignsError,
     NonCommutingError,
+    QVerifyError,
     ValidationError,
 )
 from .qcore import MAX_QUBITS, TOL_DERIVED, Ket
@@ -78,6 +87,23 @@ def _act(x, z, coeff, index):
     return index ^ x, coeff * (1 - 2 * _parity(index & z))
 
 
+def _pauli_defect(n, x, z, phase) -> QVerifyError | None:
+    """The error of the first PauliString check these fields fail, or None."""
+    if not all(isinstance(v, int) for v in (n, x, z, phase)):
+        return ValidationError("Pauli string fields must be ints")
+    if not 1 <= n <= MAX_QUBITS:
+        return BadDimError(f"num_qubits must be in [1, {MAX_QUBITS}]")
+    if min(x, z) < 0 or (x | z) >> n:
+        return ValidationError(f"x and z masks must lie in [0, 2^{n})")
+    if phase not in (0, 1, 2, 3):
+        return ValidationError(f"phase must be 0, 1, 2 or 3, got {phase!r}")
+    if (phase - (x & z).bit_count()) % 2:
+        return InconsistentSignsError(
+            f"i^{phase} X^{x:0{n}b} Z^{z:0{n}b} is anti-Hermitian"
+        )
+    return None
+
+
 @dataclass(frozen=True)
 class PauliString:
     """The n qubit operator i^phase X^x Z^z, x and z integer bit masks.
@@ -92,19 +118,9 @@ class PauliString:
     phase: int = 0
 
     def __post_init__(self):
-        n, x, z, phase = self.num_qubits, self.x, self.z, self.phase
-        if not all(isinstance(v, int) for v in (n, x, z, phase)):
-            raise ValidationError("Pauli string fields must be ints")
-        if not 1 <= n <= MAX_QUBITS:
-            raise BadDimError(f"num_qubits must be in [1, {MAX_QUBITS}]")
-        if min(x, z) < 0 or (x | z) >> n:
-            raise ValidationError(f"x and z masks must lie in [0, 2^{n})")
-        if phase not in (0, 1, 2, 3):
-            raise ValidationError(f"phase must be 0, 1, 2 or 3, got {phase!r}")
-        if (phase - (x & z).bit_count()) % 2:
-            raise InconsistentSignsError(
-                f"i^{phase} X^{x:0{n}b} Z^{z:0{n}b} is anti-Hermitian"
-            )
+        error = _pauli_defect(self.num_qubits, self.x, self.z, self.phase)
+        if error is not None:
+            raise error
 
     @classmethod
     def from_label(cls, label: str) -> "PauliString":
@@ -174,17 +190,20 @@ class PauliString:
         return out
 
 
-def _gf2_rank(rows: list[int]) -> int:
-    rank = 0
-    pool = list(rows)
-    while pool:
+def _gf2_reduce(rows: list[int], low_bits: int = 0) -> tuple[int, list[int]]:
+    """(rank, rest) of GF(2) elimination pivoting only on bits >= low_bits;
+    rest holds the reduced rows left without such bits."""
+    rank, pool = 0, list(rows)
+    while pool and max(pool) >> low_bits:
         pivot = max(pool)
-        if pivot == 0:
-            break
         rank += 1
         top_bit = pivot.bit_length() - 1
         pool = [r ^ pivot if (r >> top_bit) & 1 else r for r in pool if r != pivot]
-    return rank
+    return rank, pool
+
+
+def _gf2_rank(rows: list[int]) -> int:
+    return _gf2_reduce(rows)[0]
 
 
 def _column_syndromes(num_qubits: int) -> np.ndarray:
@@ -223,6 +242,30 @@ def _count_metrics(counts: np.ndarray) -> StrategyMetrics:
     k = int(counts[0])
     q = int(counts[1:].max()) / k
     return StrategyMetrics(q, int(counts.sum()) / k, 1.0 - q)
+
+
+def _checked_strings(n: int, table: np.ndarray) -> tuple[PauliString, ...]:
+    """The PauliStrings on n qubits whose (x, z, phase) are table's columns.
+
+    Every PauliString check runs once over the whole table, and the first
+    failing column raises the error its constructor would; the strings
+    are then assembled without checking each a second time.
+    """
+    xs, zs, phases = table
+    bad = np.ones(table.shape[1], dtype=bool)
+    if isinstance(n, int) and 1 <= n <= MAX_QUBITS and table.dtype.kind == "i":
+        bad = (
+            (np.minimum(xs, zs) < 0)
+            | ((xs | zs) >> n > 0)
+            | (phases & ~3 != 0)
+            | ((phases ^ _parity(xs & zs)) & 1 == 1)
+        )
+    if bad.any():
+        raise _pauli_defect(n, *table[:, int(bad.argmax())].tolist())
+    return tuple(
+        qcore._assembled(PauliString, num_qubits=n, x=x, z=z, phase=phase)
+        for x, z, phase in zip(*table.tolist())
+    )
 
 
 @dataclass(frozen=True, eq=False)
@@ -265,39 +308,69 @@ class StabilizerGroup:
         return self.num_generators == self.num_qubits
 
     @cached_property
+    def table(self) -> np.ndarray:
+        """Read-only int64 rows (xs, zs, phases); column m holds element m.
+
+        Built by doubling: the 2^j columns from generators 0..j-1, each
+        times generator j, by PauliString.__mul__'s rule.
+        """
+        xs, zs, phases = table = np.zeros((3, 1 << self.num_generators), dtype=np.int64)
+        for j, g in enumerate(self.generators):
+            lo, hi = slice(0, 1 << j), slice(1 << j, 2 << j)
+            xs[hi] = xs[lo] ^ g.x
+            zs[hi] = zs[lo] ^ g.z
+            # Z^za X^xb = (-1)^|za & xb| X^xb Z^za
+            phases[hi] = (phases[lo] + g.phase + 2 * _parity(zs[lo] & g.x)) % 4
+        table.setflags(write=False)
+        return table
+
+    @cached_property
     def elements(self) -> tuple[PauliString, ...]:
         """All 2^k products; index m multiplies the generators in m's bits.
 
         Bit j of m (j = 0 is the first generator) selects generator j.
-        Element 0 is the identity with sign +1.
+        Element 0 is the identity with sign +1. The strings are the
+        table's columns, each given every PauliString check as one stack.
         """
-        n = self.num_qubits
-        out = [PauliString(n, 0, 0)]
-        for j, g in enumerate(self.generators):
-            out.extend([prev * g for prev in out[: 1 << j]])
-        return tuple(out)
+        return _checked_strings(self.num_qubits, self.table)
 
-    def _joint_eigenvector(self, syndrome: int) -> np.ndarray:
-        """Unit vector on which element m has eigenvalue (-1)^|m & syndrome|.
+    def _joint_eigenvectors(self, syndromes) -> np.ndarray:
+        """Row i: unit vector on which element m has eigenvalue (-1)^|m & syndromes[i]|.
 
-        Projects basis vectors with (1/2^k) sum_m (-1)^|m & s| g_m; the
-        first nonzero projection (an exact dyadic sum) is used, phase fixed.
+        Row i projects one basis vector b with (1/2^k) sum_m (-1)^|m & s| g_m.
+        The projection is nonzero exactly when every diagonal element
+        (x_m = 0) has on b the eigenvalue s asks of it, which is checked on
+        a GF(2) basis of them; the first such b is used. The amplitudes are
+        exact dyadic sums, so their order does not matter. Each row is
+        then normalized and its phase fixed.
         """
-        xs, zs, phases = np.array([(e.x, e.z, e.phase) for e in self.elements]).T
-        signs = 1 - 2 * _parity(np.arange(len(xs)) & syndrome)
-        weighted = signs * _PHASES[phases] / len(xs)
+        xs, zs, phases = self.table
         dim = 2**self.num_qubits
-        batch = max(1, 2**MAX_QUBITS // len(xs))  # starts projected at once
-        for first in range(0, dim, batch):
-            starts = np.arange(first, min(first + batch, dim))[:, None]
-            rows, terms = _act(xs, zs, weighted, starts)
-            amps = np.zeros((len(starts), dim), dtype=complex)
-            np.add.at(amps, (np.arange(len(starts))[:, None], rows), terms)
-            for vec in amps:
-                norm = float(np.linalg.norm(vec))
-                if norm > TOL_DERIVED:
-                    return qcore._fix_phase(vec / norm)
-        raise InconsistentSignsError("group projects every basis state to zero")
+        syndromes = np.asarray(syndromes, dtype=np.int64)
+        k = self.num_generators
+        # eliminating the x bits of rows (x_j, e_j) leaves a basis of {m : x_m = 0}
+        rows = [(g.x << k) | (1 << j) for j, g in enumerate(self.generators)]
+        diagonal = np.array(_gf2_reduce(rows, k)[1], dtype=np.int64)
+        place = 1 << np.arange(len(diagonal))
+        # the eigenvalue bits, one per diagonal basis element, that each
+        # basis index b shows ((-1)^(phase_m / 2 + |b & z_m|)) and each
+        # syndrome asks for ((-1)^|m & s|)
+        shown = _parity(np.arange(dim)[:, None] & zs[diagonal])
+        shown = (shown ^ (phases[diagonal] >> 1)) @ place
+        asked = _parity(syndromes[:, None] & diagonal) @ place
+        starts = (shown == asked[:, None]).argmax(axis=1)
+        if (shown[starts] != asked).any():
+            raise InconsistentSignsError("group projects every basis state to zero")
+        # (-1)^|m & s| from the projector times (-1)^|b & z_m| from g_m on b
+        signs = 1 - 2 * _parity(
+            (syndromes[:, None] & np.arange(len(xs))) ^ (starts[:, None] & zs)
+        )
+        flat = (np.arange(len(starts)) * dim)[:, None] + (starts[:, None] ^ xs)
+        amps = np.empty((len(starts), dim), dtype=complex)
+        for part, unit in ((amps.real, _PHASES.real), (amps.imag, _PHASES.imag)):
+            weights = (signs * unit[phases] / len(xs)).ravel()
+            part[:] = np.bincount(flat.ravel(), weights, amps.size).reshape(amps.shape)
+        return np.array([qcore._fix_phase(v / float(np.linalg.norm(v))) for v in amps])
 
     def state(self) -> Ket:
         """The unique stabilized state of a maximal group (syndrome 0)."""
@@ -306,7 +379,7 @@ class StabilizerGroup:
                 f"{self.num_generators} generators on {self.num_qubits} qubits "
                 "do not pin down a single state"
             )
-        return Ket(self._joint_eigenvector(0))
+        return Ket(self._joint_eigenvectors([0])[0])
 
 
 def ghz_group(num_qubits: int) -> StabilizerGroup:
@@ -402,13 +475,27 @@ _SCHEME_INDICES = {
 def _equal_mixture(group, indices, kind: StrategyKind, what: str) -> Strategy:
     """Dense equal-weight strategy over the pass tests of the indexed elements."""
     _require_dense(group, what)
-    chosen = [group.elements[m] for m in indices]
-    eye = np.eye(2**group.num_qubits, dtype=complex)
+    xs, zs, phases = group.table[:, np.asarray(indices)]
+    cols = np.arange(2**group.num_qubits)
+    # (I + P_m)/2 is 1/2 on the diagonal plus P_m's entries halved; row i
+    # of (images, halves) holds the i-th chosen P_m's entry in each column
+    images, halves = _act(xs[:, None], zs[:, None], _PHASES[phases][:, None] / 2.0, cols)
+
+    def projectors():
+        # one matrix at a time: a stack of all of them costs more memory
+        # than it saves time
+        for image, half in zip(images, halves):
+            out = np.zeros((cols.size, cols.size), dtype=complex)
+            out[cols, cols] = 0.5
+            out[image, cols] += half
+            yield out
+
+    k = len(indices)
     settings = _settings(
-        ((eye + elem.matrix()) / 2.0 for elem in chosen),
-        (1.0 / len(chosen),) * len(chosen),
-        [elem.label for elem in chosen],
-        (Locality.STABILIZER_PAULI,) * len(chosen),
+        projectors(),
+        (1.0 / k,) * k,
+        [group.elements[m].label for m in indices],
+        (Locality.STABILIZER_PAULI,) * k,
     )
     return Strategy(target=group.state(), settings=settings, kind=kind)
 
@@ -468,9 +555,8 @@ class ParityCheck:
             raise BadDimError(
                 f"dense parity-check eigenbasis limited to {MAX_DENSE_QUBITS} qubits"
             )
-        basis = np.column_stack(
-            [self.group._joint_eigenvector(int(s)) for s in _column_syndromes(n)]
-        )
+        rows = self.group._joint_eigenvectors(_column_syndromes(n))
+        basis = np.ascontiguousarray(rows.T)
         residual = float(np.max(np.abs(basis.conj().T @ basis - np.eye(2**n))))
         if residual > TOL_DERIVED:
             raise ValidationError(
@@ -560,7 +646,7 @@ def subset_strategy(group: StabilizerGroup, element_indices) -> SubsetReport:
     fooling = acceptance = None
     if passing.size > 1:
         syndrome = int(syndromes[passing[1]])
-        fooling = Ket(group._joint_eigenvector(syndrome))
+        fooling = Ket(group._joint_eigenvectors([syndrome])[0])
         acceptance = int(counts[syndrome]) / len(indices)
     return SubsetReport(
         group=group,

@@ -534,7 +534,8 @@ def exact_sample_count(
 
 
 def _complex_pairs(values: np.ndarray) -> list[list[float]]:
-    return [[float(z.real), float(z.imag)] for z in np.asarray(values).ravel()]
+    flat = np.asarray(values).ravel()
+    return np.stack([flat.real, flat.imag], axis=1).tolist()
 
 
 def _pairs_to_array(pairs, length: int, what: str) -> np.ndarray:

@@ -14,6 +14,7 @@ from qverify.errors import (
     DependentGeneratorsError,
     InconsistentSignsError,
     NonCommutingError,
+    QVerifyError,
     ValidationError,
 )
 from qverify.qcore import (
@@ -42,11 +43,18 @@ from qverify.stabilizer import (
     _column_syndromes,
     _gf2_rank,
     _pass_counts,
+    _checked_strings,
     _pass_rows,
 )
 from qverify.samplecount import certainty_count_report
 from qverify.strategy import metrics
-from stabilizer_oracles import full_strategy_q, generator_strategy_q
+from stabilizer_oracles import (
+    elements_by_products,
+    full_strategy_q,
+    generator_strategy_q,
+    joint_eigenvector,
+    pass_projectors,
+)
 
 PRESETS = ["bell", "ghz3", "ghz4", "cluster4"]
 
@@ -713,3 +721,135 @@ def test_elements_match_dense_generator_products(preset):
             # _dense_pauli reads only the label, matrix() only the masks
             assert np.array_equal(_dense_pauli(element), expected), (preset, m)
             assert np.array_equal(element.matrix(), expected), (preset, m)
+
+
+# ------------------------------------------------------------ element table
+
+
+SIGNED_SETS = [["-XX", "ZZ"], ["XX", "-YY"], ["-ZZ", "-XX"], ["YY", "-XX"], ["-XZ", "ZX"]]
+
+
+def _table_oracle_groups():
+    for preset in ["zeros1"] + ORACLE_PRESETS:
+        for flipped in _sign_flips(preset_group(preset).num_generators):
+            yield _flipped_group(preset, flipped)
+    for labels in SIGNED_SETS:
+        yield group_from_json(labels)
+
+
+def _assert_elements_match_products(group):
+    expected = elements_by_products(group)
+    assert group.elements == expected
+    for ours in group.elements:
+        assert {type(v) for v in dataclasses.astuple(ours)} == {int}
+
+
+def test_table_routes_match_the_element_oracle_bitwise():
+    # elements, state, eigenbasis and both dense strategies' projectors,
+    # against the __mul__ chain, the per-syndrome eigenvector and
+    # per-element matrix() projectors
+    for group in _table_oracle_groups():
+        n = group.num_qubits
+        _assert_elements_match_products(group)
+        state = joint_eigenvector(group, 0)
+        assert group.state().amplitudes.tobytes() == state.tobytes()
+        columns = [joint_eigenvector(group, int(s)) for s in _column_syndromes(n)]
+        expected = np.column_stack(columns)
+        basis = ParityCheck.build(group).eigenbasis
+        assert basis.flags.c_contiguous and not basis.flags.writeable
+        assert basis.tobytes() == expected.tobytes(), group_to_json(group)
+        for build, indices in (
+            (full_strategy, range(1, 2**n)),
+            (generator_strategy, [1 << j for j in range(n)]),
+        ):
+            ours = [s.projector.entries for s in build(group).settings]
+            theirs = pass_projectors(group, indices)
+            assert [p.tobytes() for p in ours] == [p.tobytes() for p in theirs]
+
+
+@pytest.mark.parametrize(
+    "preset", [f"{family}{n}" for family in ("ghz", "cluster") for n in range(7, 13)]
+)
+def test_big_group_elements_and_state_match_the_element_oracle(preset):
+    group = preset_group(preset)
+    _assert_elements_match_products(group)
+    expected = joint_eigenvector(group, 0)
+    assert group.state().amplitudes.tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize(
+    "preset,indices",
+    [
+        ("ghz4", [1, 2, 3]),
+        ("ghz4", [2, 4, 8]),
+        ("cluster4", [1, 2, 3]),
+        ("cluster4", [5, 10]),
+        ("ghz6", [1, 2, 4]),
+        ("ghz6", [3, 12, 48, 63]),
+    ],
+)
+def test_fooling_state_matches_the_element_oracle(preset, indices):
+    n = preset_group(preset).num_qubits
+    for flipped in _sign_flips(n):
+        group = _flipped_group(preset, flipped)
+        report = subset_strategy(group, indices)
+        assert report.degenerate
+        column = next(
+            k for k in range(1, 2**n)
+            if all(_column_pass_bit(n, m, k) for m in indices)
+        )
+        syndrome = int(_column_syndromes(n)[column])
+        expected = joint_eigenvector(group, syndrome)
+        assert report.fooling_state.amplitudes.tobytes() == expected.tobytes()
+
+
+def test_element_table_is_read_only_int64_in_element_order():
+    group = preset_group("cluster3")
+    table = group.table
+    assert table.dtype == np.int64 and table.shape == (3, 8)
+    assert not table.flags.writeable
+    assert group.table is table
+    xs, zs, phases = table
+    for m, element in enumerate(elements_by_products(group)):
+        assert (xs[m], zs[m], phases[m]) == (element.x, element.z, element.phase)
+
+
+def _corrupted(table, column, row, value):
+    bad = np.array(table)
+    bad[row, column] = value
+    return bad
+
+
+@pytest.mark.parametrize(
+    "n,edit",
+    [
+        (3, (5, 2, 1)),  # phase parity: anti-Hermitian
+        (3, (5, 2, 4)),  # phase out of range
+        (3, (6, 2, -1)),  # negative phase
+        (3, (3, 0, 8)),  # x mask too wide
+        (3, (7, 1, -2)),  # negative z mask
+        (3, (1, 1, 1 << 40)),  # z mask far too wide
+        (0, None),
+        (MAX_QUBITS + 1, None),
+        (3.0, None),
+    ],
+)
+def test_checked_strings_raise_the_constructor_error(n, edit):
+    table = preset_group("ghz3").table
+    if edit is not None:
+        table = _corrupted(table, *edit)
+    column = 0 if edit is None else edit[0]
+    with pytest.raises(QVerifyError) as expected:
+        PauliString(n, *(int(v) for v in table[:, column]))
+    with pytest.raises(type(expected.value)) as caught:
+        _checked_strings(n, table)
+    assert str(caught.value) == str(expected.value)
+
+
+def test_checked_strings_report_the_first_bad_column():
+    table = preset_group("ghz3").table
+    table = _corrupted(_corrupted(table, 6, 2, 5), 4, 0, 9)
+    with pytest.raises(ValidationError, match="masks"):
+        _checked_strings(3, table)
+    with pytest.raises(ValidationError, match="must be ints"):
+        _checked_strings(3, table.astype(float))

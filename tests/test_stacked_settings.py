@@ -18,7 +18,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qverify import strategy
+from qverify import qcore, strategy
 from qverify.errors import BadDimError, NonHermitianError, ValidationError
 from qverify.qcore import (
     MAX_QUBITS,
@@ -430,3 +430,131 @@ def test_bell_strategy_solves_at_most_three_eigenproblems(monkeypatch):
     calls = _count_eigvalsh(monkeypatch)
     bell_strategy()
     assert len(calls) <= 3
+
+
+# ------------------------------------------------------------ real route
+
+
+def _record_eigvalsh(monkeypatch):
+    """(dtype, shape) of every eigvalsh input while the test runs."""
+    inputs = []
+    real = np.linalg.eigvalsh
+
+    def recorded(a, *args, **kwargs):
+        inputs.append((np.asarray(a).dtype, np.shape(a)))
+        return real(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", recorded)
+    return inputs
+
+
+def test_real_projectors_are_checked_in_real_arithmetic(monkeypatch):
+    group = preset_group("ghz6")
+    inputs = _record_eigvalsh(monkeypatch)
+    full_strategy(group)
+    checks = [dtype for dtype, shape in inputs if shape == (1, 64, 64)]
+    assert checks == [np.dtype(np.float64)] * 63
+
+
+def test_complex_projectors_are_checked_in_complex_arithmetic(monkeypatch):
+    inputs = _record_eigvalsh(monkeypatch)
+    two_qubit_optimal(0.6)
+    assert len(inputs) <= 3
+    assert all(dtype == np.complex128 for dtype, shape in inputs if len(shape) == 3)
+
+
+def test_one_tiny_imaginary_entry_takes_the_complex_route(monkeypatch):
+    mat = np.zeros((4, 4), dtype=complex)
+    mat[np.ix_([0, 3], [0, 3])] = 0.5
+    mat[0, 3] += 1e-300j
+    mat[3, 0] -= 1e-300j
+    inputs = _record_eigvalsh(monkeypatch)
+    assert qcore.is_projector(HermitianOperator(mat))
+    assert inputs == [(np.dtype(np.complex128), (1, 4, 4))]
+    inputs.clear()
+    assert qcore.is_projector(HermitianOperator(mat.real))
+    assert inputs == [(np.dtype(np.float64), (1, 4, 4))]
+
+
+def _real_symmetric(rng, dim, vals):
+    q, _ = np.linalg.qr(rng.standard_normal((dim, dim)))
+    mat = (q * vals) @ q.T
+    return (mat + mat.T) / 2.0
+
+
+@given(seed=st.integers(0, 2**32 - 1), dim=st.sampled_from([2, 4, 8, 16, 64]))
+@settings(max_examples=40, deadline=None)
+def test_real_and_complex_routes_agree_near_the_tolerance(seed, dim):
+    # spectra within 0.1 tol of {0, 1} pass, within 10 tol fail, on both routes
+    rng = np.random.default_rng(seed)
+    ones = rng.integers(0, 2, dim).astype(float)
+    for scale, defect in ((0.1, False), (10.0, True)):
+        push = scale * TOL_DERIVED * rng.choice([-1.0, 1.0], dim)
+        stack = _real_symmetric(rng, dim, ones + push)[None].astype(complex)
+        assert qcore._projector_defects(stack, TOL_DERIVED)[0] == defect
+        assert oracle_is_projector(stack[0]) is not defect
+
+
+@given(seed=st.integers(0, 2**32 - 1), dim=st.sampled_from([2, 4, 8]))
+@settings(max_examples=40, deadline=None)
+def test_real_hermitian_residual_matches_the_complex_oracle(seed, dim):
+    # the same bits, so the same verdict and message on either side of TOL_INPUT
+    rng = np.random.default_rng(seed)
+    for scale, hermitian in ((0.5, True), (2.0, False)):
+        mat = _real_symmetric(rng, dim, rng.integers(0, 2, dim).astype(float))
+        mat[0, -1] += scale * TOL_INPUT * rng.uniform(0.75, 1.0)
+        expected = None
+        try:
+            oracle_operator(mat)
+        except NonHermitianError as exc:
+            expected = str(exc)
+        assert (expected is None) is hermitian
+        defect = qcore._first_operator_defect(mat[None].astype(complex), "operator")
+        assert (defect and str(defect[1])) == expected
+
+
+@given(seed=st.integers(0, 2**32 - 1), dim=st.sampled_from([2, 4, 8]))
+@settings(max_examples=20, deadline=None)
+def test_imaginary_parts_keep_the_complex_residual(seed, dim):
+    # a real symmetric part plus a symmetric imaginary part is not
+    # Hermitian; only the complex residual sees that
+    rng = np.random.default_rng(seed)
+    mat = _real_symmetric(rng, dim, rng.integers(0, 2, dim).astype(float))
+    mat = mat + 1j * _real_symmetric(rng, dim, rng.uniform(0.1, 1.0, dim))
+    with pytest.raises(NonHermitianError) as expected:
+        oracle_operator(mat)
+    index, error = qcore._first_operator_defect(mat[None], "operator")
+    assert (index, type(error), str(error)) == (0, NonHermitianError, str(expected.value))
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        bell_strategy,
+        lambda: two_qubit_optimal(0.6),
+        lambda: full_strategy(preset_group("ghz6")),
+        lambda: full_strategy(preset_group("cluster6")),
+    ],
+    ids=["bell", "two-qubit-0.6", "ghz6", "cluster6"],
+)
+def test_json_bytes_match_per_entry_pairs(build):
+    # compared as dumped text, because == on lists takes -0.0 for 0.0
+    built = build()
+
+    def pairs(values):
+        return [[float(z.real), float(z.imag)] for z in np.asarray(values).ravel()]
+
+    doc = {"kind": built.kind.value}
+    if built.theta is not None:
+        doc["theta"] = float(built.theta)
+    doc["target"] = pairs(built.target.amplitudes)
+    doc["settings"] = [
+        {
+            "label": s.label,
+            "weight": float(s.weight),
+            "locality": s.locality.value,
+            "projector": pairs(s.projector.entries),
+        }
+        for s in built.settings
+    ]
+    assert json.dumps(to_json_dict(built)).encode() == json.dumps(doc).encode()
