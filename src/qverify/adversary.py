@@ -551,9 +551,7 @@ def certify_optimality(
     def ridge_profile(phi: float) -> float:
         return _alpha_minimized(math.tan(phi) ** 2, big_t)[1]
 
-    phi_pol, _ = _golden_max(
-        lambda phi: -ridge_profile(phi), phi_lo, phi_hi, tol=1e-10
-    )
+    phi_pol, _ = _golden_max(lambda phi: -ridge_profile(phi), phi_lo, phi_hi)
     alpha_pol, q_pol = _alpha_minimized(math.tan(phi_pol) ** 2, big_t)
 
     q_closed = optimal_q(theta)
@@ -591,8 +589,8 @@ class GameValue:
     evaluations: int
 
 
-def _golden_max(fn, lo: float, hi: float, tol: float = 1e-6):
-    """Golden section maximization tracking the best evaluated point."""
+def _golden_max(fn, lo: float, hi: float):
+    """Golden section maximization to a 1e-10 bracket, tracking the best point."""
     inv_phi = (math.sqrt(5.0) - 1.0) / 2.0
     best_x, best_v = lo, fn(lo)
     v_hi = fn(hi)
@@ -602,7 +600,7 @@ def _golden_max(fn, lo: float, hi: float, tol: float = 1e-6):
     c = b - inv_phi * (b - a)
     d = a + inv_phi * (b - a)
     fc, fd = fn(c), fn(d)
-    while b - a > tol:
+    while b - a > 1e-10:
         if fc > best_v:
             best_x, best_v = c, fc
         if fd > best_v:

@@ -405,6 +405,8 @@ def _build_group(cfg: argparse.Namespace):
 def _build_strategy(cfg: argparse.Namespace):
     path = getattr(cfg, "strategy_file", None)
     kind = cfg.kind
+    if path and kind is not None:
+        raise ValidationError(f"--strategy-file and --{kind} are mutually exclusive")
     if path:
         built = strategy.from_json_dict(_read_json(path, "strategy file"))
     elif kind is None:

@@ -323,9 +323,9 @@ def check_density(matrix: np.ndarray, what: str) -> None:
         raise ValidationError(f"{what} trace {tr!r} is not 1")
 
 
-def is_projector(op: HermitianOperator, tol: float = TOL_DERIVED) -> bool:
-    """True when op is idempotent with eigenvalues in {0, 1} within tol."""
-    return not _projector_defects(op.entries[None], tol)[0]
+def is_projector(op: HermitianOperator) -> bool:
+    """True when op is idempotent with eigenvalues in {0, 1} within TOL_DERIVED."""
+    return not _projector_defects(op.entries[None], TOL_DERIVED)[0]
 
 
 def _projector_defects(stack: np.ndarray, tol: float) -> np.ndarray:

@@ -36,6 +36,10 @@ PauliString elements (all checked as one stack), the joint eigenvectors
 (all requested syndromes in one pass: each start index is read off a
 GF(2) basis of the diagonal elements, and the signed terms are summed
 exactly by np.bincount) and the dense pass projectors.
+
+Every strategy here, full, generators or a chosen subset, is a
+SubsetReport made by _report, the one place its group and element indices
+are checked. A ParityCheck checks its group on construction.
 """
 
 from __future__ import annotations
@@ -455,62 +459,21 @@ def group_from_json(labels) -> StabilizerGroup:
     )
 
 
-def _require_dense(group: StabilizerGroup, what: str) -> None:
-    if not group.is_maximal:
-        raise ValidationError(f"{what} needs a maximal group")
-    if group.num_qubits > MAX_DENSE_QUBITS:
-        raise BadDimError(
-            f"{what} materializes dense projectors; limited to "
-            f"{MAX_DENSE_QUBITS} qubits. stabilizer_metrics and subset_strategy "
-            f"count syndromes instead, up to {MAX_QUBITS} qubits."
-        )
-
-
-_SCHEME_INDICES = {
-    "full": lambda n: np.arange(1, 2**n),
-    "generators": lambda n: 1 << np.arange(n),
-}
-
-
-def _equal_mixture(group, indices, kind: StrategyKind, what: str) -> Strategy:
-    """Dense equal-weight strategy over the pass tests of the indexed elements."""
-    _require_dense(group, what)
-    xs, zs, phases = group.table[:, np.asarray(indices)]
-    cols = np.arange(2**group.num_qubits)
-    # (I + P_m)/2 is 1/2 on the diagonal plus P_m's entries halved; row i
-    # of (images, halves) holds the i-th chosen P_m's entry in each column
-    images, halves = _act(xs[:, None], zs[:, None], _PHASES[phases][:, None] / 2.0, cols)
-
-    def projectors():
-        # one matrix at a time: a stack of all of them costs more memory
-        # than it saves time
-        for image, half in zip(images, halves):
-            out = np.zeros((cols.size, cols.size), dtype=complex)
-            out[cols, cols] = 0.5
-            out[image, cols] += half
-            yield out
-
-    k = len(indices)
-    settings = _settings(
-        projectors(),
-        (1.0 / k,) * k,
-        [group.elements[m].label for m in indices],
-        (Locality.STABILIZER_PAULI,) * k,
-    )
-    return Strategy(target=group.state(), settings=settings, kind=kind)
+def _scheme_report(group: StabilizerGroup, scheme: str) -> "SubsetReport":
+    k = group.num_generators
+    if scheme == "full":
+        return _report(group, np.arange(1, 1 << k), StrategyKind.STABILIZER_FULL)
+    return _report(group, 1 << np.arange(k), StrategyKind.STABILIZER_GENERATORS)
 
 
 def full_strategy(group: StabilizerGroup) -> Strategy:
     """Equal mixture of all non-identity element pass tests (dense)."""
-    indices = _SCHEME_INDICES["full"](group.num_generators)
-    return _equal_mixture(group, indices, StrategyKind.STABILIZER_FULL, "full_strategy")
+    return _scheme_report(group, "full").strategy
 
 
 def generator_strategy(group: StabilizerGroup) -> Strategy:
     """Equal mixture of the generator pass tests (dense)."""
-    indices = _SCHEME_INDICES["generators"](group.num_generators)
-    kind = StrategyKind.STABILIZER_GENERATORS
-    return _equal_mixture(group, indices, kind, "generator_strategy")
+    return _scheme_report(group, "generators").strategy
 
 
 def stabilizer_metrics(group: StabilizerGroup, scheme: str) -> StrategyMetrics:
@@ -519,12 +482,9 @@ def stabilizer_metrics(group: StabilizerGroup, scheme: str) -> StrategyMetrics:
     Works up to MAX_QUBITS; samplecount.certainty_count_report turns them
     into copy counts.
     """
-    if not group.is_maximal:
-        raise ValidationError("stabilizer_metrics needs a maximal group")
-    if scheme not in _SCHEME_INDICES:
+    if scheme not in ("full", "generators"):
         raise ValidationError(f"scheme={scheme!r} must be 'full' or 'generators'")
-    n = group.num_qubits
-    return _count_metrics(_pass_counts(_SCHEME_INDICES[scheme](n), n))
+    return _scheme_report(group, scheme).metrics
 
 
 @dataclass(frozen=True, eq=False)
@@ -541,10 +501,12 @@ class ParityCheck:
 
     group: StabilizerGroup
 
+    def __post_init__(self):
+        if not self.group.is_maximal:
+            raise ValidationError("parity check needs a maximal group")
+
     @classmethod
     def build(cls, group: StabilizerGroup) -> "ParityCheck":
-        if not group.is_maximal:
-            raise ValidationError("parity check needs a maximal group")
         return cls(group=group)
 
     @cached_property
@@ -591,9 +553,8 @@ class ParityCheck:
         each is accepted with probability 1 - 1/N, which is what makes
         the generator strategy's worst case exactly that value.
         """
-        n = self.group.num_qubits
-        passed = _pass_counts(_SCHEME_INDICES["generators"](n), n)[_column_syndromes(n)]
-        return tuple(int(k) for k in np.flatnonzero(passed == n - 1))
+        passed = self.matrix.sum(axis=0)
+        return tuple(int(k) for k in np.flatnonzero(passed == self.group.num_qubits - 1))
 
 
 @dataclass(frozen=True, eq=False)
@@ -603,12 +564,14 @@ class SubsetReport:
     If the chosen elements do not generate the group, an orthogonal state
     passes every chosen test: degenerate is True, metrics.q is 1, and no
     number of copies rejects the fooling state. indices are the sorted
-    distinct element indices. Fields are syndrome counts (to MAX_QUBITS);
-    only strategy is dense, built on first read (to MAX_DENSE_QUBITS).
+    distinct element indices and kind is the kind of strategy they make.
+    Fields are syndrome counts (to MAX_QUBITS); only strategy is dense,
+    built on first read (to MAX_DENSE_QUBITS).
     """
 
     group: StabilizerGroup
     indices: tuple[int, ...]
+    kind: StrategyKind
     metrics: StrategyMetrics
     degenerate: bool
     stabilized_dimension: int
@@ -617,8 +580,65 @@ class SubsetReport:
 
     @cached_property
     def strategy(self) -> Strategy:
-        kind, what = StrategyKind.CUSTOM, "SubsetReport.strategy"
-        return _equal_mixture(self.group, self.indices, kind, what)
+        """Dense equal-weight strategy over the pass tests of the indexed elements."""
+        group = self.group
+        if group.num_qubits > MAX_DENSE_QUBITS:
+            raise BadDimError(
+                f"a dense {self.kind.value} strategy is limited to {MAX_DENSE_QUBITS} "
+                f"qubits; stabilizer_metrics and subset_strategy count syndromes instead"
+            )
+        xs, zs, phases = group.table[:, np.asarray(self.indices)]
+        cols = np.arange(2**group.num_qubits)
+        # (I + P_m)/2 is 1/2 on the diagonal plus P_m's entries halved; row i
+        # of (images, halves) holds the i-th chosen P_m's entry in each column
+        images, halves = _act(xs[:, None], zs[:, None], _PHASES[phases][:, None] / 2.0, cols)
+
+        def projectors():
+            # one matrix at a time: a stack of all of them costs more memory
+            # than it saves time
+            for image, half in zip(images, halves):
+                out = np.zeros((cols.size, cols.size), dtype=complex)
+                out[cols, cols] = 0.5
+                out[image, cols] += half
+                yield out
+
+        k = len(self.indices)
+        settings = _settings(
+            projectors(),
+            (1.0 / k,) * k,
+            [group.elements[m].label for m in self.indices],
+            (Locality.STABILIZER_PAULI,) * k,
+        )
+        return Strategy(target=group.state(), settings=settings, kind=self.kind)
+
+
+def _report(group: StabilizerGroup, indices, kind: StrategyKind) -> SubsetReport:
+    """Report of the equal mixture of these sorted distinct element indices;
+    the one place a stabilizer strategy's group and indices are checked."""
+    if not group.is_maximal:
+        raise ValidationError("a stabilizer strategy needs a maximal group")
+    n = group.num_qubits
+    chosen = np.asarray(indices)
+    if not chosen.size:
+        raise ValidationError("need at least one element index")
+    bad = (chosen < 1) | (chosen >= 2**n)
+    if bad.any():
+        raise ValidationError(f"element index {indices[bad.argmax()]} outside [1, {2**n - 1}]")
+    counts = _pass_counts(chosen, n)
+    k = int(counts[0])
+    stabilized = int(np.count_nonzero(counts == k))
+    fooling = acceptance = None
+    if stabilized > 1:
+        # the first passing column after column 0, which is the target itself
+        syndromes = _column_syndromes(n)
+        syndrome = int(syndromes[np.flatnonzero(counts[syndromes] == k)[1]])
+        fooling = Ket(group._joint_eigenvectors([syndrome])[0])
+        acceptance = int(counts[syndrome]) / k
+    return SubsetReport(
+        group, tuple(chosen.tolist()), kind, _count_metrics(counts),
+        degenerate=stabilized > 1, stabilized_dimension=stabilized,
+        fooling_state=fooling, fooling_acceptance=acceptance,
+    )
 
 
 def subset_strategy(group: StabilizerGroup, element_indices) -> SubsetReport:
@@ -630,30 +650,5 @@ def subset_strategy(group: StabilizerGroup, element_indices) -> SubsetReport:
     below it the report certifies the first passing eigenvector after the
     target as a fooling state.
     """
-    if not group.is_maximal:
-        raise ValidationError("subset_strategy needs a maximal group")
-    n = group.num_qubits
     indices = sorted(set(int(k) for k in element_indices))
-    if not indices:
-        raise ValidationError("need at least one element index")
-    for k in indices:
-        if not 1 <= k < 2**n:
-            raise ValidationError(f"element index {k} outside [1, {2**n - 1}]")
-    counts = _pass_counts(indices, n)
-    # columns passing every chosen test; column 0 is the target itself
-    syndromes = _column_syndromes(n)
-    passing = np.flatnonzero(counts[syndromes] == len(indices))
-    fooling = acceptance = None
-    if passing.size > 1:
-        syndrome = int(syndromes[passing[1]])
-        fooling = Ket(group._joint_eigenvectors([syndrome])[0])
-        acceptance = int(counts[syndrome]) / len(indices)
-    return SubsetReport(
-        group=group,
-        indices=tuple(indices),
-        metrics=_count_metrics(counts),
-        degenerate=passing.size > 1,
-        stabilized_dimension=int(passing.size),
-        fooling_state=fooling,
-        fooling_acceptance=acceptance,
-    )
+    return _report(group, indices, StrategyKind.CUSTOM)

@@ -246,6 +246,11 @@ class Strategy:
     theta: float | None = None
 
     def __post_init__(self):
+        if not isinstance(self.kind, StrategyKind):
+            raise ValidationError(f"strategy kind {self.kind!r} is not a StrategyKind")
+        theta = self.theta
+        if theta is not None and not (isinstance(theta, (int, float)) and math.isfinite(theta)):
+            raise ValidationError(f"strategy theta {theta!r} is not a finite number")
         object.__setattr__(self, "settings", tuple(self.settings))
         if not self.settings:
             raise ValidationError("strategy needs at least one setting")
@@ -592,8 +597,6 @@ def from_json_dict(doc: dict) -> Strategy:
         raise ValidationError(
             f"malformed strategy document: {type(exc).__name__}: {exc}"
         ) from exc
-    if theta is not None and not math.isfinite(theta):
-        raise ValidationError(f"strategy document theta {theta!r} is not finite")
     target = Ket(target_amps)
     projectors, weights, labels, localities = zip(*fields) if fields else ((),) * 4
     settings = _settings(

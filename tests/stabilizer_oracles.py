@@ -4,15 +4,28 @@ The closed-form worst cases of the equal-weight stabilizer schemes are
 exact rationals, so a test can demand the library's correctly rounded
 float bit for bit: float(Fraction) rounds correctly. The retired
 element-at-a-time routes, which the element table replaced, must be
-matched bit for bit as well.
+matched bit for bit as well, and so must the retired per-scheme routes
+that each checked and counted on its own before every stabilizer
+strategy became a SubsetReport.
 """
 
 from fractions import Fraction
 
 import numpy as np
 
-from qverify.qcore import MAX_QUBITS, TOL_DERIVED, _fix_phase
-from qverify.stabilizer import _PHASES, PauliString, _act, _parity
+from qverify.errors import BadDimError, ValidationError
+from qverify.qcore import MAX_QUBITS, TOL_DERIVED, Ket, _fix_phase
+from qverify.stabilizer import (
+    _PHASES,
+    MAX_DENSE_QUBITS,
+    PauliString,
+    _act,
+    _column_syndromes,
+    _count_metrics,
+    _parity,
+    _pass_counts,
+)
+from qverify.strategy import Locality, Strategy, _settings
 
 
 def full_strategy_q(num_qubits: int) -> Fraction:
@@ -63,3 +76,75 @@ def pass_projectors(group, indices):
     elements = elements_by_products(group)
     eye = np.eye(2**group.num_qubits, dtype=complex)
     return [(eye + elements[m].matrix()) / 2.0 for m in indices]
+
+
+SCHEME_INDICES = {
+    "full": lambda n: np.arange(1, 2**n),
+    "generators": lambda n: 1 << np.arange(n),
+}
+
+
+def equal_mixture(group, indices, kind, what):
+    """Dense equal-weight strategy over the pass tests of the indexed elements."""
+    if not group.is_maximal:
+        raise ValidationError(f"{what} needs a maximal group")
+    if group.num_qubits > MAX_DENSE_QUBITS:
+        raise BadDimError(f"{what} materializes dense projectors")
+    xs, zs, phases = group.table[:, np.asarray(indices)]
+    cols = np.arange(2**group.num_qubits)
+    images, halves = _act(xs[:, None], zs[:, None], _PHASES[phases][:, None] / 2.0, cols)
+
+    def projectors():
+        for image, half in zip(images, halves):
+            out = np.zeros((cols.size, cols.size), dtype=complex)
+            out[cols, cols] = 0.5
+            out[image, cols] += half
+            yield out
+
+    k = len(indices)
+    settings = _settings(
+        projectors(),
+        (1.0 / k,) * k,
+        [group.elements[m].label for m in indices],
+        (Locality.STABILIZER_PAULI,) * k,
+    )
+    return Strategy(target=group.state(), settings=settings, kind=kind)
+
+
+def scheme_metrics(group, scheme):
+    """Metrics of the 'full' or 'generators' scheme from syndrome counts."""
+    if not group.is_maximal:
+        raise ValidationError("stabilizer_metrics needs a maximal group")
+    if scheme not in SCHEME_INDICES:
+        raise ValidationError(f"scheme={scheme!r} must be 'full' or 'generators'")
+    n = group.num_qubits
+    return _count_metrics(_pass_counts(SCHEME_INDICES[scheme](n), n))
+
+
+def subset_report_fields(group, element_indices):
+    """The counted SubsetReport fields, with the fooling state's amplitudes."""
+    if not group.is_maximal:
+        raise ValidationError("subset_strategy needs a maximal group")
+    n = group.num_qubits
+    indices = sorted(set(int(k) for k in element_indices))
+    if not indices:
+        raise ValidationError("need at least one element index")
+    for k in indices:
+        if not 1 <= k < 2**n:
+            raise ValidationError(f"element index {k} outside [1, {2**n - 1}]")
+    counts = _pass_counts(indices, n)
+    syndromes = _column_syndromes(n)
+    passing = np.flatnonzero(counts[syndromes] == len(indices))
+    fooling = acceptance = None
+    if passing.size > 1:
+        syndrome = int(syndromes[passing[1]])
+        fooling = Ket(group._joint_eigenvectors([syndrome])[0]).amplitudes
+        acceptance = int(counts[syndrome]) / len(indices)
+    return {
+        "indices": tuple(indices),
+        "metrics": _count_metrics(counts),
+        "degenerate": passing.size > 1,
+        "stabilized_dimension": int(passing.size),
+        "fooling_state": fooling,
+        "fooling_acceptance": acceptance,
+    }

@@ -440,6 +440,9 @@ def _bad_input_cases(tmp_path):
     nan_theta = strategy.to_json_dict(strategy.two_qubit_optimal(0.6))
     nan_theta["theta"] = "nan"
     (tmp_path / "nan_theta.json").write_text(json.dumps(nan_theta))
+    two_qubit = strategy.to_json_dict(strategy.two_qubit_optimal(0.6))
+    (tmp_path / "two_qubit.json").write_text(json.dumps(two_qubit))
+    (tmp_path / "kind_bell.json").write_text(json.dumps({"kind": "bell"}))
     missing = str(tmp_path / "missing.json")
     no_dir = str(tmp_path / "no_dir" / "out.txt")
     return {
@@ -466,6 +469,14 @@ def _bad_input_cases(tmp_path):
             "simulate", "--strategy-file", str(tmp_path / "nan_theta.json"),
             "--n", "5", "--trials", "10",
         ],
+        "strategy-file-with-builder-flag": [
+            "simulate", "--bell", "--strategy-file", str(tmp_path / "two_qubit.json"),
+            "--n", "5", "--trials", "10",
+        ],
+        "strategy-file-with-config-kind": [
+            "simulate", "--strategy-file", str(tmp_path / "two_qubit.json"),
+            "--config", str(tmp_path / "kind_bell.json"), "--n", "5", "--trials", "10",
+        ],
         "subset-not-integer": ["stabilizer", "--preset", "ghz3", "--subset", "1,x"],
         "figS2-theta-nan": ["figure", "--which", "figS2", "--theta", "nan"],
         "figS2-theta-inf": ["figure", "--which", "figS2", "--theta", "inf"],
@@ -484,6 +495,7 @@ def _bad_input_cases(tmp_path):
         "strategy-file-missing", "strategy-file-bad-json",
         "strategy-file-no-target", "strategy-file-not-object",
         "strategy-file-nan-amplitude", "strategy-file-nan-theta",
+        "strategy-file-with-builder-flag", "strategy-file-with-config-kind",
         "subset-not-integer",
         "figS2-theta-nan", "figS2-theta-inf",
         "out-unwritable", "transcript-unwritable",

@@ -47,13 +47,17 @@ from qverify.stabilizer import (
     _pass_rows,
 )
 from qverify.samplecount import certainty_count_report
-from qverify.strategy import metrics
+from qverify.strategy import StrategyKind, metrics
 from stabilizer_oracles import (
     elements_by_products,
+    equal_mixture,
     full_strategy_q,
     generator_strategy_q,
     joint_eigenvector,
+    SCHEME_INDICES,
     pass_projectors,
+    scheme_metrics,
+    subset_report_fields,
 )
 
 PRESETS = ["bell", "ghz3", "ghz4", "cluster4"]
@@ -853,3 +857,106 @@ def test_checked_strings_report_the_first_bad_column():
         _checked_strings(3, table)
     with pytest.raises(ValidationError, match="must be ints"):
         _checked_strings(3, table.astype(float))
+
+
+REPORT_PRESETS = ["bell", "zeros1"] + [
+    f"{family}{n}" for family in ("ghz", "cluster", "zeros") for n in range(2, 7)
+]
+
+
+def _metric_bits(m):
+    return np.array([m.q, m.trace, m.second_eigenvalue_gap]).tobytes()
+
+
+@pytest.mark.parametrize("negated", [False, True], ids=["plus", "minus"])
+@pytest.mark.parametrize("preset", REPORT_PRESETS)
+def test_report_routes_match_the_retired_scheme_routes_bitwise(preset, negated):
+    group = preset_group(preset)
+    if negated:
+        group = group_from_json(["-" + label for label in group_to_json(group)])
+    n = group.num_qubits
+    for build, scheme, kind, what in (
+        (full_strategy, "full", StrategyKind.STABILIZER_FULL, "full_strategy"),
+        (
+            generator_strategy,
+            "generators",
+            StrategyKind.STABILIZER_GENERATORS,
+            "generator_strategy",
+        ),
+    ):
+        ours = build(group)
+        theirs = equal_mixture(group, SCHEME_INDICES[scheme](n), kind, what)
+        assert ours.kind is theirs.kind is kind
+        assert [s.label for s in ours.settings] == [s.label for s in theirs.settings]
+        assert [s.projector.entries.tobytes() for s in ours.settings] == [
+            s.projector.entries.tobytes() for s in theirs.settings
+        ]
+        assert ours.omega.tobytes() == theirs.omega.tobytes()
+        assert _metric_bits(stabilizer_metrics(group, scheme)) == _metric_bits(
+            scheme_metrics(group, scheme)
+        )
+
+
+@pytest.mark.parametrize(
+    "preset,indices,degenerate",
+    [
+        ("ghz4", [1, 2, 3], True),
+        ("ghz4", [3, 5, 6, 9], True),
+        ("ghz4", [1, 2, 4, 8], False),
+        ("ghz4", range(1, 16), False),
+        ("cluster4", [5, 10], True),
+        ("cluster4", [3, 6, 12, 8], False),
+        ("ghz8", [1, 2, 4], True),
+        ("ghz8", [1 << j for j in range(8)], False),
+        ("ghz12", [1, 2], True),
+        ("ghz12", range(1, 2**12), False),
+    ],
+)
+def test_subset_reports_match_the_retired_route(preset, indices, degenerate):
+    group = preset_group(preset)
+    report = subset_strategy(group, indices)
+    expected = subset_report_fields(group, indices)
+    assert expected["degenerate"] is degenerate
+    assert report.group is group and report.kind is StrategyKind.CUSTOM
+    assert report.indices == expected["indices"]
+    assert {type(k) for k in report.indices} == {int}
+    assert _metric_bits(report.metrics) == _metric_bits(expected["metrics"])
+    assert report.degenerate is expected["degenerate"]
+    assert report.stabilized_dimension == expected["stabilized_dimension"]
+    assert report.fooling_acceptance == expected["fooling_acceptance"]
+    if degenerate:
+        fooling = report.fooling_state.amplitudes
+        assert fooling.tobytes() == expected["fooling_state"].tobytes()
+    else:
+        assert report.fooling_state is expected["fooling_state"] is None
+
+
+@pytest.mark.parametrize("indices", [[], [0], [4], [0, 4], [3, 9, -1]])
+def test_subset_strategy_rejects_indices_with_the_retired_messages(indices):
+    group = preset_group("bell")
+    with pytest.raises(ValidationError) as expected:
+        subset_report_fields(group, indices)
+    with pytest.raises(ValidationError) as caught:
+        subset_strategy(group, indices)
+    assert str(caught.value) == str(expected.value)
+
+
+def test_subset_strategy_names_an_index_too_wide_for_int64():
+    with pytest.raises(ValidationError, match=f"element index {2**70} outside"):
+        subset_strategy(preset_group("ghz3"), [1, 2**70])
+    with pytest.raises(ValidationError, match=r"element index -1 outside"):
+        subset_strategy(preset_group("ghz3"), [2**63, -1])
+
+
+def test_every_report_route_rejects_a_non_maximal_group():
+    group = StabilizerGroup((PauliString.from_label("ZZ"),))
+    for build in (
+        full_strategy,
+        generator_strategy,
+        lambda g: stabilizer_metrics(g, "full"),
+        lambda g: subset_strategy(g, [1]),
+        lambda g: ParityCheck(group=g),
+        ParityCheck.build,
+    ):
+        with pytest.raises(ValidationError, match="maximal group"):
+            build(group)

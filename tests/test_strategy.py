@@ -338,6 +338,23 @@ def test_from_json_rejects_non_finite_theta(theta):
         from_json_dict(doc)
 
 
+@pytest.mark.parametrize(
+    "kind,theta",
+    [
+        (StrategyKind.BELL, math.nan),
+        (StrategyKind.BELL, math.inf),
+        (StrategyKind.BELL, -math.inf),
+        (StrategyKind.BELL, "0.6"),
+        ("bell", None),
+        (None, None),
+    ],
+)
+def test_strategy_rejects_a_bad_kind_or_theta(kind, theta):
+    built = bell_strategy()
+    with pytest.raises(ValidationError):
+        Strategy(target=built.target, settings=built.settings, kind=kind, theta=theta)
+
+
 def test_from_json_theta_is_a_float_or_none():
     doc = to_json_dict(two_qubit_optimal(0.6))
     doc["theta"] = "0.6"
