@@ -29,7 +29,6 @@ from .errors import (
     ValidationError,
 )
 from .qcore import (
-    EIG_TIE_TOL,
     MAX_QUBITS,
     TOL_DERIVED,
     TOL_INPUT,
@@ -38,7 +37,6 @@ from .qcore import (
     basis_ket,
     haar_random_ket,
     identity,
-    ordered_eigh,
     orthocomplement_basis,
     partial_transpose_qubit2,
     tensor,

@@ -25,6 +25,8 @@ two qubit targets sin(theta)|00> + cos(theta)|11>:
   that fix the target the value is 1 - epsilon (1 - q), attained at
   infidelity exactly epsilon.
 
+The worst orthogonal state is picked by one rule that reads only the
+strategy operator, not the eigensolver's basis (top_orthogonal_eigenvector).
 Worst-case states are packaged as density matrices so the protocol
 simulator can feed them to a device model directly; a Hilbert-Schmidt
 mixed state sampler with exact fidelity shifting supports randomized
@@ -83,15 +85,24 @@ def acceptance_probability(omega, state: AdversaryState) -> float:
 
 
 def top_orthogonal_eigenvector(strategy: Strategy) -> tuple[float, Ket]:
-    """Largest acceptance eigenpair among states orthogonal to the target.
+    """(q, state): the top acceptance q among states orthogonal to the
+    target, and the state Pi|b> / sqrt(Pi_bb) that attains it.
 
-    Deterministic under eigenvalue ties thanks to the ordered
-    eigendecomposition's lexicographic tie break.
+    Pi projects onto the q eigenspace: I - |psi><psi| minus the block
+    eigenvectors below q - TOL_DERIVED. b is the lowest index with the
+    largest Pi_bb (within TOL_DERIVED). When every orthogonal eigenvalue
+    ties (Bell, two-qubit, product, full stabilizer), Pi reads only the
+    target, so the state does not depend on the eigensolver's basis.
     """
+    psi = strategy.target.amplitudes
     basis, block = qcore.orthocomplement_block(strategy.target, strategy.omega)
-    vals, vecs = qcore.ordered_eigh(block)
-    vec = basis @ vecs[:, 0]
-    return float(vals[0]), Ket(vec / np.linalg.norm(vec))
+    vals, vecs = np.linalg.eigh(block)
+    q = float(vals[-1])
+    low = basis @ vecs[:, vals < q - TOL_DERIVED]
+    proj = np.eye(psi.size) - np.outer(psi, psi.conj()) - low @ low.conj().T
+    weights = proj.diagonal().real
+    b = int(np.argmax(weights >= weights.max() - TOL_DERIVED))
+    return q, Ket(proj[:, b] / math.sqrt(weights[b]))
 
 
 def worst_case_state(strategy: Strategy, epsilon: float) -> AdversaryState:
@@ -277,12 +288,6 @@ def ppt_lower_bound(theta: float) -> float:
     """
     s = math.sin(2.0 * theta)
     return s / (1.0 + s)
-
-
-def trace3_orthogonal_top(theta: float) -> float:
-    """In-plane orthogonal acceptance of the optimal trace three part."""
-    t = math.tan(theta)
-    return 1.0 - (1.0 + t * t) / (1.0 + t) ** 2
 
 
 HULL_COLUMNS = ("lambda1", "lambda2", "part")

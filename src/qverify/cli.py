@@ -28,7 +28,7 @@ from .errors import QVerifyError, ValidationError
 
 PROG = "qverify"
 
-OUTPUT_VERSION = 2  # moves with every intended change to any output's bytes
+OUTPUT_VERSION = 3  # moves with every intended change to any output's bytes
 
 # Strategy builder flags and their help. Each flag stores its name in
 # `kind`, and a config file names one the same way ("kind": "bell").

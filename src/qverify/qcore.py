@@ -14,6 +14,7 @@ assembled operators, acceptance probabilities).
 The operator, norm and projector checks are written once, for a stack
 of k matrices or vectors; a single HermitianOperator or Ket is checked
 as a stack of one, and strategy settings as one stack per strategy.
+Eigenvectors are used as LAPACK returns them, with no tie-breaking.
 """
 
 from __future__ import annotations
@@ -32,10 +33,6 @@ from .errors import (
 
 TOL_INPUT = 1e-12
 TOL_DERIVED = 1e-10
-
-# Eigenvalues closer than this are treated as one degenerate cluster
-# when ordering eigenvectors.
-EIG_TIE_TOL = 1e-10
 
 # Dense operations are meant for at most this many qubits.
 MAX_QUBITS = 12
@@ -250,45 +247,6 @@ def _fix_phase(column: np.ndarray) -> np.ndarray:
     pivot = int(np.flatnonzero(mags >= top - TOL_INPUT)[0])
     phase = column[pivot] / abs(column[pivot])
     return column / phase
-
-
-def _lex_key(column: np.ndarray) -> tuple:
-    rounded = np.round(column, 8)
-    key = []
-    for amp in rounded:
-        key.append(float(amp.real) + 0.0)  # normalize -0.0 to 0.0
-        key.append(float(amp.imag) + 0.0)
-    return tuple(key)
-
-
-def ordered_eigh(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Eigendecomposition with deterministic ordering and phases.
-
-    Returns (values, vectors) with values descending and vectors as
-    columns. Each vector's phase is fixed by _fix_phase; inside a
-    cluster of eigenvalues equal within EIG_TIE_TOL, vectors are ordered
-    by the lexicographic key of their rounded amplitudes so the output
-    does not depend on backend ordering of degenerate subspaces.
-    """
-    vals, vecs = np.linalg.eigh(matrix)
-    order = np.argsort(-vals, kind="stable")
-    vals = vals[order]
-    vecs = vecs[:, order]
-    cols = [_fix_phase(vecs[:, i]) for i in range(vecs.shape[1])]
-
-    out_vals: list[float] = []
-    out_cols: list[np.ndarray] = []
-    i = 0
-    n = len(vals)
-    while i < n:
-        j = i + 1
-        while j < n and abs(vals[j - 1] - vals[j]) <= EIG_TIE_TOL:
-            j += 1
-        cluster = sorted(range(i, j), key=lambda k: _lex_key(cols[k]))
-        out_vals.extend(float(vals[k]) for k in cluster)
-        out_cols.extend(cols[k] for k in cluster)
-        i = j
-    return np.array(out_vals), np.column_stack(out_cols)
 
 
 def partial_transpose_qubit2(op: HermitianOperator) -> HermitianOperator:

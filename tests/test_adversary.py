@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 import math
 
 import numpy as np
@@ -34,7 +35,6 @@ from qverify.adversary import (
     strategy_game_value,
     tau_state,
     top_orthogonal_eigenvector,
-    trace3_orthogonal_top,
     twirl_average,
     worst_case_state,
 )
@@ -51,6 +51,7 @@ from qverify.strategy import (
     optimal_q,
     product_state_strategy,
     target_state,
+    trace3_closed_form,
     two_qubit_optimal,
 )
 from qverify.stabilizer import (
@@ -70,13 +71,183 @@ def test_top_orthogonal_eigenvector_bell():
     assert abs(state.inner(bell)) < 1e-10
 
 
+FULL_PRESETS = [f"{family}{n}" for family in ("ghz", "cluster") for n in range(2, 7)]
+SPLIT_PRESETS = [f"{family}{n}" for family in ("ghz", "cluster") for n in range(3, 7)]
+
+
+def _nondegenerate_subsets(name):
+    # the generators plus the all-ones mask, and the prefix masks 1, 11, 111, ...
+    k = preset_group(name).num_generators
+    return [[1 << j for j in range(k)] + [(1 << k) - 1], [(1 << j) - 1 for j in range(1, k + 1)]]
+
+
+# Strategies whose orthogonal eigenvalues all tie, so the worst state's
+# projector reads only the target.
+TIED = {
+    "bell": bell_strategy,
+    "two-qubit-0.3": lambda: two_qubit_optimal(0.3),
+    "two-qubit-pi/8": lambda: two_qubit_optimal(math.pi / 8),
+    "two-qubit-0.7": lambda: two_qubit_optimal(0.7),
+    "product-zero": lambda: product_state_strategy("zero"),
+    "product-one": lambda: product_state_strategy("one"),
+    **{
+        f"full-{name}": (lambda name=name: full_strategy(preset_group(name)))
+        for name in FULL_PRESETS
+    },
+}
+# Strategies with orthogonal eigenvalues below q.
+SPLIT = {
+    **{
+        f"generators-{name}": (lambda name=name: generator_strategy(preset_group(name)))
+        for name in SPLIT_PRESETS
+    },
+    **{
+        f"subset-{name}-{i}": (
+            lambda name=name, idx=idx: subset_strategy(preset_group(name), idx).strategy
+        )
+        for name in SPLIT_PRESETS
+        for i, idx in enumerate(_nondegenerate_subsets(name))
+    },
+}
+
+
+@functools.cache
+def _strategy(name):
+    return {**TIED, **SPLIT}[name]()
+
+
+def _rotating_eigh(seed):
+    """np.linalg.eigh with each cluster of tied eigenvectors (within 1e-10)
+    turned by its own random unitary: another valid answer of the solver."""
+    backend = np.linalg.eigh
+    rng = np.random.default_rng(seed)
+
+    def eigh(matrix):
+        vals, vecs = backend(matrix)
+        vecs = vecs.astype(complex)
+        edges = np.flatnonzero(np.diff(vals) > 1e-10) + 1
+        for lo, hi in zip(np.r_[0, edges], np.r_[edges, len(vals)]):
+            size = hi - lo
+            raw = rng.standard_normal((size, size)) + 1j * rng.standard_normal((size, size))
+            vecs[:, lo:hi] = vecs[:, lo:hi] @ np.linalg.qr(raw)[0]
+        return vals, vecs
+
+    return eigh
+
+
+def _rotated_top(strategy, seed):
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(np.linalg, "eigh", _rotating_eigh(seed))
+        return top_orthogonal_eigenvector(strategy)
+
+
+def test_subset_cases_are_nondegenerate():
+    for name in SPLIT_PRESETS:
+        for idx in _nondegenerate_subsets(name):
+            assert not subset_strategy(preset_group(name), idx).degenerate, (name, idx)
+
+
+@pytest.mark.parametrize("name", sorted(TIED))
+@given(seed=st.integers(0, 2**63 - 1))
+@settings(max_examples=5, deadline=None)
+def test_tied_worst_state_ignores_the_eigensolver_basis(name, seed):
+    strat = _strategy(name)
+    q, state = top_orthogonal_eigenvector(strat)
+    rotated_q, rotated = _rotated_top(strat, seed)
+    assert rotated_q == q
+    assert np.array_equal(rotated.amplitudes, state.amplitudes)
+
+
+@given(
+    theta=st.floats(0.02, math.pi / 2 - 0.02).filter(lambda t: abs(t - math.pi / 4) > 1e-3),
+    seed=st.integers(0, 2**63 - 1),
+)
+@settings(max_examples=25, deadline=None)
+def test_two_qubit_worst_state_ignores_the_eigensolver_basis(theta, seed):
+    strat = two_qubit_optimal(theta)
+    q, state = top_orthogonal_eigenvector(strat)
+    rotated_q, rotated = _rotated_top(strat, seed)
+    assert rotated_q == q
+    assert np.array_equal(rotated.amplitudes, state.amplitudes)
+    assert np.array_equal(state.amplitudes, basis_ket(4, 1).amplitudes)
+
+
+@pytest.mark.parametrize("name", sorted(SPLIT))
+@given(seed=st.integers(0, 2**63 - 1))
+@settings(max_examples=5, deadline=None)
+def test_split_worst_state_barely_feels_the_eigensolver_basis(name, seed):
+    strat = _strategy(name)
+    q, state = top_orthogonal_eigenvector(strat)
+    rotated_q, rotated = _rotated_top(strat, seed)
+    assert rotated_q == q
+    assert np.abs(rotated.amplitudes - state.amplitudes).max() < 1e-12
+
+
+@pytest.mark.parametrize(
+    "name,index",
+    [
+        ("bell", 1),
+        ("two-qubit-0.3", 1),
+        ("two-qubit-pi/8", 1),
+        ("two-qubit-0.7", 1),
+        ("product-zero", 1),
+        ("product-one", 0),
+    ],
+)
+def test_two_qubit_worst_state_closed_form(name, index):
+    # sqrt(1 - eps)|psi> + sqrt(eps)|01>, or |00> when the target is |11>
+    strat = _strategy(name)
+    _, top = top_orthogonal_eigenvector(strat)
+    assert np.array_equal(top.amplitudes, basis_ket(4, index).amplitudes)
+    eps = 0.1
+    amps = math.sqrt(1.0 - eps) * strat.target.amplitudes
+    amps[index] += math.sqrt(eps)
+    sigma = worst_case_state(strat, eps).sigma.entries
+    assert np.abs(sigma - np.outer(amps, amps.conj())).max() < 1e-12
+
+
+@pytest.mark.parametrize("theta", [0.3, math.pi / 8, 0.7])
+def test_two_qubit_worst_pass_row(theta):
+    # the ZZ test always fails |01>; the three product tests fail it with
+    # probability t/(1+t)^2 each
+    strat = two_qubit_optimal(theta)
+    eps = 0.1
+    adv = worst_case_state(strat, eps)
+    row = [acceptance_probability(s.projector, adv) for s in strat.settings]
+    t = math.tan(theta)
+    expected = [1.0 - eps] + [1.0 - eps * t / (1.0 + t) ** 2] * 3
+    assert np.abs(np.array(row) - expected).max() < 1e-12
+
+
+@pytest.mark.parametrize("scheme", ["generators", "full"])
+@pytest.mark.parametrize("name", SPLIT_PRESETS)
+def test_stabilizer_worst_state_spreads_evenly_over_agreeing_syndromes(name, scheme):
+    group = preset_group(name)
+    _, top = top_orthogonal_eigenvector(_strategy(f"{scheme}-{name}"))
+    k = group.num_generators
+    rows = group._joint_eigenvectors(np.arange(2**k))  # row s: syndrome s
+    # the syndromes accepted with probability q: one failed generator, or any
+    tops = 1 << np.arange(k) if scheme == "generators" else np.arange(1, 2**k)
+    proj = rows[tops].T @ rows[tops].conj()
+    weights = proj.diagonal().real
+    b = int(np.argmax(weights >= weights.max() - 1e-10))
+    # the same state, rebuilt from the syndrome basis by the same rule
+    assert np.abs(top.amplitudes - proj[:, b] / math.sqrt(weights[b])).max() < 1e-12
+    agree = [s for s in tops if abs(rows[s, b]) > 1e-12]
+    expected = np.zeros(2**k)
+    expected[agree] = 1.0 / len(agree)
+    assert np.abs(np.abs(rows.conj() @ top.amplitudes) ** 2 - expected).max() < 1e-12
+
+
 def test_worst_case_state_acceptance():
-    strat = bell_strategy()
-    for eps in (0.01, 0.1, 0.5):
-        adv = worst_case_state(strat, eps)
-        assert abs(adv.fidelity - (1.0 - eps)) < 1e-12
-        accept = acceptance_probability(strat.omega, adv)
-        assert abs(accept - (1.0 - eps * (1.0 - 1.0 / 3.0))) < 1e-12
+    for name in sorted(TIED) + sorted(SPLIT):
+        strat = _strategy(name)
+        q = metrics(strat).q
+        for eps in (0.01, 0.1, 0.5):
+            adv = worst_case_state(strat, eps)
+            assert abs(adv.fidelity - (1.0 - eps)) < 1e-12, name
+            accept = acceptance_probability(strat.omega, adv)
+            assert abs(accept - (1.0 - eps * (1.0 - q))) < 1e-12, name
 
 
 def test_worst_case_state_validation():
@@ -206,8 +377,11 @@ def test_ridge_minimum_matches_closed_form():
 
 
 def test_ppt_bound_equals_trace3_orthogonal_top():
+    # <phi|T3|phi> for the in-plane orthogonal state phi = cos|00> - sin|11>
     for theta in CERT_THETAS:
-        assert abs(ppt_lower_bound(theta) - trace3_orthogonal_top(theta)) < 1e-10
+        phi = np.array([math.cos(theta), 0.0, 0.0, -math.sin(theta)])
+        in_plane = float(np.real(phi @ trace3_closed_form(theta) @ phi))
+        assert abs(ppt_lower_bound(theta) - in_plane) < 1e-10
 
 
 def test_ppt_bound_frozen_value():

@@ -62,7 +62,11 @@ CASES = {
 # Digests by OUTPUT_VERSION. Version 2 added the output-version header
 # line, printed exact syndrome-count stabilizer values (subset q and
 # fooling acceptance 1.0, inspect trace 16.0) and dropped fig2's
-# n_fid_ref column; a new version needs a new digest set here.
+# n_fid_ref column. Version 3 picks the worst-case state by a rule that
+# reads only Omega (adversary.top_orthogonal_eigenvector), which changes
+# the simulate-transcript stdout and transcript; every other case moves
+# only in its version line or field. A new version needs a new digest
+# set here.
 GOLDEN = {
     2: {
         "figure-fig1": {
@@ -118,6 +122,62 @@ GOLDEN = {
         },
         "strategy-two-qubit-json": {
             "stdout": "a7810b10be7c243a0565703994a0d274dfc227b3b0d5f93c1301ded00e7c06e8",
+        },
+    },
+    3: {
+        "figure-fig1": {
+            "stdout": "8773690e38ed21394b762619754ba8a79f9debd35a43fde3a9ead10d621d5952",
+        },
+        "figure-fig2-out-json": {
+            "stdout": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+            "--out": "71bd90456959c2fef9e4824d89dd8adfe0068d3183d8e348ed974ff5fc771e3c",
+        },
+        "figure-figS1": {
+            "stdout": "871c6a5f21b4884ffdf618243e467086dd88de1857545e8da6222db69a808bc6",
+        },
+        "figure-figS2": {
+            "stdout": "cf8346f4815fc6d8f7f5f10b76dea8febd91d6e138f5bbb20e7fb9d97e3ca637",
+        },
+        "landscape-json": {
+            "stdout": "8fe7cd5a4bf6d409ad2ac31e40867334b08ff2c83b7209d43f5c8bad89e9bbc6",
+        },
+        "samplecount-bell": {
+            "stdout": "b0995f4ec20b55fcfa5e90c5b59b72c7b85a723e4a70b86e57d8d721d4a84a1a",
+        },
+        "samplecount-ghz12": {
+            "stdout": "ab88f136411b0ddde050126ad52ad23e4bf4b8dd3cc2ed92039b158ad9860595",
+        },
+        "samplecount-two-qubit-json": {
+            "stdout": "99628d0be04bff4bfca6f05bb76bfac0252d715469056e3b8f03318b8681fe27",
+        },
+        "simulate-honest-json": {
+            "stdout": "ad72e2659513eb26c6b2829ef00d7f9feac4038f85da492d6db775f68d6a7e18",
+        },
+        "simulate-transcript": {
+            "stdout": "4b7c0323da7cf4094569d039af5bc3bab6f70330ca626b5a722e4ee7885563eb",
+            # JSONL carries no header; moved by the worst-case state rule
+            "--transcript": "1490192bc5f73100f49ab4cba46db6fbae60d5dc35bfb2dd9418a6d499d045a4",
+        },
+        "stabilizer-inspect": {
+            "stdout": "fd1d776881be18f5187bcf351978562bc4188b94b5fc26d20978f35f490ec2f6",
+        },
+        "stabilizer-parity-check": {
+            "stdout": "c0f8e223bd6d7d1f61bb3d4f6d04908ff090797c6c3f98df10041c04af325ae5",
+        },
+        "stabilizer-subset-json": {
+            "stdout": "c5cbd3652c4991f3e0c7644b45f88d70968b1088133983dcd0d86ebc35b9a508",
+        },
+        "strategy-bell": {
+            "stdout": "1c9876b3c50767a2ed5c6ab0327ba4f0d3067d0ccb71f3f9801de50aa564c2de",
+        },
+        "strategy-generators-ghz3-json": {
+            "stdout": "0a70e681eb4f12cf3bdca8216b052594d405b8924c46a10264de28039974981b",
+        },
+        "strategy-product-epsilon": {
+            "stdout": "6e3f945101f4c14c9f2e2cd6be94db2630aa9dfed5bcfe6439d2cbb283335ffe",
+        },
+        "strategy-two-qubit-json": {
+            "stdout": "5830e9c8c7201143a9e8f1167fdcde51b5b3a6095b5e9c79aaa12cd4c248b7bf",
         },
     },
 }

@@ -45,6 +45,7 @@ from qverify.stabilizer import (
     _pass_counts,
     _checked_strings,
     _pass_rows,
+    _report,
 )
 from qverify.samplecount import certainty_count_report
 from qverify.strategy import StrategyKind, metrics
@@ -895,6 +896,21 @@ def test_report_routes_match_the_retired_scheme_routes_bitwise(preset, negated):
         assert _metric_bits(stabilizer_metrics(group, scheme)) == _metric_bits(
             scheme_metrics(group, scheme)
         )
+
+
+@pytest.mark.parametrize("scheme", ["full", "generators"])
+@pytest.mark.parametrize(
+    "preset", [f"{family}{n}" for family in ("ghz", "cluster") for n in range(2, 13)]
+)
+def test_scheme_metrics_match_the_report_bitwise(preset, scheme):
+    # stabilizer_metrics skips the report but keeps its checks and counts
+    group = preset_group(preset)
+    kind = {
+        "full": StrategyKind.STABILIZER_FULL,
+        "generators": StrategyKind.STABILIZER_GENERATORS,
+    }[scheme]
+    report = _report(group, SCHEME_INDICES[scheme](group.num_qubits), kind)
+    assert _metric_bits(stabilizer_metrics(group, scheme)) == _metric_bits(report.metrics)
 
 
 @pytest.mark.parametrize(
