@@ -48,12 +48,16 @@ from .samplecount import (
     Fig2Row,
     HypothesisSpec,
     SampleCountReport,
+    StrategyMetrics,
     asymptotic_count,
+    check_theta,
     chernoff_stein_count,
     default_theta_grid,
     exact_count,
+    family_metrics,
     figure1_data,
     figure2_data,
+    optimal_q,
     relative_entropy,
     theta_family,
 )
@@ -62,16 +66,13 @@ from .strategy import (
     MeasurementSetting,
     Strategy,
     StrategyKind,
-    StrategyMetrics,
     alpha_weight,
     annihilating_product_states,
     bell_strategy,
-    check_theta,
     exact_sample_count,
     from_json_dict,
     local_transport,
     metrics,
-    optimal_q,
     product_state_strategy,
     target_state,
     to_json_dict,

@@ -49,8 +49,8 @@ from .errors import (
     ValidationError,
 )
 from .qcore import TOL_DERIVED, HermitianOperator, Ket
-from .samplecount import check_probability
-from .strategy import Strategy, alpha_weight, check_theta, optimal_q
+from .samplecount import check_probability, check_theta, optimal_q
+from .strategy import Strategy, alpha_weight
 
 # certify_optimality: a sound sweep finds nothing below the closed form
 # by more than SOUNDNESS_TOL; a located one lands within VALUE_TOL of it

@@ -28,7 +28,7 @@ from .errors import QVerifyError, ValidationError
 
 PROG = "qverify"
 
-OUTPUT_VERSION = 3  # moves with every intended change to any output's bytes
+OUTPUT_VERSION = 4  # moves with every intended change to any output's bytes
 
 # Strategy builder flags and their help. Each flag stores its name in
 # `kind`, and a config file names one the same way ("kind": "bell").
@@ -431,13 +431,19 @@ def _build_strategy(cfg: argparse.Namespace):
     return built
 
 
+# samplecount.family_metrics family of each two-qubit builder flag
+_FAMILIES = {"bell": "bell", "two-qubit": "two-qubit-optimal",
+             "product-zero": "product", "product-one": "product"}
+
+
 def _metrics(cfg: argparse.Namespace, built=None):
-    """(kind label, metrics): stabilizer kinds count syndromes, others are dense."""
+    """(kind label, metrics) of a builder flag: stabilizer kinds count
+    syndromes, the others (built and checked first) read closed forms."""
     if cfg.kind in ("stabilizer-full", "stabilizer-generators"):
         scheme = cfg.kind.removeprefix("stabilizer-")
         return cfg.kind, stabilizer.stabilizer_metrics(_build_group(cfg), scheme)
     built = _build_strategy(cfg) if built is None else built
-    return built.kind.value, strategy.metrics(built)
+    return built.kind.value, samplecount.family_metrics(_FAMILIES[cfg.kind], built.theta)
 
 
 def cmd_strategy(cfg: argparse.Namespace) -> dict:

@@ -108,11 +108,6 @@ class DeviceModel:
                 f"{where} has fidelity {fid!r} above the promised 1 - epsilon"
             )
 
-    def density_at(self, copy_index: int) -> np.ndarray:
-        if self.sigma is not None:
-            return self.sigma
-        return self._supplied_density(self.supplier(copy_index), copy_index)
-
     def _supplied_density(self, obj, copy_index: int) -> np.ndarray:
         arr = _as_density(obj, self.target.dim)
         self._check_promise(arr, f"supplied state for copy {copy_index}")

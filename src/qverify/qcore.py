@@ -281,11 +281,6 @@ def check_density(matrix: np.ndarray, what: str) -> None:
         raise ValidationError(f"{what} trace {tr!r} is not 1")
 
 
-def is_projector(op: HermitianOperator) -> bool:
-    """True when op is idempotent with eigenvalues in {0, 1} within TOL_DERIVED."""
-    return not _projector_defects(op.entries[None], TOL_DERIVED)[0]
-
-
 def _projector_defects(stack: np.ndarray, tol: float) -> np.ndarray:
     """For each matrix of a nonempty finite Hermitian (k, d, d) stack, True
     unless it is idempotent (max |P^2 - P| <= tol) with every eigenvalue

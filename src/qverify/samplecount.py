@@ -15,6 +15,11 @@ D(p0 || p1), and certainty acceptance (p0 = 1) collapses D to
 ln(1/p1). For p0 < 1 the exponent degrades to roughly
 delta_eps**2 / (2 p0 (1 - p0)), which is the quadratic cost of
 frequency estimation versus the linear cost of certainty protocols.
+
+It is also the one closed-form home of q, trace and gap for the Bell,
+product and two-qubit optimal strategies (family_metrics, optimal_q),
+read by the figure tables and the CLI's two-qubit builder flags without
+a dense eigenproblem; strategy.metrics is every other strategy's route.
 """
 
 from __future__ import annotations
@@ -25,8 +30,9 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import DegenerateStrategyError, ThetaOutOfDomainError
-from .errors import UndefinedDivergenceError, ValidationError
+from .errors import DegenerateStrategyError, ThetaNearSpecialValueError
+from .errors import ThetaOutOfDomainError, UndefinedDivergenceError, ValidationError
+from .qcore import TOL_DERIVED
 
 THETA_SPECIAL_TOL = 1e-9
 SPECIAL_THETAS = (0.0, math.pi / 4, math.pi / 2)
@@ -39,6 +45,30 @@ def check_probability(name: str, value: float, open_zero=True, open_one=True):
     if not (lo_ok and hi_ok):
         interval = f"{'(' if open_zero else '['}0, 1{')' if open_one else ']'}"
         raise ValidationError(f"{name}={value!r} outside {interval}")
+
+
+@dataclass(frozen=True)
+class StrategyMetrics:
+    """Worst-case figures of one strategy.
+
+    q is the largest acceptance probability among states orthogonal to
+    the target; second_eigenvalue_gap = 1 - q is the spectral gap below
+    the target's eigenvalue of the strategy operator.
+    """
+
+    q: float
+    trace: float
+    second_eigenvalue_gap: float
+
+    def delta_eps(self, epsilon: float) -> float:
+        """Per-copy detection gap for infidelity epsilon in (0, 1)."""
+        check_probability("epsilon", epsilon)
+        return epsilon * (1.0 - self.q)
+
+    @property
+    def degenerate(self) -> bool:
+        """True when some orthogonal state is accepted with certainty."""
+        return self.q >= 1.0 - TOL_DERIVED
 
 
 def exact_count(delta_eps: float, delta: float) -> int:
@@ -245,18 +275,50 @@ def theta_family(theta: float) -> str:
     return "two-qubit-optimal"
 
 
-def _strategy_for_theta(theta: float):
-    # Imported here: the strategy module depends on this module's report
-    # types, so the figure helpers resolve their dependency lazily.
-    from . import strategy
+def check_theta(theta: float) -> None:
+    """Validate a target angle for the four setting construction.
 
-    family = theta_family(theta)
-    if family == "product":
-        which = "zero" if abs(theta) <= math.pi / 4 else "one"
-        return strategy.product_state_strategy(which), family
+    Angles outside the closed interval [0, pi/2] are out of domain; inside
+    it, every angle that theta_family assigns to a special construction
+    is rejected as near special.
+    """
+    if not 0.0 <= theta <= math.pi / 2:  # also rejects nan
+        raise ThetaOutOfDomainError(f"theta={theta!r} outside [0, pi/2]")
+    if theta_family(theta) != "two-qubit-optimal":
+        raise ThetaNearSpecialValueError(
+            f"theta={theta!r} is within {THETA_SPECIAL_TOL} of a special angle "
+            "(0, pi/4, pi/2); use product_state_strategy or bell_strategy"
+        )
+
+
+def _two_qubit_q_trace(theta: float) -> tuple[float, float]:
+    # q = (2 + s)/(4 + s) and trace = 1 + 3q = (10 + 4s)/(4 + s) for the
+    # float s = sin 2theta = n/d; each int / int division rounds correctly
+    n, d = math.sin(2.0 * theta).as_integer_ratio()
+    return (2 * d + n) / (4 * d + n), (10 * d + 4 * n) / (4 * d + n)
+
+
+def optimal_q(theta: float) -> float:
+    """Worst-case orthogonal acceptance (2 + s)/(4 + s), s = sin 2theta, of
+    the optimal local strategy, correctly rounded from the float s."""
+    return _two_qubit_q_trace(theta)[0]
+
+
+def family_metrics(family: str, theta: float | None = None) -> StrategyMetrics:
+    """Closed-form metrics of the strategy serving a theta_family family:
+    "bell" q = 1/3, trace 2; "product" q = 0, trace 1; "two-qubit-optimal"
+    q = optimal_q(theta), trace 1 + 3q, correctly rounded, at a theta that
+    check_theta accepts (no other family reads theta). The gap is 1 - q."""
     if family == "bell":
-        return strategy.bell_strategy(), family
-    return strategy.two_qubit_optimal(theta), family
+        q, trace = 1.0 / 3.0, 2.0
+    elif family == "product":
+        q, trace = 0.0, 1.0
+    elif family == "two-qubit-optimal":
+        check_theta(theta)
+        q, trace = _two_qubit_q_trace(theta)
+    else:
+        raise ValidationError(f"family={family!r} has no closed form")
+    return StrategyMetrics(q=q, trace=trace, second_eigenvalue_gap=1.0 - q)
 
 
 def figure1_data(
@@ -267,19 +329,21 @@ def figure1_data(
     Angles within THETA_SPECIAL_TOL of {0, pi/4, pi/2} use their
     special construction (product projector or the three setting parity
     strategy), everything else the four setting optimum, so the table
-    exhibits the discontinuous drops at the special angles.
+    exhibits the discontinuous drops at the special angles. Each row
+    reads family_metrics; no strategy is built.
     """
-    from .strategy import exact_sample_count
-
     if thetas is None:
         thetas = default_theta_grid()
     rows = []
     for theta in np.asarray(thetas, dtype=float):
-        built, family = _strategy_for_theta(float(theta))
-        report = exact_sample_count(built, epsilon, delta)
+        theta = float(theta)
+        family = theta_family(theta)
+        report = certainty_count_report(
+            family_metrics(family, theta), epsilon, delta, f"{family} strategy"
+        )
         rows.append(
             Fig1Row(
-                theta=float(theta),
+                theta=theta,
                 epsilon=epsilon,
                 n_exact=report.n_exact,
                 n_asymptotic=report.n_asymptotic,
@@ -302,11 +366,9 @@ def figure2_data(
     """
     if epsilons is None:
         epsilons = np.logspace(-4, -1, 61)
-    built, _ = _strategy_for_theta(float(theta))
-    from .strategy import metrics
-
-    # one eigenproblem serves the whole sweep
-    found, label = metrics(built), f"{built.kind.value} strategy"
+    theta = float(theta)
+    family = theta_family(theta)
+    found, label = family_metrics(family, theta), f"{family} strategy"
     rows = []
     for eps in np.asarray(epsilons, dtype=float):
         eps = float(eps)

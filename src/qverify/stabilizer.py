@@ -62,13 +62,8 @@ from .errors import (
     ValidationError,
 )
 from .qcore import MAX_QUBITS, TOL_DERIVED, Ket
-from .strategy import (
-    Locality,
-    Strategy,
-    StrategyKind,
-    StrategyMetrics,
-    _settings,
-)
+from .samplecount import StrategyMetrics
+from .strategy import Locality, Strategy, StrategyKind, _settings
 
 MAX_DENSE_QUBITS = 6
 
@@ -174,25 +169,6 @@ class PauliString:
         return PauliString(
             self.num_qubits, self.x ^ other.x, self.z ^ other.z, phase % 4
         )
-
-    def apply_to_index(self, index: int) -> tuple[int, complex]:
-        """Image of a computational basis state: M|index> = coeff |new_index>."""
-        qcore.check_index("basis index", index, 2**self.num_qubits)
-        new_index, coeff = _act(self.x, self.z, _PHASES[self.phase], index)
-        return int(new_index), complex(coeff)
-
-    def matrix(self) -> np.ndarray:
-        """Dense matrix; guarded to keep memory bounded."""
-        n = self.num_qubits
-        if n > MAX_DENSE_QUBITS + 2:
-            raise BadDimError(
-                f"dense Pauli matrix limited to {MAX_DENSE_QUBITS + 2} qubits"
-            )
-        cols = np.arange(2**n)
-        rows, coeffs = _act(self.x, self.z, _PHASES[self.phase], cols)
-        out = np.zeros((2**n, 2**n), dtype=complex)
-        out[rows, cols] = coeffs
-        return out
 
 
 def _gf2_reduce(rows: list[int], low_bits: int = 0) -> tuple[int, list[int]]:
@@ -595,8 +571,8 @@ class SubsetReport:
         images, halves = _act(xs[:, None], zs[:, None], _PHASES[phases][:, None] / 2.0, cols)
 
         def projectors():
-            # one matrix at a time: a stack of all of them costs more memory
-            # than it saves time
+            # one fresh matrix at a time, which _settings takes over as its
+            # stack: a stack of all of them costs more memory than it saves
             for image, half in zip(images, halves):
                 out = np.zeros((cols.size, cols.size), dtype=complex)
                 out[cols, cols] = 0.5

@@ -31,7 +31,8 @@ Constructions provided here:
 
 Every constructor here, local_transport, from_json_dict and the dense
 stabilizer builder hand their projectors to _settings, which copies
-them into (k, d, d) stacks (all of a two-qubit strategy in one) and
+them into (k, d, d) stacks (all of a two-qubit strategy in one; a fresh
+dense stabilizer projector becomes a stack of one without a copy) and
 runs each MeasurementSetting check once per stack, at the same
 tolerance. It raises the error of the first invalid setting in order;
 a setting built directly is the stack of one.
@@ -48,20 +49,14 @@ from functools import cached_property
 import numpy as np
 
 from . import qcore
-from .errors import (
-    BadDimError,
-    NotUnitaryError,
-    ThetaNearSpecialValueError,
-    ThetaOutOfDomainError,
-    ValidationError,
-)
+from .errors import BadDimError, NotUnitaryError, ValidationError
 from .qcore import TOL_DERIVED, TOL_INPUT, HermitianOperator, Ket
 from .samplecount import (
-    THETA_SPECIAL_TOL,
     SampleCountReport,
+    StrategyMetrics,
     certainty_count_report,
-    check_probability,
-    theta_family,
+    check_theta,
+    optimal_q,  # re-exported beside the two-qubit constructors
 )
 
 
@@ -196,14 +191,21 @@ def _settings(projectors, weights, labels, localities) -> tuple[MeasurementSetti
     stacks of at most _STACK_ENTRIES entries; each stack is checked by
     _check_settings and frozen before the next is read, so the error
     raised is the first invalid setting's, and each setting's projector
-    is a read-only view of its stack.
+    is a read-only view of its stack. A complex matrix that owns its
+    C-contiguous data and fills a stack alone is not copied: it is
+    frozen in place and becomes the stack, so the caller hands it over.
     """
     matrices, out = iter(projectors), []
     while len(out) < len(weights):
         first = next(matrices)
         lo = len(out)
         hi = min(len(weights), lo + max(1, _STACK_ENTRIES // max(1, np.size(first))))
-        stack = np.array([first, *itertools.islice(matrices, hi - lo - 1)], dtype=complex)
+        alone = hi - lo == 1 and isinstance(first, np.ndarray) and first.dtype == complex
+        if alone and first.flags.owndata and first.flags.c_contiguous:
+            first.setflags(write=False)
+            stack = first[None]
+        else:
+            stack = np.array([first, *itertools.islice(matrices, hi - lo - 1)], dtype=complex)
         _check_settings(stack, weights[lo:hi], labels[lo:hi], localities[lo:hi])
         stack.setflags(write=False)
         out.extend(
@@ -281,30 +283,6 @@ class Strategy:
         return self.target.dim
 
 
-@dataclass(frozen=True)
-class StrategyMetrics:
-    """Worst-case figures of one strategy.
-
-    q is the largest acceptance probability among states orthogonal to
-    the target; second_eigenvalue_gap = 1 - q is the spectral gap below
-    the target's eigenvalue of the strategy operator.
-    """
-
-    q: float
-    trace: float
-    second_eigenvalue_gap: float
-
-    def delta_eps(self, epsilon: float) -> float:
-        """Per-copy detection gap for infidelity epsilon in (0, 1)."""
-        check_probability("epsilon", epsilon)
-        return epsilon * (1.0 - self.q)
-
-    @property
-    def degenerate(self) -> bool:
-        """True when some orthogonal state is accepted with certainty."""
-        return self.q >= 1.0 - TOL_DERIVED
-
-
 def metrics(strategy: Strategy) -> StrategyMetrics:
     """Exact worst-case metrics via the orthocomplement eigenproblem."""
     _, block = qcore.orthocomplement_block(strategy.target, strategy.omega)
@@ -340,22 +318,6 @@ def bell_strategy() -> Strategy:
     return Strategy(target=target, settings=settings, kind=StrategyKind.BELL)
 
 
-def check_theta(theta: float) -> None:
-    """Validate a target angle for the four setting construction.
-
-    Angles outside the closed interval [0, pi/2] are out of domain; inside
-    it, every angle that theta_family assigns to a special construction
-    is rejected as near special.
-    """
-    if not 0.0 <= theta <= math.pi / 2:  # also rejects nan
-        raise ThetaOutOfDomainError(f"theta={theta!r} outside [0, pi/2]")
-    if theta_family(theta) != StrategyKind.TWO_QUBIT_OPTIMAL.value:
-        raise ThetaNearSpecialValueError(
-            f"theta={theta!r} is within {THETA_SPECIAL_TOL} of a special angle "
-            "(0, pi/4, pi/2); use product_state_strategy or bell_strategy"
-        )
-
-
 def target_state(theta: float) -> Ket:
     """sin(theta)|00> + cos(theta)|11>."""
     amps = np.zeros(4, dtype=complex)
@@ -368,12 +330,6 @@ def alpha_weight(theta: float) -> float:
     """Weight of the ZZ setting in the optimal four setting strategy."""
     s = math.sin(2.0 * theta)
     return (2.0 - s) / (4.0 + s)
-
-
-def optimal_q(theta: float) -> float:
-    """Worst-case orthogonal acceptance of the optimal local strategy."""
-    s = math.sin(2.0 * theta)
-    return (2.0 + s) / (4.0 + s)
 
 
 # Unit phases on |1> of the two factors of each annihilating product

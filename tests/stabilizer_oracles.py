@@ -13,6 +13,7 @@ from fractions import Fraction
 
 import numpy as np
 
+from qverify import qcore
 from qverify.errors import BadDimError, ValidationError
 from qverify.qcore import MAX_QUBITS, TOL_DERIVED, Ket, _fix_phase
 from qverify.stabilizer import (
@@ -36,6 +37,22 @@ def full_strategy_q(num_qubits: int) -> Fraction:
 def generator_strategy_q(num_generators: int) -> Fraction:
     """Worst-case orthogonal acceptance of the generators-only mixture."""
     return 1 - Fraction(1, num_generators)
+
+
+def pauli_matrix(pauli):
+    """Dense matrix of a Pauli string, one entry per column."""
+    cols = np.arange(2**pauli.num_qubits)
+    rows, coeffs = _act(pauli.x, pauli.z, _PHASES[pauli.phase], cols)
+    out = np.zeros((cols.size, cols.size), dtype=complex)
+    out[rows, cols] = coeffs
+    return out
+
+
+def apply_to_index(pauli, index):
+    """Image of a computational basis state: M|index> = coeff |new_index>."""
+    qcore.check_index("basis index", index, 2**pauli.num_qubits)
+    new_index, coeff = _act(pauli.x, pauli.z, _PHASES[pauli.phase], index)
+    return int(new_index), complex(coeff)
 
 
 # ------------------------------------------------------------ retired routes
@@ -75,7 +92,7 @@ def pass_projectors(group, indices):
     """(I + P_m)/2 for each indexed element, from its dense matrix()."""
     elements = elements_by_products(group)
     eye = np.eye(2**group.num_qubits, dtype=complex)
-    return [(eye + elements[m].matrix()) / 2.0 for m in indices]
+    return [(eye + pauli_matrix(elements[m])) / 2.0 for m in indices]
 
 
 SCHEME_INDICES = {

@@ -51,7 +51,7 @@ from qverify.strategy import (
     two_qubit_closed_form,
     two_qubit_optimal,
 )
-from stabilizer_oracles import full_strategy_q, generator_strategy_q
+from stabilizer_oracles import full_strategy_q, generator_strategy_q, pauli_matrix
 
 CERT_THETAS = (math.pi / 12, math.pi / 8, math.pi / 5, 3 * math.pi / 8)
 
@@ -154,7 +154,7 @@ def test_criterion_05_stabilizer_laws():
         group = preset_group(preset)
         n = group.num_qubits
         psi = group.state()
-        avg = sum(e.matrix() for e in group.elements) / len(group.elements)
+        avg = sum(pauli_matrix(e) for e in group.elements) / len(group.elements)
         residual = float(np.max(np.abs(
             avg - np.outer(psi.amplitudes, psi.amplitudes.conj())
         )))

@@ -65,8 +65,17 @@ CASES = {
 # n_fid_ref column. Version 3 picks the worst-case state by a rule that
 # reads only Omega (adversary.top_orthogonal_eigenvector), which changes
 # the simulate-transcript stdout and transcript; every other case moves
-# only in its version line or field. A new version needs a new digest
-# set here.
+# only in its version line or field. Version 4 reads the Bell, product
+# and two-qubit q, trace and gap of the figure tables and of the
+# strategy and samplecount builder flags from their closed forms
+# (samplecount.family_metrics), each correctly rounded from the float
+# sin 2theta, in place of the dense eigenproblem. Three bodies change:
+# figure-fig1 (n_asymptotic of 5 of its 9 rows, which now also agree
+# between theta and pi/2 - theta), strategy-two-qubit-json (q, trace and
+# second_eigenvalue_gap, each by one or two ulps) and
+# samplecount-two-qubit-json (q, delta_eps and n_asymptotic); every
+# other case moves only in its version line or field. A new version
+# needs a new digest set here.
 GOLDEN = {
     2: {
         "figure-fig1": {
@@ -178,6 +187,62 @@ GOLDEN = {
         },
         "strategy-two-qubit-json": {
             "stdout": "5830e9c8c7201143a9e8f1167fdcde51b5b3a6095b5e9c79aaa12cd4c248b7bf",
+        },
+    },
+    4: {
+        "figure-fig1": {
+            "stdout": "2e0fa3e1161035e98b35a329f6821389bd2d1476899b190ea9c94c927e8bc05d",
+        },
+        "figure-fig2-out-json": {
+            "stdout": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+            "--out": "b8a299392f9dddbf5785d0d3d3291a72c90dc7784e72577ffe1d850934910d56",
+        },
+        "figure-figS1": {
+            "stdout": "eab98b85b770a81f7b0763d10460b4da33b99fdcf3333c5801bd77d523c05806",
+        },
+        "figure-figS2": {
+            "stdout": "c8169d48ef953bc196aa49d25e4917a9cd3ea4b31c78769396a79508caf24a26",
+        },
+        "landscape-json": {
+            "stdout": "a2f6b8d1708339e9a1d8e108efd4df4e44773935cceb47170e9d07b70cb85ade",
+        },
+        "samplecount-bell": {
+            "stdout": "5c2193ed603c91b1d6c96511691a8d6600529dd65befd7b41b4849ab7ddcb0a4",
+        },
+        "samplecount-ghz12": {
+            "stdout": "f2ec1e97e8854292a8e18bbd4f06391382c6a85999800cd10083d9cb0aa8f854",
+        },
+        "samplecount-two-qubit-json": {
+            "stdout": "e4dcf51c5da139a828aa8b6587acd8f10e818530378a6aba69e886604d6d3312",
+        },
+        "simulate-honest-json": {
+            "stdout": "ef910116230ccacaf8e6d36a1430e98e16513bcec7898234b2a281df7e50542d",
+        },
+        "simulate-transcript": {
+            "stdout": "aedd612baf069d19f525fe2da5805234099b3839d43d5997ce5ed4a2be65252a",
+            # JSONL carries no header; unchanged since version 3
+            "--transcript": "1490192bc5f73100f49ab4cba46db6fbae60d5dc35bfb2dd9418a6d499d045a4",
+        },
+        "stabilizer-inspect": {
+            "stdout": "00995ea11f2399741e11e9e10d0dcf230728367696c2c58b8aef2b81232190fd",
+        },
+        "stabilizer-parity-check": {
+            "stdout": "1ba8bb72967696816267b1204bec4218477e97306e0397ac395cff9f1ff1c78c",
+        },
+        "stabilizer-subset-json": {
+            "stdout": "de1b151f5f252672f33928418e0dc39a12ec1877820406daee10ce2cafc179ef",
+        },
+        "strategy-bell": {
+            "stdout": "2f186a44f22ce8da865e0a7ead12e785e4ca20bfdf3b40a23674bb8a86b0053f",
+        },
+        "strategy-generators-ghz3-json": {
+            "stdout": "c8ed6e5c10c064e52d71e4d6d66ad163698a363500f1ffe80604838176a1580a",
+        },
+        "strategy-product-epsilon": {
+            "stdout": "ea34b05e07106421714c4ebe62a0583ace260e9b1937e2ebd0093ff5465d3092",
+        },
+        "strategy-two-qubit-json": {
+            "stdout": "5592831777ad6d57b00671900d1143a2d3442e03eab497ccc5d8705ef1ccd7d6",
         },
     },
 }

@@ -1,9 +1,9 @@
 """Invariants of every strategy constructor, drawn by hypothesis.
 
 The checks here are written out in the test, independent of the
-library's own runtime validation (is_projector, invariant_defect and the
-partial transpose check in MeasurementSetting), and use the same
-TOL_DERIVED:
+library's own runtime validation (the stacked projector check,
+invariant_defect and the partial transpose check in
+MeasurementSetting), and use the same TOL_DERIVED:
 
 * Omega fixes the target and its spectrum lies in [0, 1];
 * every setting is a projector, and every two-qubit setting that claims

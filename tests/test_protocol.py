@@ -27,6 +27,7 @@ from qverify.protocol import (
 )
 from qverify.qcore import HermitianOperator, Ket
 from qverify.strategy import bell_strategy, two_qubit_optimal
+from oracles import density_at
 
 
 BELL = Ket.normalized([1.0, 0.0, 0.0, 1.0])
@@ -48,7 +49,7 @@ def test_honest_always_accepts():
     psi = BELL.amplitudes
     assert np.array_equal(device.sigma, np.outer(psi, psi.conj()))
     assert not device.sigma.flags.writeable
-    assert device.density_at(5) is device.sigma
+    assert density_at(device, 5) is device.sigma
 
 
 def test_replay_is_bit_identical():
@@ -139,9 +140,9 @@ def test_custom_device_supplier_indexed_by_copy():
 
 def per_copy_probs(strat, device, n):
     """The plan's pass table built one copy at a time, each copy's state
-    read and checked through density_at."""
+    read and checked through the density_at oracle."""
     stack = np.stack([s.projector.entries for s in strat.settings])
-    rows = [np.einsum("kij,ji->k", stack, device.density_at(i)) for i in range(n)]
+    rows = [np.einsum("kij,ji->k", stack, density_at(device, i)) for i in range(n)]
     return _clamp_certainties(np.real(rows))
 
 
@@ -393,7 +394,7 @@ def oracle_table(strat, device, n):
     cumulative = np.cumsum([s.weight for s in strat.settings])
     cumulative[-1] = 1.0
     projectors = np.array([s.projector.entries for s in strat.settings])
-    sigmas = np.array([device.density_at(i) for i in range(n)])
+    sigmas = np.array([density_at(device, i) for i in range(n)])
     probs = np.real(np.einsum("kij,cji->ck", projectors, sigmas))
     probs[np.abs(probs - 1.0) <= CERTAINTY_TOL] = 1.0
     probs[np.abs(probs) <= CERTAINTY_TOL] = 0.0

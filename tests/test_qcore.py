@@ -14,11 +14,11 @@ from qverify.qcore import (
     basis_ket,
     haar_random_ket,
     identity,
-    is_projector,
     orthocomplement_basis,
     partial_transpose_qubit2,
     tensor,
 )
+from oracles import is_projector
 
 
 def random_hermitian(dim, seed):

@@ -48,6 +48,8 @@ from qverify.strategy import (
     to_json_dict,
     two_qubit_optimal,
 )
+from oracles import is_projector
+from stabilizer_oracles import pauli_matrix
 
 # ------------------------------------------------------------------ oracle
 
@@ -200,7 +202,7 @@ def oracle_from_json(doc):
 def oracle_stabilizer(group, indices, kind):
     eye = np.eye(2**group.num_qubits, dtype=complex)
     specs = [
-        ((eye + group.elements[m].matrix()) / 2.0, 1.0 / len(indices),
+        ((eye + pauli_matrix(group.elements[m])) / 2.0, 1.0 / len(indices),
          group.elements[m].label, Locality.STABILIZER_PAULI)
         for m in indices
     ]
@@ -393,6 +395,24 @@ def test_dense_settings_checked_one_stack_at_a_time_report_the_oracle_error(bad)
         assert str(caught.value) == str(expected)
 
 
+def test_a_fresh_matrix_alone_in_its_stack_is_taken_over_not_copied():
+    # a complex matrix that owns its data and fills a stack alone becomes
+    # that stack, frozen in place; a view, a real matrix and the matrices
+    # of a shared stack are copied and left writable
+    fresh, base = _dense([1.0] * 64), _dense([1.0] * 64)
+    view, real = base[:, :], _dense([1.0] * 64).real.copy()
+    small = [np.eye(4, dtype=complex), np.eye(4, dtype=complex)]
+    given = [fresh, view, real]
+    built = _settings(given, (0.5, 0.25, 0.25), ("f", "v", "r"), (Locality.NONLOCAL,) * 3)
+    built += _settings(small, (0.5, 0.5), ("a", "b"), (Locality.NONLOCAL,) * 2)
+    for setting, matrix in zip(built, given + small):
+        entries = setting.projector.entries
+        assert entries.dtype == complex and entries.tobytes() == matrix.astype(complex).tobytes()
+        assert not entries.flags.writeable
+        assert np.shares_memory(entries, matrix) is (matrix is fresh)
+        assert matrix.flags.writeable is (matrix is not fresh)
+
+
 def test_bad_stack_shapes_report_the_oracle_error():
     for values in (np.ones((1, 3, 3)), np.ones((2, 4, 2))):
         expected = _first_oracle_error([(values[0], 0.5, "s", Locality.NONLOCAL)])
@@ -469,10 +489,10 @@ def test_one_tiny_imaginary_entry_takes_the_complex_route(monkeypatch):
     mat[0, 3] += 1e-300j
     mat[3, 0] -= 1e-300j
     inputs = _record_eigvalsh(monkeypatch)
-    assert qcore.is_projector(HermitianOperator(mat))
+    assert is_projector(HermitianOperator(mat))
     assert inputs == [(np.dtype(np.complex128), (1, 4, 4))]
     inputs.clear()
-    assert qcore.is_projector(HermitianOperator(mat.real))
+    assert is_projector(HermitianOperator(mat.real))
     assert inputs == [(np.dtype(np.float64), (1, 4, 4))]
 
 
