@@ -83,7 +83,9 @@ from .strategy import (
 from .stabilizer import (
     MAX_DENSE_QUBITS,
     ParityCheck,
+    PauliStrategy,
     PauliString,
+    PauliTest,
     StabilizerGroup,
     SubsetReport,
     all_zeros_group,
@@ -96,6 +98,7 @@ from .stabilizer import (
     group_to_json,
     preset_group,
     stabilizer_metrics,
+    strategy_from_json,
     subset_strategy,
 )
 from .adversary import (

@@ -27,6 +27,9 @@ two qubit targets sin(theta)|00> + cos(theta)|11>:
 
 The worst orthogonal state is picked by one rule that reads only the
 strategy operator, not the eigensolver's basis (top_orthogonal_eigenvector).
+A stabilizer PauliStrategy is diagonal in its joint eigenbasis, so the
+rule reads its top syndromes instead of solving an eigenproblem, and its
+game value is the closed form with the exact dual multiplier 1 - q.
 Worst-case states are packaged as density matrices so the protocol
 simulator can feed them to a device model directly; a Hilbert-Schmidt
 mixed state sampler with exact fidelity shifting supports randomized
@@ -37,7 +40,7 @@ the pure worst case).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -50,6 +53,7 @@ from .errors import (
 )
 from .qcore import TOL_DERIVED, HermitianOperator, Ket
 from .samplecount import check_probability, check_theta, optimal_q
+from .stabilizer import PauliStrategy
 from .strategy import Strategy, alpha_weight
 
 # certify_optimality: a sound sweep finds nothing below the closed form
@@ -62,20 +66,24 @@ LOCATION_TOL = 1e-4
 
 @dataclass(frozen=True, eq=False)
 class AdversaryState:
-    """A device output candidate: density matrix plus target fidelity."""
+    """A device output candidate: density matrix plus target fidelity.
+
+    rank_one declares sigma = |x><x|, whose check then needs no eigensolve.
+    """
 
     sigma: HermitianOperator
     fidelity: float
+    rank_one: InitVar[bool] = False
 
-    def __post_init__(self):
-        qcore.check_density(self.sigma.entries, "density matrix")
+    def __post_init__(self, rank_one):
+        qcore.check_density(self.sigma.entries, "density matrix", rank_one)
         if not -TOL_DERIVED <= self.fidelity <= 1.0 + TOL_DERIVED:
             raise ValidationError(f"fidelity {self.fidelity!r} outside [0, 1]")
 
 
 def pure_adversary_state(amplitudes: np.ndarray, target: Ket) -> AdversaryState:
     ket = Ket(np.asarray(amplitudes, dtype=complex))
-    return AdversaryState(sigma=ket.density(), fidelity=ket.fidelity(target))
+    return AdversaryState(ket.density(), ket.fidelity(target), rank_one=True)
 
 
 def acceptance_probability(omega, state: AdversaryState) -> float:
@@ -84,7 +92,7 @@ def acceptance_probability(omega, state: AdversaryState) -> float:
     return float(np.trace(mat @ state.sigma.entries).real)
 
 
-def top_orthogonal_eigenvector(strategy: Strategy) -> tuple[float, Ket]:
+def top_orthogonal_eigenvector(strategy: Strategy | PauliStrategy) -> tuple[float, Ket]:
     """(q, state): the top acceptance q among states orthogonal to the
     target, and the state Pi|b> / sqrt(Pi_bb) that attains it.
 
@@ -93,19 +101,54 @@ def top_orthogonal_eigenvector(strategy: Strategy) -> tuple[float, Ket]:
     largest Pi_bb (within TOL_DERIVED). When every orthogonal eigenvalue
     ties (Bell, two-qubit, product, full stabilizer), Pi reads only the
     target, so the state does not depend on the eigensolver's basis.
+    A PauliStrategy's eigenvectors are the joint eigenvectors of its
+    syndromes, and its q those with the most passing elements: Pi sums
+    the top syndromes' projectors, or subtracts the others' from
+    I - |psi><psi|, whichever sum is shorter. No eigenproblem is solved.
     """
-    psi = strategy.target.amplitudes
-    basis, block = qcore.orthocomplement_block(strategy.target, strategy.omega)
-    vals, vecs = np.linalg.eigh(block)
-    q = float(vals[-1])
-    low = basis @ vecs[:, vals < q - TOL_DERIVED]
-    proj = np.eye(psi.size) - np.outer(psi, psi.conj()) - low @ low.conj().T
+    if isinstance(strategy, PauliStrategy):
+        q, proj = _syndrome_projector(strategy)
+    else:
+        basis, block = qcore.orthocomplement_block(strategy.target, strategy.omega)
+        vals, vecs = np.linalg.eigh(block)
+        q = float(vals[-1])
+        proj = _perp_projector(strategy.target, basis @ vecs[:, vals < q - TOL_DERIVED])
     weights = proj.diagonal().real
     b = int(np.argmax(weights >= weights.max() - TOL_DERIVED))
     return q, Ket(proj[:, b] / math.sqrt(weights[b]))
 
 
-def worst_case_state(strategy: Strategy, epsilon: float) -> AdversaryState:
+def _perp_projector(target: Ket, low: np.ndarray) -> np.ndarray:
+    """I - |psi><psi| - low low^dagger, for orthonormal columns low."""
+    psi = target.amplitudes
+    return np.eye(psi.size) - np.outer(psi, psi.conj()) - low @ low.conj().T
+
+
+def _syndrome_projector(strategy: PauliStrategy) -> tuple[float, np.ndarray]:
+    """(q, Pi) of a PauliStrategy: the top syndromes are the nonzero s
+    with the most passing elements, c(s) = q k."""
+    strategy.check_dense("the worst-case state")
+    counts, group = strategy.counts, strategy.group
+    top = counts == counts[1:].max()
+    top[0] = False
+    above, below = np.flatnonzero(top), np.flatnonzero(~top)[1:]
+    if above.size < below.size:
+        rows = group._joint_eigenvectors(above)
+        return strategy.metrics.q, rows.T @ rows.conj()
+    low = group._joint_eigenvectors(below).T
+    return strategy.metrics.q, _perp_projector(strategy.target, low)
+
+
+def _eps_far(strategy: Strategy | PauliStrategy, epsilon: float, top: Ket) -> AdversaryState:
+    """sqrt(1 - eps)|psi> + sqrt(eps)|top>, top orthogonal to the target."""
+    amps = (
+        math.sqrt(1.0 - epsilon) * strategy.target.amplitudes
+        + math.sqrt(epsilon) * top.amplitudes
+    )
+    return pure_adversary_state(amps, strategy.target)
+
+
+def worst_case_state(strategy: Strategy | PauliStrategy, epsilon: float) -> AdversaryState:
     """The eps-far pure state an accept-always strategy likes most.
 
     sqrt(1 - eps)|psi> + sqrt(eps)|worst orthogonal>, accepted with
@@ -119,11 +162,7 @@ def worst_case_state(strategy: Strategy, epsilon: float) -> AdversaryState:
         raise DegenerateStrategyError(
             "strategy accepts an orthogonal state with certainty"
         )
-    amps = (
-        math.sqrt(1.0 - epsilon) * strategy.target.amplitudes
-        + math.sqrt(epsilon) * top.amplitudes
-    )
-    return pure_adversary_state(amps, strategy.target)
+    return _eps_far(strategy, epsilon, top)
 
 
 def hilbert_schmidt_mixed_state(dim: int, rng: np.random.Generator) -> np.ndarray:
@@ -582,9 +621,9 @@ class GameValue:
     maximizer is an admissible state (fidelity at most 1 - epsilon) and
     accept_prob its acceptance; epsilon_star is its infidelity.
     upper_bound is the Lagrangian dual D(mu) at the upper end of the
-    final bisection bracket, widened by the eigensolver's rounding, so
-    the true game value lies in [accept_prob, upper_bound].
-    evaluations counts eigensolves.
+    final bisection bracket (for a PauliStrategy, at the exact multiplier
+    1 - q), widened by the eigensolver's rounding, so the true game value
+    lies in [accept_prob, upper_bound]. evaluations counts eigensolves.
     """
 
     accept_prob: float
@@ -715,5 +754,25 @@ def game_value(omega, target: Ket, epsilon: float) -> GameValue:
     )
 
 
-def strategy_game_value(strategy: Strategy, epsilon: float) -> GameValue:
-    return game_value(strategy, strategy.target, epsilon)
+def strategy_game_value(strategy: Strategy | PauliStrategy, epsilon: float) -> GameValue:
+    """game_value of a strategy against its own target.
+
+    A PauliStrategy fixes its target and its orthogonal top eigenvalue is
+    q, so mu = 1 - q is an exact dual multiplier: D(mu) = 1 - eps (1 - q)
+    is both accept_prob and, before the rounding widening, upper_bound,
+    attained by the worst-case state. No eigenproblem is solved.
+    """
+    if not isinstance(strategy, PauliStrategy):
+        return game_value(strategy, strategy.target, epsilon)
+    check_probability("epsilon", epsilon)
+    q, top = top_orthogonal_eigenvector(strategy)
+    state = _eps_far(strategy, epsilon, top)
+    value = 1.0 - epsilon * (1.0 - q)
+    return GameValue(
+        accept_prob=value,
+        # game_value's widening: max |eigenvalue of Omega - mu P| + mu = q + (1 - q)
+        upper_bound=value + _ROUNDING * strategy.dim,
+        epsilon_star=1.0 - state.fidelity,
+        maximizer=state,
+        evaluations=0,
+    )

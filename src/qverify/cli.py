@@ -28,7 +28,7 @@ from .errors import QVerifyError, ValidationError
 
 PROG = "qverify"
 
-OUTPUT_VERSION = 4  # moves with every intended change to any output's bytes
+OUTPUT_VERSION = 5  # moves with every intended change to any output's bytes
 
 # Strategy builder flags and their help. Each flag stores its name in
 # `kind`, and a config file names one the same way ("kind": "bell").
@@ -386,7 +386,10 @@ def _strict_verify(cfg: argparse.Namespace, built) -> None:
     """
     if cfg.tolerance_profile != "strict":
         return
-    defect = strategy.invariant_defect(built.target, built.omega, STRICT_TOL)
+    if isinstance(built, stabilizer.PauliStrategy):
+        defect = built.invariant_defect()  # exact counts need no tolerance
+    else:
+        defect = strategy.invariant_defect(built.target, built.omega, STRICT_TOL)
     if defect is not None:
         raise RuntimeError(f"strict re-verification failed: {defect}")
 
@@ -408,7 +411,7 @@ def _build_strategy(cfg: argparse.Namespace):
     if path and kind is not None:
         raise ValidationError(f"--strategy-file and --{kind} are mutually exclusive")
     if path:
-        built = strategy.from_json_dict(_read_json(path, "strategy file"))
+        built = stabilizer.strategy_from_json(_read_json(path, "strategy file"))
     elif kind is None:
         raise ValidationError(
             "choose a strategy: " + ", ".join(f"--{k}" for k in STRATEGY_KINDS)
@@ -525,6 +528,8 @@ def cmd_simulate(cfg: argparse.Namespace) -> dict:
     if cfg.n is None:
         raise ValidationError("simulate requires --n")
     built = _build_strategy(cfg)
+    if isinstance(built, stabilizer.PauliStrategy):
+        built.check_dense("simulate")  # before any device is built
     record = [("device", cfg.device), ("n", cfg.n), ("trials", cfg.trials)]
     if cfg.device == "honest":
         device = protocol.honest_device(built.target)

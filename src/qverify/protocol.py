@@ -26,6 +26,11 @@ one uninterrupted draw would be. Chunking, batching across trials and
 early rejection cannot shift any copy's draws: results are bit
 identical per (seed, trial).
 
+Stabilizer strategies: a PauliStrategy's pass probabilities are
+(1 + Re tr(sigma P_m))/2, read from sigma's entries at each element's
+permutation of the basis, with no projector built; its plan, like every
+dense density, is limited to stabilizer.MAX_DENSE_QUBITS.
+
 Exactness at the edges: pass probabilities within 1e-10 of 0 or 1 are
 clamped to exactly 0 or 1 before sampling. An honest device therefore
 never fails a strategy that fixes its target, no matter how many
@@ -45,6 +50,7 @@ from .adversary import AdversaryState
 from .errors import ValidationError
 from .qcore import TOL_INPUT, HermitianOperator, Ket, check_density
 from .samplecount import check_probability
+from .stabilizer import PauliStrategy
 from .strategy import Strategy
 
 CERTAINTY_TOL = 1e-10
@@ -203,7 +209,7 @@ class _Plan:
     labels: tuple[str, ...]
 
 
-def _build_plan(strategy: Strategy, device: DeviceModel, n: int) -> _Plan:
+def _build_plan(strategy: Strategy | PauliStrategy, device: DeviceModel, n: int) -> _Plan:
     if n < 1:
         raise ValidationError("n must be at least 1")
     if device.target.dim != strategy.dim:
@@ -213,10 +219,14 @@ def _build_plan(strategy: Strategy, device: DeviceModel, n: int) -> _Plan:
     weights = np.array([s.weight for s in strategy.settings], dtype=float)
     cum = np.cumsum(weights)
     cum[-1] = 1.0
-    stack = np.stack([s.projector.entries for s in strategy.settings])
+    if isinstance(strategy, PauliStrategy):
+        strategy.check_dense("the protocol plan")
+        row = strategy.pass_probabilities
+    else:
+        stack = np.stack([s.projector.entries for s in strategy.settings])
 
-    def row(arr):
-        return np.einsum("kij,ji->k", stack, arr)
+        def row(arr):
+            return np.einsum("kij,ji->k", stack, arr)
 
     # pass probabilities by copy and setting; one row serves every copy
     # of a fixed-state device
@@ -302,7 +312,7 @@ def _first_failures(
 
 
 def run_protocol(
-    strategy: Strategy, device: DeviceModel, n: int, seed: int, trial: int = 0
+    strategy: Strategy | PauliStrategy, device: DeviceModel, n: int, seed: int, trial: int = 0
 ) -> RunResult:
     """Simulate one sequential run of n copies, stopping at first failure."""
     plan = _build_plan(strategy, device, n)
@@ -317,7 +327,7 @@ def run_protocol(
 
 
 def estimate_power(
-    strategy: Strategy,
+    strategy: Strategy | PauliStrategy,
     device: DeviceModel,
     n: int,
     trials: int,
@@ -365,7 +375,9 @@ def estimate_power(
     )
 
 
-def predicted_acceptance(strategy: Strategy, device: DeviceModel, n: int) -> float:
+def predicted_acceptance(
+    strategy: Strategy | PauliStrategy, device: DeviceModel, n: int
+) -> float:
     """Closed form product of per copy acceptances tr(Omega sigma_i).
 
     Uses the same clamped tables as the sampler, so an honest device

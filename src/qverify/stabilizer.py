@@ -35,12 +35,18 @@ every stabilizer number is derived from it by array arithmetic: the
 PauliString elements (all checked as one stack), the joint eigenvectors
 (all requested syndromes in one pass: each start index is read off a
 GF(2) basis of the diagonal elements, and the signed terms are summed
-exactly by np.bincount) and the dense pass projectors.
+exactly by np.bincount) and each element's permutation of the basis,
+which the protocol plan reads a device's density at.
 
 Every strategy here, full, generators or a chosen subset, is a
-SubsetReport made by _report; _checked_counts is the one place its group
-and element indices are checked, and stabilizer_metrics reads its counts
-without a report. A ParityCheck checks its group on construction.
+PauliStrategy made by _report inside its SubsetReport: group, element
+indices, kind and pass counts, and no projector. _checked_counts is the
+one place its group and element indices are checked, and
+stabilizer_metrics reads the counts without a report. Metrics, the
+worst-case state and game value (adversary) and the protocol plan read
+the counts, the joint eigenvectors or the element table; only those
+that are dense 2^N x 2^N results stop at MAX_DENSE_QUBITS. A
+ParityCheck checks its group on construction.
 """
 
 from __future__ import annotations
@@ -49,6 +55,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -63,8 +70,10 @@ from .errors import (
 )
 from .qcore import MAX_QUBITS, TOL_DERIVED, Ket
 from .samplecount import StrategyMetrics
-from .strategy import Locality, Strategy, StrategyKind, _settings
+from .strategy import Locality, Strategy, StrategyKind, from_json_dict
 
+# Dense results stop here: a PauliStrategy's worst-case state, game value
+# and protocol plan, and the ParityCheck eigenbasis.
 MAX_DENSE_QUBITS = 6
 
 _LETTER_TO_BITS = {"I": (0, 0), "X": (1, 0), "Y": (1, 1), "Z": (0, 1)}
@@ -351,7 +360,8 @@ class StabilizerGroup:
         for part, unit in ((amps.real, _PHASES.real), (amps.imag, _PHASES.imag)):
             weights = (signs * unit[phases] / len(xs)).ravel()
             part[:] = np.bincount(flat.ravel(), weights, amps.size).reshape(amps.shape)
-        return np.array([qcore._fix_phase(v / float(np.linalg.norm(v))) for v in amps])
+        rows = [qcore._fix_phase(v / float(np.linalg.norm(v))) for v in amps]
+        return np.array(rows, dtype=complex).reshape(len(starts), dim)
 
     def state(self) -> Ket:
         """The unique stabilized state of a maximal group (syndrome 0)."""
@@ -436,21 +446,24 @@ def group_from_json(labels) -> StabilizerGroup:
     )
 
 
-def _scheme_indices(group: StabilizerGroup, scheme: str) -> tuple[np.ndarray, StrategyKind]:
+_SCHEMES = {"full": StrategyKind.STABILIZER_FULL, "generators": StrategyKind.STABILIZER_GENERATORS}
+
+
+def _scheme_indices(group: StabilizerGroup, kind: StrategyKind) -> np.ndarray:
     k = group.num_generators
-    if scheme == "full":
-        return np.arange(1, 1 << k), StrategyKind.STABILIZER_FULL
-    return 1 << np.arange(k), StrategyKind.STABILIZER_GENERATORS
+    return np.arange(1, 1 << k) if kind is StrategyKind.STABILIZER_FULL else 1 << np.arange(k)
 
 
-def full_strategy(group: StabilizerGroup) -> Strategy:
-    """Equal mixture of all non-identity element pass tests (dense)."""
-    return _report(group, *_scheme_indices(group, "full")).strategy
+def full_strategy(group: StabilizerGroup) -> "PauliStrategy":
+    """Equal mixture of all non-identity element pass tests."""
+    kind = StrategyKind.STABILIZER_FULL
+    return _report(group, _scheme_indices(group, kind), kind).strategy
 
 
-def generator_strategy(group: StabilizerGroup) -> Strategy:
-    """Equal mixture of the generator pass tests (dense)."""
-    return _report(group, *_scheme_indices(group, "generators")).strategy
+def generator_strategy(group: StabilizerGroup) -> "PauliStrategy":
+    """Equal mixture of the generator pass tests."""
+    kind = StrategyKind.STABILIZER_GENERATORS
+    return _report(group, _scheme_indices(group, kind), kind).strategy
 
 
 def stabilizer_metrics(group: StabilizerGroup, scheme: str) -> StrategyMetrics:
@@ -459,9 +472,9 @@ def stabilizer_metrics(group: StabilizerGroup, scheme: str) -> StrategyMetrics:
     Works up to MAX_QUBITS; samplecount.certainty_count_report turns them
     into copy counts.
     """
-    if scheme not in ("full", "generators"):
+    if scheme not in _SCHEMES:
         raise ValidationError(f"scheme={scheme!r} must be 'full' or 'generators'")
-    return _count_metrics(_checked_counts(group, _scheme_indices(group, scheme)[0]))
+    return _count_metrics(_checked_counts(group, _scheme_indices(group, _SCHEMES[scheme])))
 
 
 @dataclass(frozen=True, eq=False)
@@ -534,59 +547,104 @@ class ParityCheck:
         return tuple(int(k) for k in np.flatnonzero(passed == self.group.num_qubits - 1))
 
 
+class PauliTest(NamedTuple):
+    """One setting of a PauliStrategy: the pass test (1 + M)/2 of group
+    element index, with no matrix."""
+
+    label: str
+    weight: float
+    locality: Locality
+    index: int
+
+
+@dataclass(frozen=True, eq=False)
+class PauliStrategy:
+    """Equal mixture of the pass tests (1 + P_m)/2 of chosen group elements.
+
+    It holds its group, the sorted distinct element indices, its kind and
+    the checked pass counts (counts[s] = c(s), read-only), and no
+    projector: Omega = sum_s c(s)/k |s><s| in the joint eigenbasis, so
+    metrics read the counts. target, settings and metrics are made on
+    first read. The dense results built from it (adversary's worst-case
+    state and game value, protocol's plan) are limited to
+    MAX_DENSE_QUBITS; see check_dense.
+    """
+
+    group: StabilizerGroup
+    indices: tuple[int, ...]
+    kind: StrategyKind
+    counts: np.ndarray
+    theta = None
+
+    @property
+    def dim(self) -> int:
+        return 2**self.group.num_qubits
+
+    @cached_property
+    def target(self) -> Ket:
+        return self.group.state()
+
+    @cached_property
+    def settings(self) -> tuple[PauliTest, ...]:
+        weight, elements = 1.0 / len(self.indices), self.group.elements
+        return tuple(
+            PauliTest(elements[m].label, weight, Locality.STABILIZER_PAULI, m)
+            for m in self.indices
+        )
+
+    @cached_property
+    def metrics(self) -> StrategyMetrics:
+        return _count_metrics(self.counts)
+
+    def invariant_defect(self) -> str | None:
+        """Why the counts make no strategy operator, or None: Omega fixes the
+        target when c(0) = k, and its spectrum c/k lies in [0, 1] when
+        0 <= c <= k."""
+        k, c = len(self.indices), self.counts
+        if c[0] != k or c.min() < 0 or c.max() > k:
+            return f"pass counts in [{c.min()}, {c.max()}] with c(0) = {c[0]}, k = {k}"
+        return None
+
+    def check_dense(self, what: str) -> None:
+        """Raise BadDimError if what, a dense result, exceeds MAX_DENSE_QUBITS."""
+        if self.group.num_qubits > MAX_DENSE_QUBITS:
+            raise BadDimError(
+                f"{what} of a {self.kind.value} strategy is dense and limited to "
+                f"{MAX_DENSE_QUBITS} qubits"
+            )
+
+    def pass_probabilities(self, sigma: np.ndarray) -> np.ndarray:
+        """(1 + Re tr(sigma P_m))/2 for each chosen element m, in O(k 2^N):
+        P_m|b> = coefficient |image>, so tr(sigma P_m) sums
+        sigma[b, image] coefficient over b."""
+        xs, zs, phases = self.group.table[:, np.asarray(self.indices)]
+        cols = np.arange(self.dim)
+        images, coeffs = _act(xs[:, None], zs[:, None], _PHASES[phases][:, None], cols)
+        return (1.0 + (sigma[cols, images] * coeffs).sum(axis=1).real) / 2.0
+
+
 @dataclass(frozen=True, eq=False)
 class SubsetReport:
     """Equal mixture of chosen group elements, with degeneracy evidence.
 
     If the chosen elements do not generate the group, an orthogonal state
     passes every chosen test: degenerate is True, metrics.q is 1, and no
-    number of copies rejects the fooling state. indices are the sorted
-    distinct element indices and kind is the kind of strategy they make.
-    Fields are syndrome counts (to MAX_QUBITS); only strategy is dense,
-    built on first read (to MAX_DENSE_QUBITS).
+    number of copies rejects the fooling state. strategy holds the group,
+    the sorted distinct element indices, the kind of strategy they make
+    and their pass counts. Every field is read from syndrome counts and
+    works to MAX_QUBITS.
     """
 
-    group: StabilizerGroup
-    indices: tuple[int, ...]
-    kind: StrategyKind
-    metrics: StrategyMetrics
+    strategy: PauliStrategy
     degenerate: bool
     stabilized_dimension: int
     fooling_state: Ket | None
     fooling_acceptance: float | None
 
-    @cached_property
-    def strategy(self) -> Strategy:
-        """Dense equal-weight strategy over the pass tests of the indexed elements."""
-        group = self.group
-        if group.num_qubits > MAX_DENSE_QUBITS:
-            raise BadDimError(
-                f"a dense {self.kind.value} strategy is limited to {MAX_DENSE_QUBITS} "
-                f"qubits; stabilizer_metrics and subset_strategy count syndromes instead"
-            )
-        xs, zs, phases = group.table[:, np.asarray(self.indices)]
-        cols = np.arange(2**group.num_qubits)
-        # (I + P_m)/2 is 1/2 on the diagonal plus P_m's entries halved; row i
-        # of (images, halves) holds the i-th chosen P_m's entry in each column
-        images, halves = _act(xs[:, None], zs[:, None], _PHASES[phases][:, None] / 2.0, cols)
-
-        def projectors():
-            # one fresh matrix at a time, which _settings takes over as its
-            # stack: a stack of all of them costs more memory than it saves
-            for image, half in zip(images, halves):
-                out = np.zeros((cols.size, cols.size), dtype=complex)
-                out[cols, cols] = 0.5
-                out[image, cols] += half
-                yield out
-
-        k = len(self.indices)
-        settings = _settings(
-            projectors(),
-            (1.0 / k,) * k,
-            [group.elements[m].label for m in self.indices],
-            (Locality.STABILIZER_PAULI,) * k,
-        )
-        return Strategy(target=group.state(), settings=settings, kind=self.kind)
+    group = property(lambda self: self.strategy.group)
+    indices = property(lambda self: self.strategy.indices)
+    kind = property(lambda self: self.strategy.kind)
+    metrics = property(lambda self: self.strategy.metrics)
 
 
 def _checked_counts(group: StabilizerGroup, indices) -> np.ndarray:
@@ -607,6 +665,7 @@ def _checked_counts(group: StabilizerGroup, indices) -> np.ndarray:
 def _report(group: StabilizerGroup, indices, kind: StrategyKind) -> SubsetReport:
     """Report of the equal mixture of these sorted distinct element indices."""
     counts = _checked_counts(group, indices)
+    counts.setflags(write=False)
     n = group.num_qubits
     k = int(counts[0])
     stabilized = int(np.count_nonzero(counts == k))
@@ -617,9 +676,9 @@ def _report(group: StabilizerGroup, indices, kind: StrategyKind) -> SubsetReport
         syndrome = int(syndromes[np.flatnonzero(counts[syndromes] == k)[1]])
         fooling = Ket(group._joint_eigenvectors([syndrome])[0])
         acceptance = int(counts[syndrome]) / k
+    built = PauliStrategy(group, tuple(np.asarray(indices).tolist()), kind, counts)
     return SubsetReport(
-        group, tuple(np.asarray(indices).tolist()), kind, _count_metrics(counts),
-        degenerate=stabilized > 1, stabilized_dimension=stabilized,
+        built, degenerate=stabilized > 1, stabilized_dimension=stabilized,
         fooling_state=fooling, fooling_acceptance=acceptance,
     )
 
@@ -635,3 +694,31 @@ def subset_strategy(group: StabilizerGroup, element_indices) -> SubsetReport:
     """
     indices = sorted(set(int(k) for k in element_indices))
     return _report(group, indices, StrategyKind.CUSTOM)
+
+
+def strategy_from_json(doc) -> Strategy | PauliStrategy:
+    """Rebuild a strategy from strategy.to_json_dict output.
+
+    A document that names a group ({"kind", "group", "indices"}) is a
+    PauliStrategy, checked like the builder of its kind: a full or
+    generators document must list that scheme's indices, a custom one
+    sorted distinct integers. Any other document, such as a dense one
+    written before output version 5, is read by strategy.from_json_dict.
+    """
+    if not (isinstance(doc, dict) and "group" in doc):
+        return from_json_dict(doc)
+    try:
+        kind, indices = StrategyKind(doc["kind"]), list(doc["indices"])
+        group = group_from_json(doc["group"])
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ValidationError(
+            f"malformed strategy document: {type(exc).__name__}: {exc}"
+        ) from exc
+    ints = all(type(m) is int for m in indices)
+    if kind in _SCHEMES.values():
+        expected = _scheme_indices(group, kind).tolist()
+    else:
+        expected = sorted(set(indices)) if ints and kind is StrategyKind.CUSTOM else None
+    if not ints or indices != expected:
+        raise ValidationError(f"{indices} are not the element indices of a {kind.value} strategy")
+    return _report(group, indices, kind).strategy

@@ -29,13 +29,16 @@ Constructions provided here:
 * product_state_strategy: for |00> or |11>, the single product
   projector onto the target, q = 0.
 
-Every constructor here, local_transport, from_json_dict and the dense
-stabilizer builder hand their projectors to _settings, which copies
-them into (k, d, d) stacks (all of a two-qubit strategy in one; a fresh
-dense stabilizer projector becomes a stack of one without a copy) and
-runs each MeasurementSetting check once per stack, at the same
-tolerance. It raises the error of the first invalid setting in order;
-a setting built directly is the stack of one.
+Every constructor here, local_transport and from_json_dict hand their
+projectors to _settings, which copies them into (k, d, d) stacks (all
+of a two-qubit strategy in one) and runs each MeasurementSetting check
+once per stack, at the same tolerance. It raises the error of the first
+invalid setting in order; a setting built directly is the stack of one.
+
+Stabilizer strategies are stabilizer.PauliStrategy values, which hold
+syndrome counts and no projectors. metrics and to_json_dict take either
+type: a PauliStrategy reads its counts and writes its group and element
+indices. Strategy and its settings mean a dense strategy only.
 """
 
 from __future__ import annotations
@@ -176,10 +179,11 @@ def _check_settings(stack: np.ndarray, weights, labels, localities) -> None:
 
 # Settings are copied into stacks of at most this many matrix entries:
 # one stack holds all projectors of a two-qubit strategy, but only one
-# dense 64x64 stabilizer projector. A stack of all 63 of those made every
-# stacked check slower than one matrix at a time (fresh pages for 4 MiB
-# temporaries), and freeing it raised glibc's mmap threshold, which kept
-# about 1 MiB more resident in later work.
+# 64x64 projector, as a dense stabilizer document written before output
+# version 5 holds. A stack of all 63 of those made every stacked check
+# slower than one matrix at a time (fresh pages for 4 MiB temporaries),
+# and freeing it raised glibc's mmap threshold, which kept about 1 MiB
+# more resident in later work.
 _STACK_ENTRIES = 4096
 
 
@@ -191,21 +195,14 @@ def _settings(projectors, weights, labels, localities) -> tuple[MeasurementSetti
     stacks of at most _STACK_ENTRIES entries; each stack is checked by
     _check_settings and frozen before the next is read, so the error
     raised is the first invalid setting's, and each setting's projector
-    is a read-only view of its stack. A complex matrix that owns its
-    C-contiguous data and fills a stack alone is not copied: it is
-    frozen in place and becomes the stack, so the caller hands it over.
+    is a read-only view of its stack.
     """
     matrices, out = iter(projectors), []
     while len(out) < len(weights):
         first = next(matrices)
         lo = len(out)
         hi = min(len(weights), lo + max(1, _STACK_ENTRIES // max(1, np.size(first))))
-        alone = hi - lo == 1 and isinstance(first, np.ndarray) and first.dtype == complex
-        if alone and first.flags.owndata and first.flags.c_contiguous:
-            first.setflags(write=False)
-            stack = first[None]
-        else:
-            stack = np.array([first, *itertools.islice(matrices, hi - lo - 1)], dtype=complex)
+        stack = np.array([first, *itertools.islice(matrices, hi - lo - 1)], dtype=complex)
         _check_settings(stack, weights[lo:hi], labels[lo:hi], localities[lo:hi])
         stack.setflags(write=False)
         out.extend(
@@ -283,8 +280,11 @@ class Strategy:
         return self.target.dim
 
 
-def metrics(strategy: Strategy) -> StrategyMetrics:
-    """Exact worst-case metrics via the orthocomplement eigenproblem."""
+def metrics(strategy) -> StrategyMetrics:
+    """Exact worst-case metrics: a Strategy's from the orthocomplement
+    eigenproblem, a stabilizer PauliStrategy's from its syndrome counts."""
+    if not isinstance(strategy, Strategy):
+        return strategy.metrics
     _, block = qcore.orthocomplement_block(strategy.target, strategy.omega)
     top = float(np.linalg.eigvalsh(block)[-1])
     q = min(max(top, 0.0), 1.0)
@@ -486,7 +486,7 @@ def local_transport(strategy: Strategy, u, v) -> Strategy:
 
 
 def exact_sample_count(
-    strategy: Strategy, epsilon: float, delta: float
+    strategy, epsilon: float, delta: float
 ) -> SampleCountReport:
     """Copies needed to reject every eps-far state with confidence 1 - delta."""
     return certainty_count_report(
@@ -506,12 +506,17 @@ def _pairs_to_array(pairs, length: int, what: str) -> np.ndarray:
     return arr[:, 0] + 1j * arr[:, 1]
 
 
-def to_json_dict(strategy: Strategy) -> dict:
+def to_json_dict(strategy) -> dict:
     """Lossless JSON document for a strategy.
 
     Amplitudes and projector entries are stored as [re, im] pairs whose
     repr round-trips doubles exactly; projectors are flattened row major.
+    A stabilizer PauliStrategy writes its kind, generator labels and
+    element indices instead, which stabilizer.strategy_from_json reads.
     """
+    if not isinstance(strategy, Strategy):
+        labels = [g.label for g in strategy.group.generators]
+        return {"kind": strategy.kind.value, "group": labels, "indices": list(strategy.indices)}
     doc: dict = {"kind": strategy.kind.value}
     if strategy.theta is not None:
         doc["theta"] = float(strategy.theta)
@@ -532,8 +537,12 @@ def from_json_dict(doc: dict) -> Strategy:
     """Rebuild a strategy from to_json_dict output, revalidating everything.
 
     A document with a missing key, a value of the wrong type or shape,
-    or a non-finite theta raises ValidationError.
+    or a non-finite theta raises ValidationError, as does a stabilizer
+    document naming its group, which stabilizer.strategy_from_json reads.
     """
+    if isinstance(doc, dict) and "group" in doc:
+        raise ValidationError("a document naming a stabilizer group is read by "
+                              "stabilizer.strategy_from_json")
     try:
         kind = StrategyKind(doc["kind"])
         target_amps = _pairs_to_array(doc["target"], len(doc["target"]), "target")

@@ -2,7 +2,10 @@
 
 The closed-form worst cases of the equal-weight stabilizer schemes are
 exact rationals, so a test can demand the library's correctly rounded
-float bit for bit: float(Fraction) rounds correctly. The retired
+float bit for bit: float(Fraction) rounds correctly. equal_mixture is
+the dense stabilizer strategy, one checked 2^N x 2^N projector per
+element, which the library's PauliStrategy replaced; it is the oracle of
+every number the library now reads from syndrome counts. The retired
 element-at-a-time routes, which the element table replaced, must be
 matched bit for bit as well, and so must the retired per-scheme routes
 that each checked and counted on its own before every stabilizer
@@ -126,6 +129,14 @@ def equal_mixture(group, indices, kind, what):
         (Locality.STABILIZER_PAULI,) * k,
     )
     return Strategy(target=group.state(), settings=settings, kind=kind)
+
+
+def as_dense(strategy):
+    """A Strategy as it is; a PauliStrategy as the dense equal_mixture of
+    its group, element indices and kind."""
+    if isinstance(strategy, Strategy):
+        return strategy
+    return equal_mixture(strategy.group, strategy.indices, strategy.kind, strategy.kind.value)
 
 
 def scheme_metrics(group, scheme):

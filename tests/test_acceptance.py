@@ -51,7 +51,7 @@ from qverify.strategy import (
     two_qubit_closed_form,
     two_qubit_optimal,
 )
-from stabilizer_oracles import full_strategy_q, generator_strategy_q, pauli_matrix
+from stabilizer_oracles import as_dense, full_strategy_q, generator_strategy_q, pauli_matrix
 
 CERT_THETAS = (math.pi / 12, math.pi / 8, math.pi / 5, 3 * math.pi / 8)
 
@@ -197,7 +197,8 @@ def test_criterion_06_adversary_oracles():
         for _ in range(1000):
             rho = hilbert_schmidt_mixed_state(strat.dim, rng)
             adv = shift_fidelity(rho, strat.target, eps)
-            ok = ok and acceptance_probability(strat.omega, adv) <= bound + 1e-10
+            omega = as_dense(strat).omega  # the stabilizer strategy's dense oracle
+            ok = ok and acceptance_probability(omega, adv) <= bound + 1e-10
         for game_eps in (0.01, 0.1):
             result = strategy_game_value(strat, game_eps)
             ok = ok and abs(result.epsilon_star - game_eps) <= 1e-5

@@ -60,6 +60,7 @@ from qverify.stabilizer import (
     preset_group,
     subset_strategy,
 )
+from stabilizer_oracles import as_dense
 
 CERT_THETAS = [math.pi / 12, math.pi / 8, math.pi / 5, 3 * math.pi / 8]
 
@@ -109,6 +110,16 @@ SPLIT = {
         for i, idx in enumerate(_nondegenerate_subsets(name))
     },
 }
+
+
+# The stabilizer strategies again as their dense oracles, whose worst
+# state the eigensolver route picks.
+for _table in (TIED, SPLIT):
+    _table.update({
+        f"dense-{name}": (lambda build=build: as_dense(build()))
+        for name, build in list(_table.items())
+        if name.startswith(("full-", "generators-", "subset-"))
+    })
 
 
 @functools.cache
@@ -223,7 +234,6 @@ def test_two_qubit_worst_pass_row(theta):
 @pytest.mark.parametrize("name", SPLIT_PRESETS)
 def test_stabilizer_worst_state_spreads_evenly_over_agreeing_syndromes(name, scheme):
     group = preset_group(name)
-    _, top = top_orthogonal_eigenvector(_strategy(f"{scheme}-{name}"))
     k = group.num_generators
     rows = group._joint_eigenvectors(np.arange(2**k))  # row s: syndrome s
     # the syndromes accepted with probability q: one failed generator, or any
@@ -231,22 +241,26 @@ def test_stabilizer_worst_state_spreads_evenly_over_agreeing_syndromes(name, sch
     proj = rows[tops].T @ rows[tops].conj()
     weights = proj.diagonal().real
     b = int(np.argmax(weights >= weights.max() - 1e-10))
-    # the same state, rebuilt from the syndrome basis by the same rule
-    assert np.abs(top.amplitudes - proj[:, b] / math.sqrt(weights[b])).max() < 1e-12
     agree = [s for s in tops if abs(rows[s, b]) > 1e-12]
     expected = np.zeros(2**k)
     expected[agree] = 1.0 / len(agree)
-    assert np.abs(np.abs(rows.conj() @ top.amplitudes) ** 2 - expected).max() < 1e-12
+    # the count route and the dense oracle's eigensolver route
+    for route in ("", "dense-"):
+        _, top = top_orthogonal_eigenvector(_strategy(f"{route}{scheme}-{name}"))
+        # the same state, rebuilt from the syndrome basis by the same rule
+        assert np.abs(top.amplitudes - proj[:, b] / math.sqrt(weights[b])).max() < 1e-12
+        assert np.abs(np.abs(rows.conj() @ top.amplitudes) ** 2 - expected).max() < 1e-12
 
 
 def test_worst_case_state_acceptance():
     for name in sorted(TIED) + sorted(SPLIT):
         strat = _strategy(name)
         q = metrics(strat).q
+        omega = as_dense(strat).omega
         for eps in (0.01, 0.1, 0.5):
             adv = worst_case_state(strat, eps)
             assert abs(adv.fidelity - (1.0 - eps)) < 1e-12, name
-            accept = acceptance_probability(strat.omega, adv)
+            accept = acceptance_probability(omega, adv)
             assert abs(accept - (1.0 - eps * (1.0 - q))) < 1e-12, name
 
 

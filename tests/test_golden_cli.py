@@ -74,6 +74,10 @@ CASES = {
 # between theta and pi/2 - theta), strategy-two-qubit-json (q, trace and
 # second_eigenvalue_gap, each by one or two ulps) and
 # samplecount-two-qubit-json (q, delta_eps and n_asymptotic); every
+# other case moves only in its version line or field. Version 5 writes
+# a stabilizer strategy's JSON as its kind, generator labels and element
+# indices, with no dense target or projectors: of the bodies only
+# strategy-generators-ghz3-json changes (its "strategy" object); every
 # other case moves only in its version line or field. A new version
 # needs a new digest set here.
 GOLDEN = {
@@ -243,6 +247,61 @@ GOLDEN = {
         },
         "strategy-two-qubit-json": {
             "stdout": "5592831777ad6d57b00671900d1143a2d3442e03eab497ccc5d8705ef1ccd7d6",
+        },
+    },
+    5: {
+        "figure-fig1": {
+            "stdout": "b3b1fc5e0dc05798c09fb5fadf84f925fd01cddbc918cfc67affa9a20bb40212",
+        },
+        "figure-fig2-out-json": {
+            "stdout": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+            "--out": "8f8e6c65cdc850973db20f25ca5151e1967857ef5935e41f69e2d8f33dc5d7cf",
+        },
+        "figure-figS1": {
+            "stdout": "4f8f65d42e6d9acc02b3a10391bd25efa59a8244ac44700a8819659ac5cdb524",
+        },
+        "figure-figS2": {
+            "stdout": "fbfe51aa7d1221eefc44b23ec9087a480bdc5b57a01b35f6bb7afb95d438da45",
+        },
+        "landscape-json": {
+            "stdout": "a6fca6730488602f8bebd9124b5163572f4b49ce37e87bc0857da399fe10f6ae",
+        },
+        "samplecount-bell": {
+            "stdout": "91dcb8119a1f90ebf63583846b95ee286435a2fcadaff6eacfb71385535bda5a",
+        },
+        "samplecount-ghz12": {
+            "stdout": "7ebed3b2f30dcbe7219768408b6d3f08dc2db1a3d36f2f640080e70496ee708d",
+        },
+        "samplecount-two-qubit-json": {
+            "stdout": "17e6732798a996511d0b89588c193bbd734d08b682a31caba059b930fbee4ca6",
+        },
+        "simulate-honest-json": {
+            "stdout": "8649793443b674e1759cce0cf1bb01505049928ae98e818f4e9925d99c0d3d0a",
+        },
+        "simulate-transcript": {
+            "stdout": "d9959affd606e3bb1dbc3d578cb9c9e15497e731eb2cc25b1be170eb57f77644",
+            "--transcript": "1490192bc5f73100f49ab4cba46db6fbae60d5dc35bfb2dd9418a6d499d045a4",
+        },
+        "stabilizer-inspect": {
+            "stdout": "de71890e66ff88782d4249c03082a98bc9eaf5c336a9f21c767e0ccf40c10622",
+        },
+        "stabilizer-parity-check": {
+            "stdout": "a6787dda058c716eac91bd44614df0e3a95b121b09c00408eb0eb7460ee97559",
+        },
+        "stabilizer-subset-json": {
+            "stdout": "dffd7cc34b290b43553b348fb8e898a688d49072b309624234aeae1ed5590953",
+        },
+        "strategy-bell": {
+            "stdout": "e75480fbc04951e4b87646cf5381409b4e2930faae3dc5b844f2305166887ec0",
+        },
+        "strategy-generators-ghz3-json": {
+            "stdout": "c899ca643a218711cefe2a59003d2b1d8f0f5718b0385353f40713d2ad10cd88",
+        },
+        "strategy-product-epsilon": {
+            "stdout": "ac2386c5ec7739db8612cd863b1c0ab8ab5837b3458069126fce6619b39fc86a",
+        },
+        "strategy-two-qubit-json": {
+            "stdout": "81c77bee73592229306a55577642f7535a1b6d647402411edffe14c95e012ade",
         },
     },
 }

@@ -7,7 +7,9 @@ MeasurementSetting), and use the same TOL_DERIVED:
 
 * Omega fixes the target and its spectrum lies in [0, 1];
 * every setting is a projector, and every two-qubit setting that claims
-  locality stays positive under partial transposition;
+  locality stays positive under partial transposition (a stabilizer
+  PauliStrategy holds no projectors: its counts must pass their own
+  check, and its dense oracle, with the same settings, these);
 * local transport by Haar unitaries preserves q;
 * the JSON round trip rebuilds the same strategy;
 * the exact copy count never rises with epsilon or delta.
@@ -24,9 +26,11 @@ from hypothesis import strategies as st
 from qverify.qcore import TOL_DERIVED
 from qverify.samplecount import certainty_count_report
 from qverify.stabilizer import (
+    PauliStrategy,
     full_strategy,
     generator_strategy,
     preset_group,
+    strategy_from_json,
     subset_strategy,
 )
 from qverify.strategy import (
@@ -39,6 +43,7 @@ from qverify.strategy import (
     to_json_dict,
     two_qubit_optimal,
 )
+from stabilizer_oracles import as_dense
 
 PRESETS = ["bell", "zeros3"] + [
     f"{family}{n}" for family in ("ghz", "cluster") for n in range(3, 7)
@@ -98,6 +103,13 @@ def _partial_transpose(entries):
 @settings(max_examples=12, deadline=None)
 def test_constructor_invariants(name, data):
     built = BUILDERS[name](data.draw)
+    if isinstance(built, PauliStrategy):
+        assert built.invariant_defect() is None
+        dense = as_dense(built)
+        assert [(s.label, s.weight, s.locality) for s in dense.settings] == [
+            (s.label, s.weight, s.locality) for s in built.settings
+        ]
+        built = dense
     psi = built.target.amplitudes
     assert np.linalg.norm(built.omega @ psi - psi) <= TOL_DERIVED
     spectrum = np.linalg.eigvalsh(built.omega)
@@ -125,13 +137,21 @@ def test_local_transport_preserves_q(data):
 @settings(max_examples=4, deadline=None)
 def test_json_round_trip(name, data):
     built = BUILDERS[name](data.draw)
-    back = from_json_dict(json.loads(json.dumps(to_json_dict(built))))
+    doc = json.loads(json.dumps(to_json_dict(built)))
+    back = strategy_from_json(doc)
+    assert type(back) is type(built)
     assert (back.kind, back.theta) == (built.kind, built.theta)
     assert back.target.amplitudes.tobytes() == built.target.amplitudes.tobytes()
     assert [(s.label, s.weight, s.locality) for s in back.settings] == [
         (s.label, s.weight, s.locality) for s in built.settings
     ]
-    assert back.omega.tobytes() == built.omega.tobytes()
+    if isinstance(built, PauliStrategy):
+        assert back.group.generators == built.group.generators
+        assert back.indices == built.indices
+        assert np.array_equal(back.counts, built.counts)
+    else:
+        assert from_json_dict(doc).omega.tobytes() == built.omega.tobytes()
+        assert back.omega.tobytes() == built.omega.tobytes()
 
 
 probabilities = st.floats(1e-6, 1.0 - 1e-6)

@@ -47,10 +47,12 @@ from qverify.stabilizer import (
     _pass_rows,
     _report,
 )
+from qverify.adversary import strategy_game_value, worst_case_state
 from qverify.samplecount import certainty_count_report
 from qverify.strategy import StrategyKind, metrics
 from stabilizer_oracles import (
     apply_to_index,
+    as_dense,
     elements_by_products,
     equal_mixture,
     full_strategy_q,
@@ -226,7 +228,7 @@ def test_full_strategy_two_eigenvalue_form(preset):
     q = float(full_strategy_q(n))
     psi = group.state().amplitudes
     expected = np.outer(psi, psi.conj()) * (1.0 - q) + q * np.eye(2**n)
-    assert np.max(np.abs(strat.omega - expected)) < 1e-12
+    assert np.max(np.abs(as_dense(strat).omega - expected)) < 1e-12
     assert abs(metrics(strat).q - q) < 1e-10
 
 
@@ -255,7 +257,8 @@ def test_full_strategy_matches_bell_strategy():
 
     direct = bell_strategy()
     via_group = full_strategy(preset_group("bell"))
-    assert np.max(np.abs(direct.omega - via_group.omega)) == 0.0
+    assert sorted(s.label for s in via_group.settings) == sorted(s.label for s in direct.settings)
+    assert np.max(np.abs(direct.omega - as_dense(via_group).omega)) == 0.0
 
 
 def test_stabilizer_metrics_closed_form():
@@ -281,13 +284,17 @@ def test_stabilizer_sample_count_frozen_values():
 
 
 def test_stabilizer_sample_count_beyond_dense_limit():
-    # syndrome counts keep working where dense construction would not
+    # syndrome counts keep working where dense construction would not; the
+    # strategy holds no matrices, and only its dense results stop
     group = ghz_group(10)
     metrics_full = stabilizer_metrics(group, "full")
     report = certainty_count_report(metrics_full, 0.01, 0.1, "full")
     assert report.n_exact >= 1
+    built = full_strategy(group)
+    assert len(built.settings) == 2**10 - 1
+    assert metrics(built) == metrics_full
     with pytest.raises(BadDimError):
-        full_strategy(group)
+        worst_case_state(built, 0.1)
 
 
 def test_parity_check_columns():
@@ -318,13 +325,18 @@ def test_parity_check_beyond_dense_cap():
     assert check.special_columns == tuple(1 << j for j in range(n))
     with pytest.raises(BadDimError):
         check.eigenbasis
-    for build in (
-        full_strategy,
-        generator_strategy,
-        lambda g: subset_strategy(g, [1, 2]).strategy,
+    # the strategies build; their worst-case states and game values are dense
+    for build, size in (
+        (full_strategy, 2**n - 1),
+        (generator_strategy, n),
+        (lambda g: subset_strategy(g, [1, 2]).strategy, 2),
     ):
+        built = build(check.group)
+        assert len(built.settings) == size
         with pytest.raises(BadDimError):
-            build(check.group)
+            worst_case_state(built, 0.1)
+        with pytest.raises(BadDimError):
+            strategy_game_value(built, 0.1)
 
 
 def test_parity_check_matrix_cached_read_only():
@@ -544,7 +556,8 @@ def test_subset_report_matches_dense_omega(preset, data):
         group = _flipped_group(preset, flipped)
         basis = ParityCheck.build(group).eigenbasis
         report = subset_strategy(group, drawn)
-        diag = basis.conj().T @ report.strategy.omega @ basis
+        dense_strategy = as_dense(report.strategy)
+        diag = basis.conj().T @ dense_strategy.omega @ basis
         passed = [
             sum(_column_pass_bit(n, m, k) for m in indices) for k in range(2**n)
         ]
@@ -553,7 +566,8 @@ def test_subset_report_matches_dense_omega(preset, data):
         # count route: exact shares; dense route within 1e-12
         assert report.metrics.q == max(shares[1:])
         assert report.metrics.trace == float(Fraction(sum(passed), len(indices)))
-        dense = metrics(report.strategy)
+        assert metrics(report.strategy) == report.metrics
+        dense = metrics(dense_strategy)
         assert abs(report.metrics.q - dense.q) <= 1e-12
         assert abs(report.metrics.trace - dense.trace) <= 1e-12
         # the GF(2) rank of the chosen masks stays the oracle for the count
@@ -647,9 +661,10 @@ def test_subset_report_beyond_dense_cap(preset, indices, dimension):
     else:
         assert report.metrics.q == float(generator_strategy_q(n))
     assert report.metrics.trace == 2.0 ** (n - 1)
-    # only the strategy is dense
+    # the strategy holds no matrices; only its worst-case state is dense
+    assert [s.index for s in report.strategy.settings] == list(indices)
     with pytest.raises(BadDimError):
-        report.strategy
+        worst_case_state(report.strategy, 0.1)
 
 
 def test_subset_report_strategy_is_cached_and_read_only():
@@ -769,7 +784,11 @@ def test_table_routes_match_the_element_oracle_bitwise():
             (full_strategy, range(1, 2**n)),
             (generator_strategy, [1 << j for j in range(n)]),
         ):
-            ours = [s.projector.entries for s in build(group).settings]
+            built = build(group)
+            assert [s.label for s in built.settings] == [
+                group.elements[m].label for m in indices
+            ]
+            ours = [s.projector.entries for s in as_dense(built).settings]
             theirs = pass_projectors(group, indices)
             assert [p.tobytes() for p in ours] == [p.tobytes() for p in theirs]
 
@@ -890,14 +909,15 @@ def test_report_routes_match_the_retired_scheme_routes_bitwise(preset, negated):
         ours = build(group)
         theirs = equal_mixture(group, SCHEME_INDICES[scheme](n), kind, what)
         assert ours.kind is theirs.kind is kind
-        assert [s.label for s in ours.settings] == [s.label for s in theirs.settings]
-        assert [s.projector.entries.tobytes() for s in ours.settings] == [
-            s.projector.entries.tobytes() for s in theirs.settings
+        assert ours.target.amplitudes.tobytes() == theirs.target.amplitudes.tobytes()
+        assert [(s.label, s.weight, s.locality) for s in ours.settings] == [
+            (s.label, s.weight, s.locality) for s in theirs.settings
         ]
-        assert ours.omega.tobytes() == theirs.omega.tobytes()
+        assert list(ours.indices) == SCHEME_INDICES[scheme](n).tolist()
         assert _metric_bits(stabilizer_metrics(group, scheme)) == _metric_bits(
             scheme_metrics(group, scheme)
         )
+        assert _metric_bits(metrics(ours)) == _metric_bits(scheme_metrics(group, scheme))
 
 
 @pytest.mark.parametrize("scheme", ["full", "generators"])

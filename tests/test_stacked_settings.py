@@ -49,7 +49,7 @@ from qverify.strategy import (
     two_qubit_optimal,
 )
 from oracles import is_projector
-from stabilizer_oracles import pauli_matrix
+from stabilizer_oracles import as_dense, pauli_matrix
 
 # ------------------------------------------------------------------ oracle
 
@@ -271,8 +271,8 @@ def test_stabilizer_strategies_match_per_setting_route(name):
     n = group.num_generators
     full = oracle_stabilizer(group, range(1, 2**n), StrategyKind.STABILIZER_FULL)
     gens = oracle_stabilizer(group, [1 << j for j in range(n)], StrategyKind.STABILIZER_GENERATORS)
-    assert_same(full_strategy(group), full)
-    assert_same(generator_strategy(group), gens)
+    assert_same(as_dense(full_strategy(group)), full)
+    assert_same(as_dense(generator_strategy(group)), gens)
 
 
 # ------------------------------------------------------------ same errors
@@ -395,24 +395,6 @@ def test_dense_settings_checked_one_stack_at_a_time_report_the_oracle_error(bad)
         assert str(caught.value) == str(expected)
 
 
-def test_a_fresh_matrix_alone_in_its_stack_is_taken_over_not_copied():
-    # a complex matrix that owns its data and fills a stack alone becomes
-    # that stack, frozen in place; a view, a real matrix and the matrices
-    # of a shared stack are copied and left writable
-    fresh, base = _dense([1.0] * 64), _dense([1.0] * 64)
-    view, real = base[:, :], _dense([1.0] * 64).real.copy()
-    small = [np.eye(4, dtype=complex), np.eye(4, dtype=complex)]
-    given = [fresh, view, real]
-    built = _settings(given, (0.5, 0.25, 0.25), ("f", "v", "r"), (Locality.NONLOCAL,) * 3)
-    built += _settings(small, (0.5, 0.5), ("a", "b"), (Locality.NONLOCAL,) * 2)
-    for setting, matrix in zip(built, given + small):
-        entries = setting.projector.entries
-        assert entries.dtype == complex and entries.tobytes() == matrix.astype(complex).tobytes()
-        assert not entries.flags.writeable
-        assert np.shares_memory(entries, matrix) is (matrix is fresh)
-        assert matrix.flags.writeable is (matrix is not fresh)
-
-
 def test_bad_stack_shapes_report_the_oracle_error():
     for values in (np.ones((1, 3, 3)), np.ones((2, 4, 2))):
         expected = _first_oracle_error([(values[0], 0.5, "s", Locality.NONLOCAL)])
@@ -471,7 +453,7 @@ def _record_eigvalsh(monkeypatch):
 def test_real_projectors_are_checked_in_real_arithmetic(monkeypatch):
     group = preset_group("ghz6")
     inputs = _record_eigvalsh(monkeypatch)
-    full_strategy(group)
+    as_dense(full_strategy(group))
     checks = [dtype for dtype, shape in inputs if shape == (1, 64, 64)]
     assert checks == [np.dtype(np.float64)] * 63
 
@@ -552,8 +534,8 @@ def test_imaginary_parts_keep_the_complex_residual(seed, dim):
     [
         bell_strategy,
         lambda: two_qubit_optimal(0.6),
-        lambda: full_strategy(preset_group("ghz6")),
-        lambda: full_strategy(preset_group("cluster6")),
+        lambda: as_dense(full_strategy(preset_group("ghz6"))),
+        lambda: as_dense(full_strategy(preset_group("cluster6"))),
     ],
     ids=["bell", "two-qubit-0.6", "ghz6", "cluster6"],
 )
