@@ -441,7 +441,10 @@ _FAMILIES = {"bell": "bell", "two-qubit": "two-qubit-optimal",
 
 def _metrics(cfg: argparse.Namespace, built=None):
     """(kind label, metrics) of a builder flag: stabilizer kinds count
-    syndromes, the others (built and checked first) read closed forms."""
+    syndromes (a built PauliStrategy holds its counted metrics), the
+    others (built and checked first) read closed forms."""
+    if isinstance(built, stabilizer.PauliStrategy):
+        return cfg.kind, built.metrics
     if cfg.kind in ("stabilizer-full", "stabilizer-generators"):
         scheme = cfg.kind.removeprefix("stabilizer-")
         return cfg.kind, stabilizer.stabilizer_metrics(_build_group(cfg), scheme)
