@@ -40,7 +40,7 @@ the pure worst case).
 from __future__ import annotations
 
 import math
-from dataclasses import InitVar, dataclass
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -66,24 +66,21 @@ LOCATION_TOL = 1e-4
 
 @dataclass(frozen=True, eq=False)
 class AdversaryState:
-    """A device output candidate: density matrix plus target fidelity.
-
-    rank_one declares sigma = |x><x|, whose check then needs no eigensolve.
-    """
+    """A device output candidate: density matrix plus target fidelity."""
 
     sigma: HermitianOperator
     fidelity: float
-    rank_one: InitVar[bool] = False
 
-    def __post_init__(self, rank_one):
-        qcore.check_density(self.sigma.entries, "density matrix", rank_one)
+    def __post_init__(self):
+        qcore.check_density(self.sigma.entries, "density matrix")
         if not -TOL_DERIVED <= self.fidelity <= 1.0 + TOL_DERIVED:
             raise ValidationError(f"fidelity {self.fidelity!r} outside [0, 1]")
 
 
 def pure_adversary_state(amplitudes: np.ndarray, target: Ket) -> AdversaryState:
     ket = Ket(np.asarray(amplitudes, dtype=complex))
-    return AdversaryState(ket.density(), ket.fidelity(target), rank_one=True)
+    # |x><x| of a checked unit vector has trace 1 and no negative eigenvalue
+    return qcore._assembled(AdversaryState, sigma=ket.density(), fidelity=ket.fidelity(target))
 
 
 def acceptance_probability(omega, state: AdversaryState) -> float:

@@ -598,10 +598,10 @@ def cmd_stabilizer(cfg: argparse.Namespace) -> dict:
         report = stabilizer.subset_strategy(group, indices)
         record = [
             ("num_qubits", n),
-            ("indices", " ".join(str(i) for i in report.indices)),
+            ("indices", " ".join(str(i) for i in report.strategy.indices)),
             ("degenerate", report.degenerate),
             ("stabilized_dimension", report.stabilized_dimension),
-            ("q", report.metrics.q),
+            ("q", report.strategy.metrics.q),
         ]
         extra: dict = {}
         if report.degenerate:

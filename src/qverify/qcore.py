@@ -267,18 +267,15 @@ def _partial_transposes(stack: np.ndarray) -> np.ndarray:
     return m.transpose(0, 1, 4, 3, 2).reshape(-1, 4, 4)
 
 
-def check_density(matrix: np.ndarray, what: str, rank_one: bool = False) -> None:
+def check_density(matrix: np.ndarray, what: str) -> None:
     """Reject a matrix that is not a density matrix.
 
     Eigenvalues may dip to -TOL_DERIVED; the trace must be 1 within
-    TOL_INPUT. Raises ValidationError naming `what`. A rank_one matrix
-    |x><x| is positive semidefinite by construction, so only its trace
-    is checked, with no eigensolve.
+    TOL_INPUT. Raises ValidationError naming `what`.
     """
-    if not rank_one:
-        vals = np.linalg.eigvalsh(matrix)
-        if vals[0] < -TOL_DERIVED:
-            raise ValidationError(f"{what} has eigenvalue {float(vals[0])!r}")
+    vals = np.linalg.eigvalsh(matrix)
+    if vals[0] < -TOL_DERIVED:
+        raise ValidationError(f"{what} has eigenvalue {float(vals[0])!r}")
     tr = float(np.trace(matrix).real)
     if abs(tr - 1.0) > TOL_INPUT:
         raise ValidationError(f"{what} trace {tr!r} is not 1")

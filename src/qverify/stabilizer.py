@@ -53,7 +53,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from typing import NamedTuple
 
@@ -457,13 +457,13 @@ def _scheme_indices(group: StabilizerGroup, kind: StrategyKind) -> np.ndarray:
 def full_strategy(group: StabilizerGroup) -> "PauliStrategy":
     """Equal mixture of all non-identity element pass tests."""
     kind = StrategyKind.STABILIZER_FULL
-    return _report(group, _scheme_indices(group, kind), kind).strategy
+    return _report(group, _scheme_indices(group, kind).tolist(), kind).strategy
 
 
 def generator_strategy(group: StabilizerGroup) -> "PauliStrategy":
     """Equal mixture of the generator pass tests."""
     kind = StrategyKind.STABILIZER_GENERATORS
-    return _report(group, _scheme_indices(group, kind), kind).strategy
+    return _report(group, _scheme_indices(group, kind).tolist(), kind).strategy
 
 
 def stabilizer_metrics(group: StabilizerGroup, scheme: str) -> StrategyMetrics:
@@ -561,10 +561,12 @@ class PauliTest(NamedTuple):
 class PauliStrategy:
     """Equal mixture of the pass tests (1 + P_m)/2 of chosen group elements.
 
-    It holds its group, the sorted distinct element indices, its kind and
-    the checked pass counts (counts[s] = c(s), read-only), and no
+    It holds its group, the element indices, its kind and the pass
+    counts (counts[s] = c(s), read-only) it computes from them, and no
     projector: Omega = sum_s c(s)/k |s><s| in the joint eigenbasis, so
-    metrics read the counts. target, settings and metrics are made on
+    metrics read the counts. A full or generators strategy must list
+    that scheme's indices, a custom one sorted distinct integers; the
+    group must be maximal. target, settings and metrics are made on
     first read. The dense results built from it (adversary's worst-case
     state and game value, protocol's plan) are limited to
     MAX_DENSE_QUBITS; see check_dense.
@@ -573,8 +575,23 @@ class PauliStrategy:
     group: StabilizerGroup
     indices: tuple[int, ...]
     kind: StrategyKind
-    counts: np.ndarray
+    counts: np.ndarray = field(init=False, repr=False)
     theta = None
+
+    def __post_init__(self):
+        indices, kind = list(self.indices), self.kind
+        ints = all(type(m) is int for m in indices)
+        if kind in _SCHEMES.values():
+            expected = _scheme_indices(self.group, kind).tolist()
+        else:
+            expected = sorted(set(indices)) if ints and kind is StrategyKind.CUSTOM else None
+        if not ints or indices != expected:
+            name = kind.value if isinstance(kind, StrategyKind) else repr(kind)
+            raise ValidationError(f"{indices} are not the element indices of a {name} strategy")
+        counts = _checked_counts(self.group, indices)
+        counts.setflags(write=False)
+        object.__setattr__(self, "indices", tuple(indices))
+        object.__setattr__(self, "counts", counts)
 
     @property
     def dim(self) -> int:
@@ -586,10 +603,12 @@ class PauliStrategy:
 
     @cached_property
     def settings(self) -> tuple[PauliTest, ...]:
-        weight, elements = 1.0 / len(self.indices), self.group.elements
+        """One test per chosen element; only those k elements are assembled."""
+        weight, group = 1.0 / len(self.indices), self.group
+        chosen = _checked_strings(group.num_qubits, group.table[:, list(self.indices)])
         return tuple(
-            PauliTest(elements[m].label, weight, Locality.STABILIZER_PAULI, m)
-            for m in self.indices
+            PauliTest(p.label, weight, Locality.STABILIZER_PAULI, m)
+            for p, m in zip(chosen, self.indices)
         )
 
     @cached_property
@@ -641,11 +660,6 @@ class SubsetReport:
     fooling_state: Ket | None
     fooling_acceptance: float | None
 
-    group = property(lambda self: self.strategy.group)
-    indices = property(lambda self: self.strategy.indices)
-    kind = property(lambda self: self.strategy.kind)
-    metrics = property(lambda self: self.strategy.metrics)
-
 
 def _checked_counts(group: StabilizerGroup, indices) -> np.ndarray:
     """_pass_counts of these element indices; the one place a stabilizer
@@ -664,9 +678,8 @@ def _checked_counts(group: StabilizerGroup, indices) -> np.ndarray:
 
 def _report(group: StabilizerGroup, indices, kind: StrategyKind) -> SubsetReport:
     """Report of the equal mixture of these sorted distinct element indices."""
-    counts = _checked_counts(group, indices)
-    counts.setflags(write=False)
-    n = group.num_qubits
+    built = PauliStrategy(group, tuple(indices), kind)
+    counts, n = built.counts, group.num_qubits
     k = int(counts[0])
     stabilized = int(np.count_nonzero(counts == k))
     fooling = acceptance = None
@@ -676,7 +689,6 @@ def _report(group: StabilizerGroup, indices, kind: StrategyKind) -> SubsetReport
         syndrome = int(syndromes[np.flatnonzero(counts[syndromes] == k)[1]])
         fooling = Ket(group._joint_eigenvectors([syndrome])[0])
         acceptance = int(counts[syndrome]) / k
-    built = PauliStrategy(group, tuple(np.asarray(indices).tolist()), kind, counts)
     return SubsetReport(
         built, degenerate=stabilized > 1, stabilized_dimension=stabilized,
         fooling_state=fooling, fooling_acceptance=acceptance,
@@ -700,25 +712,16 @@ def strategy_from_json(doc) -> Strategy | PauliStrategy:
     """Rebuild a strategy from strategy.to_json_dict output.
 
     A document that names a group ({"kind", "group", "indices"}) is a
-    PauliStrategy, checked like the builder of its kind: a full or
-    generators document must list that scheme's indices, a custom one
-    sorted distinct integers. Any other document, such as a dense one
+    PauliStrategy, which checks its kind and indices. Any other document, such as a dense one
     written before output version 5, is read by strategy.from_json_dict.
     """
     if not (isinstance(doc, dict) and "group" in doc):
         return from_json_dict(doc)
     try:
-        kind, indices = StrategyKind(doc["kind"]), list(doc["indices"])
+        kind, indices = StrategyKind(doc["kind"]), tuple(doc["indices"])
         group = group_from_json(doc["group"])
     except (KeyError, TypeError, ValueError) as exc:
         raise ValidationError(
             f"malformed strategy document: {type(exc).__name__}: {exc}"
         ) from exc
-    ints = all(type(m) is int for m in indices)
-    if kind in _SCHEMES.values():
-        expected = _scheme_indices(group, kind).tolist()
-    else:
-        expected = sorted(set(indices)) if ints and kind is StrategyKind.CUSTOM else None
-    if not ints or indices != expected:
-        raise ValidationError(f"{indices} are not the element indices of a {kind.value} strategy")
-    return _report(group, indices, kind).strategy
+    return PauliStrategy(group, indices, kind)

@@ -138,7 +138,7 @@ def test_subsets_match_the_dense_oracle(preset, indices):
     report = subset_strategy(group, indices)
     assert report.degenerate is (_gf2_rank(indices) < 4) is (indices in DEGENERATE)
     assert report.strategy.kind is StrategyKind.CUSTOM
-    assert_matches_dense_oracle(report.strategy, report.metrics, bitwise_state=False)
+    assert_matches_dense_oracle(report.strategy, report.strategy.metrics, bitwise_state=False)
 
 
 @pytest.mark.parametrize("family", ["ghz", "cluster"])
@@ -178,6 +178,14 @@ def test_ghz12_full_strategy_lists_every_element():
     assert {s.weight for s in built.settings} == {1.0 / 4095}
 
 
+def test_settings_assemble_only_the_chosen_elements():
+    group = _negated(preset_group("cluster12"))
+    built = subset_strategy(group, [4095, 3, 1024]).strategy
+    labels = [s.label for s in built.settings]
+    assert "elements" not in vars(group)  # the 4096 strings were never assembled
+    assert labels == [group.elements[m].label for m in (3, 1024, 4095)]
+
+
 def test_dense_results_stop_beyond_six_qubits():
     built = full_strategy(preset_group("ghz8"))
     for dense in (
@@ -189,15 +197,45 @@ def test_dense_results_stop_beyond_six_qubits():
             dense()
 
 
-def test_invariant_defect_reads_the_counts():
+def test_invariant_defect_reads_the_counts(monkeypatch):
     built = generator_strategy(preset_group("ghz3"))
     assert built.invariant_defect() is None
     assert not built.counts.flags.writeable
-    for edit in ((0, 2), (5, 4), (6, -1)):
-        counts = built.counts.copy()
-        counts[edit[0]] = edit[1]
-        broken = PauliStrategy(built.group, built.indices, built.kind, counts)
+    counted = stabilizer._pass_counts
+    for where, value in ((0, 2), (5, 4), (6, -1)):
+
+        def edited(indices, num_qubits):
+            counts = counted(indices, num_qubits)
+            counts[where] = value
+            return counts
+
+        monkeypatch.setattr(stabilizer, "_pass_counts", edited)
+        broken = PauliStrategy(built.group, built.indices, built.kind)
         assert "pass counts" in broken.invariant_defect()
+
+
+def test_a_directly_built_pauli_strategy_computes_and_checks_its_counts():
+    group = preset_group("ghz3")
+    direct = PauliStrategy(group, (1, 2, 4), StrategyKind.STABILIZER_GENERATORS)
+    assert direct.counts.tobytes() == generator_strategy(group).counts.tobytes()
+    assert _bits(direct.metrics) == _bits(stabilizer_metrics(group, "generators"))
+    single = PauliStrategy(group, [1], StrategyKind.CUSTOM)
+    assert single.indices == (1,) and not single.counts.flags.writeable
+    assert single.metrics.q == 1.0 and single.invariant_defect() is None
+    with pytest.raises(TypeError):
+        PauliStrategy(group, (1,), StrategyKind.CUSTOM, np.zeros(8, int))
+    for indices, kind in (
+        ((2, 1), StrategyKind.CUSTOM),
+        ((1, 1), StrategyKind.CUSTOM),
+        ((1.0,), StrategyKind.CUSTOM),
+        ((1, 2), StrategyKind.STABILIZER_GENERATORS),
+        ((1, 2, 4), StrategyKind.BELL),
+        ((1,), "custom"),
+    ):
+        with pytest.raises(ValidationError, match="element indices"):
+            PauliStrategy(group, indices, kind)
+    with pytest.raises(ValidationError, match="outside"):
+        PauliStrategy(group, (8,), StrategyKind.CUSTOM)
 
 
 # ------------------------------------------------------------------ JSON

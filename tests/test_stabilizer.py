@@ -396,7 +396,7 @@ def test_all_generator_subset_is_complete(preset):
     assert report.stabilized_dimension == 1
     assert report.fooling_state is None
     assert abs(metrics(report.strategy).q - generator_strategy_q(n)) < 1e-10
-    assert report.metrics.q == float(generator_strategy_q(n))
+    assert report.strategy.metrics.q == float(generator_strategy_q(n))
 
 
 @pytest.mark.parametrize("preset", PRESETS)
@@ -409,7 +409,7 @@ def test_every_generator_drop_is_degenerate(preset):
         report = subset_strategy(group, indices)
         assert report.degenerate
         assert report.stabilized_dimension == 2
-        assert report.metrics.q == report.fooling_acceptance == 1.0
+        assert report.strategy.metrics.q == report.fooling_acceptance == 1.0
         fooling = report.fooling_state
         assert fooling is not None
         assert report.fooling_acceptance >= 1.0 - 1e-10
@@ -564,12 +564,12 @@ def test_subset_report_matches_dense_omega(preset, data):
         shares = [p / len(indices) for p in passed]
         assert np.max(np.abs(diag - np.diag(shares))) <= 1e-12
         # count route: exact shares; dense route within 1e-12
-        assert report.metrics.q == max(shares[1:])
-        assert report.metrics.trace == float(Fraction(sum(passed), len(indices)))
-        assert metrics(report.strategy) == report.metrics
+        assert report.strategy.metrics.q == max(shares[1:])
+        assert report.strategy.metrics.trace == float(Fraction(sum(passed), len(indices)))
+        assert metrics(report.strategy) == report.strategy.metrics
         dense = metrics(dense_strategy)
-        assert abs(report.metrics.q - dense.q) <= 1e-12
-        assert abs(report.metrics.trace - dense.trace) <= 1e-12
+        assert abs(report.strategy.metrics.q - dense.q) <= 1e-12
+        assert abs(report.strategy.metrics.trace - dense.trace) <= 1e-12
         # the GF(2) rank of the chosen masks stays the oracle for the count
         assert report.stabilized_dimension == 2 ** (n - rank)
         assert report.degenerate == (rank < n)
@@ -635,7 +635,7 @@ def test_count_route_builds_no_pass_table():
     finally:
         tracemalloc.stop()
     assert peak < 1 << 20
-    assert full.q == report.metrics.q == float(full_strategy_q(12))
+    assert full.q == report.strategy.metrics.q == float(full_strategy_q(12))
     assert not report.degenerate and report.stabilized_dimension == 1
 
 
@@ -655,12 +655,12 @@ def test_subset_report_beyond_dense_cap(preset, indices, dimension):
     assert report.stabilized_dimension == dimension
     assert report.degenerate == (dimension > 1)
     if report.degenerate:
-        assert report.metrics.q == report.fooling_acceptance == 1.0
+        assert report.strategy.metrics.q == report.fooling_acceptance == 1.0
         fooling = report.fooling_state.amplitudes
         assert abs(np.vdot(group.state().amplitudes, fooling)) <= 1e-10
     else:
-        assert report.metrics.q == float(generator_strategy_q(n))
-    assert report.metrics.trace == 2.0 ** (n - 1)
+        assert report.strategy.metrics.q == float(generator_strategy_q(n))
+    assert report.strategy.metrics.trace == 2.0 ** (n - 1)
     # the strategy holds no matrices; only its worst-case state is dense
     assert [s.index for s in report.strategy.settings] == list(indices)
     with pytest.raises(BadDimError):
@@ -931,8 +931,8 @@ def test_scheme_metrics_match_the_report_bitwise(preset, scheme):
         "full": StrategyKind.STABILIZER_FULL,
         "generators": StrategyKind.STABILIZER_GENERATORS,
     }[scheme]
-    report = _report(group, SCHEME_INDICES[scheme](group.num_qubits), kind)
-    assert _metric_bits(stabilizer_metrics(group, scheme)) == _metric_bits(report.metrics)
+    report = _report(group, SCHEME_INDICES[scheme](group.num_qubits).tolist(), kind)
+    assert _metric_bits(stabilizer_metrics(group, scheme)) == _metric_bits(report.strategy.metrics)
 
 
 @pytest.mark.parametrize(
@@ -955,10 +955,10 @@ def test_subset_reports_match_the_retired_route(preset, indices, degenerate):
     report = subset_strategy(group, indices)
     expected = subset_report_fields(group, indices)
     assert expected["degenerate"] is degenerate
-    assert report.group is group and report.kind is StrategyKind.CUSTOM
-    assert report.indices == expected["indices"]
-    assert {type(k) for k in report.indices} == {int}
-    assert _metric_bits(report.metrics) == _metric_bits(expected["metrics"])
+    assert report.strategy.group is group and report.strategy.kind is StrategyKind.CUSTOM
+    assert report.strategy.indices == expected["indices"]
+    assert {type(k) for k in report.strategy.indices} == {int}
+    assert _metric_bits(report.strategy.metrics) == _metric_bits(expected["metrics"])
     assert report.degenerate is expected["degenerate"]
     assert report.stabilized_dimension == expected["stabilized_dimension"]
     assert report.fooling_acceptance == expected["fooling_acceptance"]
