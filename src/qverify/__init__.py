@@ -97,7 +97,6 @@ from .stabilizer import (
     group_from_json,
     group_to_json,
     preset_group,
-    stabilizer_metrics,
     strategy_from_json,
     subset_strategy,
 )

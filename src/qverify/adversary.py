@@ -83,9 +83,26 @@ def pure_adversary_state(amplitudes: np.ndarray, target: Ket) -> AdversaryState:
     return qcore._assembled(AdversaryState, sigma=ket.density(), fidelity=ket.fidelity(target))
 
 
+def _operator_entries(omega, dim: int, what: str) -> np.ndarray:
+    """omega's matrix, dim x dim like its what: a Strategy's omega, a
+    HermitianOperator's entries, or an array checked as a HermitianOperator."""
+    if isinstance(omega, PauliStrategy):
+        raise ValidationError("a PauliStrategy holds no operator matrix; use "
+                              "strategy_game_value or protocol.predicted_acceptance")
+    if isinstance(omega, Strategy):
+        mat = omega.omega
+    elif isinstance(omega, HermitianOperator):
+        mat = omega.entries
+    else:
+        mat = HermitianOperator(np.asarray(omega, dtype=complex)).entries
+    if mat.shape[0] != dim:
+        raise ValidationError(f"operator and {what} dimensions differ ({mat.shape[0]} != {dim})")
+    return mat
+
+
 def acceptance_probability(omega, state: AdversaryState) -> float:
     """Per copy acceptance tr(Omega sigma) of a device output."""
-    mat = omega.entries if isinstance(omega, HermitianOperator) else np.asarray(omega)
+    mat = _operator_entries(omega, state.sigma.dim, "state")
     return float(np.trace(mat @ state.sigma.entries).real)
 
 
@@ -698,15 +715,8 @@ def game_value(omega, target: Ket, epsilon: float) -> GameValue:
     bracket are then mixed to fidelity exactly 1 - epsilon. When the top
     eigenvector at mu = 0 is already admissible it is the answer.
     """
-    if isinstance(omega, Strategy):
-        mat = omega.omega
-    elif isinstance(omega, HermitianOperator):
-        mat = omega.entries
-    else:
-        mat = HermitianOperator(np.asarray(omega, dtype=complex)).entries
+    mat = _operator_entries(omega, target.dim, "target")
     check_probability("epsilon", epsilon)
-    if mat.shape[0] != target.dim:
-        raise ValidationError("operator and target dimensions differ")
 
     psi = target.amplitudes
     proj = np.outer(psi, psi.conj())

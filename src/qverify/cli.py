@@ -439,22 +439,17 @@ _FAMILIES = {"bell": "bell", "two-qubit": "two-qubit-optimal",
              "product-zero": "product", "product-one": "product"}
 
 
-def _metrics(cfg: argparse.Namespace, built=None):
-    """(kind label, metrics) of a builder flag: stabilizer kinds count
-    syndromes (a built PauliStrategy holds its counted metrics), the
-    others (built and checked first) read closed forms."""
+def _metrics(cfg: argparse.Namespace, built):
+    """Metrics of a strategy built from a builder flag: a PauliStrategy's
+    counted ones, or the closed form of a two-qubit flag."""
     if isinstance(built, stabilizer.PauliStrategy):
-        return cfg.kind, built.metrics
-    if cfg.kind in ("stabilizer-full", "stabilizer-generators"):
-        scheme = cfg.kind.removeprefix("stabilizer-")
-        return cfg.kind, stabilizer.stabilizer_metrics(_build_group(cfg), scheme)
-    built = _build_strategy(cfg) if built is None else built
-    return built.kind.value, samplecount.family_metrics(_FAMILIES[cfg.kind], built.theta)
+        return built.metrics
+    return samplecount.family_metrics(_FAMILIES[cfg.kind], built.theta)
 
 
 def cmd_strategy(cfg: argparse.Namespace) -> dict:
     built = _build_strategy(cfg)
-    _, m = _metrics(cfg, built)
+    m = _metrics(cfg, built)
     record = [
         ("kind", built.kind.value),
         ("settings", len(built.settings)),
@@ -477,8 +472,10 @@ def cmd_strategy(cfg: argparse.Namespace) -> dict:
 
 def cmd_samplecount(cfg: argparse.Namespace) -> dict:
     epsilon, delta = cfg.epsilon, cfg.delta
-    kind, m = _metrics(cfg)
-    report = samplecount.certainty_count_report(m, epsilon, delta, f"{kind} strategy")
+    built = _build_strategy(cfg)
+    report = samplecount.certainty_count_report(
+        _metrics(cfg, built), epsilon, delta, f"{built.kind.value} strategy"
+    )
     stein = samplecount.chernoff_stein_count(
         samplecount.HypothesisSpec.from_gap(1.0, report.delta_eps), delta
     )
@@ -629,8 +626,8 @@ def cmd_stabilizer(cfg: argparse.Namespace) -> dict:
         ("generators", " ".join(g.label for g in group.generators)),
     ]
     if group.is_maximal:
-        schemes = ("full", "generators")
-        full, gens = (stabilizer.stabilizer_metrics(group, s) for s in schemes)
+        full = stabilizer.full_strategy(group).metrics
+        gens = stabilizer.generator_strategy(group).metrics
         record += [("q_full", full.q), ("q_generators", gens.q), ("trace", full.trace)]
     return {"record": record}
 

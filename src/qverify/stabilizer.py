@@ -39,14 +39,14 @@ exactly by np.bincount) and each element's permutation of the basis,
 which the protocol plan reads a device's density at.
 
 Every strategy here, full, generators or a chosen subset, is a
-PauliStrategy made by _report inside its SubsetReport: group, element
-indices, kind and pass counts, and no projector. _checked_counts is the
-one place its group and element indices are checked, and
-stabilizer_metrics reads the counts without a report. Metrics, the
-worst-case state and game value (adversary) and the protocol plan read
-the counts, the joint eigenvectors or the element table; only those
-that are dense 2^N x 2^N results stop at MAX_DENSE_QUBITS. A
-ParityCheck checks its group on construction.
+PauliStrategy: group, element indices, kind and pass counts, and no
+projector. Its constructor is the one place a stabilizer strategy's
+group, kind and element indices are checked; subset_strategy wraps the
+one it builds in a SubsetReport. Metrics, the worst-case state and game
+value (adversary) and the protocol plan read the counts, the joint
+eigenvectors or the element table; only those that are dense 2^N x 2^N
+results stop at MAX_DENSE_QUBITS. A ParityCheck checks its group on
+construction.
 """
 
 from __future__ import annotations
@@ -446,35 +446,24 @@ def group_from_json(labels) -> StabilizerGroup:
     )
 
 
-_SCHEMES = {"full": StrategyKind.STABILIZER_FULL, "generators": StrategyKind.STABILIZER_GENERATORS}
-
-
-def _scheme_indices(group: StabilizerGroup, kind: StrategyKind) -> np.ndarray:
+def _scheme_indices(group: StabilizerGroup, kind) -> list[int] | None:
+    """The element indices a full or generators strategy lists, else None."""
     k = group.num_generators
-    return np.arange(1, 1 << k) if kind is StrategyKind.STABILIZER_FULL else 1 << np.arange(k)
+    if kind is StrategyKind.STABILIZER_FULL:
+        return list(range(1, 1 << k))
+    return [1 << j for j in range(k)] if kind is StrategyKind.STABILIZER_GENERATORS else None
 
 
 def full_strategy(group: StabilizerGroup) -> "PauliStrategy":
     """Equal mixture of all non-identity element pass tests."""
     kind = StrategyKind.STABILIZER_FULL
-    return _report(group, _scheme_indices(group, kind).tolist(), kind).strategy
+    return PauliStrategy(group, tuple(_scheme_indices(group, kind)), kind)
 
 
 def generator_strategy(group: StabilizerGroup) -> "PauliStrategy":
     """Equal mixture of the generator pass tests."""
     kind = StrategyKind.STABILIZER_GENERATORS
-    return _report(group, _scheme_indices(group, kind).tolist(), kind).strategy
-
-
-def stabilizer_metrics(group: StabilizerGroup, scheme: str) -> StrategyMetrics:
-    """Exact metrics of the 'full' or 'generators' scheme from syndrome counts.
-
-    Works up to MAX_QUBITS; samplecount.certainty_count_report turns them
-    into copy counts.
-    """
-    if scheme not in _SCHEMES:
-        raise ValidationError(f"scheme={scheme!r} must be 'full' or 'generators'")
-    return _count_metrics(_checked_counts(group, _scheme_indices(group, _SCHEMES[scheme])))
+    return PauliStrategy(group, tuple(_scheme_indices(group, kind)), kind)
 
 
 @dataclass(frozen=True, eq=False)
@@ -579,16 +568,23 @@ class PauliStrategy:
     theta = None
 
     def __post_init__(self):
-        indices, kind = list(self.indices), self.kind
+        group, indices, kind = self.group, list(self.indices), self.kind
         ints = all(type(m) is int for m in indices)
-        if kind in _SCHEMES.values():
-            expected = _scheme_indices(self.group, kind).tolist()
-        else:
-            expected = sorted(set(indices)) if ints and kind is StrategyKind.CUSTOM else None
+        expected = _scheme_indices(group, kind)
+        if ints and kind is StrategyKind.CUSTOM:
+            expected = sorted(set(indices))
         if not ints or indices != expected:
             name = kind.value if isinstance(kind, StrategyKind) else repr(kind)
             raise ValidationError(f"{indices} are not the element indices of a {name} strategy")
-        counts = _checked_counts(self.group, indices)
+        if not group.is_maximal:
+            raise ValidationError("a stabilizer strategy needs a maximal group")
+        if not indices:
+            raise ValidationError("need at least one element index")
+        n, chosen = group.num_qubits, np.asarray(indices)
+        bad = (chosen < 1) | (chosen >= 2**n)
+        if bad.any():
+            raise ValidationError(f"element index {indices[bad.argmax()]} outside [1, {2**n - 1}]")
+        counts = _pass_counts(chosen, n)
         counts.setflags(write=False)
         object.__setattr__(self, "indices", tuple(indices))
         object.__setattr__(self, "counts", counts)
@@ -648,10 +644,9 @@ class SubsetReport:
 
     If the chosen elements do not generate the group, an orthogonal state
     passes every chosen test: degenerate is True, metrics.q is 1, and no
-    number of copies rejects the fooling state. strategy holds the group,
-    the sorted distinct element indices, the kind of strategy they make
-    and their pass counts. Every field is read from syndrome counts and
-    works to MAX_QUBITS.
+    number of copies rejects the fooling state. strategy is the custom
+    PauliStrategy of the chosen indices. Every field is read from its
+    syndrome counts and works to MAX_QUBITS.
     """
 
     strategy: PauliStrategy
@@ -661,31 +656,25 @@ class SubsetReport:
     fooling_acceptance: float | None
 
 
-def _checked_counts(group: StabilizerGroup, indices) -> np.ndarray:
-    """_pass_counts of these element indices; the one place a stabilizer
-    strategy's group and element indices are checked."""
-    if not group.is_maximal:
-        raise ValidationError("a stabilizer strategy needs a maximal group")
-    n = group.num_qubits
-    chosen = np.asarray(indices)
-    if not chosen.size:
-        raise ValidationError("need at least one element index")
-    bad = (chosen < 1) | (chosen >= 2**n)
-    if bad.any():
-        raise ValidationError(f"element index {indices[bad.argmax()]} outside [1, {2**n - 1}]")
-    return _pass_counts(chosen, n)
+def subset_strategy(group: StabilizerGroup, element_indices) -> SubsetReport:
+    """Equal-weight mixture of a subset of non-identity elements.
 
-
-def _report(group: StabilizerGroup, indices, kind: StrategyKind) -> SubsetReport:
-    """Report of the equal mixture of these sorted distinct element indices."""
-    built = PauliStrategy(group, tuple(indices), kind)
-    counts, n = built.counts, group.num_qubits
-    k = int(counts[0])
+    element_indices, Python or numpy integers, index into group.elements.
+    The joint eigenvectors passing every chosen test span the stabilized
+    space: chosen masks of GF(2) rank r leave 2^(N-r) of them. Rank N
+    gives a sound strategy; below it the report certifies the first
+    passing eigenvector after the target as a fooling state.
+    """
+    indices = [int(m) if isinstance(m, np.integer) else m for m in element_indices]
+    if all(type(m) is int for m in indices):
+        indices = sorted(set(indices))
+    built = PauliStrategy(group, tuple(indices), StrategyKind.CUSTOM)
+    counts, k = built.counts, len(built.indices)
     stabilized = int(np.count_nonzero(counts == k))
     fooling = acceptance = None
     if stabilized > 1:
         # the first passing column after column 0, which is the target itself
-        syndromes = _column_syndromes(n)
+        syndromes = _column_syndromes(group.num_qubits)
         syndrome = int(syndromes[np.flatnonzero(counts[syndromes] == k)[1]])
         fooling = Ket(group._joint_eigenvectors([syndrome])[0])
         acceptance = int(counts[syndrome]) / k
@@ -693,19 +682,6 @@ def _report(group: StabilizerGroup, indices, kind: StrategyKind) -> SubsetReport
         built, degenerate=stabilized > 1, stabilized_dimension=stabilized,
         fooling_state=fooling, fooling_acceptance=acceptance,
     )
-
-
-def subset_strategy(group: StabilizerGroup, element_indices) -> SubsetReport:
-    """Equal-weight mixture of a subset of non-identity elements.
-
-    element_indices index into group.elements. The joint eigenvectors
-    passing every chosen test span the stabilized space: chosen masks of
-    GF(2) rank r leave 2^(N-r) of them. Rank N gives a sound strategy;
-    below it the report certifies the first passing eigenvector after the
-    target as a fooling state.
-    """
-    indices = sorted(set(int(k) for k in element_indices))
-    return _report(group, indices, StrategyKind.CUSTOM)
 
 
 def strategy_from_json(doc) -> Strategy | PauliStrategy:

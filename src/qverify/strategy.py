@@ -30,10 +30,10 @@ Constructions provided here:
   projector onto the target, q = 0.
 
 Every constructor here, local_transport and from_json_dict hand their
-projectors to _settings, which copies them into (k, d, d) stacks (all
-of a two-qubit strategy in one) and runs each MeasurementSetting check
-once per stack, at the same tolerance. It raises the error of the first
-invalid setting in order; a setting built directly is the stack of one.
+projectors to _settings, which copies them into one (k, d, d) stack and
+runs each MeasurementSetting check once over it, at the same tolerance.
+It raises the error of the first invalid setting in order; a setting
+built directly is the stack of one.
 
 Stabilizer strategies are stabilizer.PauliStrategy values, which hold
 syndrome counts and no projectors. metrics and to_json_dict take either
@@ -44,7 +44,6 @@ indices. Strategy and its settings mean a dense strategy only.
 from __future__ import annotations
 
 import enum
-import itertools
 import math
 from dataclasses import dataclass
 from functools import cached_property
@@ -177,47 +176,28 @@ def _check_settings(stack: np.ndarray, weights, labels, localities) -> None:
         raise first[1]
 
 
-# Settings are copied into stacks of at most this many matrix entries:
-# one stack holds all projectors of a two-qubit strategy, but only one
-# 64x64 projector, as a dense stabilizer document written before output
-# version 5 holds. A stack of all 63 of those made every stacked check
-# slower than one matrix at a time (fresh pages for 4 MiB temporaries),
-# and freeing it raised glibc's mmap threshold, which kept about 1 MiB
-# more resident in later work.
-_STACK_ENTRIES = 4096
-
-
 def _settings(projectors, weights, labels, localities) -> tuple[MeasurementSetting, ...]:
-    """Checked settings over stacks of pass projectors.
+    """Checked settings over one stack of pass projectors.
 
     projectors yields the k (d, d) pass projectors in order (a (k, d, d)
-    array, a list or a generator). They are copied into consecutive
-    stacks of at most _STACK_ENTRIES entries; each stack is checked by
-    _check_settings and frozen before the next is read, so the error
-    raised is the first invalid setting's, and each setting's projector
-    is a read-only view of its stack.
+    array, a list or a generator). They are copied into one (k, d, d)
+    stack, which _check_settings checks once, so the error raised is the
+    first invalid setting's; the stack is then frozen, and each setting's
+    projector is a read-only view of it.
     """
-    matrices, out = iter(projectors), []
-    while len(out) < len(weights):
-        first = next(matrices)
-        lo = len(out)
-        hi = min(len(weights), lo + max(1, _STACK_ENTRIES // max(1, np.size(first))))
-        stack = np.array([first, *itertools.islice(matrices, hi - lo - 1)], dtype=complex)
-        _check_settings(stack, weights[lo:hi], labels[lo:hi], localities[lo:hi])
-        stack.setflags(write=False)
-        out.extend(
-            qcore._assembled(
-                MeasurementSetting,
-                projector=qcore._assembled(HermitianOperator, entries=entries),
-                weight=weight,
-                label=label,
-                locality=locality,
-            )
-            for entries, weight, label, locality in zip(
-                stack, weights[lo:hi], labels[lo:hi], localities[lo:hi]
-            )
+    stack = np.array([*projectors], dtype=complex)
+    _check_settings(stack, weights, labels, localities)
+    stack.setflags(write=False)
+    return tuple(
+        qcore._assembled(
+            MeasurementSetting,
+            projector=qcore._assembled(HermitianOperator, entries=entries),
+            weight=weight,
+            label=label,
+            locality=locality,
         )
-    return tuple(out)
+        for entries, weight, label, locality in zip(stack, weights, labels, localities)
+    )
 
 
 def invariant_defect(target: Ket, omega: np.ndarray, tol: float) -> str | None:

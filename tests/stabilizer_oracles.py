@@ -2,14 +2,16 @@
 
 The closed-form worst cases of the equal-weight stabilizer schemes are
 exact rationals, so a test can demand the library's correctly rounded
-float bit for bit: float(Fraction) rounds correctly. equal_mixture is
-the dense stabilizer strategy, one checked 2^N x 2^N projector per
-element, which the library's PauliStrategy replaced; it is the oracle of
-every number the library now reads from syndrome counts. The retired
-element-at-a-time routes, which the element table replaced, must be
-matched bit for bit as well, and so must the retired per-scheme routes
-that each checked and counted on its own before every stabilizer
-strategy became a SubsetReport.
+float bit for bit: float(Fraction) rounds correctly. scheme_metrics_law
+gives a scheme's q and trace that way, and its gap as 1.0 - q.
+equal_mixture is the dense stabilizer strategy, one checked 2^N x 2^N
+projector per element, which the library's PauliStrategy replaced; it
+is the oracle of every number the library now reads from syndrome
+counts. The retired element-at-a-time routes, which the element table
+replaced, must be matched bit for bit as well, and so must the retired
+per-scheme routes that each checked and counted on its own before the
+PauliStrategy constructor became the one place a stabilizer strategy is
+checked.
 """
 
 from fractions import Fraction
@@ -19,6 +21,7 @@ import numpy as np
 from qverify import qcore
 from qverify.errors import BadDimError, ValidationError
 from qverify.qcore import MAX_QUBITS, TOL_DERIVED, Ket, _fix_phase
+from qverify.samplecount import StrategyMetrics
 from qverify.stabilizer import (
     _PHASES,
     MAX_DENSE_QUBITS,
@@ -40,6 +43,16 @@ def full_strategy_q(num_qubits: int) -> Fraction:
 def generator_strategy_q(num_generators: int) -> Fraction:
     """Worst-case orthogonal acceptance of the generators-only mixture."""
     return 1 - Fraction(1, num_generators)
+
+
+def scheme_metrics_law(num_qubits: int, scheme: str) -> StrategyMetrics:
+    """Metrics of the 'full' or 'generators' scheme of a maximal group:
+    q correctly rounded from its closed form, the trace 2^(N-1) (each
+    pass test has rank 2^(N-1)) and the gap 1.0 - q, as StrategyMetrics
+    defines it."""
+    law = {"full": full_strategy_q, "generators": generator_strategy_q}[scheme]
+    q = float(law(num_qubits))
+    return StrategyMetrics(q, float(2 ** (num_qubits - 1)), 1.0 - q)
 
 
 def pauli_matrix(pauli):
@@ -142,7 +155,7 @@ def as_dense(strategy):
 def scheme_metrics(group, scheme):
     """Metrics of the 'full' or 'generators' scheme from syndrome counts."""
     if not group.is_maximal:
-        raise ValidationError("stabilizer_metrics needs a maximal group")
+        raise ValidationError("scheme_metrics needs a maximal group")
     if scheme not in SCHEME_INDICES:
         raise ValidationError(f"scheme={scheme!r} must be 'full' or 'generators'")
     n = group.num_qubits

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from qverify.errors import (
     DegenerateStrategyError,
+    NonHermitianError,
     ThetaOutOfDomainError,
     ValidationError,
 )
@@ -698,6 +699,34 @@ def test_game_value_epsilon_validation():
         strategy_game_value(bell_strategy(), 0.0)
     with pytest.raises(ValidationError):
         strategy_game_value(bell_strategy(), 1.0)
+
+
+def test_operator_arguments_are_read_alike():
+    # a dense Strategy, its HermitianOperator and its array give one operator
+    strat = two_qubit_optimal(0.6)
+    state = worst_case_state(strat, 0.1)
+    expected = float(np.trace(strat.omega @ state.sigma.entries).real)
+    games = []
+    for omega in (strat, HermitianOperator(strat.omega), strat.omega):
+        assert acceptance_probability(omega, state) == expected
+        games.append(game_value(omega, strat.target, 0.1).accept_prob)
+    assert games[0] == games[1] == games[2]
+
+
+def test_bad_operator_arguments_are_bad_input():
+    pauli = full_strategy(preset_group("bell"))
+    state = worst_case_state(pauli, 0.1)
+    with pytest.raises(ValidationError, match="PauliStrategy.*strategy_game_value"):
+        game_value(pauli, pauli.target, 0.1)
+    with pytest.raises(ValidationError, match="PauliStrategy.*predicted_acceptance"):
+        acceptance_probability(pauli, state)
+    ghz3 = preset_group("ghz3").state()
+    with pytest.raises(ValidationError, match=r"operator and target dimensions differ \(4 != 8\)"):
+        game_value(bell_strategy(), ghz3, 0.1)
+    with pytest.raises(ValidationError, match=r"operator and state dimensions differ \(8 != 4\)"):
+        acceptance_probability(np.eye(8), state)
+    with pytest.raises(NonHermitianError):
+        acceptance_probability(np.triu(np.ones((4, 4))), state)
 
 
 def test_mixed_states_never_beat_pure_worst_case():

@@ -40,12 +40,11 @@ from qverify.stabilizer import (
     group_from_json,
     group_to_json,
     preset_group,
-    stabilizer_metrics,
     strategy_from_json,
     subset_strategy,
 )
 from qverify.strategy import Strategy, StrategyKind, from_json_dict, metrics, to_json_dict
-from stabilizer_oracles import as_dense
+from stabilizer_oracles import as_dense, full_strategy_q, scheme_metrics_law
 
 EPS = 0.1
 SCHEME_PRESETS = [f"{family}{n}" for family in ("ghz", "cluster", "zeros") for n in range(2, 7)]
@@ -127,7 +126,7 @@ def test_schemes_match_the_dense_oracle(preset, scheme, negated):
     group = _negated(group) if negated else group
     built = BUILDERS[scheme](group)
     assert_matches_dense_oracle(
-        built, stabilizer_metrics(group, scheme), bitwise_state=scheme == "full"
+        built, scheme_metrics_law(group.num_qubits, scheme), bitwise_state=scheme == "full"
     )
 
 
@@ -141,12 +140,13 @@ def test_subsets_match_the_dense_oracle(preset, indices):
     assert_matches_dense_oracle(report.strategy, report.strategy.metrics, bitwise_state=False)
 
 
-@pytest.mark.parametrize("family", ["ghz", "cluster"])
+@pytest.mark.parametrize("family", ["ghz", "cluster", "zeros"])
 def test_metrics_equal_the_scheme_counts_bitwise_to_twelve_qubits(family):
+    # the counted metrics are the exact laws, correctly rounded
     for n in range(2, 13):
         group = preset_group(f"{family}{n}")
         for scheme, build in BUILDERS.items():
-            assert _bits(metrics(build(group))) == _bits(stabilizer_metrics(group, scheme))
+            assert _bits(metrics(build(group))) == _bits(scheme_metrics_law(n, scheme))
 
 
 def test_no_eigenproblem_is_solved(monkeypatch):
@@ -160,7 +160,7 @@ def test_no_eigenproblem_is_solved(monkeypatch):
         for scheme, build in BUILDERS.items():
             built = build(group)
             q = metrics(built).q
-            assert q == stabilizer_metrics(group, scheme).q
+            assert q == scheme_metrics_law(6, scheme).q
             state = worst_case_state(built, EPS)
             assert abs(state.fidelity - (1.0 - EPS)) <= 1e-12
             game = strategy_game_value(built, EPS)
@@ -218,7 +218,7 @@ def test_a_directly_built_pauli_strategy_computes_and_checks_its_counts():
     group = preset_group("ghz3")
     direct = PauliStrategy(group, (1, 2, 4), StrategyKind.STABILIZER_GENERATORS)
     assert direct.counts.tobytes() == generator_strategy(group).counts.tobytes()
-    assert _bits(direct.metrics) == _bits(stabilizer_metrics(group, "generators"))
+    assert _bits(direct.metrics) == _bits(scheme_metrics_law(3, "generators"))
     single = PauliStrategy(group, [1], StrategyKind.CUSTOM)
     assert single.indices == (1,) and not single.counts.flags.writeable
     assert single.metrics.q == 1.0 and single.invariant_defect() is None
@@ -343,7 +343,7 @@ def test_strategy_lists_every_setting_beyond_six_qubits(capsys):
     assert main(["strategy", "--stabilizer-full", "--preset", "ghz8"]) == 0
     out = capsys.readouterr().out
     assert out.count(",stabilizer-pauli") == 255
-    q = stabilizer_metrics(preset_group("ghz8"), "full").q
+    q = float(full_strategy_q(8))
     assert f"# q: {q!r}\n" in out
 
 

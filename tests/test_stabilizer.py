@@ -25,8 +25,10 @@ from qverify.qcore import (
     _fix_phase,
     basis_ket,
 )
+from qverify.cli import main
 from qverify.stabilizer import (
     ParityCheck,
+    PauliStrategy,
     PauliString,
     StabilizerGroup,
     all_zeros_group,
@@ -38,14 +40,12 @@ from qverify.stabilizer import (
     group_from_json,
     group_to_json,
     preset_group,
-    stabilizer_metrics,
     subset_strategy,
     _column_syndromes,
     _gf2_rank,
     _pass_counts,
     _checked_strings,
     _pass_rows,
-    _report,
 )
 from qverify.adversary import strategy_game_value, worst_case_state
 from qverify.samplecount import certainty_count_report
@@ -62,6 +62,7 @@ from stabilizer_oracles import (
     pass_projectors,
     pauli_matrix,
     scheme_metrics,
+    scheme_metrics_law,
     subset_report_fields,
 )
 
@@ -247,9 +248,9 @@ def test_closed_form_q_values():
     assert full_strategy_q(3) == Fraction(3, 7)
     assert generator_strategy_q(3) == Fraction(2, 3)
     assert generator_strategy_q(1) == 0
-    assert stabilizer_metrics(ghz_group(3), "full").q == 3 / 7
-    assert stabilizer_metrics(ghz_group(3), "generators").q == 2 / 3
-    assert stabilizer_metrics(all_zeros_group(1), "generators").q == 0.0
+    assert full_strategy(ghz_group(3)).metrics.q == 3 / 7
+    assert generator_strategy(ghz_group(3)).metrics.q == 2 / 3
+    assert generator_strategy(all_zeros_group(1)).metrics.q == 0.0
 
 
 def test_full_strategy_matches_bell_strategy():
@@ -263,19 +264,17 @@ def test_full_strategy_matches_bell_strategy():
 
 def test_stabilizer_metrics_closed_form():
     group = ghz_group(5)
-    m = stabilizer_metrics(group, "full")
+    m = full_strategy(group).metrics
     assert m.q == float(full_strategy_q(5))
     assert m.trace == 2**4 and type(m.trace) is float
     assert m.second_eigenvalue_gap == 1.0 - m.q
-    with pytest.raises(ValidationError):
-        stabilizer_metrics(group, "half")
 
 
 def test_stabilizer_sample_count_frozen_values():
     group = ghz_group(3)
     full, gens = (
-        certainty_count_report(stabilizer_metrics(group, scheme), 0.01, 0.1, scheme)
-        for scheme in ("full", "generators")
+        certainty_count_report(build(group).metrics, 0.01, 0.1, scheme)
+        for scheme, build in (("full", full_strategy), ("generators", generator_strategy))
     )
     assert full.n_exact == 402
     assert abs(full.n_asymptotic - 402.95239127395797) < 1e-9
@@ -287,12 +286,11 @@ def test_stabilizer_sample_count_beyond_dense_limit():
     # syndrome counts keep working where dense construction would not; the
     # strategy holds no matrices, and only its dense results stop
     group = ghz_group(10)
-    metrics_full = stabilizer_metrics(group, "full")
-    report = certainty_count_report(metrics_full, 0.01, 0.1, "full")
-    assert report.n_exact >= 1
     built = full_strategy(group)
+    report = certainty_count_report(metrics(built), 0.01, 0.1, "full")
+    assert report.n_exact >= 1
     assert len(built.settings) == 2**10 - 1
-    assert metrics(built) == metrics_full
+    assert _metric_bits(metrics(built)) == _metric_bits(scheme_metrics_law(10, "full"))
     with pytest.raises(BadDimError):
         worst_case_state(built, 0.1)
 
@@ -605,8 +603,20 @@ def test_closed_form_q_is_worst_syndrome_acceptance():
             k = group.num_generators
             assert full == float(full_strategy_q(k))
             assert gens == float(generator_strategy_q(k))
-            assert stabilizer_metrics(group, "full").q == full
-            assert stabilizer_metrics(group, "generators").q == gens
+            assert full_strategy(group).metrics.q == full
+            assert generator_strategy(group).metrics.q == gens
+
+
+@pytest.mark.parametrize("family", ["ghz", "cluster", "zeros"])
+def test_stabilizer_command_prints_the_exact_laws(family, capsys):
+    for n in range(2, 13):
+        assert main(["stabilizer", "--preset", f"{family}{n}"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        record = dict(line.split(",", 1) for line in lines if not line.startswith("#"))
+        full, gens = (scheme_metrics_law(n, scheme) for scheme in ("full", "generators"))
+        assert record["q_full"] == repr(full.q)
+        assert record["q_generators"] == repr(gens.q)
+        assert record["trace"] == repr(full.trace)
 
 
 @given(
@@ -629,7 +639,7 @@ def test_count_route_builds_no_pass_table():
     group = ghz_group(12)
     tracemalloc.start()
     try:
-        full = stabilizer_metrics(group, "full")
+        full = full_strategy(group).metrics
         report = subset_strategy(group, range(1, 2**12))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
@@ -914,9 +924,6 @@ def test_report_routes_match_the_retired_scheme_routes_bitwise(preset, negated):
             (s.label, s.weight, s.locality) for s in theirs.settings
         ]
         assert list(ours.indices) == SCHEME_INDICES[scheme](n).tolist()
-        assert _metric_bits(stabilizer_metrics(group, scheme)) == _metric_bits(
-            scheme_metrics(group, scheme)
-        )
         assert _metric_bits(metrics(ours)) == _metric_bits(scheme_metrics(group, scheme))
 
 
@@ -925,14 +932,18 @@ def test_report_routes_match_the_retired_scheme_routes_bitwise(preset, negated):
     "preset", [f"{family}{n}" for family in ("ghz", "cluster") for n in range(2, 13)]
 )
 def test_scheme_metrics_match_the_report_bitwise(preset, scheme):
-    # stabilizer_metrics skips the report but keeps its checks and counts
+    # a scheme strategy, the custom subset report of the same indices and
+    # the exact law give the same metric bits
     group = preset_group(preset)
-    kind = {
-        "full": StrategyKind.STABILIZER_FULL,
-        "generators": StrategyKind.STABILIZER_GENERATORS,
-    }[scheme]
-    report = _report(group, SCHEME_INDICES[scheme](group.num_qubits).tolist(), kind)
-    assert _metric_bits(stabilizer_metrics(group, scheme)) == _metric_bits(report.strategy.metrics)
+    built = {"full": full_strategy, "generators": generator_strategy}[scheme](group)
+    report = subset_strategy(group, SCHEME_INDICES[scheme](group.num_qubits))
+    assert report.strategy.kind is StrategyKind.CUSTOM and not report.degenerate
+    assert report.strategy.indices == built.indices
+    assert report.strategy.counts.tobytes() == built.counts.tobytes()
+    assert _metric_bits(built.metrics) == _metric_bits(report.strategy.metrics)
+    assert _metric_bits(built.metrics) == _metric_bits(
+        scheme_metrics_law(group.num_qubits, scheme)
+    )
 
 
 @pytest.mark.parametrize(
@@ -948,6 +959,9 @@ def test_scheme_metrics_match_the_report_bitwise(preset, scheme):
         ("ghz8", [1 << j for j in range(8)], False),
         ("ghz12", [1, 2], True),
         ("ghz12", range(1, 2**12), False),
+        # numpy integers are read as Python ints
+        ("ghz4", np.array([8, 1, 2, 4, 1]), False),
+        ("ghz4", [np.int32(6), np.uint8(5), 3], True),
     ],
 )
 def test_subset_reports_match_the_retired_route(preset, indices, degenerate):
@@ -979,6 +993,19 @@ def test_subset_strategy_rejects_indices_with_the_retired_messages(indices):
     assert str(caught.value) == str(expected.value)
 
 
+@pytest.mark.parametrize(
+    "indices", [[1.7, 2], ["3"], [True, 2], [2, np.float64(1.0)], [1, None]], ids=str
+)
+def test_subset_strategy_rejects_non_integer_indices(indices):
+    group = preset_group("ghz3")
+    with pytest.raises(ValidationError) as expected:
+        PauliStrategy(group, tuple(indices), StrategyKind.CUSTOM)
+    with pytest.raises(ValidationError) as caught:
+        subset_strategy(group, indices)
+    assert str(caught.value) == str(expected.value)
+    assert str(caught.value).endswith("are not the element indices of a custom strategy")
+
+
 def test_subset_strategy_names_an_index_too_wide_for_int64():
     with pytest.raises(ValidationError, match=f"element index {2**70} outside"):
         subset_strategy(preset_group("ghz3"), [1, 2**70])
@@ -991,7 +1018,6 @@ def test_every_report_route_rejects_a_non_maximal_group():
     for build in (
         full_strategy,
         generator_strategy,
-        lambda g: stabilizer_metrics(g, "full"),
         lambda g: subset_strategy(g, [1]),
         lambda g: ParityCheck(group=g),
         ParityCheck.build,

@@ -381,8 +381,8 @@ def _dense(diagonal_head, fill=None):
     ],
 )
 def test_dense_settings_checked_one_stack_at_a_time_report_the_oracle_error(bad):
-    # 64x64 projectors are stacked one at a time; the first invalid
-    # setting across stacks still decides the error
+    # the 64x64 projectors form one stack; the first invalid setting in
+    # it decides the error
     good = [(_dense([1.0] * k), 0.25, f"P{k}", Locality.STABILIZER_PAULI) for k in (1, 2, 3)]
     for at in (0, 1, 3):
         specs = good[:at] + bad + good[at:]
@@ -454,8 +454,8 @@ def test_real_projectors_are_checked_in_real_arithmetic(monkeypatch):
     group = preset_group("ghz6")
     inputs = _record_eigvalsh(monkeypatch)
     as_dense(full_strategy(group))
-    checks = [dtype for dtype, shape in inputs if shape == (1, 64, 64)]
-    assert checks == [np.dtype(np.float64)] * 63
+    stacks = [(dtype, shape) for dtype, shape in inputs if len(shape) == 3]
+    assert stacks == [(np.dtype(np.float64), (63, 64, 64))]
 
 
 def test_complex_projectors_are_checked_in_complex_arithmetic(monkeypatch):
