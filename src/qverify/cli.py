@@ -3,8 +3,8 @@
 Subcommands cover strategy construction and inspection, copy count
 tables, figure data generation, protocol simulation, landscape
 certification, and stabilizer tooling. Outputs carry a metadata header
-(tool version, output version, command line, seed, tolerance profile)
-and are byte stable: the same invocation always produces identical bytes.
+(tool version, output version, command line and seed) and are byte
+stable: the same invocation always produces identical bytes.
 
 Every option is declared once, in `_parsers`, with its type, choices
 and default. A `--config` file is read by turning its entries into
@@ -28,7 +28,7 @@ from .errors import QVerifyError, ValidationError
 
 PROG = "qverify"
 
-OUTPUT_VERSION = 5  # moves with every intended change to any output's bytes
+OUTPUT_VERSION = 6  # moves with every intended change to any output's bytes
 
 # Strategy builder flags and their help. Each flag stores its name in
 # `kind`, and a config file names one the same way ("kind": "bell").
@@ -40,9 +40,6 @@ STRATEGY_KINDS = {
     "stabilizer-full": "uniform strategy over all nontrivial group elements",
     "stabilizer-generators": "uniform strategy over the generators only",
 }
-
-# Tolerance of the invariant pass under --tolerance-profile strict.
-STRICT_TOL = 1e-11
 
 _ANGLE = re.compile(
     r"(?i)^\s*([+-]?(?:\d+\.?\d*|\.\d+)?)\s*\*?\s*pi\s*(?:/\s*([+-]?\d+\.?\d*))?\s*$"
@@ -110,13 +107,6 @@ def _parsers(**options) -> tuple[argparse.ArgumentParser, dict]:
             choices=("csv", "json"),
             default="csv",
             help="output format (default %(default)s)",
-        )
-        p.add_argument(
-            "--tolerance-profile",
-            choices=("strict", "default"),
-            default="default",
-            help=f"strict re-verifies constructed operators at {STRICT_TOL:g} "
-            "(default %(default)s)",
         )
         p.add_argument(
             "--config", help="JSON file of option values; explicit flags win"
@@ -333,7 +323,6 @@ def _metadata(cfg: argparse.Namespace) -> tuple[tuple[str, str], ...]:
         ("output-version", str(OUTPUT_VERSION)),
         ("command", " ".join((PROG, *cfg.argv))),
         ("seed", str(cfg.seed)),
-        ("tolerance-profile", cfg.tolerance_profile),
     )
 
 
@@ -378,22 +367,6 @@ def _write(cfg: argparse.Namespace, text: str) -> None:
         sys.stdout.write(text)
 
 
-def _strict_verify(cfg: argparse.Namespace, built) -> None:
-    """Extra invariant pass under --tolerance-profile strict.
-
-    A failure here means a constructed operator drifted past STRICT_TOL,
-    which no supported input should produce; it surfaces as exit 3.
-    """
-    if cfg.tolerance_profile != "strict":
-        return
-    if isinstance(built, stabilizer.PauliStrategy):
-        defect = built.invariant_defect()  # exact counts need no tolerance
-    else:
-        defect = strategy.invariant_defect(built.target, built.omega, STRICT_TOL)
-    if defect is not None:
-        raise RuntimeError(f"strict re-verification failed: {defect}")
-
-
 def _build_group(cfg: argparse.Namespace):
     if cfg.preset and cfg.generators:
         raise ValidationError("--preset and --generators are mutually exclusive")
@@ -430,7 +403,6 @@ def _build_strategy(cfg: argparse.Namespace):
         built = stabilizer.full_strategy(_build_group(cfg))
     else:  # stabilizer-generators
         built = stabilizer.generator_strategy(_build_group(cfg))
-    _strict_verify(cfg, built)
     return built
 
 

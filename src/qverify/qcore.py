@@ -89,8 +89,6 @@ def _first_operator_defect(stack: np.ndarray, what: str) -> tuple[int, QVerifyEr
         raise BadDimError(f"{what} entries must form a square matrix")
     _check_dense_dim(stack.shape[1], what)
     head = stack[:valid]
-    if not head.imag.any():
-        head = head.real  # |a + 0i| = |a|: the same residual bits, in real arithmetic
     residuals = np.abs(head - head.conj().transpose(0, 2, 1)).max(axis=(1, 2))
     if residuals.max() > TOL_INPUT:
         i = int(np.argmax(residuals > TOL_INPUT))
@@ -285,13 +283,7 @@ def _projector_defects(stack: np.ndarray, tol: float) -> np.ndarray:
     """For each matrix of a nonempty finite Hermitian (k, d, d) stack, True
     unless it is idempotent (max |P^2 - P| <= tol) with every eigenvalue
     within tol of 0 or 1.
-
-    A stack with no imaginary part is checked in real arithmetic: a real
-    symmetric matrix is Hermitian, and the real eigensolver differs from
-    the complex one only in rounding (about 1e-15, far below TOL_DERIVED).
     """
-    if not stack.imag.any():
-        stack = np.ascontiguousarray(stack.real)
     idempotence = np.abs(stack @ stack - stack).max(axis=(1, 2))
     vals = np.linalg.eigvalsh(stack)
     spread = np.minimum(np.abs(vals), np.abs(vals - 1.0)).max(axis=1)

@@ -555,10 +555,10 @@ class PauliStrategy:
     projector: Omega = sum_s c(s)/k |s><s| in the joint eigenbasis, so
     metrics read the counts. A full or generators strategy must list
     that scheme's indices, a custom one sorted distinct integers; the
-    group must be maximal. target, settings and metrics are made on
-    first read. The dense results built from it (adversary's worst-case
-    state and game value, protocol's plan) are limited to
-    MAX_DENSE_QUBITS; see check_dense.
+    group must be a maximal StabilizerGroup. target, settings and
+    metrics are made on first read. The dense results built from it
+    (adversary's worst-case state and game value, protocol's plan) are
+    limited to MAX_DENSE_QUBITS; see check_dense.
     """
 
     group: StabilizerGroup
@@ -569,6 +569,9 @@ class PauliStrategy:
 
     def __post_init__(self):
         group, indices, kind = self.group, list(self.indices), self.kind
+        if not isinstance(group, StabilizerGroup):
+            name = type(group).__name__
+            raise ValidationError(f"a stabilizer strategy needs a StabilizerGroup, not a {name}")
         ints = all(type(m) is int for m in indices)
         expected = _scheme_indices(group, kind)
         if ints and kind is StrategyKind.CUSTOM:
@@ -610,15 +613,6 @@ class PauliStrategy:
     @cached_property
     def metrics(self) -> StrategyMetrics:
         return _count_metrics(self.counts)
-
-    def invariant_defect(self) -> str | None:
-        """Why the counts make no strategy operator, or None: Omega fixes the
-        target when c(0) = k, and its spectrum c/k lies in [0, 1] when
-        0 <= c <= k."""
-        k, c = len(self.indices), self.counts
-        if c[0] != k or c.min() < 0 or c.max() > k:
-            return f"pass counts in [{c.min()}, {c.max()}] with c(0) = {c[0]}, k = {k}"
-        return None
 
     def check_dense(self, what: str) -> None:
         """Raise BadDimError if what, a dense result, exceeds MAX_DENSE_QUBITS."""

@@ -200,17 +200,18 @@ def _settings(projectors, weights, labels, localities) -> tuple[MeasurementSetti
     )
 
 
-def invariant_defect(target: Ket, omega: np.ndarray, tol: float) -> str | None:
-    """Why omega is no strategy operator for target at tolerance tol, or None.
+def invariant_defect(target: Ket, omega: np.ndarray) -> str | None:
+    """Why omega is no strategy operator for target, or None.
 
-    A strategy operator fixes its target and has its spectrum in [0, 1].
+    A strategy operator fixes its target and has its spectrum in [0, 1],
+    both within TOL_DERIVED.
     """
     psi = target.amplitudes
     residual = float(np.linalg.norm(omega @ psi - psi))
-    if residual > tol:
+    if residual > TOL_DERIVED:
         return f"strategy does not fix its target (residual {residual!r})"
     vals = np.linalg.eigvalsh(omega)
-    if vals[0] < -tol or vals[-1] > 1.0 + tol:
+    if vals[0] < -TOL_DERIVED or vals[-1] > 1.0 + TOL_DERIVED:
         return f"strategy operator spectrum [{vals[0]!r}, {vals[-1]!r}] escapes [0, 1]"
     return None
 
@@ -242,7 +243,7 @@ class Strategy:
         total = math.fsum(s.weight for s in self.settings)
         if abs(total - 1.0) > TOL_INPUT:
             raise ValidationError(f"setting weights sum to {total!r}, not 1")
-        defect = invariant_defect(self.target, self.omega, TOL_DERIVED)
+        defect = invariant_defect(self.target, self.omega)
         if defect is not None:
             raise ValidationError(defect)
 

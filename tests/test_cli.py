@@ -401,14 +401,6 @@ def test_missing_required_n_exits_2(capsys):
     capsys.readouterr()
 
 
-def test_strict_profile_accepts_exact_strategies(tmp_path):
-    code, text = run_cli(
-        ["strategy", "--bell", "--tolerance-profile", "strict"], tmp_path
-    )
-    assert code == 0
-    assert "# tolerance-profile: strict" in text
-
-
 def test_stdout_when_no_out_flag(capsys):
     code = main(["strategy", "--bell"])
     assert code == 0
@@ -626,13 +618,25 @@ def test_nan_theta_exits_2(capsys, args):
     assert captured.err.startswith("error: ThetaOutOfDomainError: theta=nan outside")
 
 
-def test_strict_profile_drift_exits_3(tmp_path, capsys):
-    doc = strategy.to_json_dict(strategy.product_state_strategy("zero"))
-    doc["settings"][0]["projector"][0] = [1.0 + 3e-11, 0.0]
+def test_strategy_file_exit_codes(tmp_path, capsys):
+    # the constructor's one check, at TOL_DERIVED, decides: drift below it
+    # is accepted, drift above it is bad input
     path = tmp_path / "drift.json"
-    path.write_text(json.dumps(doc))
     args = ["simulate", "--strategy-file", str(path), "--n", "3", "--trials", "2"]
-    assert main(args) == 0
-    capsys.readouterr()
-    assert main(args + ["--tolerance-profile", "strict"]) == 3
-    assert "strict re-verification failed" in capsys.readouterr().err
+
+    def run(drift, *extra):
+        doc = strategy.to_json_dict(strategy.product_state_strategy("zero"))
+        doc["settings"][0]["projector"][0] = [1.0 + drift, 0.0]
+        path.write_text(json.dumps(doc))
+        capsys.readouterr()
+        return main(args + list(extra))
+
+    assert run(1e-9) == 2
+    assert capsys.readouterr().err.startswith("error: ValidationError:")
+    assert run(3e-11) == 0
+    # the removed option is unknown, as a flag and as a config key
+    assert run(3e-11, "--tolerance-profile", "strict") == 2
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps({"tolerance_profile": "strict"}))
+    assert run(3e-11, "--config", str(config)) == 2
+    assert "is no option" in capsys.readouterr().err

@@ -78,8 +78,12 @@ CASES = {
 # a stabilizer strategy's JSON as its kind, generator labels and element
 # indices, with no dense target or projectors: of the bodies only
 # strategy-generators-ghz3-json changes (its "strategy" object); every
-# other case moves only in its version line or field. A new version
-# needs a new digest set here.
+# other case moves only in its version line or field. Version 6 drops
+# the option of a second, strict invariant pass, and with it the header
+# line (in JSON, the metadata key) that named the pass's profile: every
+# case changes only in that line or key and its version line or field,
+# and the simulate-transcript JSONL, which has no header, keeps its
+# digest. A new version needs a new digest set here.
 GOLDEN = {
     2: {
         "figure-fig1": {
@@ -302,6 +306,62 @@ GOLDEN = {
         },
         "strategy-two-qubit-json": {
             "stdout": "81c77bee73592229306a55577642f7535a1b6d647402411edffe14c95e012ade",
+        },
+    },
+    6: {
+        "figure-fig1": {
+            "stdout": "1fba65436b7bc6f663dcba0c0974603608aeaf8f42fa3a42eaf9104f8f9daece",
+        },
+        "figure-fig2-out-json": {
+            "stdout": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+            "--out": "8164a9b7fa6a1e68b0f8f07232100ccf9aecac50587d24a66b35e768e20f471d",
+        },
+        "figure-figS1": {
+            "stdout": "6e8292b5246abdd746ab83e8c8577656c00a2cea69998c151f9ab2ea3b63d772",
+        },
+        "figure-figS2": {
+            "stdout": "d07d482b2a5077e3a670cb518fccfd58cc86b466ffb2d7c7947f5c47701206b0",
+        },
+        "landscape-json": {
+            "stdout": "5e6a44dfddcf0229703c36e70ed408d6d0c448702c410191e74321365e30e52f",
+        },
+        "samplecount-bell": {
+            "stdout": "7c3d81a80811d8551ea9eec6daed296d5391f9303f87d1b2ef382d15c80f6c2d",
+        },
+        "samplecount-ghz12": {
+            "stdout": "4adc093ec8fa34826a4bb708c191017fbf376ee0c70437d977ba026c42ae7782",
+        },
+        "samplecount-two-qubit-json": {
+            "stdout": "dc556a7965527a4c5226bb39d81e820ac69ef54690c96aaae8e446a4810938e2",
+        },
+        "simulate-honest-json": {
+            "stdout": "09e45fb97b494c87a9ad7d2683d51cde09fada1dc3c01c1a8c21a439ad6bf5ca",
+        },
+        "simulate-transcript": {
+            "stdout": "9544c7553e913c9a64373343f6656ceb3fdd6e8a4e1f51017d59d49e3cb86431",
+            # JSONL carries no header; unchanged since version 3
+            "--transcript": "1490192bc5f73100f49ab4cba46db6fbae60d5dc35bfb2dd9418a6d499d045a4",
+        },
+        "stabilizer-inspect": {
+            "stdout": "033d0db8c5f1aa5de0d83b64ef95f725424942722f5dec0536cad664a723927b",
+        },
+        "stabilizer-parity-check": {
+            "stdout": "25efcb2c3b72309cb66bde9e3a510a7b5e0499e9c59e000ec02d6034b9534ba7",
+        },
+        "stabilizer-subset-json": {
+            "stdout": "d90f2d221b9056f05a4092c64f7c2d44726bdac96c227ea8d55e8f73bf9e704a",
+        },
+        "strategy-bell": {
+            "stdout": "9ef18de469b33540e2298ceb58345e6a831d3dcd85e16df5319c970c96884ecb",
+        },
+        "strategy-generators-ghz3-json": {
+            "stdout": "6022d5795faf27973254ace28227f6a4ec8df00fc30989f2a3ab39966f0b2d8c",
+        },
+        "strategy-product-epsilon": {
+            "stdout": "6c8b591b25ebc10dea0eef5683949ba93e212ef37d219ddcfaa6fd773ee1d8c1",
+        },
+        "strategy-two-qubit-json": {
+            "stdout": "3c32bb7370e27a9ee00cd0965cb8398229e4d4defea5fa8c21c1fd828e39685d",
         },
     },
 }

@@ -8,8 +8,8 @@ MeasurementSetting), and use the same TOL_DERIVED:
 * Omega fixes the target and its spectrum lies in [0, 1];
 * every setting is a projector, and every two-qubit setting that claims
   locality stays positive under partial transposition (a stabilizer
-  PauliStrategy holds no projectors: its counts must pass their own
-  check, and its dense oracle, with the same settings, these);
+  PauliStrategy holds no projectors: its counts must satisfy c(0) = k
+  and 0 <= c <= k, and its dense oracle, with the same settings, these);
 * local transport by Haar unitaries preserves q;
 * the JSON round trip rebuilds the same strategy;
 * the exact copy count never rises with epsilon or delta.
@@ -104,7 +104,8 @@ def _partial_transpose(entries):
 def test_constructor_invariants(name, data):
     built = BUILDERS[name](data.draw)
     if isinstance(built, PauliStrategy):
-        assert built.invariant_defect() is None
+        counts, k = built.counts, len(built.indices)  # c(0) = k, 0 <= c <= k
+        assert counts[0] == k and counts.min() >= 0 and counts.max() <= k
         dense = as_dense(built)
         assert [(s.label, s.weight, s.locality) for s in dense.settings] == [
             (s.label, s.weight, s.locality) for s in built.settings

@@ -434,7 +434,7 @@ def test_bell_strategy_solves_at_most_three_eigenproblems(monkeypatch):
     assert len(calls) <= 3
 
 
-# ------------------------------------------------------------ real route
+# ------------------------------------------------------------ real entries
 
 
 def _record_eigvalsh(monkeypatch):
@@ -450,32 +450,11 @@ def _record_eigvalsh(monkeypatch):
     return inputs
 
 
-def test_real_projectors_are_checked_in_real_arithmetic(monkeypatch):
-    group = preset_group("ghz6")
-    inputs = _record_eigvalsh(monkeypatch)
-    as_dense(full_strategy(group))
-    stacks = [(dtype, shape) for dtype, shape in inputs if len(shape) == 3]
-    assert stacks == [(np.dtype(np.float64), (63, 64, 64))]
-
-
 def test_complex_projectors_are_checked_in_complex_arithmetic(monkeypatch):
     inputs = _record_eigvalsh(monkeypatch)
     two_qubit_optimal(0.6)
     assert len(inputs) <= 3
     assert all(dtype == np.complex128 for dtype, shape in inputs if len(shape) == 3)
-
-
-def test_one_tiny_imaginary_entry_takes_the_complex_route(monkeypatch):
-    mat = np.zeros((4, 4), dtype=complex)
-    mat[np.ix_([0, 3], [0, 3])] = 0.5
-    mat[0, 3] += 1e-300j
-    mat[3, 0] -= 1e-300j
-    inputs = _record_eigvalsh(monkeypatch)
-    assert is_projector(HermitianOperator(mat))
-    assert inputs == [(np.dtype(np.complex128), (1, 4, 4))]
-    inputs.clear()
-    assert is_projector(HermitianOperator(mat.real))
-    assert inputs == [(np.dtype(np.float64), (1, 4, 4))]
 
 
 def _real_symmetric(rng, dim, vals):

@@ -371,12 +371,14 @@ def test_delta_eps_rejects_epsilon_outside_open_unit_interval(epsilon):
 
 def test_invariant_defect_respects_tolerance():
     built = bell_strategy()
-    assert invariant_defect(built.target, built.omega, 1e-11) is None
+    assert invariant_defect(built.target, built.omega) is None
     shifted = built.omega + 3e-11 * np.eye(4)
-    assert invariant_defect(built.target, shifted, 1e-10) is None
-    assert "residual" in invariant_defect(built.target, shifted, 1e-11)
+    assert invariant_defect(built.target, shifted) is None
+    # TOL_DERIVED is 1e-10
+    assert "residual" in invariant_defect(built.target, built.omega + 3e-10 * np.eye(4))
     # still fixes |00>, but its orthogonal eigenvalues drift below 0
     product = product_state_strategy("zero")
     low = product.omega - 3e-11 * (np.eye(4) - product.omega)
-    assert invariant_defect(product.target, low, 1e-10) is None
-    assert "escapes [0, 1]" in invariant_defect(product.target, low, 1e-11)
+    assert invariant_defect(product.target, low) is None
+    lower = product.omega - 3e-10 * (np.eye(4) - product.omega)
+    assert "escapes [0, 1]" in invariant_defect(product.target, lower)
