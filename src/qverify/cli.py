@@ -406,22 +406,9 @@ def _build_strategy(cfg: argparse.Namespace):
     return built
 
 
-# samplecount.family_metrics family of each two-qubit builder flag
-_FAMILIES = {"bell": "bell", "two-qubit": "two-qubit-optimal",
-             "product-zero": "product", "product-one": "product"}
-
-
-def _metrics(cfg: argparse.Namespace, built):
-    """Metrics of a strategy built from a builder flag: a PauliStrategy's
-    counted ones, or the closed form of a two-qubit flag."""
-    if isinstance(built, stabilizer.PauliStrategy):
-        return built.metrics
-    return samplecount.family_metrics(_FAMILIES[cfg.kind], built.theta)
-
-
 def cmd_strategy(cfg: argparse.Namespace) -> dict:
     built = _build_strategy(cfg)
-    m = _metrics(cfg, built)
+    m = built.metrics
     record = [
         ("kind", built.kind.value),
         ("settings", len(built.settings)),
@@ -444,10 +431,7 @@ def cmd_strategy(cfg: argparse.Namespace) -> dict:
 
 def cmd_samplecount(cfg: argparse.Namespace) -> dict:
     epsilon, delta = cfg.epsilon, cfg.delta
-    built = _build_strategy(cfg)
-    report = samplecount.certainty_count_report(
-        _metrics(cfg, built), epsilon, delta, f"{built.kind.value} strategy"
-    )
+    report = strategy.exact_sample_count(_build_strategy(cfg), epsilon, delta)
     stein = samplecount.chernoff_stein_count(
         samplecount.HypothesisSpec.from_gap(1.0, report.delta_eps), delta
     )

@@ -16,10 +16,10 @@ ln(1/p1). For p0 < 1 the exponent degrades to roughly
 delta_eps**2 / (2 p0 (1 - p0)), which is the quadratic cost of
 frequency estimation versus the linear cost of certainty protocols.
 
-It is also the one closed-form home of q, trace and gap for the Bell,
-product and two-qubit optimal strategies (family_metrics, optimal_q),
-read by the figure tables and the CLI's two-qubit builder flags without
-a dense eigenproblem; strategy.metrics is every other strategy's route.
+It is also the one closed-form home of q and trace for the Bell,
+product and two-qubit optimal strategies (family_metrics, optimal_q):
+the figure tables read it without building a strategy, and the
+strategies those three builders make hold it as their metrics.
 """
 
 from __future__ import annotations
@@ -52,13 +52,16 @@ class StrategyMetrics:
     """Worst-case figures of one strategy.
 
     q is the largest acceptance probability among states orthogonal to
-    the target; second_eigenvalue_gap = 1 - q is the spectral gap below
-    the target's eigenvalue of the strategy operator.
+    the target.
     """
 
     q: float
     trace: float
-    second_eigenvalue_gap: float
+
+    @property
+    def second_eigenvalue_gap(self) -> float:
+        """1 - q, the spectral gap below the target's eigenvalue 1."""
+        return 1.0 - self.q
 
     def delta_eps(self, epsilon: float) -> float:
         """Per-copy detection gap for infidelity epsilon in (0, 1)."""
@@ -308,7 +311,7 @@ def family_metrics(family: str, theta: float | None = None) -> StrategyMetrics:
     """Closed-form metrics of the strategy serving a theta_family family:
     "bell" q = 1/3, trace 2; "product" q = 0, trace 1; "two-qubit-optimal"
     q = optimal_q(theta), trace 1 + 3q, correctly rounded, at a theta that
-    check_theta accepts (no other family reads theta). The gap is 1 - q."""
+    check_theta accepts (no other family reads theta)."""
     if family == "bell":
         q, trace = 1.0 / 3.0, 2.0
     elif family == "product":
@@ -318,7 +321,7 @@ def family_metrics(family: str, theta: float | None = None) -> StrategyMetrics:
         q, trace = _two_qubit_q_trace(theta)
     else:
         raise ValidationError(f"family={family!r} has no closed form")
-    return StrategyMetrics(q=q, trace=trace, second_eigenvalue_gap=1.0 - q)
+    return StrategyMetrics(q=q, trace=trace)
 
 
 def figure1_data(

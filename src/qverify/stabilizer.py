@@ -228,10 +228,9 @@ def _pass_counts(indices, num_qubits: int) -> np.ndarray:
 
 
 def _count_metrics(counts: np.ndarray) -> StrategyMetrics:
-    """q, trace and gap of the equal mixture with these pass counts (counts[0] = k)."""
+    """q and trace of the equal mixture with these pass counts (counts[0] = k)."""
     k = int(counts[0])
-    q = int(counts[1:].max()) / k
-    return StrategyMetrics(q, int(counts.sum()) / k, 1.0 - q)
+    return StrategyMetrics(int(counts[1:].max()) / k, int(counts.sum()) / k)
 
 
 def _checked_strings(n: int, table: np.ndarray) -> tuple[PauliString, ...]:
@@ -568,11 +567,15 @@ class PauliStrategy:
     theta = None
 
     def __post_init__(self):
-        group, indices, kind = self.group, list(self.indices), self.kind
+        group, indices, kind = self.group, self.indices, self.kind
         if not isinstance(group, StabilizerGroup):
             name = type(group).__name__
             raise ValidationError(f"a stabilizer strategy needs a StabilizerGroup, not a {name}")
-        ints = all(type(m) is int for m in indices)
+        try:
+            indices = list(indices)
+            ints = all(type(m) is int for m in indices)
+        except TypeError:  # not iterable
+            ints = False
         expected = _scheme_indices(group, kind)
         if ints and kind is StrategyKind.CUSTOM:
             expected = sorted(set(indices))

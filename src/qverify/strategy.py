@@ -35,6 +35,11 @@ runs each MeasurementSetting check once over it, at the same tolerance.
 It raises the error of the first invalid setting in order; a setting
 built directly is the stack of one.
 
+A strategy's metrics property is its one route to q and trace. The
+three builders' strategies hold their closed form (family_metrics); any
+other Strategy, even one whose kind names a family (from_json_dict,
+local_transport, direct construction), solves its orthocomplement block.
+
 Stabilizer strategies are stabilizer.PauliStrategy values, which hold
 syndrome counts and no projectors. metrics and to_json_dict take either
 type: a PauliStrategy reads its counts and writes its group and element
@@ -58,6 +63,7 @@ from .samplecount import (
     StrategyMetrics,
     certainty_count_report,
     check_theta,
+    family_metrics,
     optimal_q,  # re-exported beside the two-qubit constructors
 )
 
@@ -260,20 +266,28 @@ class Strategy:
     def dim(self) -> int:
         return self.target.dim
 
+    @cached_property
+    def metrics(self) -> StrategyMetrics:
+        """q, the top eigenvalue of Omega on the target's orthocomplement,
+        and trace Omega; a builder's strategy holds its closed form."""
+        _, block = qcore.orthocomplement_block(self.target, self.omega)
+        top = float(np.linalg.eigvalsh(block)[-1])
+        return StrategyMetrics(
+            q=min(max(top, 0.0), 1.0), trace=float(np.trace(self.omega).real)
+        )
+
+
+def _built(target: Ket, settings, kind: StrategyKind, theta=None) -> Strategy:
+    """A builder's Strategy, its metrics cache filled with the closed form
+    family_metrics(kind.value, theta); no other Strategy's cache is."""
+    built = Strategy(target=target, settings=settings, kind=kind, theta=theta)
+    built.__dict__["metrics"] = family_metrics(kind.value, theta)
+    return built
+
 
 def metrics(strategy) -> StrategyMetrics:
-    """Exact worst-case metrics: a Strategy's from the orthocomplement
-    eigenproblem, a stabilizer PauliStrategy's from its syndrome counts."""
-    if not isinstance(strategy, Strategy):
-        return strategy.metrics
-    _, block = qcore.orthocomplement_block(strategy.target, strategy.omega)
-    top = float(np.linalg.eigvalsh(block)[-1])
-    q = min(max(top, 0.0), 1.0)
-    return StrategyMetrics(
-        q=q,
-        trace=float(np.trace(strategy.omega).real),
-        second_eigenvalue_gap=1.0 - q,
-    )
+    """Exact worst-case metrics of a Strategy or a PauliStrategy."""
+    return strategy.metrics
 
 
 def bell_strategy() -> Strategy:
@@ -296,7 +310,7 @@ def bell_strategy() -> Strategy:
         ("XX", "-YY", "ZZ"),
         (Locality.STABILIZER_PAULI,) * 3,
     )
-    return Strategy(target=target, settings=settings, kind=StrategyKind.BELL)
+    return _built(target, settings, StrategyKind.BELL)
 
 
 def target_state(theta: float) -> Ket:
@@ -401,12 +415,7 @@ def two_qubit_optimal(theta: float) -> Strategy:
         ("ZZ", "reject-product-1", "reject-product-2", "reject-product-3"),
         (Locality.STABILIZER_PAULI,) + (Locality.PRODUCT_PROJECTOR,) * 3,
     )
-    return Strategy(
-        target=target_state(theta),
-        settings=settings,
-        kind=StrategyKind.TWO_QUBIT_OPTIMAL,
-        theta=theta,
-    )
+    return _built(target_state(theta), settings, StrategyKind.TWO_QUBIT_OPTIMAL, theta)
 
 
 def product_state_strategy(which: str) -> Strategy:
@@ -426,7 +435,7 @@ def product_state_strategy(which: str) -> Strategy:
         ("00" if which == "zero" else "11",),
         (Locality.PRODUCT_PROJECTOR,),
     )
-    return Strategy(target=target, settings=settings, kind=StrategyKind.PRODUCT_STATE)
+    return _built(target, settings, StrategyKind.PRODUCT_STATE)
 
 
 def _check_unitary(matrix: np.ndarray, name: str) -> np.ndarray:
@@ -442,9 +451,9 @@ def _check_unitary(matrix: np.ndarray, name: str) -> np.ndarray:
 def local_transport(strategy: Strategy, u, v) -> Strategy:
     """Conjugate a two qubit strategy by a product unitary u (x) v.
 
-    The transported strategy fixes (u (x) v)|target> and has identical
-    worst-case metrics, so optimality travels with the target under
-    local unitaries.
+    The transported strategy fixes (u (x) v)|target> and has the same
+    worst-case metrics up to rounding, so optimality travels with the
+    target under local unitaries; it reads them from its own projectors.
     """
     if strategy.dim != 4:
         raise BadDimError("local_transport handles two qubit strategies")
@@ -471,7 +480,7 @@ def exact_sample_count(
 ) -> SampleCountReport:
     """Copies needed to reject every eps-far state with confidence 1 - delta."""
     return certainty_count_report(
-        metrics(strategy), epsilon, delta, f"{strategy.kind.value} strategy"
+        strategy.metrics, epsilon, delta, f"{strategy.kind.value} strategy"
     )
 
 
@@ -539,7 +548,7 @@ def from_json_dict(doc: dict) -> Strategy:
         ]
         theta = doc.get("theta")
         theta = None if theta is None else float(theta)
-    except (KeyError, TypeError, ValueError) as exc:
+    except (LookupError, TypeError, ValueError) as exc:
         raise ValidationError(
             f"malformed strategy document: {type(exc).__name__}: {exc}"
         ) from exc

@@ -1,12 +1,15 @@
 """Test-only helpers over the library's checked internals.
 
 The library has no caller for these; tests read a single projector
-check and a device's per-copy state through them.
+check, a device's per-copy state and a dense strategy's eigenproblem
+through them.
 """
 
 import numpy as np
 
 from qverify.qcore import TOL_DERIVED, HermitianOperator, _projector_defects
+from qverify.qcore import orthocomplement_block
+from qverify.samplecount import StrategyMetrics
 
 
 def is_projector(op: HermitianOperator) -> bool:
@@ -21,3 +24,12 @@ def density_at(device, copy_index: int) -> np.ndarray:
     if device.sigma is not None:
         return device.sigma
     return device._supplied_density(device.supplier(copy_index), copy_index)
+
+
+def dense_metrics(strategy) -> StrategyMetrics:
+    """q and trace solved from a dense strategy's own omega, whatever its
+    metrics hold: q is the top eigenvalue of omega on the target's
+    orthocomplement, clamped to [0, 1]. The oracle of every closed form."""
+    _, block = orthocomplement_block(strategy.target, strategy.omega)
+    top = float(np.linalg.eigvalsh(block)[-1])
+    return StrategyMetrics(min(max(top, 0.0), 1.0), float(np.trace(strategy.omega).real))

@@ -3,7 +3,7 @@
 The closed-form worst cases of the equal-weight stabilizer schemes are
 exact rationals, so a test can demand the library's correctly rounded
 float bit for bit: float(Fraction) rounds correctly. scheme_metrics_law
-gives a scheme's q and trace that way, and its gap as 1.0 - q.
+gives a scheme's q and trace that way.
 equal_mixture is the dense stabilizer strategy, one checked 2^N x 2^N
 projector per element, which the library's PauliStrategy replaced; it
 is the oracle of every number the library now reads from syndrome
@@ -47,12 +47,10 @@ def generator_strategy_q(num_generators: int) -> Fraction:
 
 def scheme_metrics_law(num_qubits: int, scheme: str) -> StrategyMetrics:
     """Metrics of the 'full' or 'generators' scheme of a maximal group:
-    q correctly rounded from its closed form, the trace 2^(N-1) (each
-    pass test has rank 2^(N-1)) and the gap 1.0 - q, as StrategyMetrics
-    defines it."""
+    q correctly rounded from its closed form and the trace 2^(N-1) (each
+    pass test has rank 2^(N-1)), as StrategyMetrics."""
     law = {"full": full_strategy_q, "generators": generator_strategy_q}[scheme]
-    q = float(law(num_qubits))
-    return StrategyMetrics(q, float(2 ** (num_qubits - 1)), 1.0 - q)
+    return StrategyMetrics(float(law(num_qubits)), float(2 ** (num_qubits - 1)))
 
 
 def pauli_matrix(pauli):

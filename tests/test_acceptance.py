@@ -51,6 +51,7 @@ from qverify.strategy import (
     two_qubit_closed_form,
     two_qubit_optimal,
 )
+from oracles import dense_metrics
 from stabilizer_oracles import as_dense, full_strategy_q, generator_strategy_q, pauli_matrix
 
 CERT_THETAS = (math.pi / 12, math.pi / 8, math.pi / 5, 3 * math.pi / 8)
@@ -64,7 +65,7 @@ def _verdict(num: int, ok: bool, detail: str) -> None:
 def test_criterion_01_bell_optimum():
     strat = bell_strategy()
     m = metrics(strat)
-    ok = abs(m.q - 1.0 / 3.0) <= 1e-12
+    ok = abs(m.q - 1.0 / 3.0) <= 1e-12 and abs(dense_metrics(strat).q - 1.0 / 3.0) <= 1e-12
     for eps in (0.01, 0.1, 0.37):
         ok = ok and abs(eps * (1.0 - m.q) - 2.0 * eps / 3.0) <= 1e-12
     exact_sample_count(strat, 0.01, 0.1)  # warm the code path before timing
@@ -89,7 +90,7 @@ def test_criterion_02_two_qubit_closed_form():
             strat.omega - two_qubit_closed_form(theta)
         ))))
         worst = max(worst, abs(
-            metrics(strat).q
+            dense_metrics(strat).q
             - (2.0 + math.sin(2 * theta)) / (4.0 + math.sin(2 * theta))
         ))
         rejectors = [

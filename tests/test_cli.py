@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from qverify import samplecount, strategy
+from qverify import strategy
 from qverify.cli import COMMANDS, build_parser, cmd_figure, main, parse_angle
 from qverify.errors import ValidationError
 from qverify.adversary import HULL_COLUMNS, LANDSCAPE_COLUMNS, landscape
@@ -413,8 +413,8 @@ def test_internal_error_exits_3(monkeypatch, capsys, error):
     def broken(*args):
         raise error("internal failure")
 
-    # the Bell builder flag reads its metrics from the closed form
-    monkeypatch.setattr(samplecount, "family_metrics", broken)
+    # the Bell builder gives its strategy the closed-form metrics
+    monkeypatch.setattr(strategy, "family_metrics", broken)
     assert main(["strategy", "--bell"]) == 3
     err = capsys.readouterr().err
     assert f"internal: {error.__name__}" in err

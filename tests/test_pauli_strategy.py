@@ -217,6 +217,8 @@ def test_a_directly_built_pauli_strategy_computes_and_checks_its_counts():
         ((1, 2), StrategyKind.STABILIZER_GENERATORS),
         ((1, 2, 4), StrategyKind.BELL),
         ((1,), "custom"),
+        (5, StrategyKind.CUSTOM),
+        (None, StrategyKind.CUSTOM),
     ):
         with pytest.raises(ValidationError, match="element indices"):
             PauliStrategy(group, indices, kind)
@@ -310,11 +312,15 @@ def test_a_dense_stabilizer_document_keeps_its_checks_and_messages(corrupt):
         ({"kind": "custom", "group": None, "indices": [1]}, "malformed"),
         ({"kind": "custom", "group": ["XX", "ZZ"]}, "malformed"),
         ({"kind": "stabilizer-half", "group": ["XX", "ZZ"], "indices": [1]}, "malformed"),
+        (np.zeros(3), "malformed"),
     ],
 )
 def test_malformed_pauli_documents_are_bad_input(doc, match):
     with pytest.raises(ValidationError, match=match):
         strategy_from_json(doc)
+    if not isinstance(doc, dict):  # strategy_from_json hands it to from_json_dict
+        with pytest.raises(ValidationError, match=match):
+            from_json_dict(doc)
 
 
 # ------------------------------------------------------------------- CLI

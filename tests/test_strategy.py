@@ -38,14 +38,17 @@ from qverify.strategy import (
     two_qubit_optimal,
 )
 
+from oracles import dense_metrics
+
 INTERIOR_THETAS = [0.1, math.pi / 12, math.pi / 8, math.pi / 5, 0.7, 3 * math.pi / 8, 1.45]
 
 
 def test_bell_strategy_exact_worst_case():
-    m = metrics(bell_strategy())
-    assert abs(m.q - 1.0 / 3.0) < 1e-12
-    assert abs(m.delta_eps(0.01) - 0.02 / 3.0) < 1e-14
-    assert abs(m.trace - 2.0) < 1e-12
+    built = bell_strategy()
+    for m in (metrics(built), dense_metrics(built)):
+        assert abs(m.q - 1.0 / 3.0) < 1e-12
+        assert abs(m.delta_eps(0.01) - 0.02 / 3.0) < 1e-14
+        assert abs(m.trace - 2.0) < 1e-12
 
 
 def test_bell_strategy_operator_form():
@@ -134,8 +137,7 @@ def test_annihilating_states_are_product_and_orthogonal(theta):
 def test_two_qubit_strategy_matches_closed_forms(theta):
     strat = two_qubit_optimal(theta)
     assert np.max(np.abs(strat.omega - two_qubit_closed_form(theta))) < 1e-10
-    m = metrics(strat)
-    assert abs(m.q - optimal_q(theta)) < 1e-10
+    assert abs(dense_metrics(strat).q - optimal_q(theta)) < 1e-10
 
 
 @pytest.mark.parametrize("theta", INTERIOR_THETAS)
