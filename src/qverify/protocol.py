@@ -24,7 +24,13 @@ chunks that start at even copies: a chunk from copy c begins block c/2
 of four doubles, so setting the counter to c/2 resumes the stream where
 one uninterrupted draw would be. Chunking, batching across trials and
 early rejection cannot shift any copy's draws: results are bit
-identical per (seed, trial).
+identical per (seed, trial). The sampler keeps one Philox state dict
+of plain Python ints and rewrites its key per trial, because the
+state setter converts Python ints far faster than numpy scalars.
+
+Arguments: n, trials, seed and trial are Python or numpy integers, not
+bool, and every other argument has its documented type; anything else
+raises ValidationError before any sampling.
 
 Stabilizer strategies: a PauliStrategy's pass probabilities are
 (1 + Re tr(sigma P_m))/2, read from sigma's entries at each element's
@@ -57,6 +63,14 @@ CERTAINTY_TOL = 1e-10
 WILSON_Z99 = 2.5758293035489004
 _MASK64 = (1 << 64) - 1
 _CHUNK = 1 << 16
+_FIRST_CHUNK = 32  # even, so every chunk starts at an even copy
+
+
+def _integer(name: str, value) -> int:
+    """value as a Python int; a bool or any non-integer is bad input."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValidationError(f"{name} must be an integer, got {value!r}")
+    return int(value)
 
 
 def _as_density(obj, dim: int) -> np.ndarray:
@@ -95,8 +109,12 @@ class DeviceModel:
     epsilon: float | None = None
 
     def __post_init__(self):
+        if not isinstance(self.target, Ket):
+            raise ValidationError("a device target must be a Ket")
         if (self.sigma is None) == (self.supplier is None):
             raise ValidationError("a device needs exactly one of sigma and supplier")
+        if self.supplier is not None and not callable(self.supplier):
+            raise ValidationError("a device supplier must be callable")
         if self.epsilon is not None:
             check_probability("epsilon", self.epsilon)
         if self.sigma is not None:
@@ -210,6 +228,8 @@ class _Plan:
 
 
 def _build_plan(strategy: Strategy | PauliStrategy, device: DeviceModel, n: int) -> _Plan:
+    if not isinstance(strategy, (Strategy, PauliStrategy)) or not isinstance(device, DeviceModel):
+        raise ValidationError("expected a Strategy or PauliStrategy and a DeviceModel")
     if n < 1:
         raise ValidationError("n must be at least 1")
     if device.target.dim != strategy.dim:
@@ -267,25 +287,28 @@ def _supplied_rows(device: DeviceModel, n: int, row) -> tuple[list, list[int]]:
 
 def _first_failures(
     plan: _Plan, n: int, seed: int, trials: np.ndarray, record: bool = False
-) -> tuple[np.ndarray, list | None]:
+) -> tuple[np.ndarray, np.ndarray | None]:
     """First failing copy of each trial (n when all n pass) and, when
-    record is set, each trial's drawn setting indices in chunks.
+    record is set, a (trials, n) table of drawn setting indices, filled
+    through each trial's stop.
 
-    Follows the stream contract in the module docstring. The first chunk
-    is 16 copies and chunks double after that; only trials that have not
-    failed draw the next one, at most _CHUNK trial-copy cells at a time.
+    Follows the stream contract in the module docstring; seed is already
+    reduced mod 2^64. The first chunk is _FIRST_CHUNK (32) copies and
+    chunks double after that; only trials that have not failed draw the
+    next one, at most _CHUNK trial-copy cells at a time.
     """
     stops = np.full(trials.size, n, dtype=np.int64)
-    drawn = [[] for _ in range(trials.size)] if record else None
+    drawn = np.empty((trials.size, n), dtype=np.intp) if record else None
     if not record and np.all(plan.probs == 1.0):
         return stops, drawn  # random() < 1, so no copy can fail
-    bitgen = np.random.Philox(key=int(seed) & _MASK64)
+    bitgen = np.random.Philox(key=seed)
     gen = np.random.Generator(bitgen)
-    state = bitgen.state
-    key, counter = state["state"]["key"], state["state"]["counter"]
+    state = bitgen.state  # fresh, so its buffer is empty; ints from here on
+    key, counter = [seed, 0], [0, 0, 0, 0]
+    state.update(state={"counter": counter, "key": key}, buffer=[0, 0, 0, 0])
     live = np.arange(trials.size)
     buffer = np.empty(2 * min(_CHUNK, trials.size * min(n, _CHUNK)))  # largest batch
-    start, width = 0, 16
+    start, width = 0, _FIRST_CHUNK
     while start < n and live.size:
         width = min(width, _CHUNK, n - start)
         counter[0] = start // 2
@@ -293,7 +316,7 @@ def _first_failures(
         for lo in range(0, live.size, rows_per_batch):
             rows = live[lo : lo + rows_per_batch]
             u = buffer[: rows.size * 2 * width].reshape(rows.size, 2 * width)
-            for row, t in zip(u, trials[rows]):
+            for row, t in zip(u, trials[rows].tolist()):
                 key[1] = t
                 bitgen.state = state
                 gen.random(out=row)
@@ -304,8 +327,7 @@ def _first_failures(
             hit = fails.any(axis=1)
             stops[rows[hit]] = start + fails[hit].argmax(axis=1)
             if record:
-                for i, chunk in zip(rows, picks):
-                    drawn[i].append(chunk)
+                drawn[rows, start : start + width] = picks
         live = live[stops[live] == n]
         start, width = start + width, 2 * width
     return stops, drawn
@@ -315,14 +337,15 @@ def run_protocol(
     strategy: Strategy | PauliStrategy, device: DeviceModel, n: int, seed: int, trial: int = 0
 ) -> RunResult:
     """Simulate one sequential run of n copies, stopping at first failure."""
+    n, seed = _integer("n", n), _integer("seed", seed) & _MASK64
+    trials = np.array([_integer("trial", trial) & _MASK64], dtype=np.uint64)
     plan = _build_plan(strategy, device, n)
-    trials = np.array([int(trial) & _MASK64], dtype=np.uint64)
     stop = int(_first_failures(plan, n, seed, trials)[0][0])
     return RunResult(
         n_copies=n,
         accepted=stop == n,
         first_failure_index=None if stop == n else stop,
-        rng_seed=int(seed) & _MASK64,
+        rng_seed=seed,
     )
 
 
@@ -341,10 +364,15 @@ def estimate_power(
     is given it receives one JSON ready dict per trial; setting labels
     are recorded only on request because they dominate transcript size.
     """
+    n, trials = _integer("n", n), _integer("trials", trials)
+    seed = _integer("seed", seed) & _MASK64
+    if sink is not None and not callable(sink):
+        raise ValidationError("sink must be callable")
     plan = _build_plan(strategy, device, n)
     if trials < 1:
         raise ValidationError("trials must be at least 1")
     record = sink is not None and record_labels
+    labels = np.array(plan.labels, dtype=object)
     # trials go in blocks, so memory stays bounded; drawn labels wait
     # for their records, so a recording block holds at most _CHUNK copies
     step = max(1, _CHUNK // n) if record else _CHUNK
@@ -363,8 +391,7 @@ def estimate_power(
                 "first_failure_index": None if stop == n else stop,
             }
             if record:
-                picks = np.concatenate(drawn[i])[: stop + 1].tolist()
-                entry["setting_labels_drawn"] = [plan.labels[j] for j in picks]
+                entry["setting_labels_drawn"] = labels[drawn[i, : stop + 1]].tolist()
             sink(entry)
     low, high = wilson_interval(accepted_count, trials)
     return EnsembleStats(
@@ -384,6 +411,7 @@ def predicted_acceptance(
     predicts exactly 1 and the worst case IID adversary predicts
     exactly (1 - delta_eps)^n.
     """
+    n = _integer("n", n)
     plan = _build_plan(strategy, device, n)
     # the sampler forces its cumulative table to end at 1, so weight
     # rounding cannot push a certain accept below (or above) certainty;

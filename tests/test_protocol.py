@@ -10,6 +10,7 @@ from qverify.errors import ValidationError
 from qverify.adversary import AdversaryState, worst_case_state
 from qverify.protocol import (
     _CHUNK,
+    _FIRST_CHUNK,
     CERTAINTY_TOL,
     WILSON_Z99,
     DeviceModel,
@@ -308,6 +309,57 @@ def test_protocol_input_validation():
         predicted_acceptance(strat, device, 0)
 
 
+@pytest.mark.parametrize("bad", [2.5, 1.5, np.float64(3.0), True, np.True_, None, "x"])
+def test_integer_arguments_reject_non_integers(bad):
+    strat, device = worst_iid_device(0.1)
+    with pytest.raises(ValidationError):
+        predicted_acceptance(strat, device, bad)
+    for args in ({"n": bad}, {"seed": bad}, {"trial": bad}):
+        with pytest.raises(ValidationError):
+            run_protocol(strat, device, **{"n": 5, "seed": 0, **args})
+    for args in ({"n": bad}, {"trials": bad}, {"seed": bad}):
+        with pytest.raises(ValidationError):
+            estimate_power(strat, device, **{"n": 5, "trials": 5, "seed": 0, **args})
+
+
+def test_numpy_integer_counts_give_plain_results():
+    strat, device = worst_iid_device(0.1)
+    records = []
+    stats = estimate_power(
+        strat, device, n=np.int64(7), trials=np.uint16(9), seed=np.int32(3),
+        sink=records.append, record_labels=True,
+    )
+    assert type(stats.trials) is int and stats.trials == 9
+    assert all(type(r["n"]) is int for r in records)
+    json.dumps(records)
+    assert predicted_acceptance(strat, device, np.int64(7)) == predicted_acceptance(strat, device, 7)
+
+
+def test_wrong_object_types_are_bad_input_before_sampling():
+    strat, device = worst_iid_device(0.1)
+    for build in (
+        lambda: honest_device(5),
+        lambda: iid_adversary(None, np.eye(4) / 4),
+        lambda: varying_adversary(BELL, 5),
+        lambda: estimate_power(None, device, n=5, trials=5, seed=0),
+        lambda: estimate_power(strat, None, n=5, trials=5, seed=0),
+        lambda: run_protocol(strat, "device", 5, seed=0),
+        lambda: predicted_acceptance(np.eye(4), device, 5),
+    ):
+        with pytest.raises(ValidationError):
+            build()
+    supplied = []
+
+    def supplier(i):
+        supplied.append(i)
+        return BELL
+
+    watched = varying_adversary(BELL, supplier)
+    with pytest.raises(ValidationError):
+        estimate_power(strat, watched, n=5, trials=5, seed=0, sink=5)
+    assert supplied == []  # refused before the plan reads a single copy
+
+
 def test_device_target_must_match_strategy():
     strat = two_qubit_optimal(0.6)
     device = honest_device(BELL)
@@ -386,7 +438,8 @@ def test_device_states_and_adversary_states_share_one_density_check(diagonal):
 
 MASK64 = (1 << 64) - 1
 SEEDS = (0, (1 << 63) + 5)
-ORACLE_NS = (1, 2, 3, 15, 16, 17, 33, 257)
+# short runs and runs at and around the chunk edges (copies 32, 96, 224)
+ORACLE_NS = (1, 2, 3, 15, 16, 17, 31, 32, 33, 95, 96, 97, 225, 257)
 
 
 def oracle_table(strat, device, n):
@@ -474,10 +527,11 @@ def test_stream_contract_past_one_chunk(kind, seed):
 
 @pytest.mark.parametrize("kind", ["honest", "iid", "varying", "custom"])
 def test_stream_contract_across_trial_batches(kind):
-    # the first chunk of 16 copies batches _CHUNK // 16 trials at a time,
-    # and a run that records labels takes _CHUNK // n trials per block
+    # the first chunk of _FIRST_CHUNK copies batches _CHUNK // _FIRST_CHUNK
+    # trials at a time, and a run that records labels takes _CHUNK // n
+    # trials per block
     strat, devices = oracle_devices()
-    trials = _CHUNK // 16 + 50
+    trials = _CHUNK // _FIRST_CHUNK + 50
     assert_matches_oracle(strat, devices[kind], 40, trials, SEEDS[1], replay=False)
 
 
@@ -488,6 +542,29 @@ def test_trial_index_is_taken_mod_2_64():
     for trial in (-1, 1 << 64, (1 << 64) + 3):
         failure, _ = oracle_run(strat, table, 50, 9, trial)
         assert run_protocol(strat, device, 50, 9, trial=trial).first_failure_index == failure
+
+
+def test_numpy_integer_seed_and_trial_replay_python_ints():
+    strat, devices = oracle_devices()
+    device = devices["iid"]
+    table = oracle_table(strat, device, 1)
+    for numpy_seed in (np.uint64((1 << 63) + 5), np.int64(-1)):
+        seed = int(numpy_seed)
+        by_type = []
+        for s in (numpy_seed, seed):
+            records = []
+            estimate_power(
+                strat, device, n=40, trials=20, seed=s,
+                sink=records.append, record_labels=True,
+            )
+            by_type.append(records)
+        assert by_type[0] == by_type[1]
+        for numpy_trial in (np.uint64((1 << 63) + 5), np.int64(-1), np.int32(7)):
+            trial = int(numpy_trial)
+            run = run_protocol(strat, device, 40, numpy_seed, trial=numpy_trial)
+            assert run == run_protocol(strat, device, 40, seed, trial=trial)
+            assert run.first_failure_index == oracle_run(strat, table, 40, seed, trial)[0]
+            assert type(run.rng_seed) is int
 
 
 def test_honest_labels_come_from_the_stream():
