@@ -28,10 +28,10 @@ two qubit targets sin(theta)|00> + cos(theta)|11>:
 The worst orthogonal state is picked by one rule that reads only the
 strategy operator, not the eigensolver's basis (top_orthogonal_eigenvector).
 A stabilizer PauliStrategy is diagonal in its joint eigenbasis, so the
-rule reads its top syndromes instead of solving an eigenproblem, and its
-game value is the closed form with the exact dual multiplier 1 - q.
-Worst-case states are packaged as density matrices so the protocol
-simulator can feed them to a device model directly; a Hilbert-Schmidt
+rule reads its top syndromes, with no eigenproblem and no 2^N x 2^N
+array, and its game value is the closed form with the exact dual
+multiplier 1 - q. Pure worst-case states are kept as Kets that the
+protocol simulator can feed to a device model directly; a Hilbert-Schmidt
 mixed state sampler with exact fidelity shifting supports randomized
 sufficiency checks (a mixed state at the fidelity boundary never beats
 the pure worst case).
@@ -41,6 +41,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -53,7 +54,7 @@ from .errors import (
 )
 from .qcore import TOL_DERIVED, HermitianOperator, Ket
 from .samplecount import check_probability, check_theta, optimal_q
-from .stabilizer import PauliStrategy
+from .stabilizer import _PHASES, PauliStrategy, _act, _walsh
 from .strategy import Strategy, alpha_weight
 
 # certify_optimality: a sound sweep finds nothing below the closed form
@@ -66,21 +67,29 @@ LOCATION_TOL = 1e-4
 
 @dataclass(frozen=True, eq=False)
 class AdversaryState:
-    """A device output candidate: density matrix plus target fidelity."""
+    """A device output candidate: the Ket of a pure one or the checked
+    density of a mixed one, plus target fidelity; sigma, the density
+    matrix, is built from a Ket only when read."""
 
-    sigma: HermitianOperator
+    state: Ket | HermitianOperator
     fidelity: float
 
     def __post_init__(self):
-        qcore.check_density(self.sigma.entries, "density matrix")
+        if isinstance(self.state, HermitianOperator):
+            qcore.check_density(self.state.entries, "density matrix")
+        elif not isinstance(self.state, Ket):
+            raise ValidationError("an adversary state is a Ket or a HermitianOperator")
         if not -TOL_DERIVED <= self.fidelity <= 1.0 + TOL_DERIVED:
             raise ValidationError(f"fidelity {self.fidelity!r} outside [0, 1]")
+
+    @cached_property
+    def sigma(self) -> HermitianOperator:
+        return self.state.density() if isinstance(self.state, Ket) else self.state
 
 
 def pure_adversary_state(amplitudes: np.ndarray, target: Ket) -> AdversaryState:
     ket = Ket(np.asarray(amplitudes, dtype=complex))
-    # |x><x| of a checked unit vector has trace 1 and no negative eigenvalue
-    return qcore._assembled(AdversaryState, sigma=ket.density(), fidelity=ket.fidelity(target))
+    return AdversaryState(ket, ket.fidelity(target))
 
 
 def _operator_entries(omega, dim: int, what: str) -> np.ndarray:
@@ -116,41 +125,48 @@ def top_orthogonal_eigenvector(strategy: Strategy | PauliStrategy) -> tuple[floa
     ties (Bell, two-qubit, product, full stabilizer), Pi reads only the
     target, so the state does not depend on the eigensolver's basis.
     A PauliStrategy's eigenvectors are the joint eigenvectors of its
-    syndromes, and its q those with the most passing elements: Pi sums
-    the top syndromes' projectors, or subtracts the others' from
-    I - |psi><psi|, whichever sum is shorter. No eigenproblem is solved.
+    syndromes, and its q those with the most passing elements; its Pi is
+    read from counts and element table, with no eigenproblem or matrix.
     """
     if isinstance(strategy, PauliStrategy):
-        q, proj = _syndrome_projector(strategy)
+        q, weights, column = _syndrome_projector(strategy)
     else:
         basis, block = qcore.orthocomplement_block(strategy.target, strategy.omega)
         vals, vecs = np.linalg.eigh(block)
         q = float(vals[-1])
-        proj = _perp_projector(strategy.target, basis @ vecs[:, vals < q - TOL_DERIVED])
-    weights = proj.diagonal().real
+        low, psi = basis @ vecs[:, vals < q - TOL_DERIVED], strategy.target.amplitudes
+        proj = np.eye(psi.size) - np.outer(psi, psi.conj()) - low @ low.conj().T
+        weights, column = proj.diagonal().real, lambda b: proj[:, b]
     b = int(np.argmax(weights >= weights.max() - TOL_DERIVED))
-    return q, Ket(proj[:, b] / math.sqrt(weights[b]))
+    return q, Ket(column(b) / math.sqrt(weights[b]))
 
 
-def _perp_projector(target: Ket, low: np.ndarray) -> np.ndarray:
-    """I - |psi><psi| - low low^dagger, for orthonormal columns low."""
-    psi = target.amplitudes
-    return np.eye(psi.size) - np.outer(psi, psi.conj()) - low @ low.conj().T
+def _syndrome_projector(strategy: PauliStrategy):
+    """(q, every Pi_bb, b -> Pi|b>) of a PauliStrategy. The top syndromes
+    have the most passing elements, c(s) = q k, and Pi = I - |psi><psi| - R:
+    R = 2^-N sum_m r(m) P_m, exactly dyadic, sums the other nonzero
+    syndromes' projectors, r the Walsh-Hadamard transform of their
+    indicator (0 for the full scheme). R_bb is one more transform of
+    r(m) (-1)^(phase_m / 2) at z_m over the x_m = 0 elements."""
+    counts, (xs, zs, phases), dim = strategy.counts, strategy.group.table, strategy.dim
+    r = _walsh((counts < counts[1:].max()).astype(np.int64))  # c(0) = k is never below
+    diagonal = xs == 0
+    placed = np.bincount(zs[diagonal], r[diagonal] * (1 - phases[diagonal]), dim)
+    psi = strategy.target.amplitudes
+    weights = 1.0 - (psi * psi.conj()).real - _walsh(placed) / dim
+    terms = np.flatnonzero(r)
+    coeffs = _PHASES[phases[terms]] * r[terms] / dim
 
+    def column(b: int) -> np.ndarray:
+        out = np.zeros(dim, dtype=complex)
+        out[b] = 1.0
+        out -= psi * psi[b].conj()
+        images, parts = _act(xs[terms], zs[terms], coeffs, b)
+        out.real -= np.bincount(images, parts.real, dim)
+        out.imag -= np.bincount(images, parts.imag, dim)
+        return out
 
-def _syndrome_projector(strategy: PauliStrategy) -> tuple[float, np.ndarray]:
-    """(q, Pi) of a PauliStrategy: the top syndromes are the nonzero s
-    with the most passing elements, c(s) = q k."""
-    strategy.check_dense("the worst-case state")
-    counts, group = strategy.counts, strategy.group
-    top = counts == counts[1:].max()
-    top[0] = False
-    above, below = np.flatnonzero(top), np.flatnonzero(~top)[1:]
-    if above.size < below.size:
-        rows = group._joint_eigenvectors(above)
-        return strategy.metrics.q, rows.T @ rows.conj()
-    low = group._joint_eigenvectors(below).T
-    return strategy.metrics.q, _perp_projector(strategy.target, low)
+    return strategy.metrics.q, weights, column
 
 
 def _eps_far(strategy: Strategy | PauliStrategy, epsilon: float, top: Ket) -> AdversaryState:
@@ -210,7 +226,7 @@ def shift_fidelity(rho: np.ndarray, target: Ket, epsilon: float) -> AdversarySta
         comp = (np.eye(target.dim, dtype=complex) - proj) / (target.dim - 1)
         lam = 1.0 - goal / f0
         mixed = (1.0 - lam) * rho + lam * comp
-    return AdversaryState(sigma=HermitianOperator(mixed), fidelity=goal)
+    return AdversaryState(HermitianOperator(mixed), goal)
 
 
 def tau_state(theta: float, phi: float, eta: float) -> Ket:

@@ -11,10 +11,10 @@ against.
 Devices: a DeviceModel is either one fixed state handed over on every
 copy (the honest device emits the target, an IID adversary one sigma)
 or a per-copy supplier (a varying adversary). Its one constructor
-checks epsilon, the fixed state's density and, when epsilon is given,
-the promise fidelity <= 1 - epsilon; a supplier's states get the same
-checks as the plan reads them, once per plan for a frozen state object
-and on every copy for a raw array.
+checks epsilon, the fixed state and, when epsilon is given, the promise
+fidelity <= 1 - epsilon; a supplier's states get the same checks as the
+plan reads them, once per plan for a frozen state object and on every
+copy for a raw array.
 
 Reproducibility: trial t of a run with seed s reads the Philox4x64-10
 stream with key (s mod 2^64, t mod 2^64) and counter 0, that is the
@@ -33,9 +33,9 @@ bool, and every other argument has its documented type; anything else
 raises ValidationError before any sampling.
 
 Stabilizer strategies: a PauliStrategy's pass probabilities are
-(1 + Re tr(sigma P_m))/2, read from sigma's entries at each element's
-permutation of the basis, with no projector built; its plan, like every
-dense density, is limited to stabilizer.MAX_DENSE_QUBITS.
+(1 + Re <P_m>)/2, read from a pure state's Ket (or a density) at each
+element's permutation of the basis, so its plan for a pure device state
+builds no 2^N x 2^N array up to MAX_QUBITS.
 
 Exactness at the edges: pass probabilities within 1e-10 of 0 or 1 are
 clamped to exactly 0 or 1 before sampling. An honest device therefore
@@ -73,22 +73,21 @@ def _integer(name: str, value) -> int:
     return int(value)
 
 
-def _as_density(obj, dim: int) -> np.ndarray:
-    if isinstance(obj, AdversaryState):
-        arr = obj.sigma.entries
-        if arr.shape[0] != dim:
-            raise ValidationError("device state dimension mismatch")
-        return arr
-    if isinstance(obj, Ket):
-        obj = obj.density()
-    if isinstance(obj, HermitianOperator):
-        arr = obj.entries
-    else:
-        arr = HermitianOperator(np.asarray(obj, dtype=complex)).entries
-    if arr.shape[0] != dim:
+def _as_state(obj, dim: int) -> Ket | np.ndarray:
+    """A pure device state as its Ket, a mixed one as a checked density
+    matrix; an AdversaryState's was checked when it was made."""
+    state = obj.state if isinstance(obj, AdversaryState) else obj
+    if not isinstance(state, (Ket, HermitianOperator)):
+        try:
+            arr = np.asarray(state, dtype=complex)
+        except (TypeError, ValueError) as exc:
+            raise ValidationError(f"a device state must be a numeric array: {exc}") from None
+        state = HermitianOperator(arr)
+    if state.dim != dim:
         raise ValidationError("device state dimension mismatch")
-    check_density(arr, "device state")
-    return arr
+    if isinstance(state, HermitianOperator) and not isinstance(obj, AdversaryState):
+        check_density(state.entries, "device state")
+    return state if isinstance(state, Ket) else state.entries
 
 
 @dataclass(frozen=True, eq=False)
@@ -96,15 +95,15 @@ class DeviceModel:
     """What the device hands over on each copy.
 
     A device is one fixed state or a per-copy supplier, never both:
-    sigma is the state of every copy (stored as a checked density
-    matrix), and supplier(copy_index) deterministically gives copy
+    sigma is the state of every copy (a pure one kept as its Ket, a mixed
+    one as a checked density matrix), and supplier(copy_index) gives copy
     copy_index's state, checked as it is read, so runs replay exactly.
     When epsilon in (0, 1) is given, every state must keep the promise
     fidelity <= 1 - epsilon; without it no promise is checked.
     """
 
     target: Ket
-    sigma: np.ndarray | None = None
+    sigma: Ket | np.ndarray | None = None
     supplier: Callable[[int], object] | None = None
     epsilon: float | None = None
 
@@ -118,24 +117,25 @@ class DeviceModel:
         if self.epsilon is not None:
             check_probability("epsilon", self.epsilon)
         if self.sigma is not None:
-            arr = _as_density(self.sigma, self.target.dim)
-            self._check_promise(arr, "device state")
-            object.__setattr__(self, "sigma", arr)
+            state = _as_state(self.sigma, self.target.dim)
+            self._check_promise(state, "device state")
+            object.__setattr__(self, "sigma", state)
 
-    def _check_promise(self, arr: np.ndarray, where: str) -> None:
+    def _check_promise(self, state: Ket | np.ndarray, where: str) -> None:
         if self.epsilon is None:
             return
         psi = self.target.amplitudes
-        fid = float(np.real(np.vdot(psi, arr @ psi)))
+        pure = isinstance(state, Ket)
+        fid = state.fidelity(self.target) if pure else float(np.vdot(psi, state @ psi).real)
         if fid > 1.0 - self.epsilon + TOL_INPUT:
             raise ValidationError(
                 f"{where} has fidelity {fid!r} above the promised 1 - epsilon"
             )
 
-    def _supplied_density(self, obj, copy_index: int) -> np.ndarray:
-        arr = _as_density(obj, self.target.dim)
-        self._check_promise(arr, f"supplied state for copy {copy_index}")
-        return arr
+    def _supplied_state(self, obj, copy_index: int) -> Ket | np.ndarray:
+        state = _as_state(obj, self.target.dim)
+        self._check_promise(state, f"supplied state for copy {copy_index}")
+        return state
 
 
 def honest_device(target: Ket) -> DeviceModel:
@@ -189,6 +189,7 @@ def wilson_interval(
     successes: int, trials: int, z: float = WILSON_Z99
 ) -> tuple[float, float]:
     """Wilson score interval for a binomial proportion."""
+    successes, trials = _integer("successes", successes), _integer("trials", trials)
     if trials < 1:
         raise ValidationError("trials must be at least 1")
     if not 0 <= successes <= trials:
@@ -240,12 +241,12 @@ def _build_plan(strategy: Strategy | PauliStrategy, device: DeviceModel, n: int)
     cum = np.cumsum(weights)
     cum[-1] = 1.0
     if isinstance(strategy, PauliStrategy):
-        strategy.check_dense("the protocol plan")
         row = strategy.pass_probabilities
     else:
         stack = np.stack([s.projector.entries for s in strategy.settings])
 
-        def row(arr):
+        def row(state):
+            arr = state.density().entries if isinstance(state, Ket) else state
             return np.einsum("kij,ji->k", stack, arr)
 
     # pass probabilities by copy and setting; one row serves every copy
@@ -279,7 +280,7 @@ def _supplied_rows(device: DeviceModel, n: int, row) -> tuple[list, list[int]]:
             which.append(hit[1])
             continue
         which.append(len(rows))
-        rows.append(row(device._supplied_density(obj, i)))
+        rows.append(row(device._supplied_state(obj, i)))
         if isinstance(obj, (AdversaryState, HermitianOperator, Ket)):
             seen[id(obj)] = obj, which[-1]
     return rows, which

@@ -25,6 +25,7 @@ strategies those three builders make hold it as their metrics.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -39,7 +40,9 @@ SPECIAL_THETAS = (0.0, math.pi / 4, math.pi / 2)
 
 
 def check_probability(name: str, value: float, open_zero=True, open_one=True):
-    """Raise ValidationError unless value lies in (0, 1), closed where asked."""
+    """Raise ValidationError unless value is a real in (0, 1), closed where asked."""
+    if type(value) is not float and not isinstance(value, numbers.Real):
+        raise ValidationError(f"{name} must be a real number, got {value!r}")
     lo_ok = value > 0.0 if open_zero else value >= 0.0
     hi_ok = value < 1.0 if open_one else value <= 1.0
     if not (lo_ok and hi_ok):

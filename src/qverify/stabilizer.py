@@ -36,7 +36,7 @@ PauliString elements (all checked as one stack), the joint eigenvectors
 (all requested syndromes in one pass: each start index is read off a
 GF(2) basis of the diagonal elements, and the signed terms are summed
 exactly by np.bincount) and each element's permutation of the basis,
-which the protocol plan reads a device's density at.
+which the protocol plan reads a device's state at.
 
 Every strategy here, full, generators or a chosen subset, is a
 PauliStrategy: group, element indices, kind and pass counts, and no
@@ -44,9 +44,9 @@ projector. Its constructor is the one place a stabilizer strategy's
 group, kind and element indices are checked; subset_strategy wraps the
 one it builds in a SubsetReport. Metrics, the worst-case state and game
 value (adversary) and the protocol plan read the counts, the joint
-eigenvectors or the element table; only those that are dense 2^N x 2^N
-results stop at MAX_DENSE_QUBITS. A ParityCheck checks its group on
-construction.
+eigenvectors or the element table and build no 2^N x 2^N array, so they
+work to MAX_QUBITS; only the dense ParityCheck eigenbasis stops at
+MAX_DENSE_QUBITS. A ParityCheck checks its group on construction.
 """
 
 from __future__ import annotations
@@ -72,8 +72,7 @@ from .qcore import MAX_QUBITS, TOL_DERIVED, Ket
 from .samplecount import StrategyMetrics
 from .strategy import Locality, Strategy, StrategyKind, from_json_dict
 
-# Dense results stop here: a PauliStrategy's worst-case state, game value
-# and protocol plan, and the ParityCheck eigenbasis.
+# The dense ParityCheck eigenbasis stops here.
 MAX_DENSE_QUBITS = 6
 
 _LETTER_TO_BITS = {"I": (0, 0), "X": (1, 0), "Y": (1, 1), "Z": (0, 1)}
@@ -209,21 +208,27 @@ def _pass_rows(masks, num_qubits: int) -> np.ndarray:
     return (1 - _parity(m & _column_syndromes(num_qubits))).astype(np.int8)
 
 
-def _pass_counts(indices, num_qubits: int) -> np.ndarray:
-    """Entry s counts the chosen element indices m with |m & s| even.
-
-    (H 1_S)(s) = sum_{m in S} (-1)^|m & s|, the Walsh-Hadamard transform of
-    the indicator of the k chosen indices, is passes minus failures at s.
-    """
-    counts = np.zeros(2**num_qubits, dtype=np.int64)
-    counts[np.asarray(indices, dtype=np.int64)] = 1
+def _walsh(values: np.ndarray) -> np.ndarray:
+    """v transformed in place to (H v)(s) = sum_m v(m) (-1)^|m & s|."""
     half = 1
-    while half < counts.size:
-        low, high = counts.reshape(-1, 2, half).transpose(1, 0, 2)
+    while half < values.size:
+        low, high = values.reshape(-1, 2, half).transpose(1, 0, 2)
         low += high  # (a, b) -> (a + b, a - b)
         high *= -2
         high += low
         half *= 2
+    return values
+
+
+def _pass_counts(indices, num_qubits: int) -> np.ndarray:
+    """Entry s counts the chosen element indices m with |m & s| even.
+
+    (H 1_S)(s), the Walsh-Hadamard transform of the indicator of the k
+    chosen indices, is passes minus failures at s.
+    """
+    counts = np.zeros(2**num_qubits, dtype=np.int64)
+    counts[np.asarray(indices, dtype=np.int64)] = 1
+    counts = _walsh(counts)
     return (counts[0] + counts) // 2  # (k + passes - failures) / 2, k = H 1_S(0)
 
 
@@ -555,9 +560,9 @@ class PauliStrategy:
     metrics read the counts. A full or generators strategy must list
     that scheme's indices, a custom one sorted distinct integers; the
     group must be a maximal StabilizerGroup. target, settings and
-    metrics are made on first read. The dense results built from it
-    (adversary's worst-case state and game value, protocol's plan) are
-    limited to MAX_DENSE_QUBITS; see check_dense.
+    metrics are made on first read. Every result built from it
+    (adversary's worst-case state and game value, protocol's plan) works
+    to MAX_QUBITS with no 2^N x 2^N array.
     """
 
     group: StabilizerGroup
@@ -617,22 +622,18 @@ class PauliStrategy:
     def metrics(self) -> StrategyMetrics:
         return _count_metrics(self.counts)
 
-    def check_dense(self, what: str) -> None:
-        """Raise BadDimError if what, a dense result, exceeds MAX_DENSE_QUBITS."""
-        if self.group.num_qubits > MAX_DENSE_QUBITS:
-            raise BadDimError(
-                f"{what} of a {self.kind.value} strategy is dense and limited to "
-                f"{MAX_DENSE_QUBITS} qubits"
-            )
-
-    def pass_probabilities(self, sigma: np.ndarray) -> np.ndarray:
-        """(1 + Re tr(sigma P_m))/2 for each chosen element m, in O(k 2^N):
-        P_m|b> = coefficient |image>, so tr(sigma P_m) sums
-        sigma[b, image] coefficient over b."""
-        xs, zs, phases = self.group.table[:, np.asarray(self.indices)]
+    def pass_probabilities(self, state: Ket | np.ndarray) -> np.ndarray:
+        """(1 + Re <P_m>)/2 for each chosen element m, one at a time, in
+        O(k 2^N): P_m|b> = coefficient |image>, so <P_m> sums coefficient
+        times x_b conj(x_image) (a Ket x) or sigma[b, image] (a density)."""
         cols = np.arange(self.dim)
-        images, coeffs = _act(xs[:, None], zs[:, None], _PHASES[phases][:, None], cols)
-        return (1.0 + (sigma[cols, images] * coeffs).sum(axis=1).real) / 2.0
+        ket = state.amplitudes if isinstance(state, Ket) else None
+        means = np.empty(len(self.indices))
+        for i, (x, z, phase) in enumerate(self.group.table[:, list(self.indices)].T.tolist()):
+            image, coeff = _act(x, z, _PHASES[phase], cols)
+            pairs = state[cols, image] if ket is None else ket * ket[image].conj()
+            means[i] = (pairs * coeff).sum().real
+        return (1.0 + means) / 2.0
 
 
 @dataclass(frozen=True, eq=False)

@@ -7,7 +7,7 @@ through them.
 
 import numpy as np
 
-from qverify.qcore import TOL_DERIVED, HermitianOperator, _projector_defects
+from qverify.qcore import TOL_DERIVED, HermitianOperator, Ket, _projector_defects
 from qverify.qcore import orthocomplement_block
 from qverify.samplecount import StrategyMetrics
 
@@ -20,10 +20,12 @@ def is_projector(op: HermitianOperator) -> bool:
 
 def density_at(device, copy_index: int) -> np.ndarray:
     """Copy copy_index's density matrix: a fixed device's sigma, or the
-    supplier's state checked as the protocol checks it."""
-    if device.sigma is not None:
-        return device.sigma
-    return device._supplied_density(device.supplier(copy_index), copy_index)
+    supplier's state checked as the protocol checks it; a pure state,
+    which the device keeps as its Ket, is densified."""
+    state = device.sigma
+    if state is None:
+        state = device._supplied_state(device.supplier(copy_index), copy_index)
+    return state.density().entries if isinstance(state, Ket) else state
 
 
 def dense_metrics(strategy) -> StrategyMetrics:

@@ -31,6 +31,7 @@ from qverify.stabilizer import (
     _count_metrics,
     _parity,
     _pass_counts,
+    group_from_json,
 )
 from qverify.strategy import Locality, Strategy, _settings
 
@@ -67,6 +68,53 @@ def apply_to_index(pauli, index):
     qcore.check_index("basis index", index, 2**pauli.num_qubits)
     new_index, coeff = _act(pauli.x, pauli.z, _PHASES[pauli.phase], index)
     return int(new_index), complex(coeff)
+
+
+# ---------------------------------------------------------- random groups
+
+_HADAMARD = np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2.0)
+_PHASE_GATE = np.diag([1.0, 1.0j])
+_LETTERS = {(0, 0): "I", (1, 0): "X", (0, 1): "Z", (1, 1): "Y"}
+
+
+def random_group(num_qubits, rng, gates=None):
+    """(group, amplitudes): a random maximal group and, by an independent
+    route, the state it stabilizes.
+
+    Random H, S and CNOT gates act on the tableau of the Z-basis group
+    (generator j is Z on qubit j) by Aaronson & Gottesman's rules (PRA 70,
+    052328, 2004), signs included, and on the dense vector |0...0> as
+    matrices; qubit 0 is the most significant bit, as in the library.
+    """
+    n = num_qubits
+    xs, zs = np.zeros((n, n), dtype=bool), np.eye(n, dtype=bool)
+    signs = np.zeros(n, dtype=bool)
+    psi = np.zeros((2,) * n, dtype=complex)
+    psi[(0,) * n] = 1.0
+    for _ in range(5 * n * n if gates is None else gates):
+        kind, a = rng.integers(3), int(rng.integers(n))
+        if kind < 2 or n == 1:  # H or S on qubit a
+            signs ^= xs[:, a] & zs[:, a]
+            if kind == 0:
+                xs[:, a], zs[:, a] = zs[:, a].copy(), xs[:, a].copy()
+            else:
+                zs[:, a] ^= xs[:, a]
+            gate = _HADAMARD if kind == 0 else _PHASE_GATE
+            psi = np.moveaxis(np.tensordot(gate, psi, axes=(1, a)), 0, a)
+        else:  # CNOT, control a, target b
+            b = (a + 1 + int(rng.integers(n - 1))) % n
+            signs ^= xs[:, a] & zs[:, b] & ~(xs[:, b] ^ zs[:, a])
+            xs[:, b] ^= xs[:, a]
+            zs[:, a] ^= zs[:, b]
+            flipped = psi.copy()
+            ones = tuple(slice(None) if q != a else 1 for q in range(n))
+            flipped[ones] = np.flip(psi[ones], axis=b - (b > a))
+            psi = flipped
+    labels = [
+        ("-" if sign else "") + "".join(_LETTERS[int(x), int(z)] for x, z in zip(xr, zr))
+        for xr, zr, sign in zip(xs, zs, signs)
+    ]
+    return group_from_json(labels), psi.ravel()
 
 
 # ------------------------------------------------------------ retired routes

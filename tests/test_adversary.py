@@ -727,6 +727,9 @@ def test_bad_operator_arguments_are_bad_input():
         acceptance_probability(np.eye(8), state)
     with pytest.raises(NonHermitianError):
         acceptance_probability(np.triu(np.ones((4, 4))), state)
+    for epsilon in ("x", None, [0.1]):
+        with pytest.raises(ValidationError, match="must be a real number"):
+            worst_case_state(bell_strategy(), epsilon)
 
 
 def test_mixed_states_never_beat_pure_worst_case():

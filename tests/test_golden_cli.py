@@ -48,6 +48,10 @@ CASES = {
         "--epsilon", "0.1", "--n", "20", "--trials", "200", "--seed", "7",
         "--transcript", "runs.jsonl", "--record-labels",
     ],
+    "simulate-ghz12": [
+        "simulate", "--stabilizer-full", "--preset", "ghz12", "--device", "worst-iid",
+        "--epsilon", "0.1", "--n", "20", "--trials", "200", "--seed", "7",
+    ],
     "simulate-honest-json": [
         "simulate", "--bell", "--device", "honest", "--n", "10", "--trials", "100",
         "--seed", "3", "--format", "json",
@@ -83,7 +87,10 @@ CASES = {
 # line (in JSON, the metadata key) that named the pass's profile: every
 # case changes only in that line or key and its version line or field,
 # and the simulate-transcript JSONL, which has no header, keeps its
-# digest. A new version needs a new digest set here.
+# digest. Version 7 builds a stabilizer strategy's worst case and plan
+# with no 2^N x 2^N array, so simulate runs above 6 qubits, and adds the
+# simulate-ghz12 case; every other case moves only in its version line
+# or field. A new version needs a new digest set here.
 GOLDEN = {
     2: {
         "figure-fig1": {
@@ -362,6 +369,65 @@ GOLDEN = {
         },
         "strategy-two-qubit-json": {
             "stdout": "3c32bb7370e27a9ee00cd0965cb8398229e4d4defea5fa8c21c1fd828e39685d",
+        },
+    },
+    7: {
+        "figure-fig1": {
+            "stdout": "3bb1130ecba54fa1b8014c638e26cc79c74d14d60848943f6e20c17ffe50cbb6",
+        },
+        "figure-fig2-out-json": {
+            "stdout": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+            "--out": "b1b88db6810651e6ab95232bb2e02589e604aea38e7f97d1777e80ef8f018842",
+        },
+        "figure-figS1": {
+            "stdout": "72636d3da0381df4dc36617e9f7ce5f2443323ee3199e1c356ec0e8dd1f81ee7",
+        },
+        "figure-figS2": {
+            "stdout": "e004ba94d5826fdb03940e4c196d138ee64f0b496c23da40d49c5deb02f0676f",
+        },
+        "landscape-json": {
+            "stdout": "c8b9876e3cddba4e6270bd2a9c2f0965df9071f1fabcfff54efae5c6e5ae1afa",
+        },
+        "samplecount-bell": {
+            "stdout": "d3771994be67f8992d3026deff44800d26a44b13cc0757ee661edd1471589a1c",
+        },
+        "samplecount-ghz12": {
+            "stdout": "e6fd2f5e0e82a1d6b40a0ab702a39a0048befc0502289ab342d6c10d31838b9a",
+        },
+        "samplecount-two-qubit-json": {
+            "stdout": "e72c502700c3645e5cebb90148986ac7b09aacdd1118b267f27edd9d0a6209a0",
+        },
+        "simulate-ghz12": {
+            "stdout": "39e70655b10f254fcb953e9ea274a4e129240a4911bc5381379df74437f7e949",
+        },
+        "simulate-honest-json": {
+            "stdout": "783e60b29c30ce931c1e302179bc3e0dba09bfbd60be143733df7738052f6a5b",
+        },
+        "simulate-transcript": {
+            "stdout": "7abe744b63408780b114fff6ff33f8465df813d7c79d34969781ce6bdcd7eb72",
+            # JSONL carries no header; unchanged since version 3
+            "--transcript": "1490192bc5f73100f49ab4cba46db6fbae60d5dc35bfb2dd9418a6d499d045a4",
+        },
+        "stabilizer-inspect": {
+            "stdout": "6e388fe07ce0dfa16c1ae799522c9f003ff4f042cb1443e339da1c46438976f5",
+        },
+        "stabilizer-parity-check": {
+            "stdout": "e2c073fde1d087137666e3f6c0f09facdcb8fa3e39294ee9c36d972b335dc2b6",
+        },
+        "stabilizer-subset-json": {
+            "stdout": "3e54e45b903b6f7bd183a0930ddaba3c953dfad766aeb9fc1ef9071e64fc87d9",
+        },
+        "strategy-bell": {
+            "stdout": "2e61c4108695fd6272ccc6de11473dda1e7f7ce0b8a1853123157987174e82f7",
+        },
+        "strategy-generators-ghz3-json": {
+            "stdout": "4d0732e5e84ce5846079b0807d2bbcfafb7fcdca67766d73fe3b4b22149c4daa",
+        },
+        "strategy-product-epsilon": {
+            "stdout": "5f946bc7f31dfbaadccd7a8edd99c2bf68f116ad9195aa626c315e9420e1163e",
+        },
+        "strategy-two-qubit-json": {
+            "stdout": "7323962e0cda44bda01e1055f4e5d86a2fa8c02c072cc937902d2ca2c10e497a",
         },
     },
 }

@@ -11,11 +11,11 @@ acceptance.
 """
 
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from qverify import protocol
 from qverify.adversary import (
     hilbert_schmidt_mixed_state,
     shift_fidelity,
@@ -24,16 +24,20 @@ from qverify.adversary import (
     worst_case_state,
 )
 from qverify.cli import main
-from qverify.errors import BadDimError, DegenerateStrategyError, ValidationError
+from qverify.errors import DegenerateStrategyError, ValidationError
 from qverify.protocol import (
     _build_plan,
+    estimate_power,
     honest_device,
     iid_adversary,
     predicted_acceptance,
     varying_adversary,
 )
+from qverify.qcore import Ket
 from qverify.stabilizer import (
+    _PHASES,
     PauliStrategy,
+    _act,
     _gf2_rank,
     full_strategy,
     generator_strategy,
@@ -44,7 +48,7 @@ from qverify.stabilizer import (
     subset_strategy,
 )
 from qverify.strategy import Strategy, StrategyKind, from_json_dict, metrics, to_json_dict
-from stabilizer_oracles import as_dense, full_strategy_q, scheme_metrics_law
+from stabilizer_oracles import as_dense, full_strategy_q, random_group, scheme_metrics_law
 
 EPS = 0.1
 SCHEME_PRESETS = [f"{family}{n}" for family in ("ghz", "cluster", "zeros") for n in range(2, 7)]
@@ -69,7 +73,8 @@ def _devices(target, worst, dim):
     ]
     return {
         "honest": honest_device(target),
-        "worst-iid": iid_adversary(target, worst, epsilon=EPS),
+        "worst-iid": iid_adversary(target, worst, epsilon=EPS),  # kept as its Ket
+        "worst-iid-density": iid_adversary(target, worst.sigma, epsilon=EPS),
         "varying": varying_adversary(target, lambda i: states[i % 3], epsilon=EPS),
     }
 
@@ -140,6 +145,60 @@ def test_subsets_match_the_dense_oracle(preset, indices):
     assert_matches_dense_oracle(report.strategy, report.strategy.metrics, bitwise_state=False)
 
 
+def _random_subset(group, rng):
+    size = 2**group.num_qubits
+    return sorted(set(rng.integers(1, size, int(rng.integers(1, size))).tolist()))
+
+
+@pytest.mark.parametrize("seed", range(3))
+@pytest.mark.parametrize("num_qubits", range(2, 7))
+def test_random_groups_match_the_dense_oracle(num_qubits, seed):
+    rng = np.random.default_rng([num_qubits, seed])
+    group, amplitudes = random_group(num_qubits, rng)
+    # the group's own state is the circuit's, up to a global phase
+    assert abs(abs(np.vdot(group.state().amplitudes, amplitudes)) - 1.0) <= 1e-12
+    for scheme, build in BUILDERS.items():
+        assert_matches_dense_oracle(
+            build(group), scheme_metrics_law(num_qubits, scheme), bitwise_state=scheme == "full"
+        )
+    subset = subset_strategy(group, _random_subset(group, rng)).strategy
+    assert_matches_dense_oracle(subset, subset.metrics, bitwise_state=False)
+
+
+def test_random_groups_hold_y_letters():
+    # the presets hold no Y; the drawn groups exercise +-i products
+    drawn = [random_group(n, np.random.default_rng([n, seed]))[0]
+             for n in range(2, 7) for seed in range(3)]
+    assert sum(any("Y" in g.label for g in group.generators) for group in drawn) >= 10
+
+
+@pytest.mark.parametrize("num_qubits", range(7, 13))
+def test_random_groups_keep_the_syndrome_identities(num_qubits):
+    rng = np.random.default_rng([num_qubits, 0])
+    group, _ = random_group(num_qubits, rng)
+    psi, cols = group.state().amplitudes, np.arange(2**num_qubits)
+    xs, zs, phases = group.table
+    for lo in range(0, xs.size, 256):  # every element fixes the target
+        part = slice(lo, lo + 256)
+        images, coeffs = _act(xs[part, None], zs[part, None], _PHASES[phases[part]][:, None], cols)
+        assert np.abs(psi[images] - coeffs * psi).max() <= 1e-12
+    built = [build(group) for build in BUILDERS.values()]
+    built.append(subset_strategy(group, _random_subset(group, rng)).strategy)
+    for scheme, strategy in zip((*BUILDERS, "subset"), built):
+        counts, k = strategy.counts, len(strategy.indices)
+        assert counts[0] == k and counts.sum() == k * 2 ** (num_qubits - 1)
+        if scheme != "subset":
+            assert _bits(strategy.metrics) == _bits(scheme_metrics_law(num_qubits, scheme))
+        q = strategy.metrics.q
+        if q == 1.0:
+            with pytest.raises(DegenerateStrategyError):
+                worst_case_state(strategy, EPS)
+            continue
+        device = iid_adversary(strategy.target, worst_case_state(strategy, EPS), epsilon=EPS)
+        expected = (1.0 - EPS * (1.0 - q)) ** 20
+        assert abs(predicted_acceptance(strategy, device, 20) - expected) <= 1e-12 * expected
+
+
 @pytest.mark.parametrize("family", ["ghz", "cluster", "zeros"])
 def test_metrics_equal_the_scheme_counts_bitwise_to_twelve_qubits(family):
     # the counted metrics are the exact laws, correctly rounded
@@ -186,15 +245,36 @@ def test_settings_assemble_only_the_chosen_elements():
     assert labels == [group.elements[m].label for m in (3, 1024, 4095)]
 
 
-def test_dense_results_stop_beyond_six_qubits():
+def test_worst_case_game_value_and_plan_work_beyond_six_qubits():
     built = full_strategy(preset_group("ghz8"))
-    for dense in (
-        lambda: worst_case_state(built, EPS),
-        lambda: strategy_game_value(built, EPS),
-        lambda: _build_plan(built, honest_device(built.target), 5),
-    ):
-        with pytest.raises(BadDimError, match="limited to 6 qubits"):
-            dense()
+    q = built.metrics.q
+    state = worst_case_state(built, EPS)
+    assert isinstance(state.state, Ket) and abs(state.fidelity - (1.0 - EPS)) <= 1e-12
+    assert strategy_game_value(built, EPS).accept_prob == 1.0 - EPS * (1.0 - q)
+    assert np.all(_build_plan(built, honest_device(built.target), 5).probs == 1.0)
+    plan = _build_plan(built, iid_adversary(built.target, state, epsilon=EPS), 5)
+    assert abs(plan.probs @ plan.weights - (1.0 - EPS * (1.0 - q))).max() <= 1e-12
+
+
+@pytest.mark.parametrize("preset", ["ghz12", "cluster12"])
+@pytest.mark.parametrize("scheme", ["full", "generators"])
+def test_twelve_qubit_plans_predict_the_closed_form(scheme, preset):
+    built = BUILDERS[scheme](preset_group(preset))
+    q = built.metrics.q
+    assert q == scheme_metrics_law(12, scheme).q
+    tracemalloc.start()
+    try:
+        game = strategy_game_value(built, EPS)
+        device = iid_adversary(built.target, worst_case_state(built, EPS), epsilon=EPS)
+        per_copy = predicted_acceptance(built, device, 1)
+        stats = estimate_power(built, device, 20, 50, seed=7)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 << 20  # one 4096 x 4096 complex array alone is 256 MiB
+    assert game.accept_prob == 1.0 - EPS * (1.0 - q)
+    assert abs(per_copy - game.accept_prob) <= 1e-12 and stats.trials == 50
+    assert predicted_acceptance(built, honest_device(built.target), 10) == 1.0
 
 
 def test_a_directly_built_pauli_strategy_computes_and_checks_its_counts():
@@ -342,20 +422,21 @@ def test_strategy_lists_every_setting_beyond_six_qubits(capsys):
 
 
 @pytest.mark.parametrize("device", ["honest", "worst-iid"])
-def test_simulate_beyond_six_qubits_exits_2_before_any_device(device, monkeypatch, capsys):
-    built = []
-    monkeypatch.setattr(protocol, "DeviceModel", lambda *a, **k: built.append(1))
+def test_simulate_beyond_six_qubits_exits_0(device, capsys):
     args = ["simulate", "--stabilizer-full", "--preset", "ghz8", "--device", device,
             "--n", "5", "--trials", "10"]
-    assert main(args) == 2
-    assert built == []
-    assert "limited to 6 qubits" in capsys.readouterr().err
+    assert main(args) == 0
+    out = capsys.readouterr().out
+    predicted = float(out.split("predicted_acceptance,")[1].split()[0])
+    q = float(full_strategy_q(8))
+    expected = 1.0 if device == "honest" else (1.0 - EPS * (1.0 - q)) ** 5
+    assert abs(predicted - expected) <= 1e-12 * expected
 
 
 def test_simulate_reads_a_pauli_strategy_file(tmp_path, capsys):
-    for preset, code in (("ghz3", 0), ("ghz8", 2)):
+    for preset in ("ghz3", "ghz8"):
         path = tmp_path / f"{preset}.json"
         path.write_text(json.dumps(to_json_dict(full_strategy(preset_group(preset)))))
         args = ["simulate", "--strategy-file", str(path), "--n", "5", "--trials", "10"]
-        assert main(args) == code, preset
-    assert "accept_rate,1.0" in capsys.readouterr().out
+        assert main(args) == 0, preset
+        assert "accept_rate,1.0" in capsys.readouterr().out

@@ -46,11 +46,10 @@ def test_honest_always_accepts():
     assert result.accepted
     assert result.first_failure_index is None
     assert predicted_acceptance(strat, device, 10_000) == 1.0
-    # the target is stored once, as a checked read-only density matrix
+    # the pure target is kept as its Ket; the per-copy oracle densifies it
     psi = BELL.amplitudes
-    assert np.array_equal(device.sigma, np.outer(psi, psi.conj()))
-    assert not device.sigma.flags.writeable
-    assert density_at(device, 5) is device.sigma
+    assert device.sigma is BELL
+    assert np.array_equal(density_at(device, 5), np.outer(psi, psi.conj()))
 
 
 def test_replay_is_bit_identical():
@@ -320,6 +319,9 @@ def test_integer_arguments_reject_non_integers(bad):
     for args in ({"n": bad}, {"trials": bad}, {"seed": bad}):
         with pytest.raises(ValidationError):
             estimate_power(strat, device, **{"n": 5, "trials": 5, "seed": 0, **args})
+    for args in ((bad, 10), (3, bad)):
+        with pytest.raises(ValidationError):
+            wilson_interval(*args)
 
 
 def test_numpy_integer_counts_give_plain_results():
@@ -340,6 +342,9 @@ def test_wrong_object_types_are_bad_input_before_sampling():
     for build in (
         lambda: honest_device(5),
         lambda: iid_adversary(None, np.eye(4) / 4),
+        lambda: iid_adversary(BELL, "x"),
+        lambda: iid_adversary(BELL, [[1.0, 0.0], [0.0]]),
+        lambda: iid_adversary(BELL, worst_case_state(strat, 0.1), epsilon="x"),
         lambda: varying_adversary(BELL, 5),
         lambda: estimate_power(None, device, n=5, trials=5, seed=0),
         lambda: estimate_power(strat, None, n=5, trials=5, seed=0),
@@ -421,7 +426,7 @@ def test_certainty_clamp_keeps_probabilities_in_range():
 def test_device_states_and_adversary_states_share_one_density_check(diagonal):
     sigma = np.diag(np.array(diagonal, dtype=complex))
     with pytest.raises(ValidationError):
-        AdversaryState(sigma=HermitianOperator(sigma), fidelity=0.5)
+        AdversaryState(state=HermitianOperator(sigma), fidelity=0.5)
     with pytest.raises(ValidationError):
         iid_adversary(BELL, sigma)
     device = varying_adversary(BELL, lambda k: sigma)

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from qverify.errors import (
     BadDimError,
+    DegenerateStrategyError,
     DependentGeneratorsError,
     InconsistentSignsError,
     NonCommutingError,
@@ -284,15 +285,15 @@ def test_stabilizer_sample_count_frozen_values():
 
 def test_stabilizer_sample_count_beyond_dense_limit():
     # syndrome counts keep working where dense construction would not; the
-    # strategy holds no matrices, and only its dense results stop
+    # strategy holds no matrices, and its worst-case state is a Ket
     group = ghz_group(10)
     built = full_strategy(group)
     report = certainty_count_report(metrics(built), 0.01, 0.1, "full")
     assert report.n_exact >= 1
     assert len(built.settings) == 2**10 - 1
     assert _metric_bits(metrics(built)) == _metric_bits(scheme_metrics_law(10, "full"))
-    with pytest.raises(BadDimError):
-        worst_case_state(built, 0.1)
+    worst = worst_case_state(built, 0.1)
+    assert worst.state.dim == 2**10 and abs(worst.fidelity - 0.9) <= 1e-12
 
 
 def test_parity_check_columns():
@@ -323,7 +324,7 @@ def test_parity_check_beyond_dense_cap():
     assert check.special_columns == tuple(1 << j for j in range(n))
     with pytest.raises(BadDimError):
         check.eigenbasis
-    # the strategies build; their worst-case states and game values are dense
+    # the strategies build and, but for a degenerate subset, give a state
     for build, size in (
         (full_strategy, 2**n - 1),
         (generator_strategy, n),
@@ -331,10 +332,13 @@ def test_parity_check_beyond_dense_cap():
     ):
         built = build(check.group)
         assert len(built.settings) == size
-        with pytest.raises(BadDimError):
-            worst_case_state(built, 0.1)
-        with pytest.raises(BadDimError):
-            strategy_game_value(built, 0.1)
+        if size == 2:
+            with pytest.raises(DegenerateStrategyError):
+                worst_case_state(built, 0.1)
+        else:
+            assert abs(worst_case_state(built, 0.1).fidelity - 0.9) <= 1e-12
+        game = strategy_game_value(built, 0.1)
+        assert game.accept_prob == 1.0 - 0.1 * (1.0 - built.metrics.q)
 
 
 def test_parity_check_matrix_cached_read_only():
@@ -671,10 +675,13 @@ def test_subset_report_beyond_dense_cap(preset, indices, dimension):
     else:
         assert report.strategy.metrics.q == float(generator_strategy_q(n))
     assert report.strategy.metrics.trace == 2.0 ** (n - 1)
-    # the strategy holds no matrices; only its worst-case state is dense
+    # the strategy holds no matrices; a sound one has a worst-case state
     assert [s.index for s in report.strategy.settings] == list(indices)
-    with pytest.raises(BadDimError):
-        worst_case_state(report.strategy, 0.1)
+    if report.degenerate:
+        with pytest.raises(DegenerateStrategyError):
+            worst_case_state(report.strategy, 0.1)
+    else:
+        assert abs(worst_case_state(report.strategy, 0.1).fidelity - 0.9) <= 1e-12
 
 
 def test_subset_report_strategy_is_cached_and_read_only():
