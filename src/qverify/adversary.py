@@ -26,20 +26,21 @@ two qubit targets sin(theta)|00> + cos(theta)|11>:
   infidelity exactly epsilon.
 
 The worst orthogonal state is picked by one rule that reads only the
-strategy operator, not the eigensolver's basis (top_orthogonal_eigenvector).
-A stabilizer PauliStrategy is diagonal in its joint eigenbasis, so the
-rule reads its top syndromes, with no eigenproblem and no 2^N x 2^N
-array, and its game value is the closed form with the exact dual
-multiplier 1 - q. Pure worst-case states are kept as Kets that the
-protocol simulator can feed to a device model directly; a Hilbert-Schmidt
-mixed state sampler with exact fidelity shifting supports randomized
-sufficiency checks (a mixed state at the fidelity boundary never beats
-the pure worst case).
+strategy operator, not the eigensolver's basis (top_orthogonal_eigenvector),
+from the top orthogonal eigenspace's projector that each strategy type
+builds (orthogonal_projector; a PauliStrategy's needs no eigenproblem and
+no 2^N x 2^N array). A PauliStrategy's game value is the closed form with
+the exact dual multiplier 1 - q. Pure worst-case states are kept as Kets
+that the protocol simulator can feed to a device model directly; a
+Hilbert-Schmidt mixed state sampler with exact fidelity shifting supports
+randomized sufficiency checks (a mixed state at the fidelity boundary
+never beats the pure worst case).
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from functools import cached_property
 from typing import NamedTuple
@@ -54,7 +55,7 @@ from .errors import (
 )
 from .qcore import TOL_DERIVED, HermitianOperator, Ket
 from .samplecount import check_probability, check_theta, optimal_q
-from .stabilizer import _PHASES, PauliStrategy, _act, _walsh
+from .stabilizer import PauliStrategy
 from .strategy import Strategy, alpha_weight
 
 # certify_optimality: a sound sweep finds nothing below the closed form
@@ -79,7 +80,8 @@ class AdversaryState:
             qcore.check_density(self.state.entries, "density matrix")
         elif not isinstance(self.state, Ket):
             raise ValidationError("an adversary state is a Ket or a HermitianOperator")
-        if not -TOL_DERIVED <= self.fidelity <= 1.0 + TOL_DERIVED:
+        fid = self.fidelity
+        if not (isinstance(fid, numbers.Real) and -TOL_DERIVED <= fid <= 1 + TOL_DERIVED):
             raise ValidationError(f"fidelity {self.fidelity!r} outside [0, 1]")
 
     @cached_property
@@ -119,54 +121,17 @@ def top_orthogonal_eigenvector(strategy: Strategy | PauliStrategy) -> tuple[floa
     """(q, state): the top acceptance q among states orthogonal to the
     target, and the state Pi|b> / sqrt(Pi_bb) that attains it.
 
-    Pi projects onto the q eigenspace: I - |psi><psi| minus the block
-    eigenvectors below q - TOL_DERIVED. b is the lowest index with the
-    largest Pi_bb (within TOL_DERIVED). When every orthogonal eigenvalue
-    ties (Bell, two-qubit, product, full stabilizer), Pi reads only the
-    target, so the state does not depend on the eigensolver's basis.
-    A PauliStrategy's eigenvectors are the joint eigenvectors of its
-    syndromes, and its q those with the most passing elements; its Pi is
-    read from counts and element table, with no eigenproblem or matrix.
+    The strategy's orthogonal_projector() gives q, every Pi_bb and the
+    columns of Pi; b is the lowest index with the largest Pi_bb (within
+    TOL_DERIVED). When every orthogonal eigenvalue ties (Bell, two-qubit,
+    product, full stabilizer), Pi reads only the target, so the state
+    does not depend on the eigensolver's basis.
     """
-    if isinstance(strategy, PauliStrategy):
-        q, weights, column = _syndrome_projector(strategy)
-    else:
-        basis, block = qcore.orthocomplement_block(strategy.target, strategy.omega)
-        vals, vecs = np.linalg.eigh(block)
-        q = float(vals[-1])
-        low, psi = basis @ vecs[:, vals < q - TOL_DERIVED], strategy.target.amplitudes
-        proj = np.eye(psi.size) - np.outer(psi, psi.conj()) - low @ low.conj().T
-        weights, column = proj.diagonal().real, lambda b: proj[:, b]
+    if not isinstance(strategy, (Strategy, PauliStrategy)):
+        raise ValidationError(f"expected a Strategy or PauliStrategy, got {strategy!r}")
+    q, weights, column = strategy.orthogonal_projector()
     b = int(np.argmax(weights >= weights.max() - TOL_DERIVED))
     return q, Ket(column(b) / math.sqrt(weights[b]))
-
-
-def _syndrome_projector(strategy: PauliStrategy):
-    """(q, every Pi_bb, b -> Pi|b>) of a PauliStrategy. The top syndromes
-    have the most passing elements, c(s) = q k, and Pi = I - |psi><psi| - R:
-    R = 2^-N sum_m r(m) P_m, exactly dyadic, sums the other nonzero
-    syndromes' projectors, r the Walsh-Hadamard transform of their
-    indicator (0 for the full scheme). R_bb is one more transform of
-    r(m) (-1)^(phase_m / 2) at z_m over the x_m = 0 elements."""
-    counts, (xs, zs, phases), dim = strategy.counts, strategy.group.table, strategy.dim
-    r = _walsh((counts < counts[1:].max()).astype(np.int64))  # c(0) = k is never below
-    diagonal = xs == 0
-    placed = np.bincount(zs[diagonal], r[diagonal] * (1 - phases[diagonal]), dim)
-    psi = strategy.target.amplitudes
-    weights = 1.0 - (psi * psi.conj()).real - _walsh(placed) / dim
-    terms = np.flatnonzero(r)
-    coeffs = _PHASES[phases[terms]] * r[terms] / dim
-
-    def column(b: int) -> np.ndarray:
-        out = np.zeros(dim, dtype=complex)
-        out[b] = 1.0
-        out -= psi * psi[b].conj()
-        images, parts = _act(xs[terms], zs[terms], coeffs, b)
-        out.real -= np.bincount(images, parts.real, dim)
-        out.imag -= np.bincount(images, parts.imag, dim)
-        return out
-
-    return strategy.metrics.q, weights, column
 
 
 def _eps_far(strategy: Strategy | PauliStrategy, epsilon: float, top: Ket) -> AdversaryState:

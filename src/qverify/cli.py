@@ -517,7 +517,7 @@ def cmd_simulate(cfg: argparse.Namespace) -> dict:
         ("accept_rate", stats.accept_rate),
         ("wilson_low", stats.wilson_low),
         ("wilson_high", stats.wilson_high),
-        ("predicted_acceptance", protocol.predicted_acceptance(built, device, cfg.n)),
+        ("predicted_acceptance", stats.predicted_acceptance),
     ]
     return {"record": record}
 

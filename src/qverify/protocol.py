@@ -32,10 +32,9 @@ Arguments: n, trials, seed and trial are Python or numpy integers, not
 bool, and every other argument has its documented type; anything else
 raises ValidationError before any sampling.
 
-Stabilizer strategies: a PauliStrategy's pass probabilities are
-(1 + Re <P_m>)/2, read from a pure state's Ket (or a density) at each
-element's permutation of the basis, so its plan for a pure device state
-builds no 2^N x 2^N array up to MAX_QUBITS.
+Pass probabilities: each strategy type gives its own rows
+(pass_probabilities); a PauliStrategy's, (1 + Re <P_m>)/2, build no
+2^N x 2^N array for a pure device state up to MAX_QUBITS.
 
 Exactness at the edges: pass probabilities within 1e-10 of 0 or 1 are
 clamped to exactly 0 or 1 before sampling. An honest device therefore
@@ -172,12 +171,14 @@ class RunResult:
 
 @dataclass(frozen=True)
 class EnsembleStats:
-    """Acceptance frequency over independent trials with a 99% interval."""
+    """Acceptance frequency over independent trials with a 99% interval,
+    and the run plan's predicted_acceptance (None when not given)."""
 
     trials: int
     accept_rate: float
     wilson_low: float
     wilson_high: float
+    predicted_acceptance: float | None = None
 
     def __post_init__(self):
         low, high = self.wilson_low - TOL_INPUT, self.wilson_high + TOL_INPUT
@@ -240,25 +241,16 @@ def _build_plan(strategy: Strategy | PauliStrategy, device: DeviceModel, n: int)
     weights = np.array([s.weight for s in strategy.settings], dtype=float)
     cum = np.cumsum(weights)
     cum[-1] = 1.0
-    if isinstance(strategy, PauliStrategy):
-        row = strategy.pass_probabilities
-    else:
-        stack = np.stack([s.projector.entries for s in strategy.settings])
-
-        def row(state):
-            arr = state.density().entries if isinstance(state, Ket) else state
-            return np.einsum("kij,ji->k", stack, arr)
-
     # pass probabilities by copy and setting; one row serves every copy
     # of a fixed-state device
     if device.sigma is not None:
-        rows, which = [row(device.sigma)], [0]
+        rows, which = [strategy.pass_probabilities(device.sigma)], [0]
     else:
-        rows, which = _supplied_rows(device, n, row)
+        rows, which = _supplied_rows(device, n, strategy.pass_probabilities)
     return _Plan(
         cumulative=cum,
         weights=weights,
-        probs=_clamp_certainties(np.real(rows))[which],
+        probs=_clamp_certainties(rows)[which],
         labels=tuple(s.label for s in strategy.settings),
     )
 
@@ -364,6 +356,7 @@ def estimate_power(
     Each trial t replays run_protocol(..., trial=t) exactly. When sink
     is given it receives one JSON ready dict per trial; setting labels
     are recorded only on request because they dominate transcript size.
+    The result carries predicted_acceptance of the same plan.
     """
     n, trials = _integer("n", n), _integer("trials", trials)
     seed = _integer("seed", seed) & _MASK64
@@ -400,6 +393,7 @@ def estimate_power(
         accept_rate=accepted_count / trials,
         wilson_low=low,
         wilson_high=high,
+        predicted_acceptance=_predicted(plan, n),
     )
 
 
@@ -413,7 +407,11 @@ def predicted_acceptance(
     exactly (1 - delta_eps)^n.
     """
     n = _integer("n", n)
-    plan = _build_plan(strategy, device, n)
+    return _predicted(_build_plan(strategy, device, n), n)
+
+
+def _predicted(plan: _Plan, n: int) -> float:
+    """The product over n copies of plan's per copy acceptances."""
     # the sampler forces its cumulative table to end at 1, so weight
     # rounding cannot push a certain accept below (or above) certainty;
     # clamp the aggregate the same way

@@ -32,11 +32,11 @@ significant first); _column_syndromes alone converts.
 Element table. StabilizerGroup.table holds every element's (x, z, phase)
 as one read-only int64 array, built by doubling once per generator, and
 every stabilizer number is derived from it by array arithmetic: the
-PauliString elements (all checked as one stack), the joint eigenvectors
-(all requested syndromes in one pass: each start index is read off a
-GF(2) basis of the diagonal elements, and the signed terms are summed
-exactly by np.bincount) and each element's permutation of the basis,
-which the protocol plan reads a device's state at.
+PauliString elements (all checked as one stack), each element's
+permutation of the basis, which the protocol plan reads a device's state
+at, and every stabilizer vector: each is a column of a signed element
+sum sum_m c(m) P_m with dyadic c, whose diagonal and columns
+_signed_sums gives for a batch of coefficient rows at once.
 
 Every strategy here, full, generators or a chosen subset, is a
 PauliStrategy: group, element indices, kind and pass counts, and no
@@ -133,6 +133,8 @@ class PauliString:
     @classmethod
     def from_label(cls, label: str) -> "PauliString":
         """Parse labels like 'XXI', '-YZ', '+ZZ'."""
+        if not isinstance(label, str):
+            raise ValidationError(f"a Pauli label is a str, got {label!r}")
         body = label[1:] if label.startswith(("+", "-")) else label
         if not body:
             raise ValidationError(f"no Pauli letters in {label!r}")
@@ -179,20 +181,15 @@ class PauliString:
         )
 
 
-def _gf2_reduce(rows: list[int], low_bits: int = 0) -> tuple[int, list[int]]:
-    """(rank, rest) of GF(2) elimination pivoting only on bits >= low_bits;
-    rest holds the reduced rows left without such bits."""
+def _gf2_rank(rows: list[int]) -> int:
+    """Rank over GF(2) of integer bit rows."""
     rank, pool = 0, list(rows)
-    while pool and max(pool) >> low_bits:
+    while pool and max(pool):
         pivot = max(pool)
         rank += 1
         top_bit = pivot.bit_length() - 1
         pool = [r ^ pivot if (r >> top_bit) & 1 else r for r in pool if r != pivot]
-    return rank, pool
-
-
-def _gf2_rank(rows: list[int]) -> int:
-    return _gf2_reduce(rows)[0]
+    return rank
 
 
 def _column_syndromes(num_qubits: int) -> np.ndarray:
@@ -209,9 +206,10 @@ def _pass_rows(masks, num_qubits: int) -> np.ndarray:
 
 
 def _walsh(values: np.ndarray) -> np.ndarray:
-    """v transformed in place to (H v)(s) = sum_m v(m) (-1)^|m & s|."""
+    """v transformed in place along its last axis, a contiguous power of two,
+    to (H v)(s) = sum_m v(m) (-1)^|m & s|."""
     half = 1
-    while half < values.size:
+    while half < values.shape[-1]:
         low, high = values.reshape(-1, 2, half).transpose(1, 0, 2)
         low += high  # (a, b) -> (a + b, a - b)
         high *= -2
@@ -230,6 +228,31 @@ def _pass_counts(indices, num_qubits: int) -> np.ndarray:
     counts[np.asarray(indices, dtype=np.int64)] = 1
     counts = _walsh(counts)
     return (counts[0] + counts) // 2  # (k + passes - failures) / 2, k = H 1_S(0)
+
+
+def _signed_sums(table: np.ndarray, coeffs: np.ndarray, dim: int):
+    """(diagonal, columns) of A_i = sum_m coeffs[i, m] P_m for each row i
+    of dyadic coefficients over table's elements.
+
+    Only x_m = 0 elements reach the diagonal, so row i of it is one
+    Walsh-Hadamard transform of their signed coefficients placed at z_m.
+    columns(starts) gives row i = A_i|starts[i]>: one batched _act and one
+    np.bincount into interleaved real and imaginary slots. The terms are
+    exact dyadics, so their order does not matter.
+    """
+    xs, zs, phases = table
+    signed = coeffs * (1 - (phases & 2))  # c(m) i^phase_m = signed(m) i^(phase_m & 1)
+    diagonal = xs == 0
+    placed = np.zeros((len(coeffs), dim))
+    placed[:, zs[diagonal]] = signed[:, diagonal]
+
+    def columns(starts) -> np.ndarray:
+        images, terms = _act(xs, zs, signed, np.asarray(starts)[:, None])
+        slots = 2 * (images + dim * np.arange(len(coeffs))[:, None]) + (phases & 1)
+        sums = np.bincount(slots.ravel(), terms.ravel(), 2 * dim * len(coeffs))
+        return sums.view(complex).reshape(len(coeffs), dim)
+
+    return _walsh(placed), columns
 
 
 def _count_metrics(counts: np.ndarray) -> StrategyMetrics:
@@ -269,7 +292,10 @@ class StabilizerGroup:
     generators: tuple[PauliString, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "generators", tuple(self.generators))
+        gens = tuple(self.generators) if np.iterable(self.generators) else (self.generators,)
+        if not all(isinstance(g, PauliString) for g in gens):
+            raise ValidationError(f"generators must be PauliStrings, got {self.generators!r}")
+        object.__setattr__(self, "generators", gens)
         if not self.generators:
             raise ValidationError("need at least one generator")
         n = self.generators[0].num_qubits
@@ -331,41 +357,17 @@ class StabilizerGroup:
     def _joint_eigenvectors(self, syndromes) -> np.ndarray:
         """Row i: unit vector on which element m has eigenvalue (-1)^|m & syndromes[i]|.
 
-        Row i projects one basis vector b with (1/2^k) sum_m (-1)^|m & s| g_m.
-        The projection is nonzero exactly when every diagonal element
-        (x_m = 0) has on b the eigenvalue s asks of it, which is checked on
-        a GF(2) basis of them; the first such b is used. The amplitudes are
-        exact dyadic sums, so their order does not matter. Each row is
-        then normalized and its phase fixed.
+        Row i is the column of the syndrome projector
+        (1/2^k) sum_m (-1)^|m & s| P_m at the lowest basis index with the
+        largest diagonal, normalized and its phase fixed.
         """
-        xs, zs, phases = self.table
-        dim = 2**self.num_qubits
         syndromes = np.asarray(syndromes, dtype=np.int64)
-        k = self.num_generators
-        # eliminating the x bits of rows (x_j, e_j) leaves a basis of {m : x_m = 0}
-        rows = [(g.x << k) | (1 << j) for j, g in enumerate(self.generators)]
-        diagonal = np.array(_gf2_reduce(rows, k)[1], dtype=np.int64)
-        place = 1 << np.arange(len(diagonal))
-        # the eigenvalue bits, one per diagonal basis element, that each
-        # basis index b shows ((-1)^(phase_m / 2 + |b & z_m|)) and each
-        # syndrome asks for ((-1)^|m & s|)
-        shown = _parity(np.arange(dim)[:, None] & zs[diagonal])
-        shown = (shown ^ (phases[diagonal] >> 1)) @ place
-        asked = _parity(syndromes[:, None] & diagonal) @ place
-        starts = (shown == asked[:, None]).argmax(axis=1)
-        if (shown[starts] != asked).any():
-            raise InconsistentSignsError("group projects every basis state to zero")
-        # (-1)^|m & s| from the projector times (-1)^|b & z_m| from g_m on b
-        signs = 1 - 2 * _parity(
-            (syndromes[:, None] & np.arange(len(xs))) ^ (starts[:, None] & zs)
-        )
-        flat = (np.arange(len(starts)) * dim)[:, None] + (starts[:, None] ^ xs)
-        amps = np.empty((len(starts), dim), dtype=complex)
-        for part, unit in ((amps.real, _PHASES.real), (amps.imag, _PHASES.imag)):
-            weights = (signs * unit[phases] / len(xs)).ravel()
-            part[:] = np.bincount(flat.ravel(), weights, amps.size).reshape(amps.shape)
-        rows = [qcore._fix_phase(v / float(np.linalg.norm(v))) for v in amps]
-        return np.array(rows, dtype=complex).reshape(len(starts), dim)
+        size, dim = 1 << self.num_generators, 2**self.num_qubits
+        coeffs = (1 - 2 * _parity(syndromes[:, None] & np.arange(size))) / size
+        diagonal, columns = _signed_sums(self.table, coeffs, dim)
+        rows = [qcore._fix_phase(v / float(np.linalg.norm(v)))
+                for v in columns(diagonal.argmax(axis=1))]
+        return np.array(rows, dtype=complex).reshape(len(syndromes), dim)
 
     def state(self) -> Ket:
         """The unique stabilized state of a maximal group (syndrome 0)."""
@@ -424,7 +426,7 @@ def all_zeros_group(num_qubits: int) -> StabilizerGroup:
 
 def preset_group(name: str) -> StabilizerGroup:
     """Named group presets: 'bell', 'ghzN', 'clusterN', 'zerosN'."""
-    lowered = name.strip().lower()
+    lowered = name.strip().lower() if isinstance(name, str) else ""
     if lowered == "bell":
         return ghz_group(2)
     for prefix, builder in (
@@ -451,8 +453,9 @@ def group_from_json(labels) -> StabilizerGroup:
 
 
 def _scheme_indices(group: StabilizerGroup, kind) -> list[int] | None:
-    """The element indices a full or generators strategy lists, else None."""
-    k = group.num_generators
+    """The element indices a full or generators strategy lists, else None;
+    a non-group lists no index, and PauliStrategy rejects it."""
+    k = group.num_generators if isinstance(group, StabilizerGroup) else 0
     if kind is StrategyKind.STABILIZER_FULL:
         return list(range(1, 1 << k))
     return [1 << j for j in range(k)] if kind is StrategyKind.STABILIZER_GENERATORS else None
@@ -461,13 +464,13 @@ def _scheme_indices(group: StabilizerGroup, kind) -> list[int] | None:
 def full_strategy(group: StabilizerGroup) -> "PauliStrategy":
     """Equal mixture of all non-identity element pass tests."""
     kind = StrategyKind.STABILIZER_FULL
-    return PauliStrategy(group, tuple(_scheme_indices(group, kind)), kind)
+    return PauliStrategy(group, _scheme_indices(group, kind), kind)
 
 
 def generator_strategy(group: StabilizerGroup) -> "PauliStrategy":
     """Equal mixture of the generator pass tests."""
     kind = StrategyKind.STABILIZER_GENERATORS
-    return PauliStrategy(group, tuple(_scheme_indices(group, kind)), kind)
+    return PauliStrategy(group, _scheme_indices(group, kind), kind)
 
 
 @dataclass(frozen=True, eq=False)
@@ -485,7 +488,7 @@ class ParityCheck:
     group: StabilizerGroup
 
     def __post_init__(self):
-        if not self.group.is_maximal:
+        if not (isinstance(self.group, StabilizerGroup) and self.group.is_maximal):
             raise ValidationError("parity check needs a maximal group")
 
     @classmethod
@@ -621,6 +624,20 @@ class PauliStrategy:
     @cached_property
     def metrics(self) -> StrategyMetrics:
         return _count_metrics(self.counts)
+
+    def orthogonal_projector(self):
+        """(q, every Pi_bb, b -> Pi|b>) of Pi = I - |psi><psi| - R, the
+        projector onto the nonzero syndromes with c(s) = q k: R, read by
+        _signed_sums, is 2^-N sum_m r(m) P_m, r the Walsh-Hadamard transform
+        of the other nonzero syndromes' indicator (0 for the full scheme)."""
+        counts, dim, psi = self.counts, self.dim, self.target.amplitudes
+        r = _walsh((counts < counts[1:].max()).astype(np.int64))  # c(0) = k is never below
+        diagonal, columns = _signed_sums(self.group.table, r[None] / dim, dim)
+
+        def column(b: int) -> np.ndarray:
+            return np.eye(1, dim, b)[0] - psi * psi[b].conj() - columns([b])[0]
+
+        return self.metrics.q, 1.0 - (psi * psi.conj()).real - diagonal[0], column
 
     def pass_probabilities(self, state: Ket | np.ndarray) -> np.ndarray:
         """(1 + Re <P_m>)/2 for each chosen element m, one at a time, in

@@ -43,7 +43,9 @@ local_transport, direct construction), solves its orthocomplement block.
 Stabilizer strategies are stabilizer.PauliStrategy values, which hold
 syndrome counts and no projectors. metrics and to_json_dict take either
 type: a PauliStrategy reads its counts and writes its group and element
-indices. Strategy and its settings mean a dense strategy only.
+indices. Both types give orthogonal_projector, which adversary's worst
+case reads, and pass_probabilities, which protocol's plan reads.
+Strategy and its settings mean a dense strategy only.
 """
 
 from __future__ import annotations
@@ -275,6 +277,22 @@ class Strategy:
         return StrategyMetrics(
             q=min(max(top, 0.0), 1.0), trace=float(np.trace(self.omega).real)
         )
+
+    def orthogonal_projector(self):
+        """(q, every Pi_bb, b -> Pi|b>): q tops the orthocomplement block, and
+        Pi = I - |psi><psi| minus its eigenvectors below q - TOL_DERIVED."""
+        basis, block = qcore.orthocomplement_block(self.target, self.omega)
+        vals, vecs = np.linalg.eigh(block)
+        q = float(vals[-1])
+        low, psi = basis @ vecs[:, vals < q - TOL_DERIVED], self.target.amplitudes
+        proj = np.eye(psi.size) - np.outer(psi, psi.conj()) - low @ low.conj().T
+        return q, proj.diagonal().real, lambda b: proj[:, b]
+
+    def pass_probabilities(self, state: Ket | np.ndarray) -> np.ndarray:
+        """tr(P_j sigma) for each setting j; a Ket is read as its density."""
+        sigma = state.density().entries if isinstance(state, Ket) else state
+        stack = np.stack([s.projector.entries for s in self.settings])
+        return np.einsum("kij,ji->k", stack, sigma).real
 
 
 def _built(target: Ket, settings, kind: StrategyKind, theta=None) -> Strategy:

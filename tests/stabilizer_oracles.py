@@ -11,9 +11,12 @@ counts. The retired element-at-a-time routes, which the element table
 replaced, must be matched bit for bit as well, and so must the retired
 per-scheme routes that each checked and counted on its own before the
 PauliStrategy constructor became the one place a stabilizer strategy is
-checked.
+checked. The GF(2) joint-eigenvector route and the syndrome-count
+worst-case projector, which the signed-element-sum primitive replaced,
+are kept here too, and the primitive must match them bit for bit.
 """
 
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -31,6 +34,7 @@ from qverify.stabilizer import (
     _count_metrics,
     _parity,
     _pass_counts,
+    _walsh,
     group_from_json,
 )
 from qverify.strategy import Locality, Strategy, _settings
@@ -235,3 +239,88 @@ def subset_report_fields(group, element_indices):
         "fooling_state": fooling,
         "fooling_acceptance": acceptance,
     }
+
+
+def _gf2_low_rest(rows, low_bits):
+    """The rows GF(2) elimination leaves without bits >= low_bits, when it
+    pivots only on those bits."""
+    pool = list(rows)
+    while pool and max(pool) >> low_bits:
+        pivot = max(pool)
+        top_bit = pivot.bit_length() - 1
+        pool = [r ^ pivot if (r >> top_bit) & 1 else r for r in pool if r != pivot]
+    return pool
+
+
+def gf2_joint_eigenvectors(group, syndromes):
+    """Row i: unit vector on which element m has eigenvalue (-1)^|m & syndromes[i]|.
+
+    Row i projects one basis vector b with (1/2^k) sum_m (-1)^|m & s| g_m.
+    The projection is nonzero exactly when every diagonal element
+    (x_m = 0) has on b the eigenvalue s asks of it, which is checked on
+    a GF(2) basis of them; the first such b is used. Each row is summed
+    exactly by np.bincount, then normalized and its phase fixed.
+    """
+    xs, zs, phases = group.table
+    dim = 2**group.num_qubits
+    syndromes = np.asarray(syndromes, dtype=np.int64)
+    k = group.num_generators
+    # eliminating the x bits of rows (x_j, e_j) leaves a basis of {m : x_m = 0}
+    rows = [(g.x << k) | (1 << j) for j, g in enumerate(group.generators)]
+    diagonal = np.array(_gf2_low_rest(rows, k), dtype=np.int64)
+    place = 1 << np.arange(len(diagonal))
+    # the eigenvalue bits, one per diagonal basis element, that each
+    # basis index b shows ((-1)^(phase_m / 2 + |b & z_m|)) and each
+    # syndrome asks for ((-1)^|m & s|)
+    shown = _parity(np.arange(dim)[:, None] & zs[diagonal])
+    shown = (shown ^ (phases[diagonal] >> 1)) @ place
+    asked = _parity(syndromes[:, None] & diagonal) @ place
+    starts = (shown == asked[:, None]).argmax(axis=1)
+    assert (shown[starts] == asked).all(), "group projects every basis state to zero"
+    # (-1)^|m & s| from the projector times (-1)^|b & z_m| from g_m on b
+    signs = 1 - 2 * _parity(
+        (syndromes[:, None] & np.arange(len(xs))) ^ (starts[:, None] & zs)
+    )
+    flat = (np.arange(len(starts)) * dim)[:, None] + (starts[:, None] ^ xs)
+    amps = np.empty((len(starts), dim), dtype=complex)
+    for part, unit in ((amps.real, _PHASES.real), (amps.imag, _PHASES.imag)):
+        weights = (signs * unit[phases] / len(xs)).ravel()
+        part[:] = np.bincount(flat.ravel(), weights, amps.size).reshape(amps.shape)
+    rows = [_fix_phase(v / float(np.linalg.norm(v))) for v in amps]
+    return np.array(rows, dtype=complex).reshape(len(starts), dim)
+
+
+def syndrome_projector(strategy):
+    """(q, every Pi_bb, b -> Pi|b>) of a PauliStrategy. The top syndromes
+    have the most passing elements, c(s) = q k, and Pi = I - |psi><psi| - R:
+    R = 2^-N sum_m r(m) P_m, exactly dyadic, sums the other nonzero
+    syndromes' projectors, r the Walsh-Hadamard transform of their
+    indicator (0 for the full scheme). R_bb is one more transform of
+    r(m) (-1)^(phase_m / 2) at z_m over the x_m = 0 elements."""
+    counts, (xs, zs, phases), dim = strategy.counts, strategy.group.table, strategy.dim
+    r = _walsh((counts < counts[1:].max()).astype(np.int64))  # c(0) = k is never below
+    diagonal = xs == 0
+    placed = np.bincount(zs[diagonal], r[diagonal] * (1 - phases[diagonal]), dim)
+    psi = strategy.target.amplitudes
+    weights = 1.0 - (psi * psi.conj()).real - _walsh(placed) / dim
+    terms = np.flatnonzero(r)
+    coeffs = _PHASES[phases[terms]] * r[terms] / dim
+
+    def column(b):
+        out = np.zeros(dim, dtype=complex)
+        out[b] = 1.0
+        out -= psi * psi[b].conj()
+        images, parts = _act(xs[terms], zs[terms], coeffs, b)
+        out.real -= np.bincount(images, parts.real, dim)
+        out.imag -= np.bincount(images, parts.imag, dim)
+        return out
+
+    return strategy.metrics.q, weights, column
+
+
+def syndrome_worst_state(strategy):
+    """(q, amplitudes) of the worst orthogonal state by syndrome_projector
+    and the lowest-index rule of adversary.top_orthogonal_eigenvector."""
+    q, weights, column = syndrome_projector(strategy)
+    b = int(np.argmax(weights >= weights.max() - TOL_DERIVED))
+    return q, Ket(column(b) / math.sqrt(weights[b])).amplitudes

@@ -52,6 +52,10 @@ CASES = {
         "simulate", "--stabilizer-full", "--preset", "ghz12", "--device", "worst-iid",
         "--epsilon", "0.1", "--n", "20", "--trials", "200", "--seed", "7",
     ],
+    "simulate-cluster12-generators": [
+        "simulate", "--stabilizer-generators", "--preset", "cluster12", "--device",
+        "worst-iid", "--epsilon", "0.1", "--n", "20", "--trials", "200", "--seed", "7",
+    ],
     "simulate-honest-json": [
         "simulate", "--bell", "--device", "honest", "--n", "10", "--trials", "100",
         "--seed", "3", "--format", "json",
@@ -90,7 +94,10 @@ CASES = {
 # digest. Version 7 builds a stabilizer strategy's worst case and plan
 # with no 2^N x 2^N array, so simulate runs above 6 qubits, and adds the
 # simulate-ghz12 case; every other case moves only in its version line
-# or field. A new version needs a new digest set here.
+# or field. The simulate-cluster12-generators case (the generators
+# scheme's worst case, whose R is not 0) joined version 7 later with the
+# digest of the output it already had. A new version needs a new digest
+# set here.
 GOLDEN = {
     2: {
         "figure-fig1": {
@@ -396,6 +403,11 @@ GOLDEN = {
         },
         "samplecount-two-qubit-json": {
             "stdout": "e72c502700c3645e5cebb90148986ac7b09aacdd1118b267f27edd9d0a6209a0",
+        },
+        "simulate-cluster12-generators": {
+            # R != 0: the generators scheme's worst case subtracts the
+            # other nonzero syndromes' projectors
+            "stdout": "5ac294db92fdbd68be6ad85d2780c9496790e4aa7fb4376b5542805037422ae6",
         },
         "simulate-ghz12": {
             "stdout": "39e70655b10f254fcb953e9ea274a4e129240a4911bc5381379df74437f7e949",

@@ -6,6 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import qverify.protocol as protocol
+from qverify.cli import main
 from qverify.errors import ValidationError
 from qverify.adversary import AdversaryState, worst_case_state
 from qverify.protocol import (
@@ -619,3 +621,24 @@ def test_sink_records_hold_plain_values():
                 for label in record.get("setting_labels_drawn", []):
                     assert type(label) is str
                 json.dumps(record)
+
+
+@pytest.mark.parametrize("device_name", ["honest", "worst-iid"])
+def test_estimate_power_reports_its_own_plan_prediction(device_name, monkeypatch, capsys):
+    strat, device = worst_iid_device(0.1)
+    if device_name == "honest":
+        device = honest_device(BELL)
+    stats = estimate_power(strat, device, 20, 50, seed=7)
+    assert stats.predicted_acceptance == predicted_acceptance(strat, device, 20)
+    # simulate builds its plan once and prints the prediction of that plan
+    plans = []
+
+    def counted(*args):
+        plans.append(_build_plan(*args))
+        return plans[-1]
+
+    monkeypatch.setattr(protocol, "_build_plan", counted)
+    argv = ["simulate", "--bell", "--device", device_name, "--n", "20", "--trials", "50"]
+    assert main(argv + (["--epsilon", "0.1"] if device_name == "worst-iid" else [])) == 0
+    assert len(plans) == 1
+    assert f"predicted_acceptance,{stats.predicted_acceptance!r}" in capsys.readouterr().out

@@ -48,7 +48,7 @@ from qverify.stabilizer import (
     _checked_strings,
     _pass_rows,
 )
-from qverify.adversary import strategy_game_value, worst_case_state
+from qverify.adversary import AdversaryState, strategy_game_value, worst_case_state
 from qverify.samplecount import certainty_count_report
 from qverify.strategy import StrategyKind, metrics
 from stabilizer_oracles import (
@@ -1031,3 +1031,23 @@ def test_every_report_route_rejects_a_non_maximal_group():
     ):
         with pytest.raises(ValidationError, match="maximal group"):
             build(group)
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        pytest.param(lambda: AdversaryState(basis_ket(2, 0), "x"), id="fidelity-str"),
+        pytest.param(lambda: AdversaryState(basis_ket(2, 0), None), id="fidelity-none"),
+        pytest.param(lambda: StabilizerGroup(5), id="group-int"),
+        pytest.param(lambda: StabilizerGroup(("XX", "ZZ")), id="group-labels"),
+        pytest.param(lambda: preset_group(5), id="preset-int"),
+        pytest.param(lambda: PauliString.from_label(None), id="label-none"),
+        pytest.param(lambda: ParityCheck(5), id="parity-check-int"),
+        pytest.param(lambda: full_strategy(5), id="full-int"),
+        pytest.param(lambda: generator_strategy(5), id="generators-int"),
+        pytest.param(lambda: worst_case_state(5, 0.1), id="worst-case-int"),
+    ],
+)
+def test_wrong_types_raise_validation_error(build):
+    with pytest.raises(ValidationError):
+        build()
