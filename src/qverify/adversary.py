@@ -113,6 +113,8 @@ def _operator_entries(omega, dim: int, what: str) -> np.ndarray:
 
 def acceptance_probability(omega, state: AdversaryState) -> float:
     """Per copy acceptance tr(Omega sigma) of a device output."""
+    if not isinstance(state, AdversaryState):
+        raise ValidationError(f"expected an AdversaryState, got {state!r}")
     mat = _operator_entries(omega, state.sigma.dim, "state")
     return float(np.trace(mat @ state.sigma.entries).real)
 
@@ -696,6 +698,8 @@ def game_value(omega, target: Ket, epsilon: float) -> GameValue:
     bracket are then mixed to fidelity exactly 1 - epsilon. When the top
     eigenvector at mu = 0 is already admissible it is the answer.
     """
+    if not isinstance(target, Ket):
+        raise ValidationError(f"expected a target Ket, got {target!r}")
     mat = _operator_entries(omega, target.dim, "target")
     check_probability("epsilon", epsilon)
 
@@ -750,7 +754,7 @@ def strategy_game_value(strategy: Strategy | PauliStrategy, epsilon: float) -> G
     is both accept_prob and, before the rounding widening, upper_bound,
     attained by the worst-case state. No eigenproblem is solved.
     """
-    if not isinstance(strategy, PauliStrategy):
+    if isinstance(strategy, Strategy):
         return game_value(strategy, strategy.target, epsilon)
     check_probability("epsilon", epsilon)
     q, top = top_orthogonal_eigenvector(strategy)

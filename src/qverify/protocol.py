@@ -53,7 +53,7 @@ import numpy as np
 
 from .adversary import AdversaryState
 from .errors import ValidationError
-from .qcore import TOL_INPUT, HermitianOperator, Ket, check_density
+from .qcore import TOL_INPUT, HermitianOperator, Ket, _integer, check_density
 from .samplecount import check_probability
 from .stabilizer import PauliStrategy
 from .strategy import Strategy
@@ -63,13 +63,6 @@ WILSON_Z99 = 2.5758293035489004
 _MASK64 = (1 << 64) - 1
 _CHUNK = 1 << 16
 _FIRST_CHUNK = 32  # even, so every chunk starts at an even copy
-
-
-def _integer(name: str, value) -> int:
-    """value as a Python int; a bool or any non-integer is bad input."""
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-        raise ValidationError(f"{name} must be an integer, got {value!r}")
-    return int(value)
 
 
 def _as_state(obj, dim: int) -> Ket | np.ndarray:

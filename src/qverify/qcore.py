@@ -214,8 +214,15 @@ def identity(dim: int) -> HermitianOperator:
     return HermitianOperator(np.eye(dim, dtype=complex))
 
 
+def _integer(name: str, value) -> int:
+    """value as a Python int; a bool or any non-integer is bad input."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValidationError(f"{name} must be an integer, got {value!r}")
+    return int(value)
+
+
 def check_index(what: str, index: int, size: int) -> None:
-    if not 0 <= index < size:
+    if not 0 <= _integer(what, index) < size:
         raise BadDimError(f"{what} {index} outside [0, {size})")
 
 

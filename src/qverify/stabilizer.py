@@ -32,11 +32,14 @@ significant first); _column_syndromes alone converts.
 Element table. StabilizerGroup.table holds every element's (x, z, phase)
 as one read-only int64 array, built by doubling once per generator, and
 every stabilizer number is derived from it by array arithmetic: the
-PauliString elements (all checked as one stack), each element's
-permutation of the basis, which the protocol plan reads a device's state
-at, and every stabilizer vector: each is a column of a signed element
-sum sum_m c(m) P_m with dyadic c, whose diagonal and columns
-_signed_sums gives for a batch of coefficient rows at once.
+PauliString elements, each element's permutation of the basis, which the
+protocol plan reads a device's state at, and every stabilizer vector:
+each is a column of a signed element sum sum_m c(m) P_m with dyadic c,
+whose diagonal and columns _signed_sums gives for a batch of
+coefficient rows at once. Only the PauliString constructor checks a
+string's fields: the elements and settings are assembled from table
+columns unchecked, as products of checked, pairwise commuting Hermitian
+Pauli strings are valid Hermitian Pauli strings.
 
 Every strategy here, full, generators or a chosen subset, is a
 PauliStrategy: group, element indices, kind and pass counts, and no
@@ -65,7 +68,6 @@ from .errors import (
     DependentGeneratorsError,
     InconsistentSignsError,
     NonCommutingError,
-    QVerifyError,
     ValidationError,
 )
 from .qcore import MAX_QUBITS, TOL_DERIVED, Ket
@@ -95,29 +97,13 @@ def _act(x, z, coeff, index):
     return index ^ x, coeff * (1 - 2 * _parity(index & z))
 
 
-def _pauli_defect(n, x, z, phase) -> QVerifyError | None:
-    """The error of the first PauliString check these fields fail, or None."""
-    if not all(isinstance(v, int) for v in (n, x, z, phase)):
-        return ValidationError("Pauli string fields must be ints")
-    if not 1 <= n <= MAX_QUBITS:
-        return BadDimError(f"num_qubits must be in [1, {MAX_QUBITS}]")
-    if min(x, z) < 0 or (x | z) >> n:
-        return ValidationError(f"x and z masks must lie in [0, 2^{n})")
-    if phase not in (0, 1, 2, 3):
-        return ValidationError(f"phase must be 0, 1, 2 or 3, got {phase!r}")
-    if (phase - (x & z).bit_count()) % 2:
-        return InconsistentSignsError(
-            f"i^{phase} X^{x:0{n}b} Z^{z:0{n}b} is anti-Hermitian"
-        )
-    return None
-
-
 @dataclass(frozen=True)
 class PauliString:
     """The n qubit operator i^phase X^x Z^z, x and z integer bit masks.
 
     Qubit 0 is the leftmost letter and the most significant mask bit. The
-    operator is Hermitian, so phase has the parity of |x & z|.
+    operator is Hermitian, so phase has the parity of |x & z|. This
+    constructor is the one check of a Pauli string's fields.
     """
 
     num_qubits: int
@@ -126,9 +112,17 @@ class PauliString:
     phase: int = 0
 
     def __post_init__(self):
-        error = _pauli_defect(self.num_qubits, self.x, self.z, self.phase)
-        if error is not None:
-            raise error
+        n, x, z, phase = self.num_qubits, self.x, self.z, self.phase
+        if not all(isinstance(v, int) for v in (n, x, z, phase)):
+            raise ValidationError("Pauli string fields must be ints")
+        if not 1 <= n <= MAX_QUBITS:
+            raise BadDimError(f"num_qubits must be in [1, {MAX_QUBITS}]")
+        if min(x, z) < 0 or (x | z) >> n:
+            raise ValidationError(f"x and z masks must lie in [0, 2^{n})")
+        if phase not in (0, 1, 2, 3):
+            raise ValidationError(f"phase must be 0, 1, 2 or 3, got {phase!r}")
+        if (phase - (x & z).bit_count()) % 2:
+            raise InconsistentSignsError(f"i^{phase} X^{x:0{n}b} Z^{z:0{n}b} is anti-Hermitian")
 
     @classmethod
     def from_label(cls, label: str) -> "PauliString":
@@ -165,15 +159,19 @@ class PauliString:
         """Number of non-identity letters."""
         return (self.x | self.z).bit_count()
 
-    def commutes(self, other: "PauliString") -> bool:
+    def _check_partner(self, other) -> None:
+        if not isinstance(other, PauliString):
+            raise ValidationError(f"a PauliString's partner is a PauliString, got {other!r}")
         if other.num_qubits != self.num_qubits:
             raise BadDimError("qubit counts differ")
+
+    def commutes(self, other: "PauliString") -> bool:
+        self._check_partner(other)
         return ((self.x & other.z) ^ (self.z & other.x)).bit_count() % 2 == 0
 
     def __mul__(self, other: "PauliString") -> "PauliString":
         """Operator product; the constructor rejects an anti-Hermitian one."""
-        if other.num_qubits != self.num_qubits:
-            raise BadDimError("qubit counts differ")
+        self._check_partner(other)
         # Z^za X^xb = (-1)^|za & xb| X^xb Z^za
         phase = self.phase + other.phase + 2 * (self.z & other.x).bit_count()
         return PauliString(
@@ -261,24 +259,9 @@ def _count_metrics(counts: np.ndarray) -> StrategyMetrics:
     return StrategyMetrics(int(counts[1:].max()) / k, int(counts.sum()) / k)
 
 
-def _checked_strings(n: int, table: np.ndarray) -> tuple[PauliString, ...]:
-    """The PauliStrings on n qubits whose (x, z, phase) are table's columns.
-
-    Every PauliString check runs once over the whole table, and the first
-    failing column raises the error its constructor would; the strings
-    are then assembled without checking each a second time.
-    """
-    xs, zs, phases = table
-    bad = np.ones(table.shape[1], dtype=bool)
-    if isinstance(n, int) and 1 <= n <= MAX_QUBITS and table.dtype.kind == "i":
-        bad = (
-            (np.minimum(xs, zs) < 0)
-            | ((xs | zs) >> n > 0)
-            | (phases & ~3 != 0)
-            | ((phases ^ _parity(xs & zs)) & 1 == 1)
-        )
-    if bad.any():
-        raise _pauli_defect(n, *table[:, int(bad.argmax())].tolist())
+def _products(n: int, table: np.ndarray) -> tuple[PauliString, ...]:
+    """The PauliStrings on n qubits whose (x, z, phase) are columns of a
+    checked group's table: products of its generators, not checked again."""
     return tuple(
         qcore._assembled(PauliString, num_qubits=n, x=x, z=z, phase=phase)
         for x, z, phase in zip(*table.tolist())
@@ -350,9 +333,9 @@ class StabilizerGroup:
 
         Bit j of m (j = 0 is the first generator) selects generator j.
         Element 0 is the identity with sign +1. The strings are the
-        table's columns, each given every PauliString check as one stack.
+        table's columns, assembled by _products without a second check.
         """
-        return _checked_strings(self.num_qubits, self.table)
+        return _products(self.num_qubits, self.table)
 
     def _joint_eigenvectors(self, syndromes) -> np.ndarray:
         """Row i: unit vector on which element m has eigenvalue (-1)^|m & syndromes[i]|.
@@ -379,15 +362,19 @@ class StabilizerGroup:
         return Ket(self._joint_eigenvectors([0])[0])
 
 
+def _preset_size(num_qubits, low: int) -> int:
+    """A preset's qubit count as a Python int in [low, MAX_QUBITS]."""
+    n = qcore._integer("num_qubits", num_qubits)
+    if not low <= n <= MAX_QUBITS:
+        raise BadDimError(f"num_qubits must be in [{low}, {MAX_QUBITS}]")
+    return n
+
+
 def ghz_group(num_qubits: int) -> StabilizerGroup:
     """Stabilizer group of (|0...0> + |1...1>)/sqrt(2): X...X and ZZ pairs."""
-    if not 2 <= num_qubits <= MAX_QUBITS:
-        raise BadDimError(f"num_qubits must be in [2, {MAX_QUBITS}]")
-    gens = [PauliString.from_label("X" * num_qubits)]
-    for k in range(num_qubits - 1):
-        label = "I" * k + "ZZ" + "I" * (num_qubits - k - 2)
-        gens.append(PauliString.from_label(label))
-    return StabilizerGroup(generators=tuple(gens))
+    n = _preset_size(num_qubits, 2)
+    pairs = (PauliString(n, 0, 0b11 << (n - 2 - k)) for k in range(n - 1))
+    return StabilizerGroup((PauliString(n, (1 << n) - 1, 0), *pairs))
 
 
 def ghz_state(num_qubits: int) -> Ket:
@@ -398,30 +385,15 @@ def ghz_state(num_qubits: int) -> Ket:
 
 def cluster_group(num_qubits: int) -> StabilizerGroup:
     """Linear cluster state: X on each site flanked by Z on its neighbors."""
-    if not 2 <= num_qubits <= MAX_QUBITS:
-        raise BadDimError(f"num_qubits must be in [2, {MAX_QUBITS}]")
-    gens = []
-    for k in range(num_qubits):
-        letters = ["I"] * num_qubits
-        letters[k] = "X"
-        if k > 0:
-            letters[k - 1] = "Z"
-        if k < num_qubits - 1:
-            letters[k + 1] = "Z"
-        gens.append(PauliString.from_label("".join(letters)))
-    return StabilizerGroup(generators=tuple(gens))
+    n = _preset_size(num_qubits, 2)
+    sites = (1 << (n - 1 - k) for k in range(n))  # X on qubit k, Z beside it
+    return StabilizerGroup(tuple(PauliString(n, x, (x << 1 | x >> 1) % (1 << n)) for x in sites))
 
 
 def all_zeros_group(num_qubits: int) -> StabilizerGroup:
     """Stabilizer group of |0...0>: one Z per qubit."""
-    if not 1 <= num_qubits <= MAX_QUBITS:
-        raise BadDimError(f"num_qubits must be in [1, {MAX_QUBITS}]")
-    gens = []
-    for k in range(num_qubits):
-        letters = ["I"] * num_qubits
-        letters[k] = "Z"
-        gens.append(PauliString.from_label("".join(letters)))
-    return StabilizerGroup(generators=tuple(gens))
+    n = _preset_size(num_qubits, 1)
+    return StabilizerGroup(tuple(PauliString(n, 0, 1 << (n - 1 - k)) for k in range(n)))
 
 
 def preset_group(name: str) -> StabilizerGroup:
@@ -447,6 +419,8 @@ def group_to_json(group: StabilizerGroup) -> list[str]:
 
 
 def group_from_json(labels) -> StabilizerGroup:
+    if not np.iterable(labels):
+        raise ValidationError(f"malformed group document {labels!r}: not a list of labels")
     return StabilizerGroup(
         generators=tuple(PauliString.from_label(str(lab)) for lab in labels)
     )
@@ -539,8 +513,7 @@ class ParityCheck:
         each is accepted with probability 1 - 1/N, which is what makes
         the generator strategy's worst case exactly that value.
         """
-        passed = self.matrix.sum(axis=0)
-        return tuple(int(k) for k in np.flatnonzero(passed == self.group.num_qubits - 1))
+        return tuple(1 << j for j in range(self.group.num_qubits))
 
 
 class PauliTest(NamedTuple):
@@ -615,7 +588,7 @@ class PauliStrategy:
     def settings(self) -> tuple[PauliTest, ...]:
         """One test per chosen element; only those k elements are assembled."""
         weight, group = 1.0 / len(self.indices), self.group
-        chosen = _checked_strings(group.num_qubits, group.table[:, list(self.indices)])
+        chosen = _products(group.num_qubits, group.table[:, list(self.indices)])
         return tuple(
             PauliTest(p.label, weight, Locality.STABILIZER_PAULI, m)
             for p, m in zip(chosen, self.indices)
@@ -680,10 +653,12 @@ def subset_strategy(group: StabilizerGroup, element_indices) -> SubsetReport:
     gives a sound strategy; below it the report certifies the first
     passing eigenvector after the target as a fooling state.
     """
-    indices = [int(m) if isinstance(m, np.integer) else m for m in element_indices]
-    if all(type(m) is int for m in indices):
-        indices = sorted(set(indices))
-    built = PauliStrategy(group, tuple(indices), StrategyKind.CUSTOM)
+    indices = element_indices  # PauliStrategy rejects a non-iterable
+    if np.iterable(indices):
+        indices = [int(m) if isinstance(m, np.integer) else m for m in indices]
+        if all(type(m) is int for m in indices):
+            indices = sorted(set(indices))
+    built = PauliStrategy(group, indices, StrategyKind.CUSTOM)
     counts, k = built.counts, len(built.indices)
     stabilized = int(np.count_nonzero(counts == k))
     fooling = acceptance = None

@@ -13,7 +13,8 @@ per-scheme routes that each checked and counted on its own before the
 PauliStrategy constructor became the one place a stabilizer strategy is
 checked. The GF(2) joint-eigenvector route and the syndrome-count
 worst-case projector, which the signed-element-sum primitive replaced,
-are kept here too, and the primitive must match them bit for bit.
+are kept here too, and the primitive must match them bit for bit. So
+are the label-built presets, which the mask-built ones replaced.
 """
 
 import math
@@ -324,3 +325,22 @@ def syndrome_worst_state(strategy):
     q, weights, column = syndrome_projector(strategy)
     b = int(np.argmax(weights >= weights.max() - TOL_DERIVED))
     return q, Ket(column(b) / math.sqrt(weights[b])).amplitudes
+
+
+def label_presets(family, num_qubits):
+    """The generators of a 'ghz', 'cluster' or 'zeros' preset, each parsed
+    from its label by PauliString.from_label."""
+    n = num_qubits
+    if family == "ghz":
+        labels = ["X" * n] + ["I" * k + "ZZ" + "I" * (n - k - 2) for k in range(n - 1)]
+    else:
+        labels = []
+        for k in range(n):
+            letters = ["I"] * n
+            letters[k] = "X" if family == "cluster" else "Z"
+            if family == "cluster" and k > 0:
+                letters[k - 1] = "Z"
+            if family == "cluster" and k < n - 1:
+                letters[k + 1] = "Z"
+            labels.append("".join(letters))
+    return tuple(PauliString.from_label(label) for label in labels)

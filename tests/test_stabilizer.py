@@ -15,7 +15,6 @@ from qverify.errors import (
     DependentGeneratorsError,
     InconsistentSignsError,
     NonCommutingError,
-    QVerifyError,
     ValidationError,
 )
 from qverify.qcore import (
@@ -45,12 +44,17 @@ from qverify.stabilizer import (
     _column_syndromes,
     _gf2_rank,
     _pass_counts,
-    _checked_strings,
     _pass_rows,
 )
-from qverify.adversary import AdversaryState, strategy_game_value, worst_case_state
+from qverify.adversary import (
+    AdversaryState,
+    acceptance_probability,
+    game_value,
+    strategy_game_value,
+    worst_case_state,
+)
 from qverify.samplecount import certainty_count_report
-from qverify.strategy import StrategyKind, metrics
+from qverify.strategy import StrategyKind, bell_strategy, metrics
 from stabilizer_oracles import (
     apply_to_index,
     as_dense,
@@ -59,6 +63,8 @@ from stabilizer_oracles import (
     full_strategy_q,
     generator_strategy_q,
     joint_eigenvector,
+    label_presets,
+    random_group,
     SCHEME_INDICES,
     pass_projectors,
     pauli_matrix,
@@ -255,8 +261,6 @@ def test_closed_form_q_values():
 
 
 def test_full_strategy_matches_bell_strategy():
-    from qverify.strategy import bell_strategy
-
     direct = bell_strategy()
     via_group = full_strategy(preset_group("bell"))
     assert sorted(s.label for s in via_group.settings) == sorted(s.label for s in direct.settings)
@@ -777,10 +781,17 @@ def _table_oracle_groups():
 
 
 def _assert_elements_match_products(group):
+    # every assembled column, element and setting label, equals the
+    # __mul__ chain and the checked constructor's string of its fields
+    n = group.num_qubits
     expected = elements_by_products(group)
-    assert group.elements == expected
+    checked = tuple(PauliString(n, *(int(v) for v in column)) for column in group.table.T)
+    assert group.elements == expected == checked
     for ours in group.elements:
         assert {type(v) for v in dataclasses.astuple(ours)} == {int}
+    for build in (full_strategy, generator_strategy):
+        settings = build(group).settings
+        assert [s.label for s in settings] == [checked[s.index].label for s in settings]
 
 
 def test_table_routes_match_the_element_oracle_bitwise():
@@ -808,6 +819,31 @@ def test_table_routes_match_the_element_oracle_bitwise():
             ours = [s.projector.entries for s in as_dense(built).settings]
             theirs = pass_projectors(group, indices)
             assert [p.tobytes() for p in ours] == [p.tobytes() for p in theirs]
+
+
+@pytest.mark.parametrize("num_qubits", range(2, MAX_QUBITS + 1))
+def test_random_group_elements_match_the_element_oracle(num_qubits):
+    group, _ = random_group(num_qubits, np.random.default_rng([num_qubits, 25]))
+    _assert_elements_match_products(group)
+
+
+@pytest.mark.parametrize(
+    "family,sizes",
+    [("ghz", range(2, 13)), ("cluster", range(2, 13)), ("zeros", range(1, 13))],
+)
+def test_mask_built_presets_match_the_label_built_ones(family, sizes):
+    for n in sizes:
+        ours, theirs = preset_group(f"{family}{n}").generators, label_presets(family, n)
+        assert [dataclasses.astuple(g) + (g.label,) for g in ours] == [
+            dataclasses.astuple(g) + (g.label,) for g in theirs
+        ], (family, n)
+
+
+def test_numpy_integer_preset_sizes_read_as_python_ints():
+    for build in (ghz_group, cluster_group, all_zeros_group):
+        ours = build(np.int64(3)).generators
+        assert ours == build(3).generators
+        assert {type(v) for g in ours for v in dataclasses.astuple(g)} == {int}
 
 
 @pytest.mark.parametrize(
@@ -855,47 +891,6 @@ def test_element_table_is_read_only_int64_in_element_order():
     xs, zs, phases = table
     for m, element in enumerate(elements_by_products(group)):
         assert (xs[m], zs[m], phases[m]) == (element.x, element.z, element.phase)
-
-
-def _corrupted(table, column, row, value):
-    bad = np.array(table)
-    bad[row, column] = value
-    return bad
-
-
-@pytest.mark.parametrize(
-    "n,edit",
-    [
-        (3, (5, 2, 1)),  # phase parity: anti-Hermitian
-        (3, (5, 2, 4)),  # phase out of range
-        (3, (6, 2, -1)),  # negative phase
-        (3, (3, 0, 8)),  # x mask too wide
-        (3, (7, 1, -2)),  # negative z mask
-        (3, (1, 1, 1 << 40)),  # z mask far too wide
-        (0, None),
-        (MAX_QUBITS + 1, None),
-        (3.0, None),
-    ],
-)
-def test_checked_strings_raise_the_constructor_error(n, edit):
-    table = preset_group("ghz3").table
-    if edit is not None:
-        table = _corrupted(table, *edit)
-    column = 0 if edit is None else edit[0]
-    with pytest.raises(QVerifyError) as expected:
-        PauliString(n, *(int(v) for v in table[:, column]))
-    with pytest.raises(type(expected.value)) as caught:
-        _checked_strings(n, table)
-    assert str(caught.value) == str(expected.value)
-
-
-def test_checked_strings_report_the_first_bad_column():
-    table = preset_group("ghz3").table
-    table = _corrupted(_corrupted(table, 6, 2, 5), 4, 0, 9)
-    with pytest.raises(ValidationError, match="masks"):
-        _checked_strings(3, table)
-    with pytest.raises(ValidationError, match="must be ints"):
-        _checked_strings(3, table.astype(float))
 
 
 REPORT_PRESETS = ["bell", "zeros1"] + [
@@ -1033,6 +1028,9 @@ def test_every_report_route_rejects_a_non_maximal_group():
             build(group)
 
 
+BELL = bell_strategy()
+
+
 @pytest.mark.parametrize(
     "build",
     [
@@ -1046,8 +1044,27 @@ def test_every_report_route_rejects_a_non_maximal_group():
         pytest.param(lambda: full_strategy(5), id="full-int"),
         pytest.param(lambda: generator_strategy(5), id="generators-int"),
         pytest.param(lambda: worst_case_state(5, 0.1), id="worst-case-int"),
+        pytest.param(lambda: subset_strategy(preset_group("ghz3"), 5), id="subset-int"),
+        pytest.param(lambda: group_from_json(5), id="group-json-int"),
+        pytest.param(lambda: PauliString.from_label("XX") * 5, id="product-int"),
+        pytest.param(lambda: PauliString.from_label("XX").commutes(5), id="commutes-int"),
+        pytest.param(lambda: basis_ket(4, "a"), id="basis-index-str"),
+        pytest.param(
+            lambda: ParityCheck(preset_group("ghz3")).eigenvalue("a", 0), id="eigenvalue-str"
+        ),
+        pytest.param(lambda: ghz_group("3"), id="ghz-str"),
+        pytest.param(lambda: cluster_group(2.0), id="cluster-float"),
+        pytest.param(lambda: ghz_group(True), id="ghz-bool"),
+        pytest.param(lambda: strategy_game_value(5, 0.1), id="game-value-strategy-int"),
+        pytest.param(lambda: game_value(BELL, 5, 0.1), id="game-value-target-int"),
+        pytest.param(lambda: acceptance_probability(BELL, 5), id="acceptance-state-int"),
     ],
 )
-def test_wrong_types_raise_validation_error(build):
+def test_wrong_types_raise_validation_error(build, monkeypatch):
+    def no_eigensolve(*args, **kwargs):
+        raise AssertionError("bad input reached an eigensolve")
+
+    for name in ("eig", "eigh", "eigvals", "eigvalsh"):
+        monkeypatch.setattr(np.linalg, name, no_eigensolve)
     with pytest.raises(ValidationError):
         build()
