@@ -113,7 +113,6 @@ from .adversary import (
     family_omega,
     family_qmax,
     family_trace3,
-    game_value,
     hilbert_schmidt_mixed_state,
     hull_boundary,
     landscape,

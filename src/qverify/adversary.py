@@ -17,20 +17,19 @@ two qubit targets sin(theta)|00> + cos(theta)|11>:
   alpha, so each phi column's minimum sits at their crossing, found by
   binary search instead of evaluating every grid cell.
 
-* A direct game value. For a fixed strategy operator, the most
-  favorable state at infidelity at least epsilon is found exactly by
-  Lagrangian duality: bisection on the multiplier of the fidelity
-  constraint, one eigensolve per step, returns an admissible maximizer
-  together with a dual upper bound that certifies it. For strategies
-  that fix the target the value is 1 - epsilon (1 - q), attained at
-  infidelity exactly epsilon.
+* A direct game value. For a strategy that fixes its target the paper's
+  identity gives the most favorable state at infidelity at least
+  epsilon: the best acceptance is 1 - epsilon (1 - q), attained by
+  sqrt(1 - epsilon)|psi> + sqrt(epsilon)|w>, w the worst orthogonal
+  state. The dual multiplier 1 - q certifies it; a strategy read from a
+  file fixes its target only within TOL_DERIVED, and its bound is
+  widened by that defect.
 
 The worst orthogonal state is picked by one rule that reads only the
 strategy operator, not the eigensolver's basis (top_orthogonal_eigenvector),
 from the top orthogonal eigenspace's projector that each strategy type
 builds (orthogonal_projector; a PauliStrategy's needs no eigenproblem and
-no 2^N x 2^N array). A PauliStrategy's game value is the closed form with
-the exact dual multiplier 1 - q. Pure worst-case states are kept as Kets
+no 2^N x 2^N array). Pure worst-case states are kept as Kets
 that the protocol simulator can feed to a device model directly; a
 Hilbert-Schmidt mixed state sampler with exact fidelity shifting supports
 randomized sufficiency checks (a mixed state at the fidelity boundary
@@ -40,7 +39,6 @@ never beats the pure worst case).
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 from functools import cached_property
 from typing import NamedTuple
@@ -80,8 +78,7 @@ class AdversaryState:
             qcore.check_density(self.state.entries, "density matrix")
         elif not isinstance(self.state, Ket):
             raise ValidationError("an adversary state is a Ket or a HermitianOperator")
-        fid = self.fidelity
-        if not (isinstance(fid, numbers.Real) and -TOL_DERIVED <= fid <= 1 + TOL_DERIVED):
+        if not -TOL_DERIVED <= qcore._real("fidelity", self.fidelity) <= 1 + TOL_DERIVED:
             raise ValidationError(f"fidelity {self.fidelity!r} outside [0, 1]")
 
     @cached_property
@@ -89,14 +86,10 @@ class AdversaryState:
         return self.state.density() if isinstance(self.state, Ket) else self.state
 
 
-def pure_adversary_state(amplitudes: np.ndarray, target: Ket) -> AdversaryState:
-    ket = Ket(np.asarray(amplitudes, dtype=complex))
-    return AdversaryState(ket, ket.fidelity(target))
-
-
-def _operator_entries(omega, dim: int, what: str) -> np.ndarray:
-    """omega's matrix, dim x dim like its what: a Strategy's omega, a
-    HermitianOperator's entries, or an array checked as a HermitianOperator."""
+def _operator_entries(omega, dim: int) -> np.ndarray:
+    """omega's matrix, dim x dim like the state it scores: a Strategy's
+    omega, a HermitianOperator's entries, or an array checked as a
+    HermitianOperator."""
     if isinstance(omega, PauliStrategy):
         raise ValidationError("a PauliStrategy holds no operator matrix; use "
                               "strategy_game_value or protocol.predicted_acceptance")
@@ -107,7 +100,7 @@ def _operator_entries(omega, dim: int, what: str) -> np.ndarray:
     else:
         mat = HermitianOperator(np.asarray(omega, dtype=complex)).entries
     if mat.shape[0] != dim:
-        raise ValidationError(f"operator and {what} dimensions differ ({mat.shape[0]} != {dim})")
+        raise ValidationError(f"operator and state dimensions differ ({mat.shape[0]} != {dim})")
     return mat
 
 
@@ -115,7 +108,7 @@ def acceptance_probability(omega, state: AdversaryState) -> float:
     """Per copy acceptance tr(Omega sigma) of a device output."""
     if not isinstance(state, AdversaryState):
         raise ValidationError(f"expected an AdversaryState, got {state!r}")
-    mat = _operator_entries(omega, state.sigma.dim, "state")
+    mat = _operator_entries(omega, state.sigma.dim)
     return float(np.trace(mat @ state.sigma.entries).real)
 
 
@@ -138,11 +131,11 @@ def top_orthogonal_eigenvector(strategy: Strategy | PauliStrategy) -> tuple[floa
 
 def _eps_far(strategy: Strategy | PauliStrategy, epsilon: float, top: Ket) -> AdversaryState:
     """sqrt(1 - eps)|psi> + sqrt(eps)|top>, top orthogonal to the target."""
-    amps = (
+    ket = Ket(
         math.sqrt(1.0 - epsilon) * strategy.target.amplitudes
         + math.sqrt(epsilon) * top.amplitudes
     )
-    return pure_adversary_state(amps, strategy.target)
+    return AdversaryState(ket, ket.fidelity(strategy.target))
 
 
 def worst_case_state(strategy: Strategy | PauliStrategy, epsilon: float) -> AdversaryState:
@@ -151,7 +144,7 @@ def worst_case_state(strategy: Strategy | PauliStrategy, epsilon: float) -> Adve
     sqrt(1 - eps)|psi> + sqrt(eps)|worst orthogonal>, accepted with
     probability exactly 1 - eps (1 - q). This is the hardest admissible
     device output: no state (pure or mixed) at fidelity <= 1 - eps does
-    better, which game_value verifies independently.
+    better: strategy_game_value certifies it with the dual multiplier 1 - q.
     """
     check_probability("epsilon", epsilon)
     q, top = top_orthogonal_eigenvector(strategy)
@@ -168,6 +161,9 @@ def hilbert_schmidt_mixed_state(dim: int, rng: np.random.Generator) -> np.ndarra
     Partial trace of a Haar random pure state on a doubled space,
     realized as G G^dag / tr(G G^dag) for a complex Gaussian G.
     """
+    dim = qcore._integer("dim", dim)
+    if not isinstance(rng, np.random.Generator):
+        raise ValidationError(f"expected a numpy Generator, got {rng!r}")
     g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
     rho = g @ g.conj().T
     return rho / np.trace(rho).real
@@ -181,7 +177,11 @@ def shift_fidelity(rho: np.ndarray, target: Ket, epsilon: float) -> AdversarySta
     keeps the state a valid density matrix.
     """
     check_probability("epsilon", epsilon)
+    if not isinstance(target, Ket):
+        raise ValidationError(f"expected a target Ket, got {target!r}")
     rho = np.asarray(rho, dtype=complex)
+    if rho.shape != (target.dim, target.dim):
+        raise ValidationError(f"rho of shape {rho.shape} is no {target.dim} x {target.dim} matrix")
     psi = target.amplitudes
     proj = np.outer(psi, psi.conj())
     f0 = float(np.real(np.vdot(psi, rho @ psi)))
@@ -205,6 +205,7 @@ def tau_state(theta: float, phi: float, eta: float) -> Ket:
     eta; as phi -> 0 it tends to |01>. Every product state orthogonal
     to the target is of this form up to qubit order and global phase.
     """
+    theta, phi, eta = (qcore._real(*arg) for arg in (("theta", theta), ("phi", phi), ("eta", eta)))
     if not 0.0 < phi < math.pi / 2:
         raise ValidationError(f"phi={phi!r} outside (0, pi/2)")
     t_phi = math.tan(phi)
@@ -343,11 +344,11 @@ def hull_boundary(
     trace the hull boundary for plotting, tagged by which constraint
     each piece comes from.
     """
-    if not 0.0 < theta < math.pi / 2.0:
+    if not 0.0 < qcore._real("theta", theta) < math.pi / 2.0:
         raise ThetaOutOfDomainError(
             f"theta {theta!r} outside the open interval (0, pi/2)"
         )
-    if points < 2:
+    if qcore._integer("points", points) < 2:
         raise ValidationError("points must be at least 2")
     floor = ppt_lower_bound(theta)
     rows: list[tuple[float, float, str]] = [
@@ -397,7 +398,7 @@ def landscape(
     ThetaOutOfDomainError. Grid entries outside alpha in [0, 1] or phi
     in (0, pi/2), nan included, raise ValidationError.
     """
-    if not math.isfinite(theta):
+    if not math.isfinite(qcore._real("theta", theta)):
         raise ThetaOutOfDomainError(f"theta={theta!r} is not a finite angle")
     if alphas is None:
         alphas = np.linspace(0.0, 1.0, 121)
@@ -569,9 +570,9 @@ def certify_optimality(
     valley to LOCATION_TOL.
     """
     check_theta(theta)
-    if resolution < 8:
+    if qcore._integer("resolution", resolution) < 8:
         raise ValidationError("resolution must be at least 8")
-    if refine_resolution < 1:
+    if qcore._integer("refine_resolution", refine_resolution) < 1:
         raise ValidationError("refine_resolution must be at least 1")
     big_t = math.tan(theta) ** 2
     alphas = np.linspace(0.0, 1.0, resolution)
@@ -616,11 +617,12 @@ class GameValue:
     """Best adversarial acceptance at infidelity at least epsilon.
 
     maximizer is an admissible state (fidelity at most 1 - epsilon) and
-    accept_prob its acceptance; epsilon_star is its infidelity.
-    upper_bound is the Lagrangian dual D(mu) at the upper end of the
-    final bisection bracket (for a PauliStrategy, at the exact multiplier
-    1 - q), widened by the eigensolver's rounding, so the true game value
-    lies in [accept_prob, upper_bound]. evaluations counts eigensolves.
+    accept_prob its acceptance tr(Omega sigma); epsilon_star is its
+    infidelity. upper_bound is the Lagrangian dual at the multiplier
+    1 - q, 1 - epsilon (1 - q), widened by the strategy's invariant
+    defect and the eigensolver's rounding, so the true game value lies
+    in [accept_prob, upper_bound]. evaluations counts the eigensolves
+    the call ran: 1 for a dense Strategy, 0 for a PauliStrategy.
     """
 
     accept_prob: float
@@ -657,114 +659,37 @@ def _golden_max(fn, lo: float, hi: float):
     return best_x, best_v
 
 
-# The dual bracket is closed once its width is at most this times
-# max(1, mu): relative for large multipliers, absolute near mu = 0, where
-# a degenerate top eigenspace can put the optimal multiplier.
-_MU_TOL = 1e-15
+# the eigensolver's rounding per dimension: widens a bound so that error
+# in q's last digits cannot put it below a feasible acceptance
 _ROUNDING = 4.0 * np.finfo(float).eps
 
 
-def _mix_to_fidelity(inside: np.ndarray, outside: np.ndarray, psi: np.ndarray,
-                     goal: float) -> np.ndarray:
-    """Unit vector in span{inside, outside} with fidelity exactly goal.
-
-    inside has fidelity above goal and outside at most goal. The part of
-    outside orthogonal to inside is phased so its overlap with psi
-    opposes inside's; the fidelity then falls monotonically along the
-    great circle from inside, and the crossing has a closed form.
-    """
-    u = outside - np.vdot(inside, outside) * inside
-    u = u / np.linalg.norm(u)
-    a = np.vdot(psi, inside)
-    b = np.vdot(psi, u)
-    if abs(b) > 0.0:
-        u = u * (-(a / abs(a)) * (b.conjugate() / abs(b)))
-    radius = math.hypot(abs(a), abs(b))
-    t = math.acos(min(1.0, math.sqrt(goal) / radius)) - math.atan2(abs(b), abs(a))
-    return math.cos(t) * inside + math.sin(t) * u
-
-
-def game_value(omega, target: Ket, epsilon: float) -> GameValue:
-    """Exact best adversarial acceptance at infidelity at least epsilon.
-
-    Maximizes <x|Omega|x> over unit x with |<psi|x>|^2 <= 1 - epsilon;
-    the operator need not fix the target. The Lagrangian dual
-    D(mu) = lmax(Omega - mu |psi><psi|) + mu (1 - epsilon) is convex in
-    mu >= 0 with subgradient (1 - epsilon) - |<v(mu)|psi>|^2, v(mu) the
-    top eigenvector, and has no duality gap because the joint numerical
-    range of two Hermitian forms is convex (Toeplitz-Hausdorff). The
-    minimizing mu is bracketed by doubling from 1 and bisected on the
-    sign of the subgradient; the top eigenvectors at the two ends of the
-    bracket are then mixed to fidelity exactly 1 - epsilon. When the top
-    eigenvector at mu = 0 is already admissible it is the answer.
-    """
-    if not isinstance(target, Ket):
-        raise ValidationError(f"expected a target Ket, got {target!r}")
-    mat = _operator_entries(omega, target.dim, "target")
-    check_probability("epsilon", epsilon)
-
-    psi = target.amplitudes
-    proj = np.outer(psi, psi.conj())
-    goal = 1.0 - epsilon
-    evals = 0
-
-    def top(mu: float) -> tuple[np.ndarray, np.ndarray, bool]:
-        nonlocal evals
-        evals += 1
-        vals, vecs = np.linalg.eigh(mat - mu * proj)
-        vec = vecs[:, -1]
-        return vals, vec, abs(np.vdot(psi, vec)) ** 2 <= goal
-
-    lo = hi = 0.0
-    vals_hi, x, admissible = top(hi)
-    if not admissible:
-        vec_lo, hi = x, 1.0
-        while not (found := top(hi))[2]:
-            lo, vec_lo = hi, found[1]
-            hi *= 2.0
-        vals_hi, vec_hi, _ = found
-        while hi - lo > _MU_TOL * max(1.0, hi):
-            mid = 0.5 * (lo + hi)
-            vals, vec, admissible = top(mid)
-            if admissible:
-                hi, vals_hi, vec_hi = mid, vals, vec
-            else:
-                lo, vec_lo = mid, vec
-        x = _mix_to_fidelity(vec_lo, vec_hi, psi, goal)
-
-    chi = x / np.linalg.norm(x)
-    state = pure_adversary_state(chi, target)
-    # widened by the eigensolver's backward error, so that rounding in the
-    # last digits cannot put the bound below a feasible acceptance
-    rounding = _ROUNDING * target.dim * (float(np.max(np.abs(vals_hi))) + hi)
-    return GameValue(
-        accept_prob=float(np.real(np.vdot(chi, mat @ chi))),
-        upper_bound=float(vals_hi[-1]) + hi * goal + rounding,
-        epsilon_star=1.0 - state.fidelity,
-        maximizer=state,
-        evaluations=evals,
-    )
-
-
 def strategy_game_value(strategy: Strategy | PauliStrategy, epsilon: float) -> GameValue:
-    """game_value of a strategy against its own target.
+    """Best acceptance at infidelity at least epsilon against the
+    strategy's own target, by the paper's identity.
 
-    A PauliStrategy fixes its target and its orthogonal top eigenvalue is
-    q, so mu = 1 - q is an exact dual multiplier: D(mu) = 1 - eps (1 - q)
-    is both accept_prob and, before the rounding widening, upper_bound,
-    attained by the worst-case state. No eigenproblem is solved.
+    The maximizer is worst_case_state's. If Omega fixes psi, mu = 1 - q
+    is an exact dual multiplier: D(mu) = lmax(Omega - mu |psi><psi|) +
+    mu (1 - eps) = 1 - eps (1 - q), the maximizer's acceptance. A dense
+    Omega fixes psi only within d = |Omega psi - psi|, which bounds both
+    |<psi|Omega|psi> - 1| and the coupling of psi to its orthocomplement,
+    so lmax, and the bound, move by at most 2 d. A PauliStrategy fixes
+    its target exactly (d = 0) and needs no eigenproblem; its acceptance
+    is the closed form.
     """
-    if isinstance(strategy, Strategy):
-        return game_value(strategy, strategy.target, epsilon)
     check_probability("epsilon", epsilon)
     q, top = top_orthogonal_eigenvector(strategy)
     state = _eps_far(strategy, epsilon, top)
-    value = 1.0 - epsilon * (1.0 - q)
+    value = accept = 1.0 - epsilon * (1.0 - q)
+    drift = evaluations = 0
+    if isinstance(strategy, Strategy):  # its orthogonal_projector ran one eigh
+        omega, psi, x = strategy.omega, strategy.target.amplitudes, state.state.amplitudes
+        accept = float(np.vdot(x, omega @ x).real)
+        drift, evaluations = float(np.linalg.norm(omega @ psi - psi)), 1
     return GameValue(
-        accept_prob=value,
-        # game_value's widening: max |eigenvalue of Omega - mu P| + mu = q + (1 - q)
-        upper_bound=value + _ROUNDING * strategy.dim,
+        accept_prob=accept,
+        upper_bound=value + 2.0 * drift + _ROUNDING * strategy.dim,
         epsilon_star=1.0 - state.fidelity,
         maximizer=state,
-        evaluations=0,
+        evaluations=evaluations,
     )

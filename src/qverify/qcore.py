@@ -19,6 +19,7 @@ Eigenvectors are used as LAPACK returns them, with no tie-breaking.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -219,6 +220,13 @@ def _integer(name: str, value) -> int:
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
         raise ValidationError(f"{name} must be an integer, got {value!r}")
     return int(value)
+
+
+def _real(name: str, value) -> float:
+    """value as a float; anything that is not a real number is bad input."""
+    if type(value) is not float and not isinstance(value, numbers.Real):
+        raise ValidationError(f"{name} must be a real number, got {value!r}")
+    return float(value)
 
 
 def check_index(what: str, index: int, size: int) -> None:

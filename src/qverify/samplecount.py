@@ -25,7 +25,6 @@ strategies those three builders make hold it as their metrics.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -33,7 +32,7 @@ import numpy as np
 
 from .errors import DegenerateStrategyError, ThetaNearSpecialValueError
 from .errors import ThetaOutOfDomainError, UndefinedDivergenceError, ValidationError
-from .qcore import TOL_DERIVED
+from .qcore import TOL_DERIVED, _real
 
 THETA_SPECIAL_TOL = 1e-9
 SPECIAL_THETAS = (0.0, math.pi / 4, math.pi / 2)
@@ -41,8 +40,7 @@ SPECIAL_THETAS = (0.0, math.pi / 4, math.pi / 2)
 
 def check_probability(name: str, value: float, open_zero=True, open_one=True):
     """Raise ValidationError unless value is a real in (0, 1), closed where asked."""
-    if type(value) is not float and not isinstance(value, numbers.Real):
-        raise ValidationError(f"{name} must be a real number, got {value!r}")
+    _real(name, value)
     lo_ok = value > 0.0 if open_zero else value >= 0.0
     hi_ok = value < 1.0 if open_one else value <= 1.0
     if not (lo_ok and hi_ok):
@@ -288,7 +286,7 @@ def check_theta(theta: float) -> None:
     it, every angle that theta_family assigns to a special construction
     is rejected as near special.
     """
-    if not 0.0 <= theta <= math.pi / 2:  # also rejects nan
+    if not 0.0 <= _real("theta", theta) <= math.pi / 2:  # also rejects nan
         raise ThetaOutOfDomainError(f"theta={theta!r} outside [0, pi/2]")
     if theta_family(theta) != "two-qubit-optimal":
         raise ThetaNearSpecialValueError(

@@ -23,7 +23,6 @@ from qverify.adversary import (
     family_omega,
     family_qmax,
     family_trace3,
-    game_value,
     hilbert_schmidt_mixed_state,
     hull_boundary,
     lambda1,
@@ -47,11 +46,13 @@ from qverify.strategy import (
     StrategyKind,
     alpha_weight,
     bell_strategy,
+    from_json_dict,
     metrics,
     local_transport,
     optimal_q,
     product_state_strategy,
     target_state,
+    to_json_dict,
     trace3_closed_form,
     two_qubit_optimal,
 )
@@ -61,6 +62,7 @@ from qverify.stabilizer import (
     preset_group,
     subset_strategy,
 )
+import oracles
 from stabilizer_oracles import as_dense
 
 CERT_THETAS = [math.pi / 12, math.pi / 8, math.pi / 5, 3 * math.pi / 8]
@@ -168,6 +170,12 @@ def test_tied_worst_state_ignores_the_eigensolver_basis(name, seed):
     rotated_q, rotated = _rotated_top(strat, seed)
     assert rotated_q == q
     assert np.array_equal(rotated.amplitudes, state.amplitudes)
+    # the game value's maximizer is read from the same rule
+    maximizer = strategy_game_value(strat, 0.1).maximizer.state.amplitudes
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(np.linalg, "eigh", _rotating_eigh(seed))
+        rotated_game = strategy_game_value(strat, 0.1)
+    assert np.array_equal(rotated_game.maximizer.state.amplitudes, maximizer)
 
 
 @given(
@@ -681,17 +689,31 @@ def test_game_value_bell_frozen():
 
 @pytest.mark.parametrize(
     "build,theta",
-    [(bell_strategy, None), (two_qubit_optimal, math.pi / 8), (two_qubit_optimal, 0.7)],
+    [
+        (bell_strategy, None),
+        (two_qubit_optimal, math.pi / 8),
+        (two_qubit_optimal, 0.7),
+        pytest.param(two_qubit_optimal, 0.3, id="two_qubit_optimal-0.3"),
+        pytest.param(lambda: product_state_strategy("zero"), None, id="product-zero"),
+        pytest.param(
+            lambda theta: _game_strategy("transported", theta, 31), 1.1, id="transported-1.1"
+        ),
+    ],
 )
 def test_game_value_matches_worst_case_formula(build, theta):
     strat = build() if theta is None else build(theta)
-    eps = 0.1
     q = metrics(strat).q
-    result = strategy_game_value(strat, eps)
-    assert abs(result.accept_prob - (1.0 - eps * (1.0 - q))) < 1e-8
-    assert abs(result.epsilon_star - eps) < 1e-5
-    accept = acceptance_probability(strat.omega, result.maximizer)
-    assert accept <= result.accept_prob + 1e-10
+    for eps in (1e-6, 1e-3, 0.1, 0.5, 0.9):
+        result = strategy_game_value(strat, eps)
+        assert abs(result.accept_prob - (1.0 - eps * (1.0 - q))) < 1e-8
+        assert abs(result.epsilon_star - eps) < 1e-5
+        accept = acceptance_probability(strat.omega, result.maximizer)
+        assert accept <= result.accept_prob + 1e-10
+        # the dual sweep finds the same value by its own route
+        oracle = oracles.game_value(strat, strat.target, eps)
+        assert abs(result.accept_prob - oracle.accept_prob) <= 1e-12
+        assert 0.0 <= result.upper_bound - result.accept_prob <= 1e-9
+        assert result.maximizer.fidelity <= 1.0 - eps + 1e-12
 
 
 def test_game_value_epsilon_validation():
@@ -709,20 +731,15 @@ def test_operator_arguments_are_read_alike():
     games = []
     for omega in (strat, HermitianOperator(strat.omega), strat.omega):
         assert acceptance_probability(omega, state) == expected
-        games.append(game_value(omega, strat.target, 0.1).accept_prob)
+        games.append(oracles.game_value(omega, strat.target, 0.1).accept_prob)
     assert games[0] == games[1] == games[2]
 
 
 def test_bad_operator_arguments_are_bad_input():
     pauli = full_strategy(preset_group("bell"))
     state = worst_case_state(pauli, 0.1)
-    with pytest.raises(ValidationError, match="PauliStrategy.*strategy_game_value"):
-        game_value(pauli, pauli.target, 0.1)
     with pytest.raises(ValidationError, match="PauliStrategy.*predicted_acceptance"):
         acceptance_probability(pauli, state)
-    ghz3 = preset_group("ghz3").state()
-    with pytest.raises(ValidationError, match=r"operator and target dimensions differ \(4 != 8\)"):
-        game_value(bell_strategy(), ghz3, 0.1)
     with pytest.raises(ValidationError, match=r"operator and state dimensions differ \(8 != 4\)"):
         acceptance_probability(np.eye(8), state)
     with pytest.raises(NonHermitianError):
@@ -746,10 +763,10 @@ def test_mixed_states_never_beat_pure_worst_case():
         assert acceptance_probability(strat.omega, adv) <= bound + 1e-10
 
 
-# game_value on operators that do not fix the target: the top
-# eigenvector moves continuously with the dual multiplier here, while
-# for every strategy above it jumps between the target and its
-# orthocomplement.
+# The game value's dual sweep (oracles.game_value) on operators that do
+# not fix the target: the top eigenvector moves continuously with the
+# dual multiplier here, while for every strategy above it jumps between
+# the target and its orthocomplement.
 
 
 def _unit_spectrum_operator(dim, seed):
@@ -782,7 +799,7 @@ def test_game_value_dim2_matches_exhaustive_grid(seed, epsilon):
     omega = _unit_spectrum_operator(2, seed)
     target = haar_random_ket(2, seed=100 + seed)
     assert np.linalg.norm(omega @ target.amplitudes - target.amplitudes) > 1e-3
-    result = game_value(omega, target, epsilon)
+    result = oracles.game_value(omega, target, epsilon)
     psi = target.amplitudes
     perp = np.array([-psi[1].conj(), psi[0].conj()])
     polar = np.linspace(math.asin(math.sqrt(epsilon)), math.pi / 2, 801)
@@ -829,7 +846,7 @@ def test_game_value_dim4_against_feasible_states(name, epsilon):
     omega = _coupled_to_lower_eigenvector() if name == "coupled-low" else (
         _unit_spectrum_operator(4, 8)
     )
-    result = game_value(HermitianOperator(omega), target, epsilon)
+    result = oracles.game_value(HermitianOperator(omega), target, epsilon)
     lower = _feasible_lower_bound(omega, target, epsilon, np.random.default_rng(9))
     assert result.accept_prob >= lower - 1e-12
     assert result.accept_prob <= _dual_upper_bound(omega, target, epsilon) + 1e-9
@@ -840,6 +857,20 @@ def _haar_unitary(rng):
     raw = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
     q, r = np.linalg.qr(raw)
     return q * (np.diag(r) / np.abs(np.diag(r)))
+
+
+def _drifted(strategy, seed, size=3e-11):
+    """strategy read back from its document after each projector moved by
+    Hermitian noise of spectral norm size, below the file check's TOL_DERIVED."""
+    rng = np.random.default_rng(seed)
+    doc, dim = to_json_dict(strategy), strategy.dim
+    for item in doc["settings"]:
+        raw = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+        noise = raw + raw.conj().T
+        noise *= size / np.linalg.norm(noise, 2)
+        entries = np.array([complex(*pair) for pair in item["projector"]]) + noise.ravel()
+        item["projector"] = [[z.real, z.imag] for z in entries.tolist()]
+    return from_json_dict(doc)
 
 
 def _game_strategy(name, theta, seed):
@@ -853,6 +884,8 @@ def _game_strategy(name, theta, seed):
         rng = np.random.default_rng(seed)
         return local_transport(two_qubit_optimal(theta), _haar_unitary(rng),
                                _haar_unitary(rng))
+    if name == "drifted":
+        return _drifted(_game_strategy("transported", theta, seed), seed)
     if name == "subset-degenerate":
         return subset_strategy(preset_group("ghz3"), [1, 3]).strategy
     scheme, preset = name.split("-")
@@ -862,7 +895,7 @@ def _game_strategy(name, theta, seed):
 
 @given(
     name=st.sampled_from([
-        "bell", "two-qubit", "product", "transported", "subset-degenerate",
+        "bell", "two-qubit", "product", "transported", "drifted", "subset-degenerate",
         "full-ghz3", "generators-ghz3", "full-cluster3", "generators-cluster3",
     ]),
     theta=st.floats(min_value=0.05, max_value=math.pi / 2 - 0.05),
@@ -877,6 +910,14 @@ def test_game_value_is_certified_worst_case(name, theta, seed, epsilon):
     assert abs(result.accept_prob - (1.0 - epsilon * (1.0 - q))) <= 1e-9
     assert result.maximizer.fidelity <= 1.0 - epsilon + 1e-12
     assert 0.0 <= result.upper_bound - result.accept_prob <= 1e-9
+    # the dual sweep's interval and this one bracket each other; they
+    # agree to rounding where omega fixes its target exactly
+    dense = strat if isinstance(strat, Strategy) else as_dense(strat)
+    oracle = oracles.game_value(dense, dense.target, epsilon)
+    assert result.accept_prob <= oracle.upper_bound
+    assert oracle.accept_prob <= result.upper_bound
+    if name != "drifted":
+        assert abs(result.accept_prob - oracle.accept_prob) <= 1e-12
 
 
 EDGE_VALUES = {
@@ -903,7 +944,7 @@ def test_game_value_edge_operators(op_name, target_name, epsilon):
         "target-projector": proj,
         "half-identity-plus-target": (np.eye(4) + proj) / 2.0,
     }[op_name]
-    result = game_value(omega, target, epsilon)
+    result = oracles.game_value(omega, target, epsilon)
     assert result.evaluations <= 100
     assert abs(result.accept_prob - EDGE_VALUES[op_name](epsilon)) <= 1e-12
     assert 0.0 <= result.upper_bound - result.accept_prob <= 1e-9
