@@ -76,8 +76,6 @@ from .strategy import (
     product_state_strategy,
     target_state,
     to_json_dict,
-    trace3_closed_form,
-    two_qubit_closed_form,
     two_qubit_optimal,
 )
 from .stabilizer import (
@@ -93,9 +91,7 @@ from .stabilizer import (
     full_strategy,
     generator_strategy,
     ghz_group,
-    ghz_state,
     group_from_json,
-    group_to_json,
     preset_group,
     strategy_from_json,
     subset_strategy,
@@ -108,11 +104,7 @@ from .adversary import (
     GameValue,
     LandscapeReport,
     LandscapeRow,
-    acceptance_probability,
     certify_optimality,
-    family_omega,
-    family_qmax,
-    family_trace3,
     hilbert_schmidt_mixed_state,
     hull_boundary,
     landscape,
@@ -121,9 +113,7 @@ from .adversary import (
     ridge_q,
     shift_fidelity,
     strategy_game_value,
-    tau_state,
     top_orthogonal_eigenvector,
-    twirl_average,
     worst_case_state,
 )
 from .protocol import (
@@ -139,4 +129,5 @@ from .protocol import (
     wilson_interval,
 )
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+# the names imported above, without the submodules that importing them binds
+__all__ = [n for n, v in vars().items() if n[0] != "_" and not isinstance(v, type(_env))]

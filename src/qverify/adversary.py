@@ -54,7 +54,7 @@ from .errors import (
 from .qcore import TOL_DERIVED, HermitianOperator, Ket
 from .samplecount import check_probability, check_theta, optimal_q
 from .stabilizer import PauliStrategy
-from .strategy import Strategy, alpha_weight
+from .strategy import Strategy, _strategy, alpha_weight
 
 # certify_optimality: a sound sweep finds nothing below the closed form
 # by more than SOUNDNESS_TOL; a located one lands within VALUE_TOL of it
@@ -76,40 +76,14 @@ class AdversaryState:
     def __post_init__(self):
         if isinstance(self.state, HermitianOperator):
             qcore.check_density(self.state.entries, "density matrix")
-        elif not isinstance(self.state, Ket):
-            raise ValidationError("an adversary state is a Ket or a HermitianOperator")
+        else:
+            qcore._ket("a pure adversary state", self.state)
         if not -TOL_DERIVED <= qcore._real("fidelity", self.fidelity) <= 1 + TOL_DERIVED:
             raise ValidationError(f"fidelity {self.fidelity!r} outside [0, 1]")
 
     @cached_property
     def sigma(self) -> HermitianOperator:
         return self.state.density() if isinstance(self.state, Ket) else self.state
-
-
-def _operator_entries(omega, dim: int) -> np.ndarray:
-    """omega's matrix, dim x dim like the state it scores: a Strategy's
-    omega, a HermitianOperator's entries, or an array checked as a
-    HermitianOperator."""
-    if isinstance(omega, PauliStrategy):
-        raise ValidationError("a PauliStrategy holds no operator matrix; use "
-                              "strategy_game_value or protocol.predicted_acceptance")
-    if isinstance(omega, Strategy):
-        mat = omega.omega
-    elif isinstance(omega, HermitianOperator):
-        mat = omega.entries
-    else:
-        mat = HermitianOperator(np.asarray(omega, dtype=complex)).entries
-    if mat.shape[0] != dim:
-        raise ValidationError(f"operator and state dimensions differ ({mat.shape[0]} != {dim})")
-    return mat
-
-
-def acceptance_probability(omega, state: AdversaryState) -> float:
-    """Per copy acceptance tr(Omega sigma) of a device output."""
-    if not isinstance(state, AdversaryState):
-        raise ValidationError(f"expected an AdversaryState, got {state!r}")
-    mat = _operator_entries(omega, state.sigma.dim)
-    return float(np.trace(mat @ state.sigma.entries).real)
 
 
 def top_orthogonal_eigenvector(strategy: Strategy | PauliStrategy) -> tuple[float, Ket]:
@@ -122,9 +96,7 @@ def top_orthogonal_eigenvector(strategy: Strategy | PauliStrategy) -> tuple[floa
     product, full stabilizer), Pi reads only the target, so the state
     does not depend on the eigensolver's basis.
     """
-    if not isinstance(strategy, (Strategy, PauliStrategy)):
-        raise ValidationError(f"expected a Strategy or PauliStrategy, got {strategy!r}")
-    q, weights, column = strategy.orthogonal_projector()
+    q, weights, column = _strategy(strategy).orthogonal_projector()
     b = int(np.argmax(weights >= weights.max() - TOL_DERIVED))
     return q, Ket(column(b) / math.sqrt(weights[b]))
 
@@ -161,7 +133,8 @@ def hilbert_schmidt_mixed_state(dim: int, rng: np.random.Generator) -> np.ndarra
     Partial trace of a Haar random pure state on a doubled space,
     realized as G G^dag / tr(G G^dag) for a complex Gaussian G.
     """
-    dim = qcore._integer("dim", dim)
+    if qcore._integer("dim", dim) < 1:
+        raise ValidationError(f"dim {dim} must be at least 1")
     if not isinstance(rng, np.random.Generator):
         raise ValidationError(f"expected a numpy Generator, got {rng!r}")
     g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
@@ -177,11 +150,7 @@ def shift_fidelity(rho: np.ndarray, target: Ket, epsilon: float) -> AdversarySta
     keeps the state a valid density matrix.
     """
     check_probability("epsilon", epsilon)
-    if not isinstance(target, Ket):
-        raise ValidationError(f"expected a target Ket, got {target!r}")
-    rho = np.asarray(rho, dtype=complex)
-    if rho.shape != (target.dim, target.dim):
-        raise ValidationError(f"rho of shape {rho.shape} is no {target.dim} x {target.dim} matrix")
+    rho = qcore._matrix("rho", rho, qcore._ket("target", target).dim)
     psi = target.amplitudes
     proj = np.outer(psi, psi.conj())
     f0 = float(np.real(np.vdot(psi, rho @ psi)))
@@ -194,77 +163,6 @@ def shift_fidelity(rho: np.ndarray, target: Ket, epsilon: float) -> AdversarySta
         lam = 1.0 - goal / f0
         mixed = (1.0 - lam) * rho + lam * comp
     return AdversaryState(HermitianOperator(mixed), goal)
-
-
-def tau_state(theta: float, phi: float, eta: float) -> Ket:
-    """Product state orthogonal to sin(theta)|00> + cos(theta)|11>.
-
-    (cos phi |0> + e^(i eta) sin phi |1>) on the first qubit and
-    (tan phi |0> - e^(-i eta) tan theta |1>)/sqrt(D) on the second,
-    D = tan(phi)^2 + tan(theta)^2. Orthogonal to the target for every
-    eta; as phi -> 0 it tends to |01>. Every product state orthogonal
-    to the target is of this form up to qubit order and global phase.
-    """
-    theta, phi, eta = (qcore._real(*arg) for arg in (("theta", theta), ("phi", phi), ("eta", eta)))
-    if not 0.0 < phi < math.pi / 2:
-        raise ValidationError(f"phi={phi!r} outside (0, pi/2)")
-    t_phi = math.tan(phi)
-    t_theta = math.tan(theta)
-    root_d = math.hypot(t_phi, t_theta)
-    first = np.array([math.cos(phi), np.exp(1j * eta) * math.sin(phi)])
-    second = np.array([t_phi / root_d, -np.exp(-1j * eta) * t_theta / root_d])
-    return Ket(np.kron(first, second))
-
-
-def twirl_average(matrix: np.ndarray) -> np.ndarray:
-    """Symmetrize a 4x4 operator over the target's invariance group.
-
-    Averages over the phase family diag(1, e^(i zeta)) (x)
-    diag(1, e^(-i zeta)), the qubit swap, and complex conjugation, all
-    of which fix sin(theta)|00> + cos(theta)|11> for every theta. Only
-    the entries (0,0), (0,3), (3,0), (3,3), (1,1), (2,2) survive, all
-    real, with (1,1) = (2,2); the phase average is evaluated exactly
-    rather than numerically.
-    """
-    arr = np.asarray(matrix, dtype=complex)
-    if arr.shape != (4, 4):
-        raise ValidationError("twirl_average expects a 4x4 matrix")
-    out = np.zeros((4, 4), dtype=complex)
-    out[0, 0] = arr[0, 0].real
-    out[3, 3] = arr[3, 3].real
-    off = (arr[0, 3].real + arr[3, 0].real) / 2.0
-    out[0, 3] = out[3, 0] = off
-    mid = (arr[1, 1].real + arr[2, 2].real) / 2.0
-    out[1, 1] = out[2, 2] = mid
-    return out
-
-
-def family_trace3(theta: float, phi: float) -> np.ndarray:
-    """Trace three symmetrized mixture of orthogonal product complements.
-
-    Equal mixture over six product states: tau_state at the three
-    balanced phases eta in {2pi/3, 4pi/3, 0} and their qubit swapped
-    partners. The three phase average kills every oscillating entry
-    exactly, so this equals the full phase twirl of one complement.
-    """
-    etas = (2.0 * math.pi / 3.0, 4.0 * math.pi / 3.0, 0.0)
-    acc = np.zeros((4, 4), dtype=complex)
-    swap = np.array(
-        [[1, 0, 0, 0], [0, 0, 1, 0], [0, 1, 0, 0], [0, 0, 0, 1]], dtype=complex
-    )
-    for eta in etas:
-        tau = tau_state(theta, phi, eta).amplitudes
-        proj = np.outer(tau, tau.conj())
-        acc += proj + swap @ proj @ swap
-    return np.eye(4, dtype=complex) - acc / 6.0
-
-
-def family_omega(theta: float, alpha: float, phi: float) -> np.ndarray:
-    """Strategy operator of the symmetrized candidate family."""
-    if not 0.0 <= alpha <= 1.0:
-        raise ValidationError(f"alpha={alpha!r} outside [0, 1]")
-    p_zz = np.diag([1.0, 0.0, 0.0, 1.0]).astype(complex)
-    return alpha * p_zz + (1.0 - alpha) * family_trace3(theta, phi)
 
 
 def lambda1(alpha, big_p, big_t):
@@ -285,11 +183,6 @@ def lambda2(alpha, big_p, big_t):
     )
 
 
-def family_qmax(alpha, big_p, big_t):
-    """Worst-case orthogonal acceptance of a family member."""
-    return np.maximum(lambda1(alpha, big_p, big_t), lambda2(alpha, big_p, big_t))
-
-
 def ridge_alpha(big_p: float, big_t: float) -> float | None:
     """ZZ weight equalizing lambda1 and lambda2 at fixed phi, if any.
 
@@ -297,6 +190,7 @@ def ridge_alpha(big_p: float, big_t: float) -> float | None:
     Returns None when the balance point would need alpha < 0, in which
     case lambda2 dominates for every admissible alpha.
     """
+    big_p, big_t = qcore._real("big_p", big_p), qcore._real("big_t", big_t)
     x = big_p * (1.0 + big_t) / ((1.0 + big_p) * (big_p + big_t))
     y = 1.0 - (big_t + big_p**2) / (2.0 * (1.0 + big_p) * (big_p + big_t))
     if x + y < 1.0:
@@ -310,7 +204,7 @@ def ridge_q(big_p, big_t):
     Equals 1/2 + (T + P^2) / (2 (T + P^2 + 4 P (1 + T))), minimized at
     P = sqrt(T), where it reaches (2 + sin 2theta)/(4 + sin 2theta).
     """
-    big_p = np.asarray(big_p, dtype=float)
+    big_p, big_t = qcore._reals("big_p", big_p), qcore._real("big_t", big_t)
     core = big_t + big_p**2
     return 0.5 + core / (2.0 * (core + 4.0 * big_p * (1.0 + big_t)))
 
@@ -323,7 +217,7 @@ def ppt_lower_bound(theta: float) -> float:
     with probability at least sin(2 theta) / (1 + sin(2 theta)); the
     optimal construction meets it with equality.
     """
-    s = math.sin(2.0 * theta)
+    s = math.sin(2.0 * qcore._real("theta", theta))
     return s / (1.0 + s)
 
 
@@ -404,8 +298,7 @@ def landscape(
         alphas = np.linspace(0.0, 1.0, 121)
     if phis is None:
         phis = np.linspace(0.0, math.pi / 2, 123)[1:-1]
-    alphas = np.asarray(alphas, dtype=float)
-    phis = np.asarray(phis, dtype=float)
+    alphas, phis = qcore._reals("alphas", alphas), qcore._reals("phis", phis)
     for name, grid in (("alphas", alphas), ("phis", phis)):
         if grid.ndim != 1 or grid.size == 0:
             raise ValidationError(f"{name} must be a nonempty 1-D array")
@@ -520,7 +413,7 @@ def _first_true(pred, hi: np.ndarray) -> np.ndarray:
 
 
 def _grid_min(theta: float, alphas: np.ndarray, phis: np.ndarray):
-    """Least family_qmax on the grid and its first cell in alpha-major order.
+    """Least max(lambda1, lambda2) on the grid and its first cell in alpha-major order.
 
     alphas must ascend. A column's least value is lambda1 at the first
     row k with lambda1 >= lambda2, or lambda2 on the plateau ending at

@@ -53,10 +53,11 @@ import numpy as np
 
 from .adversary import AdversaryState
 from .errors import ValidationError
-from .qcore import TOL_INPUT, HermitianOperator, Ket, _integer, check_density
+from .qcore import TOL_INPUT, HermitianOperator, Ket, _integer, _ket, _matrix, _real
+from .qcore import check_density
 from .samplecount import check_probability
 from .stabilizer import PauliStrategy
-from .strategy import Strategy
+from .strategy import Strategy, _strategy
 
 CERTAINTY_TOL = 1e-10
 WILSON_Z99 = 2.5758293035489004
@@ -70,11 +71,7 @@ def _as_state(obj, dim: int) -> Ket | np.ndarray:
     matrix; an AdversaryState's was checked when it was made."""
     state = obj.state if isinstance(obj, AdversaryState) else obj
     if not isinstance(state, (Ket, HermitianOperator)):
-        try:
-            arr = np.asarray(state, dtype=complex)
-        except (TypeError, ValueError) as exc:
-            raise ValidationError(f"a device state must be a numeric array: {exc}") from None
-        state = HermitianOperator(arr)
+        state = HermitianOperator(_matrix("device state", state, dim))
     if state.dim != dim:
         raise ValidationError("device state dimension mismatch")
     if isinstance(state, HermitianOperator) and not isinstance(obj, AdversaryState):
@@ -100,8 +97,7 @@ class DeviceModel:
     epsilon: float | None = None
 
     def __post_init__(self):
-        if not isinstance(self.target, Ket):
-            raise ValidationError("a device target must be a Ket")
+        _ket("device target", self.target)
         if (self.sigma is None) == (self.supplier is None):
             raise ValidationError("a device needs exactly one of sigma and supplier")
         if self.supplier is not None and not callable(self.supplier):
@@ -154,10 +150,13 @@ class RunResult:
     rng_seed: int
 
     def __post_init__(self):
+        if not isinstance(self.accepted, bool):
+            raise ValidationError(f"accepted must be a bool, got {self.accepted!r}")
         if self.accepted != (self.first_failure_index is None):
             raise ValidationError("accepted must mean no failure index")
         if self.first_failure_index is not None and not (
-            0 <= self.first_failure_index < self.n_copies
+            0 <= _integer("first_failure_index", self.first_failure_index)
+            < _integer("n_copies", self.n_copies)
         ):
             raise ValidationError("failure index outside [0, n_copies)")
 
@@ -174,8 +173,9 @@ class EnsembleStats:
     predicted_acceptance: float | None = None
 
     def __post_init__(self):
-        low, high = self.wilson_low - TOL_INPUT, self.wilson_high + TOL_INPUT
-        if not low <= self.accept_rate <= high:
+        _integer("trials", self.trials)
+        low, high = _real("wilson_low", self.wilson_low), _real("wilson_high", self.wilson_high)
+        if not low - TOL_INPUT <= _real("accept_rate", self.accept_rate) <= high + TOL_INPUT:
             raise ValidationError("accept rate escapes its Wilson interval")
 
 
@@ -184,6 +184,7 @@ def wilson_interval(
 ) -> tuple[float, float]:
     """Wilson score interval for a binomial proportion."""
     successes, trials = _integer("successes", successes), _integer("trials", trials)
+    z = _real("z", z)
     if trials < 1:
         raise ValidationError("trials must be at least 1")
     if not 0 <= successes <= trials:
@@ -223,8 +224,9 @@ class _Plan:
 
 
 def _build_plan(strategy: Strategy | PauliStrategy, device: DeviceModel, n: int) -> _Plan:
-    if not isinstance(strategy, (Strategy, PauliStrategy)) or not isinstance(device, DeviceModel):
-        raise ValidationError("expected a Strategy or PauliStrategy and a DeviceModel")
+    _strategy(strategy)
+    if not isinstance(device, DeviceModel):
+        raise ValidationError(f"device must be a DeviceModel, got {device!r}")
     if n < 1:
         raise ValidationError("n must be at least 1")
     if device.target.dim != strategy.dim:
@@ -355,6 +357,8 @@ def estimate_power(
     seed = _integer("seed", seed) & _MASK64
     if sink is not None and not callable(sink):
         raise ValidationError("sink must be callable")
+    if not isinstance(record_labels, (bool, np.bool_)):
+        raise ValidationError(f"record_labels must be a bool, got {record_labels!r}")
     plan = _build_plan(strategy, device, n)
     if trials < 1:
         raise ValidationError("trials must be at least 1")

@@ -15,6 +15,10 @@ The operator, norm and projector checks are written once, for a stack
 of k matrices or vectors; a single HermitianOperator or Ket is checked
 as a stack of one, and strategy settings as one stack per strategy.
 Eigenvectors are used as LAPACK returns them, with no tie-breaking.
+
+Public entry points read each argument kind through one reader here:
+_integer, _real, _reals (a float array), _ket and _matrix (a finite
+d x d array); a value of the wrong type raises ValidationError.
 """
 
 from __future__ import annotations
@@ -46,7 +50,12 @@ PAULI_MATRICES = {"I": PAULI_I, "X": PAULI_X, "Y": PAULI_Y, "Z": PAULI_Z}
 
 
 def _frozen_array(values, what: str) -> np.ndarray:
-    arr = np.array(values, dtype=complex)
+    """A read-only complex copy of values; anything that is not an array of
+    finite numbers is bad input."""
+    try:
+        arr = np.array(values, dtype=complex)
+    except (TypeError, ValueError):
+        raise ValidationError(f"{what} must be an array of numbers, got {values!r}") from None
     if not np.isfinite(arr).all():
         raise ValidationError(f"{what} has a non-finite entry")
     arr.setflags(write=False)
@@ -184,11 +193,10 @@ class HermitianOperator:
     entries: np.ndarray
 
     def __post_init__(self):
-        arr = np.array(self.entries, dtype=complex)
+        arr = _frozen_array(self.entries, "operator")
         defect = _first_operator_defect(arr[None], "operator")
         if defect is not None:
             raise defect[1]
-        arr.setflags(write=False)
         object.__setattr__(self, "entries", arr)
 
     @property
@@ -211,8 +219,35 @@ class HermitianOperator:
 
 
 def identity(dim: int) -> HermitianOperator:
-    _check_dense_dim(dim, "identity")
+    _check_dense_dim(_integer("dim", dim), "identity")
     return HermitianOperator(np.eye(dim, dtype=complex))
+
+
+def _reals(name: str, value) -> np.ndarray:
+    """value as a float array; anything numpy cannot read as reals is bad input."""
+    try:
+        return np.asarray(value, dtype=float)
+    except (TypeError, ValueError):
+        raise ValidationError(f"{name} must be an array of reals, got {value!r}") from None
+
+
+def _ket(name: str, value) -> Ket:
+    """value, if it is a Ket; anything else is bad input."""
+    if not isinstance(value, Ket):
+        raise ValidationError(f"{name} must be a Ket, got {value!r}")
+    return value
+
+
+def _matrix(name: str, value, dim: int) -> np.ndarray:
+    """value as a finite complex dim x dim array (read-only); a
+    HermitianOperator passes its entries through. A value that is no 2-D
+    array is bad input, a matrix of another size a BadDimError."""
+    arr = value.entries if isinstance(value, HermitianOperator) else _frozen_array(value, name)
+    if arr.ndim != 2:
+        raise ValidationError(f"{name} must be a matrix, got {value!r}")
+    if arr.shape != (dim, dim):
+        raise BadDimError(f"{name} of shape {arr.shape} is no {dim} x {dim} matrix")
+    return arr
 
 
 def _integer(name: str, value) -> int:
@@ -235,7 +270,7 @@ def check_index(what: str, index: int, size: int) -> None:
 
 
 def basis_ket(dim: int, index: int) -> Ket:
-    check_index("basis index", index, dim)
+    check_index("basis index", index, _integer("dim", dim))
     amps = np.zeros(dim, dtype=complex)
     amps[index] = 1.0
     return Ket(amps)
@@ -247,7 +282,7 @@ def tensor(a, b):
         return Ket(np.kron(a.amplitudes, b.amplitudes))
     if isinstance(a, HermitianOperator) and isinstance(b, HermitianOperator):
         return HermitianOperator(np.kron(a.entries, b.entries))
-    raise TypeError("tensor takes two Kets or two HermitianOperators")
+    raise ValidationError("tensor takes two Kets or two HermitianOperators")
 
 
 def _fix_phase(column: np.ndarray) -> np.ndarray:
@@ -269,9 +304,7 @@ def partial_transpose_qubit2(op: HermitianOperator) -> HermitianOperator:
     factor of a Hermitian matrix is again Hermitian. Raises BadDimError
     unless dim == 4.
     """
-    if op.dim != 4:
-        raise BadDimError(f"partial transpose defined for dim 4, got {op.dim}")
-    return HermitianOperator(_partial_transposes(op.entries[None])[0])
+    return HermitianOperator(_partial_transposes(_matrix("op", op, 4)[None])[0])
 
 
 def _partial_transposes(stack: np.ndarray) -> np.ndarray:
@@ -307,9 +340,9 @@ def _projector_defects(stack: np.ndarray, tol: float) -> np.ndarray:
 
 def haar_random_ket(dim: int, seed: int) -> Ket:
     """A Haar distributed pure state; identical seed gives identical output."""
-    if dim < 1:
+    if _integer("dim", dim) < 1:
         raise BadDimError("haar_random_ket needs dim >= 1")
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(_integer("seed", seed))
     v = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
     return Ket.normalized(v)
 
@@ -320,7 +353,7 @@ def orthocomplement_basis(state: Ket) -> np.ndarray:
     Deterministic: QR of [state, e_0, ..., e_{d-2}] and drop the first
     column. Shape (d, d-1).
     """
-    d = state.dim
+    d = _ket("state", state).dim
     stacked = np.zeros((d, d), dtype=complex)
     stacked[:, 0] = state.amplitudes
     stacked[:, 1:] = np.eye(d, dtype=complex)[:, : d - 1]

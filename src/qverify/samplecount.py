@@ -32,7 +32,7 @@ import numpy as np
 
 from .errors import DegenerateStrategyError, ThetaNearSpecialValueError
 from .errors import ThetaOutOfDomainError, UndefinedDivergenceError, ValidationError
-from .qcore import TOL_DERIVED, _real
+from .qcore import TOL_DERIVED, _integer, _real, _reals
 
 THETA_SPECIAL_TOL = 1e-9
 SPECIAL_THETAS = (0.0, math.pi / 4, math.pi / 2)
@@ -113,9 +113,9 @@ class SampleCountReport:
     def __post_init__(self):
         check_probability("delta", self.delta)
         check_probability("delta_eps", self.delta_eps, open_one=False)
-        if self.n_exact < 1:
+        if _integer("n_exact", self.n_exact) < 1:
             raise ValidationError(f"n_exact={self.n_exact} must be positive")
-        if self.p0 == 1.0:
+        if _real("p0", self.p0) == 1.0:
             expected = exact_count(self.delta_eps, self.delta)
             if self.n_exact != expected:
                 raise ValidationError(
@@ -185,9 +185,9 @@ def relative_entropy(a: float, b: float) -> float:
     D(0 || b) = ln(1/(1-b)). Evaluating at b in {0, 1} with a != b
     diverges and raises UndefinedDivergenceError.
     """
-    if not 0.0 <= a <= 1.0:
+    if not 0.0 <= _real("a", a) <= 1.0:
         raise ValidationError(f"a={a!r} outside [0, 1]")
-    if not 0.0 <= b <= 1.0:
+    if not 0.0 <= _real("b", b) <= 1.0:
         raise ValidationError(f"b={b!r} outside [0, 1]")
     if b in (0.0, 1.0):
         if a == b:
@@ -209,6 +209,8 @@ def chernoff_stein_count(spec: HypothesisSpec, delta: float) -> SampleCountRepor
     has infinite divergence, one copy and n_asymptotic 0.
     """
     check_probability("delta", delta)
+    if not isinstance(spec, HypothesisSpec):
+        raise ValidationError(f"spec must be a HypothesisSpec, got {spec!r}")
     gap = spec.p0 - spec.p1
     log_conf = -math.log(delta)
     if spec.p0 == 1.0:
@@ -259,7 +261,7 @@ def default_theta_grid(points: int = 200) -> np.ndarray:
     special value exactly (ties resolve to the lower index) so the grid
     always contains one row per special family.
     """
-    if points < 4:
+    if _integer("points", points) < 4:
         raise ValidationError("theta grid needs at least 4 points")
     grid = np.linspace(0.0, math.pi / 2, points)
     for special in SPECIAL_THETAS:
@@ -270,7 +272,7 @@ def default_theta_grid(points: int = 200) -> np.ndarray:
 
 def theta_family(theta: float) -> str:
     """Which construction serves a given target angle."""
-    if math.isnan(theta):
+    if math.isnan(_real("theta", theta)):
         raise ThetaOutOfDomainError(f"theta={theta!r} is not an angle")
     if abs(theta) <= THETA_SPECIAL_TOL or abs(theta - math.pi / 2) <= THETA_SPECIAL_TOL:
         return "product"
@@ -305,6 +307,8 @@ def _two_qubit_q_trace(theta: float) -> tuple[float, float]:
 def optimal_q(theta: float) -> float:
     """Worst-case orthogonal acceptance (2 + s)/(4 + s), s = sin 2theta, of
     the optimal local strategy, correctly rounded from the float s."""
+    if not math.isfinite(_real("theta", theta)):
+        raise ThetaOutOfDomainError(f"theta={theta!r} is not a finite angle")
     return _two_qubit_q_trace(theta)[0]
 
 
@@ -313,6 +317,8 @@ def family_metrics(family: str, theta: float | None = None) -> StrategyMetrics:
     "bell" q = 1/3, trace 2; "product" q = 0, trace 1; "two-qubit-optimal"
     q = optimal_q(theta), trace 1 + 3q, correctly rounded, at a theta that
     check_theta accepts (no other family reads theta)."""
+    if not isinstance(family, str):
+        raise ValidationError(f"family={family!r} has no closed form")
     if family == "bell":
         q, trace = 1.0 / 3.0, 2.0
     elif family == "product":
@@ -336,11 +342,9 @@ def figure1_data(
     exhibits the discontinuous drops at the special angles. Each row
     reads family_metrics; no strategy is built.
     """
-    if thetas is None:
-        thetas = default_theta_grid()
+    thetas = default_theta_grid() if thetas is None else _reals("thetas", thetas)
     rows = []
-    for theta in np.asarray(thetas, dtype=float):
-        theta = float(theta)
+    for theta in thetas.ravel().tolist():
         family = theta_family(theta)
         report = certainty_count_report(
             family_metrics(family, theta), epsilon, delta, f"{family} strategy"
@@ -368,14 +372,11 @@ def figure2_data(
     reference column n_tomo_ref is the illustrative curve 1/eps**2, not
     a measured cost.
     """
-    if epsilons is None:
-        epsilons = np.logspace(-4, -1, 61)
-    theta = float(theta)
+    epsilons = np.logspace(-4, -1, 61) if epsilons is None else _reals("epsilons", epsilons)
     family = theta_family(theta)
     found, label = family_metrics(family, theta), f"{family} strategy"
     rows = []
-    for eps in np.asarray(epsilons, dtype=float):
-        eps = float(eps)
+    for eps in epsilons.ravel().tolist():
         local = certainty_count_report(found, eps, delta, label)
         rows.append(
             Fig2Row(

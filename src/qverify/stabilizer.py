@@ -55,7 +55,6 @@ MAX_DENSE_QUBITS. A ParityCheck checks its group on construction.
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import NamedTuple
@@ -377,12 +376,6 @@ def ghz_group(num_qubits: int) -> StabilizerGroup:
     return StabilizerGroup((PauliString(n, (1 << n) - 1, 0), *pairs))
 
 
-def ghz_state(num_qubits: int) -> Ket:
-    amps = np.zeros(2**num_qubits, dtype=complex)
-    amps[0] = amps[-1] = 1.0 / math.sqrt(2.0)
-    return Ket(amps)
-
-
 def cluster_group(num_qubits: int) -> StabilizerGroup:
     """Linear cluster state: X on each site flanked by Z on its neighbors."""
     n = _preset_size(num_qubits, 2)
@@ -411,11 +404,6 @@ def preset_group(name: str) -> StabilizerGroup:
     raise ValidationError(
         f"unknown preset {name!r}; use bell, ghzN, clusterN, or zerosN"
     )
-
-
-def group_to_json(group: StabilizerGroup) -> list[str]:
-    """Generator labels; parseable back with group_from_json."""
-    return [g.label for g in group.generators]
 
 
 def group_from_json(labels) -> StabilizerGroup:

@@ -120,16 +120,22 @@ class MeasurementSetting:
     locality: Locality
 
     def __post_init__(self):
+        if not isinstance(self.projector, HermitianOperator):
+            raise ValidationError(f"setting projector {self.projector!r} is no HermitianOperator")
         _check_settings(
             self.projector.entries[None], (self.weight,), (self.label,), (self.locality,)
         )
 
 
-def _field_defect(weight: float, label: str) -> ValidationError | None:
+def _field_defect(weight: float, label: str, locality: Locality) -> ValidationError | None:
+    if not isinstance(label, str):
+        return ValidationError(f"setting label {label!r} is not a str")
     if not label:
         return ValidationError("setting label must be nonempty")
-    if not 0.0 < weight <= 1.0 + TOL_INPUT:
+    if not 0.0 < qcore._real("setting weight", weight) <= 1.0 + TOL_INPUT:
         return ValidationError(f"setting weight {weight!r} outside (0, 1]")
+    if not isinstance(locality, Locality):
+        return ValidationError(f"setting locality {locality!r} is not a Locality")
     return None
 
 
@@ -164,7 +170,7 @@ def _check_settings(stack: np.ndarray, weights, labels, localities) -> None:
     stack holds the k candidate projectors as one (k, d, d) array. A
     setting's checks run in this order: the HermitianOperator checks
     (finite entries, shape, Hermitian residual <= TOL_INPUT), the label,
-    the weight, then idempotence and a {0, 1} spectrum within
+    the weight, the locality, then idempotence and a {0, 1} spectrum within
     TOL_DERIVED and, for d = 4 with a locality claim, a partial
     transpose eigenvalue >= -TOL_DERIVED. Each check is one pass over
     the stack. The checks without an eigensolve run on every setting
@@ -174,7 +180,7 @@ def _check_settings(stack: np.ndarray, weights, labels, localities) -> None:
     first = qcore._first_operator_defect(stack, "operator")
     end = len(stack) if first is None else first[0]
     for i in range(end):
-        error = _field_defect(weights[i], labels[i])
+        error = _field_defect(weights[i], labels[i], localities[i])
         if error is not None:
             first = i, error
             break
@@ -239,7 +245,11 @@ class Strategy:
         theta = self.theta
         if theta is not None and not (isinstance(theta, (int, float)) and math.isfinite(theta)):
             raise ValidationError(f"strategy theta {theta!r} is not a finite number")
-        object.__setattr__(self, "settings", tuple(self.settings))
+        qcore._ket("strategy target", self.target)
+        settings = tuple(self.settings) if np.iterable(self.settings) else (self.settings,)
+        if not all(isinstance(s, MeasurementSetting) for s in settings):
+            raise ValidationError("strategy settings must be MeasurementSettings")
+        object.__setattr__(self, "settings", settings)
         if not self.settings:
             raise ValidationError("strategy needs at least one setting")
         for setting in self.settings:
@@ -303,9 +313,17 @@ def _built(target: Ket, settings, kind: StrategyKind, theta=None) -> Strategy:
     return built
 
 
+def _strategy(value):
+    """value, if it is a strategy: a Strategy or a stabilizer PauliStrategy,
+    the types whose kind is a StrategyKind (both constructors check it)."""
+    if not isinstance(getattr(value, "kind", None), StrategyKind):
+        raise ValidationError(f"expected a Strategy or PauliStrategy, got {value!r}")
+    return value
+
+
 def metrics(strategy) -> StrategyMetrics:
     """Exact worst-case metrics of a Strategy or a PauliStrategy."""
-    return strategy.metrics
+    return _strategy(strategy).metrics
 
 
 def bell_strategy() -> Strategy:
@@ -333,6 +351,7 @@ def bell_strategy() -> Strategy:
 
 def target_state(theta: float) -> Ket:
     """sin(theta)|00> + cos(theta)|11>."""
+    theta = qcore._real("theta", theta)
     amps = np.zeros(4, dtype=complex)
     amps[0] = math.sin(theta)
     amps[3] = math.cos(theta)
@@ -341,7 +360,7 @@ def target_state(theta: float) -> Ket:
 
 def alpha_weight(theta: float) -> float:
     """Weight of the ZZ setting in the optimal four setting strategy."""
-    s = math.sin(2.0 * theta)
+    s = math.sin(2.0 * qcore._real("theta", theta))
     return (2.0 - s) / (4.0 + s)
 
 
@@ -381,35 +400,7 @@ def annihilating_product_states(theta: float) -> tuple[Ket, Ket, Ket]:
     sin(theta)|00> + cos(theta)|11>. Their equal weight mixture of
     complements is the trace three part of the optimal strategy.
     """
-    return tuple(Ket(row) for row in _annihilating_amplitudes(theta))
-
-
-def trace3_closed_form(theta: float) -> np.ndarray:
-    """Closed form of the trace three part of the optimal strategy.
-
-    Equals identity minus 1/(1+t)^2 times the rank two pattern
-    [[1,0,0,-t],[0,t,0,0],[0,0,t,0],[-t,0,0,t^2]] with t = tan(theta),
-    and also equals the equal weight mixture of the three complement
-    projectors of annihilating_product_states.
-    """
-    t = math.tan(theta)
-    pattern = np.array(
-        [
-            [1.0, 0.0, 0.0, -t],
-            [0.0, t, 0.0, 0.0],
-            [0.0, 0.0, t, 0.0],
-            [-t, 0.0, 0.0, t * t],
-        ],
-        dtype=complex,
-    )
-    return np.eye(4, dtype=complex) - pattern / (1.0 + t) ** 2
-
-
-def two_qubit_closed_form(theta: float) -> np.ndarray:
-    """Closed form strategy operator of the four setting optimum."""
-    alpha = alpha_weight(theta)
-    p_zz = np.diag([1.0, 0.0, 0.0, 1.0]).astype(complex)
-    return alpha * p_zz + (1.0 - alpha) * trace3_closed_form(theta)
+    return tuple(Ket(row) for row in _annihilating_amplitudes(qcore._real("theta", theta)))
 
 
 def two_qubit_optimal(theta: float) -> Strategy:
@@ -442,7 +433,7 @@ def product_state_strategy(which: str) -> Strategy:
     Accepting only the target projector gives q = 0: every orthogonal
     state is rejected with certainty, so delta_eps = epsilon.
     """
-    if which not in ("zero", "one"):
+    if not (isinstance(which, str) and which in ("zero", "one")):
         raise ValidationError(f"which={which!r} must be 'zero' or 'one'")
     index = 0 if which == "zero" else 3
     target = qcore.basis_ket(4, index)
@@ -457,9 +448,7 @@ def product_state_strategy(which: str) -> Strategy:
 
 
 def _check_unitary(matrix: np.ndarray, name: str) -> np.ndarray:
-    arr = np.asarray(matrix, dtype=complex)
-    if arr.shape != (2, 2):
-        raise BadDimError(f"{name} must be a 2x2 matrix")
+    arr = qcore._matrix(name, matrix, 2)
     residual = float(np.max(np.abs(arr.conj().T @ arr - np.eye(2))))
     if residual > TOL_INPUT:
         raise NotUnitaryError(f"{name} deviates from unitary by {residual!r}")
@@ -473,6 +462,8 @@ def local_transport(strategy: Strategy, u, v) -> Strategy:
     worst-case metrics up to rounding, so optimality travels with the
     target under local unitaries; it reads them from its own projectors.
     """
+    if not isinstance(strategy, Strategy):
+        raise ValidationError(f"local_transport moves a dense Strategy, got {strategy!r}")
     if strategy.dim != 4:
         raise BadDimError("local_transport handles two qubit strategies")
     u = _check_unitary(u, "u")
@@ -497,6 +488,7 @@ def exact_sample_count(
     strategy, epsilon: float, delta: float
 ) -> SampleCountReport:
     """Copies needed to reject every eps-far state with confidence 1 - delta."""
+    strategy = _strategy(strategy)
     return certainty_count_report(
         strategy.metrics, epsilon, delta, f"{strategy.kind.value} strategy"
     )
@@ -522,7 +514,7 @@ def to_json_dict(strategy) -> dict:
     A stabilizer PauliStrategy writes its kind, generator labels and
     element indices instead, which stabilizer.strategy_from_json reads.
     """
-    if not isinstance(strategy, Strategy):
+    if not isinstance(_strategy(strategy), Strategy):
         labels = [g.label for g in strategy.group.generators]
         return {"kind": strategy.kind.value, "group": labels, "indices": list(strategy.indices)}
     doc: dict = {"kind": strategy.kind.value}

@@ -1,19 +1,23 @@
 """Test-only helpers over the library's checked internals.
 
 The library has no caller for these; tests read a single projector
-check, a device's per-copy state, a dense strategy's eigenproblem and
-the game value's Lagrangian dual sweep through them.
+check, a device's per-copy state, a dense strategy's eigenproblem, the
+game value's Lagrangian dual sweep, a dense acceptance tr(Omega sigma),
+the dense closed forms of the two-qubit optimum and of the symmetrized
+candidate family, and the GHZ state through them.
 """
 
 import math
 
 import numpy as np
 
-from qverify.adversary import _ROUNDING, AdversaryState, GameValue, _operator_entries
+from qverify.adversary import _ROUNDING, AdversaryState, GameValue, lambda1, lambda2
 from qverify.errors import ValidationError
 from qverify.qcore import TOL_DERIVED, HermitianOperator, Ket, _projector_defects
 from qverify.qcore import orthocomplement_block
 from qverify.samplecount import StrategyMetrics, check_probability
+from qverify.stabilizer import PauliStrategy, StabilizerGroup
+from qverify.strategy import Strategy, alpha_weight
 
 
 def is_projector(op: HermitianOperator) -> bool:
@@ -130,3 +134,149 @@ def game_value(omega, target: Ket, epsilon: float) -> GameValue:
         maximizer=state,
         evaluations=evals,
     )
+
+
+def _operator_entries(omega, dim: int) -> np.ndarray:
+    """omega's matrix, dim x dim like the state it scores: a Strategy's
+    omega, a HermitianOperator's entries, or an array checked as a
+    HermitianOperator."""
+    if isinstance(omega, PauliStrategy):
+        raise ValidationError("a PauliStrategy holds no operator matrix; use "
+                              "strategy_game_value or protocol.predicted_acceptance")
+    if isinstance(omega, Strategy):
+        mat = omega.omega
+    elif isinstance(omega, HermitianOperator):
+        mat = omega.entries
+    else:
+        mat = HermitianOperator(np.asarray(omega, dtype=complex)).entries
+    if mat.shape[0] != dim:
+        raise ValidationError(f"operator and state dimensions differ ({mat.shape[0]} != {dim})")
+    return mat
+
+
+def acceptance_probability(omega, state: AdversaryState) -> float:
+    """Per copy acceptance tr(Omega sigma) of a device output, from a dense
+    operator: the second route to protocol.predicted_acceptance's."""
+    if not isinstance(state, AdversaryState):
+        raise ValidationError(f"expected an AdversaryState, got {state!r}")
+    mat = _operator_entries(omega, state.sigma.dim)
+    return float(np.trace(mat @ state.sigma.entries).real)
+
+
+def ghz_state(num_qubits: int) -> Ket:
+    """(|0...0> + |1...1>)/sqrt(2), written down directly."""
+    amps = np.zeros(2**num_qubits, dtype=complex)
+    amps[0] = amps[-1] = 1.0 / math.sqrt(2.0)
+    return Ket(amps)
+
+
+def group_to_json(group: StabilizerGroup) -> list[str]:
+    """Generator labels; parseable back with group_from_json."""
+    return [g.label for g in group.generators]
+
+
+def trace3_closed_form(theta: float) -> np.ndarray:
+    """Closed form of the trace three part of the optimal strategy.
+
+    Equals identity minus 1/(1+t)^2 times the rank two pattern
+    [[1,0,0,-t],[0,t,0,0],[0,0,t,0],[-t,0,0,t^2]] with t = tan(theta),
+    and also equals the equal weight mixture of the three complement
+    projectors of annihilating_product_states.
+    """
+    t = math.tan(theta)
+    pattern = np.array(
+        [
+            [1.0, 0.0, 0.0, -t],
+            [0.0, t, 0.0, 0.0],
+            [0.0, 0.0, t, 0.0],
+            [-t, 0.0, 0.0, t * t],
+        ],
+        dtype=complex,
+    )
+    return np.eye(4, dtype=complex) - pattern / (1.0 + t) ** 2
+
+
+def two_qubit_closed_form(theta: float) -> np.ndarray:
+    """Closed form strategy operator of the four setting optimum."""
+    alpha = alpha_weight(theta)
+    p_zz = np.diag([1.0, 0.0, 0.0, 1.0]).astype(complex)
+    return alpha * p_zz + (1.0 - alpha) * trace3_closed_form(theta)
+
+
+# The symmetrized candidate family that adversary.certify_optimality sweeps
+# through its closed-form eigenvalues lambda1 and lambda2, built densely.
+
+
+def tau_state(theta: float, phi: float, eta: float) -> Ket:
+    """Product state orthogonal to sin(theta)|00> + cos(theta)|11>.
+
+    (cos phi |0> + e^(i eta) sin phi |1>) on the first qubit and
+    (tan phi |0> - e^(-i eta) tan theta |1>)/sqrt(D) on the second,
+    D = tan(phi)^2 + tan(theta)^2. Orthogonal to the target for every
+    eta; as phi -> 0 it tends to |01>. Every product state orthogonal
+    to the target is of this form up to qubit order and global phase.
+    """
+    if not 0.0 < phi < math.pi / 2:
+        raise ValidationError(f"phi={phi!r} outside (0, pi/2)")
+    t_phi = math.tan(phi)
+    t_theta = math.tan(theta)
+    root_d = math.hypot(t_phi, t_theta)
+    first = np.array([math.cos(phi), np.exp(1j * eta) * math.sin(phi)])
+    second = np.array([t_phi / root_d, -np.exp(-1j * eta) * t_theta / root_d])
+    return Ket(np.kron(first, second))
+
+
+def twirl_average(matrix: np.ndarray) -> np.ndarray:
+    """Symmetrize a 4x4 operator over the target's invariance group.
+
+    Averages over the phase family diag(1, e^(i zeta)) (x)
+    diag(1, e^(-i zeta)), the qubit swap, and complex conjugation, all
+    of which fix sin(theta)|00> + cos(theta)|11> for every theta. Only
+    the entries (0,0), (0,3), (3,0), (3,3), (1,1), (2,2) survive, all
+    real, with (1,1) = (2,2); the phase average is evaluated exactly
+    rather than numerically.
+    """
+    arr = np.asarray(matrix, dtype=complex)
+    if arr.shape != (4, 4):
+        raise ValidationError("twirl_average expects a 4x4 matrix")
+    out = np.zeros((4, 4), dtype=complex)
+    out[0, 0] = arr[0, 0].real
+    out[3, 3] = arr[3, 3].real
+    off = (arr[0, 3].real + arr[3, 0].real) / 2.0
+    out[0, 3] = out[3, 0] = off
+    mid = (arr[1, 1].real + arr[2, 2].real) / 2.0
+    out[1, 1] = out[2, 2] = mid
+    return out
+
+
+def family_trace3(theta: float, phi: float) -> np.ndarray:
+    """Trace three symmetrized mixture of orthogonal product complements.
+
+    Equal mixture over six product states: tau_state at the three
+    balanced phases eta in {2pi/3, 4pi/3, 0} and their qubit swapped
+    partners. The three phase average kills every oscillating entry
+    exactly, so this equals the full phase twirl of one complement.
+    """
+    etas = (2.0 * math.pi / 3.0, 4.0 * math.pi / 3.0, 0.0)
+    acc = np.zeros((4, 4), dtype=complex)
+    swap = np.array(
+        [[1, 0, 0, 0], [0, 0, 1, 0], [0, 1, 0, 0], [0, 0, 0, 1]], dtype=complex
+    )
+    for eta in etas:
+        tau = tau_state(theta, phi, eta).amplitudes
+        proj = np.outer(tau, tau.conj())
+        acc += proj + swap @ proj @ swap
+    return np.eye(4, dtype=complex) - acc / 6.0
+
+
+def family_omega(theta: float, alpha: float, phi: float) -> np.ndarray:
+    """Strategy operator of the symmetrized candidate family."""
+    if not 0.0 <= alpha <= 1.0:
+        raise ValidationError(f"alpha={alpha!r} outside [0, 1]")
+    p_zz = np.diag([1.0, 0.0, 0.0, 1.0]).astype(complex)
+    return alpha * p_zz + (1.0 - alpha) * family_trace3(theta, phi)
+
+
+def family_qmax(alpha, big_p, big_t):
+    """Worst-case orthogonal acceptance of a family member."""
+    return np.maximum(lambda1(alpha, big_p, big_t), lambda2(alpha, big_p, big_t))

@@ -18,7 +18,6 @@ from qverify.adversary import (
     ppt_lower_bound,
     shift_fidelity,
     strategy_game_value,
-    acceptance_probability,
 )
 from qverify.protocol import (
     estimate_power,
@@ -47,11 +46,10 @@ from qverify.strategy import (
     bell_strategy,
     metrics,
     optimal_q,
-    trace3_closed_form,
-    two_qubit_closed_form,
     two_qubit_optimal,
 )
-from oracles import dense_metrics
+from oracles import acceptance_probability, dense_metrics, trace3_closed_form
+from oracles import two_qubit_closed_form
 from stabilizer_oracles import as_dense, full_strategy_q, generator_strategy_q, pauli_matrix
 
 CERT_THETAS = (math.pi / 12, math.pi / 8, math.pi / 5, 3 * math.pi / 8)

@@ -18,11 +18,7 @@ from qverify.adversary import (
     HULL_COLUMNS,
     LANDSCAPE_COLUMNS,
     LandscapeRow,
-    acceptance_probability,
     certify_optimality,
-    family_omega,
-    family_qmax,
-    family_trace3,
     hilbert_schmidt_mixed_state,
     hull_boundary,
     lambda1,
@@ -33,9 +29,7 @@ from qverify.adversary import (
     ridge_q,
     shift_fidelity,
     strategy_game_value,
-    tau_state,
     top_orthogonal_eigenvector,
-    twirl_average,
     worst_case_state,
 )
 from qverify.qcore import HermitianOperator, Ket, basis_ket, haar_random_ket, identity
@@ -53,7 +47,6 @@ from qverify.strategy import (
     product_state_strategy,
     target_state,
     to_json_dict,
-    trace3_closed_form,
     two_qubit_optimal,
 )
 from qverify.stabilizer import (
@@ -63,6 +56,15 @@ from qverify.stabilizer import (
     subset_strategy,
 )
 import oracles
+from oracles import (
+    acceptance_probability,
+    family_omega,
+    family_qmax,
+    family_trace3,
+    tau_state,
+    trace3_closed_form,
+    twirl_average,
+)
 from stabilizer_oracles import as_dense
 
 CERT_THETAS = [math.pi / 12, math.pi / 8, math.pi / 5, 3 * math.pi / 8]

@@ -42,12 +42,12 @@ from qverify.stabilizer import (
     full_strategy,
     generator_strategy,
     group_from_json,
-    group_to_json,
     preset_group,
     strategy_from_json,
     subset_strategy,
 )
 from qverify.strategy import Strategy, StrategyKind, from_json_dict, metrics, to_json_dict
+from oracles import group_to_json
 from stabilizer_oracles import as_dense, full_strategy_q, random_group, scheme_metrics_law
 
 EPS = 0.1

@@ -104,7 +104,7 @@ def test_pauli_matrices_square_to_identity():
 
 
 def test_tensor_rejects_mixed_arguments():
-    with pytest.raises(TypeError):
+    with pytest.raises(ValidationError):
         tensor(basis_ket(2, 0), identity(2))
 
 

@@ -24,6 +24,7 @@ from qverify.qcore import (
     Ket,
     _fix_phase,
     basis_ket,
+    identity,
 )
 from qverify.cli import main
 from qverify.stabilizer import (
@@ -36,9 +37,7 @@ from qverify.stabilizer import (
     full_strategy,
     generator_strategy,
     ghz_group,
-    ghz_state,
     group_from_json,
-    group_to_json,
     preset_group,
     subset_strategy,
     _column_syndromes,
@@ -48,18 +47,18 @@ from qverify.stabilizer import (
 )
 from qverify.adversary import (
     AdversaryState,
-    acceptance_probability,
     certify_optimality,
     hilbert_schmidt_mixed_state,
     hull_boundary,
     landscape,
     shift_fidelity,
     strategy_game_value,
-    tau_state,
     worst_case_state,
 )
 from qverify.samplecount import certainty_count_report
-from qverify.strategy import StrategyKind, bell_strategy, metrics, two_qubit_optimal
+from qverify.strategy import MeasurementSetting, StrategyKind, bell_strategy, metrics
+from qverify.strategy import two_qubit_optimal
+from oracles import ghz_state, group_to_json
 from stabilizer_oracles import (
     apply_to_index,
     as_dense,
@@ -1061,17 +1060,26 @@ BELL = bell_strategy()
         pytest.param(lambda: cluster_group(2.0), id="cluster-float"),
         pytest.param(lambda: ghz_group(True), id="ghz-bool"),
         pytest.param(lambda: strategy_game_value(5, 0.1), id="game-value-strategy-int"),
-        pytest.param(lambda: acceptance_probability(BELL, 5), id="acceptance-state-int"),
         pytest.param(lambda: certify_optimality("a"), id="certify-theta-str"),
         pytest.param(lambda: certify_optimality(0.5, 400.5), id="certify-resolution-float"),
         pytest.param(lambda: two_qubit_optimal("a"), id="two-qubit-theta-str"),
+        pytest.param(
+            lambda: MeasurementSetting(identity(4), 1.0, "all", "x"), id="setting-locality-str"
+        ),
         pytest.param(lambda: landscape("a"), id="landscape-theta-str"),
         pytest.param(lambda: hull_boundary("a"), id="hull-theta-str"),
         pytest.param(lambda: hull_boundary(0.5, "a"), id="hull-points-str"),
-        pytest.param(lambda: tau_state(0.5, "a", 0), id="tau-phi-str"),
         pytest.param(lambda: shift_fidelity(5, BELL.target, 0.1), id="shift-rho-int"),
         pytest.param(lambda: shift_fidelity(np.eye(4) / 4, "x", 0.1), id="shift-target-str"),
         pytest.param(lambda: hilbert_schmidt_mixed_state("a", None), id="hilbert-schmidt-dim-str"),
+        pytest.param(
+            lambda: hilbert_schmidt_mixed_state(-1, np.random.default_rng(0)),
+            id="hilbert-schmidt-dim-negative",
+        ),
+        pytest.param(
+            lambda: hilbert_schmidt_mixed_state(0, np.random.default_rng(0)),
+            id="hilbert-schmidt-dim-zero",
+        ),
     ],
 )
 def test_wrong_types_raise_validation_error(build, monkeypatch):

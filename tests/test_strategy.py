@@ -33,12 +33,10 @@ from qverify.strategy import (
     product_state_strategy,
     target_state,
     to_json_dict,
-    trace3_closed_form,
-    two_qubit_closed_form,
     two_qubit_optimal,
 )
 
-from oracles import dense_metrics
+from oracles import dense_metrics, trace3_closed_form, two_qubit_closed_form
 
 INTERIOR_THETAS = [0.1, math.pi / 12, math.pi / 8, math.pi / 5, 0.7, 3 * math.pi / 8, 1.45]
 
