@@ -25,7 +25,8 @@ two qubit targets sin(theta)|00> + cos(theta)|11>:
   file fixes its target only within TOL_DERIVED, and its bound is
   widened by that defect.
 
-The worst orthogonal state is picked by one rule that reads only the
+Each strategy's metrics are its one source of q and of degeneracy. The
+worst orthogonal state is picked by one rule that reads only the
 strategy operator, not the eigensolver's basis (top_orthogonal_eigenvector),
 from the top orthogonal eigenspace's projector that each strategy type
 builds (orthogonal_projector; a PauliStrategy's needs no eigenproblem and
@@ -52,7 +53,7 @@ from .errors import (
     ValidationError,
 )
 from .qcore import TOL_DERIVED, HermitianOperator, Ket
-from .samplecount import check_probability, check_theta, optimal_q
+from .samplecount import check_angle, check_probability, check_theta, optimal_q
 from .stabilizer import PauliStrategy
 from .strategy import Strategy, _strategy, alpha_weight
 
@@ -90,15 +91,15 @@ def top_orthogonal_eigenvector(strategy: Strategy | PauliStrategy) -> tuple[floa
     """(q, state): the top acceptance q among states orthogonal to the
     target, and the state Pi|b> / sqrt(Pi_bb) that attains it.
 
-    The strategy's orthogonal_projector() gives q, every Pi_bb and the
-    columns of Pi; b is the lowest index with the largest Pi_bb (within
-    TOL_DERIVED). When every orthogonal eigenvalue ties (Bell, two-qubit,
-    product, full stabilizer), Pi reads only the target, so the state
-    does not depend on the eigensolver's basis.
+    q is the strategy's metrics.q. Its orthogonal_projector() gives every
+    Pi_bb and the columns of Pi; b is the lowest index with the largest
+    Pi_bb (within TOL_DERIVED). When every orthogonal eigenvalue ties (Bell,
+    two-qubit, product, full stabilizer), Pi reads only the target, so the
+    state does not depend on the eigensolver's basis.
     """
-    q, weights, column = _strategy(strategy).orthogonal_projector()
+    weights, column = _strategy(strategy).orthogonal_projector()
     b = int(np.argmax(weights >= weights.max() - TOL_DERIVED))
-    return q, Ket(column(b) / math.sqrt(weights[b]))
+    return strategy.metrics.q, Ket(column(b) / math.sqrt(weights[b]))
 
 
 def _eps_far(strategy: Strategy | PauliStrategy, epsilon: float, top: Ket) -> AdversaryState:
@@ -119,12 +120,11 @@ def worst_case_state(strategy: Strategy | PauliStrategy, epsilon: float) -> Adve
     better: strategy_game_value certifies it with the dual multiplier 1 - q.
     """
     check_probability("epsilon", epsilon)
-    q, top = top_orthogonal_eigenvector(strategy)
-    if q >= 1.0 - TOL_DERIVED:
+    if _strategy(strategy).metrics.degenerate:
         raise DegenerateStrategyError(
             "strategy accepts an orthogonal state with certainty"
         )
-    return _eps_far(strategy, epsilon, top)
+    return _eps_far(strategy, epsilon, top_orthogonal_eigenvector(strategy)[1])
 
 
 def hilbert_schmidt_mixed_state(dim: int, rng: np.random.Generator) -> np.ndarray:
@@ -183,14 +183,23 @@ def lambda2(alpha, big_p, big_t):
     )
 
 
+def _check_ridge(big_p, big_t: float) -> None:
+    """Reject P (a float or a float array) and T unless every P > 0 and T >= 0
+    are finite, as the family makes them: P = tan^2 phi and T = tan^2 theta."""
+    inside = (big_p > 0.0) & (big_p < math.inf)
+    if not (0.0 <= big_t < math.inf and (inside if isinstance(inside, bool) else inside.all())):
+        raise ValidationError(f"big_p={big_p!r} and big_t={big_t!r} need finite P > 0, T >= 0")
+
+
 def ridge_alpha(big_p: float, big_t: float) -> float | None:
     """ZZ weight equalizing lambda1 and lambda2 at fixed phi, if any.
 
     Along the equalizing ridge the worst case is minimal in alpha.
     Returns None when the balance point would need alpha < 0, in which
-    case lambda2 dominates for every admissible alpha.
+    case lambda2 dominates for every admissible alpha. P > 0 and T >= 0.
     """
     big_p, big_t = qcore._real("big_p", big_p), qcore._real("big_t", big_t)
+    _check_ridge(big_p, big_t)
     x = big_p * (1.0 + big_t) / ((1.0 + big_p) * (big_p + big_t))
     y = 1.0 - (big_t + big_p**2) / (2.0 * (1.0 + big_p) * (big_p + big_t))
     if x + y < 1.0:
@@ -203,8 +212,10 @@ def ridge_q(big_p, big_t):
 
     Equals 1/2 + (T + P^2) / (2 (T + P^2 + 4 P (1 + T))), minimized at
     P = sqrt(T), where it reaches (2 + sin 2theta)/(4 + sin 2theta).
+    Every P > 0 and T >= 0.
     """
     big_p, big_t = qcore._reals("big_p", big_p), qcore._real("big_t", big_t)
+    _check_ridge(big_p, big_t)
     core = big_t + big_p**2
     return 0.5 + core / (2.0 * (core + 4.0 * big_p * (1.0 + big_t)))
 
@@ -215,9 +226,9 @@ def ppt_lower_bound(theta: float) -> float:
     Any mixture of product state complements that fixes the target and
     has trace three accepts the orthogonal state in span{|00>, |11>}
     with probability at least sin(2 theta) / (1 + sin(2 theta)); the
-    optimal construction meets it with equality.
+    optimal construction meets it with equality. theta lies in [0, pi/2].
     """
-    s = math.sin(2.0 * qcore._real("theta", theta))
+    s = math.sin(2.0 * check_angle(theta, family=True))
     return s / (1.0 + s)
 
 
@@ -292,8 +303,7 @@ def landscape(
     ThetaOutOfDomainError. Grid entries outside alpha in [0, 1] or phi
     in (0, pi/2), nan included, raise ValidationError.
     """
-    if not math.isfinite(qcore._real("theta", theta)):
-        raise ThetaOutOfDomainError(f"theta={theta!r} is not a finite angle")
+    check_angle(theta)
     if alphas is None:
         alphas = np.linspace(0.0, 1.0, 121)
     if phis is None:
@@ -515,7 +525,9 @@ class GameValue:
     1 - q, 1 - epsilon (1 - q), widened by the strategy's invariant
     defect and the eigensolver's rounding, so the true game value lies
     in [accept_prob, upper_bound]. evaluations counts the eigensolves
-    the call ran: 1 for a dense Strategy, 0 for a PauliStrategy.
+    the call ran: 0 for a PauliStrategy, 1 for a dense Strategy, and 2 for
+    one whose metrics this call solved (no builder made it, and nothing
+    read them before).
     """
 
     accept_prob: float
@@ -554,31 +566,33 @@ def _golden_max(fn, lo: float, hi: float):
 
 # the eigensolver's rounding per dimension: widens a bound so that error
 # in q's last digits cannot put it below a feasible acceptance
-_ROUNDING = 4.0 * np.finfo(float).eps
+_ROUNDING = 4.0 * float(np.finfo(float).eps)
 
 
 def strategy_game_value(strategy: Strategy | PauliStrategy, epsilon: float) -> GameValue:
     """Best acceptance at infidelity at least epsilon against the
     strategy's own target, by the paper's identity.
 
-    The maximizer is worst_case_state's. If Omega fixes psi, mu = 1 - q
-    is an exact dual multiplier: D(mu) = lmax(Omega - mu |psi><psi|) +
-    mu (1 - eps) = 1 - eps (1 - q), the maximizer's acceptance. A dense
-    Omega fixes psi only within d = |Omega psi - psi|, which bounds both
-    |<psi|Omega|psi> - 1| and the coupling of psi to its orthocomplement,
-    so lmax, and the bound, move by at most 2 d. A PauliStrategy fixes
-    its target exactly (d = 0) and needs no eigenproblem; its acceptance
-    is the closed form.
+    The maximizer is worst_case_state's, and eps (1 - q) the strategy's
+    metrics.delta_eps. If Omega fixes psi, mu = 1 - q is an exact dual
+    multiplier: D(mu) = lmax(Omega - mu |psi><psi|) + mu (1 - eps) =
+    1 - eps (1 - q), the maximizer's acceptance. A dense Omega fixes psi
+    only within d = |Omega psi - psi|, which bounds both |<psi|Omega|psi> - 1|
+    and the coupling of psi to its orthocomplement, so lmax, and the bound,
+    move by at most 2 d. A PauliStrategy fixes its target exactly (d = 0)
+    and needs no eigenproblem; its acceptance is the closed form.
     """
     check_probability("epsilon", epsilon)
-    q, top = top_orthogonal_eigenvector(strategy)
-    state = _eps_far(strategy, epsilon, top)
-    value = accept = 1.0 - epsilon * (1.0 - q)
-    drift = evaluations = 0
-    if isinstance(strategy, Strategy):  # its orthogonal_projector ran one eigh
+    dense = isinstance(strategy, Strategy)
+    # a dense orthogonal_projector runs one eigh, and metrics one on their first read
+    evaluations = 2 - ("metrics" in vars(strategy)) if dense else 0
+    state = _eps_far(strategy, epsilon, top_orthogonal_eigenvector(strategy)[1])
+    value = accept = 1.0 - strategy.metrics.delta_eps(epsilon)
+    drift = 0.0
+    if dense:
         omega, psi, x = strategy.omega, strategy.target.amplitudes, state.state.amplitudes
         accept = float(np.vdot(x, omega @ x).real)
-        drift, evaluations = float(np.linalg.norm(omega @ psi - psi)), 1
+        drift = float(np.linalg.norm(omega @ psi - psi))
     return GameValue(
         accept_prob=accept,
         upper_bound=value + 2.0 * drift + _ROUNDING * strategy.dim,

@@ -537,6 +537,8 @@ def cmd_landscape(cfg: argparse.Namespace) -> dict:
 
 
 def cmd_stabilizer(cfg: argparse.Namespace) -> dict:
+    if cfg.subset and cfg.parity_check:
+        raise ValidationError("--subset and --parity-check are mutually exclusive")
     group = _build_group(cfg)
     n = group.num_qubits
     if cfg.subset:

@@ -54,7 +54,9 @@ class DependentGeneratorsError(QVerifyError):
 
 
 class InconsistentSignsError(QVerifyError):
-    """Generator signs force -identity into the group (empty stabilized space)."""
+    """A signed Pauli string i^phase X^x Z^z is anti-Hermitian: phase and
+    its number of Y letters differ in parity. (Generators whose signs would
+    put -identity into the group raise DependentGeneratorsError.)"""
 
 
 class UndefinedDivergenceError(QVerifyError):

@@ -142,23 +142,23 @@ def varying_adversary(
 
 @dataclass(frozen=True)
 class RunResult:
-    """One protocol run: n_copies measured unless rejected earlier."""
+    """One protocol run: n_copies measured unless rejected earlier, at
+    first_failure_index; accepted means no copy failed."""
 
     n_copies: int
-    accepted: bool
     first_failure_index: int | None
     rng_seed: int
 
     def __post_init__(self):
-        if not isinstance(self.accepted, bool):
-            raise ValidationError(f"accepted must be a bool, got {self.accepted!r}")
-        if self.accepted != (self.first_failure_index is None):
-            raise ValidationError("accepted must mean no failure index")
         if self.first_failure_index is not None and not (
             0 <= _integer("first_failure_index", self.first_failure_index)
             < _integer("n_copies", self.n_copies)
         ):
             raise ValidationError("failure index outside [0, n_copies)")
+
+    @property
+    def accepted(self) -> bool:
+        return self.first_failure_index is None
 
 
 @dataclass(frozen=True)
@@ -331,7 +331,6 @@ def run_protocol(
     stop = int(_first_failures(plan, n, seed, trials)[0][0])
     return RunResult(
         n_copies=n,
-        accepted=stop == n,
         first_failure_index=None if stop == n else stop,
         rng_seed=seed,
     )

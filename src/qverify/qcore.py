@@ -156,7 +156,7 @@ class Ket:
     def normalized(cls, amplitudes) -> "Ket":
         arr = np.asarray(amplitudes, dtype=complex)
         norm = float(np.linalg.norm(arr))
-        if norm < 1e-12:
+        if norm < TOL_INPUT:
             raise NormalizationError("cannot normalize a (near) zero vector")
         return cls(arr / norm)
 
@@ -170,7 +170,7 @@ class Ket:
 
     def inner(self, other: "Ket") -> complex:
         """<self|other>."""
-        if other.dim != self.dim:
+        if _ket("other", other).dim != self.dim:
             raise BadDimError("inner product needs matching dimensions")
         return complex(np.vdot(self.amplitudes, other.amplitudes))
 
@@ -212,7 +212,7 @@ class HermitianOperator:
 
     def expectation(self, state: Ket) -> float:
         """<state|self|state>, guaranteed real for Hermitian entries."""
-        if state.dim != self.dim:
+        if _ket("state", state).dim != self.dim:
             raise BadDimError("expectation needs matching dimensions")
         val = np.vdot(state.amplitudes, self.entries @ state.amplitudes)
         return float(val.real)
@@ -359,14 +359,3 @@ def orthocomplement_basis(state: Ket) -> np.ndarray:
     stacked[:, 1:] = np.eye(d, dtype=complex)[:, : d - 1]
     q, _ = np.linalg.qr(stacked)
     return q[:, 1:]
-
-
-def orthocomplement_block(
-    state: Ket, omega: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """(basis, basis^dagger omega basis) with basis = orthocomplement_basis(state).
-
-    The block is omega restricted to the states orthogonal to state.
-    """
-    basis = orthocomplement_basis(state)
-    return basis, basis.conj().T @ omega @ basis

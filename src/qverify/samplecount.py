@@ -270,10 +270,19 @@ def default_theta_grid(points: int = 200) -> np.ndarray:
     return grid
 
 
+def check_angle(theta: float, family: bool = False) -> float:
+    """theta as a float; ThetaOutOfDomainError unless it is finite and, for
+    a family angle, in [0, pi/2], the family's domain."""
+    theta = _real("theta", theta)
+    if not (0.0 <= theta <= math.pi / 2 if family else math.isfinite(theta)):
+        domain = "[0, pi/2]" if family else "the finite reals"
+        raise ThetaOutOfDomainError(f"theta={theta!r} outside {domain}")
+    return theta
+
+
 def theta_family(theta: float) -> str:
-    """Which construction serves a given target angle."""
-    if math.isnan(_real("theta", theta)):
-        raise ThetaOutOfDomainError(f"theta={theta!r} is not an angle")
+    """Which construction serves a given finite target angle."""
+    theta = check_angle(theta)
     if abs(theta) <= THETA_SPECIAL_TOL or abs(theta - math.pi / 2) <= THETA_SPECIAL_TOL:
         return "product"
     if abs(theta - math.pi / 4) <= THETA_SPECIAL_TOL:
@@ -288,9 +297,7 @@ def check_theta(theta: float) -> None:
     it, every angle that theta_family assigns to a special construction
     is rejected as near special.
     """
-    if not 0.0 <= _real("theta", theta) <= math.pi / 2:  # also rejects nan
-        raise ThetaOutOfDomainError(f"theta={theta!r} outside [0, pi/2]")
-    if theta_family(theta) != "two-qubit-optimal":
+    if theta_family(check_angle(theta, family=True)) != "two-qubit-optimal":
         raise ThetaNearSpecialValueError(
             f"theta={theta!r} is within {THETA_SPECIAL_TOL} of a special angle "
             "(0, pi/4, pi/2); use product_state_strategy or bell_strategy"
@@ -307,9 +314,7 @@ def _two_qubit_q_trace(theta: float) -> tuple[float, float]:
 def optimal_q(theta: float) -> float:
     """Worst-case orthogonal acceptance (2 + s)/(4 + s), s = sin 2theta, of
     the optimal local strategy, correctly rounded from the float s."""
-    if not math.isfinite(_real("theta", theta)):
-        raise ThetaOutOfDomainError(f"theta={theta!r} is not a finite angle")
-    return _two_qubit_q_trace(theta)[0]
+    return _two_qubit_q_trace(check_angle(theta))[0]
 
 
 def family_metrics(family: str, theta: float | None = None) -> StrategyMetrics:

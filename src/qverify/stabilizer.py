@@ -587,7 +587,7 @@ class PauliStrategy:
         return _count_metrics(self.counts)
 
     def orthogonal_projector(self):
-        """(q, every Pi_bb, b -> Pi|b>) of Pi = I - |psi><psi| - R, the
+        """(every Pi_bb, b -> Pi|b>) of Pi = I - |psi><psi| - R, the
         projector onto the nonzero syndromes with c(s) = q k: R, read by
         _signed_sums, is 2^-N sum_m r(m) P_m, r the Walsh-Hadamard transform
         of the other nonzero syndromes' indicator (0 for the full scheme)."""
@@ -598,7 +598,7 @@ class PauliStrategy:
         def column(b: int) -> np.ndarray:
             return np.eye(1, dim, b)[0] - psi * psi[b].conj() - columns([b])[0]
 
-        return self.metrics.q, 1.0 - (psi * psi.conj()).real - diagonal[0], column
+        return 1.0 - (psi * psi.conj()).real - diagonal[0], column
 
     def pass_probabilities(self, state: Ket | np.ndarray) -> np.ndarray:
         """(1 + Re <P_m>)/2 for each chosen element m, one at a time, in
@@ -606,6 +606,8 @@ class PauliStrategy:
         times x_b conj(x_image) (a Ket x) or sigma[b, image] (a density)."""
         cols = np.arange(self.dim)
         ket = state.amplitudes if isinstance(state, Ket) else None
+        if ket is None:
+            state = qcore._matrix("state", state, self.dim)
         means = np.empty(len(self.indices))
         for i, (x, z, phase) in enumerate(self.group.table[:, list(self.indices)].T.tolist()):
             image, coeff = _act(x, z, _PHASES[phase], cols)
@@ -650,14 +652,14 @@ def subset_strategy(group: StabilizerGroup, element_indices) -> SubsetReport:
     counts, k = built.counts, len(built.indices)
     stabilized = int(np.count_nonzero(counts == k))
     fooling = acceptance = None
-    if stabilized > 1:
+    if built.metrics.degenerate:
         # the first passing column after column 0, which is the target itself
         syndromes = _column_syndromes(group.num_qubits)
         syndrome = int(syndromes[np.flatnonzero(counts[syndromes] == k)[1]])
         fooling = Ket(group._joint_eigenvectors([syndrome])[0])
         acceptance = int(counts[syndrome]) / k
     return SubsetReport(
-        built, degenerate=stabilized > 1, stabilized_dimension=stabilized,
+        built, degenerate=built.metrics.degenerate, stabilized_dimension=stabilized,
         fooling_state=fooling, fooling_acceptance=acceptance,
     )
 

@@ -35,16 +35,18 @@ runs each MeasurementSetting check once over it, at the same tolerance.
 It raises the error of the first invalid setting in order; a setting
 built directly is the stack of one.
 
-A strategy's metrics property is its one route to q and trace. The
-three builders' strategies hold their closed form (family_metrics); any
-other Strategy, even one whose kind names a family (from_json_dict,
-local_transport, direct construction), solves its orthocomplement block.
+A strategy's metrics property is its one route to q, degeneracy and
+trace. The three builders' strategies hold their closed form
+(family_metrics); any other Strategy, even one whose kind names a family
+(from_json_dict, local_transport, direct construction), solves its
+orthocomplement block.
 
 Stabilizer strategies are stabilizer.PauliStrategy values, which hold
 syndrome counts and no projectors. metrics and to_json_dict take either
 type: a PauliStrategy reads its counts and writes its group and element
-indices. Both types give orthogonal_projector, which adversary's worst
-case reads, and pass_probabilities, which protocol's plan reads.
+indices. Both types give orthogonal_projector (the diagonal and columns
+of the top orthogonal eigenspace's projector, no q), which adversary's
+worst case reads, and pass_probabilities, which protocol's plan reads.
 Strategy and its settings mean a dense strategy only.
 """
 
@@ -58,12 +60,13 @@ from functools import cached_property
 import numpy as np
 
 from . import qcore
-from .errors import BadDimError, NotUnitaryError, ValidationError
+from .errors import BadDimError, NotUnitaryError, ThetaOutOfDomainError, ValidationError
 from .qcore import TOL_DERIVED, TOL_INPUT, HermitianOperator, Ket
 from .samplecount import (
     SampleCountReport,
     StrategyMetrics,
     certainty_count_report,
+    check_angle,
     check_theta,
     family_metrics,
     optimal_q,  # re-exported beside the two-qubit constructors
@@ -278,29 +281,33 @@ class Strategy:
     def dim(self) -> int:
         return self.target.dim
 
+    def _orthocomplement_eigh(self):
+        """(basis, vals, vecs): one eigh of basis^dagger Omega basis, Omega on
+        the target's orthocomplement, solved anew on every call."""
+        basis = qcore.orthocomplement_basis(self.target)
+        return basis, *np.linalg.eigh(basis.conj().T @ self.omega @ basis)
+
     @cached_property
     def metrics(self) -> StrategyMetrics:
         """q, the top eigenvalue of Omega on the target's orthocomplement,
         and trace Omega; a builder's strategy holds its closed form."""
-        _, block = qcore.orthocomplement_block(self.target, self.omega)
-        top = float(np.linalg.eigvalsh(block)[-1])
+        top = float(self._orthocomplement_eigh()[1][-1])
         return StrategyMetrics(
             q=min(max(top, 0.0), 1.0), trace=float(np.trace(self.omega).real)
         )
 
     def orthogonal_projector(self):
-        """(q, every Pi_bb, b -> Pi|b>): q tops the orthocomplement block, and
-        Pi = I - |psi><psi| minus its eigenvectors below q - TOL_DERIVED."""
-        basis, block = qcore.orthocomplement_block(self.target, self.omega)
-        vals, vecs = np.linalg.eigh(block)
-        q = float(vals[-1])
-        low, psi = basis @ vecs[:, vals < q - TOL_DERIVED], self.target.amplitudes
+        """(every Pi_bb, b -> Pi|b>) of Pi = I - |psi><psi| minus the
+        orthocomplement eigenvectors below its top eigenvalue - TOL_DERIVED."""
+        basis, vals, vecs = self._orthocomplement_eigh()
+        low, psi = basis @ vecs[:, vals < vals[-1] - TOL_DERIVED], self.target.amplitudes
         proj = np.eye(psi.size) - np.outer(psi, psi.conj()) - low @ low.conj().T
-        return q, proj.diagonal().real, lambda b: proj[:, b]
+        return proj.diagonal().real, lambda b: proj[:, b]
 
     def pass_probabilities(self, state: Ket | np.ndarray) -> np.ndarray:
         """tr(P_j sigma) for each setting j; a Ket is read as its density."""
-        sigma = state.density().entries if isinstance(state, Ket) else state
+        pure = isinstance(state, Ket)
+        sigma = state.density().entries if pure else qcore._matrix("state", state, self.dim)
         stack = np.stack([s.projector.entries for s in self.settings])
         return np.einsum("kij,ji->k", stack, sigma).real
 
@@ -350,8 +357,8 @@ def bell_strategy() -> Strategy:
 
 
 def target_state(theta: float) -> Ket:
-    """sin(theta)|00> + cos(theta)|11>."""
-    theta = qcore._real("theta", theta)
+    """sin(theta)|00> + cos(theta)|11>, theta a finite angle."""
+    theta = check_angle(theta)
     amps = np.zeros(4, dtype=complex)
     amps[0] = math.sin(theta)
     amps[3] = math.cos(theta)
@@ -360,7 +367,7 @@ def target_state(theta: float) -> Ket:
 
 def alpha_weight(theta: float) -> float:
     """Weight of the ZZ setting in the optimal four setting strategy."""
-    s = math.sin(2.0 * qcore._real("theta", theta))
+    s = math.sin(2.0 * check_angle(theta))
     return (2.0 - s) / (4.0 + s)
 
 
@@ -398,9 +405,13 @@ def annihilating_product_states(theta: float) -> tuple[Ket, Ket, Ket]:
     phase pairs (2pi/3, pi/3), (4pi/3, 5pi/3), (0, pi) multiply to -1,
     which makes each product state orthogonal to
     sin(theta)|00> + cos(theta)|11>. Their equal weight mixture of
-    complements is the trace three part of the optimal strategy.
+    complements is the trace three part of the optimal strategy. theta
+    lies in (0, pi/2]: cot theta diverges at 0.
     """
-    return tuple(Ket(row) for row in _annihilating_amplitudes(qcore._real("theta", theta)))
+    theta = check_angle(theta, family=True)
+    if theta == 0.0:
+        raise ThetaOutOfDomainError("theta=0 has no annihilating product states: cot 0 diverges")
+    return tuple(Ket(row) for row in _annihilating_amplitudes(theta))
 
 
 def two_qubit_optimal(theta: float) -> Strategy:

@@ -14,7 +14,7 @@ import numpy as np
 from qverify.adversary import _ROUNDING, AdversaryState, GameValue, lambda1, lambda2
 from qverify.errors import ValidationError
 from qverify.qcore import TOL_DERIVED, HermitianOperator, Ket, _projector_defects
-from qverify.qcore import orthocomplement_block
+from qverify.qcore import orthocomplement_basis
 from qverify.samplecount import StrategyMetrics, check_probability
 from qverify.stabilizer import PauliStrategy, StabilizerGroup
 from qverify.strategy import Strategy, alpha_weight
@@ -39,9 +39,11 @@ def density_at(device, copy_index: int) -> np.ndarray:
 def dense_metrics(strategy) -> StrategyMetrics:
     """q and trace solved from a dense strategy's own omega, whatever its
     metrics hold: q is the top eigenvalue of omega on the target's
-    orthocomplement, clamped to [0, 1]. The oracle of every closed form."""
-    _, block = orthocomplement_block(strategy.target, strategy.omega)
-    top = float(np.linalg.eigvalsh(block)[-1])
+    orthocomplement, clamped to [0, 1], by eigvalsh of the block
+    basis^dagger omega basis. The oracle of every closed form and of a dense
+    Strategy's own solve."""
+    basis = orthocomplement_basis(strategy.target)
+    top = float(np.linalg.eigvalsh(basis.conj().T @ strategy.omega @ basis)[-1])
     return StrategyMetrics(min(max(top, 0.0), 1.0), float(np.trace(strategy.omega).real))
 
 

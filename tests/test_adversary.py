@@ -920,6 +920,53 @@ def test_game_value_is_certified_worst_case(name, theta, seed, epsilon):
     assert oracle.accept_prob <= result.upper_bound
     if name != "drifted":
         assert abs(result.accept_prob - oracle.accept_prob) <= 1e-12
+    numbers = (result.accept_prob, result.upper_bound, result.epsilon_star)
+    assert [type(v) for v in numbers] == [float] * 3 and type(result.evaluations) is int
+
+
+# One strategy of each route to q: the closed forms, a dense strategy's own
+# solve (transported, drifted, and the stabilizer oracles), and syndrome counts.
+Q_CASES = {
+    "bell": bell_strategy,
+    "two-qubit-pi/8": lambda: two_qubit_optimal(math.pi / 8),
+    "two-qubit-0.3": lambda: two_qubit_optimal(0.3),
+    "product-zero": lambda: product_state_strategy("zero"),
+    "product-one": lambda: product_state_strategy("one"),
+    "transported": lambda: _game_strategy("transported", 1.1, 31),
+    "drifted": lambda: _game_strategy("drifted", 1.1, 31),
+    **{
+        name: (lambda name=name: _game_strategy(name, None, 0))
+        for name in ("full-ghz3", "generators-ghz3", "full-cluster3", "generators-cluster3",
+                     "subset-degenerate")
+    },
+    "dense-subset-degenerate": lambda: as_dense(_game_strategy("subset-degenerate", None, 0)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(Q_CASES))
+def test_worst_case_and_game_value_read_metrics(name, monkeypatch):
+    strat = Q_CASES[name]()
+    solves, eigh = [], np.linalg.eigh
+    monkeypatch.setattr(np.linalg, "eigh", lambda m: solves.append(m) or eigh(m))
+    game = strategy_game_value(strat, 0.1)
+    assert game.evaluations == len(solves)
+    q = strat.metrics.q
+    assert top_orthogonal_eigenvector(strat)[0] == q
+    # the game value's dual bound and closed-form acceptance read that q
+    value = 1.0 - 0.1 * (1.0 - q)
+    if isinstance(strat, Strategy):
+        psi = strat.target.amplitudes
+        drift = float(np.linalg.norm(strat.omega @ psi - psi))
+        assert game.upper_bound == value + 2.0 * drift + adversary._ROUNDING * strat.dim
+    else:
+        assert game.accept_prob == value
+    if strat.metrics.degenerate:
+        with pytest.raises(DegenerateStrategyError):
+            worst_case_state(strat, 0.1)
+    else:
+        assert worst_case_state(strat, 0.1).state.amplitudes.tobytes() == (
+            game.maximizer.state.amplitudes.tobytes()
+        )
 
 
 EDGE_VALUES = {

@@ -471,6 +471,9 @@ def _bad_input_cases(tmp_path):
             "--config", str(tmp_path / "kind_bell.json"), "--n", "5", "--trials", "10",
         ],
         "subset-not-integer": ["stabilizer", "--preset", "ghz3", "--subset", "1,x"],
+        "subset-with-parity-check": [
+            "stabilizer", "--preset", "ghz3", "--subset", "1,2", "--parity-check",
+        ],
         "figS2-theta-nan": ["figure", "--which", "figS2", "--theta", "nan"],
         "figS2-theta-inf": ["figure", "--which", "figS2", "--theta", "inf"],
         "out-unwritable": ["strategy", "--bell", "--out", no_dir],
@@ -489,7 +492,7 @@ def _bad_input_cases(tmp_path):
         "strategy-file-no-target", "strategy-file-not-object",
         "strategy-file-nan-amplitude", "strategy-file-nan-theta",
         "strategy-file-with-builder-flag", "strategy-file-with-config-kind",
-        "subset-not-integer",
+        "subset-not-integer", "subset-with-parity-check",
         "figS2-theta-nan", "figS2-theta-inf",
         "out-unwritable", "transcript-unwritable",
     ],
@@ -518,6 +521,10 @@ SIM = ["simulate", "--n", "3", "--trials", "2"]
         pytest.param(
             {"parity_check": "false"}, ["stabilizer", "--preset", "bell"],
             id="parity-check-string",
+        ),
+        pytest.param(
+            {"parity_check": True}, ["stabilizer", "--preset", "ghz3", "--subset", "1,2"],
+            id="parity-check-with-subset",
         ),
         pytest.param({"seed": 1.7}, ["strategy", "--bell"], id="seed-float"),
         pytest.param({"format": "xml"}, ["strategy", "--bell"], id="format-xml"),

@@ -204,7 +204,7 @@ def test_builder_flags_print_the_closed_form(case, monkeypatch, capsys):
     expected = family_metrics(family, theta)
     # the dense route's orthocomplement block is never formed
     monkeypatch.setattr(
-        qcore, "orthocomplement_block", lambda *a: pytest.fail("dense metrics read")
+        qcore, "orthocomplement_basis", lambda *a: pytest.fail("dense metrics read")
     )
     assert main(["strategy", *flags, "--epsilon", "0.05", "--format", "json"]) == 0
     result = json.loads(capsys.readouterr().out)["result"]

@@ -1,9 +1,12 @@
 """The error contract over the whole public API.
 
-Every callable that `qverify` exports is called with valid arguments from
-the table below, then with each argument in turn swapped for each junk
-value. A call must return or raise a QVerifyError: a wrong Python type is
-bad input, never a bare TypeError, ValueError or AttributeError.
+Every callable that `qverify` exports, and every method below that takes
+an argument, is called with valid arguments from the tables below, then
+with each argument in turn swapped for each junk value. A call must
+return or raise a QVerifyError: a wrong Python type is bad input, never a
+bare TypeError, ValueError or AttributeError. A value outside a closed
+form's domain raises its QVerifyError too, never a Python math error or
+a nan.
 """
 
 import enum
@@ -16,6 +19,10 @@ import pytest
 import qverify
 from qverify import (
     HypothesisSpec,
+    ThetaOutOfDomainError,
+    ValidationError,
+    alpha_weight,
+    annihilating_product_states,
     Locality,
     StrategyKind,
     basis_ket,
@@ -23,7 +30,11 @@ from qverify import (
     full_strategy,
     honest_device,
     identity,
+    ppt_lower_bound,
     preset_group,
+    ridge_alpha,
+    ridge_q,
+    target_state,
     to_json_dict,
     two_qubit_optimal,
     worst_case_state,
@@ -77,7 +88,7 @@ VALID = {
     "ParityCheck": dict(group=GHZ),
     "PauliStrategy": dict(group=GHZ, indices=(1, 2, 4), kind=StrategyKind.CUSTOM),
     "PauliString": dict(num_qubits=2, x=3, z=0, phase=0),
-    "RunResult": dict(n_copies=10, accepted=True, first_failure_index=None, rng_seed=0),
+    "RunResult": dict(n_copies=10, first_failure_index=None, rng_seed=0),
     "SampleCountReport": dict(
         delta=0.1, delta_eps=0.1, n_exact=22, n_asymptotic=23.0, method_label="x",
         epsilon=None, q=None, p0=1.0,
@@ -184,3 +195,60 @@ def test_junk_arguments_raise_only_domain_errors(name, arg):
         except Exception as exc:  # noqa: BLE001 - the escape is what is recorded
             escapes.append(f"{arg}={label}: {type(exc).__name__}: {exc}")
     assert not escapes, "\n".join(escapes)
+
+
+# Methods of the public types, each with its valid argument.
+METHODS = {
+    "Ket.inner": (KET.inner, KET),
+    "Ket.fidelity": (KET.fidelity, KET),
+    "HermitianOperator.expectation": (identity(2).expectation, KET),
+    "Strategy.pass_probabilities": (BELL.pass_probabilities, BELL.target),
+    "PauliStrategy.pass_probabilities": (full_strategy(GHZ).pass_probabilities, np.eye(8) / 8),
+}
+
+
+@pytest.mark.parametrize("name", sorted(METHODS))
+def test_junk_method_arguments_raise_only_domain_errors(name):
+    method, valid = METHODS[name]
+    method(valid)
+    escapes = []
+    for label, junk in JUNK.items():
+        try:
+            method(junk)
+        except QVerifyError:
+            pass
+        except Exception as exc:  # noqa: BLE001 - the escape is what is recorded
+            escapes.append(f"{label}: {type(exc).__name__}: {exc}")
+    assert not escapes, "\n".join(escapes)
+
+
+# Values of the right type outside a closed form's domain. The two-qubit
+# family's angle is finite, and in [0, pi/2] where a formula needs it; the
+# ridge's P = tan^2 phi > 0 and T = tan^2 theta >= 0 are finite.
+WRONG_VALUES = [
+    (target_state, (math.inf,), ThetaOutOfDomainError),
+    (alpha_weight, (math.inf,), ThetaOutOfDomainError),
+    (alpha_weight, (-math.inf,), ThetaOutOfDomainError),
+    (alpha_weight, (math.nan,), ThetaOutOfDomainError),
+    (ppt_lower_bound, (math.inf,), ThetaOutOfDomainError),
+    (ppt_lower_bound, (-math.inf,), ThetaOutOfDomainError),
+    (ppt_lower_bound, (math.nan,), ThetaOutOfDomainError),
+    (ppt_lower_bound, (-math.pi / 4,), ThetaOutOfDomainError),
+    (annihilating_product_states, (0.0,), ThetaOutOfDomainError),
+    (annihilating_product_states, (-0.3,), ThetaOutOfDomainError),
+    (annihilating_product_states, (-1.0,), ThetaOutOfDomainError),
+    (annihilating_product_states, (2.0,), ThetaOutOfDomainError),
+    (ridge_alpha, (0.0, 0.0), ValidationError),
+    (ridge_alpha, (-1.0, 0.5), ValidationError),
+    (ridge_alpha, (1.0, -1.0), ValidationError),
+    (ridge_alpha, (math.inf, 0.5), ValidationError),
+    (ridge_q, ([0.0], 0.0), ValidationError),
+]
+
+
+@pytest.mark.parametrize(
+    "fn,args,error", WRONG_VALUES, ids=[f"{fn.__name__}{args}" for fn, args, _ in WRONG_VALUES]
+)
+def test_wrong_values_raise_domain_errors(fn, args, error):
+    with pytest.raises(error):
+        fn(*args)

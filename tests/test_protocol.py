@@ -285,11 +285,8 @@ def test_wilson_interval_contains_point_estimate(successes, trials):
 
 def test_run_result_validation():
     with pytest.raises(ValidationError):
-        RunResult(n_copies=5, accepted=True, first_failure_index=2, rng_seed=0)
-    with pytest.raises(ValidationError):
-        RunResult(n_copies=5, accepted=False, first_failure_index=None, rng_seed=0)
-    with pytest.raises(ValidationError):
-        RunResult(n_copies=5, accepted=False, first_failure_index=7, rng_seed=0)
+        RunResult(n_copies=5, first_failure_index=7, rng_seed=0)
+    assert RunResult(5, None, 0).accepted and not RunResult(5, 4, 0).accepted
 
 
 def test_ensemble_stats_validation():

@@ -101,7 +101,7 @@ def test_worst_case_projector_matches_the_syndrome_route(case):
     rng = np.random.default_rng(group.num_qubits)
     subset = subset_strategy(group, rng.integers(1, 2**group.num_qubits, 3 * group.num_qubits))
     for strategy in (full_strategy(group), generator_strategy(group), subset.strategy):
-        q, weights, column = strategy.orthogonal_projector()
+        q, (weights, column) = strategy.metrics.q, strategy.orthogonal_projector()
         old_q, old_weights, old_column = syndrome_projector(strategy)
         assert q == old_q
         assert weights.tobytes() == old_weights.tobytes()
