@@ -574,17 +574,18 @@ def cmd_stabilizer(cfg: argparse.Namespace) -> dict:
             ("special_columns", " ".join(str(k) for k in check.special_columns)),
         ]
         return {"record": record, "columns": columns, "rows": rows}
+    full = stabilizer.full_strategy(group).metrics
+    gens = stabilizer.generator_strategy(group).metrics
     record = [
         ("num_qubits", n),
-        ("num_generators", group.num_generators),
-        ("num_elements", 1 << group.num_generators),
-        ("is_maximal", group.is_maximal),
+        ("num_generators", n),
+        ("num_elements", 1 << n),
+        ("is_maximal", True),
         ("generators", " ".join(g.label for g in group.generators)),
+        ("q_full", full.q),
+        ("q_generators", gens.q),
+        ("trace", full.trace),
     ]
-    if group.is_maximal:
-        full = stabilizer.full_strategy(group).metrics
-        gens = stabilizer.generator_strategy(group).metrics
-        record += [("q_full", full.q), ("q_generators", gens.q), ("trace", full.trace)]
     return {"record": record}
 
 

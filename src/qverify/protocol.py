@@ -185,6 +185,8 @@ def wilson_interval(
     """Wilson score interval for a binomial proportion."""
     successes, trials = _integer("successes", successes), _integer("trials", trials)
     z = _real("z", z)
+    if not 0.0 < z < math.inf:
+        raise ValidationError(f"z must be finite and positive, got {z!r}")
     if trials < 1:
         raise ValidationError("trials must be at least 1")
     if not 0 <= successes <= trials:

@@ -154,7 +154,7 @@ class Ket:
 
     @classmethod
     def normalized(cls, amplitudes) -> "Ket":
-        arr = np.asarray(amplitudes, dtype=complex)
+        arr = _frozen_array(amplitudes, "ket")
         norm = float(np.linalg.norm(arr))
         if norm < TOL_INPUT:
             raise NormalizationError("cannot normalize a (near) zero vector")

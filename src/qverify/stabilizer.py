@@ -1,7 +1,8 @@
 """Signed Pauli strings, stabilizer groups, and their verification strategies.
 
 A stabilizer state on n qubits is fixed by a maximal abelian group of
-2^n signed Pauli strings (not containing -identity). Measuring a group
+2^n signed Pauli strings (not containing -identity); a StabilizerGroup is
+always such a group, as its constructor alone checks. Measuring a group
 element M and accepting on outcome +1 realizes the pass projector
 (1 + M)/2 with one local Pauli measurement per qubit. Two mixtures are
 provided:
@@ -49,7 +50,7 @@ one it builds in a SubsetReport. Metrics, the worst-case state and game
 value (adversary) and the protocol plan read the counts, the joint
 eigenvectors or the element table and build no 2^N x 2^N array, so they
 work to MAX_QUBITS; only the dense ParityCheck eigenbasis stops at
-MAX_DENSE_QUBITS. A ParityCheck checks its group on construction.
+MAX_DENSE_QUBITS.
 """
 
 from __future__ import annotations
@@ -178,17 +179,6 @@ class PauliString:
         )
 
 
-def _gf2_rank(rows: list[int]) -> int:
-    """Rank over GF(2) of integer bit rows."""
-    rank, pool = 0, list(rows)
-    while pool and max(pool):
-        pivot = max(pool)
-        rank += 1
-        top_bit = pivot.bit_length() - 1
-        pool = [r ^ pivot if (r >> top_bit) & 1 else r for r in pool if r != pivot]
-    return rank
-
-
 def _column_syndromes(num_qubits: int) -> np.ndarray:
     """Syndrome of each ParityCheck column: column k's N bits reversed."""
     n = num_qubits
@@ -269,7 +259,8 @@ def _products(n: int, table: np.ndarray) -> tuple[PauliString, ...]:
 
 @dataclass(frozen=True, eq=False)
 class StabilizerGroup:
-    """Abelian group generated by independent signed Pauli strings."""
+    """The group of one stabilizer state: N independent, commuting signed
+    Pauli strings on N qubits. Its constructor holds every group rule."""
 
     generators: tuple[PauliString, ...]
 
@@ -289,25 +280,22 @@ class StabilizerGroup:
         for a, b in itertools.combinations(self.generators, 2):
             if not a.commutes(b):
                 raise NonCommutingError(f"{a.label} and {b.label} anticommute")
-        # Independent (x, z) rows also keep -identity out of the group: a
-        # nonempty product with identity letters would XOR rows to zero.
-        rows = [(g.x << n) | g.z for g in self.generators]
-        if _gf2_rank(rows) != len(rows):
-            raise DependentGeneratorsError(
-                "generators are dependent as a GF(2) system"
-            )
+        # Commuting (x, z) rows span at most n dimensions; this also bounds
+        # the table's 2^k columns before it is built.
+        k = len(self.generators)
+        if k > n:
+            raise DependentGeneratorsError(f"{k} commuting generators on {n} qubits are dependent")
+        if k < n:
+            raise ValidationError(f"{k} generators on {n} qubits do not pin down a single state")
+        # A nonempty product with identity letters means dependent (x, z)
+        # rows, or -identity in the group.
+        xs, zs, _ = self.table
+        if not (xs[1:] | zs[1:]).all():
+            raise DependentGeneratorsError("generators are dependent as a GF(2) system")
 
     @property
     def num_qubits(self) -> int:
         return self.generators[0].num_qubits
-
-    @property
-    def num_generators(self) -> int:
-        return len(self.generators)
-
-    @property
-    def is_maximal(self) -> bool:
-        return self.num_generators == self.num_qubits
 
     @cached_property
     def table(self) -> np.ndarray:
@@ -316,7 +304,7 @@ class StabilizerGroup:
         Built by doubling: the 2^j columns from generators 0..j-1, each
         times generator j, by PauliString.__mul__'s rule.
         """
-        xs, zs, phases = table = np.zeros((3, 1 << self.num_generators), dtype=np.int64)
+        xs, zs, phases = table = np.zeros((3, 1 << self.num_qubits), dtype=np.int64)
         for j, g in enumerate(self.generators):
             lo, hi = slice(0, 1 << j), slice(1 << j, 2 << j)
             xs[hi] = xs[lo] ^ g.x
@@ -340,24 +328,19 @@ class StabilizerGroup:
         """Row i: unit vector on which element m has eigenvalue (-1)^|m & syndromes[i]|.
 
         Row i is the column of the syndrome projector
-        (1/2^k) sum_m (-1)^|m & s| P_m at the lowest basis index with the
+        (1/2^N) sum_m (-1)^|m & s| P_m at the lowest basis index with the
         largest diagonal, normalized and its phase fixed.
         """
         syndromes = np.asarray(syndromes, dtype=np.int64)
-        size, dim = 1 << self.num_generators, 2**self.num_qubits
-        coeffs = (1 - 2 * _parity(syndromes[:, None] & np.arange(size))) / size
+        dim = 2**self.num_qubits
+        coeffs = (1 - 2 * _parity(syndromes[:, None] & np.arange(dim))) / dim
         diagonal, columns = _signed_sums(self.table, coeffs, dim)
         rows = [qcore._fix_phase(v / float(np.linalg.norm(v)))
                 for v in columns(diagonal.argmax(axis=1))]
         return np.array(rows, dtype=complex).reshape(len(syndromes), dim)
 
     def state(self) -> Ket:
-        """The unique stabilized state of a maximal group (syndrome 0)."""
-        if not self.is_maximal:
-            raise ValidationError(
-                f"{self.num_generators} generators on {self.num_qubits} qubits "
-                "do not pin down a single state"
-            )
+        """The unique stabilized state (syndrome 0)."""
         return Ket(self._joint_eigenvectors([0])[0])
 
 
@@ -417,7 +400,7 @@ def group_from_json(labels) -> StabilizerGroup:
 def _scheme_indices(group: StabilizerGroup, kind) -> list[int] | None:
     """The element indices a full or generators strategy lists, else None;
     a non-group lists no index, and PauliStrategy rejects it."""
-    k = group.num_generators if isinstance(group, StabilizerGroup) else 0
+    k = group.num_qubits if isinstance(group, StabilizerGroup) else 0
     if kind is StrategyKind.STABILIZER_FULL:
         return list(range(1, 1 << k))
     return [1 << j for j in range(k)] if kind is StrategyKind.STABILIZER_GENERATORS else None
@@ -437,7 +420,7 @@ def generator_strategy(group: StabilizerGroup) -> "PauliStrategy":
 
 @dataclass(frozen=True, eq=False)
 class ParityCheck:
-    """Pass bits and joint eigenbasis of a maximal group, indexed by column.
+    """Pass bits and joint eigenbasis of a group, indexed by column.
 
     Column k is the joint eigenvector on which generator j has eigenvalue
     -1 exactly when bit N-1-j of k is set (generator 0 is the most
@@ -450,8 +433,8 @@ class ParityCheck:
     group: StabilizerGroup
 
     def __post_init__(self):
-        if not (isinstance(self.group, StabilizerGroup) and self.group.is_maximal):
-            raise ValidationError("parity check needs a maximal group")
+        if not isinstance(self.group, StabilizerGroup):
+            raise ValidationError("a parity check needs a StabilizerGroup")
 
     @classmethod
     def build(cls, group: StabilizerGroup) -> "ParityCheck":
@@ -523,7 +506,7 @@ class PauliStrategy:
     projector: Omega = sum_s c(s)/k |s><s| in the joint eigenbasis, so
     metrics read the counts. A full or generators strategy must list
     that scheme's indices, a custom one sorted distinct integers; the
-    group must be a maximal StabilizerGroup. target, settings and
+    group must be a StabilizerGroup. target, settings and
     metrics are made on first read. Every result built from it
     (adversary's worst-case state and game value, protocol's plan) works
     to MAX_QUBITS with no 2^N x 2^N array.
@@ -551,8 +534,6 @@ class PauliStrategy:
         if not ints or indices != expected:
             name = kind.value if isinstance(kind, StrategyKind) else repr(kind)
             raise ValidationError(f"{indices} are not the element indices of a {name} strategy")
-        if not group.is_maximal:
-            raise ValidationError("a stabilizer strategy needs a maximal group")
         if not indices:
             raise ValidationError("need at least one element index")
         n, chosen = group.num_qubits, np.asarray(indices)

@@ -14,7 +14,9 @@ PauliStrategy constructor became the one place a stabilizer strategy is
 checked. The GF(2) joint-eigenvector route and the syndrome-count
 worst-case projector, which the signed-element-sum primitive replaced,
 are kept here too, and the primitive must match them bit for bit. So
-are the label-built presets, which the mask-built ones replaced.
+are the label-built presets, which the mask-built ones replaced, and the
+GF(2) rank of generator rows, which the element table's test of
+independence replaced.
 """
 
 import math
@@ -57,6 +59,17 @@ def scheme_metrics_law(num_qubits: int, scheme: str) -> StrategyMetrics:
     pass test has rank 2^(N-1)), as StrategyMetrics."""
     law = {"full": full_strategy_q, "generators": generator_strategy_q}[scheme]
     return StrategyMetrics(float(law(num_qubits)), float(2 ** (num_qubits - 1)))
+
+
+def _gf2_rank(rows: list[int]) -> int:
+    """Rank over GF(2) of integer bit rows."""
+    rank, pool = 0, list(rows)
+    while pool and max(pool):
+        pivot = max(pool)
+        rank += 1
+        top_bit = pivot.bit_length() - 1
+        pool = [r ^ pivot if (r >> top_bit) & 1 else r for r in pool if r != pivot]
+    return rank
 
 
 def pauli_matrix(pauli):
@@ -170,8 +183,6 @@ SCHEME_INDICES = {
 
 def equal_mixture(group, indices, kind, what):
     """Dense equal-weight strategy over the pass tests of the indexed elements."""
-    if not group.is_maximal:
-        raise ValidationError(f"{what} needs a maximal group")
     if group.num_qubits > MAX_DENSE_QUBITS:
         raise BadDimError(f"{what} materializes dense projectors")
     xs, zs, phases = group.table[:, np.asarray(indices)]
@@ -205,8 +216,6 @@ def as_dense(strategy):
 
 def scheme_metrics(group, scheme):
     """Metrics of the 'full' or 'generators' scheme from syndrome counts."""
-    if not group.is_maximal:
-        raise ValidationError("scheme_metrics needs a maximal group")
     if scheme not in SCHEME_INDICES:
         raise ValidationError(f"scheme={scheme!r} must be 'full' or 'generators'")
     n = group.num_qubits
@@ -215,8 +224,6 @@ def scheme_metrics(group, scheme):
 
 def subset_report_fields(group, element_indices):
     """The counted SubsetReport fields, with the fooling state's amplitudes."""
-    if not group.is_maximal:
-        raise ValidationError("subset_strategy needs a maximal group")
     n = group.num_qubits
     indices = sorted(set(int(k) for k in element_indices))
     if not indices:
@@ -265,7 +272,7 @@ def gf2_joint_eigenvectors(group, syndromes):
     xs, zs, phases = group.table
     dim = 2**group.num_qubits
     syndromes = np.asarray(syndromes, dtype=np.int64)
-    k = group.num_generators
+    k = group.num_qubits
     # eliminating the x bits of rows (x_j, e_j) leaves a basis of {m : x_m = 0}
     rows = [(g.x << k) | (1 << j) for j, g in enumerate(group.generators)]
     diagonal = np.array(_gf2_low_rest(rows, k), dtype=np.int64)

@@ -83,7 +83,7 @@ SPLIT_PRESETS = [f"{family}{n}" for family in ("ghz", "cluster") for n in range(
 
 def _nondegenerate_subsets(name):
     # the generators plus the all-ones mask, and the prefix masks 1, 11, 111, ...
-    k = preset_group(name).num_generators
+    k = preset_group(name).num_qubits
     return [[1 << j for j in range(k)] + [(1 << k) - 1], [(1 << j) - 1 for j in range(1, k + 1)]]
 
 
@@ -180,6 +180,19 @@ def test_tied_worst_state_ignores_the_eigensolver_basis(name, seed):
     assert np.array_equal(rotated_game.maximizer.state.amplitudes, maximizer)
 
 
+@pytest.mark.parametrize("target", [target_state(0.6), basis_ket(8, 5)], ids=["theta-0.6", "basis-8"])
+def test_shift_fidelity_lowers_the_target_itself(target):
+    # fidelity 1 is above 1 - eps: the state is mixed toward the
+    # normalized orthocomplement projector
+    rho = np.outer(target.amplitudes, target.amplitudes.conj())
+    adv = shift_fidelity(rho, target, 0.1)
+    sigma = adv.sigma.entries
+    achieved = float(np.real(np.vdot(target.amplitudes, sigma @ target.amplitudes)))
+    assert abs(achieved - 0.9) < 1e-12
+    assert abs(float(np.trace(sigma).real) - 1.0) < 1e-12
+    assert np.linalg.eigvalsh(sigma)[0] > -1e-12
+
+
 @given(
     theta=st.floats(0.02, math.pi / 2 - 0.02).filter(lambda t: abs(t - math.pi / 4) > 1e-3),
     seed=st.integers(0, 2**63 - 1),
@@ -245,7 +258,7 @@ def test_two_qubit_worst_pass_row(theta):
 @pytest.mark.parametrize("name", SPLIT_PRESETS)
 def test_stabilizer_worst_state_spreads_evenly_over_agreeing_syndromes(name, scheme):
     group = preset_group(name)
-    k = group.num_generators
+    k = group.num_qubits
     rows = group._joint_eigenvectors(np.arange(2**k))  # row s: syndrome s
     # the syndromes accepted with probability q: one failed generator, or any
     tops = 1 << np.arange(k) if scheme == "generators" else np.arange(1, 2**k)

@@ -436,6 +436,8 @@ def _bad_input_cases(tmp_path):
     two_qubit = strategy.to_json_dict(strategy.two_qubit_optimal(0.6))
     (tmp_path / "two_qubit.json").write_text(json.dumps(two_qubit))
     (tmp_path / "kind_bell.json").write_text(json.dumps({"kind": "bell"}))
+    (tmp_path / "list.json").write_text(json.dumps(["bell"]))
+    (tmp_path / "points_x.json").write_text(json.dumps({"points": "x"}))
     missing = str(tmp_path / "missing.json")
     no_dir = str(tmp_path / "no_dir" / "out.txt")
     return {
@@ -470,6 +472,13 @@ def _bad_input_cases(tmp_path):
             "simulate", "--strategy-file", str(tmp_path / "two_qubit.json"),
             "--config", str(tmp_path / "kind_bell.json"), "--n", "5", "--trials", "10",
         ],
+        "config-list": ["strategy", "--bell", "--config", str(tmp_path / "list.json")],
+        "config-points-not-integer": ["figure", "--config", str(tmp_path / "points_x.json")],
+        "strategy-no-builder": ["strategy"],
+        "two-qubit-no-theta": ["strategy", "--two-qubit"],
+        "stabilizer-full-no-group": ["strategy", "--stabilizer-full"],
+        "preset-with-generators": ["stabilizer", "--preset", "ghz3", "--generators", "XX,ZZ"],
+        "generators-not-maximal": ["stabilizer", "--generators", "+ZZ"],
         "subset-not-integer": ["stabilizer", "--preset", "ghz3", "--subset", "1,x"],
         "subset-with-parity-check": [
             "stabilizer", "--preset", "ghz3", "--subset", "1,2", "--parity-check",
@@ -492,6 +501,9 @@ def _bad_input_cases(tmp_path):
         "strategy-file-no-target", "strategy-file-not-object",
         "strategy-file-nan-amplitude", "strategy-file-nan-theta",
         "strategy-file-with-builder-flag", "strategy-file-with-config-kind",
+        "config-list", "config-points-not-integer",
+        "strategy-no-builder", "two-qubit-no-theta", "stabilizer-full-no-group",
+        "preset-with-generators", "generators-not-maximal",
         "subset-not-integer", "subset-with-parity-check",
         "figS2-theta-nan", "figS2-theta-inf",
         "out-unwritable", "transcript-unwritable",
@@ -602,6 +614,7 @@ def test_subcommand_help_exits_0(capsys, command):
         ["strategy", "--bell", "--epsilon", "2"],
         ["figure", "--which", "fig1", "--points", "0"],
         ["figure", "--which", "fig2", "--points", "-3"],
+        ["figure", "--points", "x"],
         ["landscape", "--refine-resolution", "-3"],
         ["landscape", "--refine-resolution", "0"],
     ],

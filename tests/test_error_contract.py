@@ -12,13 +12,22 @@ a nan.
 import enum
 import math
 import types
+import warnings
 
 import numpy as np
 import pytest
 
 import qverify
 from qverify import (
+    BadDimError,
+    HermitianOperator,
     HypothesisSpec,
+    Ket,
+    MeasurementSetting,
+    PauliString,
+    SampleCountReport,
+    StabilizerGroup,
+    Strategy,
     ThetaOutOfDomainError,
     ValidationError,
     alpha_weight,
@@ -27,9 +36,13 @@ from qverify import (
     StrategyKind,
     basis_ket,
     bell_strategy,
+    certify_optimality,
+    default_theta_grid,
     full_strategy,
+    haar_random_ket,
     honest_device,
     identity,
+    local_transport,
     ppt_lower_bound,
     preset_group,
     ridge_alpha,
@@ -37,9 +50,11 @@ from qverify import (
     target_state,
     to_json_dict,
     two_qubit_optimal,
+    wilson_interval,
     worst_case_state,
 )
 from qverify.errors import QVerifyError
+from qverify.protocol import _build_plan
 
 JUNK = {
     "none": None,
@@ -200,6 +215,7 @@ def test_junk_arguments_raise_only_domain_errors(name, arg):
 # Methods of the public types, each with its valid argument.
 METHODS = {
     "Ket.inner": (KET.inner, KET),
+    "Ket.normalized": (Ket.normalized, KET.amplitudes),
     "Ket.fidelity": (KET.fidelity, KET),
     "HermitianOperator.expectation": (identity(2).expectation, KET),
     "Strategy.pass_probabilities": (BELL.pass_probabilities, BELL.target),
@@ -243,6 +259,10 @@ WRONG_VALUES = [
     (ridge_alpha, (1.0, -1.0), ValidationError),
     (ridge_alpha, (math.inf, 0.5), ValidationError),
     (ridge_q, ([0.0], 0.0), ValidationError),
+    (wilson_interval, (3, 10, -1.0), ValidationError),
+    (wilson_interval, (3, 10, 0.0), ValidationError),
+    (wilson_interval, (3, 10, math.nan), ValidationError),
+    (wilson_interval, (3, 10, math.inf), ValidationError),
 ]
 
 
@@ -252,3 +272,50 @@ WRONG_VALUES = [
 def test_wrong_values_raise_domain_errors(fn, args, error):
     with pytest.raises(error):
         fn(*args)
+
+
+def _one_qubit_strategy():
+    zero = MeasurementSetting(HermitianOperator(np.diag([1.0, 0.0])), 1.0, "0", Locality.NONLOCAL)
+    return Strategy(basis_ket(2, 0), (zero,), StrategyKind.CUSTOM)
+
+
+# Guards of a value that has the right type but the wrong size: each row
+# names the raise it reaches by its message.
+WRONG_SIZES = [
+    ("expectation-ket-dim", lambda: identity(2).expectation(basis_ket(4, 0)),
+     BadDimError, "matching dimensions"),
+    ("haar-dim-zero", lambda: haar_random_ket(0, 1), BadDimError, "dim >= 1"),
+    ("ket-13-qubits", lambda: Ket(np.eye(1, 2**13)[0]), BadDimError, "exceeds the dense limit"),
+    ("setting-dim", lambda: Strategy(basis_ket(2, 0), BELL.settings, StrategyKind.CUSTOM),
+     ValidationError, "does not match target dimension 2"),
+    ("transport-one-qubit", lambda: local_transport(_one_qubit_strategy(), np.eye(2), np.eye(2)),
+     BadDimError, "two qubit strategies"),
+    ("plan-device-dim", lambda: _build_plan(BELL, honest_device(basis_ket(2, 0)), 5),
+     ValidationError, "dimensions differ"),
+    ("partner-qubits", lambda: PauliString.from_label("XX").commutes(PauliString.from_label("X")),
+     BadDimError, "qubit counts differ"),
+    ("generator-qubits", lambda: StabilizerGroup(
+        (PauliString.from_label("XX"), PauliString.from_label("Z"))),
+     BadDimError, "different qubit counts"),
+    ("preset-ghz13", lambda: preset_group("ghz13"), BadDimError, r"in \[2, 12\]"),
+    ("theta-grid-3", lambda: default_theta_grid(3), ValidationError, "at least 4 points"),
+    ("report-n-exact-0", lambda: SampleCountReport(0.1, 0.1, 0, 1.0, "exact"),
+     ValidationError, "n_exact=0 must be positive"),
+    ("certify-resolution-7", lambda: certify_optimality(0.5, resolution=7),
+     ValidationError, "resolution must be at least 8"),
+]
+
+
+@pytest.mark.parametrize(
+    "build,error,match", [row[1:] for row in WRONG_SIZES], ids=[row[0] for row in WRONG_SIZES]
+)
+def test_wrong_sizes_raise_domain_errors(build, error, match):
+    with pytest.raises(error, match=match):
+        build()
+
+
+def test_normalized_rejects_a_nan_without_a_warning():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(ValidationError, match="non-finite"):
+            Ket.normalized([1.0, math.nan])

@@ -38,7 +38,6 @@ from qverify.stabilizer import (
     _PHASES,
     PauliStrategy,
     _act,
-    _gf2_rank,
     full_strategy,
     generator_strategy,
     group_from_json,
@@ -48,7 +47,13 @@ from qverify.stabilizer import (
 )
 from qverify.strategy import Strategy, StrategyKind, from_json_dict, metrics, to_json_dict
 from oracles import group_to_json
-from stabilizer_oracles import as_dense, full_strategy_q, random_group, scheme_metrics_law
+from stabilizer_oracles import (
+    _gf2_rank,
+    as_dense,
+    full_strategy_q,
+    random_group,
+    scheme_metrics_law,
+)
 
 EPS = 0.1
 SCHEME_PRESETS = [f"{family}{n}" for family in ("ghz", "cluster", "zeros") for n in range(2, 7)]
@@ -387,7 +392,7 @@ def test_a_dense_stabilizer_document_keeps_its_checks_and_messages(corrupt):
         ({"kind": "bell", "group": ["XX", "ZZ"], "indices": [1, 2, 3]}, "element indices"),
         ({"kind": "custom", "group": ["XX", "ZZ"], "indices": [0, 1]}, "outside"),
         ({"kind": "custom", "group": ["XX", "ZZ"], "indices": []}, "at least one"),
-        ({"kind": "custom", "group": ["ZZ"], "indices": [1]}, "maximal group"),
+        ({"kind": "custom", "group": ["ZZ"], "indices": [1]}, "do not pin down a single state"),
         ({"kind": "custom", "group": ["XX", "ZQ"], "indices": [1]}, "bad Pauli letter"),
         ({"kind": "custom", "group": None, "indices": [1]}, "malformed"),
         ({"kind": "custom", "group": ["XX", "ZZ"]}, "malformed"),

@@ -116,6 +116,14 @@ def test_tensor_kets_matches_kron():
     assert joint.num_qubits == 3
 
 
+def test_tensor_operators_matches_kron():
+    a = HermitianOperator(PAULI_X)
+    b = HermitianOperator(np.diag([1.0, 0.0, 0.0, 1.0]))
+    joint = tensor(a, b)
+    assert np.array_equal(joint.entries, np.kron(a.entries, b.entries))
+    assert joint.num_qubits == 3
+
+
 def test_fix_phase_convention():
     # largest amplitude real positive; a tie on magnitude picks the lowest index
     _, vecs = np.linalg.eigh(random_hermitian(8, seed=11))

@@ -106,6 +106,9 @@ def test_relative_entropy_endpoints():
     assert relative_entropy(0.5, 0.5) == 0.0
     with pytest.raises(UndefinedDivergenceError):
         relative_entropy(0.5, 0.0)
+    for b in (1e-9, 0.3, 0.75):
+        assert relative_entropy(0.0, b) == pytest.approx(-math.log(1.0 - b), rel=1e-12)
+    assert relative_entropy(0.0, 0.0) == relative_entropy(1.0, 1.0) == 0.0
 
 
 def test_relative_entropy_positive_off_diagonal():

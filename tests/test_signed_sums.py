@@ -120,7 +120,7 @@ def test_worst_case_projector_matches_the_syndrome_route(case):
 @pytest.mark.parametrize("case", Y_CASES, ids=_ids)
 def test_signed_sums_match_a_dense_sum(case):
     group = _group(case)
-    n, size = group.num_qubits, 1 << group.num_generators
+    n, size = group.num_qubits, 1 << group.num_qubits
     rng = np.random.default_rng(case)
     coeffs = rng.integers(-8, 9, (4, size)) / 2.0 ** rng.integers(0, 2 * n, (4, 1))
     diagonal, columns = _signed_sums(group.table, coeffs, 2**n)

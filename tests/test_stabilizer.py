@@ -41,7 +41,6 @@ from qverify.stabilizer import (
     preset_group,
     subset_strategy,
     _column_syndromes,
-    _gf2_rank,
     _pass_counts,
     _pass_rows,
 )
@@ -60,6 +59,7 @@ from qverify.strategy import MeasurementSetting, StrategyKind, bell_strategy, me
 from qverify.strategy import two_qubit_optimal
 from oracles import ghz_state, group_to_json
 from stabilizer_oracles import (
+    _gf2_rank,
     apply_to_index,
     as_dense,
     elements_by_products,
@@ -177,8 +177,6 @@ def test_group_rejects_identity_generator():
 def test_ghz_group_elements():
     group = ghz_group(3)
     assert group.num_qubits == 3
-    assert group.num_generators == 3
-    assert group.is_maximal
     assert len(group.elements) == 8
     assert group.elements[0].label == "III"
 
@@ -612,7 +610,7 @@ def test_closed_form_q_is_worst_syndrome_acceptance():
         gens = _worst_syndrome_acceptance(n, [1 << j for j in range(n)])
         for family in ("ghz", "cluster", "zeros"):
             group = preset_group(f"{family}{n}")
-            k = group.num_generators
+            k = group.num_qubits
             assert full == float(full_strategy_q(k))
             assert gens == float(generator_strategy_q(k))
             assert full_strategy(group).metrics.q == full
@@ -756,7 +754,7 @@ def test_every_signed_label_round_trips_and_matches_kronecker():
 
 @pytest.mark.parametrize("preset", ORACLE_PRESETS)
 def test_elements_match_dense_generator_products(preset):
-    for flipped in _sign_flips(preset_group(preset).num_generators):
+    for flipped in _sign_flips(preset_group(preset).num_qubits):
         group = _flipped_group(preset, flipped)
         dense = [_dense_pauli(g) for g in group.generators]
         eye = np.eye(2**group.num_qubits, dtype=complex)
@@ -778,7 +776,7 @@ SIGNED_SETS = [["-XX", "ZZ"], ["XX", "-YY"], ["-ZZ", "-XX"], ["YY", "-XX"], ["-X
 
 def _table_oracle_groups():
     for preset in ["zeros1"] + ORACLE_PRESETS:
-        for flipped in _sign_flips(preset_group(preset).num_generators):
+        for flipped in _sign_flips(preset_group(preset).num_qubits):
             yield _flipped_group(preset, flipped)
     for labels in SIGNED_SETS:
         yield group_from_json(labels)
@@ -1019,17 +1017,59 @@ def test_subset_strategy_names_an_index_too_wide_for_int64():
         subset_strategy(preset_group("ghz3"), [2**63, -1])
 
 
-def test_every_report_route_rejects_a_non_maximal_group():
-    group = StabilizerGroup((PauliString.from_label("ZZ"),))
-    for build in (
-        full_strategy,
-        generator_strategy,
-        lambda g: subset_strategy(g, [1]),
-        lambda g: ParityCheck(group=g),
-        ParityCheck.build,
-    ):
-        with pytest.raises(ValidationError, match="maximal group"):
-            build(group)
+@pytest.mark.parametrize(
+    "labels,error,match",
+    [
+        (["ZZ"], ValidationError, "1 generators on 2 qubits do not pin down a single state"),
+        (["ZZI", "XXI"], ValidationError, "2 generators on 3 qubits do not pin down"),
+        (["XX", "ZZ", "-YY"], DependentGeneratorsError, "3 commuting generators on 2 qubits"),
+        (["Z", "-Z"], DependentGeneratorsError, "2 commuting generators on 1 qubits"),
+        # 2^70 table columns: the count is checked before the table is built
+        (["Z"] * 70, DependentGeneratorsError, "70 commuting generators on 1 qubits"),
+    ],
+    ids=["one-on-two", "two-on-three", "three-on-two", "two-on-one", "seventy-on-one"],
+)
+def test_group_needs_one_generator_per_qubit(labels, error, match):
+    generators = tuple(PauliString.from_label(label) for label in labels)
+    with pytest.raises(error, match=match):
+        StabilizerGroup(generators)
+    with pytest.raises(error, match=match):
+        group_from_json(labels)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_table_independence_matches_the_rank_oracle(seed):
+    # a random group with one generator swapped for a product of a random
+    # subset of them, and random sign flips: the constructor raises
+    # DependentGeneratorsError exactly when the (x, z) rows have GF(2)
+    # rank below N, -identity in the generated group included
+    rng = np.random.default_rng(seed)
+    seen = set()
+    for _ in range(60):
+        n = int(rng.integers(1, 7))
+        generators = list(random_group(n, rng, gates=2 * n * n)[0].generators)
+        j, chosen = int(rng.integers(n)), rng.integers(2, size=n)
+        product = PauliString(n, 0, 0)
+        for g in itertools.compress(generators, chosen):
+            product = product * g
+        generators[j] = product
+        flips = rng.integers(2, size=n)
+        generators = [
+            PauliString(n, g.x, g.z, (g.phase + 2 * int(flip)) % 4)
+            for g, flip in zip(generators, flips)
+        ]
+        dependent = _gf2_rank([g.x << n | g.z for g in generators]) < n
+        # made of others, generator j times them has identity letters: it
+        # is -identity when an odd number of those factors was flipped
+        made_of_others = chosen.any() and not chosen[j]
+        minus_identity = bool(made_of_others and (flips[j] + flips @ chosen) % 2)
+        if dependent:
+            with pytest.raises(DependentGeneratorsError):
+                StabilizerGroup(tuple(generators))
+        else:
+            assert StabilizerGroup(tuple(generators)).num_qubits == n
+        seen.add((dependent, minus_identity))
+    assert {(False, False), (True, False), (True, True)} <= seen
 
 
 BELL = bell_strategy()

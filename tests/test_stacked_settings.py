@@ -270,7 +270,7 @@ def test_transport_and_json_match_per_setting_route(theta, seed, base):
 @pytest.mark.parametrize("name", [f"{f}{n}" for f in ("ghz", "cluster") for n in range(3, 7)])
 def test_stabilizer_strategies_match_per_setting_route(name):
     group = preset_group(name)
-    n = group.num_generators
+    n = group.num_qubits
     full = oracle_stabilizer(group, range(1, 2**n), StrategyKind.STABILIZER_FULL)
     gens = oracle_stabilizer(group, [1 << j for j in range(n)], StrategyKind.STABILIZER_GENERATORS)
     assert_same(as_dense(full_strategy(group)), full)
