@@ -18,15 +18,17 @@ copy for a raw array.
 
 Reproducibility: trial t of a run with seed s reads the Philox4x64-10
 stream with key (s mod 2^64, t mod 2^64) and counter 0, that is the
-doubles of Generator(Philox(key=[s, t])).random(2n). Copy i uses
-doubles 2i (setting choice) and 2i + 1 (outcome). The sampler draws in
-chunks that start at even copies: a chunk from copy c begins block c/2
-of four doubles, so setting the counter to c/2 resumes the stream where
-one uninterrupted draw would be. Chunking, batching across trials and
-early rejection cannot shift any copy's draws: results are bit
-identical per (seed, trial). The sampler keeps one Philox state dict
-of plain Python ints and rewrites its key per trial, because the
-state setter converts Python ints far faster than numpy scalars.
+doubles of Generator(Philox(key=[s, t])).random(2n). Copy i's setting is
+the number of cumulative weights <= double 2i, the last set to exactly 1
+(a guide table, _picker, computes it); copy i fails when double 2i + 1 >=
+that setting's clamped pass probability. The sampler draws in chunks
+that start at even copies: a chunk from copy c begins block c/2 of four
+doubles, so setting the counter to c/2 resumes the stream where one
+uninterrupted draw would be. Chunking, batching across trials and early
+rejection cannot shift any copy's draws: results are bit identical per
+(seed, trial). The sampler keeps one Philox state dict of plain Python
+ints and rewrites its key per trial, because the state setter converts
+Python ints far faster than numpy scalars.
 
 Arguments: n, trials, seed and trial are Python or numpy integers, not
 bool, and every other argument has its documented type; anything else
@@ -223,6 +225,31 @@ class _Plan:
     weights: np.ndarray
     probs: np.ndarray
     labels: tuple[str, ...]
+    pick: Callable[[np.ndarray], np.ndarray]  # setting index of each choice double
+
+
+def _picker(cumulative: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
+    """searchsorted(cumulative, u, side="right") of doubles u in [0, 1)
+    by Devroye's guide table (1986, III.2.4) over G buckets, a power of
+    two >= 4k for k settings. guide[b] counts the weights <= b/G. G is a
+    power of two, so u*G truncates exactly to u's bucket; at most
+    lookahead weights lie strictly inside one bucket, and cumulative[-1]
+    = 1 > u, so stepping past the next weights <= u is exact, ties too.
+    """
+    size = min(1 << 16, 1 << max(2, (4 * cumulative.size - 1).bit_length()))
+    scaled = cumulative * size  # exact: size is a power of two
+    edges = np.ceil(scaled).astype(np.intp)
+    inside = np.floor(scaled[scaled != edges]).astype(np.intp)
+    guide = np.cumsum(np.bincount(edges))[:size]
+    lookahead = int(np.bincount(inside, minlength=1).max())
+
+    def pick(u: np.ndarray) -> np.ndarray:
+        picks = guide.take((u * size).astype(np.intp))
+        for _ in range(lookahead):
+            picks += u >= cumulative.take(picks)
+        return picks
+
+    return pick
 
 
 def _build_plan(strategy: Strategy | PauliStrategy, device: DeviceModel, n: int) -> _Plan:
@@ -249,6 +276,7 @@ def _build_plan(strategy: Strategy | PauliStrategy, device: DeviceModel, n: int)
         weights=weights,
         probs=_clamp_certainties(rows)[which],
         labels=tuple(s.label for s in strategy.settings),
+        pick=_picker(cum),
     )
 
 
@@ -310,12 +338,13 @@ def _first_failures(
                 key[1] = t
                 bitgen.state = state
                 gen.random(out=row)
-            picks = np.searchsorted(plan.cumulative, u[:, 0::2], side="right")
+            picks = plan.pick(u[:, 0::2])
             # copy i reads row i of a per-copy plan, row 0 of a one-row plan
-            copy_rows = np.arange(start, start + width) % len(plan.probs)
-            fails = u[:, 1::2] >= plan.probs[copy_rows, picks]
-            hit = fails.any(axis=1)
-            stops[rows[hit]] = start + fails[hit].argmax(axis=1)
+            offsets = np.arange(start, start + width) % len(plan.probs) * plan.weights.size
+            fails = u[:, 1::2] >= plan.probs.take(picks + offsets)
+            first = fails.argmax(axis=1)
+            hit = fails[np.arange(rows.size), first]
+            stops[rows[hit]] = start + first[hit]
             if record:
                 drawn[rows, start : start + width] = picks
         live = live[stops[live] == n]

@@ -277,14 +277,15 @@ class StabilizerGroup:
                 raise BadDimError("generators act on different qubit counts")
             if g.is_identity_letters:
                 raise DependentGeneratorsError(f"{g.label} is the identity")
+        # Commuting (x, z) rows span at most n dimensions. Checked first,
+        # so an oversized list costs neither the pairwise commutation loop
+        # nor the table's 2^k columns.
+        k = len(self.generators)
+        if k > n:
+            raise DependentGeneratorsError(f"{k} generators on {n} qubits are dependent")
         for a, b in itertools.combinations(self.generators, 2):
             if not a.commutes(b):
                 raise NonCommutingError(f"{a.label} and {b.label} anticommute")
-        # Commuting (x, z) rows span at most n dimensions; this also bounds
-        # the table's 2^k columns before it is built.
-        k = len(self.generators)
-        if k > n:
-            raise DependentGeneratorsError(f"{k} commuting generators on {n} qubits are dependent")
         if k < n:
             raise ValidationError(f"{k} generators on {n} qubits do not pin down a single state")
         # A nonempty product with identity letters means dependent (x, z)

@@ -56,6 +56,11 @@ CASES = {
         "simulate", "--stabilizer-generators", "--preset", "cluster12", "--device",
         "worst-iid", "--epsilon", "0.1", "--n", "20", "--trials", "200", "--seed", "7",
     ],
+    "simulate-ghz4-generators": [
+        "simulate", "--stabilizer-generators", "--preset", "ghz4", "--device", "worst-iid",
+        "--epsilon", "0.1", "--n", "50", "--trials", "500", "--seed", "11",
+        "--transcript", "runs.jsonl", "--record-labels",
+    ],
     "simulate-honest-json": [
         "simulate", "--bell", "--device", "honest", "--n", "10", "--trials", "100",
         "--seed", "3", "--format", "json",
@@ -96,8 +101,10 @@ CASES = {
 # simulate-ghz12 case; every other case moves only in its version line
 # or field. The simulate-cluster12-generators case (the generators
 # scheme's worst case, whose R is not 0) joined version 7 later with the
-# digest of the output it already had. A new version needs a new digest
-# set here.
+# digest of the output it already had, and so did the
+# simulate-ghz4-generators case (cumulative weights 1/4, 1/2, 3/4, 1, each
+# on an edge of the sampler's guide table). A new version needs a new
+# digest set here.
 GOLDEN = {
     2: {
         "figure-fig1": {
@@ -411,6 +418,10 @@ GOLDEN = {
         },
         "simulate-ghz12": {
             "stdout": "39e70655b10f254fcb953e9ea274a4e129240a4911bc5381379df74437f7e949",
+        },
+        "simulate-ghz4-generators": {
+            "stdout": "adf93810141425017e4d369e0b7585fec54a50c9b7b6bb8ee65adaad574faccb",
+            "--transcript": "7af8540d1f72fc526b6ca32afab697b946b8c9063e238558ea955be491c2c956",
         },
         "simulate-honest-json": {
             "stdout": "783e60b29c30ce931c1e302179bc3e0dba09bfbd60be143733df7738052f6a5b",

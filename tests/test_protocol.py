@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 
@@ -29,7 +30,7 @@ from qverify.protocol import (
     wilson_interval,
 )
 from qverify.qcore import HermitianOperator, Ket
-from qverify.strategy import bell_strategy, two_qubit_optimal
+from qverify.strategy import Strategy, StrategyKind, bell_strategy, two_qubit_optimal
 from oracles import density_at
 
 
@@ -470,8 +471,8 @@ def oracle_run(strat, table, n, seed, trial):
     return failure, [strat.settings[j].label for j in picks[:stop]]
 
 
-def oracle_devices():
-    strat = bell_strategy()
+def oracle_devices(strat=None):
+    strat = bell_strategy() if strat is None else strat
     bad = [worst_case_state(strat, eps) for eps in (0.05, 0.2, 0.4)]
     near = worst_case_state(strat, 1e-5)
     return strat, {
@@ -537,6 +538,73 @@ def test_stream_contract_across_trial_batches(kind):
     strat, devices = oracle_devices()
     trials = _CHUNK // _FIRST_CHUNK + 50
     assert_matches_oracle(strat, devices[kind], 40, trials, SEEDS[1], replay=False)
+
+
+@pytest.mark.parametrize("kind", ["iid", "varying"])
+def test_stream_contract_with_dyadic_weights(kind):
+    # cumulative weights 1/2, 3/4, 1 lie on guide-table bucket edges, so
+    # the table alone picks each setting; Bell's 1/3 weights never do
+    bell = bell_strategy()
+    weights = (0.5, 0.25, 0.25)
+    settings = tuple(dataclasses.replace(s, weight=w) for s, w in zip(bell.settings, weights))
+    strat, devices = oracle_devices(Strategy(BELL, settings, StrategyKind.CUSTOM))
+    for n in ORACLE_NS:
+        assert_matches_oracle(strat, devices[kind], n, 24, SEEDS[1])
+
+
+TINY = 1e-20  # below the ulp of any cumulative weight past 1/16
+PICK_TABLES = {
+    # 20000 settings reach the cap of 2^16 buckets
+    **{f"equal-{k}": np.full(k, 1.0 / k) for k in (1, 2, 3, 4, 7, 64, 4095, 20000)},
+    # cumulative weights on bucket edges: no weight strictly inside a bucket
+    "dyadic-edges": np.array([0.5, 0.25, 0.125, 0.125]),
+    "dyadic-quarters": np.full(4, 0.25),
+    "dyadic-bell": np.array([0.5, 0.25, 0.25]),
+    "dyadic-edge-repeats": np.array([0.5, TINY, TINY, 0.25, 0.25]),
+    "random-5": np.random.default_rng(1).dirichlet(np.ones(5)),
+    "random-50": np.random.default_rng(2).dirichlet(np.ones(50)),
+    "random-1000": np.random.default_rng(3).dirichlet(np.full(1000, 0.3)),
+    # several cumulative weights inside one bucket, and repeated ones
+    "skewed-head": np.array([0.01, 0.01, 0.01, 0.97]),
+    "skewed-repeats": np.array([0.3, TINY, TINY, 0.7 - 2 * TINY]),
+    "skewed-subnormal": np.array([5e-324, 5e-324, 1e-300, 0.5, 0.5]),
+    "skewed-tail": np.concatenate([[1.0 - 6e-3], np.full(6, 1e-3)]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PICK_TABLES))
+def test_guide_table_pick_matches_searchsorted(name):
+    # the sampler's pick against the binary search the stream contract
+    # states, at every cumulative weight and its neighbours, at every
+    # bucket edge and just below it, and at random doubles
+    cumulative = np.cumsum(PICK_TABLES[name])
+    cumulative[-1] = 1.0
+    size = 4  # buckets: the least power of two >= 4k, at most 2^16
+    while size < min(4 * cumulative.size, 1 << 16):
+        size *= 2
+    edges = np.arange(size) / size
+    probes = np.concatenate([
+        cumulative,
+        np.nextafter(cumulative, 0.0),
+        np.nextafter(cumulative, 1.0),
+        edges,
+        np.nextafter(edges, -1.0),
+        np.random.default_rng(len(name)).random(10**5),
+    ])
+    probes = probes[(probes >= 0.0) & (probes < 1.0)]
+    pick = protocol._picker(cumulative)
+    assert pick(probes).tobytes() == np.searchsorted(cumulative, probes, side="right").tobytes()
+    # a (rows, copies) view with a stride, as the sampler passes its draws
+    draws = np.random.default_rng(7).random((300, 64))[:, 0::2]
+    assert pick(draws).tobytes() == np.searchsorted(cumulative, draws, side="right").tobytes()
+    # each table is the case its name says: by bucket, the cumulative
+    # weights strictly inside it
+    scaled = cumulative * size
+    inside = np.floor(scaled[scaled != np.ceil(scaled)]).astype(np.intp)
+    if name.startswith("dyadic"):
+        assert inside.size == 0
+    if name.startswith("skewed"):
+        assert np.bincount(inside).max() >= 3
 
 
 def test_trial_index_is_taken_mod_2_64():

@@ -1022,12 +1022,17 @@ def test_subset_strategy_names_an_index_too_wide_for_int64():
     [
         (["ZZ"], ValidationError, "1 generators on 2 qubits do not pin down a single state"),
         (["ZZI", "XXI"], ValidationError, "2 generators on 3 qubits do not pin down"),
-        (["XX", "ZZ", "-YY"], DependentGeneratorsError, "3 commuting generators on 2 qubits"),
-        (["Z", "-Z"], DependentGeneratorsError, "2 commuting generators on 1 qubits"),
+        (["XX", "ZZ", "-YY"], DependentGeneratorsError, "3 generators on 2 qubits are dependent"),
+        (["Z", "-Z"], DependentGeneratorsError, "2 generators on 1 qubits are dependent"),
         # 2^70 table columns: the count is checked before the table is built
-        (["Z"] * 70, DependentGeneratorsError, "70 commuting generators on 1 qubits"),
+        (["Z"] * 70, DependentGeneratorsError, "70 generators on 1 qubits are dependent"),
+        # anticommuting pairs: the count is checked before the pairwise loop
+        (["XX", "ZI", "IZ"], DependentGeneratorsError, "3 generators on 2 qubits are dependent"),
     ],
-    ids=["one-on-two", "two-on-three", "three-on-two", "two-on-one", "seventy-on-one"],
+    ids=[
+        "one-on-two", "two-on-three", "three-on-two", "two-on-one", "seventy-on-one",
+        "three-anticommuting-on-two",
+    ],
 )
 def test_group_needs_one_generator_per_qubit(labels, error, match):
     generators = tuple(PauliString.from_label(label) for label in labels)
