@@ -28,7 +28,7 @@ from .errors import QVerifyError, ValidationError
 
 PROG = "qverify"
 
-OUTPUT_VERSION = 7  # moves with every intended change to any output's bytes
+OUTPUT_VERSION = 8  # moves with every intended change to any output's bytes
 
 # Strategy builder flags and their help. Each flag stores its name in
 # `kind`, and a config file names one the same way ("kind": "bell").
@@ -54,19 +54,10 @@ def parse_angle(value) -> float:
     m = _ANGLE.match(text)
     if m:
         num, den = m.groups()
-        if num in ("", "+"):
-            coeff = 1.0
-        elif num == "-":
-            coeff = -1.0
-        else:
-            coeff = float(num)
-        result = coeff * math.pi
-        if den is not None:
-            denom = float(den)
-            if denom == 0.0:
-                raise ValidationError(f"angle {text!r} divides by zero")
-            result /= denom
-        return result
+        coeff = float(num + "1" if num in ("", "+", "-") else num)
+        if den is not None and float(den) == 0.0:
+            raise ValidationError(f"angle {text!r} divides by zero")
+        return coeff * math.pi / (1.0 if den is None else float(den))
     try:
         return float(text)
     except ValueError:

@@ -234,7 +234,8 @@ def _picker(cumulative: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
     two >= 4k for k settings. guide[b] counts the weights <= b/G. G is a
     power of two, so u*G truncates exactly to u's bucket; at most
     lookahead weights lie strictly inside one bucket, and cumulative[-1]
-    = 1 > u, so stepping past the next weights <= u is exact, ties too.
+    = 1 > u, so stepping past the next weights <= u is exact, ties too:
+    by binary lifting, steps of 2^j down to 1 covering the lookahead.
     """
     size = min(1 << 16, 1 << max(2, (4 * cumulative.size - 1).bit_length()))
     scaled = cumulative * size  # exact: size is a power of two
@@ -242,10 +243,13 @@ def _picker(cumulative: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
     inside = np.floor(scaled[scaled != edges]).astype(np.intp)
     guide = np.cumsum(np.bincount(edges))[:size]
     lookahead = int(np.bincount(inside, minlength=1).max())
+    lifts, last = [1 << j for j in range(lookahead.bit_length() - 1, 0, -1)], cumulative.size - 1
 
     def pick(u: np.ndarray) -> np.ndarray:
         picks = guide.take((u * size).astype(np.intp))
-        for _ in range(lookahead):
+        for step in lifts:
+            picks += step * (u >= cumulative.take(np.minimum(picks + step - 1, last)))
+        if lookahead:
             picks += u >= cumulative.take(picks)
         return picks
 

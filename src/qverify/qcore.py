@@ -75,39 +75,31 @@ def _check_dense_dim(dim: int, what: str) -> None:
         )
 
 
-def _first_operator_defect(stack: np.ndarray, what: str) -> tuple[int, QVerifyError] | None:
-    """(index, error) of the first matrix of a stack that is no HermitianOperator.
-
-    stack holds k candidates on its first axis. Each is checked in turn
-    for finite entries, a square power-of-two shape within the dense
-    limit (one shape for the whole stack) and max |H - H^dagger| <=
-    TOL_INPUT; a matrix's first failing check names its error. None when
-    every matrix passes. A non-finite first matrix and a bad shape (which
-    concerns the whole stack) come before any other check of any matrix,
-    so they are raised at once. This is the one home of the
-    HermitianOperator checks: a single operator is the stack of one.
+def _operator_defects(stack: np.ndarray, what: str) -> list[QVerifyError | None]:
+    """The HermitianOperator error of each matrix of a stack, or None: a
+    non-finite entry, else max |H - H^dagger| > TOL_INPUT. A non-finite
+    first matrix and a bad shape (square, a power of two within the dense
+    limit, one for the whole stack) come before any other check of any
+    matrix, so they are raised at once. An operator is the stack of one.
     """
     k = len(stack)
     if not k:
-        return None
-    valid = k
-    if not np.isfinite(stack).all():
-        valid = int(np.argmin(np.isfinite(stack.reshape(k, -1)).all(axis=1)))
-        if valid == 0:
-            raise ValidationError(f"{what} has a non-finite entry")
+        return []
+    finite = np.isfinite(stack.reshape(k, -1)).all(axis=1).tolist()
+    if not finite[0]:
+        raise ValidationError(f"{what} has a non-finite entry")
     if stack.ndim != 3 or stack.shape[1] != stack.shape[2]:
         raise BadDimError(f"{what} entries must form a square matrix")
     _check_dense_dim(stack.shape[1], what)
-    head = stack[:valid]
-    residuals = np.abs(head - head.conj().transpose(0, 2, 1)).max(axis=(1, 2))
-    if residuals.max() > TOL_INPUT:
-        i = int(np.argmax(residuals > TOL_INPUT))
-        return i, NonHermitianError(
-            f"{what} deviates from Hermitian by {float(residuals[i])!r} (> {TOL_INPUT})"
-        )
-    if valid < k:
-        return valid, ValidationError(f"{what} has a non-finite entry")
-    return None
+    if not all(finite):
+        stack = np.where(np.array(finite)[:, None, None], stack, 0.0)
+    residuals = np.abs(stack - stack.conj().transpose(0, 2, 1)).max(axis=(1, 2)).tolist()
+    return [
+        ValidationError(f"{what} has a non-finite entry") if not ok
+        else NonHermitianError(f"{what} deviates from Hermitian by {r!r} (> {TOL_INPUT})")
+        if r > TOL_INPUT else None
+        for ok, r in zip(finite, residuals)
+    ]
 
 
 def _check_unit_norms(rows: np.ndarray, what: str) -> None:
@@ -194,9 +186,9 @@ class HermitianOperator:
 
     def __post_init__(self):
         arr = _frozen_array(self.entries, "operator")
-        defect = _first_operator_defect(arr[None], "operator")
+        defect = _operator_defects(arr[None], "operator")[0]
         if defect is not None:
-            raise defect[1]
+            raise defect
         object.__setattr__(self, "entries", arr)
 
     @property

@@ -76,12 +76,41 @@ class StrategyMetrics:
 
 
 def exact_count(delta_eps: float, delta: float) -> int:
-    """Copies needed so (1 - delta_eps)**n <= delta, exactly."""
+    """Copies needed so (1 - delta_eps)**n <= delta, exactly below 2**46: n
+    is the ceiling of log(delta) / log1p(-delta_eps), and an exact power
+    decides where an integer lies within the float quotient's error."""
     check_probability("delta_eps", delta_eps, open_one=False)
     check_probability("delta", delta)
     if delta_eps == 1.0:
         return 1
-    return math.ceil(-math.log(delta) / -math.log1p(-delta_eps))
+    quotient = math.log(delta) / math.log1p(-delta_eps)
+    if quotient == math.inf:
+        raise ValidationError(f"delta_eps={delta_eps!r} needs more copies than a float holds")
+    # its error bound: 16 ulps per logarithm (C libraries document 1 or 2), 1 per rounding
+    low, high = math.ceil(quotient * (1.0 - 2.0**-47)), math.ceil(quotient * (1.0 + 2.0**-47))
+    if low == high or high >= 2**46:  # no run can use 2**46 copies
+        return math.ceil(quotient)
+    return low if _power_at_most(delta_eps, low, delta) else high
+
+
+def _power_at_most(delta_eps: float, n: int, delta: float) -> bool:
+    """(1 - delta_eps)**n <= delta, exactly. With 1 - delta_eps = a / 2**b and
+    delta = c / 2**e, [low, high] * 2**s brackets a**n / 2**(b*n - e), rounded to
+    p = 64, 128, ... bits until c is not in [low, high) (exact once p holds a**n)."""
+    (m, d), (c, e) = float(delta_eps).as_integer_ratio(), float(delta).as_integer_ratio()
+    a, p = d - m, 64
+    while True:
+        low, high, s = a, a, 0
+        for bit in bin(n)[3:]:
+            low, high, s = low * low * a ** int(bit), high * high * a ** int(bit), 2 * s
+            drop = max(high.bit_length() - p, 0)
+            low, high, s = low >> drop, -(-high >> drop), s + drop
+        s += e.bit_length() - 1 - (d.bit_length() - 1) * n
+        # decided unless low * 2**s <= c < high * 2**s
+        low_in, high_in = (x << max(s, 0) <= c << max(-s, 0) for x in (low, high))
+        if low_in == high_in:
+            return high_in
+        p *= 2
 
 
 def asymptotic_count(delta_eps: float, delta: float) -> float:

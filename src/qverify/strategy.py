@@ -110,11 +110,8 @@ class MeasurementSetting:
     positive under partial transposition, which certifies separability
     for the low rank operators used here. For more than two qubits only
     the STABILIZER_PAULI tag carries a locality claim; full separability
-    testing is out of scope.
-
-    A strategy's settings are validated together, as one stack, by the
-    same checks (see _check_settings); a setting constructed directly
-    is checked as a stack of one.
+    testing is out of scope. A setting built directly is checked as a
+    stack of one (see _check_settings).
     """
 
     projector: HermitianOperator
@@ -135,71 +132,56 @@ def _field_defect(weight: float, label: str, locality: Locality) -> ValidationEr
         return ValidationError(f"setting label {label!r} is not a str")
     if not label:
         return ValidationError("setting label must be nonempty")
-    if not 0.0 < qcore._real("setting weight", weight) <= 1.0 + TOL_INPUT:
-        return ValidationError(f"setting weight {weight!r} outside (0, 1]")
+    try:
+        if not 0.0 < qcore._real("setting weight", weight) <= 1.0 + TOL_INPUT:
+            return ValidationError(f"setting weight {weight!r} outside (0, 1]")
+    except ValidationError as error:
+        return error
     if not isinstance(locality, Locality):
         return ValidationError(f"setting locality {locality!r} is not a Locality")
     return None
 
 
-def _first_derived_defect(stack, labels, localities) -> tuple[int, ValidationError] | None:
-    """(index, error) of the first non-projector, or two qubit projector
-    claiming locality with a partial transpose eigenvalue below
-    -TOL_DERIVED, in a finite Hermitian stack."""
-    if not len(stack):
-        return None
-    bad = qcore._projector_defects(stack, TOL_DERIVED)
-    pt_min = np.zeros(len(stack))
-    if stack.shape[1] == 4:
-        local = [i for i in range(len(stack)) if localities[i] is not Locality.NONLOCAL]
-        if local:
-            transposed = qcore._partial_transposes(stack[local])
-            pt_min[local] = np.linalg.eigvalsh(transposed)[:, 0]
-    failed = bad | (pt_min < -TOL_DERIVED)
-    if not failed.any():
-        return None
-    i = int(failed.argmax())
-    if bad[i]:
-        return i, ValidationError(f"setting {labels[i]!r} is not a projector")
-    return i, ValidationError(
-        f"setting {labels[i]!r} claims locality but its partial "
-        f"transpose has eigenvalue {float(pt_min[i])!r}"
-    )
-
-
 def _check_settings(stack: np.ndarray, weights, labels, localities) -> None:
-    """Raise the error of the first invalid setting, in order.
+    """Raise the error of the first invalid setting of a (k, d, d) stack.
 
-    stack holds the k candidate projectors as one (k, d, d) array. A
-    setting's checks run in this order: the HermitianOperator checks
-    (finite entries, shape, Hermitian residual <= TOL_INPUT), the label,
-    the weight, the locality, then idempotence and a {0, 1} spectrum within
-    TOL_DERIVED and, for d = 4 with a locality claim, a partial
-    transpose eigenvalue >= -TOL_DERIVED. Each check is one pass over
-    the stack. The checks without an eigensolve run on every setting
-    first, because eigvalsh cannot take a non-finite matrix; the
-    eigensolves then cover the settings before the first failure found.
+    A setting's checks run in order: the HermitianOperator checks, the
+    label, the weight, the locality, then idempotence and a {0, 1} spectrum
+    within TOL_DERIVED and, for d = 4 with a locality claim, a partial
+    transpose eigenvalue >= -TOL_DERIVED. One walk finds the first setting
+    failing a check without an eigensolve (eigvalsh takes no non-finite
+    matrix); one stacked pass per eigen check covers the settings before it.
     """
-    first = qcore._first_operator_defect(stack, "operator")
-    end = len(stack) if first is None else first[0]
-    for i in range(end):
-        error = _field_defect(weights[i], labels[i], localities[i])
-        if error is not None:
-            first = i, error
+    cheap, end = None, len(stack)
+    for i, defect in enumerate(qcore._operator_defects(stack, "operator")):
+        cheap = defect or _field_defect(weights[i], labels[i], localities[i])
+        if cheap is not None:
+            end = i
             break
-    end = len(stack) if first is None else first[0]
-    first = _first_derived_defect(stack[:end], labels, localities) or first
-    if first is not None:
-        raise first[1]
+    if end:
+        head = stack[:end]
+        bad = qcore._projector_defects(head, TOL_DERIVED)
+        pt_min = np.zeros(end)
+        local = [i for i in range(end) if localities[i] is not Locality.NONLOCAL]
+        if stack.shape[1] == 4 and local:
+            pt_min[local] = np.linalg.eigvalsh(qcore._partial_transposes(head[local]))[:, 0]
+        failed = bad | (pt_min < -TOL_DERIVED)
+        if failed.any():
+            i = int(failed.argmax())
+            if bad[i]:
+                raise ValidationError(f"setting {labels[i]!r} is not a projector")
+            raise ValidationError(
+                f"setting {labels[i]!r} claims locality but its partial "
+                f"transpose has eigenvalue {float(pt_min[i])!r}"
+            )
+    if cheap is not None:
+        raise cheap
 
 
 def _settings(projectors, weights, labels, localities) -> tuple[MeasurementSetting, ...]:
-    """Checked settings over one stack of pass projectors.
-
-    projectors yields the k (d, d) pass projectors in order (a (k, d, d)
-    array, a list or a generator). They are copied into one (k, d, d)
-    stack, which _check_settings checks once, so the error raised is the
-    first invalid setting's; the stack is then frozen, and each setting's
+    """Checked settings over one stack of pass projectors: projectors yields
+    the k (d, d) pass projectors in order, copied into one (k, d, d) stack
+    that _check_settings checks and that is then frozen; each setting's
     projector is a read-only view of it.
     """
     stack = np.array([*projectors], dtype=complex)

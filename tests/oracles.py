@@ -4,10 +4,12 @@ The library has no caller for these; tests read a single projector
 check, a device's per-copy state, a dense strategy's eigenproblem, the
 game value's Lagrangian dual sweep, a dense acceptance tr(Omega sigma),
 the dense closed forms of the two-qubit optimum and of the symmetrized
-candidate family, and the GHZ state through them.
+candidate family, the GHZ state, and the float and Fraction routes to an
+exact copy count through them.
 """
 
 import math
+from fractions import Fraction
 
 import numpy as np
 
@@ -282,3 +284,21 @@ def family_omega(theta: float, alpha: float, phi: float) -> np.ndarray:
 def family_qmax(alpha, big_p, big_t):
     """Worst-case orthogonal acceptance of a family member."""
     return np.maximum(lambda1(alpha, big_p, big_t), lambda2(alpha, big_p, big_t))
+
+
+def float_exact_count(delta_eps: float, delta: float) -> int:
+    """The float route exact_count had: the ceiling of the float quotient
+    log(delta) / log1p(-delta_eps), which can miss by one near a tie."""
+    return math.ceil(-math.log(delta) / -math.log1p(-delta_eps))
+
+
+def fraction_exact_count(delta_eps: float, delta: float) -> int:
+    """The least n >= 1 with (1 - delta_eps)**n <= delta in Fraction
+    arithmetic, searched from the float route's count."""
+    ratio, bound = 1 - Fraction(delta_eps), Fraction(delta)
+    n = float_exact_count(delta_eps, delta)
+    while ratio**n > bound:
+        n += 1
+    while n > 1 and ratio ** (n - 1) <= bound:
+        n -= 1
+    return n

@@ -95,6 +95,16 @@ def test_samplecount_bell(tmp_path):
     assert abs(doc["result"]["n_asymptotic"] - 345.3877639491067) < 1e-10
 
 
+def test_samplecount_counts_a_tie_exactly(tmp_path):
+    # delta = 2**-29 = (1 - 0.5)**29: 29 copies suffice, in both counts
+    code, text = run_cli(
+        ["samplecount", "--product-zero", "--epsilon", "0.5", "--delta", "1.862645149230957e-09"],
+        tmp_path,
+    )
+    assert code == 0
+    assert "\nn_exact,29\n" in text and "\nn_chernoff_stein,29\n" in text
+
+
 def test_samplecount_stabilizer_closed_form(tmp_path):
     code, text = run_cli(
         [

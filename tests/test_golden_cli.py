@@ -32,6 +32,9 @@ CASES = {
         "--format", "json",
     ],
     "samplecount-ghz12": ["samplecount", "--stabilizer-full", "--preset", "ghz12"],
+    "samplecount-tie": [
+        "samplecount", "--product-zero", "--epsilon", "0.5", "--delta", "1.862645149230957e-09",
+    ],
     "figure-fig1": ["figure", "--which", "fig1", "--points", "9"],
     "figure-fig2-out-json": [
         "figure", "--which", "fig2", "--theta", "pi/8", "--points", "7",
@@ -103,8 +106,11 @@ CASES = {
 # scheme's worst case, whose R is not 0) joined version 7 later with the
 # digest of the output it already had, and so did the
 # simulate-ghz4-generators case (cumulative weights 1/4, 1/2, 3/4, 1, each
-# on an edge of the sampler's guide table). A new version needs a new
-# digest set here.
+# on an edge of the sampler's guide table). Version 8 decides each copy
+# count exactly at a tie (samplecount.exact_count) and adds the
+# samplecount-tie case, (1/2)**29 = delta, where version 7 printed one copy
+# too many in n_exact and n_chernoff_stein; every other case moves only in
+# its version line or field. A new version needs a new digest set here.
 GOLDEN = {
     2: {
         "figure-fig1": {
@@ -451,6 +457,76 @@ GOLDEN = {
         },
         "strategy-two-qubit-json": {
             "stdout": "7323962e0cda44bda01e1055f4e5d86a2fa8c02c072cc937902d2ca2c10e497a",
+        },
+    },
+    8: {
+        "figure-fig1": {
+            "stdout": "68c56f8abd98e8d2b5d077e3de24ec66738d81adc5b8d6e7f88a8f903bb37b73",
+        },
+        "figure-fig2-out-json": {
+            "stdout": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+            "--out": "72dcc182ac781b872090c0bcf1ae9ff339d6f17bce829c02b7cd4b0984372eae",
+        },
+        "figure-figS1": {
+            "stdout": "faf512918d4c0f1e4e471747c751c12c3bdd229a2bbbec7c98bdf90f49dd6278",
+        },
+        "figure-figS2": {
+            "stdout": "53d8f80c961e60ae5c2eebb53045c5edc9f9eda84e930676d1df7bdbf961df14",
+        },
+        "landscape-json": {
+            "stdout": "38d7f88acac4c5961c21ab7cce8cb11aa4f701a8c1c2a18441398f5c917f20da",
+        },
+        "samplecount-bell": {
+            "stdout": "d91de4eb8cf625d8edd3b746bfef26b5328e18476bc436c2363f486338fb2796",
+        },
+        "samplecount-ghz12": {
+            "stdout": "446743eb8ded6758921e801a0473e783f07c568ac856481d0a7796ff2c5d7b8e",
+        },
+        "samplecount-tie": {
+            # delta = (1/2)**29 exactly: 29 copies, where version 7 printed 30
+            "stdout": "1aff0a3e3c78eb46d0a8ef9d8d0590e8604f110ada3d4fb3004122d808de1aaf",
+        },
+        "samplecount-two-qubit-json": {
+            "stdout": "8904639bb9c179340b5b2ba16f752cc27450614cf46c356597e390aa609bc16d",
+        },
+        "simulate-cluster12-generators": {
+            "stdout": "766d2d93f86495df5222ab4ad6c900e11e8fac9a074f01868c8558b34cb735e6",
+        },
+        "simulate-ghz12": {
+            "stdout": "15e6478436672efc487ed92540e143fe0e3bdbc40dbcdf9b1d09ab5622faf943",
+        },
+        "simulate-ghz4-generators": {
+            "stdout": "61d9f4a973239bb3062ab1ab8cf99733d64d828e528cec4f1811f9882e4c8dfa",
+            "--transcript": "7af8540d1f72fc526b6ca32afab697b946b8c9063e238558ea955be491c2c956",
+        },
+        "simulate-honest-json": {
+            "stdout": "e59a1ab1ba1fc2a452f3b7869699d6b70260a206c8e3d44266126c2b133971b8",
+        },
+        "simulate-transcript": {
+            # JSONL carries no header; unchanged since version 3
+            "stdout": "8a8087cbf491ce82838f539f7931e1ab3bce57f45dd5a0ffdb5a63faaf89cdb1",
+            "--transcript": "1490192bc5f73100f49ab4cba46db6fbae60d5dc35bfb2dd9418a6d499d045a4",
+        },
+        "stabilizer-inspect": {
+            "stdout": "d63bb3dde699ac8aaa6546fe4bd4d14cd4b8999d4d4cf31ab45c2934a099f1ca",
+        },
+        "stabilizer-parity-check": {
+            "stdout": "141c63f1a462cd253c48c3888c44adb4cf3aa9bae48106f22de3fe38b93131ed",
+        },
+        "stabilizer-subset-json": {
+            "stdout": "94c2b50e3b2bbda5689b2c9faa9d1e39a1cf893f59a04b36a0849181b93e6e35",
+        },
+        "strategy-bell": {
+            "stdout": "fe0c06135d3310179634fd2dbce3a4dd01ae74765e63a3d2da1fb87edc74d748",
+        },
+        "strategy-generators-ghz3-json": {
+            "stdout": "408c93c21e0b2e2a1123941be59ddfef1e0fbe0d35d7e7979939f0fff687891d",
+        },
+        "strategy-product-epsilon": {
+            "stdout": "6229ae32a106f558e171f9294962eb164b5431ba03f2dc483c7003cefbe0b35c",
+        },
+        "strategy-two-qubit-json": {
+            "stdout": "6dae6a44733dd521265f29884a9f19bf44e1cd39b0fdccbe8e6ade264f9da7a5",
         },
     },
 }

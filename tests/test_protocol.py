@@ -569,6 +569,15 @@ PICK_TABLES = {
     "skewed-repeats": np.array([0.3, TINY, TINY, 0.7 - 2 * TINY]),
     "skewed-subnormal": np.array([5e-324, 5e-324, 1e-300, 0.5, 0.5]),
     "skewed-tail": np.concatenate([[1.0 - 6e-3], np.full(6, 1e-3)]),
+    # exactly m cumulative weights strictly inside the first or the last
+    # bucket, for m = 2^j and its neighbours: the pick's binary lifting
+    # climbs steps of 2^j down to 1
+    **{
+        f"crowded-{m}-{end}": np.concatenate(parts if end == "head" else parts[::-1])
+        for m in sorted({2**j + d for j in (1, 2, 3, 4, 5, 8) for d in (-1, 0, 1)})
+        for parts in [[np.full(m, 1e-6), [1.0 - m * 1e-6]]]
+        for end in ("head", "tail")
+    },
 }
 
 
@@ -605,6 +614,8 @@ def test_guide_table_pick_matches_searchsorted(name):
         assert inside.size == 0
     if name.startswith("skewed"):
         assert np.bincount(inside).max() >= 3
+    if name.startswith("crowded"):
+        assert np.bincount(inside).max() == int(name.split("-")[1])
 
 
 def test_trial_index_is_taken_mod_2_64():

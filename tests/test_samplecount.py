@@ -1,4 +1,6 @@
 import math
+import sys
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -20,6 +22,7 @@ from qverify.samplecount import (
     relative_entropy,
     theta_family,
 )
+from oracles import float_exact_count, fraction_exact_count
 
 
 def test_exact_count_frozen_values():
@@ -42,9 +45,66 @@ def test_exact_count_validation():
             exact_count(0.01, bad_delta)
 
 
+def test_exact_count_rejects_a_gap_whose_count_overflows():
+    # log(delta) / log1p(-5e-324) is infinite: no float holds the count
+    with pytest.raises(ValidationError):
+        exact_count(5e-324, 0.5)
+    assert exact_count(1e-300, 0.5) == math.ceil(math.log(2.0) / 1e-300)
+
+
 def test_exact_count_certain_gap():
     # gap 1 means a single copy rejects with certainty
     assert exact_count(1.0, 0.1) == 1
+
+
+def _dyadic_ties():
+    """(delta_eps, delta, n) with delta = (1 - delta_eps)**n exactly, a
+    normal double below 1, for delta_eps in 1/2, 1/4, 3/4, 1/8, 3/8, 1/16."""
+    ties = []
+    for gap in (0.5, 0.25, 0.75, 0.125, 0.375, 0.0625):
+        ratio = power = 1 - Fraction(gap)
+        for n in range(1, 1023):
+            if Fraction(float(power)) == power and float(power) >= sys.float_info.min:
+                ties.append((gap, float(power), n))
+            power *= ratio
+    return ties
+
+
+def test_exact_count_decides_dyadic_ties():
+    # at a tie n copies suffice exactly; the float route misses some (344
+    # of these 1,619 with glibc), e.g. (1/2)**29, where it returns 30
+    ties = _dyadic_ties()
+    assert len(ties) == 1619
+    assert all(exact_count(gap, delta) == n for gap, delta, n in ties)
+    assert all(fraction_exact_count(gap, delta) == n for gap, delta, n in ties)
+    assert exact_count(0.5, 2.0**-29) == 29 and float_exact_count(0.5, 2.0**-29) == 30
+    assert any(float_exact_count(gap, delta) != n for gap, delta, n in ties)
+
+
+def test_exact_count_matches_the_fraction_oracle_next_to_powers():
+    # delta = float((1 - delta_eps)**n) and its two neighbours: the float
+    # route is off by one on about a third of these
+    rng = np.random.default_rng(31)
+    float_misses = 0
+    for _ in range(250):
+        gap, n = float(10 ** rng.uniform(-3.0, -0.001)), int(rng.integers(1, 400))
+        power = float((1 - Fraction(gap)) ** n)
+        for delta in (np.nextafter(power, 0.0), power, np.nextafter(power, 1.0)):
+            delta = float(delta)
+            if 0.0 < delta < 1.0:
+                expected = fraction_exact_count(gap, delta)
+                assert exact_count(gap, delta) == expected
+                float_misses += float_exact_count(gap, delta) != expected
+    assert float_misses > 0
+
+
+@given(
+    gap=st.floats(min_value=1e-3, max_value=1.0, exclude_max=True),
+    delta=st.floats(min_value=1e-12, max_value=1.0, exclude_max=True),
+)
+@settings(max_examples=60, deadline=None)
+def test_exact_count_matches_the_fraction_oracle(gap, delta):
+    assert exact_count(gap, delta) == fraction_exact_count(gap, delta)
 
 
 @given(

@@ -19,7 +19,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qverify import qcore, strategy
-from qverify.errors import BadDimError, NonHermitianError, ValidationError
+from qverify.errors import BadDimError, NonHermitianError, QVerifyError, ValidationError
 from qverify.qcore import (
     MAX_QUBITS,
     PAULI_X,
@@ -342,6 +342,42 @@ def test_stacked_errors_match_per_setting_route(case, position):
     assert str(caught.value) == str(expected)
 
 
+EARLIER = {
+    "not-projector": (0.5 * np.eye(4), 0.5, "half", Locality.NONLOCAL),
+    "fails-ppt": (_BELL_PROJECTOR, 0.5, "bell", Locality.PRODUCT_PROJECTOR),
+    "not-hermitian": (np.triu(np.ones((4, 4))), 0.5, "upper", Locality.NONLOCAL),
+}
+
+
+def _built_alone(values, weight, label, locality):
+    """The error MeasurementSetting raises for one setting built alone."""
+    try:
+        MeasurementSetting(
+            projector=HermitianOperator(values), weight=weight, label=label, locality=locality
+        )
+    except QVerifyError as exc:
+        return exc
+    raise AssertionError("the setting is valid")
+
+
+@pytest.mark.parametrize("weight", ["x", None, 1j], ids=repr)
+@pytest.mark.parametrize("earlier", sorted(EARLIER))
+def test_an_earlier_invalid_setting_wins_over_a_later_non_real_weight(earlier, weight):
+    # a weight that is no real number is found without an eigensolve, but
+    # an earlier setting that only an eigensolve (or the residual) rejects
+    # still names the error
+    late = (_P00, weight, "late", Locality.PRODUCT_PROJECTOR)
+    specs = [_BASE_SPECS[0], EARLIER[earlier], _BASE_SPECS[1], late, *_BASE_SPECS[2:]]
+    expected = _built_alone(*EARLIER[earlier])
+    assert str(_built_alone(*late)) != str(expected)
+    with pytest.raises(type(expected)) as caught:
+        _settings(
+            np.array([spec[0] for spec in specs], dtype=complex),
+            *(tuple(spec[i] for spec in specs) for i in (1, 2, 3)),
+        )
+    assert str(caught.value) == str(expected)
+
+
 @pytest.mark.parametrize("case", ["half-identity", "entangled-claims-local", "empty-label"])
 def test_json_and_direct_settings_report_the_oracle_error(case):
     projector, weight, label, locality = BAD[case][0]
@@ -492,8 +528,8 @@ def test_real_hermitian_residual_matches_the_complex_oracle(seed, dim):
         except NonHermitianError as exc:
             expected = str(exc)
         assert (expected is None) is hermitian
-        defect = qcore._first_operator_defect(mat[None].astype(complex), "operator")
-        assert (defect and str(defect[1])) == expected
+        defect = qcore._operator_defects(mat[None].astype(complex), "operator")[0]
+        assert (defect and str(defect)) == expected
 
 
 @given(seed=st.integers(0, 2**32 - 1), dim=st.sampled_from([2, 4, 8]))
@@ -506,8 +542,8 @@ def test_imaginary_parts_keep_the_complex_residual(seed, dim):
     mat = mat + 1j * _real_symmetric(rng, dim, rng.uniform(0.1, 1.0, dim))
     with pytest.raises(NonHermitianError) as expected:
         oracle_operator(mat)
-    index, error = qcore._first_operator_defect(mat[None], "operator")
-    assert (index, type(error), str(error)) == (0, NonHermitianError, str(expected.value))
+    (error,) = qcore._operator_defects(mat[None], "operator")
+    assert (type(error), str(error)) == (NonHermitianError, str(expected.value))
 
 
 @pytest.mark.parametrize(
