@@ -11,6 +11,10 @@ and default. A `--config` file is read by turning its entries into
 `--key=value` tokens for the same subcommand parser, so config values
 get the flags' conversions and checks; they then stand in for the
 defaults, and explicit flags still win.
+
+Each command imports the submodules it calls when it runs, so a fresh
+process loads only those: `strategy --bell` needs no stabilizer,
+adversary or protocol module, and only `simulate` loads the protocol.
 """
 
 from __future__ import annotations
@@ -23,7 +27,7 @@ import sys
 
 import numpy as np
 
-from . import __version__, adversary, protocol, samplecount, stabilizer, strategy
+from . import __version__
 from .errors import QVerifyError, ValidationError
 
 PROG = "qverify"
@@ -359,6 +363,7 @@ def _write(cfg: argparse.Namespace, text: str) -> None:
 
 
 def _build_group(cfg: argparse.Namespace):
+    from . import stabilizer
     if cfg.preset and cfg.generators:
         raise ValidationError("--preset and --generators are mutually exclusive")
     if cfg.preset:
@@ -370,11 +375,13 @@ def _build_group(cfg: argparse.Namespace):
 
 
 def _build_strategy(cfg: argparse.Namespace):
+    from . import strategy
     path = getattr(cfg, "strategy_file", None)
     kind = cfg.kind
     if path and kind is not None:
         raise ValidationError(f"--strategy-file and --{kind} are mutually exclusive")
     if path:
+        from . import stabilizer
         built = stabilizer.strategy_from_json(_read_json(path, "strategy file"))
     elif kind is None:
         raise ValidationError(
@@ -390,14 +397,17 @@ def _build_strategy(cfg: argparse.Namespace):
         built = strategy.product_state_strategy("zero")
     elif kind == "product-one":
         built = strategy.product_state_strategy("one")
-    elif kind == "stabilizer-full":
-        built = stabilizer.full_strategy(_build_group(cfg))
-    else:  # stabilizer-generators
-        built = stabilizer.generator_strategy(_build_group(cfg))
+    else:
+        from . import stabilizer
+        if kind == "stabilizer-full":
+            built = stabilizer.full_strategy(_build_group(cfg))
+        else:  # stabilizer-generators
+            built = stabilizer.generator_strategy(_build_group(cfg))
     return built
 
 
 def cmd_strategy(cfg: argparse.Namespace) -> dict:
+    from . import strategy
     built = _build_strategy(cfg)
     m = built.metrics
     record = [
@@ -421,6 +431,7 @@ def cmd_strategy(cfg: argparse.Namespace) -> dict:
 
 
 def cmd_samplecount(cfg: argparse.Namespace) -> dict:
+    from . import samplecount, strategy
     epsilon, delta = cfg.epsilon, cfg.delta
     report = strategy.exact_sample_count(_build_strategy(cfg), epsilon, delta)
     stein = samplecount.chernoff_stein_count(
@@ -441,6 +452,7 @@ def cmd_samplecount(cfg: argparse.Namespace) -> dict:
 
 
 def cmd_figure(cfg: argparse.Namespace) -> dict:
+    from . import samplecount
     points = cfg.points
     if cfg.which == "fig1":
         thetas = None if points is None else samplecount.default_theta_grid(points)
@@ -451,6 +463,7 @@ def cmd_figure(cfg: argparse.Namespace) -> dict:
         epsilons = None if points is None else np.logspace(-4, -1, points)
         rows = samplecount.figure2_data(theta, cfg.delta, epsilons)
         return {"columns": samplecount.FIG2_COLUMNS, "rows": rows}
+    from . import adversary
     if cfg.which == "figS1":
         if points is None:
             rows = adversary.hull_boundary(theta)
@@ -472,6 +485,7 @@ def cmd_figure(cfg: argparse.Namespace) -> dict:
 
 
 def cmd_simulate(cfg: argparse.Namespace) -> dict:
+    from . import adversary, protocol
     if cfg.n is None:
         raise ValidationError("simulate requires --n")
     built = _build_strategy(cfg)
@@ -514,6 +528,7 @@ def cmd_simulate(cfg: argparse.Namespace) -> dict:
 
 
 def cmd_landscape(cfg: argparse.Namespace) -> dict:
+    from . import adversary
     cert = adversary.certify_optimality(
         parse_angle(cfg.theta),
         resolution=cfg.resolution,
@@ -528,6 +543,7 @@ def cmd_landscape(cfg: argparse.Namespace) -> dict:
 
 
 def cmd_stabilizer(cfg: argparse.Namespace) -> dict:
+    from . import stabilizer, strategy
     if cfg.subset and cfg.parity_check:
         raise ValidationError("--subset and --parity-check are mutually exclusive")
     group = _build_group(cfg)

@@ -28,13 +28,15 @@ def is_projector(op: HermitianOperator) -> bool:
     return not _projector_defects(op.entries[None], TOL_DERIVED)[0]
 
 
-def density_at(device, copy_index: int) -> np.ndarray:
+def density_at(device, copy_index: int, supplied=None) -> np.ndarray:
     """Copy copy_index's density matrix: a fixed device's sigma, or the
-    supplier's state checked as the protocol checks it; a pure state,
-    which the device keeps as its Ket, is densified."""
+    supplier's state (supplied, when the caller has drawn it already)
+    checked as the protocol checks it; a pure state, which the device
+    keeps as its Ket, is densified."""
     state = device.sigma
     if state is None:
-        state = device._supplied_state(device.supplier(copy_index), copy_index)
+        obj = device.supplier(copy_index) if supplied is None else supplied
+        state = device._supplied_state(obj, copy_index)
     return state.density().entries if isinstance(state, Ket) else state
 
 

@@ -448,12 +448,23 @@ ORACLE_NS = (1, 2, 3, 15, 16, 17, 31, 32, 33, 95, 96, 97, 225, 257)
 
 
 def oracle_table(strat, device, n):
-    """Cumulative setting weights and clamped pass probabilities by copy."""
+    """Cumulative setting weights and clamped pass probabilities by copy.
+
+    Each distinct supplied object is densified once, keyed by identity
+    and kept referenced while the table is built; an ndarray may change
+    between copies, so it is read on every copy.
+    """
     cumulative = np.cumsum([s.weight for s in strat.settings])
     cumulative[-1] = 1.0
     projectors = np.array([s.projector.entries for s in strat.settings])
-    sigmas = np.array([density_at(device, i) for i in range(n)])
-    probs = np.real(np.einsum("kij,cji->ck", projectors, sigmas))
+    sigmas, which, seen = [], [], {}
+    for i in range(n):
+        obj = device.supplier(i) if device.sigma is None else device.sigma
+        if isinstance(obj, np.ndarray) or id(obj) not in seen:
+            seen[id(obj)] = obj, len(sigmas)
+            sigmas.append(density_at(device, i, obj))
+        which.append(seen[id(obj)][1])
+    probs = np.real(np.einsum("kij,cji->ck", projectors, np.array(sigmas)))[which]
     probs[np.abs(probs - 1.0) <= CERTAINTY_TOL] = 1.0
     probs[np.abs(probs) <= CERTAINTY_TOL] = 0.0
     return cumulative, probs
