@@ -41,8 +41,8 @@ _EXPORTS = {
     "strategy": (
         "Locality", "MeasurementSetting", "Strategy", "StrategyKind", "alpha_weight",
         "annihilating_product_states", "bell_strategy", "exact_sample_count",
-        "from_json_dict", "local_transport", "metrics", "product_state_strategy",
-        "target_state", "to_json_dict", "two_qubit_optimal",
+        "local_transport", "metrics", "product_state_strategy", "target_state",
+        "to_json_dict", "two_qubit_optimal",
     ),
     "stabilizer": (
         "MAX_DENSE_QUBITS", "ParityCheck", "PauliStrategy", "PauliString", "PauliTest",

@@ -42,7 +42,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
 
@@ -54,8 +54,10 @@ from .errors import (
 )
 from .qcore import TOL_DERIVED, HermitianOperator, Ket
 from .samplecount import check_angle, check_probability, check_theta, optimal_q
-from .stabilizer import PauliStrategy
 from .strategy import Strategy, _strategy, alpha_weight
+
+if TYPE_CHECKING:  # annotations only: a dense caller loads no stabilizer module
+    from .stabilizer import PauliStrategy
 
 # certify_optimality: a sound sweep finds nothing below the closed form
 # by more than SOUNDNESS_TOL; a located one lands within VALUE_TOL of it

@@ -38,10 +38,10 @@ Pass probabilities: each strategy type gives its own rows
 (pass_probabilities); a PauliStrategy's, (1 + Re <P_m>)/2, build no
 2^N x 2^N array for a pure device state up to MAX_QUBITS.
 
-Exactness at the edges: pass probabilities within 1e-10 of 0 or 1 are
-clamped to exactly 0 or 1 before sampling. An honest device therefore
-never fails a strategy that fixes its target, no matter how many
-copies are measured; floating point noise in the projectors cannot
+Exactness at the edges: pass probabilities within qcore.TOL_DERIVED of
+0 or 1 are clamped to exactly 0 or 1 before sampling. An honest device
+therefore never fails a strategy that fixes its target, no matter how
+many copies are measured; floating point noise in the projectors cannot
 produce spurious rejections.
 """
 
@@ -49,19 +49,20 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
+from typing import TYPE_CHECKING, Callable
 
 import numpy as np
 
 from .adversary import AdversaryState
 from .errors import ValidationError
 from .qcore import TOL_INPUT, HermitianOperator, Ket, _integer, _ket, _matrix, _real
-from .qcore import check_density
+from .qcore import TOL_DERIVED, check_density
 from .samplecount import check_probability
-from .stabilizer import PauliStrategy
 from .strategy import Strategy, _strategy
 
-CERTAINTY_TOL = 1e-10
+if TYPE_CHECKING:  # annotations only: a dense caller loads no stabilizer module
+    from .stabilizer import PauliStrategy
+
 WILSON_Z99 = 2.5758293035489004
 _MASK64 = (1 << 64) - 1
 _CHUNK = 1 << 16
@@ -210,8 +211,8 @@ def wilson_interval(
 
 def _clamp_certainties(probs: np.ndarray) -> np.ndarray:
     out = np.array(probs, dtype=float)
-    out[np.abs(out - 1.0) <= CERTAINTY_TOL] = 1.0
-    out[np.abs(out) <= CERTAINTY_TOL] = 0.0
+    out[np.abs(out - 1.0) <= TOL_DERIVED] = 1.0
+    out[np.abs(out) <= TOL_DERIVED] = 0.0
     if np.any(out < 0.0) or np.any(out > 1.0):
         raise ValidationError("pass probability outside [0, 1]")
     return out

@@ -214,10 +214,8 @@ def relative_entropy(a: float, b: float) -> float:
     D(0 || b) = ln(1/(1-b)). Evaluating at b in {0, 1} with a != b
     diverges and raises UndefinedDivergenceError.
     """
-    if not 0.0 <= _real("a", a) <= 1.0:
-        raise ValidationError(f"a={a!r} outside [0, 1]")
-    if not 0.0 <= _real("b", b) <= 1.0:
-        raise ValidationError(f"b={b!r} outside [0, 1]")
+    check_probability("a", a, open_zero=False, open_one=False)
+    check_probability("b", b, open_zero=False, open_one=False)
     if b in (0.0, 1.0):
         if a == b:
             return 0.0

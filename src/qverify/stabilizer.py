@@ -72,7 +72,7 @@ from .errors import (
 )
 from .qcore import MAX_QUBITS, TOL_DERIVED, Ket
 from .samplecount import StrategyMetrics
-from .strategy import Locality, Strategy, StrategyKind, from_json_dict
+from .strategy import Locality, Strategy, StrategyKind, _from_json_dict
 
 # The dense ParityCheck eigenbasis stops here.
 MAX_DENSE_QUBITS = 6
@@ -647,14 +647,14 @@ def subset_strategy(group: StabilizerGroup, element_indices) -> SubsetReport:
 
 
 def strategy_from_json(doc) -> Strategy | PauliStrategy:
-    """Rebuild a strategy from strategy.to_json_dict output.
+    """Rebuild a strategy from strategy.to_json_dict output, of either type.
 
     A document that names a group ({"kind", "group", "indices"}) is a
-    PauliStrategy, which checks its kind and indices. Any other document, such as a dense one
-    written before output version 5, is read by strategy.from_json_dict.
+    PauliStrategy, which checks its kind and indices. Any other document is
+    a dense Strategy (a stabilizer one, if written before output version 5).
     """
     if not (isinstance(doc, dict) and "group" in doc):
-        return from_json_dict(doc)
+        return _from_json_dict(doc)
     try:
         kind, indices = StrategyKind(doc["kind"]), tuple(doc["indices"])
         group = group_from_json(doc["group"])

@@ -29,7 +29,7 @@ Constructions provided here:
 * product_state_strategy: for |00> or |11>, the single product
   projector onto the target, q = 0.
 
-Every constructor here, local_transport and from_json_dict hand their
+Every constructor here, local_transport and _from_json_dict hand their
 projectors to _settings, which copies them into one (k, d, d) stack and
 runs each MeasurementSetting check once over it, at the same tolerance.
 It raises the error of the first invalid setting in order; a setting
@@ -38,16 +38,17 @@ built directly is the stack of one.
 A strategy's metrics property is its one route to q, degeneracy and
 trace. The three builders' strategies hold their closed form
 (family_metrics); any other Strategy, even one whose kind names a family
-(from_json_dict, local_transport, direct construction), solves its
+(a document, local_transport, direct construction), solves its
 orthocomplement block.
 
 Stabilizer strategies are stabilizer.PauliStrategy values, which hold
 syndrome counts and no projectors. metrics and to_json_dict take either
 type: a PauliStrategy reads its counts and writes its group and element
-indices. Both types give orthogonal_projector (the diagonal and columns
-of the top orthogonal eigenspace's projector, no q), which adversary's
-worst case reads, and pass_probabilities, which protocol's plan reads.
-Strategy and its settings mean a dense strategy only.
+indices. stabilizer.strategy_from_json reads every document; it hands a
+dense one to _from_json_dict. Both types give orthogonal_projector (the
+diagonal and columns of the top orthogonal eigenspace's projector, no q),
+which adversary's worst case reads, and pass_probabilities, which
+protocol's plan reads. Strategy and its settings mean a dense strategy only.
 """
 
 from __future__ import annotations
@@ -505,7 +506,7 @@ def to_json_dict(strategy) -> dict:
     Amplitudes and projector entries are stored as [re, im] pairs whose
     repr round-trips doubles exactly; projectors are flattened row major.
     A stabilizer PauliStrategy writes its kind, generator labels and
-    element indices instead, which stabilizer.strategy_from_json reads.
+    element indices instead. stabilizer.strategy_from_json reads both.
     """
     if not isinstance(_strategy(strategy), Strategy):
         labels = [g.label for g in strategy.group.generators]
@@ -526,16 +527,12 @@ def to_json_dict(strategy) -> dict:
     return doc
 
 
-def from_json_dict(doc: dict) -> Strategy:
-    """Rebuild a strategy from to_json_dict output, revalidating everything.
+def _from_json_dict(doc) -> Strategy:
+    """Rebuild a dense strategy from to_json_dict output, revalidating everything.
 
     A document with a missing key, a value of the wrong type or shape,
-    or a non-finite theta raises ValidationError, as does a stabilizer
-    document naming its group, which stabilizer.strategy_from_json reads.
+    or a non-finite theta raises ValidationError.
     """
-    if isinstance(doc, dict) and "group" in doc:
-        raise ValidationError("a document naming a stabilizer group is read by "
-                              "stabilizer.strategy_from_json")
     try:
         kind = StrategyKind(doc["kind"])
         target_amps = _pairs_to_array(doc["target"], len(doc["target"]), "target")

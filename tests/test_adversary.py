@@ -40,7 +40,6 @@ from qverify.strategy import (
     StrategyKind,
     alpha_weight,
     bell_strategy,
-    from_json_dict,
     metrics,
     local_transport,
     optimal_q,
@@ -53,6 +52,7 @@ from qverify.stabilizer import (
     full_strategy,
     generator_strategy,
     preset_group,
+    strategy_from_json,
     subset_strategy,
 )
 import oracles
@@ -885,7 +885,7 @@ def _drifted(strategy, seed, size=3e-11):
         noise *= size / np.linalg.norm(noise, 2)
         entries = np.array([complex(*pair) for pair in item["projector"]]) + noise.ravel()
         item["projector"] = [[z.real, z.imag] for z in entries.tolist()]
-    return from_json_dict(doc)
+    return strategy_from_json(doc)
 
 
 def _game_strategy(name, theta, seed):

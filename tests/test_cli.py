@@ -7,7 +7,7 @@ import pytest
 from qverify import strategy
 from qverify.cli import COMMANDS, build_parser, cmd_figure, main, parse_angle
 from qverify.errors import ValidationError
-from qverify.adversary import HULL_COLUMNS, LANDSCAPE_COLUMNS, landscape
+from qverify.adversary import HULL_COLUMNS, LANDSCAPE_COLUMNS, hull_boundary, landscape
 from qverify.samplecount import (
     FIG1_COLUMNS,
     FIG2_COLUMNS,
@@ -96,13 +96,13 @@ def test_samplecount_bell(tmp_path):
 
 
 def test_samplecount_counts_a_tie_exactly(tmp_path):
-    # delta = 2**-29 = (1 - 0.5)**29: 29 copies suffice, in both counts
+    # delta = 2**-29 = (1 - 0.5)**29: 29 copies suffice
     code, text = run_cli(
         ["samplecount", "--product-zero", "--epsilon", "0.5", "--delta", "1.862645149230957e-09"],
         tmp_path,
     )
     assert code == 0
-    assert "\nn_exact,29\n" in text and "\nn_chernoff_stein,29\n" in text
+    assert "\nn_exact,29\n" in text and "n_chernoff_stein" not in text
 
 
 def test_samplecount_stabilizer_closed_form(tmp_path):
@@ -174,6 +174,8 @@ def test_figure_figS2_landscape_grid(tmp_path):
             lambda cfg: figure2_data(math.pi / 8, cfg.delta, np.logspace(-4, -1, 7)),
         ),
         (["--which", "figS2", "--theta", "0.6"], lambda cfg: landscape(0.6).rows),
+        # no --points: the library's default 200 locus rows and the two end points
+        (["--which", "figS1"], lambda cfg: hull_boundary(math.pi / 8)),
     ],
 )
 def test_figure_passes_library_rows_unconverted(argv, library_rows):
@@ -252,9 +254,9 @@ def test_stabilizer_inspection(tmp_path):
     assert code == 0
     record = json.loads(text)["result"]
     assert record["num_qubits"] == 3
-    assert record["num_generators"] == 3
-    assert record["num_elements"] == 8
-    assert record["is_maximal"] is True
+    assert record["generators"] == "XXX ZZI IZZ"
+    # every group is maximal: N generators, 2^N elements, so none is printed
+    assert not {"num_generators", "num_elements", "is_maximal"} & set(record)
     assert abs(record["q_full"] - 3.0 / 7.0) < 1e-12
 
 
@@ -524,6 +526,30 @@ def test_bad_input_exits_2(tmp_path, capsys, case):
     assert code == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "Error: " in err
+
+
+@pytest.mark.parametrize(
+    "args,message",
+    [
+        (["stabilizer", "--preset", "ghz3", "--subset="], "need at least one element index"),
+        (["stabilizer", "--preset", "ghz3", "--subset=", "--parity-check"], "mutually exclusive"),
+        (["stabilizer", "--preset=", "--generators", "XX,ZZ"], "mutually exclusive"),
+        (["stabilizer", "--generators="], "need at least one generator"),
+        (["simulate", "--bell", "--n", "3", "--trials", "2", "--transcript="], "cannot write ''"),
+        (["simulate", "--bell", "--strategy-file=", "--n", "3"], "mutually exclusive"),
+        (["strategy", "--bell", "--out="], "cannot write ''"),
+    ],
+    ids=[
+        "subset", "subset-with-parity-check", "preset-with-generators", "generators",
+        "transcript", "strategy-file-with-bell", "out",
+    ],
+)
+def test_an_option_given_an_empty_value_is_read(tmp_path, monkeypatch, capsys, args, message):
+    # an explicit "" is a value, not an absent option: it is checked, never skipped
+    monkeypatch.chdir(tmp_path)
+    assert main(args) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and message in captured.err
 
 
 def _run_with_config(tmp_path, args, config):

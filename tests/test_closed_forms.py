@@ -23,7 +23,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qverify import qcore, samplecount, strategy
+from qverify import qcore, samplecount, stabilizer, strategy
 from qverify.cli import main
 from qverify.errors import ThetaNearSpecialValueError, ThetaOutOfDomainError, ValidationError
 from qverify.samplecount import (
@@ -276,7 +276,7 @@ def test_only_a_builder_strategy_holds_the_closed_form(monkeypatch):
     doc["settings"][0]["projector"][0] = [1.0 + 3e-11, 0.0]  # drift below TOL_DERIVED
     # from here on, a strategy whose kind names a family must solve its own omega
     monkeypatch.setattr(strategy, "family_metrics", lambda *a: pytest.fail("closed form read"))
-    from_file = strategy.from_json_dict(json.loads(json.dumps(doc)))
+    from_file = stabilizer.strategy_from_json(json.loads(json.dumps(doc)))
     hadamard = np.array([[1.0, 1.0], [1.0, -1.0]]) / math.sqrt(2.0)
     moved = strategy.local_transport(optimum, hadamard, np.diag([1.0, 1j]))
     # the Bell kind and target with the XX and ZZ parity checks alone: q = 1/2

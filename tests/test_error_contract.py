@@ -131,7 +131,6 @@ VALID = {
     "family_metrics": dict(family="two-qubit-optimal", theta=0.6),
     "figure1_data": dict(epsilon=0.1, delta=0.1, thetas=[0.3, 0.6]),
     "figure2_data": dict(theta=0.6, delta=0.1, epsilons=[0.1, 0.2]),
-    "from_json_dict": dict(doc=to_json_dict(BELL)),
     "full_strategy": dict(group=GHZ),
     "generator_strategy": dict(group=GHZ),
     "ghz_group": dict(num_qubits=3),

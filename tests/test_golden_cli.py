@@ -110,7 +110,14 @@ CASES = {
 # count exactly at a tie (samplecount.exact_count) and adds the
 # samplecount-tie case, (1/2)**29 = delta, where version 7 printed one copy
 # too many in n_exact and n_chernoff_stein; every other case moves only in
-# its version line or field. A new version needs a new digest set here.
+# its version line or field. Version 9 drops rows that repeat another
+# route's value: samplecount's regime and n_chernoff_stein, which for a
+# strategy (p0 = 1) always read the linear regime and n_exact, and the
+# stabilizer summary's num_generators, num_elements and is_maximal, which
+# read N, 2^N and true for every group, as every group is maximal. The
+# four samplecount bodies and stabilizer-inspect change; every other case
+# moves only in its version line or field, and both JSONL transcripts keep
+# their digests. A new version needs a new digest set here.
 GOLDEN = {
     2: {
         "figure-fig1": {
@@ -527,6 +534,74 @@ GOLDEN = {
         },
         "strategy-two-qubit-json": {
             "stdout": "6dae6a44733dd521265f29884a9f19bf44e1cd39b0fdccbe8e6ade264f9da7a5",
+        },
+    },    9: {
+        "figure-fig1": {
+            "stdout": "097990219a48f288bad0dfb269b798dfe48cbd225a7ef5ea66ab66ac74bbb1ac",
+        },
+        "figure-fig2-out-json": {
+            "stdout": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+            "--out": "3a576616461cfe98192456294f0ef3c1569415d1bcee6ac63d7304a340add4a5",
+        },
+        "figure-figS1": {
+            "stdout": "f6ce059be3d5d21fb779c9dfaa6a73ccc3f865a5d42a1e191459e8e5958fd463",
+        },
+        "figure-figS2": {
+            "stdout": "570fa0ecc84a8a1a1c6c855e8ac4e6c5e85c61f3d6c67b56416b183469b41a2f",
+        },
+        "landscape-json": {
+            "stdout": "500c96f2c86f342c01daf2eedcf68829322a68d2d55d1bf68c7fabedfed57e76",
+        },
+        "samplecount-bell": {
+            "stdout": "be17260911ff25c0dc97e68d67bc962081c9f6b016c79a955265b6efe71ae7e0",
+        },
+        "samplecount-ghz12": {
+            "stdout": "27278a485b05db3d7b44119334c173a242405ffb7195104fedf74e15ce195edd",
+        },
+        "samplecount-tie": {
+            "stdout": "940fa836cd761e1646386abad60c84dda360c2a6f0b273c177155a1ce2f24311",
+        },
+        "samplecount-two-qubit-json": {
+            "stdout": "368fd3f4ededc3af5256a552eed6657b068173e9dd86bc4879c0a5c96fb52eed",
+        },
+        "simulate-cluster12-generators": {
+            "stdout": "600008888d23ff49d81bf78e369b440b3f4bf1e6e3114632f7616ba364d347e6",
+        },
+        "simulate-ghz12": {
+            "stdout": "4db438a10d9b271f95ad6ac3b84700173df4a06690170bf9492d1da746d3e730",
+        },
+        "simulate-ghz4-generators": {
+            "stdout": "aa92abd5a379861923cf55300f3cfc6ca981605b764b2b408137dd0786566eb6",
+            "--transcript": "7af8540d1f72fc526b6ca32afab697b946b8c9063e238558ea955be491c2c956",
+        },
+        "simulate-honest-json": {
+            "stdout": "4b45a3060e854877fbadf1236fddfb730132eac37cbec6960fc9ae59792f1574",
+        },
+        "simulate-transcript": {
+            # JSONL carries no header; unchanged since version 3
+            "stdout": "3c086fa708bdded8e5c79f5dce69481a62885ec404ce7519d75925ce094145e1",
+            "--transcript": "1490192bc5f73100f49ab4cba46db6fbae60d5dc35bfb2dd9418a6d499d045a4",
+        },
+        "stabilizer-inspect": {
+            "stdout": "4a0c8bbdaf74be66de352f0a583c267e0f0842b54f38ed5d1d8ad773d8947fd0",
+        },
+        "stabilizer-parity-check": {
+            "stdout": "439fb9961439a8ead288cff3489cf5f1721c10a22f1a2934cf89a511f0154611",
+        },
+        "stabilizer-subset-json": {
+            "stdout": "24f1aaba117b9329758ba3633319afeb4ef389420baa2d574e5c0b88d2cab281",
+        },
+        "strategy-bell": {
+            "stdout": "900292fa1a5a611de8624ca9be0753d2276d105bf805fe382fd721bf1deb5553",
+        },
+        "strategy-generators-ghz3-json": {
+            "stdout": "d64d9b678b7d34d1214cf9896df9bf772e170a87102ea0522a42a0a725ca1dc8",
+        },
+        "strategy-product-epsilon": {
+            "stdout": "e6499903f9b308ef612a2a8046e7e29ce98be48da61855b1b6c166b3984b4b1d",
+        },
+        "strategy-two-qubit-json": {
+            "stdout": "4f7d3f370cf168a7fa7e4457256f0f096a121fcc1eae2ca3f9ee0d86beabbbf7",
         },
     },
 }

@@ -45,7 +45,7 @@ from qverify.stabilizer import (
     strategy_from_json,
     subset_strategy,
 )
-from qverify.strategy import Strategy, StrategyKind, from_json_dict, metrics, to_json_dict
+from qverify.strategy import Strategy, StrategyKind, metrics, to_json_dict
 from oracles import group_to_json
 from stabilizer_oracles import (
     _gf2_rank,
@@ -339,8 +339,6 @@ def test_pauli_json_round_trip(build):
     assert (back.kind, back.indices) == (built.kind, built.indices)
     assert back.group.generators == built.group.generators
     assert back.counts.tobytes() == built.counts.tobytes()
-    with pytest.raises(ValidationError, match="strategy_from_json"):
-        from_json_dict(doc)
 
 
 HALF_IDENTITY = [[0.5 * (i % 9 == 0), 0.0] for i in range(64)]  # 0.5 I on ghz3
@@ -356,29 +354,27 @@ def test_a_dense_stabilizer_document_still_loads_as_a_dense_strategy():
     back = strategy_from_json(doc)
     assert type(back) is Strategy and back.kind is StrategyKind.STABILIZER_GENERATORS
     oracle = as_dense(generator_strategy(preset_group("ghz3")))
-    assert back.omega.tobytes() == from_json_dict(doc).omega.tobytes()
     assert back.omega.tobytes() == oracle.omega.tobytes()
 
 
 @pytest.mark.parametrize(
-    "corrupt",
+    "corrupt,message",
     [
-        lambda doc: doc["settings"][1].update(projector=HALF_IDENTITY),
-        lambda doc: doc["settings"][2].update(weight=0.0),
-        lambda doc: doc["settings"][0].update(label=""),
-        lambda doc: doc.pop("target"),
-        lambda doc: doc["target"].pop(),
+        (lambda doc: doc["settings"][1].update(projector=HALF_IDENTITY),
+         "setting 'ZZI' is not a projector"),
+        (lambda doc: doc["settings"][2].update(weight=0.0), "setting weight 0.0 outside (0, 1]"),
+        (lambda doc: doc["settings"][0].update(label=""), "setting label must be nonempty"),
+        (lambda doc: doc.pop("target"), "malformed strategy document: KeyError: 'target'"),
+        (lambda doc: doc["target"].pop(), "projector must be a list of 49 [re, im] pairs"),
     ],
     ids=["not-projector", "weight-zero", "empty-label", "no-target", "short-target"],
 )
-def test_a_dense_stabilizer_document_keeps_its_checks_and_messages(corrupt):
+def test_a_dense_stabilizer_document_keeps_its_checks_and_messages(corrupt, message):
     doc = _dense_document()
     corrupt(doc)
-    with pytest.raises(ValidationError) as expected:
-        from_json_dict(doc)
-    with pytest.raises(type(expected.value)) as caught:
+    with pytest.raises(ValidationError) as caught:
         strategy_from_json(doc)
-    assert str(caught.value) == str(expected.value)
+    assert type(caught.value) is ValidationError and str(caught.value) == message
 
 
 @pytest.mark.parametrize(
@@ -403,9 +399,6 @@ def test_a_dense_stabilizer_document_keeps_its_checks_and_messages(corrupt):
 def test_malformed_pauli_documents_are_bad_input(doc, match):
     with pytest.raises(ValidationError, match=match):
         strategy_from_json(doc)
-    if not isinstance(doc, dict):  # strategy_from_json hands it to from_json_dict
-        with pytest.raises(ValidationError, match=match):
-            from_json_dict(doc)
 
 
 # ------------------------------------------------------------------- CLI

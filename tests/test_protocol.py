@@ -14,7 +14,6 @@ from qverify.adversary import AdversaryState, worst_case_state
 from qverify.protocol import (
     _CHUNK,
     _FIRST_CHUNK,
-    CERTAINTY_TOL,
     WILSON_Z99,
     DeviceModel,
     EnsembleStats,
@@ -29,7 +28,7 @@ from qverify.protocol import (
     varying_adversary,
     wilson_interval,
 )
-from qverify.qcore import HermitianOperator, Ket
+from qverify.qcore import TOL_DERIVED, HermitianOperator, Ket, basis_ket
 from qverify.strategy import Strategy, StrategyKind, bell_strategy, two_qubit_optimal
 from oracles import density_at
 
@@ -405,15 +404,32 @@ def test_device_model_rejects_broken_invariants(fields):
         DeviceModel(target=BELL, **fields)
 
 
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: iid_adversary(BELL, basis_ket(8, 0)),
+        lambda: predicted_acceptance(
+            bell_strategy(), varying_adversary(BELL, lambda k: basis_ket(8, 0)), 2
+        ),
+    ],
+    ids=["fixed", "supplier"],
+)
+def test_a_device_state_of_another_dimension_is_bad_input(make):
+    # a three-qubit ket is a valid state, but not of the two-qubit target's space
+    with pytest.raises(ValidationError, match="device state dimension mismatch"):
+        make()
+
+
 def test_certainty_clamp_keeps_probabilities_in_range():
     # the optimal two qubit strategy gives pass probabilities within
-    # CERTAINTY_TOL of 1 on the honest state; clamping must keep the
+    # TOL_DERIVED of 1 on the honest state; clamping must keep the
     # honest run deterministic
     strat = two_qubit_optimal(math.pi / 8)
     device = honest_device(strat.target)
     assert predicted_acceptance(strat, device, 1000) == 1.0
     assert run_protocol(strat, device, 1000, seed=3).accepted
-    assert CERTAINTY_TOL == 1e-10
+    edges = np.array([1.0 - TOL_DERIVED / 2, TOL_DERIVED / 2])
+    assert _clamp_certainties(edges).tolist() == [1.0, 0.0]
 
 
 @pytest.mark.parametrize(
@@ -465,8 +481,8 @@ def oracle_table(strat, device, n):
             sigmas.append(density_at(device, i, obj))
         which.append(seen[id(obj)][1])
     probs = np.real(np.einsum("kij,cji->ck", projectors, np.array(sigmas)))[which]
-    probs[np.abs(probs - 1.0) <= CERTAINTY_TOL] = 1.0
-    probs[np.abs(probs) <= CERTAINTY_TOL] = 0.0
+    probs[np.abs(probs - 1.0) <= TOL_DERIVED] = 1.0
+    probs[np.abs(probs) <= TOL_DERIVED] = 0.0
     return cumulative, probs
 
 

@@ -31,7 +31,7 @@ from qverify.qcore import (
     Ket,
 )
 from qverify.samplecount import family_metrics, theta_family
-from qverify.stabilizer import full_strategy, generator_strategy, preset_group
+from qverify.stabilizer import full_strategy, generator_strategy, preset_group, strategy_from_json
 from qverify.strategy import (
     Locality,
     MeasurementSetting,
@@ -40,7 +40,6 @@ from qverify.strategy import (
     _settings,
     alpha_weight,
     bell_strategy,
-    from_json_dict,
     local_transport,
     metrics,
     product_state_strategy,
@@ -264,7 +263,7 @@ def test_transport_and_json_match_per_setting_route(theta, seed, base):
     moved = local_transport(built, u, v)
     assert_same(moved, oracle_transport(built, u, v))
     doc = json.loads(json.dumps(to_json_dict(moved)))
-    assert_same(from_json_dict(doc), oracle_from_json(doc))
+    assert_same(strategy_from_json(doc), oracle_from_json(doc))
 
 
 @pytest.mark.parametrize("name", [f"{f}{n}" for f in ("ghz", "cluster") for n in range(3, 7)])
@@ -394,7 +393,7 @@ def test_json_and_direct_settings_report_the_oracle_error(case):
         projector=[[float(z.real), float(z.imag)] for z in np.ravel(projector)],
     )
     with pytest.raises(type(expected)) as caught:
-        from_json_dict(doc)
+        strategy_from_json(doc)
     assert str(caught.value) == str(expected)
 
 

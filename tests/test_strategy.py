@@ -15,6 +15,7 @@ from qverify.errors import (
 )
 from qverify.qcore import HermitianOperator, Ket, identity
 from qverify.samplecount import THETA_SPECIAL_TOL, theta_family
+from qverify.stabilizer import strategy_from_json
 from qverify.strategy import (
     Locality,
     MeasurementSetting,
@@ -25,7 +26,6 @@ from qverify.strategy import (
     bell_strategy,
     check_theta,
     exact_sample_count,
-    from_json_dict,
     invariant_defect,
     local_transport,
     metrics,
@@ -307,7 +307,7 @@ def test_exact_sample_count_rejects_degenerate():
 def test_json_round_trip(build):
     strat = build()
     doc = to_json_dict(strat)
-    again = from_json_dict(doc)
+    again = strategy_from_json(doc)
     assert again.kind is strat.kind
     assert np.array_equal(again.target.amplitudes, strat.target.amplitudes)
     assert np.max(np.abs(again.omega - strat.omega)) < 1e-14
@@ -319,7 +319,14 @@ def test_from_json_rejects_tampered_weights():
     doc = to_json_dict(bell_strategy())
     doc["settings"][0]["weight"] = 0.9
     with pytest.raises(ValidationError):
-        from_json_dict(doc)
+        strategy_from_json(doc)
+
+
+def test_from_json_rejects_a_document_without_settings():
+    doc = to_json_dict(bell_strategy())
+    doc["settings"] = []
+    with pytest.raises(ValidationError, match="strategy needs at least one setting"):
+        strategy_from_json(doc)
 
 
 @pytest.mark.parametrize("theta", ["abc", [1, 2], {"x": 1}])
@@ -327,7 +334,7 @@ def test_from_json_rejects_non_numeric_theta(theta):
     doc = to_json_dict(two_qubit_optimal(0.6))
     doc["theta"] = theta
     with pytest.raises(ValidationError):
-        from_json_dict(doc)
+        strategy_from_json(doc)
 
 
 @pytest.mark.parametrize("theta", ["nan", "inf", "-inf"])
@@ -335,7 +342,7 @@ def test_from_json_rejects_non_finite_theta(theta):
     doc = to_json_dict(two_qubit_optimal(0.6))
     doc["theta"] = theta
     with pytest.raises(ValidationError):
-        from_json_dict(doc)
+        strategy_from_json(doc)
 
 
 @pytest.mark.parametrize(
@@ -358,9 +365,9 @@ def test_strategy_rejects_a_bad_kind_or_theta(kind, theta):
 def test_from_json_theta_is_a_float_or_none():
     doc = to_json_dict(two_qubit_optimal(0.6))
     doc["theta"] = "0.6"
-    assert from_json_dict(doc).theta == 0.6
+    assert strategy_from_json(doc).theta == 0.6
     doc["theta"] = None
-    assert from_json_dict(doc).theta is None
+    assert strategy_from_json(doc).theta is None
 
 
 @pytest.mark.parametrize("epsilon", [0.0, 1.0, 2.0, -0.1, float("nan")])
