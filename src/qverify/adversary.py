@@ -77,10 +77,7 @@ class AdversaryState:
     fidelity: float
 
     def __post_init__(self):
-        if isinstance(self.state, HermitianOperator):
-            qcore.check_density(self.state.entries, "density matrix")
-        else:
-            qcore._ket("a pure adversary state", self.state)
+        qcore._state("adversary state", self.state)
         if not -TOL_DERIVED <= qcore._real("fidelity", self.fidelity) <= 1 + TOL_DERIVED:
             raise ValidationError(f"fidelity {self.fidelity!r} outside [0, 1]")
 

@@ -112,7 +112,8 @@ def _parsers(**options) -> tuple[argparse.ArgumentParser, dict]:
             "--preset", help="stabilizer preset: bell, ghzN, clusterN, zerosN"
         )
         p.add_argument(
-            "--generators", help="comma separated Pauli labels, e.g. +XX,+ZZ"
+            "--generators", help="comma separated Pauli labels, e.g. +XX,+ZZ; attach a "
+            "value led by - with =, as --generators=-XX,ZZ",
         )
 
     def add_kind(p):
@@ -123,7 +124,8 @@ def _parsers(**options) -> tuple[argparse.ArgumentParser, dict]:
             )
         p.add_argument(
             "--theta",
-            help="target angle for --two-qubit; accepts pi fractions like pi/8",
+            help="target angle for --two-qubit; accepts pi fractions like pi/8; attach "
+            "a value led by - with =",
         )
         add_group(p)
 
@@ -166,7 +168,7 @@ def _parsers(**options) -> tuple[argparse.ArgumentParser, dict]:
     p.add_argument(
         "--theta",
         default="pi/8",
-        help="angle for fig2/figS1/figS2 (default %(default)s)",
+        help="angle for fig2/figS1/figS2 (default %(default)s); attach a value led by - with =",
     )
     p.add_argument(
         "--epsilon",
@@ -224,7 +226,8 @@ def _parsers(**options) -> tuple[argparse.ArgumentParser, dict]:
         "landscape", help="certify the two qubit optimum by sweep", **options
     )
     p.add_argument(
-        "--theta", default="pi/8", help="target angle (default %(default)s)"
+        "--theta", default="pi/8",
+        help="target angle (default %(default)s); attach a value led by - with =",
     )
     p.add_argument(
         "--resolution",

@@ -10,11 +10,11 @@ against.
 
 Devices: a DeviceModel is either one fixed state handed over on every
 copy (the honest device emits the target, an IID adversary one sigma)
-or a per-copy supplier (a varying adversary). Its one constructor
-checks epsilon, the fixed state and, when epsilon is given, the promise
-fidelity <= 1 - epsilon; a supplier's states get the same checks as the
-plan reads them, once per plan for a frozen state object and on every
-copy for a raw array.
+or a per-copy supplier (a varying adversary). Every state, fixed or
+supplied, is read by qcore._state and, when epsilon is given, held to
+the promise fidelity <= 1 - epsilon: a frozen state object once per
+plan, with its density verdict solved once per operator, and a raw array
+on every copy.
 
 Reproducibility: trial t of a run with seed s reads the Philox4x64-10
 stream with key (s mod 2^64, t mod 2^64) and counter 0, that is the
@@ -55,8 +55,7 @@ import numpy as np
 
 from .adversary import AdversaryState
 from .errors import ValidationError
-from .qcore import TOL_INPUT, HermitianOperator, Ket, _integer, _ket, _matrix, _real
-from .qcore import TOL_DERIVED, check_density
+from .qcore import TOL_DERIVED, TOL_INPUT, HermitianOperator, Ket, _integer, _ket, _real, _state
 from .samplecount import check_probability
 from .strategy import Strategy, _strategy
 
@@ -69,33 +68,20 @@ _CHUNK = 1 << 16
 _FIRST_CHUNK = 32  # even, so every chunk starts at an even copy
 
 
-def _as_state(obj, dim: int) -> Ket | np.ndarray:
-    """A pure device state as its Ket, a mixed one as a checked density
-    matrix; an AdversaryState's was checked when it was made."""
-    state = obj.state if isinstance(obj, AdversaryState) else obj
-    if not isinstance(state, (Ket, HermitianOperator)):
-        state = HermitianOperator(_matrix("device state", state, dim))
-    if state.dim != dim:
-        raise ValidationError("device state dimension mismatch")
-    if isinstance(state, HermitianOperator) and not isinstance(obj, AdversaryState):
-        check_density(state.entries, "device state")
-    return state if isinstance(state, Ket) else state.entries
-
-
 @dataclass(frozen=True, eq=False)
 class DeviceModel:
     """What the device hands over on each copy.
 
     A device is one fixed state or a per-copy supplier, never both:
-    sigma is the state of every copy (a pure one kept as its Ket, a mixed
-    one as a checked density matrix), and supplier(copy_index) gives copy
-    copy_index's state, checked as it is read, so runs replay exactly.
-    When epsilon in (0, 1) is given, every state must keep the promise
-    fidelity <= 1 - epsilon; without it no promise is checked.
+    sigma is the state of every copy (a Ket, or a mixed one's checked
+    HermitianOperator), and supplier(copy_index) gives copy copy_index's
+    state, read as it is drawn, so runs replay exactly. When epsilon in
+    (0, 1) is given, every state must keep the promise fidelity <= 1 -
+    epsilon; without it no promise is checked.
     """
 
     target: Ket
-    sigma: Ket | np.ndarray | None = None
+    sigma: Ket | HermitianOperator | None = None
     supplier: Callable[[int], object] | None = None
     epsilon: float | None = None
 
@@ -108,24 +94,20 @@ class DeviceModel:
         if self.epsilon is not None:
             check_probability("epsilon", self.epsilon)
         if self.sigma is not None:
-            state = _as_state(self.sigma, self.target.dim)
-            self._check_promise(state, "device state")
-            object.__setattr__(self, "sigma", state)
+            object.__setattr__(self, "sigma", self._read(self.sigma, "device state"))
 
-    def _check_promise(self, state: Ket | np.ndarray, where: str) -> None:
+    def _read(self, obj, where: str) -> Ket | HermitianOperator:
+        """obj, or an AdversaryState's state, read by _state and held to the promise."""
+        state = obj.state if isinstance(obj, AdversaryState) else obj
+        state = _state(where, state, self.target.dim)
         if self.epsilon is None:
-            return
-        psi = self.target.amplitudes
+            return state
         pure = isinstance(state, Ket)
-        fid = state.fidelity(self.target) if pure else float(np.vdot(psi, state @ psi).real)
+        fid = state.fidelity(self.target) if pure else state.expectation(self.target)
         if fid > 1.0 - self.epsilon + TOL_INPUT:
             raise ValidationError(
                 f"{where} has fidelity {fid!r} above the promised 1 - epsilon"
             )
-
-    def _supplied_state(self, obj, copy_index: int) -> Ket | np.ndarray:
-        state = _as_state(obj, self.target.dim)
-        self._check_promise(state, f"supplied state for copy {copy_index}")
         return state
 
 
@@ -302,7 +284,7 @@ def _supplied_rows(device: DeviceModel, n: int, row) -> tuple[list, list[int]]:
             which.append(hit[1])
             continue
         which.append(len(rows))
-        rows.append(row(device._supplied_state(obj, i)))
+        rows.append(row(device._read(obj, f"supplied state for copy {i}")))
         if isinstance(obj, (AdversaryState, HermitianOperator, Ket)):
             seen[id(obj)] = obj, which[-1]
     return rows, which

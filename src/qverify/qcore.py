@@ -17,14 +17,16 @@ as a stack of one, and strategy settings as one stack per strategy.
 Eigenvectors are used as LAPACK returns them, with no tie-breaking.
 
 Public entry points read each argument kind through one reader here:
-_integer, _real, _reals (a float array), _ket and _matrix (a finite
-d x d array); a value of the wrong type raises ValidationError.
+_integer, _real, _reals (a float array), _ket, _matrix (a finite d x d
+array) and _state (a Ket, or a density matrix checked once per operator);
+a value of the wrong type raises ValidationError.
 """
 
 from __future__ import annotations
 
 import numbers
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -209,6 +211,17 @@ class HermitianOperator:
         val = np.vdot(state.amplitudes, self.entries @ state.amplitudes)
         return float(val.real)
 
+    @cached_property
+    def _density_defect(self) -> str | None:
+        """Why self is no density matrix, or None: an eigenvalue below
+        -TOL_DERIVED, or a trace off 1 by more than TOL_INPUT."""
+        low = float(np.linalg.eigvalsh(self.entries)[0])
+        if low < -TOL_DERIVED:
+            return f"has eigenvalue {low!r}"
+        if abs(self.trace() - 1.0) > TOL_INPUT:
+            return f"trace {self.trace()!r} is not 1"
+        return None
+
 
 def identity(dim: int) -> HermitianOperator:
     _check_dense_dim(_integer("dim", dim), "identity")
@@ -240,6 +253,24 @@ def _matrix(name: str, value, dim: int) -> np.ndarray:
     if arr.shape != (dim, dim):
         raise BadDimError(f"{name} of shape {arr.shape} is no {dim} x {dim} matrix")
     return arr
+
+
+def _state(name: str, value, dim: int | None = None) -> Ket | HermitianOperator:
+    """value as a Ket, or a density matrix (an operator, or an array if dim is
+    given) as its checked HermitianOperator, of dimension dim if given."""
+    if not isinstance(value, (Ket, HermitianOperator)):
+        if dim is None:
+            raise ValidationError(f"{name} {value!r} is no Ket or HermitianOperator")
+        arr = _matrix(name, value, dim)
+        defect = _operator_defects(arr[None], name)[0]
+        if defect is not None:
+            raise defect
+        value = _assembled(HermitianOperator, entries=arr)
+    if dim is not None and value.dim != dim:
+        raise BadDimError(f"{name} of dimension {value.dim} is no {dim} dimensional state")
+    if isinstance(value, HermitianOperator) and value._density_defect is not None:
+        raise ValidationError(f"{name} {value._density_defect}")
+    return value
 
 
 def _integer(name: str, value) -> int:
@@ -303,20 +334,6 @@ def _partial_transposes(stack: np.ndarray) -> np.ndarray:
     """partial_transpose_qubit2 of each matrix of a (k, 4, 4) stack."""
     m = stack.reshape(-1, 2, 2, 2, 2)
     return m.transpose(0, 1, 4, 3, 2).reshape(-1, 4, 4)
-
-
-def check_density(matrix: np.ndarray, what: str) -> None:
-    """Reject a matrix that is not a density matrix.
-
-    Eigenvalues may dip to -TOL_DERIVED; the trace must be 1 within
-    TOL_INPUT. Raises ValidationError naming `what`.
-    """
-    vals = np.linalg.eigvalsh(matrix)
-    if vals[0] < -TOL_DERIVED:
-        raise ValidationError(f"{what} has eigenvalue {float(vals[0])!r}")
-    tr = float(np.trace(matrix).real)
-    if abs(tr - 1.0) > TOL_INPUT:
-        raise ValidationError(f"{what} trace {tr!r} is not 1")
 
 
 def _projector_defects(stack: np.ndarray, tol: float) -> np.ndarray:

@@ -70,7 +70,7 @@ from .errors import (
     NonCommutingError,
     ValidationError,
 )
-from .qcore import MAX_QUBITS, TOL_DERIVED, Ket
+from .qcore import MAX_QUBITS, TOL_DERIVED, HermitianOperator, Ket
 from .samplecount import StrategyMetrics
 from .strategy import Locality, Strategy, StrategyKind, _from_json_dict
 
@@ -582,18 +582,17 @@ class PauliStrategy:
 
         return 1.0 - (psi * psi.conj()).real - diagonal[0], column
 
-    def pass_probabilities(self, state: Ket | np.ndarray) -> np.ndarray:
-        """(1 + Re <P_m>)/2 for each chosen element m, one at a time, in
-        O(k 2^N): P_m|b> = coefficient |image>, so <P_m> sums coefficient
-        times x_b conj(x_image) (a Ket x) or sigma[b, image] (a density)."""
+    def pass_probabilities(self, state: Ket | HermitianOperator | np.ndarray) -> np.ndarray:
+        """(1 + Re <P_m>)/2 for each chosen element m: with P_m|b> = coeff |image>,
+        <P_m> sums coeff x_b conj(x_image) (a Ket x) or coeff sigma[b, image], in
+        O(k 2^N) after _state's O(8^N) density check (per operator, or per array)."""
+        state = qcore._state("state", state, self.dim)
         cols = np.arange(self.dim)
         ket = state.amplitudes if isinstance(state, Ket) else None
-        if ket is None:
-            state = qcore._matrix("state", state, self.dim)
         means = np.empty(len(self.indices))
         for i, (x, z, phase) in enumerate(self.group.table[:, list(self.indices)].T.tolist()):
             image, coeff = _act(x, z, _PHASES[phase], cols)
-            pairs = state[cols, image] if ket is None else ket * ket[image].conj()
+            pairs = state.entries[cols, image] if ket is None else ket * ket[image].conj()
             means[i] = (pairs * coeff).sum().real
         return (1.0 + means) / 2.0
 

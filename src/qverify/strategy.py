@@ -228,9 +228,10 @@ class Strategy:
     def __post_init__(self):
         if not isinstance(self.kind, StrategyKind):
             raise ValidationError(f"strategy kind {self.kind!r} is not a StrategyKind")
-        theta = self.theta
-        if theta is not None and not (isinstance(theta, (int, float)) and math.isfinite(theta)):
-            raise ValidationError(f"strategy theta {theta!r} is not a finite number")
+        if self.theta is not None:
+            object.__setattr__(self, "theta", qcore._real("strategy theta", self.theta))
+            if not math.isfinite(self.theta):
+                raise ValidationError(f"strategy theta {self.theta!r} is not a finite number")
         qcore._ket("strategy target", self.target)
         settings = tuple(self.settings) if np.iterable(self.settings) else (self.settings,)
         if not all(isinstance(s, MeasurementSetting) for s in settings):
@@ -287,10 +288,10 @@ class Strategy:
         proj = np.eye(psi.size) - np.outer(psi, psi.conj()) - low @ low.conj().T
         return proj.diagonal().real, lambda b: proj[:, b]
 
-    def pass_probabilities(self, state: Ket | np.ndarray) -> np.ndarray:
+    def pass_probabilities(self, state: Ket | HermitianOperator | np.ndarray) -> np.ndarray:
         """tr(P_j sigma) for each setting j; a Ket is read as its density."""
-        pure = isinstance(state, Ket)
-        sigma = state.density().entries if pure else qcore._matrix("state", state, self.dim)
+        state = qcore._state("state", state, self.dim)
+        sigma = (state.density() if isinstance(state, Ket) else state).entries
         stack = np.stack([s.projector.entries for s in self.settings])
         return np.einsum("kij,ji->k", stack, sigma).real
 
@@ -513,7 +514,7 @@ def to_json_dict(strategy) -> dict:
         return {"kind": strategy.kind.value, "group": labels, "indices": list(strategy.indices)}
     doc: dict = {"kind": strategy.kind.value}
     if strategy.theta is not None:
-        doc["theta"] = float(strategy.theta)
+        doc["theta"] = strategy.theta
     doc["target"] = _complex_pairs(strategy.target.amplitudes)
     doc["settings"] = [
         {

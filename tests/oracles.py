@@ -31,13 +31,13 @@ def is_projector(op: HermitianOperator) -> bool:
 def density_at(device, copy_index: int, supplied=None) -> np.ndarray:
     """Copy copy_index's density matrix: a fixed device's sigma, or the
     supplier's state (supplied, when the caller has drawn it already)
-    checked as the protocol checks it; a pure state, which the device
-    keeps as its Ket, is densified."""
+    read as the protocol reads it; a pure state, which the device keeps
+    as its Ket, is densified."""
     state = device.sigma
     if state is None:
         obj = device.supplier(copy_index) if supplied is None else supplied
-        state = device._supplied_state(obj, copy_index)
-    return state.density().entries if isinstance(state, Ket) else state
+        state = device._read(obj, f"supplied state for copy {copy_index}")
+    return (state.density() if isinstance(state, Ket) else state).entries
 
 
 def dense_metrics(strategy) -> StrategyMetrics:

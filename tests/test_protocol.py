@@ -9,8 +9,13 @@ from hypothesis import strategies as st
 
 import qverify.protocol as protocol
 from qverify.cli import main
-from qverify.errors import ValidationError
-from qverify.adversary import AdversaryState, worst_case_state
+from qverify.errors import BadDimError, NonHermitianError, ValidationError
+from qverify.adversary import (
+    AdversaryState,
+    hilbert_schmidt_mixed_state,
+    shift_fidelity,
+    worst_case_state,
+)
 from qverify.protocol import (
     _CHUNK,
     _FIRST_CHUNK,
@@ -29,6 +34,7 @@ from qverify.protocol import (
     wilson_interval,
 )
 from qverify.qcore import TOL_DERIVED, HermitianOperator, Ket, basis_ket
+from qverify.stabilizer import full_strategy, preset_group
 from qverify.strategy import Strategy, StrategyKind, bell_strategy, two_qubit_optimal
 from oracles import density_at
 
@@ -416,7 +422,7 @@ def test_device_model_rejects_broken_invariants(fields):
 )
 def test_a_device_state_of_another_dimension_is_bad_input(make):
     # a three-qubit ket is a valid state, but not of the two-qubit target's space
-    with pytest.raises(ValidationError, match="device state dimension mismatch"):
+    with pytest.raises(BadDimError, match="of dimension 8 is no 4 dimensional state"):
         make()
 
 
@@ -448,6 +454,69 @@ def test_device_states_and_adversary_states_share_one_density_check(diagonal):
     device = varying_adversary(BELL, lambda k: sigma)
     with pytest.raises(ValidationError):
         predicted_acceptance(bell_strategy(), device, 2)
+
+
+# Both strategy types read a state through qcore._state, as the plan does:
+# a dense one (2 qubits) and a PauliStrategy (3 qubits).
+STATE_READERS = {"dense": bell_strategy(), "pauli": full_strategy(preset_group("ghz3"))}
+
+
+@pytest.mark.parametrize("kind", sorted(STATE_READERS))
+def test_pass_probabilities_reject_a_ket_of_another_dimension(kind):
+    strat = STATE_READERS[kind]
+    for dim in (strat.dim // 2, 2 * strat.dim):
+        with pytest.raises(BadDimError, match=f"of dimension {dim} is no {strat.dim}"):
+            strat.pass_probabilities(basis_ket(dim, 0))
+
+
+@pytest.mark.parametrize("kind", sorted(STATE_READERS))
+def test_pass_probabilities_reject_a_non_hermitian_matrix(kind):
+    strat = STATE_READERS[kind]
+    upper = np.triu(np.ones((strat.dim, strat.dim))) / strat.dim  # unit trace
+    with pytest.raises(NonHermitianError, match="^state deviates from Hermitian"):
+        strat.pass_probabilities(upper)
+
+
+@pytest.mark.parametrize("kind", sorted(STATE_READERS))
+@pytest.mark.parametrize(
+    "head,rest,match",
+    [
+        ([1.5, -0.5], 0.0, "^state has eigenvalue -0.5"),  # unit trace
+        ([2.0], 0.0, "^state trace 2.0 is not 1"),
+        ([0.5], 0.0, "^state trace 0.5 is not 1"),
+        ([], 5.0, "^state trace"),  # 5 I, positive
+    ],
+)
+def test_pass_probabilities_reject_a_matrix_that_is_no_density(kind, head, rest, match):
+    strat = STATE_READERS[kind]
+    sigma = np.diag(head + [rest] * (strat.dim - len(head)))
+    for value in (sigma, HermitianOperator(sigma)):
+        with pytest.raises(ValidationError, match=match):
+            strat.pass_probabilities(value)
+
+
+def test_a_checked_state_is_eigen_solved_once_however_often_it_is_read(monkeypatch):
+    strat = bell_strategy()
+    rho = hilbert_schmidt_mixed_state(4, np.random.default_rng(5))
+    solves = []
+    eigvalsh = np.linalg.eigvalsh
+    monkeypatch.setattr(
+        np.linalg, "eigvalsh", lambda a, *args, **kw: solves.append(1) or eigvalsh(a, *args, **kw)
+    )
+    state = shift_fidelity(rho, BELL, 0.3)
+    assert len(solves) == 1  # when the AdversaryState is made
+    for obj in (state, state.sigma):
+        predicted_acceptance(strat, iid_adversary(BELL, obj, epsilon=0.3), 3)
+        predicted_acceptance(strat, varying_adversary(BELL, lambda k: obj, epsilon=0.3), 5)
+        strat.pass_probabilities(state.sigma)
+    assert len(solves) == 1
+    # a raw array may change between reads: it is solved on every one
+    raw = state.sigma.entries.copy()
+    predicted_acceptance(strat, varying_adversary(BELL, lambda k: raw), 5)
+    assert len(solves) == 6
+    iid_adversary(BELL, raw)
+    strat.pass_probabilities(raw)
+    assert len(solves) == 8
 
 
 # ---------------------------------------------------------------- stream

@@ -1085,6 +1085,7 @@ BELL = bell_strategy()
     [
         pytest.param(lambda: AdversaryState(basis_ket(2, 0), "x"), id="fidelity-str"),
         pytest.param(lambda: AdversaryState(basis_ket(2, 0), None), id="fidelity-none"),
+        pytest.param(lambda: AdversaryState(np.eye(2) / 2, 0.5), id="adversary-state-array"),
         pytest.param(lambda: StabilizerGroup(5), id="group-int"),
         pytest.param(lambda: StabilizerGroup(("XX", "ZZ")), id="group-labels"),
         pytest.param(lambda: preset_group(5), id="preset-int"),

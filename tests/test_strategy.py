@@ -362,6 +362,14 @@ def test_strategy_rejects_a_bad_kind_or_theta(kind, theta):
         Strategy(target=built.target, settings=built.settings, kind=kind, theta=theta)
 
 
+@pytest.mark.parametrize("theta", [np.float32(0.3), np.float64(0.3), np.int64(1), 1])
+def test_strategy_reads_a_numpy_theta_as_a_python_float(theta):
+    built = bell_strategy()
+    strat = Strategy(target=built.target, settings=built.settings, kind=StrategyKind.BELL, theta=theta)
+    assert type(strat.theta) is float
+    assert strat.theta == float(theta)
+
+
 def test_from_json_theta_is_a_float_or_none():
     doc = to_json_dict(two_qubit_optimal(0.6))
     doc["theta"] = "0.6"
