@@ -144,23 +144,26 @@ def hilbert_schmidt_mixed_state(dim: int, rng: np.random.Generator) -> np.ndarra
 def shift_fidelity(rho: np.ndarray, target: Ket, epsilon: float) -> AdversaryState:
     """Mix a density matrix to sit exactly at fidelity 1 - epsilon.
 
-    Mixes with the target projector to raise fidelity, or with the
-    normalized orthocomplement projector to lower it; either direction
-    keeps the state a valid density matrix.
+    rho is read by qcore._state, so a rho that is no density matrix is
+    bad input that names rho. Mixes with the target projector to raise
+    fidelity, or with the normalized orthocomplement projector to lower
+    it; either direction keeps the state a valid density matrix.
     """
     check_probability("epsilon", epsilon)
-    rho = qcore._matrix("rho", rho, qcore._ket("target", target).dim)
+    rho = qcore._state("rho", rho, qcore._ket("target", target).dim)
+    if isinstance(rho, Ket):
+        raise ValidationError(f"rho must be a density matrix, got {rho!r}")
     psi = target.amplitudes
     proj = np.outer(psi, psi.conj())
-    f0 = float(np.real(np.vdot(psi, rho @ psi)))
+    f0 = rho.expectation(target)
     goal = 1.0 - epsilon
     if f0 <= goal:
         lam = (goal - f0) / (1.0 - f0)
-        mixed = (1.0 - lam) * rho + lam * proj
+        mixed = (1.0 - lam) * rho.entries + lam * proj
     else:
         comp = (np.eye(target.dim, dtype=complex) - proj) / (target.dim - 1)
         lam = 1.0 - goal / f0
-        mixed = (1.0 - lam) * rho + lam * comp
+        mixed = (1.0 - lam) * rho.entries + lam * comp
     return AdversaryState(HermitianOperator(mixed), goal)
 
 

@@ -17,6 +17,12 @@ Each command imports the submodules it calls when it runs, so a fresh
 process loads only those: `strategy --bell` needs no stabilizer,
 adversary or protocol module, `landscape` or a dense `simulate` no
 stabilizer module, and only `simulate` loads the protocol.
+
+The `qverify` script and `python -m qverify.cli` enter through `run`,
+which ends the process with `os._exit` once stdout and stderr are
+flushed, skipping the interpreter's teardown; atexit handlers (a
+coverage tool's, say) therefore do not run in a CLI process.
+`main(argv)` is the in-process entry: it returns the exit code.
 """
 
 from __future__ import annotations
@@ -24,8 +30,10 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import re
 import sys
+from typing import NoReturn
 
 import numpy as np
 
@@ -627,5 +635,20 @@ def main(argv=None) -> int:
         return 3
 
 
+def run() -> NoReturn:
+    """The process entry of the `qverify` script and `python -m qverify.cli`:
+    main, then os._exit with its code once stdout and stderr are flushed.
+    A failed flush (a closed pipe, say) goes through sys.exit instead, which
+    reports it and picks the exit status as ever, so it never reads as 0."""
+    code = main()
+    try:
+        for stream in (sys.stdout, sys.stderr):
+            if stream is not None:
+                stream.flush()
+    except OSError:
+        sys.exit(code)
+    os._exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

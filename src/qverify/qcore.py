@@ -114,7 +114,7 @@ def _check_unit_norms(rows: np.ndarray, what: str) -> None:
         )
 
 
-_new, _set = object.__new__, object.__setattr__
+_new = object.__new__
 
 
 def _assembled(cls, **fields):
@@ -122,8 +122,7 @@ def _assembled(cls, **fields):
     already validated together, without running its per-instance checks
     a second time."""
     obj = _new(cls)
-    for name, value in fields.items():
-        _set(obj, name, value)
+    obj.__dict__.update(fields)
     return obj
 
 

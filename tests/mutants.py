@@ -119,6 +119,26 @@ MUTANTS = [
         ("tests/test_protocol.py::"
          "test_a_checked_state_is_eigen_solved_once_however_often_it_is_read",), 1,
     ),
+    # the process entry: a lost stdout flush drops a short output, and a
+    # closed pipe reads as success
+    Mutant(
+        "entry-unflushed-stdout", "cli.py",
+        "for stream in (sys.stdout, sys.stderr):", "for stream in (sys.stderr,):",
+        ("tests/test_cli.py", "-k", "process_entry"), 2,
+    ),
+    # closed forms: the Wilson interval's centre and the Bell q
+    Mutant(
+        "wilson-centre", "protocol.py",
+        "center = (p_hat + z * z / (2.0 * trials)) / denom",
+        "center = (p_hat + z * z / trials) / denom",
+        PROTOCOL + ("tests/test_golden_cli.py",), 10,
+    ),
+    Mutant(
+        "bell-q", "samplecount.py",
+        "q, trace = 1.0 / 3.0, 2.0", "q, trace = 1.0 / 3.0 + 1e-9, 2.0",
+        ("tests/test_closed_forms.py", "tests/test_cli.py", "tests/test_golden_cli.py",
+         "tests/test_strategy.py"), 9,
+    ),
 ]
 
 _FAILED = re.compile(r"(\d+) failed\b")

@@ -330,6 +330,41 @@ def test_shift_fidelity_exact():
         assert abs(adv.fidelity - (1.0 - eps)) < 1e-12
 
 
+@pytest.mark.parametrize(
+    "rho,error,message",
+    [
+        (np.eye(4) / 2, ValidationError, "rho trace 2.0 is not 1"),
+        (np.triu(np.ones((4, 4))) / 4, NonHermitianError, "rho deviates from Hermitian by 0.25 "),
+    ],
+    ids=["trace-2", "upper-triangle"],
+)
+def test_shift_fidelity_names_rho_and_its_own_defect(rho, error, message):
+    # rho is read before it is mixed: the error measures rho, not the mixture
+    with pytest.raises(error) as caught:
+        shift_fidelity(rho, bell_strategy().target, 0.3)
+    assert str(caught.value).startswith(message)
+
+
+def test_shift_fidelity_matches_the_hand_written_mixture_bitwise():
+    # the fidelity is HermitianOperator.expectation, the same vdot as
+    # <psi|rho|psi> written out
+    rng = np.random.default_rng(5)
+    target = target_state(0.6)
+    psi = target.amplitudes
+    for eps in (0.05, 0.3, 0.8):
+        rho = hilbert_schmidt_mixed_state(4, rng)
+        f0 = float(np.real(np.vdot(psi, rho @ psi)))
+        goal = 1.0 - eps
+        if f0 <= goal:
+            lam = (goal - f0) / (1.0 - f0)
+            toward = np.outer(psi, psi.conj())
+        else:
+            lam = 1.0 - goal / f0
+            toward = (np.eye(4) - np.outer(psi, psi.conj())) / 3
+        expected = (1.0 - lam) * rho + lam * toward
+        assert np.array_equal(shift_fidelity(rho, target, eps).sigma.entries, expected)
+
+
 @given(
     phi=st.floats(min_value=0.05, max_value=math.pi / 2 - 0.05),
     eta=st.floats(min_value=0.0, max_value=2.0 * math.pi),

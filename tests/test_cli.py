@@ -1,9 +1,14 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import qverify
 from qverify import strategy
 from qverify.cli import COMMANDS, build_parser, cmd_figure, main, parse_angle
 from qverify.errors import ValidationError
@@ -696,3 +701,97 @@ def test_strategy_file_exit_codes(tmp_path, capsys):
     config.write_text(json.dumps({"tolerance_profile": "strict"}))
     assert run(3e-11, "--config", str(config)) == 2
     assert "is no option" in capsys.readouterr().err
+
+
+# The process entry, cli.run: main in a fresh interpreter, whose exit
+# skips the interpreter's teardown once stdout and stderr are flushed.
+# stdout is block-buffered there, as by default, so a lost flush shows.
+_SRC = str(Path(qverify.__file__).resolve().parents[1])
+_ENV = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+_ENV["PYTHONPATH"] = _SRC
+
+
+def _fresh(args, code=None, stdout=subprocess.PIPE) -> subprocess.CompletedProcess:
+    """python -m qverify.cli args, or python -c code args, in a fresh interpreter."""
+    head = ["-m", "qverify.cli"] if code is None else ["-c", code]
+    return subprocess.run(
+        [sys.executable, *head, *args], env=_ENV, stdout=stdout, stderr=subprocess.PIPE
+    )
+
+
+_SHORT_AND_LONG_OUTPUT = pytest.mark.parametrize(
+    "args",
+    [["strategy", "--bell"], ["strategy", "--stabilizer-full", "--preset", "ghz12"]],
+    ids=["bell", "ghz12-full"],
+)
+
+
+def _in_process(capsysbinary, args):
+    code = main(list(args))
+    captured = capsysbinary.readouterr()
+    return code, captured.out, captured.err
+
+
+@_SHORT_AND_LONG_OUTPUT
+def test_process_entry_writes_the_in_process_stdout_bytes(capsysbinary, args):
+    code, out, err = _in_process(capsysbinary, args)
+    assert (code, err) == (0, b"")
+    done = _fresh(args)
+    assert (done.returncode, done.stdout, done.stderr) == (0, out, b"")
+    if "ghz12" in args:
+        assert len(out) > 200_000  # beyond the pipe's and io's buffers
+
+
+def test_process_entry_writes_the_in_process_files(capsysbinary, tmp_path):
+    out, transcript = tmp_path / "out.csv", tmp_path / "runs.jsonl"
+    args = [
+        "simulate", "--bell", "--device", "worst-iid", "--n", "20", "--trials", "200",
+        "--seed", "7", "--out", str(out), "--transcript", str(transcript), "--record-labels",
+    ]
+    assert _in_process(capsysbinary, args) == (0, b"", b"")
+    expected = out.read_bytes(), transcript.read_bytes()
+    out.unlink()
+    transcript.unlink()
+    done = _fresh(args)
+    assert (done.returncode, done.stdout, done.stderr) == (0, b"", b"")
+    assert (out.read_bytes(), transcript.read_bytes()) == expected
+    assert len(expected[1].splitlines()) == 200
+
+
+@pytest.mark.parametrize(
+    "args", [["strategy", "--two-qubit"], ["strategy", "--bell", "--no-such-flag"]]
+)
+def test_process_entry_reports_bad_input_as_in_process(capsysbinary, args):
+    code, out, err = _in_process(capsysbinary, args)
+    done = _fresh(args)
+    assert (done.returncode, done.stdout, done.stderr) == (code, out, err)
+    assert code == 2 and err
+
+
+def test_process_entry_reports_an_internal_error_with_its_traceback():
+    code = (
+        "from qverify import cli\n"
+        "def boom(cfg):\n"
+        "    raise RuntimeError('boom')\n"
+        "cli.COMMANDS['strategy'] = boom\n"
+        "cli.run()\n"
+    )
+    done = _fresh(["strategy", "--bell"], code)
+    assert done.returncode == 3
+    assert done.stdout == b""
+    err = done.stderr.decode()
+    assert err.startswith("Traceback (most recent call last):")
+    assert 'File "<string>", line 3, in boom' in err
+    assert err.endswith("internal: RuntimeError: boom\n")
+
+
+@_SHORT_AND_LONG_OUTPUT
+def test_process_entry_never_exits_0_into_a_closed_pipe(args):
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        done = _fresh(args, stdout=write_end)
+    finally:
+        os.close(write_end)
+    assert done.returncode != 0
+    assert b"BrokenPipeError" in done.stderr

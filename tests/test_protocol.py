@@ -504,19 +504,19 @@ def test_a_checked_state_is_eigen_solved_once_however_often_it_is_read(monkeypat
         np.linalg, "eigvalsh", lambda a, *args, **kw: solves.append(1) or eigvalsh(a, *args, **kw)
     )
     state = shift_fidelity(rho, BELL, 0.3)
-    assert len(solves) == 1  # when the AdversaryState is made
+    assert len(solves) == 2  # rho when read, and the mixture when the AdversaryState is made
     for obj in (state, state.sigma):
         predicted_acceptance(strat, iid_adversary(BELL, obj, epsilon=0.3), 3)
         predicted_acceptance(strat, varying_adversary(BELL, lambda k: obj, epsilon=0.3), 5)
         strat.pass_probabilities(state.sigma)
-    assert len(solves) == 1
+    assert len(solves) == 2
     # a raw array may change between reads: it is solved on every one
     raw = state.sigma.entries.copy()
     predicted_acceptance(strat, varying_adversary(BELL, lambda k: raw), 5)
-    assert len(solves) == 6
+    assert len(solves) == 7
     iid_adversary(BELL, raw)
     strat.pass_probabilities(raw)
-    assert len(solves) == 8
+    assert len(solves) == 9
 
 
 # ---------------------------------------------------------------- stream

@@ -1116,6 +1116,7 @@ BELL = bell_strategy()
         pytest.param(lambda: hull_boundary("a"), id="hull-theta-str"),
         pytest.param(lambda: hull_boundary(0.5, "a"), id="hull-points-str"),
         pytest.param(lambda: shift_fidelity(5, BELL.target, 0.1), id="shift-rho-int"),
+        pytest.param(lambda: shift_fidelity(BELL.target, BELL.target, 0.1), id="shift-rho-ket"),
         pytest.param(lambda: shift_fidelity(np.eye(4) / 4, "x", 0.1), id="shift-target-str"),
         pytest.param(lambda: hilbert_schmidt_mixed_state("a", None), id="hilbert-schmidt-dim-str"),
         pytest.param(
