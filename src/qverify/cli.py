@@ -22,7 +22,9 @@ The `qverify` script and `python -m qverify.cli` enter through `run`,
 which ends the process with `os._exit` once stdout and stderr are
 flushed, skipping the interpreter's teardown; atexit handlers (a
 coverage tool's, say) therefore do not run in a CLI process.
-`main(argv)` is the in-process entry: it returns the exit code.
+`main(argv)` is the in-process entry: it returns the exit code. A
+stdout whose reader has gone (a closed pipe) exits 141, STDOUT_CLOSED,
+with no traceback.
 """
 
 from __future__ import annotations
@@ -43,6 +45,8 @@ from .errors import QVerifyError, ValidationError
 PROG = "qverify"
 
 OUTPUT_VERSION = 9  # moves with every intended change to any output's bytes
+
+STDOUT_CLOSED = 141  # 128 + SIGPIPE: how a shell reports a writer whose reader has gone
 
 # Strategy builder flags and their help. Each flag stores its name in
 # `kind`, and a config file names one the same way ("kind": "bell").
@@ -365,12 +369,26 @@ def _render(cfg: argparse.Namespace, doc: dict) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _write(cfg: argparse.Namespace, text: str) -> None:
+def _write(cfg: argparse.Namespace, text: str) -> int:
+    """Write the output; the exit status, STDOUT_CLOSED if stdout's reader has gone."""
     if cfg.out is not None:
         with _open_output(cfg.out) as fh:
             fh.write(text)
-    else:
+        return 0
+    try:
         sys.stdout.write(text)
+    except BrokenPipeError:
+        return _stdout_closed()
+    return 0
+
+
+def _stdout_closed() -> int:
+    """STDOUT_CLOSED, once fd 1 points at os.devnull, so that no later flush
+    of what stdout still buffers raises again."""
+    devnull = os.open(os.devnull, os.O_WRONLY)
+    os.dup2(devnull, 1)
+    os.close(devnull)
+    return STDOUT_CLOSED
 
 
 def _build_group(cfg: argparse.Namespace):
@@ -624,8 +642,7 @@ def main(argv=None) -> int:
             cfg = parser.parse_args(argv)
         cfg.argv = tuple(argv)
         doc = COMMANDS[cfg.command](cfg)
-        _write(cfg, _render(cfg, doc))
-        return 0
+        return _write(cfg, _render(cfg, doc))
     except QVerifyError as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
@@ -638,13 +655,19 @@ def main(argv=None) -> int:
 def run() -> NoReturn:
     """The process entry of the `qverify` script and `python -m qverify.cli`:
     main, then os._exit with its code once stdout and stderr are flushed.
-    A failed flush (a closed pipe, say) goes through sys.exit instead, which
-    reports it and picks the exit status as ever, so it never reads as 0."""
+    A stdout whose reader has gone exits STDOUT_CLOSED, with no traceback.
+    Any other failed flush goes through sys.exit instead, which reports it
+    and picks the exit status as ever, so it never reads as 0."""
     code = main()
     try:
         for stream in (sys.stdout, sys.stderr):
             if stream is not None:
-                stream.flush()
+                try:
+                    stream.flush()
+                except BrokenPipeError:
+                    if stream is not sys.stdout:
+                        raise
+                    code = _stdout_closed()
     except OSError:
         sys.exit(code)
     os._exit(code)

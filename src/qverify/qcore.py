@@ -335,13 +335,13 @@ def _partial_transposes(stack: np.ndarray) -> np.ndarray:
     return m.transpose(0, 1, 4, 3, 2).reshape(-1, 4, 4)
 
 
-def _projector_defects(stack: np.ndarray, tol: float) -> np.ndarray:
+def _projector_defects(stack: np.ndarray, tol: float, vals=None) -> np.ndarray:
     """For each matrix of a nonempty finite Hermitian (k, d, d) stack, True
     unless it is idempotent (max |P^2 - P| <= tol) with every eigenvalue
-    within tol of 0 or 1.
+    within tol of 0 or 1; vals is the stack's spectra, if already solved.
     """
     idempotence = np.abs(stack @ stack - stack).max(axis=(1, 2))
-    vals = np.linalg.eigvalsh(stack)
+    vals = np.linalg.eigvalsh(stack) if vals is None else vals
     spread = np.minimum(np.abs(vals), np.abs(vals - 1.0)).max(axis=1)
     return (idempotence > tol) | ~(spread <= tol)
 

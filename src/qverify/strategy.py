@@ -4,51 +4,42 @@ A strategy specifies, for each received copy, a random choice of
 measurement setting j (with probability mu_j) whose pass outcome is a
 projector P_j. The device passes a copy when the sampled setting
 accepts it, and the verifier accepts only if every copy passes. The
-whole procedure is captured by the strategy operator
-
-    Omega = sum_j mu_j P_j,
-
-which must fix the target state, Omega |psi> = |psi>, so an honest
-device is never rejected. Performance against the worst eps-far state
-is controlled by the largest acceptance among orthogonal states,
-
-    q = || Pi Omega Pi ||   with  Pi = 1 - |psi><psi|,
-
-giving a per-copy detection gap delta_eps = eps (1 - q).
+strategy operator Omega = sum_j mu_j P_j must fix the target state,
+Omega |psi> = |psi>, so an honest device is never rejected. The largest
+acceptance among orthogonal states, q = || Pi Omega Pi || with
+Pi = 1 - |psi><psi|, gives the per-copy detection gap eps (1 - q).
 
 Constructions provided here:
 
 * bell_strategy: for (|00> + |11>)/sqrt(2), the uniform mixture of the
-  parity checks XX, -YY, ZZ. Achieves q = 1/3, the best possible for
-  that target with one-copy local measurements.
+  parity checks XX, -YY, ZZ; q = 1/3, the best one-copy local value.
 * two_qubit_optimal: for sin(theta)|00> + cos(theta)|11> away from the
   special angles, a ZZ parity check with weight
   alpha = (2 - sin 2theta) / (4 + sin 2theta) plus the complements of
-  three product states with equal weights. Achieves the optimal
+  three product states with equal weights; the optimal
   q = (2 + sin 2theta) / (4 + sin 2theta).
 * product_state_strategy: for |00> or |11>, the single product
   projector onto the target, q = 0.
 
-Every constructor here, local_transport and _from_json_dict hand their
-projectors to _settings, which copies them into one (k, d, d) stack and
-runs each MeasurementSetting check once over it, at the same tolerance.
-It raises the error of the first invalid setting in order; a setting
-built directly is the stack of one.
+The three builders, local_transport and _from_json_dict take one route,
+_checked: their projectors form one (k, d, d) stack, a walk runs every
+check that needs no eigensolve, and one eigvalsh then solves the
+settings, the partial transposes of their locality claims and Omega.
+Setting errors come first, in setting order, then the strategy's; a
+setting or strategy built directly runs the same checks with its own
+eigensolve.
 
 A strategy's metrics property is its one route to q, degeneracy and
-trace. The three builders' strategies hold their closed form
-(family_metrics); any other Strategy, even one whose kind names a family
-(a document, local_transport, direct construction), solves its
-orthocomplement block.
+trace: the builders' strategies hold their closed form (family_metrics);
+any other Strategy solves its orthocomplement block.
 
 Stabilizer strategies are stabilizer.PauliStrategy values, which hold
 syndrome counts and no projectors. metrics and to_json_dict take either
-type: a PauliStrategy reads its counts and writes its group and element
-indices. stabilizer.strategy_from_json reads every document; it hands a
+type, and stabilizer.strategy_from_json reads every document, handing a
 dense one to _from_json_dict. Both types give orthogonal_projector (the
-diagonal and columns of the top orthogonal eigenspace's projector, no q),
-which adversary's worst case reads, and pass_probabilities, which
-protocol's plan reads. Strategy and its settings mean a dense strategy only.
+diagonal and columns of the top orthogonal eigenspace's projector, no q)
+for adversary's worst case and pass_probabilities for protocol's plan.
+Strategy and its settings mean a dense strategy only.
 """
 
 from __future__ import annotations
@@ -111,8 +102,7 @@ class MeasurementSetting:
     positive under partial transposition, which certifies separability
     for the low rank operators used here. For more than two qubits only
     the STABILIZER_PAULI tag carries a locality claim; full separability
-    testing is out of scope. A setting built directly is checked as a
-    stack of one (see _check_settings).
+    testing is out of scope. A setting built directly is a stack of one.
     """
 
     projector: HermitianOperator
@@ -143,15 +133,18 @@ def _field_defect(weight: float, label: str, locality: Locality) -> ValidationEr
     return None
 
 
-def _check_settings(stack: np.ndarray, weights, labels, localities) -> None:
-    """Raise the error of the first invalid setting of a (k, d, d) stack.
+def _check_settings(stack: np.ndarray, weights, labels, localities, omega=False):
+    """Raise the error of the first invalid setting of a (k, d, d) stack;
+    with omega, return Omega of a valid nonempty stack and its spectrum.
 
     A setting's checks run in order: the HermitianOperator checks, the
     label, the weight, the locality, then idempotence and a {0, 1} spectrum
     within TOL_DERIVED and, for d = 4 with a locality claim, a partial
     transpose eigenvalue >= -TOL_DERIVED. One walk finds the first setting
     failing a check without an eigensolve (eigvalsh takes no non-finite
-    matrix); one stacked pass per eigen check covers the settings before it.
+    matrix). One eigvalsh then solves the settings before it, their local
+    partial transposes and, if the walk found no defect, Omega, whose
+    spectrum invariant_defect reads.
     """
     cheap, end = None, len(stack)
     for i, defect in enumerate(qcore._operator_defects(stack, "operator")):
@@ -159,58 +152,63 @@ def _check_settings(stack: np.ndarray, weights, labels, localities) -> None:
         if cheap is not None:
             end = i
             break
+    sums = _omega(weights, stack)[None] if omega and end and cheap is None else stack[:0]
     if end:
-        head = stack[:end]
-        bad = qcore._projector_defects(head, TOL_DERIVED)
-        pt_min = np.zeros(end)
-        local = [i for i in range(end) if localities[i] is not Locality.NONLOCAL]
-        if stack.shape[1] == 4 and local:
-            pt_min[local] = np.linalg.eigvalsh(qcore._partial_transposes(head[local]))[:, 0]
-        failed = bad | (pt_min < -TOL_DERIVED)
-        if failed.any():
-            i = int(failed.argmax())
+        head, d4 = stack[:end], stack.shape[1] == 4
+        local = [i for i in range(end) if d4 and localities[i] is not Locality.NONLOCAL]
+        pts = qcore._partial_transposes(head[local]) if local else head[:0]
+        vals = np.linalg.eigvalsh(np.concatenate([head, pts, sums]))
+        bad = qcore._projector_defects(head, TOL_DERIVED, vals[:end]).tolist()
+        pt_min = dict(zip(local, vals[end : end + len(local), 0].tolist()))
+        for i in range(end):
             if bad[i]:
                 raise ValidationError(f"setting {labels[i]!r} is not a projector")
-            raise ValidationError(
-                f"setting {labels[i]!r} claims locality but its partial "
-                f"transpose has eigenvalue {float(pt_min[i])!r}"
-            )
+            if pt_min.get(i, 0.0) < -TOL_DERIVED:
+                raise ValidationError(
+                    f"setting {labels[i]!r} claims locality but its partial "
+                    f"transpose has eigenvalue {pt_min[i]!r}"
+                )
     if cheap is not None:
         raise cheap
+    return (sums[0], vals[-1]) if len(sums) else (None, None)
 
 
-def _settings(projectors, weights, labels, localities) -> tuple[MeasurementSetting, ...]:
-    """Checked settings over one stack of pass projectors: projectors yields
-    the k (d, d) pass projectors in order, copied into one (k, d, d) stack
-    that _check_settings checks and that is then frozen; each setting's
-    projector is a read-only view of it.
+def _omega(weights, stack: np.ndarray) -> np.ndarray:
+    """sum_j w_j P_j of a (k, d, d) stack, added in order onto zeros (read only)."""
+    terms = np.asarray(weights, dtype=float)[:, None, None] * stack
+    out = np.add.reduce(terms, axis=0, initial=0.0)
+    out.setflags(write=False)
+    return out
+
+
+def _settings(projectors, weights, labels, localities):
+    """(settings, Omega, its spectrum) over one stack of pass projectors:
+    projectors yields the k (d, d) pass projectors in order, copied into one
+    (k, d, d) stack that _check_settings checks and that is then frozen;
+    each setting's projector is a read-only view of it.
     """
     stack = np.array([*projectors], dtype=complex)
-    _check_settings(stack, weights, labels, localities)
+    omega, spectrum = _check_settings(stack, weights, labels, localities, omega=True)
     stack.setflags(write=False)
-    return tuple(
-        qcore._assembled(
-            MeasurementSetting,
-            projector=qcore._assembled(HermitianOperator, entries=entries),
-            weight=weight,
-            label=label,
-            locality=locality,
-        )
-        for entries, weight, label, locality in zip(stack, weights, labels, localities)
+    operators = [qcore._assembled(HermitianOperator, entries=entries) for entries in stack]
+    settings = tuple(
+        qcore._assembled(MeasurementSetting, projector=op, weight=w, label=lab, locality=loc)
+        for op, w, lab, loc in zip(operators, weights, labels, localities)
     )
+    return settings, omega, spectrum
 
 
-def invariant_defect(target: Ket, omega: np.ndarray) -> str | None:
+def invariant_defect(target: Ket, omega: np.ndarray, vals=None) -> str | None:
     """Why omega is no strategy operator for target, or None.
 
     A strategy operator fixes its target and has its spectrum in [0, 1],
-    both within TOL_DERIVED.
+    both within TOL_DERIVED. vals is omega's spectrum, if already solved.
     """
     psi = target.amplitudes
     residual = float(np.linalg.norm(omega @ psi - psi))
     if residual > TOL_DERIVED:
         return f"strategy does not fix its target (residual {residual!r})"
-    vals = np.linalg.eigvalsh(omega)
+    vals = np.linalg.eigvalsh(omega) if vals is None else vals
     if vals[0] < -TOL_DERIVED or vals[-1] > 1.0 + TOL_DERIVED:
         return f"strategy operator spectrum [{vals[0]!r}, {vals[-1]!r}] escapes [0, 1]"
     return None
@@ -225,7 +223,8 @@ class Strategy:
     kind: StrategyKind
     theta: float | None = None
 
-    def __post_init__(self):
+    def __post_init__(self, spectrum=None):
+        """Check the strategy; spectrum is Omega's, if already solved."""
         if not isinstance(self.kind, StrategyKind):
             raise ValidationError(f"strategy kind {self.kind!r} is not a StrategyKind")
         if self.theta is not None:
@@ -239,27 +238,22 @@ class Strategy:
         object.__setattr__(self, "settings", settings)
         if not self.settings:
             raise ValidationError("strategy needs at least one setting")
-        for setting in self.settings:
-            if setting.projector.dim != self.target.dim:
-                raise ValidationError(
-                    f"setting {setting.label!r} dimension {setting.projector.dim} "
-                    f"does not match target dimension {self.target.dim}"
-                )
+        wrong = [s for s in settings if s.projector.dim != self.target.dim]
+        if wrong:
+            raise ValidationError(f"setting {wrong[0].label!r} dimension {wrong[0].projector.dim} "
+                                  f"does not match target dimension {self.target.dim}")
         total = math.fsum(s.weight for s in self.settings)
         if abs(total - 1.0) > TOL_INPUT:
             raise ValidationError(f"setting weights sum to {total!r}, not 1")
-        defect = invariant_defect(self.target, self.omega)
+        defect = invariant_defect(self.target, self.omega, spectrum)
         if defect is not None:
             raise ValidationError(defect)
 
     @cached_property
     def omega(self) -> np.ndarray:
         """The strategy operator sum_j mu_j P_j (read only array)."""
-        out = np.zeros((self.target.dim, self.target.dim), dtype=complex)
-        for setting in self.settings:
-            out += setting.weight * setting.projector.entries
-        out.setflags(write=False)
-        return out
+        stack = np.stack([s.projector.entries for s in self.settings])
+        return _omega([s.weight for s in self.settings], stack)
 
     @property
     def dim(self) -> int:
@@ -276,9 +270,7 @@ class Strategy:
         """q, the top eigenvalue of Omega on the target's orthocomplement,
         and trace Omega; a builder's strategy holds its closed form."""
         top = float(self._orthocomplement_eigh()[1][-1])
-        return StrategyMetrics(
-            q=min(max(top, 0.0), 1.0), trace=float(np.trace(self.omega).real)
-        )
+        return StrategyMetrics(q=min(max(top, 0.0), 1.0), trace=float(np.trace(self.omega).real))
 
     def orthogonal_projector(self):
         """(every Pi_bb, b -> Pi|b>) of Pi = I - |psi><psi| minus the
@@ -296,11 +288,19 @@ class Strategy:
         return np.einsum("kij,ji->k", stack, sigma).real
 
 
-def _built(target: Ket, settings, kind: StrategyKind, theta=None) -> Strategy:
-    """A builder's Strategy, its metrics cache filled with the closed form
-    family_metrics(kind.value, theta); no other Strategy's cache is."""
-    built = Strategy(target=target, settings=settings, kind=kind, theta=theta)
-    built.__dict__["metrics"] = family_metrics(kind.value, theta)
+def _checked(target: Ket, kind: StrategyKind, theta, *fields, closed=False) -> Strategy:
+    """The Strategy over _settings(*fields): the one route of every builder,
+    local_transport and _from_json_dict. Its Omega is cached, and
+    __post_init__ reads the spectrum that _settings' one eigensolve gave.
+    A builder's strategy (closed) has its metrics cache filled with the
+    closed form family_metrics(kind.value, theta); no other Strategy's is."""
+    settings, omega, spectrum = _settings(*fields)
+    built = qcore._assembled(
+        Strategy, target=target, settings=settings, kind=kind, theta=theta, omega=omega
+    )
+    built.__post_init__(spectrum)
+    if closed:
+        built.__dict__["metrics"] = family_metrics(kind.value, theta)
     return built
 
 
@@ -331,22 +331,23 @@ def bell_strategy() -> Strategy:
         (qcore.PAULI_Z, +1.0),
     ]
     eye = np.eye(4, dtype=complex)
-    settings = _settings(
+    return _checked(
+        target, StrategyKind.BELL, None,
         [(eye + sign * np.kron(p, p)) / 2.0 for p, sign in specs],
         (1.0 / 3.0,) * 3,
         ("XX", "-YY", "ZZ"),
         (Locality.STABILIZER_PAULI,) * 3,
+        closed=True,
     )
-    return _built(target, settings, StrategyKind.BELL)
 
 
 def target_state(theta: float) -> Ket:
     """sin(theta)|00> + cos(theta)|11>, theta a finite angle."""
-    theta = check_angle(theta)
-    amps = np.zeros(4, dtype=complex)
-    amps[0] = math.sin(theta)
-    amps[3] = math.cos(theta)
-    return Ket(amps)
+    return Ket(_target_amplitudes(check_angle(theta)))
+
+
+def _target_amplitudes(theta: float) -> np.ndarray:
+    return np.array([math.sin(theta), 0.0, 0.0, math.cos(theta)], dtype=complex)
 
 
 def alpha_weight(theta: float) -> float:
@@ -354,6 +355,8 @@ def alpha_weight(theta: float) -> float:
     s = math.sin(2.0 * check_angle(theta))
     return (2.0 - s) / (4.0 + s)
 
+
+_ZZ_PASS = np.diag([1.0, 0.0, 0.0, 1.0])  # the ZZ parity check's pass projector
 
 # Unit phases on |1> of the two factors of each annihilating product
 # state, one row per state: (2pi/3, pi/3), (4pi/3, 5pi/3), (0, pi).
@@ -370,27 +373,23 @@ _PRODUCT_PHASES = np.array(
 
 
 def _annihilating_amplitudes(theta: float) -> np.ndarray:
-    """Rows: amplitudes of annihilating_product_states, norms checked."""
+    """Rows: amplitudes of annihilating_product_states, norms unchecked."""
     factors = np.empty((3, 2, 2), dtype=complex)
     factors[:, :, 0] = 1.0 / math.sqrt(1.0 + math.tan(theta))
     factors[:, :, 1] = _PRODUCT_PHASES * (1.0 / math.sqrt(1.0 + 1.0 / math.tan(theta)))
     # row s is kron(first factor, second factor) of state s
-    states = (factors[:, 0, :, None] * factors[:, 1, None, :]).reshape(3, 4)
-    qcore._check_unit_norms(states, "ket")
-    return states
+    return (factors[:, 0, :, None] * factors[:, 1, None, :]).reshape(3, 4)
 
 
 def annihilating_product_states(theta: float) -> tuple[Ket, Ket, Ket]:
     """Three product states orthogonal to the target with balanced phases.
 
-    Each is (|0> + w_a tan(theta)^(1/2) ... ) up to normalization: the
-    first factor carries amplitude 1/sqrt(1 + tan theta) on |0> and a
-    unit phase times 1/sqrt(1 + cot theta) on |1>, and the per-state
-    phase pairs (2pi/3, pi/3), (4pi/3, 5pi/3), (0, pi) multiply to -1,
-    which makes each product state orthogonal to
-    sin(theta)|00> + cos(theta)|11>. Their equal weight mixture of
-    complements is the trace three part of the optimal strategy. theta
-    lies in (0, pi/2]: cot theta diverges at 0.
+    Each factor carries amplitude 1/sqrt(1 + tan theta) on |0> and a unit
+    phase times 1/sqrt(1 + cot theta) on |1>. The per-state phase pairs
+    (2pi/3, pi/3), (4pi/3, 5pi/3), (0, pi) multiply to -1, which makes
+    each state orthogonal to sin(theta)|00> + cos(theta)|11>. Their equal
+    weight mixture of complements is the trace three part of the optimal
+    strategy. theta lies in (0, pi/2]: cot theta diverges at 0.
     """
     theta = check_angle(theta, family=True)
     if theta == 0.0:
@@ -410,16 +409,21 @@ def two_qubit_optimal(theta: float) -> Strategy:
     """
     check_theta(theta)
     alpha = alpha_weight(theta)
-    states = _annihilating_amplitudes(theta)
+    # the three product kets and the target, their norms checked as one stack
+    kets = np.concatenate([_annihilating_amplitudes(theta), _target_amplitudes(theta)[None]])
+    qcore._check_unit_norms(kets, "ket")
+    kets.setflags(write=False)
+    states = kets[:3]
     complements = np.eye(4) - states[:, :, None] * states.conj()[:, None, :]
     rest = (1.0 - alpha) / 3.0
-    settings = _settings(
-        [np.diag([1.0, 0.0, 0.0, 1.0]), *complements],
+    return _checked(
+        qcore._assembled(Ket, amplitudes=kets[3]), StrategyKind.TWO_QUBIT_OPTIMAL, theta,
+        [_ZZ_PASS, *complements],
         (alpha, rest, rest, rest),
         ("ZZ", "reject-product-1", "reject-product-2", "reject-product-3"),
         (Locality.STABILIZER_PAULI,) + (Locality.PRODUCT_PROJECTOR,) * 3,
+        closed=True,
     )
-    return _built(target_state(theta), settings, StrategyKind.TWO_QUBIT_OPTIMAL, theta)
 
 
 def product_state_strategy(which: str) -> Strategy:
@@ -433,13 +437,14 @@ def product_state_strategy(which: str) -> Strategy:
     index = 0 if which == "zero" else 3
     target = qcore.basis_ket(4, index)
     amps = target.amplitudes
-    settings = _settings(
+    return _checked(
+        target, StrategyKind.PRODUCT_STATE, None,
         [np.outer(amps, amps.conj())],
         (1.0,),
         ("00" if which == "zero" else "11",),
         (Locality.PRODUCT_PROJECTOR,),
+        closed=True,
     )
-    return _built(target, settings, StrategyKind.PRODUCT_STATE)
 
 
 def _check_unitary(matrix: np.ndarray, name: str) -> np.ndarray:
@@ -465,23 +470,16 @@ def local_transport(strategy: Strategy, u, v) -> Strategy:
     v = _check_unitary(v, "v")
     big = np.kron(u, v)
     old = strategy.settings
-    new_settings = _settings(
+    return _checked(
+        Ket(big @ strategy.target.amplitudes), strategy.kind, strategy.theta,
         [big @ s.projector.entries @ big.conj().T for s in old],
         [s.weight for s in old],
         [s.label for s in old],
         [s.locality for s in old],
     )
-    return Strategy(
-        target=Ket(big @ strategy.target.amplitudes),
-        settings=new_settings,
-        kind=strategy.kind,
-        theta=strategy.theta,
-    )
 
 
-def exact_sample_count(
-    strategy, epsilon: float, delta: float
-) -> SampleCountReport:
+def exact_sample_count(strategy, epsilon: float, delta: float) -> SampleCountReport:
     """Copies needed to reject every eps-far state with confidence 1 - delta."""
     strategy = _strategy(strategy)
     return certainty_count_report(
@@ -555,7 +553,7 @@ def _from_json_dict(doc) -> Strategy:
         ) from exc
     target = Ket(target_amps)
     projectors, weights, labels, localities = zip(*fields) if fields else ((),) * 4
-    settings = _settings(
-        (flat.reshape(dim, dim) for flat in projectors), weights, labels, localities
+    return _checked(
+        target, kind, theta,
+        (flat.reshape(dim, dim) for flat in projectors), weights, labels, localities,
     )
-    return Strategy(target=target, settings=settings, kind=kind, theta=theta)

@@ -87,9 +87,22 @@ MUTANTS = [
     # the eigen checks of the settings before it
     Mutant(
         "settings-walk-first", "strategy.py",
-        "    if end:\n        head = stack[:end]",
-        "    if cheap is not None:\n        raise cheap\n    if end:\n        head = stack[:end]",
+        "    if end:\n        head, d4 = stack[:end]",
+        "    if cheap is not None:\n        raise cheap\n    if end:\n        head, d4 = stack[:end]",
         ("tests/test_stacked_settings.py", "tests/test_strategy.py"), 10,
+    ),
+    # the one eigensolve of a dense strategy: the partial transposes' rows
+    # of the fused spectrum, and Omega's upper spectral bound
+    Mutant(
+        "fused-pt-rows", "strategy.py",
+        "vals[end : end + len(local), 0]", "vals[: len(local), 0]",
+        ("tests/test_stacked_settings.py", "tests/test_strategy.py"), 8,
+    ),
+    Mutant(
+        "omega-upper-bound", "strategy.py",
+        "if vals[0] < -TOL_DERIVED or vals[-1] > 1.0 + TOL_DERIVED:",
+        "if vals[0] < -TOL_DERIVED:",
+        ("tests/test_stacked_settings.py", "tests/test_strategy.py"), 1,
     ),
     # lines that each had one test written for them
     Mutant(
@@ -126,12 +139,25 @@ MUTANTS = [
         "for stream in (sys.stdout, sys.stderr):", "for stream in (sys.stderr,):",
         ("tests/test_cli.py", "-k", "process_entry"), 2,
     ),
-    # closed forms: the Wilson interval's centre and the Bell q
+    # a long output's write into a closed pipe is no internal error
+    Mutant(
+        "stdout-closed-write", "cli.py",
+        "    except BrokenPipeError:\n        return _stdout_closed()",
+        "    except BrokenPipeError:\n        raise",
+        ("tests/test_cli.py", "-k", "closed_pipe"), 2,
+    ),
+    # closed forms: the Wilson interval's centre, the two-qubit q and the Bell q
     Mutant(
         "wilson-centre", "protocol.py",
         "center = (p_hat + z * z / (2.0 * trials)) / denom",
         "center = (p_hat + z * z / trials) / denom",
         PROTOCOL + ("tests/test_golden_cli.py",), 10,
+    ),
+    Mutant(
+        "two-qubit-q", "samplecount.py",
+        "return (2 * d + n) / (4 * d + n), ", "return (2 * d + n) / (4 * d + n) + 1e-9, ",
+        ("tests/test_closed_forms.py", "tests/test_cli.py", "tests/test_golden_cli.py",
+         "tests/test_strategy.py", "tests/test_samplecount.py"), 23,
     ),
     Mutant(
         "bell-q", "samplecount.py",

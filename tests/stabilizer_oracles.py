@@ -40,7 +40,7 @@ from qverify.stabilizer import (
     _walsh,
     group_from_json,
 )
-from qverify.strategy import Locality, Strategy, _settings
+from qverify.strategy import Locality, Strategy, _checked
 
 
 def full_strategy_q(num_qubits: int) -> Fraction:
@@ -197,13 +197,13 @@ def equal_mixture(group, indices, kind, what):
             yield out
 
     k = len(indices)
-    settings = _settings(
+    return _checked(
+        group.state(), kind, None,
         projectors(),
         (1.0 / k,) * k,
         [group.elements[m].label for m in indices],
         (Locality.STABILIZER_PAULI,) * k,
     )
-    return Strategy(target=group.state(), settings=settings, kind=kind)
 
 
 def as_dense(strategy):

@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import math
 import os
@@ -7,10 +9,12 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import qverify
 from qverify import strategy
-from qverify.cli import COMMANDS, build_parser, cmd_figure, main, parse_angle
+from qverify.cli import COMMANDS, _parsers, build_parser, cmd_figure, main, parse_angle
 from qverify.errors import ValidationError
 from qverify.adversary import HULL_COLUMNS, LANDSCAPE_COLUMNS, hull_boundary, landscape
 from qverify.samplecount import (
@@ -787,11 +791,92 @@ def test_process_entry_reports_an_internal_error_with_its_traceback():
 
 @_SHORT_AND_LONG_OUTPUT
 def test_process_entry_never_exits_0_into_a_closed_pipe(args):
+    # a short output meets the gone reader in run's flush, a long one in
+    # main's write; both exit 141 (128 + SIGPIPE) with no traceback
     read_end, write_end = os.pipe()
     os.close(read_end)
     try:
         done = _fresh(args, stdout=write_end)
     finally:
         os.close(write_end)
-    assert done.returncode != 0
-    assert b"BrokenPipeError" in done.stderr
+    assert (done.returncode, done.stderr) == (141, b"")
+
+
+def test_main_returns_141_when_stdout_meets_a_closed_pipe(capsys):
+    # in process: the long output's write meets the gone reader, and main
+    # points fd 1 at os.devnull, so flushing what stdout still buffers
+    # cannot raise again
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    saved_fd, saved_stdout = os.dup(1), sys.stdout
+    os.dup2(write_end, 1)
+    os.close(write_end)
+    try:
+        sys.stdout = open(1, "w", closefd=False)
+        code = main(["strategy", "--stabilizer-full", "--preset", "ghz12"])
+        on_devnull = os.path.samestat(os.fstat(1), os.stat(os.devnull))
+        sys.stdout.close()
+    finally:
+        sys.stdout = saved_stdout
+        os.dup2(saved_fd, 1)
+        os.close(saved_fd)
+    assert (code, on_devnull) == (141, True)
+    assert capsys.readouterr().err == ""
+
+
+# Junk argument vectors: every subcommand's options, each given a value
+# from a junk pool, must exit 0 or 2, and a 2 says one error line.
+_SUBPARSERS = _parsers()[1]
+_JUNK = (
+    "", " ", "x", "-1", "0", "1", "3", "1.5", "nan", "inf", "-inf", "1e999", "0x10",
+    "pi/0", "pi/8", "-pi/3", "2*pi", ",", "1,,2", "+XX,ZZ", "-XX", "XZ,ZX", "IIX",
+    "bell", "ghz3", "ghz99", "cluster0", "zeros2", "csv", "json", "fig1", "figS1",
+    "honest", "worst-iid", "--bell",
+)  # no "figS2": its landscape grid alone takes about 0.2 s
+_WRITTEN = ("--out", "--transcript")
+_READ = ("--config", "--strategy-file")
+_NO_FILES = ("", "/", "/nonexistent-qverify/x", os.devnull)
+_FILE_TEXTS = (
+    "{", "[]", "{}", '{"seed": "x"}', '{"nope": 1}', '{"config": "c.json"}',
+    '{"kind": "two-qubit", "theta": "pi/0"}', '{"kind": "bell", "n": 0}',
+    json.dumps(strategy.to_json_dict(strategy.bell_strategy())),
+)
+
+
+def _options(command):
+    """(switches, options that take a value) of one subcommand, but --help."""
+    switches, valued = [], []
+    for action in _SUBPARSERS[command]._actions:
+        if action.option_strings and action.dest != "help":
+            (switches if action.nargs == 0 else valued).append(action.option_strings[-1])
+    return switches, valued
+
+
+@pytest.fixture(scope="module")
+def junk_files(tmp_path_factory):
+    root = tmp_path_factory.mktemp("junk")
+    paths = []
+    for i, text in enumerate(_FILE_TEXTS):
+        paths.append(root / f"junk{i}.json")
+        paths[-1].write_text(text)
+    return tuple(str(path) for path in paths)
+
+
+@given(data=st.data())
+@settings(max_examples=150, deadline=None)
+def test_junk_argument_vectors_exit_0_or_2_with_one_error_line(junk_files, data):
+    command = data.draw(st.sampled_from(sorted(_SUBPARSERS)))
+    switches, valued = _options(command)
+    argv = [command, *data.draw(st.lists(st.sampled_from(switches), max_size=2) if switches
+                                else st.just([]))]
+    for option in data.draw(st.lists(st.sampled_from(valued), max_size=4)):
+        pool = _NO_FILES if option in _WRITTEN else _NO_FILES + junk_files
+        value = data.draw(st.sampled_from(pool if option in _WRITTEN + _READ else _JUNK))
+        attached = data.draw(st.booleans())
+        argv.extend([f"{option}={value}"] if attached else [option, value])
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    errors = [line for line in err.getvalue().splitlines() if "error:" in line]
+    assert code in (0, 2), (argv, err.getvalue())
+    assert len(errors) == (code == 2), (argv, err.getvalue())

@@ -441,6 +441,101 @@ def test_bad_stack_shapes_report_the_oracle_error():
         assert str(caught.value) == str(expected)
 
 
+# ------------------------------------------------------------ one Omega
+
+
+def loop_omega(weights, projectors):
+    """The former Strategy.omega: each weighted projector added in setting
+    order onto complex zeros."""
+    out = np.zeros(projectors[0].shape, dtype=complex)
+    for weight, projector in zip(weights, projectors):
+        out += weight * projector
+    return out
+
+
+@given(seed=st.integers(0, 2**32 - 1), k=st.integers(1, 9), dim=st.sampled_from([2, 4, 8, 64]))
+@settings(max_examples=60, deadline=None)
+def test_omega_adds_in_setting_order_bit_for_bit(seed, k, dim):
+    # signed zeros and mixed weight types: the one-pass sum keeps every bit
+    # of the loop it replaced
+    rng = np.random.default_rng(seed)
+    stack = rng.standard_normal((k, dim, dim)) + 1j * rng.standard_normal((k, dim, dim))
+    stack.real[rng.random(stack.shape) < 0.3] = -0.0
+    stack.imag[rng.random(stack.shape) < 0.3] = -0.0
+    weights = [float(w) if i % 2 else np.float64(w) for i, w in enumerate(rng.random(k))]
+    weights[0] = -0.0 if seed % 3 == 0 else weights[0]
+    expected = loop_omega(weights, stack)
+    assert strategy._omega(weights, stack).tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        bell_strategy,
+        lambda: two_qubit_optimal(0.6),
+        lambda: product_state_strategy("one"),
+        lambda: local_transport(two_qubit_optimal(1.1), PAULI_Y, PAULI_X),
+        lambda: as_dense(full_strategy(preset_group("cluster5"))),
+    ],
+    ids=["bell", "two-qubit", "product", "transport", "cluster5"],
+)
+def test_built_and_direct_omega_match_the_loop(build):
+    built = build()
+    direct = Strategy(built.target, built.settings, built.kind, built.theta)
+    projectors = [s.projector.entries for s in built.settings]
+    expected = loop_omega([s.weight for s in built.settings], projectors).tobytes()
+    assert built.omega.tobytes() == direct.omega.tobytes() == expected
+
+
+# ------------------------------------------------ strategy errors, one route
+
+
+def _single_qubit_doc(top):
+    """A document of two valid settings diag(1, top) on target |0>, weights
+    summing to 1 + 9e-13: Omega fixes |0>, and its top eigenvalue is about
+    top + 9e-13."""
+    projector = [[1.0, 0.0], [0.0, 0.0], [0.0, 0.0], [top, 0.0]]
+    return {
+        "kind": "custom",
+        "target": [[1.0, 0.0], [0.0, 0.0]],
+        "settings": [
+            {"label": label, "weight": weight, "locality": "nonlocal", "projector": projector}
+            for label, weight in (("a", 0.5 + 5e-13), ("b", 0.5 + 4e-13))
+        ],
+    }
+
+
+def _bad_strategy_docs():
+    """Case name -> (document, a phrase of the error it must raise)."""
+    unfixed = to_json_dict(bell_strategy())
+    unfixed["target"] = [[0.0, 0.0], [1.0, 0.0], [0.0, 0.0], [0.0, 0.0]]  # |01>
+    both = json.loads(json.dumps(unfixed))
+    both["settings"][2]["projector"] = [[0.5 if i % 5 == 0 else 0.0, 0.0] for i in range(16)]
+    return {
+        "omega-does-not-fix-target": (unfixed, "does not fix its target"),
+        "omega-spectrum-above-one": (_single_qubit_doc(1.0 + 0.999e-10), "escapes [0, 1]"),
+        "bad-setting-and-bad-omega": (both, "is not a projector"),
+    }
+
+
+@pytest.mark.parametrize("case", sorted(_bad_strategy_docs()))
+def test_a_document_reports_the_oracle_strategy_error(case):
+    # the fused route solves Omega with the settings, yet raises what the
+    # per-setting settings and a directly built Strategy raise, in order
+    doc, phrase = _bad_strategy_docs()[case]
+    with pytest.raises(QVerifyError) as expected:
+        oracle_from_json(doc)
+    assert phrase in str(expected.value)
+    with pytest.raises(type(expected.value)) as caught:
+        strategy._from_json_dict(doc)
+    assert str(caught.value) == str(expected.value)
+
+
+def test_a_document_just_inside_the_spectrum_tolerance_builds_like_the_oracle():
+    doc = _single_qubit_doc(1.0 + 0.9e-10)
+    assert_same(strategy._from_json_dict(doc), oracle_from_json(doc))
+
+
 # ------------------------------------------------------------ eigensolves
 
 
@@ -458,17 +553,38 @@ def _count_eigvalsh(monkeypatch):
 
 @pytest.mark.parametrize("theta", [math.pi / 8, 0.6, 1.2])
 def test_two_qubit_optimal_solves_at_most_three_eigenproblems(theta, monkeypatch):
-    # one stacked spectrum check, one stacked partial transpose check and
-    # one check of Omega; the per-setting route made nine
+    # exactly one eigvalsh call: the settings' spectra, their partial
+    # transposes and Omega form one stack; the per-setting route made nine
     calls = _count_eigvalsh(monkeypatch)
     two_qubit_optimal(theta)
-    assert len(calls) <= 3
+    assert len(calls) == 1
 
 
 def test_bell_strategy_solves_at_most_three_eigenproblems(monkeypatch):
     calls = _count_eigvalsh(monkeypatch)
     bell_strategy()
-    assert len(calls) <= 3
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("route", ["product", "transport", "json", "setting", "strategy"])
+def test_every_route_solves_one_eigenproblem_per_build(route, monkeypatch):
+    # the product, transport and document routes make one eigvalsh call;
+    # a setting or strategy built directly makes its own
+    built = two_qubit_optimal(0.6)
+    doc = to_json_dict(built)
+    setting = built.settings[1]
+    build = {
+        "product": lambda: product_state_strategy("one"),
+        "transport": lambda: local_transport(built, PAULI_X, PAULI_Z),
+        "json": lambda: strategy._from_json_dict(doc),
+        "setting": lambda: MeasurementSetting(
+            setting.projector, setting.weight, setting.label, setting.locality
+        ),
+        "strategy": lambda: Strategy(built.target, built.settings, built.kind, built.theta),
+    }[route]
+    calls = _count_eigvalsh(monkeypatch)
+    build()
+    assert len(calls) == 1
 
 
 # ------------------------------------------------------------ real entries
@@ -490,7 +606,7 @@ def _record_eigvalsh(monkeypatch):
 def test_complex_projectors_are_checked_in_complex_arithmetic(monkeypatch):
     inputs = _record_eigvalsh(monkeypatch)
     two_qubit_optimal(0.6)
-    assert len(inputs) <= 3
+    assert len(inputs) == 1
     assert all(dtype == np.complex128 for dtype, shape in inputs if len(shape) == 3)
 
 

@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -368,6 +369,20 @@ def test_strategy_reads_a_numpy_theta_as_a_python_float(theta):
     strat = Strategy(target=built.target, settings=built.settings, kind=StrategyKind.BELL, theta=theta)
     assert type(strat.theta) is float
     assert strat.theta == float(theta)
+
+
+def test_a_fraction_weight_gives_the_omega_of_its_float():
+    # a weight is any real number; Omega reads it as a float (the former
+    # loop multiplied an object array and failed with a numpy TypeError)
+    built = bell_strategy()
+
+    def weighted(weight):
+        settings = tuple(
+            MeasurementSetting(s.projector, weight, s.label, s.locality) for s in built.settings
+        )
+        return Strategy(target=built.target, settings=settings, kind=StrategyKind.CUSTOM).omega
+
+    assert weighted(Fraction(1, 3)).tobytes() == weighted(1.0 / 3.0).tobytes()
 
 
 def test_from_json_theta_is_a_float_or_none():
