@@ -341,9 +341,7 @@ def _cell(value) -> str:
         return ""
     if isinstance(value, bool):
         return "true" if value else "false"
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
+    return str(value)  # a float's str is its repr, the shortest round-trip text
 
 
 def _render(cfg: argparse.Namespace, doc: dict) -> str:
@@ -359,8 +357,7 @@ def _render(cfg: argparse.Namespace, doc: dict) -> str:
         return json.dumps(payload, indent=2) + "\n"
     lines = [f"# {key}: {value}" for key, value in meta]
     if "columns" in doc:
-        for key, value in doc.get("record", ()):
-            lines.append(f"# {key}: {_cell(value)}")
+        lines.extend(f"# {key}: {_cell(value)}" for key, value in doc.get("record", ()))
         lines.append(",".join(doc["columns"]))
         lines.extend(",".join(_cell(v) for v in row) for row in doc["rows"])
     else:
@@ -411,28 +408,25 @@ def _build_strategy(cfg: argparse.Namespace):
         raise ValidationError(f"--strategy-file and --{kind} are mutually exclusive")
     if path is not None:
         from . import stabilizer
-        built = stabilizer.strategy_from_json(_read_json(path, "strategy file"))
-    elif kind is None:
+        return stabilizer.strategy_from_json(_read_json(path, "strategy file"))
+    if kind is None:
         raise ValidationError(
             "choose a strategy: " + ", ".join(f"--{k}" for k in STRATEGY_KINDS)
         )
-    elif kind == "bell":
-        built = strategy.bell_strategy()
-    elif kind == "two-qubit":
+    if kind == "bell":
+        return strategy.bell_strategy()
+    if kind == "two-qubit":
         if cfg.theta is None:
             raise ValidationError("--two-qubit requires --theta")
-        built = strategy.two_qubit_optimal(parse_angle(cfg.theta))
-    elif kind == "product-zero":
-        built = strategy.product_state_strategy("zero")
-    elif kind == "product-one":
-        built = strategy.product_state_strategy("one")
-    else:
-        from . import stabilizer
-        if kind == "stabilizer-full":
-            built = stabilizer.full_strategy(_build_group(cfg))
-        else:  # stabilizer-generators
-            built = stabilizer.generator_strategy(_build_group(cfg))
-    return built
+        return strategy.two_qubit_optimal(parse_angle(cfg.theta))
+    if kind == "product-zero":
+        return strategy.product_state_strategy("zero")
+    if kind == "product-one":
+        return strategy.product_state_strategy("one")
+    from . import stabilizer
+    if kind == "stabilizer-full":
+        return stabilizer.full_strategy(_build_group(cfg))
+    return stabilizer.generator_strategy(_build_group(cfg))  # stabilizer-generators
 
 
 def cmd_strategy(cfg: argparse.Namespace) -> dict:
@@ -521,13 +515,20 @@ def cmd_simulate(cfg: argparse.Namespace) -> dict:
         device = protocol.iid_adversary(built.target, worst, epsilon=cfg.epsilon)
         record.append(("epsilon", cfg.epsilon))
 
-    sink = None
-    transcript_file = None
+    sink = transcript_file = None
     if cfg.transcript is not None:
         transcript_file = _open_output(cfg.transcript)
+        quoted = {s.label: json.dumps(s.label) for s in built.settings}
 
-        def sink(entry):
-            transcript_file.write(json.dumps(entry) + "\n")
+        def sink(entry):  # the bytes of json.dumps(entry) + "\n", in estimate_power's key order
+            stop = entry["first_failure_index"]
+            line = (f'{{"trial": {entry["trial"]}, "n": {entry["n"]}, "accepted": '
+                    f'{"true" if entry["accepted"] else "false"}, "first_failure_index": '
+                    f'{"null" if stop is None else stop}')
+            if "setting_labels_drawn" in entry:
+                drawn = ", ".join(map(quoted.__getitem__, entry["setting_labels_drawn"]))
+                line += f', "setting_labels_drawn": [{drawn}]'
+            transcript_file.write(line + "}\n")
 
     try:
         stats = protocol.estimate_power(

@@ -366,8 +366,10 @@ def estimate_power(
     """Acceptance frequency over independent trials.
 
     Each trial t replays run_protocol(..., trial=t) exactly. When sink
-    is given it receives one JSON ready dict per trial; setting labels
-    are recorded only on request because they dominate transcript size.
+    is given it receives one JSON ready dict per trial, keyed trial, n,
+    accepted, first_failure_index (None if accepted) and, on request as
+    they dominate transcript size, setting_labels_drawn; the CLI formats
+    these records itself, so their key order is part of the contract.
     The result carries predicted_acceptance of the same plan.
     """
     n, trials = _integer("n", n), _integer("trials", trials)

@@ -280,8 +280,8 @@ def _integer(name: str, value) -> int:
 
 
 def _real(name: str, value) -> float:
-    """value as a float; anything that is not a real number is bad input."""
-    if type(value) is not float and not isinstance(value, numbers.Real):
+    """value as a float; a bool or anything that is not a real number is bad input."""
+    if type(value) is not float and (type(value) is bool or not isinstance(value, numbers.Real)):
         raise ValidationError(f"{name} must be a real number, got {value!r}")
     return float(value)
 

@@ -146,6 +146,24 @@ MUTANTS = [
         "    except BrokenPipeError:\n        raise",
         ("tests/test_cli.py", "-k", "closed_pipe"), 2,
     ),
+    # the transcript formatter: its lines must stay json.dumps of the records
+    Mutant(
+        "transcript-label-separator", "cli.py",
+        'drawn = ", ".join(', 'drawn = ",".join(',
+        ("tests/test_cli.py", "-k", "transcript"), 5,
+    ),
+    Mutant(
+        "transcript-rejected-accepted", "cli.py",
+        '{"true" if entry["accepted"] else "false"}', '{"true" if entry["accepted"] else "true"}',
+        ("tests/test_cli.py", "-k", "transcript"), 9,
+    ),
+    # an odd first chunk starts the next chunk at an odd copy, where the
+    # counter c // 2 resumes one copy's draws early
+    Mutant(
+        "first-chunk-odd", "protocol.py",
+        "_FIRST_CHUNK = 32  #", "_FIRST_CHUNK = 31  #",
+        PROTOCOL, 11,
+    ),
     # closed forms: the Wilson interval's centre, the two-qubit q and the Bell q
     Mutant(
         "wilson-centre", "protocol.py",

@@ -233,6 +233,111 @@ def test_simulate_deterministic_with_transcript(tmp_path):
     assert text == text2
 
 
+# The transcript formatter: the CLI writes each line itself, and its bytes
+# must be json.dumps(record) + "\n" over the records estimate_power gives.
+def _records(built, device, epsilon, n, trials, seed, record_labels):
+    """The records estimate_power hands a sink, for the device cmd_simulate builds."""
+    from qverify import adversary, protocol
+    if device == "honest":
+        model = protocol.honest_device(built.target)
+    else:
+        worst = adversary.worst_case_state(built, epsilon)
+        model = protocol.iid_adversary(built.target, worst, epsilon=epsilon)
+    records = []
+    protocol.estimate_power(
+        built, model, n=n, trials=trials, seed=seed, sink=records.append,
+        record_labels=record_labels,
+    )
+    return records
+
+
+def _transcript(tmp_path, strategy_args, device, epsilon, n, trials, seed, record_labels):
+    """The bytes of the CLI's --transcript for the same run."""
+    path = tmp_path / "runs.jsonl"
+    code, _ = run_cli(
+        ["simulate", *strategy_args, "--device", device, "--epsilon", repr(epsilon),
+         "--n", str(n), "--trials", str(trials), "--seed", str(seed), "--transcript", str(path)]
+        + ["--record-labels"] * record_labels,
+        tmp_path,
+    )
+    assert code == 0
+    return path.read_bytes()
+
+
+def _dumped(records):
+    return "".join(json.dumps(record) + "\n" for record in records).encode()
+
+
+def _ghz4_generators():
+    from qverify import stabilizer
+    return stabilizer.generator_strategy(stabilizer.preset_group("ghz4"))
+
+
+@pytest.mark.parametrize("record_labels", [False, True], ids=["plain", "labels"])
+@pytest.mark.parametrize(
+    "strategy_args,build,device,epsilon,n,trials,seed",
+    [
+        pytest.param(["--bell"], strategy.bell_strategy, "worst-iid", 0.3, 10, 200, 11, id="bell"),
+        pytest.param(["--two-qubit", "--theta", "pi/8"],
+                     lambda: strategy.two_qubit_optimal(math.pi / 8),
+                     "worst-iid", 0.1, 20, 200, 7, id="two-qubit"),
+        pytest.param(["--stabilizer-generators", "--preset", "ghz4"], _ghz4_generators,
+                     "worst-iid", 0.1, 50, 200, 11, id="ghz4-generators"),
+        pytest.param(["--two-qubit", "--theta", "pi/8"],
+                     lambda: strategy.two_qubit_optimal(math.pi / 8),
+                     "honest", 0.1, 30, 100, 3, id="honest-all-accept"),
+        pytest.param(["--bell"], strategy.bell_strategy, "worst-iid", 0.3, 1, 300, 5, id="n1"),
+    ],
+)
+def test_transcript_is_json_dumps_of_the_sink_records(
+    tmp_path, strategy_args, build, device, epsilon, n, trials, seed, record_labels
+):
+    records = _records(build(), device, epsilon, n, trials, seed, record_labels)
+    written = _transcript(tmp_path, strategy_args, device, epsilon, n, trials, seed, record_labels)
+    assert written == _dumped(records)
+    rejected = sum(not record["accepted"] for record in records)
+    if device == "honest":
+        assert rejected == 0 and written.count(b'"first_failure_index": null') == trials
+    else:  # both verdicts, so a formatter that prints one of them shows
+        assert 0 < rejected < trials
+    assert (b'"setting_labels_drawn": [' in written) == record_labels
+
+
+# label characters JSON must escape, or that take two UTF-16 units
+_LABEL_CHARS = st.one_of(
+    st.sampled_from('"\\/\x00\x08\x1f\x7f\n\t\u2028\ud83d\U0001f7ff'),
+    st.characters(min_codepoint=0x10000),
+    st.characters(),
+)
+
+
+@pytest.fixture(scope="module")
+def label_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("labels")
+
+
+@given(
+    labels=st.lists(st.text(_LABEL_CHARS, min_size=1, max_size=6), min_size=3, max_size=3),
+    record_labels=st.booleans(),
+)
+@settings(max_examples=40, deadline=None)
+def test_transcript_of_custom_setting_labels_is_json_dumps_of_the_records(
+    label_dir, labels, record_labels
+):
+    from qverify import stabilizer
+    doc = strategy.to_json_dict(strategy.bell_strategy())
+    for setting, label in zip(doc["settings"], labels):
+        setting["label"] = label
+    path = label_dir / "labelled.json"
+    path.write_text(json.dumps(doc))
+    built = stabilizer.strategy_from_json(json.loads(path.read_text()))
+    assert [s.label for s in built.settings] == labels
+    records = _records(built, "worst-iid", 0.3, 5, 30, 2, record_labels)
+    written = _transcript(label_dir, ["--strategy-file", str(path)], "worst-iid", 0.3, 5, 30, 2,
+                          record_labels)
+    assert written == _dumped(records)
+
+
 def test_simulate_strategy_file_round_trip(tmp_path):
     code, text = run_cli(
         ["strategy", "--two-qubit", "--theta", "0.6", "--format", "json"],

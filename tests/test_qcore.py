@@ -190,3 +190,24 @@ def test_expectation_of_parity():
     assert abs(zz.expectation(bell) - 1.0) < 1e-12
     xx = HermitianOperator(np.kron(PAULI_X, PAULI_X))
     assert abs(xx.expectation(bell) - 1.0) < 1e-12
+
+
+@pytest.mark.parametrize("value", [True, False, np.True_, np.False_])
+def test_a_bool_is_no_real_number_as_it_is_no_integer(value):
+    for read, wording in ((qcore._real, "real number"), (qcore._integer, "integer")):
+        with pytest.raises(ValidationError, match=f"x must be an? {wording}, got "):
+            read("x", value)
+
+
+@pytest.mark.parametrize("value", [True, np.True_])
+def test_a_bool_angle_or_probability_is_bad_input(value):
+    from qverify import samplecount
+    from qverify.strategy import Strategy, StrategyKind, bell_strategy
+    bell = bell_strategy()
+    for call in (
+        lambda: Strategy(bell.target, bell.settings, StrategyKind.BELL, theta=value),
+        lambda: samplecount.check_angle(value),
+        lambda: samplecount.exact_count(value, 0.1),
+    ):
+        with pytest.raises(ValidationError, match="must be a real number, got "):
+            call()
