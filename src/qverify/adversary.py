@@ -14,8 +14,8 @@ two qubit targets sin(theta)|00> + cos(theta)|11>:
   refinement pass, certifies that nothing in the family beats the
   closed-form optimum q = (2 + sin 2theta)/(4 + sin 2theta). At fixed
   phi the computed lambda1 weakly rises and lambda2 weakly falls in
-  alpha, so each phi column's minimum sits at their crossing, found by
-  binary search instead of evaluating every grid cell.
+  alpha, so each phi column's minimum sits at their crossing, read from
+  the equalizing ridge and checked instead of evaluating every grid cell.
 
 * A direct game value. For a strategy that fixes its target the paper's
   identity gives the most favorable state at infidelity at least
@@ -202,11 +202,15 @@ def ridge_alpha(big_p: float, big_t: float) -> float | None:
     """
     big_p, big_t = qcore._real("big_p", big_p), qcore._real("big_t", big_t)
     _check_ridge(big_p, big_t)
+    balance = _ridge_sum(big_p, big_t)
+    return None if balance < 1.0 else 1.0 - 1.0 / balance
+
+
+def _ridge_sum(big_p, big_t):
+    """x + y: lambda1 = 1 - x (1 - alpha) and lambda2 = y (1 - alpha) meet at 1 - 1/(x + y)."""
     x = big_p * (1.0 + big_t) / ((1.0 + big_p) * (big_p + big_t))
     y = 1.0 - (big_t + big_p**2) / (2.0 * (1.0 + big_p) * (big_p + big_t))
-    if x + y < 1.0:
-        return None
-    return 1.0 - 1.0 / (x + y)
+    return x + y
 
 
 def ridge_q(big_p, big_t):
@@ -409,13 +413,19 @@ def _alpha_minimized(big_p: float, big_t: float) -> tuple[float, float]:
     return a_star, float(ridge_q(big_p, big_t))
 
 
-def _first_true(pred, hi: np.ndarray) -> np.ndarray:
+def _first_true(pred, hi: np.ndarray, guess: np.ndarray | None = None) -> np.ndarray:
     """Per column, the least row k in [0, hi] with pred(k), else hi.
 
     pred maps one row index per column to one bool per column and must
-    be monotone (false, then true) down each column.
+    be monotone (false, then true) down each column. A column keeps its
+    guess g (clipped to [0, hi]) when pred(g - 1) is false or g = 0, and
+    pred(g) is true or g = hi; the other columns are binary-searched.
     """
     lo = np.zeros_like(hi)
+    if guess is not None:
+        g = np.clip(guess, 0, hi)
+        kept = ((g == hi) | pred(g)) & ((g == 0) | ~pred(g - 1))
+        lo, hi = np.where(kept, g, lo), np.where(kept, g, hi)
     while np.any(active := lo < hi):
         mid = (lo + hi) // 2
         hit = pred(mid)
@@ -429,21 +439,22 @@ def _grid_min(theta: float, alphas: np.ndarray, phis: np.ndarray):
 
     alphas must ascend. A column's least value is lambda1 at the first
     row k with lambda1 >= lambda2, or lambda2 on the plateau ending at
-    row k - 1, whose first row is found by a second search.
+    row k - 1, whose first row is found by a second search. The first
+    search's guess is the row of the equalizing ridge, the second's k - 1.
     """
     big_t = math.tan(theta) ** 2
     big_p = np.tan(phis) ** 2
     rows = len(alphas)
 
-    def at(k):
-        alpha = alphas[np.minimum(k, rows - 1)]
-        return lambda1(alpha, big_p, big_t), lambda2(alpha, big_p, big_t)
+    def at(fn, k):
+        return fn(alphas[np.minimum(k, rows - 1)], big_p, big_t)
 
-    k = _first_true(lambda r: np.greater_equal(*at(r)), np.full(len(phis), rows))
-    right = np.where(k < rows, at(k)[0], np.inf)
+    ridge = np.searchsorted(alphas, 1.0 - 1.0 / _ridge_sum(big_p, big_t))
+    k = _first_true(lambda r: at(lambda1, r) >= at(lambda2, r), np.full(len(phis), rows), ridge)
+    right = np.where(k < rows, at(lambda1, k), np.inf)
     left_end = np.maximum(k - 1, 0)
-    left = np.where(k > 0, at(left_end)[1], np.inf)
-    left_start = _first_true(lambda r: at(r)[1] <= left, left_end)
+    left = np.where(k > 0, at(lambda2, left_end), np.inf)
+    left_start = _first_true(lambda r: at(lambda2, r) <= left, left_end, k - 1)
     col_min = np.minimum(left, right)
     col_row = np.where(left <= right, left_start, k)
     # stable: among equal (value, row) pairs the first column comes first
@@ -463,9 +474,11 @@ def certify_optimality(
     coarse argmin, then a local polish. Neither grid is swept cell by
     cell: down a phi column the computed lambda1 weakly rises and
     lambda2 weakly falls (each is a chain of correctly rounded
-    operations monotone in 1 - alpha), so a binary search for their
-    crossing finds the column minimum in O(log R) evaluations, with the
-    first-cell tie rule of a full sweep. The landscape valley is much
+    operations monotone in 1 - alpha), so their crossing row, read from
+    the equalizing ridge alpha* = 1 - 1/(x + y) and checked by two
+    evaluations (a binary search where the check fails), gives the
+    column minimum with the first-cell tie rule of a full sweep. The
+    landscape valley is much
     flatter along phi than along alpha (the equalizing ridge), so
     the refinement window spans three coarse cells in alpha but ten in
     phi: the coarse argmin can wander several cells along the valley

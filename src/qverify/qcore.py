@@ -228,8 +228,15 @@ def identity(dim: int) -> HermitianOperator:
 
 
 def _reals(name: str, value) -> np.ndarray:
-    """value as a float array; anything numpy cannot read as reals is bad input."""
+    """value as a float array; a bool anywhere in it, or anything numpy
+    cannot read as reals, is bad input."""
     try:
+        if type(value) is not float:  # a float, the scalar callers' case, needs no scan
+            cells = value if isinstance(value, np.ndarray) else np.asarray(value, dtype=object)
+            if cells.dtype == bool or cells.dtype == object and any(
+                isinstance(cell, (bool, np.bool_)) for cell in cells.flat
+            ):
+                raise TypeError("a bool is no real number")
         return np.asarray(value, dtype=float)
     except (TypeError, ValueError):
         raise ValidationError(f"{name} must be an array of reals, got {value!r}") from None

@@ -539,14 +539,14 @@ def _from_json_dict(doc) -> Strategy:
         fields = [
             (
                 _pairs_to_array(item["projector"], dim * dim, "projector"),
-                float(item["weight"]),
+                qcore._real("weight", item["weight"]),
                 str(item["label"]),
                 Locality(item["locality"]),
             )
             for item in doc["settings"]
         ]
         theta = doc.get("theta")
-        theta = None if theta is None else float(theta)
+        theta = None if theta is None else qcore._real("theta", theta)
     except (LookupError, TypeError, ValueError) as exc:
         raise ValidationError(
             f"malformed strategy document: {type(exc).__name__}: {exc}"

@@ -164,6 +164,25 @@ MUTANTS = [
         "_FIRST_CHUNK = 32  #", "_FIRST_CHUNK = 31  #",
         PROTOCOL, 11,
     ),
+    # the certificate's crossing rows come from the equalizing ridge: each
+    # column's guess must be checked, below it at g - 1 and at g itself
+    Mutant(
+        "ridge-guess-unchecked", "adversary.py",
+        "kept = ((g == hi) | pred(g)) & ((g == 0) | ~pred(g - 1))", "kept = g == g",
+        ("tests/test_adversary.py", "-k", "first_true or grid_min"), 7,
+    ),
+    Mutant(
+        "ridge-guess-check-at-guess", "adversary.py",
+        "((g == 0) | ~pred(g - 1))", "((g == 0) | ~pred(g))",
+        ("tests/test_adversary.py", "-k", "first_true or grid_min"), 4,
+    ),
+    # an array of reals holds no bool, as a real number is none
+    Mutant(
+        "reals-bool", "qcore.py",
+        '                raise TypeError("a bool is no real number")\n',
+        "                pass\n",
+        ("tests/test_qcore.py",), 7,
+    ),
     # closed forms: the Wilson interval's centre, the two-qubit q and the Bell q
     Mutant(
         "wilson-centre", "protocol.py",

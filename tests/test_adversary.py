@@ -713,6 +713,79 @@ def test_grid_min_tie_across_the_crossing_takes_the_left_row():
     assert grid_min_full_sweep(theta, alphas, phis) == (float(l2[0]), 0, 0)
 
 
+@given(data=st.data(), rows=st.integers(min_value=1, max_value=12),
+       cols=st.integers(min_value=1, max_value=6))
+@settings(max_examples=200, deadline=None)
+def test_first_true_with_any_guess_equals_the_binary_search(data, rows, cols):
+    # a monotone table (false, then true, down each column), a search
+    # bound and a guess per column, right or wrong: guesses outside
+    # [0, hi] and off the crossing must fall back to the binary search
+    column = st.integers(min_value=0, max_value=rows)
+    first = np.array(data.draw(st.lists(column, min_size=cols, max_size=cols)))
+    hi = np.array(data.draw(st.lists(column, min_size=cols, max_size=cols)))
+    guess = np.array(data.draw(st.lists(st.integers(-2, rows + 2), min_size=cols,
+                                        max_size=cols)))
+    table = np.arange(rows)[:, None] >= first[None, :]
+
+    def pred(r):
+        return table[np.clip(r, 0, rows - 1), np.arange(cols)]
+
+    searched = adversary._first_true(pred, hi)
+    assert np.array_equal(adversary._first_true(pred, hi, guess), searched)
+    assert np.array_equal(searched, np.minimum(first, hi))
+
+
+# wrong guesses for _first_true: the first row, the last bound (the first
+# search's bound is the row count) and random rows, some outside [0, hi]
+WRONG_GUESSES = {
+    "zeros": lambda hi, rng: np.zeros_like(hi),
+    "rows": lambda hi, rng: np.full_like(hi, hi.max()),
+    "random": lambda hi, rng: rng.integers(-2, hi.max() + 3, size=hi.shape),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(WRONG_GUESSES))
+def test_grid_min_with_wrong_guesses_matches_full_sweep(kind, monkeypatch):
+    # every column's guess is checked: with wrong ones the binary search
+    # finds the same cells, on the certificate's grids and on tie grids
+    first_true, wrong, rng = adversary._first_true, WRONG_GUESSES[kind], np.random.default_rng(7)
+    monkeypatch.setattr(
+        adversary, "_first_true", lambda pred, hi, guess=None: first_true(pred, hi, wrong(hi, rng))
+    )
+    for theta in CERT_THETAS + [0.6, 1.2]:
+        alphas = np.linspace(0.0, 1.0, 60)
+        phis = np.linspace(0.0, math.pi / 2, 62)[1:-1]
+        assert_grid_min_matches_sweep(theta, alphas, phis)
+        assert_grid_min_matches_sweep(theta, np.linspace(0.2, 0.5, 90), np.linspace(0.3, 1.1, 90))
+        tied_alphas = np.repeat(np.linspace(0.0, 1.0, 13), 2)
+        assert_grid_min_matches_sweep(theta, tied_alphas, np.tile(np.linspace(0.2, 1.4, 7), 2))
+
+
+@pytest.mark.parametrize("theta", CERT_THETAS)
+def test_grid_min_reads_the_crossing_from_the_ridge(theta, monkeypatch):
+    # the ridge row passes its check in every column: a coarse (400) and a
+    # refinement (4000) grid each evaluate lambda1 at most 6 times, where a
+    # binary search per column takes 17 to 25
+    counts, calls = [], [0]
+    real_lambda1, real_grid_min = adversary.lambda1, adversary._grid_min
+
+    def counted_lambda1(*args):
+        calls[0] += 1
+        return real_lambda1(*args)
+
+    def counted_grid_min(*args):
+        calls[0] = 0
+        found = real_grid_min(*args)
+        counts.append((len(args[1]), calls[0]))
+        return found
+
+    monkeypatch.setattr(adversary, "lambda1", counted_lambda1)
+    monkeypatch.setattr(adversary, "_grid_min", counted_grid_min)
+    assert certify_optimality(theta).passed
+    assert [rows for rows, _ in counts] == [400, 4000]
+    assert all(evaluations <= 6 for _, evaluations in counts), counts
+
+
 @given(
     theta=st.floats(min_value=1e-3, max_value=math.pi / 2 - 1e-3),
     phi=st.floats(min_value=1e-6, max_value=math.pi / 2 - 1e-6),

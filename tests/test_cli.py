@@ -557,7 +557,7 @@ def _bad_input_cases(tmp_path):
     nan_target["target"][0] = [math.nan, 0.0]
     (tmp_path / "nan_target.json").write_text(json.dumps(nan_target))
     nan_theta = strategy.to_json_dict(strategy.two_qubit_optimal(0.6))
-    nan_theta["theta"] = "nan"
+    nan_theta["theta"] = math.nan
     (tmp_path / "nan_theta.json").write_text(json.dumps(nan_theta))
     two_qubit = strategy.to_json_dict(strategy.two_qubit_optimal(0.6))
     (tmp_path / "two_qubit.json").write_text(json.dumps(two_qubit))
@@ -640,6 +640,35 @@ def test_bad_input_exits_2(tmp_path, capsys, case):
     assert code == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "Error: " in err
+
+
+@pytest.mark.parametrize(
+    "build,field,value",
+    [
+        ("product", "weight", True), ("product", "weight", "1.0"),
+        ("two-qubit", "theta", True), ("two-qubit", "theta", "0.6"),
+    ],
+)
+def test_a_strategy_file_weight_or_theta_must_be_a_real_number(
+    tmp_path, capsys, build, field, value
+):
+    # the product strategy's one setting has weight 1: true or "1.0" would
+    # read as that weight; theta true would read as 1.0
+    doc = strategy.to_json_dict(
+        strategy.product_state_strategy("zero") if build == "product"
+        else strategy.two_qubit_optimal(0.6)
+    )
+    path = tmp_path / "s.json"
+    args = ["simulate", "--strategy-file", str(path), "--n", "5", "--trials", "10", "--seed", "1"]
+    path.write_text(json.dumps(doc))
+    assert main(args) == 0
+    capsys.readouterr()
+    (doc["settings"][0] if field == "weight" else doc)[field] = value
+    path.write_text(json.dumps(doc))
+    assert main(args) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: ValidationError: {field} must be a real number, got {value!r}\n"
 
 
 @pytest.mark.parametrize(

@@ -199,6 +199,28 @@ def test_a_bool_is_no_real_number_as_it_is_no_integer(value):
             read("x", value)
 
 
+@pytest.mark.parametrize(
+    "value",
+    [True, np.False_, np.array([True, False]), [0.5, True], (1.0, np.True_), [[0.5], [True]],
+     np.array([0.5, True], dtype=object)],
+)
+def test_a_bool_in_an_array_of_reals_is_bad_input(value):
+    from qverify.adversary import ridge_alpha, ridge_q
+    with pytest.raises(ValidationError, match="x must be an array of reals, got "):
+        qcore._reals("x", value)
+    # the array reader and the scalar one agree
+    for call in (lambda: ridge_q(value, 1.0), lambda: ridge_alpha(value, 1.0)):
+        with pytest.raises(ValidationError):
+            call()
+
+
+def test_an_array_of_reals_reads_ints_floats_and_nested_lists():
+    assert qcore._reals("x", 0.25).tolist() == 0.25
+    assert qcore._reals("x", [1, 2.5, np.float32(0.5)]).tolist() == [1.0, 2.5, 0.5]
+    assert qcore._reals("x", np.arange(3)).dtype == float
+    assert qcore._reals("x", [[1, 2], [3, 4]]).shape == (2, 2)
+
+
 @pytest.mark.parametrize("value", [True, np.True_])
 def test_a_bool_angle_or_probability_is_bad_input(value):
     from qverify import samplecount

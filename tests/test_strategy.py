@@ -387,10 +387,14 @@ def test_a_fraction_weight_gives_the_omega_of_its_float():
 
 def test_from_json_theta_is_a_float_or_none():
     doc = to_json_dict(two_qubit_optimal(0.6))
-    doc["theta"] = "0.6"
     assert strategy_from_json(doc).theta == 0.6
     doc["theta"] = None
     assert strategy_from_json(doc).theta is None
+    # theta is read as qcore._real reads a real: a numeric string or a bool is bad input
+    for bad in ("0.6", True):
+        doc["theta"] = bad
+        with pytest.raises(ValidationError, match="theta must be a real number"):
+            strategy_from_json(doc)
 
 
 @pytest.mark.parametrize("epsilon", [0.0, 1.0, 2.0, -0.1, float("nan")])
