@@ -44,7 +44,7 @@ from .errors import QVerifyError, ValidationError
 
 PROG = "qverify"
 
-OUTPUT_VERSION = 9  # moves with every intended change to any output's bytes
+OUTPUT_VERSION = 10  # moves with every intended change to any output's bytes
 
 STDOUT_CLOSED = 141  # 128 + SIGPIPE: how a shell reports a writer whose reader has gone
 

@@ -227,16 +227,26 @@ def identity(dim: int) -> HermitianOperator:
     return HermitianOperator(np.eye(dim, dtype=complex))
 
 
+def _all_reals(cells: np.ndarray) -> bool:
+    """Whether every cell of an array is a real number as _real reads one:
+    no bool, str or bytes, and an array cell holds only reals."""
+    if cells.dtype != object:
+        return cells.dtype.kind in "iuf"
+    return all(
+        _all_reals(cell) if isinstance(cell, np.ndarray)
+        else type(cell) is not bool and isinstance(cell, numbers.Real)
+        for cell in cells.flat
+    )
+
+
 def _reals(name: str, value) -> np.ndarray:
-    """value as a float array; a bool anywhere in it, or anything numpy
-    cannot read as reals, is bad input."""
+    """value as a float array; a cell that is no real number (a bool, a
+    numeric str), or anything numpy cannot read as reals, is bad input."""
     try:
         if type(value) is not float:  # a float, the scalar callers' case, needs no scan
             cells = value if isinstance(value, np.ndarray) else np.asarray(value, dtype=object)
-            if cells.dtype == bool or cells.dtype == object and any(
-                isinstance(cell, (bool, np.bool_)) for cell in cells.flat
-            ):
-                raise TypeError("a bool is no real number")
+            if not _all_reals(cells):
+                raise TypeError("no array of reals")
         return np.asarray(value, dtype=float)
     except (TypeError, ValueError):
         raise ValidationError(f"{name} must be an array of reals, got {value!r}") from None
@@ -312,18 +322,6 @@ def tensor(a, b):
     if isinstance(a, HermitianOperator) and isinstance(b, HermitianOperator):
         return HermitianOperator(np.kron(a.entries, b.entries))
     raise ValidationError("tensor takes two Kets or two HermitianOperators")
-
-
-def _fix_phase(column: np.ndarray) -> np.ndarray:
-    """Rotate a vector's global phase so its largest amplitude is real positive.
-
-    Ties on magnitude (within TOL_INPUT) resolve to the lowest index.
-    """
-    mags = np.abs(column)
-    top = float(mags.max())
-    pivot = int(np.flatnonzero(mags >= top - TOL_INPUT)[0])
-    phase = column[pivot] / abs(column[pivot])
-    return column / phase
 
 
 def partial_transpose_qubit2(op: HermitianOperator) -> HermitianOperator:

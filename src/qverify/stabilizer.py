@@ -32,15 +32,19 @@ significant first); _column_syndromes alone converts.
 
 Element table. StabilizerGroup.table holds every element's (x, z, phase)
 as one read-only int64 array, built by doubling once per generator, and
-every stabilizer number is derived from it by array arithmetic: the
-PauliString elements, each element's permutation of the basis, which the
-protocol plan reads a device's state at, and every stabilizer vector:
-each is a column of a signed element sum sum_m c(m) P_m with dyadic c,
-whose diagonal and columns _signed_sums gives for a batch of
-coefficient rows at once. Only the PauliString constructor checks a
-string's fields: the elements and settings are assembled from table
-columns unchecked, as products of checked, pairwise commuting Hermitian
-Pauli strings are valid Hermitian Pauli strings.
+every stabilizer number is derived from it by array passes: the
+PauliString elements, every label (_labels: one letter table, one sign
+rule), and every stabilizer vector: each is a column of a signed element
+sum sum_m c(m) P_m with dyadic c, whose diagonal and columns _signed_sums
+gives for a batch of coefficient rows at once. Only the PauliString
+constructor checks a string's fields: the elements and settings are
+assembled from table columns unchecked, as products of checked, pairwise
+commuting Hermitian Pauli strings are valid Hermitian Pauli strings.
+
+Frame. A local Clifford U takes every group element to a signed Z string
+(StabilizerGroup._frame), so a state's syndrome probabilities are its
+weights in U's basis, and the pass probabilities of all elements one
+Walsh-Hadamard transform of them.
 
 Every strategy here, full, generators or a chosen subset, is a
 PauliStrategy: group, element indices, kind and pass counts, and no
@@ -48,8 +52,8 @@ projector. Its constructor is the one place a stabilizer strategy's
 group, kind and element indices are checked; subset_strategy wraps the
 one it builds in a SubsetReport. Metrics, the worst-case state and game
 value (adversary) and the protocol plan read the counts, the joint
-eigenvectors or the element table and build no 2^N x 2^N array, so they
-work to MAX_QUBITS; only the dense ParityCheck eigenbasis stops at
+eigenvectors or the frame and build no 2^N x 2^N array, so they work to
+MAX_QUBITS; only the dense ParityCheck eigenbasis stops at
 MAX_DENSE_QUBITS.
 """
 
@@ -70,15 +74,15 @@ from .errors import (
     NonCommutingError,
     ValidationError,
 )
-from .qcore import MAX_QUBITS, TOL_DERIVED, HermitianOperator, Ket
+from .qcore import MAX_QUBITS, TOL_DERIVED, TOL_INPUT, HermitianOperator, Ket, _new
 from .samplecount import StrategyMetrics
 from .strategy import Locality, Strategy, StrategyKind, _from_json_dict
 
 # The dense ParityCheck eigenbasis stops here.
 MAX_DENSE_QUBITS = 6
 
-_LETTER_TO_BITS = {"I": (0, 0), "X": (1, 0), "Y": (1, 1), "Z": (0, 1)}
-_BITS_TO_LETTER = {bits: letter for letter, bits in _LETTER_TO_BITS.items()}
+# The letter of x and z bits is _LETTERS[x + 2 z].
+_LETTERS = "IXZY"
 
 # i^phase for phase = 0, 1, 2, 3.
 _PHASES = np.array([1, 1j, -1, -1j])
@@ -90,6 +94,15 @@ def _parity(values):
     for shift in (16, 8, 4, 2, 1):
         v = v ^ (v >> shift)
     return v & 1
+
+
+def _popcount(values):
+    """Number of set bits of each entry (entries below 2^32)."""
+    v = np.asarray(values, dtype=np.int64)
+    masks = (0x55555555, 0x33333333, 0x0F0F0F0F, 0x00FF00FF, 0x0000FFFF)
+    for shift, mask in zip((1, 2, 4, 8, 16), masks):  # add neighbouring shift-bit counts
+        v = (v & mask) + (v >> shift & mask)
+    return v
 
 
 def _act(x, z, coeff, index):
@@ -134,10 +147,10 @@ class PauliString:
             raise ValidationError(f"no Pauli letters in {label!r}")
         x = z = 0
         for ch in body:
-            if ch not in _LETTER_TO_BITS:
+            code = _LETTERS.find(ch)
+            if code < 0:
                 raise ValidationError(f"bad Pauli letter in {label!r}: {ch!r}")
-            xb, zb = _LETTER_TO_BITS[ch]
-            x, z = x << 1 | xb, z << 1 | zb
+            x, z = x << 1 | code & 1, z << 1 | code >> 1
         negative = label.startswith("-")
         return cls(len(body), x, z, ((x & z).bit_count() + 2 * negative) % 4)
 
@@ -147,9 +160,7 @@ class PauliString:
 
     @property
     def label(self) -> str:
-        bits = ((self.x >> k & 1, self.z >> k & 1) for k in range(self.num_qubits))
-        letters = "".join(_BITS_TO_LETTER[xz] for xz in bits)[::-1]
-        return ("-" if self.sign < 0 else "") + letters
+        return _labels(self.num_qubits, np.array([[self.x], [self.z], [self.phase]]))[0]
 
     @property
     def is_identity_letters(self) -> bool:
@@ -205,6 +216,37 @@ def _walsh(values: np.ndarray) -> np.ndarray:
     return values
 
 
+def _gauss_jordan(rows) -> tuple[dict[int, tuple[int, int]], list[int]]:
+    """GF(2) rows (a, b) of masks, reduced on a: ({pivot bit: row}, the b of
+    each row whose a reduced to 0). No pivot row's a holds another's pivot."""
+    pivots, rest = {}, []
+    for a, b in rows:
+        for bit, (pa, pb) in pivots.items():
+            if a >> bit & 1:
+                a, b = a ^ pa, b ^ pb
+        if not a:
+            rest.append(b)
+            continue
+        bit = a.bit_length() - 1
+        for key, (pa, pb) in pivots.items():
+            if pa >> bit & 1:
+                pivots[key] = pa ^ a, pb ^ b
+        pivots[bit] = a, b
+    return pivots, rest
+
+
+def _clifford(rows: np.ndarray, axes: tuple[int, ...], phases: np.ndarray) -> np.ndarray:
+    """H^N D H_Q applied to each row of a (k, 2^N) stack, times 2^((|Q| + N)/2),
+    as a new array: H_Q is H on the qubits at tensor axes axes, D the
+    diagonal phases and H^N H on every qubit, each H layer one _walsh."""
+    k, n = len(rows), len(phases).bit_length() - 1
+    ends = tuple(range(n + 1 - len(axes), n + 1))
+    tensor = np.array(np.moveaxis(rows.reshape((k,) + (2,) * n), axes, ends), complex, order="C")
+    _walsh(tensor.reshape(-1, 1 << len(axes)))
+    out = np.moveaxis(tensor, ends, axes).reshape(k, -1) * phases
+    return _walsh(out)
+
+
 def _pass_counts(indices, num_qubits: int) -> np.ndarray:
     """Entry s counts the chosen element indices m with |m & s| even.
 
@@ -250,11 +292,44 @@ def _count_metrics(counts: np.ndarray) -> StrategyMetrics:
 
 def _products(n: int, table: np.ndarray) -> tuple[PauliString, ...]:
     """The PauliStrings on n qubits whose (x, z, phase) are columns of a
-    checked group's table: products of its generators, not checked again."""
-    return tuple(
-        qcore._assembled(PauliString, num_qubits=n, x=x, z=z, phase=phase)
-        for x, z, phase in zip(*table.tolist())
-    )
+    checked group's table: products of its generators, not checked again,
+    so each one's fields go straight into its instance dict."""
+    products = []
+    for x, z, phase in table.T.tolist():
+        p = _new(PauliString)
+        fields = p.__dict__
+        fields["num_qubits"], fields["x"], fields["z"], fields["phase"] = n, x, z, phase
+        products.append(p)
+    return tuple(products)
+
+
+def _labels(n: int, table: np.ndarray) -> list[str]:
+    """The label of each (x, z, phase) column of table on n qubits: n letters,
+    after a '-' where phase is not |x & z| mod 4. Each row of UCS-4 codes is
+    viewed as a string: '-' and the letters, or the letters and a NUL, which
+    numpy drops."""
+    xs, zs, phases = table
+    bits = np.arange(n - 1, -1, -1)  # qubit 0 is the most significant bit
+    letters = np.frombuffer(_LETTERS.encode("utf-32-le"), dtype="<u4")[
+        (xs[:, None] >> bits & 1) + 2 * (zs[:, None] >> bits & 1)
+    ]
+    negative = phases != _popcount(xs & zs) % 4
+    codes = np.zeros((len(xs), n + 1), dtype="<u4")
+    codes[negative, 0] = ord("-")
+    codes[negative, 1:] = letters[negative]
+    codes[~negative, :n] = letters[~negative]
+    return codes.view(f"<U{n + 1}").ravel().tolist()
+
+
+def _unit_rows(rows: np.ndarray) -> np.ndarray:
+    """Each row of a complex (k, d) stack normalized, then divided by its
+    pivot's phase: the pivot is the row's first entry within TOL_INPUT of its
+    largest magnitude, which so becomes real positive."""
+    rows = rows / np.sqrt((rows.real**2 + rows.imag**2).sum(axis=1))[:, None]
+    mags = np.abs(rows)
+    pivots = (mags >= mags.max(axis=1)[:, None] - TOL_INPUT).argmax(axis=1)
+    picked = rows[np.arange(len(rows)), pivots]
+    return rows / (picked / np.abs(picked))[:, None]
 
 
 @dataclass(frozen=True, eq=False)
@@ -336,13 +411,42 @@ class StabilizerGroup:
         dim = 2**self.num_qubits
         coeffs = (1 - 2 * _parity(syndromes[:, None] & np.arange(dim))) / dim
         diagonal, columns = _signed_sums(self.table, coeffs, dim)
-        rows = [qcore._fix_phase(v / float(np.linalg.norm(v)))
-                for v in columns(diagonal.argmax(axis=1))]
-        return np.array(rows, dtype=complex).reshape(len(syndromes), dim)
+        return _unit_rows(columns(diagonal.argmax(axis=1)))
 
     def state(self) -> Ket:
         """The unique stabilized state (syndrome 0)."""
         return Ket(self._joint_eigenvectors([0])[0])
+
+    @cached_property
+    def _frame(self) -> tuple[tuple[int, ...], np.ndarray, np.ndarray]:
+        """(axes, phases, syndromes) of a local Clifford U = H^N D H_Q taking
+        generator j to +-Z^w_j: b has syndrome bit j |w_j & (b ^ b0)| mod 2, U
+        taking the target to b0 (read as the largest |U target| entry). The
+        state is local-Clifford equivalent to a graph state (Van den Nest,
+        Dehaene and De Moor, PRA 69, 022316, 2004); by GF(2) elimination:
+        the X block's pivots P leave Z-only rows of full rank outside P, with
+        pivots Q. After H on Q the X block is invertible, w_j is generator
+        j's x mask, and reduced to X = I the Z block is a symmetric Gamma.
+        D = i^|b & diag Gamma| (-1)^(b^T Gamma_upper b) (S and CZ) makes
+        every generator X-type, and H on every qubit Z-type. axes hold Q's
+        tensor axes (axis 1 + a is qubit a) and phases D's diagonal.
+        """
+        n, dim = self.num_qubits, 2**self.num_qubits
+        masks = [(g.x, g.z) for g in self.generators]
+        pivots, z_only = _gauss_jordan(masks)
+        p_mask = sum(1 << bit for bit in pivots)
+        q_mask = sum(1 << bit for bit in _gauss_jordan((z & ~p_mask, 0) for z in z_only)[0])
+        swapped = [(x & ~q_mask | z & q_mask, z & ~q_mask | x & q_mask) for x, z in masks]
+        gamma = {bit: z for bit, (_, z) in _gauss_jordan(swapped)[0].items()}
+        diagonal = sum(z & 1 << bit for bit, z in gamma.items())
+        b = np.arange(dim)
+        upper = sum((b >> bit & 1) * _parity(b & z & -(2 << bit)) for bit, z in gamma.items())
+        phases = _PHASES[(_popcount(b & diagonal) + 2 * upper) % 4]
+        axes = tuple(n - bit for bit in range(n) if q_mask >> bit & 1)
+        b0 = int(np.abs(_clifford(self.state().amplitudes[None], axes, phases)[0]).argmax())
+        w = np.array([x for x, _ in swapped])
+        syndromes = _parity((b ^ b0)[:, None] & w) @ (1 << np.arange(n))
+        return axes, phases, syndromes
 
 
 def _preset_size(num_qubits, low: int) -> int:
@@ -558,10 +662,10 @@ class PauliStrategy:
     def settings(self) -> tuple[PauliTest, ...]:
         """One test per chosen element; only those k elements are assembled."""
         weight, group = 1.0 / len(self.indices), self.group
-        chosen = _products(group.num_qubits, group.table[:, list(self.indices)])
+        labels = _labels(group.num_qubits, group.table[:, list(self.indices)])
         return tuple(
-            PauliTest(p.label, weight, Locality.STABILIZER_PAULI, m)
-            for p, m in zip(chosen, self.indices)
+            PauliTest(label, weight, Locality.STABILIZER_PAULI, m)
+            for label, m in zip(labels, self.indices)
         )
 
     @cached_property
@@ -583,18 +687,20 @@ class PauliStrategy:
         return 1.0 - (psi * psi.conj()).real - diagonal[0], column
 
     def pass_probabilities(self, state: Ket | HermitianOperator | np.ndarray) -> np.ndarray:
-        """(1 + Re <P_m>)/2 for each chosen element m: with P_m|b> = coeff |image>,
-        <P_m> sums coeff x_b conj(x_image) (a Ket x) or coeff sigma[b, image], in
-        O(k 2^N) after _state's O(8^N) density check (per operator, or per array)."""
+        """(1 + <P_m>)/2 for each chosen element m, read in the group's frame U
+        (StabilizerGroup._frame): the weights <b|U sigma U^dagger|b> summed by
+        syndrome give p(s), and <P_m> = sum_s p(s) (-1)^|m & s|. O(N 2^N) for a
+        Ket, O(N 4^N) for an operator after _state's O(8^N) density check."""
         state = qcore._state("state", state, self.dim)
-        cols = np.arange(self.dim)
-        ket = state.amplitudes if isinstance(state, Ket) else None
-        means = np.empty(len(self.indices))
-        for i, (x, z, phase) in enumerate(self.group.table[:, list(self.indices)].T.tolist()):
-            image, coeff = _act(x, z, _PHASES[phase], cols)
-            pairs = state.entries[cols, image] if ket is None else ket * ket[image].conj()
-            means[i] = (pairs * coeff).sum().real
-        return (1.0 + means) / 2.0
+        axes, phases, syndromes = self.group._frame
+        if isinstance(state, Ket):
+            framed = _clifford(state.amplitudes[None], axes, phases)[0]
+            weights = framed.real**2 + framed.imag**2
+        else:
+            half = _clifford(state.entries.T, axes, phases)  # (U sigma)^T, unnormalized
+            weights = _clifford(half.conj().T, axes, phases).diagonal().real
+        means = _walsh(np.bincount(syndromes, weights, self.dim))[list(self.indices)]
+        return (1.0 + means / 2.0 ** (len(axes) + self.group.num_qubits)) / 2.0
 
 
 @dataclass(frozen=True, eq=False)

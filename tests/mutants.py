@@ -46,6 +46,7 @@ class Mutant(NamedTuple):
 
 
 PROTOCOL = ("tests/test_protocol.py",)
+STABILIZER_ARRAYS = ("tests/test_stabilizer_arrays.py",)
 
 MUTANTS = [
     # the sampler's guide-table pick (protocol._picker); random draws never
@@ -179,9 +180,50 @@ MUTANTS = [
     # an array of reals holds no bool, as a real number is none
     Mutant(
         "reals-bool", "qcore.py",
-        '                raise TypeError("a bool is no real number")\n',
-        "                pass\n",
-        ("tests/test_qcore.py",), 7,
+        "else type(cell) is not bool and isinstance(cell, numbers.Real)",
+        "else isinstance(cell, numbers.Real)",
+        ("tests/test_qcore.py",), 4,
+    ),
+    # the stabilizer layer's array passes: the row pivot's tie window, the
+    # label letters and sign, and the local-Clifford frame of the pass
+    # probabilities (its target image b0, its H qubits Q, Gamma's diagonal)
+    Mutant(
+        "row-pivot-window", "stabilizer.py",
+        "mags.max(axis=1)[:, None] - TOL_INPUT", "mags.max(axis=1)[:, None] + TOL_INPUT",
+        STABILIZER_ARRAYS, 43,
+    ),
+    Mutant(
+        "label-letters", "stabilizer.py",
+        '_LETTERS = "IXZY"', '_LETTERS = "IXYZ"',
+        STABILIZER_ARRAYS, 29,
+    ),
+    Mutant(
+        "label-sign-mod-2", "stabilizer.py",
+        "phases != _popcount(xs & zs) % 4", "phases != _popcount(xs & zs) % 2",
+        STABILIZER_ARRAYS, 22,
+    ),
+    Mutant(
+        "frame-b0-off-by-one-bit", "stabilizer.py",
+        "[0]).argmax())", "[0]).argmax()) ^ 1",
+        STABILIZER_ARRAYS, 64,
+    ),
+    Mutant(
+        "frame-q-from-p", "stabilizer.py",
+        "q_mask = sum(1 << bit for bit in _gauss_jordan((z & ~p_mask, 0) for z in z_only)[0])",
+        "q_mask = p_mask",
+        STABILIZER_ARRAYS, 44,
+    ),
+    Mutant(
+        "frame-gamma-diagonal-dropped", "stabilizer.py",
+        "diagonal = sum(z & 1 << bit for bit, z in gamma.items())", "diagonal = 0",
+        STABILIZER_ARRAYS, 44,
+    ),
+    # the full and generator stabilizer q, read from the pass counts
+    Mutant(
+        "stabilizer-q", "stabilizer.py",
+        "StrategyMetrics(int(counts[1:].max()) / k, ",
+        "StrategyMetrics(int(counts[1:].max()) / k + 1e-9, ",
+        ("tests/test_pauli_strategy.py", "tests/test_stabilizer.py"), 202,
     ),
     # closed forms: the Wilson interval's centre, the two-qubit q and the Bell q
     Mutant(

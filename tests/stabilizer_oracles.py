@@ -16,7 +16,11 @@ worst-case projector, which the signed-element-sum primitive replaced,
 are kept here too, and the primitive must match them bit for bit. So
 are the label-built presets, which the mask-built ones replaced, and the
 GF(2) rank of generator rows, which the element table's test of
-independence replaced.
+independence replaced. The array passes replaced three more loops, kept
+here: the per-row normalization and phase fix of the joint eigenvectors
+(bitwise equal), the letter-by-letter label (equal), and the
+element-at-a-time pass probabilities, which the local-Clifford frame
+matches within a bound, as its sums run in another order.
 """
 
 import math
@@ -26,7 +30,7 @@ import numpy as np
 
 from qverify import qcore
 from qverify.errors import BadDimError, ValidationError
-from qverify.qcore import MAX_QUBITS, TOL_DERIVED, Ket, _fix_phase
+from qverify.qcore import MAX_QUBITS, TOL_DERIVED, TOL_INPUT, Ket
 from qverify.samplecount import StrategyMetrics
 from qverify.stabilizer import (
     _PHASES,
@@ -37,6 +41,7 @@ from qverify.stabilizer import (
     _count_metrics,
     _parity,
     _pass_counts,
+    _signed_sums,
     _walsh,
     group_from_json,
 )
@@ -138,6 +143,60 @@ def random_group(num_qubits, rng, gates=None):
 # ------------------------------------------------------------ retired routes
 
 
+def fix_phase(column):
+    """Rotate a vector's global phase so its largest amplitude is real positive.
+
+    Ties on magnitude (within TOL_INPUT) resolve to the lowest index.
+    """
+    mags = np.abs(column)
+    top = float(mags.max())
+    pivot = int(np.flatnonzero(mags >= top - TOL_INPUT)[0])
+    phase = column[pivot] / abs(column[pivot])
+    return column / phase
+
+
+def unit_rows_one_at_a_time(rows):
+    """Each row divided by its np.linalg.norm, then phase fixed by fix_phase."""
+    fixed = [fix_phase(v / float(np.linalg.norm(v))) for v in rows]
+    return np.array(fixed, dtype=complex).reshape(np.shape(rows))
+
+
+def joint_eigenvectors_by_rows(group, syndromes):
+    """Row i: the signed-sum column of syndrome i's projector at its largest
+    diagonal entry, as StabilizerGroup._joint_eigenvectors reads it, made a
+    unit vector row by row (unit_rows_one_at_a_time)."""
+    syndromes = np.asarray(syndromes, dtype=np.int64)
+    dim = 2**group.num_qubits
+    coeffs = (1 - 2 * _parity(syndromes[:, None] & np.arange(dim))) / dim
+    diagonal, columns = _signed_sums(group.table, coeffs, dim)
+    return unit_rows_one_at_a_time(columns(diagonal.argmax(axis=1)))
+
+
+_BITS_TO_LETTER = {(0, 0): "I", (1, 0): "X", (1, 1): "Y", (0, 1): "Z"}
+
+
+def label_by_letters(pauli):
+    """A PauliString's label, one letter per qubit from its mask bits."""
+    bits = ((pauli.x >> k & 1, pauli.z >> k & 1) for k in range(pauli.num_qubits))
+    letters = "".join(_BITS_TO_LETTER[xz] for xz in bits)[::-1]
+    return ("-" if pauli.sign < 0 else "") + letters
+
+
+def pass_probabilities_by_elements(strategy, state):
+    """(1 + Re <P_m>)/2 for each chosen element m of a PauliStrategy, one
+    element at a time: with P_m|b> = coeff |image>, <P_m> sums
+    coeff x_b conj(x_image) (a Ket x) or coeff sigma[b, image]."""
+    state = qcore._state("state", state, strategy.dim)
+    cols = np.arange(strategy.dim)
+    ket = state.amplitudes if isinstance(state, Ket) else None
+    means = np.empty(len(strategy.indices))
+    for i, (x, z, phase) in enumerate(strategy.group.table[:, list(strategy.indices)].T.tolist()):
+        image, coeff = _act(x, z, _PHASES[phase], cols)
+        pairs = state.entries[cols, image] if ket is None else ket * ket[image].conj()
+        means[i] = (pairs * coeff).sum().real
+    return (1.0 + means) / 2.0
+
+
 def elements_by_products(group):
     """All 2^k elements by a PauliString.__mul__ chain, in element-index order."""
     out = [PauliString(group.num_qubits, 0, 0)]
@@ -164,7 +223,7 @@ def joint_eigenvector(group, syndrome):
         for vec in amps:
             norm = float(np.linalg.norm(vec))
             if norm > TOL_DERIVED:
-                return _fix_phase(vec / norm)
+                return fix_phase(vec / norm)
     raise AssertionError("group projects every basis state to zero")
 
 
@@ -294,8 +353,7 @@ def gf2_joint_eigenvectors(group, syndromes):
     for part, unit in ((amps.real, _PHASES.real), (amps.imag, _PHASES.imag)):
         weights = (signs * unit[phases] / len(xs)).ravel()
         part[:] = np.bincount(flat.ravel(), weights, amps.size).reshape(amps.shape)
-    rows = [_fix_phase(v / float(np.linalg.norm(v))) for v in amps]
-    return np.array(rows, dtype=complex).reshape(len(starts), dim)
+    return unit_rows_one_at_a_time(amps)
 
 
 def syndrome_projector(strategy):

@@ -117,7 +117,13 @@ CASES = {
 # read N, 2^N and true for every group, as every group is maximal. The
 # four samplecount bodies and stabilizer-inspect change; every other case
 # moves only in its version line or field, and both JSONL transcripts keep
-# their digests. A new version needs a new digest set here.
+# their digests. Version 10 reads a stabilizer strategy's pass probabilities
+# in the group's local-Clifford frame, whose sums run in another order than
+# the element-at-a-time loop's: simulate-cluster12-generators changes in the
+# last digits of predicted_acceptance (0.8458908104138062 became
+# 0.8458908104137949); every other case moves only in its version line or
+# field, and both JSONL transcripts keep their digests. A new version needs
+# a new digest set here.
 GOLDEN = {
     2: {
         "figure-fig1": {
@@ -602,6 +608,74 @@ GOLDEN = {
         },
         "strategy-two-qubit-json": {
             "stdout": "4f7d3f370cf168a7fa7e4457256f0f096a121fcc1eae2ca3f9ee0d86beabbbf7",
+        },
+    },
+    10: {
+        "figure-fig1": {
+            "stdout": "18833f0abc639beb4ffa9f11c215d27daf9498e9f309b4b37fc6ba51925c51bb",
+        },
+        "figure-fig2-out-json": {
+            "stdout": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+            "--out": "21bef65f59274d1c2c3e55bec794cc35734ac86bcca039ef2c6b6bd6b899fcb9",
+        },
+        "figure-figS1": {
+            "stdout": "7958ec29899c7f0162a350541982525422c553ad6cfd2ba6e7dcd13d26a4ebcd",
+        },
+        "figure-figS2": {
+            "stdout": "0c140e85f0e511d87e510d53e733c521a5e6ccbc6b44407b8e20a2109ef7e543",
+        },
+        "landscape-json": {
+            "stdout": "1e00e208fd77f55fa8ebdfcf9bbb581ec40453f5898d3fc7813a9f066fdde42a",
+        },
+        "samplecount-bell": {
+            "stdout": "632f899b5cd90b32a09b819773ed341e7c53d7fe6035714c4080dace4ab37c05",
+        },
+        "samplecount-ghz12": {
+            "stdout": "75a7941b07896b10409ea43c27972d259a6fd10af7cfd38a832cf477f8836f89",
+        },
+        "samplecount-tie": {
+            "stdout": "c9105aa8469b281403798dc05d92185451d9404f0be1852644e17c5d528db7d2",
+        },
+        "samplecount-two-qubit-json": {
+            "stdout": "57edce0d2215528984c3fa922727269cb6bce107fb4d3f0ad594fbba895b3fa7",
+        },
+        "simulate-cluster12-generators": {
+            "stdout": "a9de0610209c1124cb9522776fba3f906f109743041aa6c236b00a198c611b26",
+        },
+        "simulate-ghz12": {
+            "stdout": "96dc907bace12b6d9b241c352e05f76b7e85e879a95cc9c0a6af36de8ee4877f",
+        },
+        "simulate-ghz4-generators": {
+            "stdout": "5ced774e9abc32d4d34d0605672d07d8ac3bf7655993fc7906d98c7e9695e125",
+            "--transcript": "7af8540d1f72fc526b6ca32afab697b946b8c9063e238558ea955be491c2c956",
+        },
+        "simulate-honest-json": {
+            "stdout": "17185a94ff11333dcde857c670f88015c43ac6cda01a3fb23c82d0f112fae8af",
+        },
+        "simulate-transcript": {
+            "stdout": "b4931568218e1947208e1875ea02a7074d388810f5ad6afd38d44dca21992b40",
+            "--transcript": "1490192bc5f73100f49ab4cba46db6fbae60d5dc35bfb2dd9418a6d499d045a4",
+        },
+        "stabilizer-inspect": {
+            "stdout": "c7f98d16918957b47df228840c9932e47dc1c7691808ff0ffe553d6eda9f117d",
+        },
+        "stabilizer-parity-check": {
+            "stdout": "cab5e2288135eba5b1cf4fd39b73b1f7ffda32369066ad44d12bded8c3170440",
+        },
+        "stabilizer-subset-json": {
+            "stdout": "ebaa2e4e299da4e0d9c9c9af68d0f45ec73fb4c2fdac3495c43ed64c959ee2a1",
+        },
+        "strategy-bell": {
+            "stdout": "a34f37994599e8f0df7d96ddc02096feee90a44f5cf6ad980d50729e7743757f",
+        },
+        "strategy-generators-ghz3-json": {
+            "stdout": "8bebacc1fca17f8b8276102dd02f9c05a6aa3b0b1bddcfd7a1973a8932a9b3a5",
+        },
+        "strategy-product-epsilon": {
+            "stdout": "e86fd3d1d9f01396c8d3a920047d760f34489cf573443bf338b2ec80e0a3fe14",
+        },
+        "strategy-two-qubit-json": {
+            "stdout": "8f64a44fb84bb2e15644ce861bc8080f707cf44f259580392ba7c6d15d26a76c",
         },
     },
 }

@@ -125,16 +125,19 @@ def test_tensor_operators_matches_kron():
 
 
 def test_fix_phase_convention():
-    # largest amplitude real positive; a tie on magnitude picks the lowest index
+    # the row pass of the joint eigenvectors: each row a unit vector whose
+    # largest amplitude is real positive; a tie on magnitude picks the lowest index
+    from qverify.stabilizer import _unit_rows
     _, vecs = np.linalg.eigh(random_hermitian(8, seed=11))
-    for i in range(vecs.shape[1]):
-        col = qcore._fix_phase(vecs[:, i])
-        pivot = col[int(np.argmax(np.abs(col)))]
+    rows = _unit_rows(2.0 * vecs.T)
+    for row, vec in zip(rows, vecs.T):
+        pivot = row[int(np.argmax(np.abs(row)))]
         assert abs(pivot.imag) < 1e-12
         assert pivot.real > 0
-        assert np.allclose(np.abs(col), np.abs(vecs[:, i]))
-    tied = qcore._fix_phase(np.array([-1j, 1.0, 0.0, 0.0]) / np.sqrt(2.0))
-    assert np.array_equal(tied, np.array([1.0, 1j, 0.0, 0.0]) / np.sqrt(2.0))
+        assert np.allclose(np.abs(row), np.abs(vec))
+    tied = _unit_rows(np.array([[-1j, 1.0, 0.0, 0.0], [0.0, 2.0, -2j * (1.0 + 1e-13), 0.0]]))
+    assert np.array_equal(tied[0], np.array([1.0, 1j, 0.0, 0.0]) / np.sqrt(2.0))
+    assert tied[1][1] > 0  # within TOL_INPUT of the largest: still a tie
 
 
 def test_partial_transpose_swaps_second_factor():
@@ -214,11 +217,30 @@ def test_a_bool_in_an_array_of_reals_is_bad_input(value):
             call()
 
 
+@pytest.mark.parametrize(
+    "value",
+    ["0.5", b"0.5", [np.array(True), 0.5], ["0.3", "0.5"], np.array(["0.5"]), [0.5, None],
+     np.array([0.5 + 0j])],
+    ids=["str", "bytes", "0-d-bool-array-in-list", "str-list", "str-array", "none", "complex"],
+)
+def test_an_array_of_reals_holds_only_real_cells(value):
+    from qverify.adversary import ridge_q
+    from qverify.samplecount import figure1_data
+    with pytest.raises(ValidationError, match="x must be an array of reals, got "):
+        qcore._reals("x", value)
+    with pytest.raises(ValidationError, match="big_p must be an array of reals, got "):
+        ridge_q(value, 1.0)
+    with pytest.raises(ValidationError, match="thetas must be an array of reals, got "):
+        figure1_data(0.01, 0.1, value)
+
+
 def test_an_array_of_reals_reads_ints_floats_and_nested_lists():
     assert qcore._reals("x", 0.25).tolist() == 0.25
     assert qcore._reals("x", [1, 2.5, np.float32(0.5)]).tolist() == [1.0, 2.5, 0.5]
     assert qcore._reals("x", np.arange(3)).dtype == float
     assert qcore._reals("x", [[1, 2], [3, 4]]).shape == (2, 2)
+    assert qcore._reals("x", [np.array(0.5), np.float32(0.25), np.array([1, 2])[0]]).tolist() == [
+        0.5, 0.25, 1.0]
 
 
 @pytest.mark.parametrize("value", [True, np.True_])

@@ -22,7 +22,6 @@ from qverify.qcore import (
     PAULI_MATRICES,
     TOL_DERIVED,
     Ket,
-    _fix_phase,
     basis_ket,
     identity,
 )
@@ -64,9 +63,11 @@ from stabilizer_oracles import (
     as_dense,
     elements_by_products,
     equal_mixture,
+    fix_phase,
     full_strategy_q,
     generator_strategy_q,
     joint_eigenvector,
+    label_by_letters,
     label_presets,
     random_group,
     SCHEME_INDICES,
@@ -504,7 +505,7 @@ def _dense_eigenbasis(group):
         norms = np.linalg.norm(proj, axis=0)
         start = int(np.flatnonzero(norms > TOL_DERIVED)[0])
         column = proj[:, start]
-        basis[:, s] = _fix_phase(column / float(np.linalg.norm(column)))
+        basis[:, s] = fix_phase(column / float(np.linalg.norm(column)))
     return basis
 
 
@@ -793,7 +794,9 @@ def _assert_elements_match_products(group):
         assert {type(v) for v in dataclasses.astuple(ours)} == {int}
     for build in (full_strategy, generator_strategy):
         settings = build(group).settings
-        assert [s.label for s in settings] == [checked[s.index].label for s in settings]
+        labels = [s.label for s in settings]
+        assert labels == [checked[s.index].label for s in settings]
+        assert labels == [label_by_letters(expected[s.index]) for s in settings]
 
 
 def test_table_routes_match_the_element_oracle_bitwise():
