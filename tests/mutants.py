@@ -177,12 +177,13 @@ MUTANTS = [
         "((g == 0) | ~pred(g - 1))", "((g == 0) | ~pred(g))",
         ("tests/test_adversary.py", "-k", "first_true or grid_min"), 4,
     ),
-    # an array of reals holds no bool, as a real number is none
+    # an array of reals holds only real cells: no bool, as a real number is
+    # none, and no numeric str
     Mutant(
         "reals-bool", "qcore.py",
-        "else type(cell) is not bool and isinstance(cell, numbers.Real)",
-        "else isinstance(cell, numbers.Real)",
-        ("tests/test_qcore.py",), 4,
+        '                raise TypeError("no array of reals")\n',
+        "                pass\n",
+        ("tests/test_qcore.py",), 14,
     ),
     # the stabilizer layer's array passes: the row pivot's tie window, the
     # label letters and sign, and the local-Clifford frame of the pass
