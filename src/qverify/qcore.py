@@ -34,7 +34,6 @@ from .errors import (
     BadDimError,
     NonHermitianError,
     NormalizationError,
-    QVerifyError,
     ValidationError,
 )
 
@@ -77,16 +76,14 @@ def _check_dense_dim(dim: int, what: str) -> None:
         )
 
 
-def _operator_defects(stack: np.ndarray, what: str) -> list[QVerifyError | None]:
-    """The HermitianOperator error of each matrix of a stack, or None: a
-    non-finite entry, else max |H - H^dagger| > TOL_INPUT. A non-finite
-    first matrix and a bad shape (square, a power of two within the dense
-    limit, one for the whole stack) come before any other check of any
-    matrix, so they are raised at once. An operator is the stack of one.
+def _operator_defects(stack: np.ndarray, what: str, squares: bool = False):
+    """The HermitianOperator error of each matrix of a nonempty stack, or None:
+    a non-finite entry, else max |H - H^dagger| > TOL_INPUT (with squares, also
+    each max |H^2 - H| from the same pass). A non-finite first matrix and a bad
+    shape (square, a power of two within the dense limit) are raised at once.
+    An operator is a stack of one; a longer one's non-finite matrices are zeroed.
     """
     k = len(stack)
-    if not k:
-        return []
     finite = np.isfinite(stack.reshape(k, -1)).all(axis=1).tolist()
     if not finite[0]:
         raise ValidationError(f"{what} has a non-finite entry")
@@ -94,24 +91,29 @@ def _operator_defects(stack: np.ndarray, what: str) -> list[QVerifyError | None]
         raise BadDimError(f"{what} entries must form a square matrix")
     _check_dense_dim(stack.shape[1], what)
     if not all(finite):
-        stack = np.where(np.array(finite)[:, None, None], stack, 0.0)
-    residuals = np.abs(stack - stack.conj().transpose(0, 2, 1)).max(axis=(1, 2)).tolist()
-    return [
+        stack[~np.array(finite)] = 0.0
+    out = np.empty((1 + squares, *stack.shape), dtype=complex)
+    np.subtract(stack, stack.conj().transpose(0, 2, 1), out=out[0])
+    if squares:
+        np.matmul(stack, stack, out=out[1])
+        np.subtract(out[1], stack, out=out[1])
+    residuals = np.abs(out).max(axis=(2, 3)).tolist()
+    errors = [
         ValidationError(f"{what} has a non-finite entry") if not ok
         else NonHermitianError(f"{what} deviates from Hermitian by {r!r} (> {TOL_INPUT})")
         if r > TOL_INPUT else None
-        for ok, r in zip(finite, residuals)
+        for ok, r in zip(finite, residuals[0])
     ]
+    return (errors, residuals[1]) if squares else errors
 
 
 def _check_unit_norms(rows: np.ndarray, what: str) -> None:
     """Reject a (k, d) stack of amplitudes unless every row has norm 1 within TOL_INPUT."""
-    norms = np.linalg.norm(rows, axis=1)
-    off = np.abs(norms - 1.0) > TOL_INPUT
-    if off.any():
-        raise NormalizationError(
-            f"{what} norm {float(norms[off.argmax()])!r} deviates from 1 by more than {TOL_INPUT}"
-        )
+    norms = np.sqrt(np.add.reduce((rows.conj() * rows).real, axis=1))  # np.linalg.norm's sum
+    for norm in norms.tolist():
+        if abs(norm - 1.0) > TOL_INPUT:
+            raise NormalizationError(f"{what} norm {norm!r} deviates from 1 by more than "
+                                     f"{TOL_INPUT}")
 
 
 _new = object.__new__
@@ -331,24 +333,27 @@ def partial_transpose_qubit2(op: HermitianOperator) -> HermitianOperator:
     factor of a Hermitian matrix is again Hermitian. Raises BadDimError
     unless dim == 4.
     """
-    return HermitianOperator(_partial_transposes(_matrix("op", op, 4)[None])[0])
+    pt = _partial_transposes(_matrix("op", op, 4)[None], np.empty((1, 4, 4), dtype=complex))
+    return HermitianOperator(pt[0])
 
 
-def _partial_transposes(stack: np.ndarray) -> np.ndarray:
-    """partial_transpose_qubit2 of each matrix of a (k, 4, 4) stack."""
-    m = stack.reshape(-1, 2, 2, 2, 2)
-    return m.transpose(0, 1, 4, 3, 2).reshape(-1, 4, 4)
+def _partial_transposes(stack: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """partial_transpose_qubit2 of each matrix of a (k, 4, 4) stack, written
+    into out, a C-contiguous (k, 4, 4) array."""
+    out.reshape(-1, 2, 2, 2, 2)[...] = stack.reshape(-1, 2, 2, 2, 2).transpose(0, 1, 4, 3, 2)
+    return out
 
 
-def _projector_defects(stack: np.ndarray, tol: float, vals=None) -> np.ndarray:
+def _projector_defects(stack: np.ndarray, tol: float, vals=None, idempotence=None) -> list[bool]:
     """For each matrix of a nonempty finite Hermitian (k, d, d) stack, True
     unless it is idempotent (max |P^2 - P| <= tol) with every eigenvalue
-    within tol of 0 or 1; vals is the stack's spectra, if already solved.
+    within tol of 0 or 1; vals is the stack's spectra and idempotence its
+    residuals max |P^2 - P| (a list), if already found.
     """
-    idempotence = np.abs(stack @ stack - stack).max(axis=(1, 2))
+    idempotence = idempotence or _operator_defects(stack, "projector", squares=True)[1]
     vals = np.linalg.eigvalsh(stack) if vals is None else vals
-    spread = np.minimum(np.abs(vals), np.abs(vals - 1.0)).max(axis=1)
-    return (idempotence > tol) | ~(spread <= tol)
+    spread = np.abs(vals - (vals > 0.5)).max(axis=1).tolist()  # to the nearer of 0 and 1
+    return [i > tol or not s <= tol for i, s in zip(idempotence, spread)]
 
 
 def haar_random_ket(dim: int, seed: int) -> Ket:

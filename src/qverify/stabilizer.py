@@ -414,7 +414,11 @@ class StabilizerGroup:
         return _unit_rows(columns(diagonal.argmax(axis=1)))
 
     def state(self) -> Ket:
-        """The unique stabilized state (syndrome 0)."""
+        """The unique stabilized state (syndrome 0), solved once per group."""
+        return self._stabilized
+
+    @cached_property
+    def _stabilized(self) -> Ket:
         return Ket(self._joint_eigenvectors([0])[0])
 
     @cached_property
@@ -443,7 +447,7 @@ class StabilizerGroup:
         upper = sum((b >> bit & 1) * _parity(b & z & -(2 << bit)) for bit, z in gamma.items())
         phases = _PHASES[(_popcount(b & diagonal) + 2 * upper) % 4]
         axes = tuple(n - bit for bit in range(n) if q_mask >> bit & 1)
-        b0 = int(np.abs(_clifford(self.state().amplitudes[None], axes, phases)[0]).argmax())
+        b0 = int(np.abs(_clifford(self._stabilized.amplitudes[None], axes, phases)[0]).argmax())
         w = np.array([x for x, _ in swapped])
         syndromes = _parity((b ^ b0)[:, None] & w) @ (1 << np.arange(n))
         return axes, phases, syndromes
@@ -654,9 +658,9 @@ class PauliStrategy:
     def dim(self) -> int:
         return 2**self.group.num_qubits
 
-    @cached_property
+    @property
     def target(self) -> Ket:
-        return self.group.state()
+        return self.group._stabilized
 
     @cached_property
     def settings(self) -> tuple[PauliTest, ...]:

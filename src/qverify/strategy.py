@@ -21,13 +21,12 @@ Constructions provided here:
 * product_state_strategy: for |00> or |11>, the single product
   projector onto the target, q = 0.
 
-The three builders, local_transport and _from_json_dict take one route,
-_checked: their projectors form one (k, d, d) stack, a walk runs every
-check that needs no eigensolve, and one eigvalsh then solves the
-settings, the partial transposes of their locality claims and Omega.
-Setting errors come first, in setting order, then the strategy's; a
-setting or strategy built directly runs the same checks with its own
-eigensolve.
+Every dense strategy and setting is checked in one complex (k + L + 1,
+d, d) buffer (_buffer) of its k pass projectors, the partial transposes
+of its L locality claims at d = 4, and Omega: builders write their
+projectors into it, every other route copies them in. One eigvalsh solves
+the whole buffer, which is then frozen under every projector and Omega.
+Setting errors come first, in setting order, then the strategy's.
 
 A strategy's metrics property is its one route to q, degeneracy and
 trace: the builders' strategies hold their closed form (family_metrics);
@@ -46,20 +45,20 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
 
 from . import qcore
 from .errors import BadDimError, NotUnitaryError, ThetaOutOfDomainError, ValidationError
-from .qcore import TOL_DERIVED, TOL_INPUT, HermitianOperator, Ket
+from .qcore import TOL_DERIVED, TOL_INPUT, HermitianOperator, Ket, _assembled
 from .samplecount import (
     SampleCountReport,
     StrategyMetrics,
     certainty_count_report,
     check_angle,
-    check_theta,
+    check_theta,  # re-exported beside the two-qubit constructors
     family_metrics,
     optimal_q,  # re-exported beside the two-qubit constructors
 )
@@ -113,9 +112,7 @@ class MeasurementSetting:
     def __post_init__(self):
         if not isinstance(self.projector, HermitianOperator):
             raise ValidationError(f"setting projector {self.projector!r} is no HermitianOperator")
-        _check_settings(
-            self.projector.entries[None], (self.weight,), (self.label,), (self.locality,)
-        )
+        _settings(self.projector.entries[None], (self.weight,), (self.label,), (self.locality,))
 
 
 def _field_defect(weight: float, label: str, locality: Locality) -> ValidationError | None:
@@ -133,69 +130,74 @@ def _field_defect(weight: float, label: str, locality: Locality) -> ValidationEr
     return None
 
 
-def _check_settings(stack: np.ndarray, weights, labels, localities, omega=False):
-    """Raise the error of the first invalid setting of a (k, d, d) stack;
-    with omega, return Omega of a valid nonempty stack and its spectrum.
+def _buffer(localities, shape=(4, 4)) -> np.ndarray:
+    """An empty complex (k + L + 1, d, d) buffer: k pass projectors of shape (d, d),
+    the partial transposes of the L locality claims at d = 4, then Omega."""
+    claims = shape == (4, 4) and sum(loc is not Locality.NONLOCAL for loc in localities)
+    return np.empty((len(localities) + claims + 1, *shape), dtype=complex)
 
-    A setting's checks run in order: the HermitianOperator checks, the
-    label, the weight, the locality, then idempotence and a {0, 1} spectrum
-    within TOL_DERIVED and, for d = 4 with a locality claim, a partial
-    transpose eigenvalue >= -TOL_DERIVED. One walk finds the first setting
-    failing a check without an eigensolve (eigvalsh takes no non-finite
-    matrix). One eigvalsh then solves the settings before it, their local
-    partial transposes and, if the walk found no defect, Omega, whose
-    spectrum invariant_defect reads.
+
+def _check_settings(buf: np.ndarray, weights, labels, localities):
+    """Check the k settings whose pass projectors fill rows [0, k) of a
+    _buffer, fill its tail rows, solve and freeze it; raise the first invalid
+    setting's error, else return Omega's spectrum (None if k = 0).
+
+    A setting's checks run in order: the HermitianOperator checks, the label,
+    the weight, the locality, then idempotence and a {0, 1} spectrum within
+    TOL_DERIVED and, for d = 4 with a locality claim, a partial transpose
+    eigenvalue >= -TOL_DERIVED. A walk finds the first setting failing a check
+    without an eigensolve; its row, later ones and Omega's are then zeroed.
     """
-    cheap, end = None, len(stack)
-    for i, defect in enumerate(qcore._operator_defects(stack, "operator")):
+    k = len(localities)
+    if not k:
+        return None
+    rows = buf[:k]
+    defects, idempotence = qcore._operator_defects(rows, "operator", squares=True)
+    cheap, end = None, k
+    for i, defect in enumerate(defects):
         cheap = defect or _field_defect(weights[i], labels[i], localities[i])
         if cheap is not None:
             end = i
             break
-    sums = _omega(weights, stack)[None] if omega and end and cheap is None else stack[:0]
-    if end:
-        head, d4 = stack[:end], stack.shape[1] == 4
-        local = [i for i in range(end) if d4 and localities[i] is not Locality.NONLOCAL]
-        pts = qcore._partial_transposes(head[local]) if local else head[:0]
-        vals = np.linalg.eigvalsh(np.concatenate([head, pts, sums]))
-        bad = qcore._projector_defects(head, TOL_DERIVED, vals[:end]).tolist()
-        pt_min = dict(zip(local, vals[end : end + len(local), 0].tolist()))
-        for i in range(end):
-            if bad[i]:
-                raise ValidationError(f"setting {labels[i]!r} is not a projector")
-            if pt_min.get(i, 0.0) < -TOL_DERIVED:
-                raise ValidationError(
-                    f"setting {labels[i]!r} claims locality but its partial "
-                    f"transpose has eigenvalue {pt_min[i]!r}"
-                )
+    if not end:
+        raise cheap  # the first setting's: no setting before it to solve
+    if cheap is not None:
+        buf[end:k] = buf[-1] = 0.0
+    # the L rows after the settings: every locality claim at d = 4, none otherwise
+    local = [i for i in range(k) if localities[i] is not Locality.NONLOCAL][: len(buf) - k - 1]
+    if local:
+        qcore._partial_transposes(rows if len(local) == k else rows[local], out=buf[k:-1])
+    if cheap is None:
+        _omega(weights, rows, out=buf[-1])
+    vals = np.linalg.eigvalsh(buf)
+    buf.setflags(write=False)
+    bad = qcore._projector_defects(rows, TOL_DERIVED, vals[:k], idempotence)
+    pt_min = dict(zip(local, vals[k:-1, 0].tolist()))
+    for i in range(end):
+        if bad[i]:
+            raise ValidationError(f"setting {labels[i]!r} is not a projector")
+        if pt_min.get(i, 0.0) < -TOL_DERIVED:
+            raise ValidationError(
+                f"setting {labels[i]!r} claims locality but its partial "
+                f"transpose has eigenvalue {pt_min[i]!r}"
+            )
     if cheap is not None:
         raise cheap
-    return (sums[0], vals[-1]) if len(sums) else (None, None)
+    return vals[-1]
 
 
-def _omega(weights, stack: np.ndarray) -> np.ndarray:
-    """sum_j w_j P_j of a (k, d, d) stack, added in order onto zeros (read only)."""
+def _omega(weights, stack: np.ndarray, out=None) -> np.ndarray:
+    """sum_j w_j P_j of a (k, d, d) stack, added in order onto zeros."""
     terms = np.asarray(weights, dtype=float)[:, None, None] * stack
-    out = np.add.reduce(terms, axis=0, initial=0.0)
-    out.setflags(write=False)
-    return out
+    return np.add.reduce(terms, axis=0, initial=0.0, out=out)
 
 
 def _settings(projectors, weights, labels, localities):
-    """(settings, Omega, its spectrum) over one stack of pass projectors:
-    projectors yields the k (d, d) pass projectors in order, copied into one
-    (k, d, d) stack that _check_settings checks and that is then frozen;
-    each setting's projector is a read-only view of it.
-    """
+    """(Omega, its spectrum) of k settings, their projectors copied into a _buffer."""
     stack = np.array([*projectors], dtype=complex)
-    omega, spectrum = _check_settings(stack, weights, labels, localities, omega=True)
-    stack.setflags(write=False)
-    operators = [qcore._assembled(HermitianOperator, entries=entries) for entries in stack]
-    settings = tuple(
-        qcore._assembled(MeasurementSetting, projector=op, weight=w, label=lab, locality=loc)
-        for op, w, lab, loc in zip(operators, weights, labels, localities)
-    )
-    return settings, omega, spectrum
+    buf = _buffer(localities, stack.shape[1:])
+    buf[: len(stack)] = stack
+    return buf[-1], _check_settings(buf, weights, labels, localities)
 
 
 def invariant_defect(target: Ket, omega: np.ndarray, vals=None) -> str | None:
@@ -205,7 +207,8 @@ def invariant_defect(target: Ket, omega: np.ndarray, vals=None) -> str | None:
     both within TOL_DERIVED. vals is omega's spectrum, if already solved.
     """
     psi = target.amplitudes
-    residual = float(np.linalg.norm(omega @ psi - psi))
+    drift = omega @ psi - psi
+    residual = math.sqrt(drift.real.dot(drift.real) + drift.imag.dot(drift.imag))  # its 2-norm
     if residual > TOL_DERIVED:
         return f"strategy does not fix its target (residual {residual!r})"
     vals = np.linalg.eigvalsh(omega) if vals is None else vals
@@ -216,15 +219,17 @@ def invariant_defect(target: Ket, omega: np.ndarray, vals=None) -> str | None:
 
 @dataclass(frozen=True, eq=False)
 class Strategy:
-    """A convex mixture of pass projectors fixing a target state."""
+    """A convex mixture of pass projectors fixing a target state; omega is
+    the strategy operator sum_j mu_j P_j (read only array)."""
 
     target: Ket
     settings: tuple[MeasurementSetting, ...]
     kind: StrategyKind
     theta: float | None = None
+    omega: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self, spectrum=None):
-        """Check the strategy; spectrum is Omega's, if already solved."""
+        """Check the strategy; spectrum is Omega's, if _checked solved it."""
         if not isinstance(self.kind, StrategyKind):
             raise ValidationError(f"strategy kind {self.kind!r} is not a StrategyKind")
         if self.theta is not None:
@@ -245,15 +250,13 @@ class Strategy:
         total = math.fsum(s.weight for s in self.settings)
         if abs(total - 1.0) > TOL_INPUT:
             raise ValidationError(f"setting weights sum to {total!r}, not 1")
+        if spectrum is None:  # built directly: its settings fill a buffer of their own
+            fields = zip(*((s.projector.entries, s.weight, s.label, s.locality) for s in settings))
+            omega, spectrum = _settings(*fields)
+            object.__setattr__(self, "omega", omega)
         defect = invariant_defect(self.target, self.omega, spectrum)
         if defect is not None:
             raise ValidationError(defect)
-
-    @cached_property
-    def omega(self) -> np.ndarray:
-        """The strategy operator sum_j mu_j P_j (read only array)."""
-        stack = np.stack([s.projector.entries for s in self.settings])
-        return _omega([s.weight for s in self.settings], stack)
 
     @property
     def dim(self) -> int:
@@ -288,19 +291,22 @@ class Strategy:
         return np.einsum("kij,ji->k", stack, sigma).real
 
 
-def _checked(target: Ket, kind: StrategyKind, theta, *fields, closed=False) -> Strategy:
-    """The Strategy over _settings(*fields): the one route of every builder,
-    local_transport and _from_json_dict. Its Omega is cached, and
-    __post_init__ reads the spectrum that _settings' one eigensolve gave.
-    A builder's strategy (closed) has its metrics cache filled with the
-    closed form family_metrics(kind.value, theta); no other Strategy's is."""
-    settings, omega, spectrum = _settings(*fields)
-    built = qcore._assembled(
-        Strategy, target=target, settings=settings, kind=kind, theta=theta, omega=omega
+def _checked(target: Ket, kind: StrategyKind, theta, buf, weights, labels, localities,
+             closed=None) -> Strategy:
+    """The Strategy over the pass projectors in rows [0, k) of a _buffer, for
+    every builder, local_transport and _from_json_dict. A builder's closed
+    form (family_metrics) fills the metrics cache; no other Strategy's is."""
+    spectrum = _check_settings(buf, weights, labels, localities)
+    settings = tuple(
+        _assembled(MeasurementSetting, projector=_assembled(HermitianOperator, entries=p),
+                   weight=w, label=lab, locality=loc)
+        for p, w, lab, loc in zip(buf, weights, labels, localities)
     )
+    built = _assembled(Strategy, target=target, settings=settings, kind=kind, theta=theta,
+                       omega=buf[-1])
     built.__post_init__(spectrum)
-    if closed:
-        built.__dict__["metrics"] = family_metrics(kind.value, theta)
+    if closed is not None:
+        built.__dict__["metrics"] = closed
     return built
 
 
@@ -325,19 +331,13 @@ def bell_strategy() -> Strategy:
     delta_eps = 2 eps / 3.
     """
     target = Ket(np.array([1.0, 0.0, 0.0, 1.0], dtype=complex) / math.sqrt(2.0))
-    specs = [
-        (qcore.PAULI_X, +1.0),
-        (qcore.PAULI_Y, -1.0),
-        (qcore.PAULI_Z, +1.0),
-    ]
-    eye = np.eye(4, dtype=complex)
+    specs = [(qcore.PAULI_X, +1.0), (qcore.PAULI_Y, -1.0), (qcore.PAULI_Z, +1.0)]
+    eye, localities = np.eye(4, dtype=complex), (Locality.STABILIZER_PAULI,) * 3
+    buf = _buffer(localities)
+    buf[:3] = [(eye + sign * np.kron(p, p)) / 2.0 for p, sign in specs]
     return _checked(
-        target, StrategyKind.BELL, None,
-        [(eye + sign * np.kron(p, p)) / 2.0 for p, sign in specs],
-        (1.0 / 3.0,) * 3,
-        ("XX", "-YY", "ZZ"),
-        (Locality.STABILIZER_PAULI,) * 3,
-        closed=True,
+        target, StrategyKind.BELL, None, buf, (1.0 / 3.0,) * 3, ("XX", "-YY", "ZZ"), localities,
+        family_metrics(StrategyKind.BELL.value),
     )
 
 
@@ -346,23 +346,28 @@ def target_state(theta: float) -> Ket:
     return Ket(_target_amplitudes(check_angle(theta)))
 
 
-def _target_amplitudes(theta: float) -> np.ndarray:
-    return np.array([math.sin(theta), 0.0, 0.0, math.cos(theta)], dtype=complex)
+def _target_amplitudes(theta: float) -> list[float]:
+    return [math.sin(theta), 0.0, 0.0, math.cos(theta)]
 
 
 def alpha_weight(theta: float) -> float:
     """Weight of the ZZ setting in the optimal four setting strategy."""
-    s = math.sin(2.0 * check_angle(theta))
-    return (2.0 - s) / (4.0 + s)
+    return _alpha(check_angle(theta))
+
+
+def _alpha(theta) -> float:  # of a checked theta
+    return (2.0 - math.sin(2.0 * theta)) / (4.0 + math.sin(2.0 * theta))
 
 
 _ZZ_PASS = np.diag([1.0, 0.0, 0.0, 1.0])  # the ZZ parity check's pass projector
+_EYE = np.eye(4)
 
-# Unit phases on |1> of the two factors of each annihilating product
-# state, one row per state: (2pi/3, pi/3), (4pi/3, 5pi/3), (0, pi).
+# The two factors of each annihilating product state, one row per state,
+# before their |0> and |1> amplitudes: 1 on |0> and a unit phase on |1>,
+# (2pi/3, pi/3), (4pi/3, 5pi/3), (0, pi).
 _PRODUCT_PHASES = np.array(
     [
-        [np.exp(1j * pa), np.exp(1j * pb)]
+        [[1.0, np.exp(1j * pa)], [1.0, np.exp(1j * pb)]]
         for pa, pb in (
             (2.0 * math.pi / 3.0, math.pi / 3.0),
             (4.0 * math.pi / 3.0, 5.0 * math.pi / 3.0),
@@ -372,13 +377,12 @@ _PRODUCT_PHASES = np.array(
 )
 
 
-def _annihilating_amplitudes(theta: float) -> np.ndarray:
-    """Rows: amplitudes of annihilating_product_states, norms unchecked."""
-    factors = np.empty((3, 2, 2), dtype=complex)
-    factors[:, :, 0] = 1.0 / math.sqrt(1.0 + math.tan(theta))
-    factors[:, :, 1] = _PRODUCT_PHASES * (1.0 / math.sqrt(1.0 + 1.0 / math.tan(theta)))
-    # row s is kron(first factor, second factor) of state s
-    return (factors[:, 0, :, None] * factors[:, 1, None, :]).reshape(3, 4)
+def _annihilating_amplitudes(theta: float, out: np.ndarray) -> np.ndarray:
+    """Amplitudes of annihilating_product_states (norms unchecked), into (3, 4) out."""
+    tan = math.tan(theta)
+    amplitudes = np.array([1.0 / math.sqrt(1.0 + tan), 1.0 / math.sqrt(1.0 + 1.0 / tan)])
+    factors = _PRODUCT_PHASES * amplitudes  # row s: the two factors of state s
+    return np.multiply(factors[:, 0, :, None], factors[:, 1, None, :], out=out.reshape(3, 2, 2))
 
 
 def annihilating_product_states(theta: float) -> tuple[Ket, Ket, Ket]:
@@ -394,7 +398,8 @@ def annihilating_product_states(theta: float) -> tuple[Ket, Ket, Ket]:
     theta = check_angle(theta, family=True)
     if theta == 0.0:
         raise ThetaOutOfDomainError("theta=0 has no annihilating product states: cot 0 diverges")
-    return tuple(Ket(row) for row in _annihilating_amplitudes(theta))
+    rows = _annihilating_amplitudes(theta, np.empty((3, 4), dtype=complex)).reshape(3, 4)
+    return tuple(Ket(row) for row in rows)
 
 
 def two_qubit_optimal(theta: float) -> Strategy:
@@ -407,22 +412,25 @@ def two_qubit_optimal(theta: float) -> Strategy:
     ThetaNearSpecialValueError within 1e-9 of {0, pi/4, pi/2} where the
     dedicated constructions apply instead.
     """
-    check_theta(theta)
-    alpha = alpha_weight(theta)
-    # the three product kets and the target, their norms checked as one stack
-    kets = np.concatenate([_annihilating_amplitudes(theta), _target_amplitudes(theta)[None]])
+    closed = family_metrics(StrategyKind.TWO_QUBIT_OPTIMAL.value, theta)  # theta's one check
+    alpha = _alpha(theta)
+    # the three product kets and the target, their norms checked as one (4, 4) array
+    kets = np.empty((4, 4), dtype=complex)
+    _annihilating_amplitudes(theta, kets[:3])
+    kets[3] = _target_amplitudes(theta)
     qcore._check_unit_norms(kets, "ket")
     kets.setflags(write=False)
-    states = kets[:3]
-    complements = np.eye(4) - states[:, :, None] * states.conj()[:, None, :]
+    states, localities = kets[:3], (Locality.STABILIZER_PAULI,) + (Locality.PRODUCT_PROJECTOR,) * 3
+    buf = _buffer(localities)
+    buf[0] = _ZZ_PASS
+    np.multiply(states[:, :, None], states.conj()[:, None, :], out=buf[1:4])
+    np.subtract(_EYE, buf[1:4], out=buf[1:4])  # the complements I - |s><s|
     rest = (1.0 - alpha) / 3.0
     return _checked(
-        qcore._assembled(Ket, amplitudes=kets[3]), StrategyKind.TWO_QUBIT_OPTIMAL, theta,
-        [_ZZ_PASS, *complements],
+        _assembled(Ket, amplitudes=kets[3]), StrategyKind.TWO_QUBIT_OPTIMAL, theta, buf,
         (alpha, rest, rest, rest),
         ("ZZ", "reject-product-1", "reject-product-2", "reject-product-3"),
-        (Locality.STABILIZER_PAULI,) + (Locality.PRODUCT_PROJECTOR,) * 3,
-        closed=True,
+        localities, closed,
     )
 
 
@@ -436,14 +444,13 @@ def product_state_strategy(which: str) -> Strategy:
         raise ValidationError(f"which={which!r} must be 'zero' or 'one'")
     index = 0 if which == "zero" else 3
     target = qcore.basis_ket(4, index)
-    amps = target.amplitudes
+    amps, localities = target.amplitudes, (Locality.PRODUCT_PROJECTOR,)
+    buf = _buffer(localities)
+    buf[0] = np.outer(amps, amps.conj())
     return _checked(
-        target, StrategyKind.PRODUCT_STATE, None,
-        [np.outer(amps, amps.conj())],
-        (1.0,),
-        ("00" if which == "zero" else "11",),
-        (Locality.PRODUCT_PROJECTOR,),
-        closed=True,
+        target, StrategyKind.PRODUCT_STATE, None, buf, (1.0,),
+        ("00" if which == "zero" else "11",), localities,
+        family_metrics(StrategyKind.PRODUCT_STATE.value),
     )
 
 
@@ -470,12 +477,12 @@ def local_transport(strategy: Strategy, u, v) -> Strategy:
     v = _check_unitary(v, "v")
     big = np.kron(u, v)
     old = strategy.settings
+    localities = [s.locality for s in old]
+    buf = _buffer(localities)
+    buf[: len(old)] = [big @ s.projector.entries @ big.conj().T for s in old]
     return _checked(
-        Ket(big @ strategy.target.amplitudes), strategy.kind, strategy.theta,
-        [big @ s.projector.entries @ big.conj().T for s in old],
-        [s.weight for s in old],
-        [s.label for s in old],
-        [s.locality for s in old],
+        Ket(big @ strategy.target.amplitudes), strategy.kind, strategy.theta, buf,
+        [s.weight for s in old], [s.label for s in old], localities,
     )
 
 
@@ -553,7 +560,6 @@ def _from_json_dict(doc) -> Strategy:
         ) from exc
     target = Ket(target_amps)
     projectors, weights, labels, localities = zip(*fields) if fields else ((),) * 4
-    return _checked(
-        target, kind, theta,
-        (flat.reshape(dim, dim) for flat in projectors), weights, labels, localities,
-    )
+    buf = _buffer(localities, (dim, dim))
+    buf[: len(projectors)] = np.reshape(projectors, (-1, dim, dim))
+    return _checked(target, kind, theta, buf, weights, labels, localities)

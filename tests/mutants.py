@@ -88,16 +88,22 @@ MUTANTS = [
     # the eigen checks of the settings before it
     Mutant(
         "settings-walk-first", "strategy.py",
-        "    if end:\n        head, d4 = stack[:end]",
-        "    if cheap is not None:\n        raise cheap\n    if end:\n        head, d4 = stack[:end]",
+        "    if cheap is not None:\n        buf[end:k] = buf[-1] = 0.0\n",
+        "    if cheap is not None:\n        raise cheap\n",
         ("tests/test_stacked_settings.py", "tests/test_strategy.py"), 10,
     ),
-    # the one eigensolve of a dense strategy: the partial transposes' rows
-    # of the fused spectrum, and Omega's upper spectral bound
+    # the one buffer of a dense strategy: the partial transposes' rows of
+    # its spectrum, the Hermitian row of its residual pass, and Omega's
+    # upper spectral bound
     Mutant(
         "fused-pt-rows", "strategy.py",
-        "vals[end : end + len(local), 0]", "vals[: len(local), 0]",
+        "vals[k:-1, 0]", "vals[: len(local), 0]",
         ("tests/test_stacked_settings.py", "tests/test_strategy.py"), 8,
+    ),
+    Mutant(
+        "fused-residual-rows", "qcore.py",
+        "zip(finite, residuals[0])", "zip(finite, residuals[-1])",
+        ("tests/test_stacked_settings.py",), 1,
     ),
     Mutant(
         "omega-upper-bound", "strategy.py",
@@ -107,8 +113,8 @@ MUTANTS = [
     ),
     # lines that each had one test written for them
     Mutant(
-        "operator-empty-stack", "qcore.py",
-        "    if not k:\n        return []", "    if k < 0:\n        return []",
+        "operator-empty-stack", "strategy.py",
+        "    if not k:\n        return None", "    if k < 0:\n        return None",
         ("tests/test_strategy.py::test_from_json_rejects_a_document_without_settings",), 1,
     ),
     Mutant(
@@ -176,6 +182,21 @@ MUTANTS = [
         "ridge-guess-check-at-guess", "adversary.py",
         "((g == 0) | ~pred(g - 1))", "((g == 0) | ~pred(g))",
         ("tests/test_adversary.py", "-k", "first_true or grid_min"), 4,
+    ),
+    # the worst orthogonal state's tie rule: the lowest index whose Pi_bb is
+    # within TOL_DERIVED of the largest, not the eigensolver's last bits
+    Mutant(
+        "worst-case-tie-rule", "adversary.py",
+        "b = int(np.argmax(weights >= weights.max() - TOL_DERIVED))",
+        "b = int(np.argmax(weights))",
+        ("tests/test_adversary.py", "-k", "worst_state"), 19,
+    ),
+    # the game value by the paper's identity, 1 - eps (1 - q)
+    Mutant(
+        "game-value-identity", "adversary.py",
+        "value = accept = 1.0 - strategy.metrics.delta_eps(epsilon)",
+        "value = accept = 1.0 - strategy.metrics.delta_eps(epsilon) / 2.0",
+        ("tests/test_adversary.py", "-k", "game_value"), 18,
     ),
     # an array of reals holds only real cells: no bool, as a real number is
     # none, and no numeric str

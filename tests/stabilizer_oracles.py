@@ -45,7 +45,7 @@ from qverify.stabilizer import (
     _walsh,
     group_from_json,
 )
-from qverify.strategy import Locality, Strategy, _checked
+from qverify.strategy import Locality, Strategy, _buffer, _checked
 
 
 def full_strategy_q(num_qubits: int) -> Fraction:
@@ -248,20 +248,18 @@ def equal_mixture(group, indices, kind, what):
     cols = np.arange(2**group.num_qubits)
     images, halves = _act(xs[:, None], zs[:, None], _PHASES[phases][:, None] / 2.0, cols)
 
-    def projectors():
-        for image, half in zip(images, halves):
-            out = np.zeros((cols.size, cols.size), dtype=complex)
-            out[cols, cols] = 0.5
-            out[image, cols] += half
-            yield out
-
     k = len(indices)
+    localities = (Locality.STABILIZER_PAULI,) * k
+    buf = _buffer(localities, (cols.size, cols.size))
+    for out, image, half in zip(buf, images, halves):
+        out[...] = 0.0
+        out[cols, cols] = 0.5
+        out[image, cols] += half
     return _checked(
-        group.state(), kind, None,
-        projectors(),
+        group.state(), kind, None, buf,
         (1.0 / k,) * k,
         [group.elements[m].label for m in indices],
-        (Locality.STABILIZER_PAULI,) * k,
+        localities,
     )
 
 

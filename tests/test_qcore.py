@@ -255,3 +255,22 @@ def test_a_bool_angle_or_probability_is_bad_input(value):
     ):
         with pytest.raises(ValidationError, match="must be a real number, got "):
             call()
+
+
+_EDGES = [0.0, -0.0, 0.5, 1.0, -1.0, 1.5, np.nextafter(0.5, 0.0), np.nextafter(0.5, 1.0),
+          1e-10, 1.0 - 1e-10, 1.0 + 1e-10, -1e-10, np.inf, -np.inf, np.nan]
+
+
+@given(st.lists(st.one_of(st.floats(), st.sampled_from(_EDGES)), min_size=1, max_size=12))
+@settings(max_examples=200, deadline=None)
+def test_the_projector_spread_reads_the_nearer_of_0_and_1(values):
+    # _projector_defects takes |v - (v > 0.5)|: bit for bit min(|v|, |v - 1|)
+    v = np.array(values)[None]
+    both = np.minimum(np.abs(v), np.abs(v - 1.0))
+    nearer = np.abs(v - (v > 0.5))
+    np.testing.assert_array_equal(nearer, both)
+    assert (np.signbit(nearer) == np.signbit(both)).all()
+    tol = 1e-10
+    assert qcore._projector_defects(np.zeros((1, 1, 1)), tol, v, [0.0]) == [
+        not both.max() <= tol
+    ]

@@ -13,9 +13,15 @@ random signed ones, most holding Y letters, and the presets.
 import numpy as np
 import pytest
 
-from qverify.adversary import hilbert_schmidt_mixed_state, top_orthogonal_eigenvector
+from qverify.adversary import (
+    hilbert_schmidt_mixed_state,
+    top_orthogonal_eigenvector,
+    worst_case_state,
+)
+from qverify.protocol import iid_adversary, predicted_acceptance
 from qverify.qcore import TOL_INPUT, HermitianOperator, haar_random_ket
 from qverify.stabilizer import (
+    StabilizerGroup,
     _labels,
     _unit_rows,
     full_strategy,
@@ -151,3 +157,22 @@ def test_the_frame_is_built_once_per_group_on_first_use():
     frame = group._frame
     gens.pass_probabilities(HermitianOperator(np.eye(32) / 32.0))
     assert group._frame is frame
+
+
+def test_the_stabilized_state_is_solved_once_per_group(monkeypatch):
+    # both cluster12 strategies, their worst cases and plans read one state:
+    # the group solves it once, and the frame's b0 reads that solution
+    solves = []
+    joint = StabilizerGroup._joint_eigenvectors
+
+    def counted(self, syndromes):
+        solves.append(len(syndromes))
+        return joint(self, syndromes)
+
+    monkeypatch.setattr(StabilizerGroup, "_joint_eigenvectors", counted)
+    group = preset_group("cluster12")
+    for strategy in (full_strategy(group), generator_strategy(group)):
+        device = iid_adversary(strategy.target, worst_case_state(strategy, 0.1), epsilon=0.1)
+        assert 0.0 < predicted_acceptance(strategy, device, 100) < 1.0
+    assert solves == [1]
+    assert group.state() is full_strategy(group).target

@@ -1,17 +1,21 @@
 """The stacked setting checks against the per-setting route they replaced.
 
-Strategy settings are validated as one (k, d, d) stack by
-strategy._settings. The per-setting route it replaced lives on here as
-an oracle: `oracle_setting` is the former MeasurementSetting and
-HermitianOperator validation, one setting at a time, and the oracle
-builders are the former constructors, one HermitianOperator per
-projector and one Ket per annihilating product state. The stacked route
-must build bitwise the same projectors, Omega, metrics and JSON bytes,
-and reject a bad setting with the same exception type and message.
+Strategy settings are validated in one (k + L + 1, d, d) buffer by
+strategy._check_settings (strategy._settings copies projectors into
+one). Two routes it replaced live on here as oracles. The stacked walk,
+whose stack, partial transposes and Omega were separate arrays, must
+give the buffer's bits (walk_settings). In the per-setting route,
+`oracle_setting` is the former MeasurementSetting and HermitianOperator
+validation, one setting at a time, and the oracle builders are the
+former constructors, one HermitianOperator per projector and one Ket per
+annihilating product state. The buffer route must build bitwise the same
+projectors, Omega, metrics and JSON bytes, and reject a bad setting with
+the same exception type and message.
 """
 
 import json
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -692,3 +696,174 @@ def test_json_bytes_match_per_entry_pairs(build):
         for s in built.settings
     ]
     assert json.dumps(to_json_dict(built)).encode() == json.dumps(doc).encode()
+
+
+# ------------------------------------------------------- the walk oracle
+#
+# Before the one buffer, a strategy's projectors were copied into one
+# (k, d, d) stack, a walk ran the checks that need no eigensolve, and one
+# eigvalsh solved the settings before the walk's first defect, their partial
+# transposes and Omega, concatenated into a new array. The two-qubit builder
+# made its kets, its complements and the stack as separate arrays. That
+# route lives on here for valid strategies, and the buffer route must give
+# its bits.
+
+_WALK_PHASES = np.array(
+    [
+        [np.exp(1j * pa), np.exp(1j * pb)]
+        for pa, pb in (
+            (2.0 * math.pi / 3.0, math.pi / 3.0),
+            (4.0 * math.pi / 3.0, 5.0 * math.pi / 3.0),
+            (0.0, math.pi),
+        )
+    ]
+)
+
+
+def walk_settings(projectors, weights, labels, localities):
+    """(stack, Omega, Omega's spectrum) of valid settings by the walk route."""
+    stack = np.array([*projectors], dtype=complex)
+    for i, defect in enumerate(qcore._operator_defects(stack.copy(), "operator")):
+        assert defect is None and strategy._field_defect(weights[i], labels[i], localities[i]) is None
+    omega = loop_omega(weights, stack)
+    local = [i for i, loc in enumerate(localities) if len(stack[0]) == 4 and loc is not Locality.NONLOCAL]
+    pts = stack[local].reshape(-1, 2, 2, 2, 2).transpose(0, 1, 4, 3, 2).reshape(-1, 4, 4)
+    vals = np.linalg.eigvalsh(np.concatenate([stack, pts, omega[None]]))
+    idempotence = np.abs(stack @ stack - stack).max(axis=(1, 2))
+    spread = np.minimum(np.abs(vals[: len(stack)]), np.abs(vals[: len(stack)] - 1.0)).max(axis=1)
+    assert (idempotence <= TOL_DERIVED).all() and (spread <= TOL_DERIVED).all()
+    assert (vals[len(stack) : -1, 0] >= -TOL_DERIVED).all()
+    return stack, omega, vals[-1]
+
+
+def walk_strategy(target, kind, theta, projectors, weights, labels, localities):
+    """(Strategy, Omega's spectrum) over walk_settings."""
+    stack, omega, spectrum = walk_settings(projectors, weights, labels, localities)
+    settings_ = tuple(
+        MeasurementSetting(HermitianOperator(p), w, lab, loc)
+        for p, w, lab, loc in zip(stack, weights, labels, localities)
+    )
+    built = qcore._assembled(
+        Strategy, target=target, settings=settings_, kind=kind, theta=theta, omega=omega
+    )
+    return built, spectrum
+
+
+def walk_two_qubit_optimal(theta):
+    strategy.check_theta(theta)
+    alpha = alpha_weight(theta)
+    factors = np.empty((3, 2, 2), dtype=complex)
+    factors[:, :, 0] = 1.0 / math.sqrt(1.0 + math.tan(theta))
+    factors[:, :, 1] = _WALK_PHASES * (1.0 / math.sqrt(1.0 + 1.0 / math.tan(theta)))
+    states = (factors[:, 0, :, None] * factors[:, 1, None, :]).reshape(3, 4)
+    target = np.array([math.sin(theta), 0.0, 0.0, math.cos(theta)], dtype=complex)
+    complements = np.eye(4) - states[:, :, None] * states.conj()[:, None, :]
+    rest = (1.0 - alpha) / 3.0
+    return walk_strategy(
+        Ket(target), StrategyKind.TWO_QUBIT_OPTIMAL, theta,
+        [np.diag([1.0, 0.0, 0.0, 1.0]), *complements],
+        (alpha, rest, rest, rest),
+        ("ZZ", "reject-product-1", "reject-product-2", "reject-product-3"),
+        (Locality.STABILIZER_PAULI,) + (Locality.PRODUCT_PROJECTOR,) * 3,
+    )
+
+
+def walk_transport(built, u, v):
+    big = np.kron(u, v)
+    old = built.settings
+    return walk_strategy(
+        Ket(big @ built.target.amplitudes), built.kind, built.theta,
+        [big @ s.projector.entries @ big.conj().T for s in old],
+        [s.weight for s in old], [s.label for s in old], [s.locality for s in old],
+    )
+
+
+def walk_from_json(doc):
+    dim = len(doc["target"])
+    items = doc["settings"]
+    theta = doc.get("theta")
+    return walk_strategy(
+        Ket(strategy._pairs_to_array(doc["target"], dim, "target")),
+        StrategyKind(doc["kind"]), None if theta is None else float(theta),
+        [strategy._pairs_to_array(i["projector"], dim * dim, "p").reshape(dim, dim) for i in items],
+        [float(i["weight"]) for i in items], [str(i["label"]) for i in items],
+        [Locality(i["locality"]) for i in items],
+    )
+
+
+def _built_with_spectrum(build):
+    """(build(), Omega's spectrum): the last row of its one eigvalsh."""
+    solved = []
+    real = np.linalg.eigvalsh
+
+    def recorded(a, *args, **kwargs):
+        solved.append(real(a, *args, **kwargs))
+        return solved[-1]
+
+    with mock.patch.object(np.linalg, "eigvalsh", recorded):
+        built = build()
+    assert len(solved) == 1
+    return built, solved[0][-1]
+
+
+def assert_walk_bits(built, spectrum, walk):
+    oracle, oracle_spectrum = walk
+    for ours, theirs in zip(built.settings, oracle.settings, strict=True):
+        assert ours.projector.entries.tobytes() == theirs.projector.entries.tobytes()
+    assert built.target.amplitudes.tobytes() == oracle.target.amplitudes.tobytes()
+    assert built.omega.tobytes() == oracle.omega.tobytes()
+    assert spectrum.tobytes() == oracle_spectrum.tobytes()
+    assert json.dumps(to_json_dict(built)).encode() == json.dumps(to_json_dict(oracle)).encode()
+
+
+_SPECIAL = st.sampled_from([0.0, math.pi / 4, math.pi / 2])
+_NEAR = st.builds(
+    lambda special, gap, side: special + side * gap if 0.0 < special < math.pi / 2
+    else abs(special - gap),
+    _SPECIAL, st.floats(1e-9, 1e-6, exclude_min=True), st.sampled_from([-1.0, 1.0]),
+)
+
+
+@given(
+    theta=st.one_of(_NEAR, thetas).filter(lambda t: theta_family(t) == "two-qubit-optimal"),
+    seed=st.integers(0, 2**32 - 1),
+)
+@settings(max_examples=120, deadline=None)
+def test_the_buffer_route_gives_the_walk_route_bits(theta, seed):
+    # near the special angles and at random ones, built, carried by a product
+    # unitary and read back from its JSON document
+    built, spectrum = _built_with_spectrum(lambda: two_qubit_optimal(theta))
+    assert_walk_bits(built, spectrum, walk_two_qubit_optimal(theta))
+    rng = np.random.default_rng(seed)
+    u, v = _haar_unitary(rng), _haar_unitary(rng)
+    moved, spectrum = _built_with_spectrum(lambda: local_transport(built, u, v))
+    assert_walk_bits(moved, spectrum, walk_transport(built, u, v))
+    doc = json.loads(json.dumps(to_json_dict(moved)))
+    back, spectrum = _built_with_spectrum(lambda: strategy._from_json_dict(doc))
+    assert_walk_bits(back, spectrum, walk_from_json(doc))
+
+
+def _chain(array):
+    """array and each array on its .base chain."""
+    while isinstance(array, np.ndarray):
+        yield array
+        array = array.base
+
+
+@pytest.mark.parametrize("route", ["bell", "two-qubit", "transport", "json"])
+def test_no_array_a_strategy_exposes_has_a_writable_view_or_base(route):
+    # the settings, Omega (and the two-qubit target) share one buffer; it and
+    # every view of it are frozen
+    optimum = two_qubit_optimal(0.6)
+    built = {
+        "bell": bell_strategy,
+        "two-qubit": lambda: optimum,
+        "transport": lambda: local_transport(optimum, PAULI_Y, PAULI_X),
+        "json": lambda: strategy._from_json_dict(json.loads(json.dumps(to_json_dict(optimum)))),
+    }[route]()
+    exposed = [s.projector.entries for s in built.settings]
+    exposed += [built.omega, built.target.amplitudes]
+    for array in exposed:
+        chain = list(_chain(array))
+        assert chain and not any(a.flags.writeable for a in chain)
+    assert built.omega.base is built.settings[0].projector.entries.base
