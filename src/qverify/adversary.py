@@ -189,7 +189,7 @@ def _check_ridge(big_p, big_t: float) -> None:
     """Reject P (a float or a float array) and T unless every P > 0 and T >= 0
     are finite, as the family makes them: P = tan^2 phi and T = tan^2 theta."""
     inside = (big_p > 0.0) & (big_p < math.inf)
-    if not (0.0 <= big_t < math.inf and (inside if isinstance(inside, bool) else inside.all())):
+    if not (0.0 <= big_t < math.inf and np.all(inside)):
         raise ValidationError(f"big_p={big_p!r} and big_t={big_t!r} need finite P > 0, T >= 0")
 
 
@@ -222,7 +222,11 @@ def ridge_q(big_p, big_t):
     """
     big_p, big_t = qcore._reals("big_p", big_p), qcore._real("big_t", big_t)
     _check_ridge(big_p, big_t)
-    core = big_t + big_p**2
+    return _ridge_q(big_p, big_t)
+
+
+def _ridge_q(big_p, big_t):  # of a P and T that _check_ridge accepts
+    core = big_t + big_p * big_p
     return 0.5 + core / (2.0 * (core + 4.0 * big_p * (1.0 + big_t)))
 
 
@@ -401,16 +405,17 @@ class CertificateReport:
 
 
 def _alpha_minimized(big_p: float, big_t: float) -> tuple[float, float]:
-    """Exact minimum over alpha of the family worst case at fixed phi.
+    """Exact minimum over alpha of the family worst case at fixed phi, for a
+    P and T that _check_ridge accepts: ridge_alpha's and ridge_q's values.
 
     lambda1 rises and lambda2 falls in alpha, so the minimum of their
     maximum sits on the equalizing ridge when admissible and at
     alpha = 0 otherwise.
     """
-    a_star = ridge_alpha(big_p, big_t)
-    if a_star is None:
+    balance = _ridge_sum(big_p, big_t)
+    if balance < 1.0:
         return 0.0, float(lambda1(0.0, big_p, big_t))
-    return a_star, float(ridge_q(big_p, big_t))
+    return 1.0 - 1.0 / balance, _ridge_q(big_p, big_t)
 
 
 def _first_true(pred, hi: np.ndarray, guess: np.ndarray | None = None) -> np.ndarray:
@@ -487,7 +492,7 @@ def certify_optimality(
     because a lattice argmin cannot pin the minimizer of so flat a
     valley to LOCATION_TOL.
     """
-    check_theta(theta)
+    theta = check_theta(theta)
     if qcore._integer("resolution", resolution) < 8:
         raise ValidationError("resolution must be at least 8")
     if qcore._integer("refine_resolution", refine_resolution) < 1:
@@ -507,26 +512,19 @@ def certify_optimality(
     fine_phis = np.linspace(phi_lo, phi_hi, refine_resolution)
     q_fine = _grid_min(theta, fine_alphas, fine_phis)[0]
     q_grid = min(q_coarse, q_fine)
-
-    def ridge_profile(phi: float) -> float:
-        return _alpha_minimized(math.tan(phi) ** 2, big_t)[1]
-
-    phi_pol, _ = _golden_max(lambda phi: -ridge_profile(phi), phi_lo, phi_hi)
+    # T and both window ends' P, checked once: P = tan^2 phi rises on (0, pi/2)
+    _check_ridge(np.array([math.tan(phi_lo) ** 2, math.tan(phi_hi) ** 2]), big_t)
+    phi_pol, _ = _golden_max(
+        lambda phi: -_alpha_minimized(math.tan(phi) ** 2, big_t)[1], phi_lo, phi_hi
+    )
     alpha_pol, q_pol = _alpha_minimized(math.tan(phi_pol) ** 2, big_t)
 
     q_closed = optimal_q(theta)
     return CertificateReport(
-        theta=theta,
-        resolution=resolution,
-        q_closed_form=q_closed,
-        q_grid=q_grid,
-        alpha_polished=float(alpha_pol),
-        phi_polished=float(phi_pol),
-        q_polished=float(q_pol),
-        alpha_closed_form=alpha_weight(theta),
-        phi_closed_form=math.atan(math.sqrt(math.tan(theta))),
-        gap=q_grid - q_closed,
-        ppt_bound=ppt_lower_bound(theta),
+        theta=theta, resolution=resolution, q_closed_form=q_closed, q_grid=q_grid,
+        alpha_polished=alpha_pol, phi_polished=float(phi_pol), q_polished=q_pol,
+        alpha_closed_form=alpha_weight(theta), gap=q_grid - q_closed,
+        phi_closed_form=math.atan(math.sqrt(math.tan(theta))), ppt_bound=ppt_lower_bound(theta),
     )
 
 

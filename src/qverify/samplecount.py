@@ -32,7 +32,7 @@ import numpy as np
 
 from .errors import DegenerateStrategyError, ThetaNearSpecialValueError
 from .errors import ThetaOutOfDomainError, UndefinedDivergenceError, ValidationError
-from .qcore import TOL_DERIVED, _integer, _real, _reals
+from .qcore import TOL_DERIVED, _assembled, _integer, _real, _reals
 
 THETA_SPECIAL_TOL = 1e-9
 SPECIAL_THETAS = (0.0, math.pi / 4, math.pi / 2)
@@ -81,6 +81,10 @@ def exact_count(delta_eps: float, delta: float) -> int:
     decides where an integer lies within the float quotient's error."""
     check_probability("delta_eps", delta_eps, open_one=False)
     check_probability("delta", delta)
+    return _exact_count(delta_eps, delta)
+
+
+def _exact_count(delta_eps: float, delta: float) -> int:  # of checked arguments
     if delta_eps == 1.0:
         return 1
     quotient = math.log(delta) / math.log1p(-delta_eps)
@@ -145,7 +149,7 @@ class SampleCountReport:
         if _integer("n_exact", self.n_exact) < 1:
             raise ValidationError(f"n_exact={self.n_exact} must be positive")
         if _real("p0", self.p0) == 1.0:
-            expected = exact_count(self.delta_eps, self.delta)
+            expected = _exact_count(self.delta_eps, self.delta)
             if self.n_exact != expected:
                 raise ValidationError(
                     f"n_exact={self.n_exact} disagrees with the exact "
@@ -170,16 +174,13 @@ def certainty_count_report(
             "strategy accepts an orthogonal state with certainty; "
             "no copy count rejects the worst case"
         )
-    gap = metrics.delta_eps(epsilon)
-    return SampleCountReport(
-        delta=delta,
-        delta_eps=gap,
-        n_exact=exact_count(gap, delta),
-        n_asymptotic=asymptotic_count(gap, delta),
-        method_label=method_label,
-        epsilon=epsilon,
-        q=metrics.q,
-        p0=1.0,
+    gap = epsilon * (1.0 - metrics.q)  # metrics.delta_eps(epsilon), epsilon checked once
+    check_probability("delta_eps", gap, open_one=False)
+    # assembled, not constructed: each field SampleCountReport checks is checked above
+    return _assembled(
+        SampleCountReport, delta=delta, delta_eps=gap, n_exact=_exact_count(gap, delta),
+        n_asymptotic=-math.log(delta) / gap, method_label=method_label, epsilon=epsilon,
+        q=metrics.q, p0=1.0,
     )
 
 
@@ -309,7 +310,10 @@ def check_angle(theta: float, family: bool = False) -> float:
 
 def theta_family(theta: float) -> str:
     """Which construction serves a given finite target angle."""
-    theta = check_angle(theta)
+    return _family(check_angle(theta))
+
+
+def _family(theta: float) -> str:  # of a checked theta
     if abs(theta) <= THETA_SPECIAL_TOL or abs(theta - math.pi / 2) <= THETA_SPECIAL_TOL:
         return "product"
     if abs(theta - math.pi / 4) <= THETA_SPECIAL_TOL:
@@ -317,18 +321,20 @@ def theta_family(theta: float) -> str:
     return "two-qubit-optimal"
 
 
-def check_theta(theta: float) -> None:
-    """Validate a target angle for the four setting construction.
+def check_theta(theta: float) -> float:
+    """theta as a float, if it is a target angle of the four setting construction.
 
     Angles outside the closed interval [0, pi/2] are out of domain; inside
     it, every angle that theta_family assigns to a special construction
     is rejected as near special.
     """
-    if theta_family(check_angle(theta, family=True)) != "two-qubit-optimal":
+    checked = check_angle(theta, family=True)
+    if _family(checked) != "two-qubit-optimal":
         raise ThetaNearSpecialValueError(
             f"theta={theta!r} is within {THETA_SPECIAL_TOL} of a special angle "
             "(0, pi/4, pi/2); use product_state_strategy or bell_strategy"
         )
+    return checked
 
 
 def _two_qubit_q_trace(theta: float) -> tuple[float, float]:
@@ -356,8 +362,7 @@ def family_metrics(family: str, theta: float | None = None) -> StrategyMetrics:
     elif family == "product":
         q, trace = 0.0, 1.0
     elif family == "two-qubit-optimal":
-        check_theta(theta)
-        q, trace = _two_qubit_q_trace(theta)
+        q, trace = _two_qubit_q_trace(check_theta(theta))
     else:
         raise ValidationError(f"family={family!r} has no closed form")
     return StrategyMetrics(q=q, trace=trace)
@@ -409,13 +414,6 @@ def figure2_data(
     found, label = family_metrics(family, theta), f"{family} strategy"
     rows = []
     for eps in epsilons.ravel().tolist():
-        local = certainty_count_report(found, eps, delta, label)
-        rows.append(
-            Fig2Row(
-                epsilon=eps,
-                n_local=local.n_exact,
-                n_global=exact_count(eps, delta),
-                n_tomo_ref=1.0 / eps**2,
-            )
-        )
+        local = certainty_count_report(found, eps, delta, label)  # checks eps and delta
+        rows.append(Fig2Row(eps, local.n_exact, _exact_count(eps, delta), 1.0 / eps**2))
     return rows

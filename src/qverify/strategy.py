@@ -26,7 +26,9 @@ d, d) buffer (_buffer) of its k pass projectors, the partial transposes
 of its L locality claims at d = 4, and Omega: builders write their
 projectors into it, every other route copies them in. One eigvalsh solves
 the whole buffer, which is then frozen under every projector and Omega.
-Setting errors come first, in setting order, then the strategy's.
+The strategy's own checks (_check_strategy) run once: after the settings'
+(so a builder's setting errors come first, in setting order), or for a
+directly built Strategy before its settings fill their buffer; then Omega's.
 
 A strategy's metrics property is its one route to q, degeneracy and
 trace: the builders' strategies hold their closed form (family_metrics);
@@ -56,6 +58,7 @@ from .qcore import TOL_DERIVED, TOL_INPUT, HermitianOperator, Ket, _assembled
 from .samplecount import (
     SampleCountReport,
     StrategyMetrics,
+    _two_qubit_q_trace,
     certainty_count_report,
     check_angle,
     check_theta,  # re-exported beside the two-qubit constructors
@@ -217,6 +220,31 @@ def invariant_defect(target: Ket, omega: np.ndarray, vals=None) -> str | None:
     return None
 
 
+def _check_strategy(target, settings: tuple, kind, theta) -> float | None:
+    """The strategy's own checks, in order: the kind, theta (a finite real,
+    returned as a float), the target, the setting types, at least one setting,
+    their dimensions and a weight sum of 1 within TOL_INPUT."""
+    if not isinstance(kind, StrategyKind):
+        raise ValidationError(f"strategy kind {kind!r} is not a StrategyKind")
+    if theta is not None:
+        theta = qcore._real("strategy theta", theta)
+        if not math.isfinite(theta):
+            raise ValidationError(f"strategy theta {theta!r} is not a finite number")
+    dim = qcore._ket("strategy target", target).dim
+    if not all(isinstance(s, MeasurementSetting) for s in settings):
+        raise ValidationError("strategy settings must be MeasurementSettings")
+    if not settings:
+        raise ValidationError("strategy needs at least one setting")
+    wrong = [s for s in settings if s.projector.dim != dim]
+    if wrong:
+        raise ValidationError(f"setting {wrong[0].label!r} dimension {wrong[0].projector.dim} "
+                              f"does not match target dimension {dim}")
+    total = math.fsum(s.weight for s in settings)
+    if abs(total - 1.0) > TOL_INPUT:
+        raise ValidationError(f"setting weights sum to {total!r}, not 1")
+    return theta
+
+
 @dataclass(frozen=True, eq=False)
 class Strategy:
     """A convex mixture of pass projectors fixing a target state; omega is
@@ -228,35 +256,14 @@ class Strategy:
     theta: float | None = None
     omega: np.ndarray = field(init=False, repr=False)
 
-    def __post_init__(self, spectrum=None):
-        """Check the strategy; spectrum is Omega's, if _checked solved it."""
-        if not isinstance(self.kind, StrategyKind):
-            raise ValidationError(f"strategy kind {self.kind!r} is not a StrategyKind")
-        if self.theta is not None:
-            object.__setattr__(self, "theta", qcore._real("strategy theta", self.theta))
-            if not math.isfinite(self.theta):
-                raise ValidationError(f"strategy theta {self.theta!r} is not a finite number")
-        qcore._ket("strategy target", self.target)
+    def __post_init__(self):
         settings = tuple(self.settings) if np.iterable(self.settings) else (self.settings,)
-        if not all(isinstance(s, MeasurementSetting) for s in settings):
-            raise ValidationError("strategy settings must be MeasurementSettings")
-        object.__setattr__(self, "settings", settings)
-        if not self.settings:
-            raise ValidationError("strategy needs at least one setting")
-        wrong = [s for s in settings if s.projector.dim != self.target.dim]
-        if wrong:
-            raise ValidationError(f"setting {wrong[0].label!r} dimension {wrong[0].projector.dim} "
-                                  f"does not match target dimension {self.target.dim}")
-        total = math.fsum(s.weight for s in self.settings)
-        if abs(total - 1.0) > TOL_INPUT:
-            raise ValidationError(f"setting weights sum to {total!r}, not 1")
-        if spectrum is None:  # built directly: its settings fill a buffer of their own
-            fields = zip(*((s.projector.entries, s.weight, s.label, s.locality) for s in settings))
-            omega, spectrum = _settings(*fields)
-            object.__setattr__(self, "omega", omega)
-        defect = invariant_defect(self.target, self.omega, spectrum)
-        if defect is not None:
+        theta = _check_strategy(self.target, settings, self.kind, self.theta)
+        fields = zip(*((s.projector.entries, s.weight, s.label, s.locality) for s in settings))
+        omega, spectrum = _settings(*fields)  # its settings fill a buffer of their own
+        if (defect := invariant_defect(self.target, omega, spectrum)) is not None:
             raise ValidationError(defect)
+        self.__dict__.update(settings=settings, theta=theta, omega=omega)
 
     @property
     def dim(self) -> int:
@@ -302,9 +309,11 @@ def _checked(target: Ket, kind: StrategyKind, theta, buf, weights, labels, local
                    weight=w, label=lab, locality=loc)
         for p, w, lab, loc in zip(buf, weights, labels, localities)
     )
+    theta = _check_strategy(target, settings, kind, theta)
+    if (defect := invariant_defect(target, buf[-1], spectrum)) is not None:
+        raise ValidationError(defect)
     built = _assembled(Strategy, target=target, settings=settings, kind=kind, theta=theta,
                        omega=buf[-1])
-    built.__post_init__(spectrum)
     if closed is not None:
         built.__dict__["metrics"] = closed
     return built
@@ -412,7 +421,7 @@ def two_qubit_optimal(theta: float) -> Strategy:
     ThetaNearSpecialValueError within 1e-9 of {0, pi/4, pi/2} where the
     dedicated constructions apply instead.
     """
-    closed = family_metrics(StrategyKind.TWO_QUBIT_OPTIMAL.value, theta)  # theta's one check
+    theta = check_theta(theta)  # theta's one check, its float stored on the strategy
     alpha = _alpha(theta)
     # the three product kets and the target, their norms checked as one (4, 4) array
     kets = np.empty((4, 4), dtype=complex)
@@ -430,7 +439,7 @@ def two_qubit_optimal(theta: float) -> Strategy:
         _assembled(Ket, amplitudes=kets[3]), StrategyKind.TWO_QUBIT_OPTIMAL, theta, buf,
         (alpha, rest, rest, rest),
         ("ZZ", "reject-product-1", "reject-product-2", "reject-product-3"),
-        localities, closed,
+        localities, StrategyMetrics(*_two_qubit_q_trace(theta)),  # family_metrics' closed form
     )
 
 

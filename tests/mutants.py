@@ -16,6 +16,14 @@ error shows no test catching the change. Each of these verdicts makes
 the exit status 1. To try one mutant while re-aiming it, comment out
 the others.
 
+Each mutant's pytest runs under the hypothesis profile "mutants" (the
+plugin PROFILE, written into the copy and loaded with -p): no shrink or
+explain phase and no example database. A kill needs failing tests, not
+their smallest examples, and shrinking a killed mutant's failures can
+take most of its run (game-value-identity: about 15 s with shrinking,
+3 s without). Tier-1 runs keep hypothesis' default profile, which this
+script never touches.
+
 pytest collects test_*.py files only, so it never runs this script.
 """
 
@@ -34,6 +42,13 @@ from typing import NamedTuple
 
 ROOT = Path(__file__).resolve().parent.parent
 JOBS = 2  # mutants run at once, one pytest process each
+PROFILE = """from hypothesis import Phase, settings
+
+settings.register_profile(
+    "mutants", phases=[p for p in Phase if p.name not in ("shrink", "explain")], database=None
+)
+settings.load_profile("mutants")
+"""
 
 
 class Mutant(NamedTuple):
@@ -110,6 +125,26 @@ MUTANTS = [
         "if vals[0] < -TOL_DERIVED or vals[-1] > 1.0 + TOL_DERIVED:",
         "if vals[0] < -TOL_DERIVED:",
         ("tests/test_stacked_settings.py", "tests/test_strategy.py"), 1,
+    ),
+    # each check of the warm analysis path runs once: the strategy's weight
+    # sum in the check both entries share, both ends of the certificate's
+    # phi window, and the report route's gap (eps (1 - q), the bits of
+    # StrategyMetrics.delta_eps)
+    Mutant(
+        "strategy-weight-sum-tolerance", "strategy.py",
+        "    if abs(total - 1.0) > TOL_INPUT:", "    if abs(total - 1.0) > TOL_DERIVED:",
+        ("tests/test_checked_once.py", "-k", "weight_sum"), 2,
+    ),
+    Mutant(
+        "polish-window-one-end", "adversary.py",
+        "np.array([math.tan(phi_lo) ** 2, math.tan(phi_hi) ** 2])",
+        "np.array([math.tan(phi_lo) ** 2])",
+        ("tests/test_checked_once.py", "-k", "window_check"), 5,
+    ),
+    Mutant(
+        "report-gap-expression", "samplecount.py",
+        "gap = epsilon * (1.0 - metrics.q)", "gap = epsilon - epsilon * metrics.q",
+        ("tests/test_checked_once.py", "-k", "certainty_count_report"), 1,
     ),
     # lines that each had one test written for them
     Mutant(
@@ -280,15 +315,17 @@ def run(mutant: Mutant) -> tuple[str, str]:
         for part in ("src", "tests"):
             shutil.copytree(ROOT / part, tree / part, ignore=skip)
         shutil.copy2(ROOT / "pyproject.toml", tree)
+        (tree / "mutant_profile.py").write_text(PROFILE)
         source = tree / "src" / "qverify" / mutant.path
         text = source.read_text()
         if text.count(mutant.old) != 1:
             return "stale", f"old text occurs {text.count(mutant.old)} times in {mutant.path}"
         source.write_text(text.replace(mutant.old, mutant.new))
-        env = dict(os.environ, PYTHONPATH=str(tree / "src"), PYTHONDONTWRITEBYTECODE="1")
+        path = os.pathsep.join((str(tree / "src"), str(tree)))
+        env = dict(os.environ, PYTHONPATH=path, PYTHONDONTWRITEBYTECODE="1")
         proc = subprocess.run(
-            [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", "--tb=no",
-             f"--maxfail={mutant.min_failures}", *mutant.selection],
+            [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", "-p",
+             "mutant_profile", "--tb=no", f"--maxfail={mutant.min_failures}", *mutant.selection],
             cwd=tree, env=env, capture_output=True, text=True,
         )
     summary = proc.stdout.strip().splitlines()[-1] if proc.stdout.strip() else proc.stderr

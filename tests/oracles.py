@@ -5,7 +5,10 @@ check, a device's per-copy state, a dense strategy's eigenproblem, the
 game value's Lagrangian dual sweep, a dense acceptance tr(Omega sigma),
 the dense closed forms of the two-qubit optimum and of the symmetrized
 candidate family, the GHZ state, and the float and Fraction routes to an
-exact copy count through them.
+exact copy count through them. Two routes the library replaced live on
+as oracles: the certificate polish's step through the checked
+ridge_alpha and ridge_q, and the count report built and validated field
+by field.
 """
 
 import math
@@ -14,10 +17,12 @@ from fractions import Fraction
 import numpy as np
 
 from qverify.adversary import _ROUNDING, AdversaryState, GameValue, lambda1, lambda2
-from qverify.errors import ValidationError
+from qverify.adversary import ridge_alpha, ridge_q
+from qverify.errors import DegenerateStrategyError, ValidationError
 from qverify.qcore import TOL_DERIVED, HermitianOperator, Ket, _projector_defects
 from qverify.qcore import orthocomplement_basis
-from qverify.samplecount import StrategyMetrics, check_probability
+from qverify.samplecount import SampleCountReport, StrategyMetrics, asymptotic_count
+from qverify.samplecount import check_probability, exact_count
 from qverify.stabilizer import PauliStrategy, StabilizerGroup
 from qverify.strategy import Strategy, alpha_weight
 
@@ -304,3 +309,31 @@ def fraction_exact_count(delta_eps: float, delta: float) -> int:
     while n > 1 and ratio ** (n - 1) <= bound:
         n -= 1
     return n
+
+
+def alpha_minimized(big_p: float, big_t: float) -> tuple[float, float]:
+    """The certificate polish's former step, the least worst case over alpha
+    at P = tan^2 phi: ridge_alpha, then ridge_q (or lambda1 at alpha = 0 off
+    the ridge), each reading and checking P and T itself."""
+    a_star = ridge_alpha(big_p, big_t)
+    if a_star is None:
+        return 0.0, float(lambda1(0.0, big_p, big_t))
+    return a_star, float(ridge_q(big_p, big_t))
+
+
+def count_report(metrics, epsilon: float, delta: float, method_label: str) -> SampleCountReport:
+    """The former certainty_count_report: every check of each public step,
+    and a SampleCountReport that validates its fields (and recounts)."""
+    check_probability("epsilon", epsilon)
+    check_probability("delta", delta)
+    if metrics.degenerate:
+        raise DegenerateStrategyError(
+            "strategy accepts an orthogonal state with certainty; "
+            "no copy count rejects the worst case"
+        )
+    gap = metrics.delta_eps(epsilon)
+    return SampleCountReport(
+        delta=delta, delta_eps=gap, n_exact=exact_count(gap, delta),
+        n_asymptotic=asymptotic_count(gap, delta), method_label=method_label,
+        epsilon=epsilon, q=metrics.q, p0=1.0,
+    )
